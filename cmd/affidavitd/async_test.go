@@ -152,47 +152,54 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 // TestAsyncDedupeEndToEnd is the acceptance race test: N concurrent
-// submissions of an identical pair perform exactly one computation —
-// one queued job, N−1 dedupe hits, one cold search — and every fetch
-// returns byte-identical bodies.
+// first-time submissions of an identical pair perform exactly one
+// computation — one queued job, N−1 dedupe hits, one cold search — and
+// every fetch returns byte-identical bodies. Whichever of them spool past
+// the store's lookup before the first Submit each ingest; Submit is where
+// they collapse, over an in-memory and a durable store alike.
 func TestAsyncDedupeEndToEnd(t *testing.T) {
-	srv := testServer(t)
 	ch := testChain(t, 1)
 	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
+	eachStore(t, func(t *testing.T, durable bool) {
+		srv, dir := uploadServer(t, durable, serverConfig{})
 
-	const n = 6
-	bodies := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			code, body := post(t, srv, src, tgt, map[string]string{"table": "dup"})
-			if code != http.StatusOK {
-				t.Errorf("request %d: status %d: %.200s", i, code, body)
-				return
+		const n = 6
+		bodies := make([][]byte, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				code, body := post(t, srv, src, tgt, map[string]string{"table": "dup"})
+				if code != http.StatusOK {
+					t.Errorf("request %d: status %d: %.200s", i, code, body)
+					return
+				}
+				bodies[i] = body
+			}(i)
+		}
+		wg.Wait()
+		for i := 1; i < n; i++ {
+			if !bytes.Equal(bodies[0], bodies[i]) {
+				t.Fatalf("response %d differs from response 0", i)
 			}
-			bodies[i] = body
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("response %d differs from response 0", i)
 		}
-	}
 
-	metrics := get(t, srv.URL+"/metrics")
-	for _, want := range []string{
-		"affidavit_jobs_submitted_total 1\n",
-		fmt.Sprintf("affidavit_jobs_dedupe_hits_total %d\n", n-1),
-		"affidavit_jobs_completed_total 1\n",
-		`affidavit_runs_started_total{mode="cold"} 1`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, metrics)
+		metrics := get(t, srv.URL+"/metrics")
+		for _, want := range []string{
+			"affidavit_jobs_submitted_total 1\n",
+			fmt.Sprintf("affidavit_jobs_dedupe_hits_total %d\n", n-1),
+			"affidavit_jobs_completed_total 1\n",
+			`affidavit_runs_started_total{mode="cold"} 1`,
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("metrics missing %q in:\n%s", want, metrics)
+			}
 		}
-	}
+		if names, want := dirNames(t, dir), pairBlobs(durable); len(names) != want {
+			t.Errorf("the racers left %v, want %d blobs and no spool", names, want)
+		}
+	})
 }
 
 // TestJobRestartDurability is the durability demo: a journal holding a

@@ -5,7 +5,6 @@ package main
 // gauges/counters on /metrics and /stats.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,6 +14,7 @@ import (
 	"affidavit"
 	"affidavit/internal/catalog"
 	"affidavit/internal/jobs"
+	"affidavit/internal/upload"
 )
 
 // jobPayload is the non-durable state a live submission hands the
@@ -53,10 +53,10 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	}
 	if src == nil || tgt == nil {
 		var err error
-		if src, err = s.ingestBlob(ctx, rec.SourceBlob, "source"); err != nil {
+		if src, err = upload.IngestBlob(ctx, s.ex, s.store.Blobs(), rec.SourceBlob, "source"); err != nil {
 			return nil, err
 		}
-		if tgt, err = s.ingestBlob(ctx, rec.TargetBlob, "target"); err != nil {
+		if tgt, err = upload.IngestBlob(ctx, s.ex, s.store.Blobs(), rec.TargetBlob, "target"); err != nil {
 			return nil, err
 		}
 	}
@@ -105,21 +105,6 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 		return nil, fmt.Errorf("unknown format %q", rec.Format)
 	}
 	return out, nil
-}
-
-// ingestBlob re-interns a journaled upload for a replayed job. Failures
-// are transient: the blob may be on slow or briefly unavailable storage,
-// and a retry with backoff is cheaper than failing a durable job.
-func (s *server) ingestBlob(ctx context.Context, hash, role string) (*affidavit.Table, error) {
-	data, err := s.store.Blobs().Get(hash)
-	if err != nil {
-		return nil, jobs.Transient(fmt.Errorf("replaying %s upload: %w", role, err))
-	}
-	tab, err := s.ex.ReadSourceNamed(ctx, affidavit.NewCSVSource(bytes.NewReader(data)), role)
-	if err != nil {
-		return nil, fmt.Errorf("re-ingesting %s upload: %w", role, err)
-	}
-	return tab, nil
 }
 
 // jobView is the /jobs wire shape of one job record. Fields mirror

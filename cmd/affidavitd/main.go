@@ -19,10 +19,13 @@
 // Endpoints:
 //
 //	POST /explain      multipart upload: files "source" and "target" (CSV,
-//	                   first row = header), streamed record-by-record into
-//	                   the interned columnar backend — snapshots are never
-//	                   buffered whole, so uploads beyond the historical
-//	                   -max-upload cap are fine; optional values "table"
+//	                   first row = header), spooled to disk and hashed, then
+//	                   — unless the pair's content address is already known,
+//	                   in which case the request joins that job without
+//	                   ingesting — interned record-by-record into the
+//	                   columnar backend. Snapshots are never buffered whole,
+//	                   so uploads beyond the historical -max-upload cap are
+//	                   fine; optional values "table"
 //	                   (session key, default "table"), "format" (json | sql
 //	                   | text), "warm" ("1" = chain mode: warm-start from
 //	                   the table's previous explanation and store the new
@@ -94,10 +97,10 @@
 //	-max-sessions  LRU cap on retained per-table sessions
 //	-session-ttl   idle sessions are evicted past this age
 //	-max-upload    cap on each non-file form value, in MiB (file parts
-//	               stream and are not byte-bounded)
-//	-max-records   cap on each streamed snapshot's record count — the
-//	               memory guard now that uploads stream (default 10M)
-//	-max-snapshot  cap on each streamed snapshot's raw bytes, in MiB —
+//	               spool to disk and are not bounded by it)
+//	-max-records   cap on each snapshot's record count — the memory
+//	               guard at ingest (default 10M)
+//	-max-snapshot  cap on each snapshot's raw bytes, in MiB —
 //	               catches few-records-huge-fields bodies (default 1024)
 //	-mem-budget    approximate per-run memory budget (e.g. 256MiB): cold
 //	               column chunks, blocking group tables and conversion key
@@ -137,7 +140,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		warmGuard   = flag.Float64("warm-guard", 0, "warm-start quality guard factor (0 = disabled; e.g. 3 escalates to a cold search when the warm seed costs 3× the previous compression ratio)")
-		maxUpload   = flag.Int64("max-upload", 1, "largest accepted non-file form value in MiB (file parts stream chunk-by-chunk and are not byte-bounded; see -max-records)")
+		maxUpload   = flag.Int64("max-upload", 1, "largest accepted non-file form value in MiB (file parts spool to disk and are not bounded by it; see -max-records and -max-snapshot)")
 		maxRecords  = flag.Int("max-records", 0, "largest accepted snapshot in records (0 = default 10M, negative = unlimited)")
 		maxSnapshot = flag.Int64("max-snapshot", 0, "largest accepted snapshot in MiB (0 = default 1024, negative = unlimited)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent /explain requests (0 = unlimited)")

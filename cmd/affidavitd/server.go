@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -17,16 +16,14 @@ import (
 	"affidavit"
 	"affidavit/internal/catalog"
 	"affidavit/internal/jobs"
+	"affidavit/internal/upload"
 )
 
 // maxFieldBytes caps each non-file multipart value (table name, format,
-// warm flag). File parts are never buffered — they stream straight into
-// the interned columnar backend — so this is the only per-part memory
-// bound the server needs.
+// warm flag). File parts are never buffered — they spool to disk and are
+// interned from there — so this is the only per-part memory bound the
+// server needs.
 const maxFieldBytes = 1 << 20
-
-// maxFormFields bounds how many non-file parts one upload may carry.
-const maxFormFields = 64
 
 // serverConfig bundles the service knobs so tests and main construct the
 // server the same way.
@@ -40,17 +37,17 @@ type serverConfig struct {
 	// server's own MetricsObserver (e.g. the -progress narrator).
 	observer affidavit.Observer
 	// maxUpload caps each buffered non-file form value in bytes; 0 means
-	// maxFieldBytes. File parts stream and are deliberately NOT bounded by
-	// it: uploads larger than the historical -max-upload are explained
-	// chunk-by-chunk without whole-snapshot buffering.
+	// maxFieldBytes. File parts spool to disk and are deliberately NOT
+	// bounded by it: uploads larger than the historical -max-upload are
+	// interned chunk-by-chunk without whole-snapshot buffering.
 	maxUpload int64
-	// maxRecords caps each streamed snapshot's record count; 0 means the
-	// default of 10 million. Streaming removed the whole-body byte cap, so
+	// maxRecords caps each ingested snapshot's record count; 0 means the
+	// default of 10 million. File parts have no whole-body byte cap, so
 	// this is one of the two guards against an endless (or hostile
 	// high-cardinality) upload interning until OOM; set it to what the
 	// deployment's memory can intern. Negative means unlimited.
 	maxRecords int
-	// maxSnapshotBytes caps each streamed snapshot's raw byte volume — the
+	// maxSnapshotBytes caps each spooled snapshot's raw byte volume — the
 	// companion guard to maxRecords, catching few-records-huge-fields
 	// bodies that a record count cannot. 0 means the default of 1 GiB;
 	// negative means unlimited.
@@ -445,148 +442,8 @@ type deadlineResponse struct {
 	Stats affidavit.JSONStats `json:"stats"`
 }
 
-// limitRecords bounds a streamed snapshot's record count (max ≤ 0 means
-// unlimited) — the daemon's backstop against uploads that would intern
-// until OOM now that file parts have no byte cap.
-func limitRecords(src affidavit.Source, max int) affidavit.Source {
-	if max <= 0 {
-		return src
-	}
-	return &limitedSource{Source: src, left: max}
-}
-
-type limitedSource struct {
-	affidavit.Source
-	left int
-}
-
-// cappedReader errors once more than max bytes flow through it — unlike
-// io.LimitReader, which would silently truncate the snapshot at the cap.
-// max ≤ 0 passes the reader through unbounded.
-func cappedReader(r io.Reader, max int64) io.Reader {
-	if max <= 0 {
-		return r
-	}
-	return &byteCap{r: r, left: max}
-}
-
-type byteCap struct {
-	r    io.Reader
-	left int64
-}
-
-func (c *byteCap) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it and bounding memory with -mem-budget instead")
-	}
-	return n, err
-}
-
-func (l *limitedSource) Next() (affidavit.Record, error) {
-	rec, err := l.Source.Next()
-	if err != nil {
-		return nil, err
-	}
-	// Reject only when a real record arrives past the cap, so a snapshot
-	// of exactly max records still ends in a clean EOF.
-	if l.left <= 0 {
-		return nil, fmt.Errorf("snapshot exceeds the record limit (-max-records)")
-	}
-	l.left--
-	return rec, nil
-}
-
-// upload is one parsed /explain body: both snapshots interned, their
-// content hashes (the blob addresses dedupe keys on), and the small form
-// values.
-type upload struct {
-	src, tgt         *affidavit.Table
-	srcHash, tgtHash string
-	form             map[string]string
-}
-
-// readUpload streams the multipart body: the "source" and "target" file
-// parts are interned into the columnar backend as they arrive (never
-// buffered as [][]string, and not bounded by -max-upload), while the
-// same bytes are teed into the job blob store — hashed for the content
-// address and, under -jobs-dir, spooled to disk so a crash-requeued job
-// can re-ingest. Other parts are collected as small form values. Parts
-// may arrive in any order.
-func (s *server) readUpload(ctx context.Context, r *http.Request) (*upload, error) {
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return nil, fmt.Errorf("parsing upload: %w", err)
-	}
-	up := &upload{form: make(map[string]string)}
-	for {
-		part, perr := mr.NextPart()
-		if perr == io.EOF {
-			break
-		}
-		if perr != nil {
-			return nil, fmt.Errorf("parsing upload: %w", perr)
-		}
-		name := part.FormName()
-		switch name {
-		case "source", "target":
-			bw := s.store.Blobs().NewWriter()
-			body := io.TeeReader(cappedReader(part, s.cfg.maxSnapshotBytes), bw)
-			csvPart := affidavit.NewCSVSource(body)
-			tab, rerr := s.ex.ReadSourceNamed(ctx, limitRecords(csvPart, s.cfg.maxRecords), name)
-			if rerr == nil {
-				// Hash any bytes the CSV reader buffered past the final
-				// record, so the address is a function of the whole part.
-				_, rerr = io.Copy(io.Discard, body)
-			}
-			part.Close()
-			if rerr != nil {
-				bw.Abort()
-				return nil, fmt.Errorf("reading %q file: %w", name, rerr)
-			}
-			hash, cerr := bw.Commit()
-			if cerr != nil {
-				return nil, fmt.Errorf("storing %q upload: %w", name, cerr)
-			}
-			if name == "source" {
-				up.src, up.srcHash = tab, hash
-			} else {
-				up.tgt, up.tgtHash = tab, hash
-			}
-		default:
-			// Bound both each field's size and the field count, so a body
-			// of endless small parts cannot grow the form map without
-			// limit.
-			if len(up.form) >= maxFormFields {
-				return nil, fmt.Errorf("too many form fields (limit %d)", maxFormFields)
-			}
-			limit := s.cfg.maxUpload
-			b, rerr := io.ReadAll(io.LimitReader(part, limit+1))
-			part.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("reading field %q: %w", name, rerr)
-			}
-			if int64(len(b)) > limit {
-				return nil, fmt.Errorf("field %q exceeds %d bytes", name, limit)
-			}
-			up.form[name] = string(b)
-		}
-	}
-	if up.src == nil {
-		return nil, fmt.Errorf("missing %q file", "source")
-	}
-	if up.tgt == nil {
-		return nil, fmt.Errorf("missing %q file", "target")
-	}
-	return up, nil
-}
-
 // handleExplain serves POST /explain: a multipart upload with CSV files
-// "source" and "target" (first row = header), streamed record-by-record
-// into the interned backend — snapshots larger than memory-sized buffers
-// are fine, because only distinct values and 4-byte codes are retained.
-// Optional form/query values:
+// "source" and "target" (first row = header). Optional form/query values:
 //
 //	table   session key and SQL table name (default "table")
 //	format  json (default) | sql | text
@@ -595,13 +452,24 @@ func (s *server) readUpload(ctx context.Context, r *http.Request) (*upload, erro
 //	async   "1" answers 202 Accepted with the job id immediately; poll
 //	        GET /jobs/{id} and fetch GET /jobs/{id}/result
 //
+// The upload is addressed before it is ingested. Both file parts are
+// first spooled to disk through the byte cap and hashed (never held whole
+// in memory, and not bounded by -max-upload); the hashes, table, format
+// and engine fingerprint give the job's content address. When that
+// address already names a pending, running or completed job whose blobs
+// are stored, the request joins it and the spools are dropped — a
+// duplicate never parses CSV, interns a record or fsyncs a blob. Otherwise
+// both snapshots are interned from their spools record-by-record (only
+// distinct values and 4-byte codes are retained), the blobs are committed
+// and the job is submitted with the tables as its payload.
+//
 // Every explanation — sync or async — goes through the content-addressed
-// job queue: identical snapshot pairs (same table, format and upload
-// bytes) dedupe to a single computation, and a re-submission of a
-// completed pair is served straight from the result store. The sync path
-// is a thin submit-and-wait over the same queue; a client that
-// disconnects mid-wait no longer throws the work away — the job finishes
-// and its result stays fetchable under /jobs/{id}/result.
+// job queue, and Submit is the one atomic dedupe decision: concurrent
+// first-time uploads of one pair each ingest, then collapse to a single
+// computation there. The sync path is a thin submit-and-wait over the
+// same queue; a client that disconnects mid-wait does not throw the work
+// away — the job finishes and its result stays fetchable under
+// /jobs/{id}/result.
 //
 // The job runs under the worker pool's per-job deadline (-timeout); on
 // expiry the job fails terminally and a sync waiter answers 503 Service
@@ -624,37 +492,30 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// One trace recorder rides the whole submission: the streamed upload
-	// ingest (readUpload, below) and the job's search (runJob attaches
-	// the same recorder to the worker context) feed one per-run trace.
-	var trec *affidavit.TraceRecorder
-	ictx := ctx
-	if s.cfg.traceBuffer != 0 {
-		trec = affidavit.NewTraceRecorder()
-		ictx = affidavit.ContextWithObserver(ctx, trec)
-	}
-	up, err := s.readUpload(ictx, r)
-	if err != nil {
+	badUpload := func(err error) {
 		if ctx.Err() != nil {
 			http.Error(w, "request expired during upload ingest", http.StatusServiceUnavailable)
 			return
 		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	up, err := upload.Spool(r, s.store.Blobs(), upload.Limits{
+		FieldBytes:    s.cfg.maxUpload,
+		SnapshotBytes: s.cfg.maxSnapshotBytes,
+		Records:       s.cfg.maxRecords,
+	}, "source", "target")
+	if err != nil {
+		badUpload(err)
 		return
 	}
-	// Query values win over form parts, so ?table=x works regardless of
-	// part order.
-	value := func(k string) string {
-		if v := r.URL.Query().Get(k); v != "" {
-			return v
-		}
-		return up.form[k]
-	}
-	table := value("table")
+	// A rejected upload leaves no blob: whatever is not committed below is
+	// dropped on the way out.
+	defer up.Discard()
+	table := up.Value("table")
 	if table == "" {
 		table = "table"
 	}
-	format := value("format")
+	format := up.Value("format")
 	switch format {
 	case "":
 		format = "json"
@@ -663,22 +524,53 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown format %q", format), http.StatusBadRequest)
 		return
 	}
-	warm := value("warm") == "1"
 	spec := jobs.Spec{
 		Table:      table,
 		Format:     format,
-		Warm:       warm,
-		SourceBlob: up.srcHash,
-		TargetBlob: up.tgtHash,
-		Payload:    &jobPayload{src: up.src, tgt: up.tgt, trace: trec},
+		Warm:       up.Value("warm") == "1",
+		SourceBlob: up.Files["source"].Sum(),
+		TargetBlob: up.Files["target"].Sum(),
 	}
-	if !warm {
+	if !spec.Warm {
 		// The content address: canonicalized upload hashes plus every
 		// option the result bytes depend on — including the engine-option
 		// fingerprint, so restarting with different flags stops serving
 		// results computed under the old configuration. Warm jobs depend on
 		// session history too, so they never dedupe (empty address).
-		spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, up.srcHash, up.tgtHash)
+		spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, spec.SourceBlob, spec.TargetBlob)
+	}
+	if s.store.Joinable(spec.Addr) {
+		// A duplicate joins its job on the address alone. Should that job
+		// fail between this lookup and Submit, Submit reruns it without a
+		// payload and the runner replays the blobs Joinable just saw (an
+		// in-memory store has none: that rerun fails, and the pair's next
+		// upload ingests).
+		up.Discard()
+	} else {
+		// One trace recorder rides the whole submission: the ingest here
+		// and the job's search (runJob attaches the same recorder to the
+		// worker context) feed one per-run trace.
+		payload := &jobPayload{}
+		ictx := ctx
+		if s.cfg.traceBuffer != 0 {
+			payload.trace = affidavit.NewTraceRecorder()
+			ictx = affidavit.ContextWithObserver(ctx, payload.trace)
+		}
+		if payload.src, err = up.Ingest(ictx, s.ex, "source"); err == nil {
+			payload.tgt, err = up.Ingest(ictx, s.ex, "target")
+		}
+		if err != nil {
+			badUpload(err)
+			return
+		}
+		// Blobs are durable before the job that names them is journaled.
+		for _, name := range []string{"source", "target"} {
+			if _, err := up.Files[name].Commit(); err != nil {
+				http.Error(w, fmt.Sprintf("storing %q upload: %v", name, err), http.StatusBadRequest)
+				return
+			}
+		}
+		spec.Payload = payload
 	}
 	job, _, err := s.store.Submit(spec)
 	if err != nil {
@@ -686,7 +578,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Affidavit-Job-Id", job.ID())
-	if value("async") == "1" {
+	if up.Value("async") == "1" {
 		s.writeJobAccepted(w, job)
 		return
 	}
@@ -701,7 +593,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	s.writeJobOutcome(w, rec, value("trace") == "1")
+	s.writeJobOutcome(w, rec, up.Value("trace") == "1")
 }
 
 type tableStats struct {

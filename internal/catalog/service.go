@@ -13,17 +13,16 @@ import (
 
 	"affidavit"
 	"affidavit/internal/jobs"
+	"affidavit/internal/upload"
 )
 
 // JobKind marks a job record as a catalog chain step; the daemon's runner
 // dispatches records carrying it to Service.RunStep.
 const JobKind = "catalog"
 
-// maxFieldBytes caps each non-file multipart value (op tag, async flag).
+// maxFieldBytes caps each non-file multipart value (op tag, async flag)
+// and the POST /tables registration body.
 const maxFieldBytes = 1 << 20
-
-// maxFormFields bounds how many non-file parts one push may carry.
-const maxFormFields = 64
 
 // Config bundles the service dependencies. Explainer and Jobs are shared
 // with the daemon's /explain path, so catalog steps ride the same worker
@@ -37,7 +36,7 @@ type Config struct {
 	// chain's determinism.
 	Explainer *affidavit.Explainer
 	// Jobs is the queue catalog steps are submitted to and the blob store
-	// pushed snapshots are teed into.
+	// pushed snapshots are spooled into.
 	Jobs *jobs.Store
 	// MaxRecords caps each pushed snapshot's record count (≤ 0 =
 	// unlimited).
@@ -68,7 +67,7 @@ type Service struct {
 
 	// pushMu serializes the lineage append + job submission of concurrent
 	// pushes, so each snapshot's parent is exactly the previous push.
-	// Ingest streams outside it.
+	// Spooling and ingest run outside it.
 	pushMu sync.Mutex
 
 	mu           sync.Mutex
@@ -401,11 +400,12 @@ type StepPayload struct {
 }
 
 // handlePush serves POST /tables/{name}/snapshots: the multipart file
-// part "snapshot" (CSV, first row = header) streams into the interned
-// columnar backend while the same bytes tee into the job blob store —
-// exactly the /explain ingest discipline. Optional values: "op" (an
-// operation tag journaled into the lineage) and "async" ("1" answers 202
-// with the job id instead of waiting for the step's explanation).
+// part "snapshot" (CSV, first row = header) is spooled into the job blob
+// store and interned from the spool — the /explain miss path; a push
+// always ingests, because the chain needs the table. Optional values:
+// "op" (an operation tag journaled into the lineage) and "async" ("1"
+// answers 202 with the job id instead of waiting for the step's
+// explanation).
 //
 // The first push of a table seeds the chain (no explanation to run);
 // every later push submits a catalog step job that explains
@@ -416,7 +416,7 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		return
 	}
 	ctx := r.Context()
-	tab, hash, form, err := s.readPush(ctx, r)
+	up, tab, hash, err := s.readPush(ctx, r)
 	if err != nil {
 		if ctx.Err() != nil {
 			http.Error(w, "request expired during snapshot ingest", http.StatusServiceUnavailable)
@@ -425,16 +425,10 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	value := func(k string) string {
-		if v := r.URL.Query().Get(k); v != "" {
-			return v
-		}
-		return form[k]
-	}
 	// Serialize lineage append + job submission so each snapshot's parent
-	// is exactly the previous push; ingest above streams concurrently.
+	// is exactly the previous push; ingest above runs concurrently.
 	s.pushMu.Lock()
-	snap, parent, hasParent, err := s.store.AddSnapshot(name, hash, value("op"), tab.Len(), tab.Schema().Attrs())
+	snap, parent, hasParent, err := s.store.AddSnapshot(name, hash, up.Value("op"), tab.Len(), tab.Schema().Attrs())
 	if err != nil {
 		s.pushMu.Unlock()
 		http.Error(w, "no table "+name, http.StatusNotFound)
@@ -476,7 +470,7 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 	s.pushMu.Unlock()
 	w.Header().Set("X-Affidavit-Snapshot-Id", snap.SnapshotID)
 	w.Header().Set("X-Affidavit-Job-Id", job.ID())
-	if value("async") == "1" {
+	if up.Value("async") == "1" {
 		writeJSON(w, http.StatusAccepted, struct {
 			Snapshot snapshotView `json:"snapshot"`
 			JobID    string       `json:"job_id"`
@@ -535,65 +529,28 @@ func (s *Service) writeStepOutcome(w http.ResponseWriter, rec jobs.Record) {
 	}
 }
 
-// readPush streams the multipart push body: the "snapshot" file part is
-// interned into the columnar backend while teeing into the blob store;
-// other parts are collected as small form values.
-func (s *Service) readPush(ctx context.Context, r *http.Request) (*affidavit.Table, string, map[string]string, error) {
-	mr, err := r.MultipartReader()
+// readPush spools the push body, interns the "snapshot" part and commits
+// its blob; the returned body only serves form values from then on. A
+// rejected push leaves no blob behind.
+func (s *Service) readPush(ctx context.Context, r *http.Request) (*upload.Body, *affidavit.Table, string, error) {
+	up, err := upload.Spool(r, s.cfg.Jobs.Blobs(), upload.Limits{
+		FieldBytes:    maxFieldBytes,
+		SnapshotBytes: s.cfg.MaxSnapshotBytes,
+		Records:       s.cfg.MaxRecords,
+	}, "snapshot")
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("parsing push: %w", err)
+		return nil, nil, "", err
 	}
-	form := make(map[string]string)
-	var tab *affidavit.Table
-	var hash string
-	for {
-		part, perr := mr.NextPart()
-		if perr == io.EOF {
-			break
-		}
-		if perr != nil {
-			return nil, "", nil, fmt.Errorf("parsing push: %w", perr)
-		}
-		name := part.FormName()
-		if name == "snapshot" {
-			bw := s.cfg.Jobs.Blobs().NewWriter()
-			body := io.TeeReader(capBytes(part, s.cfg.MaxSnapshotBytes), bw)
-			csvPart := affidavit.NewCSVSource(body)
-			t, rerr := s.cfg.Explainer.ReadSourceNamed(ctx, capRecords(csvPart, s.cfg.MaxRecords), "snapshot")
-			if rerr == nil {
-				// Hash any bytes the CSV reader buffered past the final
-				// record, so the address covers the whole part.
-				_, rerr = io.Copy(io.Discard, body)
-			}
-			part.Close()
-			if rerr != nil {
-				bw.Abort()
-				return nil, "", nil, fmt.Errorf("reading snapshot: %w", rerr)
-			}
-			h, cerr := bw.Commit()
-			if cerr != nil {
-				return nil, "", nil, fmt.Errorf("storing snapshot: %w", cerr)
-			}
-			tab, hash = t, h
-			continue
-		}
-		if len(form) >= maxFormFields {
-			return nil, "", nil, fmt.Errorf("too many form fields (limit %d)", maxFormFields)
-		}
-		b, rerr := io.ReadAll(io.LimitReader(part, maxFieldBytes+1))
-		part.Close()
-		if rerr != nil {
-			return nil, "", nil, fmt.Errorf("reading field %q: %w", name, rerr)
-		}
-		if len(b) > maxFieldBytes {
-			return nil, "", nil, fmt.Errorf("field %q exceeds %d bytes", name, maxFieldBytes)
-		}
-		form[name] = string(b)
+	defer up.Discard()
+	tab, err := up.Ingest(ctx, s.cfg.Explainer, "snapshot")
+	if err != nil {
+		return nil, nil, "", err
 	}
-	if tab == nil {
-		return nil, "", nil, fmt.Errorf(`missing "snapshot" file part`)
+	hash, err := up.Files["snapshot"].Commit()
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("storing snapshot: %w", err)
 	}
-	return tab, hash, form, nil
+	return up, tab, hash, nil
 }
 
 // RunStep executes one catalog chain step: explain parent→snapshot on the
@@ -738,19 +695,10 @@ func (s *Service) resetChain(table, headID string, head *affidavit.Table, schema
 	}
 }
 
-// ingestBlob re-interns a journaled snapshot upload. Failures are
-// transient — the blob may be on slow or briefly unavailable storage
-// (and is simply absent under an in-memory job store after a cancel).
+// ingestBlob re-interns a journaled snapshot upload (the blob is simply
+// absent under an in-memory job store, e.g. after a cancel).
 func (s *Service) ingestBlob(ctx context.Context, hash string) (*affidavit.Table, error) {
-	data, err := s.cfg.Jobs.Blobs().Get(hash)
-	if err != nil {
-		return nil, jobs.Transient(fmt.Errorf("catalog: replaying snapshot blob: %w", err))
-	}
-	tab, err := s.cfg.Explainer.ReadSourceNamed(ctx, affidavit.NewCSVSource(strings.NewReader(string(data))), "snapshot")
-	if err != nil {
-		return nil, fmt.Errorf("catalog: re-ingesting snapshot blob: %w", err)
-	}
-	return tab, nil
+	return upload.IngestBlob(ctx, s.cfg.Explainer, s.cfg.Jobs.Blobs(), hash, "snapshot")
 }
 
 func equalSchema(a, b []string) bool {
@@ -763,54 +711,4 @@ func equalSchema(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// capBytes errors once more than max bytes flow through it (max ≤ 0
-// passes the reader through) — truncating silently would store a
-// different snapshot than the client pushed.
-func capBytes(r io.Reader, max int64) io.Reader {
-	if max <= 0 {
-		return r
-	}
-	return &byteCap{r: r, left: max}
-}
-
-type byteCap struct {
-	r    io.Reader
-	left int64
-}
-
-func (c *byteCap) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
-	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot)")
-	}
-	return n, err
-}
-
-// capRecords bounds a pushed snapshot's record count (max ≤ 0 =
-// unlimited).
-func capRecords(src affidavit.Source, max int) affidavit.Source {
-	if max <= 0 {
-		return src
-	}
-	return &recordCap{Source: src, left: max}
-}
-
-type recordCap struct {
-	affidavit.Source
-	left int
-}
-
-func (l *recordCap) Next() (affidavit.Record, error) {
-	rec, err := l.Source.Next()
-	if err != nil {
-		return nil, err
-	}
-	if l.left <= 0 {
-		return nil, fmt.Errorf("snapshot exceeds the record limit (-max-records)")
-	}
-	l.left--
-	return rec, nil
 }

@@ -6,9 +6,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // Address hashes the given parts into a content address. Parts are
@@ -29,58 +29,31 @@ func Address(parts ...string) string {
 // BlobStore holds canonicalized snapshot uploads keyed by their SHA-256,
 // so a requeued job can re-ingest its inputs after a crash. With a
 // directory it is durable (blobs/<hash> files, fsynced); without one it
-// is a process-local map — exactly as durable as the in-memory job store
-// it accompanies.
+// retains nothing — an in-memory job store has no journal and never
+// replays, so its writers only spool and hash.
 //
-// Blobs are immutable and content-keyed: writing the same bytes twice is
-// a no-op, so concurrent identical uploads cost one file.
+// Blobs are immutable and content-keyed: committing the same bytes twice
+// is a no-op, so concurrent identical uploads cost one file.
 type BlobStore struct {
 	dir string // "" = in-memory
-
-	mu  sync.Mutex
-	mem map[string][]byte
 }
 
 // newBlobStore returns a blob store rooted at dir ("" for in-memory).
 func newBlobStore(dir string) (*BlobStore, error) {
-	if dir == "" {
-		return &BlobStore{mem: make(map[string][]byte)}, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: blob store: %w", err)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("jobs: blob store: %w", err)
+		}
 	}
 	return &BlobStore{dir: dir}, nil
 }
 
-// Put stores data and returns its hash. Existing blobs are left alone —
-// content addressing makes the write idempotent.
-func (b *BlobStore) Put(data []byte) (string, error) {
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	if b.dir == "" {
-		b.mu.Lock()
-		if _, ok := b.mem[hash]; !ok {
-			b.mem[hash] = append([]byte(nil), data...)
-		}
-		b.mu.Unlock()
-		return hash, nil
-	}
-	path := filepath.Join(b.dir, hash)
-	if _, err := os.Stat(path); err == nil {
-		return hash, nil
-	}
-	if err := writeFileSync(path, data); err != nil {
-		return "", fmt.Errorf("jobs: blob store: %w", err)
-	}
-	return hash, nil
-}
-
-// BlobWriter streams one blob into the store: bytes are hashed as they
-// arrive, and in durable mode they are spooled to a temp file that
-// Commit renames to its content address — an upload is never buffered
-// whole in memory on its way to the blob store. An in-memory store only
-// tracks the hash: without a journal there is no replay, so the bytes
-// would never be read back.
+// BlobWriter streams one blob towards the store: bytes are hashed as they
+// arrive and spooled to a temp file (beside the blobs in durable mode, in
+// the system temp directory otherwise), so an upload is never held whole
+// in memory. The caller learns the content hash from Sum, may read the
+// spool back with Rewind — the daemon interns a snapshot from there only
+// when its address turns out to be new — and ends with Commit or Abort.
 type BlobWriter struct {
 	b   *BlobStore
 	h   hash.Hash
@@ -88,70 +61,74 @@ type BlobWriter struct {
 	err error
 }
 
-// NewWriter starts a streaming blob write. Errors are deferred to
-// Commit so the writer can sit inside an io.TeeReader chain.
+// NewWriter starts a streaming blob write. Errors are deferred to Write
+// and Commit so the writer can sit at the end of an io.Copy.
 func (b *BlobStore) NewWriter() *BlobWriter {
 	w := &BlobWriter{b: b, h: sha256.New()}
-	if b.dir != "" {
-		tmp, err := os.CreateTemp(b.dir, ".blob-*")
-		if err != nil {
-			w.err = fmt.Errorf("jobs: blob store: %w", err)
-			return w
-		}
-		w.tmp = tmp
+	// In-memory mode passes "" and lands in os.TempDir.
+	w.tmp, w.err = os.CreateTemp(b.dir, ".blob-*")
+	if w.err != nil {
+		w.err = fmt.Errorf("jobs: blob store: %w", w.err)
 	}
 	return w
 }
 
-// Write hashes (and, durably, spools) p.
+// Write hashes and spools p.
 func (w *BlobWriter) Write(p []byte) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	w.h.Write(p)
-	if w.tmp != nil {
-		if _, err := w.tmp.Write(p); err != nil {
-			w.err = fmt.Errorf("jobs: blob store: %w", err)
-			return 0, w.err
-		}
+	if _, err := w.tmp.Write(p); err != nil {
+		w.err = fmt.Errorf("jobs: blob store: %w", err)
+		return 0, w.err
 	}
 	return len(p), nil
 }
 
-// Commit finalises the blob and returns its content hash. In durable
-// mode the spooled bytes are fsynced and renamed to blobs/<hash>;
-// committing content that is already stored discards the spool.
-func (w *BlobWriter) Commit() (string, error) {
+// Sum returns the content hash of the bytes written so far — the address
+// Commit will store them under.
+func (w *BlobWriter) Sum() string { return hex.EncodeToString(w.h.Sum(nil)) }
+
+// Rewind returns a reader over the spooled bytes from their start. It is
+// valid until Commit or Abort.
+func (w *BlobWriter) Rewind() (io.Reader, error) {
 	if w.err != nil {
-		w.Abort()
+		return nil, w.err
+	}
+	if _, err := w.tmp.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("jobs: blob store: %w", err)
+	}
+	return w.tmp, nil
+}
+
+// Commit finalises the blob and returns its content hash. In durable
+// mode a new blob is fsynced and renamed to blobs/<hash>; content that is
+// already stored — and every in-memory write — only discards the spool.
+func (w *BlobWriter) Commit() (string, error) {
+	defer w.Abort()
+	if w.err != nil {
 		return "", w.err
 	}
-	sum := hex.EncodeToString(w.h.Sum(nil))
-	if w.tmp == nil {
+	sum := w.Sum()
+	if w.b.dir == "" || w.b.Exists(sum) {
 		return sum, nil
 	}
-	tmp := w.tmp
-	w.tmp = nil
-	defer os.Remove(tmp.Name())
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err := w.tmp.Sync(); err != nil {
 		return "", fmt.Errorf("jobs: blob store: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	if err := w.tmp.Close(); err != nil {
 		return "", fmt.Errorf("jobs: blob store: %w", err)
 	}
-	path := filepath.Join(w.b.dir, sum)
-	if _, err := os.Stat(path); err == nil {
-		return sum, nil // identical blob already stored
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(w.tmp.Name(), filepath.Join(w.b.dir, sum)); err != nil {
 		return "", fmt.Errorf("jobs: blob store: %w", err)
 	}
+	w.tmp = nil // the spool is the blob now; nothing left to discard
 	syncDir(w.b.dir)
 	return sum, nil
 }
 
-// Abort discards the write.
+// Abort discards the write. It is a no-op after Commit.
 func (w *BlobWriter) Abort() {
 	if w.tmp != nil {
 		w.tmp.Close()
@@ -160,22 +137,25 @@ func (w *BlobWriter) Abort() {
 	}
 }
 
-// Get returns the blob's bytes.
-func (b *BlobStore) Get(hash string) ([]byte, error) {
+// Exists reports whether the blob is stored (never, in memory mode).
+func (b *BlobStore) Exists(hash string) bool {
 	if b.dir == "" {
-		b.mu.Lock()
-		data, ok := b.mem[hash]
-		b.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("jobs: blob %s: %w", hash, os.ErrNotExist)
-		}
-		return append([]byte(nil), data...), nil
+		return false
 	}
-	data, err := os.ReadFile(filepath.Join(b.dir, hash))
+	_, err := os.Stat(filepath.Join(b.dir, hash))
+	return err == nil
+}
+
+// Open streams the blob's bytes.
+func (b *BlobStore) Open(hash string) (io.ReadCloser, error) {
+	if b.dir == "" {
+		return nil, fmt.Errorf("jobs: blob %s: %w", hash, os.ErrNotExist)
+	}
+	f, err := os.Open(filepath.Join(b.dir, hash))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: blob %s: %w", hash, err)
 	}
-	return data, nil
+	return f, nil
 }
 
 // writeFileSync writes data to path atomically: temp file in the same

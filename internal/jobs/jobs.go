@@ -48,6 +48,12 @@ func (s State) Terminal() bool {
 	return s == StateCompleted || s == StateError || s == StateCancelled
 }
 
+// joinable reports whether a resubmission of the job's address joins it
+// (pending, running or completed) instead of running it again.
+func (s State) joinable() bool {
+	return s != StateError && s != StateCancelled
+}
+
 // Record is one job's durable state — exactly what a journal line holds.
 // It is a fixed struct (never a map) so the journal encoding is
 // deterministic: encoding/json emits struct fields in declaration order.

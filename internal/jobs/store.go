@@ -185,6 +185,26 @@ func Open(opts Options) (*Store, error) {
 // Blobs returns the store's blob store.
 func (s *Store) Blobs() *BlobStore { return s.blobs }
 
+// Joinable reports whether Submit would answer addr by joining an
+// existing job that needs nothing from the submitter: the job is pending,
+// running or completed and — in durable mode — both of its upload blobs
+// are still stored, so even a crash-requeue could replay it. The answer
+// is advisory: on true the daemon skips ingesting a duplicate upload, and
+// Submit stays the one atomic dedupe decision.
+func (s *Store) Joinable(addr string) bool {
+	s.mu.Lock()
+	j, ok := s.byAddr[addr]
+	var rec Record
+	if ok {
+		rec = j.rec
+	}
+	s.mu.Unlock()
+	if !ok || !rec.State.joinable() {
+		return false
+	}
+	return s.dir == "" || (s.blobs.Exists(rec.SourceBlob) && s.blobs.Exists(rec.TargetBlob))
+}
+
 // Submit queues spec, or joins the existing job when spec.Addr matches a
 // pending, running or completed submission (created=false, the dedupe
 // hit). A previously failed or cancelled address is resurrected: reset
@@ -197,7 +217,7 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 	}
 	if spec.Addr != "" {
 		if j, ok := s.byAddr[spec.Addr]; ok {
-			if !j.rec.State.Terminal() || j.rec.State == StateCompleted {
+			if j.rec.State.joinable() {
 				j.rec.DedupeHits++
 				s.dedupeHits++
 				return j, false, nil

@@ -3,6 +3,10 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,33 +22,72 @@ func TestAddressLengthPrefixed(t *testing.T) {
 	}
 }
 
+// TestBlobStoreRoundTrip: a writer's spool reads back through Rewind in
+// both modes; a durable Commit stores the bytes under their hash (Exists,
+// Open), a second Commit of the same bytes is a no-op, an in-memory
+// store retains nothing, and no spool outlives Commit or Abort.
 func TestBlobStoreRoundTrip(t *testing.T) {
+	data := []byte("col\nv1\nv2\n")
+	want := sha256.Sum256(data)
 	for _, dir := range []string{"", t.TempDir()} {
 		b, err := newBlobStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := []byte("col\nv1\nv2\n")
-		h1, err := b.Put(data)
-		if err != nil {
-			t.Fatal(err)
+		var hashes [2]string
+		for i := range hashes {
+			w := b.NewWriter()
+			spool := w.tmp.Name()
+			if _, err := w.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			rd, err := w.Rewind()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := io.ReadAll(rd); !bytes.Equal(got, data) {
+				t.Fatalf("spool read back %q (dir=%q)", got, dir)
+			}
+			if hashes[i], err = w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if hashes[i] != w.Sum() || hashes[i] != hex.EncodeToString(want[:]) {
+				t.Fatalf("commit hash %s, Sum %s, want %x", hashes[i], w.Sum(), want)
+			}
+			if _, err := os.Stat(spool); !os.IsNotExist(err) {
+				t.Fatalf("spool %s outlived Commit (dir=%q): %v", spool, dir, err)
+			}
 		}
-		h2, err := b.Put(data)
-		if err != nil {
-			t.Fatal(err)
+		if b.Exists(hashes[0]) != (dir != "") {
+			t.Fatalf("Exists = %v (dir=%q)", b.Exists(hashes[0]), dir)
 		}
-		if h1 != h2 {
-			t.Fatalf("identical blobs hashed differently: %s vs %s", h1, h2)
+		rc, err := b.Open(hashes[0])
+		if dir == "" {
+			if !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("in-memory Open: %v, want ErrNotExist", err)
+			}
+		} else {
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(rc)
+			rc.Close()
+			if !bytes.Equal(got, data) {
+				t.Fatal("blob round-trip mismatch")
+			}
+			if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+				t.Fatalf("blob dir holds %v, want the one blob", names)
+			}
 		}
-		got, err := b.Get(h1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("blob round-trip mismatch (dir=%q)", dir)
-		}
-		if _, err := b.Get("deadbeef"); err == nil {
+		if _, err := b.Open("deadbeef"); err == nil {
 			t.Fatal("missing blob did not error")
+		}
+		w := b.NewWriter()
+		spool := w.tmp.Name()
+		w.Write(data)
+		w.Abort()
+		if _, err := os.Stat(spool); !os.IsNotExist(err) {
+			t.Fatalf("spool outlived Abort: %v", err)
 		}
 	}
 }
@@ -98,13 +141,22 @@ func TestResurrectFailedAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if s.Joinable("addr") {
+		t.Fatal("an address nobody submitted is joinable")
+	}
 	j, _, _ := s.Submit(Spec{Addr: "addr", Table: "t"})
+	if !s.Joinable("addr") {
+		t.Fatal("a pending job is not joinable")
+	}
 	if _, ok := s.startRun(j, func(error) {}); !ok {
 		t.Fatal("startRun refused a pending job")
 	}
 	s.fail(j, "boom", nil)
 	if rec := j.Record(); rec.State != StateError {
 		t.Fatalf("state after fail: %s", rec.State)
+	}
+	if s.Joinable("addr") {
+		t.Fatal("a failed job is joinable; its resubmission must bring a payload")
 	}
 	j2, created, err := s.Submit(Spec{Addr: "addr", Table: "t"})
 	if err != nil || !created {
@@ -116,6 +168,36 @@ func TestResurrectFailedAddress(t *testing.T) {
 	}
 	if rec.Seq != 0 {
 		t.Fatalf("resurrection must keep the original Seq, got %d", rec.Seq)
+	}
+}
+
+// TestJoinableNeedsBlobs: a durable store only lets a submission skip its
+// ingest when both of the job's blobs are there to replay from.
+func TestJoinableNeedsBlobs(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var hashes [2]string
+	for i, data := range []string{"a\n1\n", "a\n2\n"} {
+		w := s.Blobs().NewWriter()
+		io.WriteString(w, data)
+		if hashes[i], err = w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.Submit(Spec{Addr: "addr", Table: "t", SourceBlob: hashes[0], TargetBlob: hashes[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Joinable("addr") {
+		t.Fatal("a pending job with both blobs stored is not joinable")
+	}
+	if err := os.Remove(filepath.Join(s.dir, "blobs", hashes[1])); err != nil {
+		t.Fatal(err)
+	}
+	if s.Joinable("addr") {
+		t.Fatal("a job whose target blob is gone is joinable")
 	}
 }
 

@@ -449,12 +449,11 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 	} else {
 		expl = delta.Trivial(inst)
 	}
-	if e.stats.Cancelled {
-		// Best-so-far must never be worse than the always-available E∅: a
-		// salvaged greedy finalisation can carry heavy mapping parameters.
-		if triv := delta.Trivial(inst); e.cm.Cost(triv) < e.cm.Cost(expl) {
-			expl = triv
-		}
+	// No result may be worse than the always-available E∅: the first end
+	// state the queue reaches, like a salvaged greedy finalisation, can carry
+	// mapping parameters that outweigh the insertions they save.
+	if e.cm.TrivialCost(inst.NumAttrs(), inst.Target.Len()) < e.cm.Cost(expl) {
+		expl = delta.Trivial(inst)
 	}
 	return finish(expl)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"affidavit/internal/datasets"
 	"affidavit/internal/delta"
 	"affidavit/internal/fixture"
+	"affidavit/internal/gen"
 	"affidavit/internal/search"
 	"affidavit/internal/spill"
 	"affidavit/internal/table"
@@ -299,5 +301,45 @@ func TestOverlapStartSpillIdentity(t *testing.T) {
 	}
 	if got.Stats.SpilledBytes == 0 {
 		t.Error("expected spilled bytes under a 1-byte budget")
+	}
+}
+
+// TestNeverWorseThanTrivial: a search that runs to an end state must not
+// return it when it costs more than the always-available trivial
+// explanation. On this flight chain the queue's first end state carries
+// mapping parameters worth a few percent more than inserting every
+// target record; the run has to fall back to E∅.
+func TestNeverWorseThanTrivial(t *testing.T) {
+	spec, err := datasets.Get("flight-500k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := spec.BuildRows(1000, 1_000_004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := gen.MakeChain(tab, gen.ChainConfig{Steps: 1, Eta: 0.1, Tau: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := delta.NewInstance(ch.Snapshots[0], ch.Snapshots[1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := search.DefaultOptions()
+	opts.Seed = 1
+	res, err := search.Run(context.Background(), inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Cancelled {
+		t.Fatal("run was cancelled; the test needs a completed search")
+	}
+	trivial := delta.CostModel{Alpha: opts.Alpha}.TrivialCost(inst.NumAttrs(), inst.Target.Len())
+	if res.Cost > trivial {
+		t.Errorf("cost %v exceeds the trivial explanation's %v", res.Cost, trivial)
+	}
+	if got := (delta.CostModel{Alpha: opts.Alpha}).Cost(res.Explanation); got != res.Cost {
+		t.Errorf("Result.Cost %v does not match its explanation's cost %v", res.Cost, got)
 	}
 }
