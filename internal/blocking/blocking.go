@@ -641,28 +641,41 @@ func (r *Result) SourceSurplus() int { return r.sSur }
 // an upper bound for the number of source values that must be considered as
 // the origin of a target value (Section 4.3 "Extending Search States").
 func (r *Result) Indeterminacy(attr int) int {
+	return r.Indeterminacies([]int{attr})[0]
+}
+
+// Indeterminacies returns Indeterminacy for each of attrs, sharing one
+// distinct-counting scratch over the whole list.
+func (r *Result) Indeterminacies(attrs []int) []int {
 	r.force()
-	max := 0
-	srcCodes := r.coded.Src[attr]
-	// Raw source codes are dense in [0, Base[attr]), so distinct counting
-	// is an epoch-marked array walk instead of hashing.
-	seen := make([]int32, r.coded.Base[attr])
-	epoch := int32(0)
-	for _, b := range r.blocks {
-		if !b.Mixed() {
-			continue
-		}
-		epoch++
-		n := 0
-		for _, s := range b.Src {
-			if c := srcCodes[s]; seen[c] != epoch {
-				seen[c] = epoch
-				n++
-			}
-		}
-		if n > max {
-			max = n
-		}
+	size := int32(0)
+	for _, attr := range attrs {
+		size = max(size, r.coded.Base[attr])
 	}
-	return max
+	// Raw source codes are dense in [0, Base[attr]), so distinct counting
+	// is an epoch-marked array walk instead of hashing; the epoch keeps
+	// counting across attributes, so the array is never cleared.
+	seen := make([]int32, size)
+	epoch := int32(0)
+	out := make([]int, len(attrs))
+	for i, attr := range attrs {
+		srcCodes := r.coded.Src[attr]
+		most := 0
+		for _, b := range r.mixed {
+			if len(b.Src) <= most {
+				continue // cannot hold more distinct values than records
+			}
+			epoch++
+			n := 0
+			for _, s := range b.Src {
+				if c := srcCodes[s]; seen[c] != epoch {
+					seen[c] = epoch
+					n++
+				}
+			}
+			most = max(most, n)
+		}
+		out[i] = most
+	}
+	return out
 }

@@ -195,3 +195,42 @@ func TestMixedBlocks(t *testing.T) {
 		t.Errorf("MixedBlocks = %d, want 3 (IBM, SAP, BASF)", got)
 	}
 }
+
+// TestIndeterminaciesMatchNaiveCount checks the shared-scratch distinct
+// counter — one epoch array over all attributes, blocks no larger than the
+// running maximum skipped — against a naive per-block set of value strings,
+// at blockings from one giant block to many small ones.
+func TestIndeterminaciesMatchNaiveCount(t *testing.T) {
+	inst := fixture.Instance()
+	root := blocking.New(inst)
+	for _, tc := range []struct {
+		name string
+		r    *blocking.Result
+	}{
+		{"root", root},
+		{"org", root.Refine(fixture.Org, metafunc.Identity{})},
+		{"type+org", root.Refine(fixture.Type, metafunc.Identity{}).Refine(fixture.Org, metafunc.Identity{})},
+		{"unit (no mixed block)", root.Refine(fixture.Unit, metafunc.Identity{})},
+		{"unit constant", root.Refine(fixture.Unit, metafunc.Constant{C: "k $"})},
+	} {
+		attrs := make([]int, inst.NumAttrs())
+		for a := range attrs {
+			attrs[a] = inst.NumAttrs() - 1 - a // any order, every attribute
+		}
+		got := tc.r.Indeterminacies(attrs)
+		for i, attr := range attrs {
+			want := 0
+			for _, b := range tc.r.MixedBlocks() {
+				distinct := map[string]bool{}
+				for _, s := range b.Src {
+					distinct[inst.Source.Value(int(s), attr)] = true
+				}
+				want = max(want, len(distinct))
+			}
+			if got[i] != want || tc.r.Indeterminacy(attr) != want {
+				t.Errorf("%s: attr %d: Indeterminacies = %d, Indeterminacy = %d, naive count = %d",
+					tc.name, attr, got[i], tc.r.Indeterminacy(attr), want)
+			}
+		}
+	}
+}

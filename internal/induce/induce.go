@@ -7,12 +7,15 @@
 package induce
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/metafunc"
+	"affidavit/internal/table"
 )
 
 // Config carries the statistical parameters of Sections 4.4.2–4.4.3.
@@ -140,151 +143,295 @@ type Candidate struct {
 	Score int
 }
 
+// Candidates is New(metas, cfg).Candidates(r, attr, top, rng), for a caller
+// that asks once; a search builds one Inducer per run instead.
+func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config, top int, rng *rand.Rand) []Candidate {
+	return New(metas, cfg).Candidates(r, attr, top, rng)
+}
+
+// Inducer induces candidates with everything that is constant over a run
+// resolved once: the defaulted configuration, the Runner, and the two
+// sample sizes. It is safe for concurrent use.
+type Inducer struct {
+	cfg       Config
+	metas     []metafunc.Meta
+	run       func(int, func(int))
+	k, kPrime int // SampleSize and CochranSize of cfg
+}
+
+// New returns the Inducer for one meta-function library and configuration.
+func New(metas []metafunc.Meta, cfg Config) *Inducer {
+	cfg = cfg.withDefaults()
+	return &Inducer{
+		cfg: cfg, metas: metas, run: cfg.runner(),
+		k:      SampleSize(cfg.Theta, cfg.Rho, cfg.MinGenerated),
+		kPrime: CochranSize(cfg.Theta),
+	}
+}
+
+// denseIDs hands out call-local dense ids for sparse int32 keys in [0, size)
+// — value codes, block indices — without hashing and without clearing
+// between uses: slot[k] holds floor+id and counts only while it is ≥ floor.
+type denseIDs struct {
+	slot     []int32
+	floor, n int32
+}
+
+// begin retires every id handed out so far and sizes the key space.
+func (d *denseIDs) begin(size int) {
+	d.floor, d.n = d.floor+d.n, 0
+	if len(d.slot) < size {
+		d.slot, d.floor = make([]int32, size), 1
+	} else if d.floor > math.MaxInt32/2 {
+		clear(d.slot)
+		d.floor = 1
+	}
+}
+
+// id returns k's id, assigning the next one (fresh = true) on first sight.
+func (d *denseIDs) id(k int32) (id int32, fresh bool) {
+	if v := d.slot[k]; v >= d.floor {
+		return v - d.floor, false
+	}
+	d.slot[k] = d.floor + d.n
+	d.n++
+	return d.n - 1, true
+}
+
+// lookup returns k's id, or a negative number when it has none.
+func (d *denseIDs) lookup(k int32) int32 { return d.slot[k] - d.floor }
+
+type (
+	// tref is one target record of mixed block number block.
+	tref struct{ block, rec int32 }
+	// task induces once for every sampled target of one block that carries
+	// value code out: n targets, vals[lo:hi] the block's source codes.
+	task struct {
+		out, n, lo, hi int32
+		funcs          []induced
+	}
+	// induced is a function one task induced, under its call-local id.
+	induced struct {
+		id int32
+		f  metafunc.Func
+	}
+	// run is one histogram bar: n records carry the value with local id id.
+	run struct{ id, n int32 }
+	// span delimits a sampled block's source bars runs[lo:mid] and target
+	// bars runs[mid:hi].
+	span struct{ lo, mid, hi int32 }
+	// ranked is a candidate with its sort keys precomputed.
+	ranked struct {
+		Candidate
+		key    string
+		params int
+	}
+)
+
+// scratch is the pooled working set of one Candidates call. The serial
+// parts of the call write it; induction and ranking tasks only read it.
+type scratch struct {
+	codes, blocks denseIDs
+	targets       []tref
+	sources       []int32 // mixed-block number per source record
+	vals          []int32 // distinct source codes per sampled block, flat
+	tasks         []task
+	local         []int32 // local value id → code
+	pos           []int32 // local value id → 1 + its bar in the open histogram
+	runs          []run
+	spans         []span
+}
+
+func (sc *scratch) reset() {
+	sc.targets, sc.sources, sc.vals, sc.tasks = sc.targets[:0], sc.sources[:0], sc.vals[:0], sc.tasks[:0]
+	sc.local, sc.pos, sc.runs, sc.spans = sc.local[:0], sc.pos[:0], sc.runs[:0], sc.spans[:0]
+}
+
+// workScratch is the pooled working set of one induction or ranking task.
+type workScratch struct {
+	key     []byte  // induction: the current function's key bytes
+	seen    []int32 // induction: function id → epoch of the task that saw it
+	epoch   int32
+	applied []int32 // ranking: local value id → local id of f's output + 1, 0 = unset, -1 = not a sampled value
+	count   []int32 // ranking: local value id → records mapped onto it in the open block
+	touched []int32
+}
+
+func (ws *workScratch) reset(values int) {
+	if ws.epoch++; ws.epoch == math.MaxInt32 {
+		clear(ws.seen)
+		ws.epoch = 1
+	}
+	if cap(ws.applied) < values {
+		ws.applied, ws.count = make([]int32, values), make([]int32, values)
+	}
+	ws.applied, ws.count = ws.applied[:values], ws.count[:values]
+	clear(ws.applied)
+}
+
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	workPool    = sync.Pool{New: func() any { return new(workScratch) }}
+)
+
 // Candidates induces, filters and ranks function candidates for attribute
 // attr under blocking result r, returning the best ones in rank order
 // (highest score first). At most top candidates are returned; top ≤ 0
 // returns all ranked survivors.
-func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config, top int, rng *rand.Rand) []Candidate {
-	cfg = cfg.withDefaults()
-	run := cfg.runner()
-	coded := r.Coded()
-	dict := coded.Dicts[attr]
-	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
+func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand) []Candidate {
 	mixed := r.MixedBlocks()
 	if len(mixed) == 0 {
 		return nil
 	}
+	coded := r.Coded()
+	vals := coded.Dicts[attr].Snapshot()
+	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
+	sc := scratchPool.Get().(*scratch)
+	sc.reset()
+	defer scratchPool.Put(sc)
 
 	// --- Stage 1: induce candidates from sampled target records. ---
-	type tref struct {
-		block *blocking.Block
-		rec   int32
-	}
-	var targets []tref
-	for _, b := range mixed {
+	targets := sc.targets
+	for bi, b := range mixed {
 		for _, t := range b.Tgt {
-			targets = append(targets, tref{block: b, rec: t})
+			targets = append(targets, tref{block: int32(bi), rec: t})
 		}
 	}
-	k := SampleSize(cfg.Theta, cfg.Rho, cfg.MinGenerated)
+	sc.targets = targets
 	sampled := len(targets)
-	if sampled > k {
+	if sampled > in.k {
 		rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
-		targets = targets[:k]
-		sampled = k
+		targets = targets[:in.k]
+		sampled = in.k
 	}
-	// Distinct source value codes per sampled block. Computed serially in
-	// first-appearance order so the capping shuffles draw from rng in a
-	// deterministic sequence; induction below is then rng-free and may run
-	// in parallel.
-	srcVals := make(map[*blocking.Block][]int32)
+	// Every sampled target of one block with one value induces the same
+	// functions, so induction runs once per distinct (block, value) and
+	// counts n generations. Tasks and each block's distinct source codes are
+	// laid out serially in first-appearance order, so the capping shuffles
+	// draw from rng in a deterministic sequence; induction below is then
+	// rng-free and may run in parallel.
+	sc.blocks.begin(len(mixed))
+	taskOf := make(map[tref]int32, len(targets))
+	srcVals, spans, tasks := sc.vals, sc.spans, sc.tasks
 	for _, tr := range targets {
-		if _, ok := srcVals[tr.block]; ok {
-			continue
-		}
-		seen := make(map[int32]bool)
-		var vs []int32
-		for _, s := range tr.block.Src {
-			c := srcCodes[s]
-			if !seen[c] {
-				seen[c] = true
-				vs = append(vs, c)
+		if _, fresh := sc.blocks.id(tr.block); fresh { // its id indexes spans
+			lo := len(srcVals)
+			sc.codes.begin(int(coded.Base[attr]))
+			for _, s := range mixed[tr.block].Src {
+				if _, fresh := sc.codes.id(srcCodes[s]); fresh {
+					srcVals = append(srcVals, srcCodes[s])
+				}
 			}
+			if vs := srcVals[lo:]; len(vs) > in.cfg.MaxSourceValuesPerBlock {
+				rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+				srcVals = srcVals[:lo+in.cfg.MaxSourceValuesPerBlock]
+			}
+			spans = append(spans, span{lo: int32(lo), hi: int32(len(srcVals))})
 		}
-		if len(vs) > cfg.MaxSourceValuesPerBlock {
-			rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
-			vs = vs[:cfg.MaxSourceValuesPerBlock]
+		key := tref{block: tr.block, rec: tgtCodes[tr.rec]} // rec holds the value code here
+		ti, ok := taskOf[key]
+		if !ok {
+			ti = int32(len(tasks))
+			taskOf[key] = ti
+			sp := spans[sc.blocks.lookup(tr.block)]
+			tasks = append(tasks, task{out: key.rec, lo: sp.lo, hi: sp.hi})
 		}
-		srcVals[tr.block] = vs
+		tasks[ti].n++
 	}
-	// Per-target induction, parallelisable; results are merged in target
-	// order so the outcome is independent of task scheduling.
-	type induced struct {
-		key string
-		f   metafunc.Func
-	}
-	perTargetFuncs := make([][]induced, len(targets))
-	run(len(targets), func(i int) {
-		tr := targets[i]
-		out := dict.Value(tgtCodes[tr.rec])
-		perTarget := make(map[string]bool)
-		var list []induced
-		// Metas are applied directly instead of through metafunc.InduceAll:
-		// no meta family emits duplicate keys on one example (each family
-		// uses a distinct key prefix and returns at most one function per
-		// margin), so the per-target dedup below subsumes InduceAll's
-		// per-example dedup and each candidate is keyed exactly once.
-		for _, c := range srcVals[tr.block] {
-			in := dict.Value(c)
-			for _, m := range metas {
-				for _, f := range m.Induce(in, out) {
-					key := f.Key()
-					if !perTarget[key] {
-						perTarget[key] = true
-						list = append(list, induced{key: key, f: f})
+	sc.vals, sc.spans, sc.tasks = srcVals, spans, tasks
+	// Functions are interned by key into call-local ids: a task dedups by
+	// id, and the merge below counts and picks exemplars by id, so a key
+	// string exists once per distinct function instead of once per induced
+	// one. Metas are applied directly instead of through metafunc.InduceAll:
+	// no meta family emits duplicate keys on one example, so the per-task
+	// dedup subsumes InduceAll's per-example dedup.
+	funcIDs := table.NewDict()
+	in.run(len(tasks), func(i int) {
+		ws := workPool.Get().(*workScratch)
+		ws.reset(0)
+		key, seen, epoch := ws.key, ws.seen, ws.epoch
+		t := &tasks[i]
+		out := vals[t.out]
+		for _, c := range srcVals[t.lo:t.hi] {
+			for _, m := range in.metas {
+				for _, f := range m.Induce(vals[c], out) {
+					key = metafunc.AppendKey(key[:0], f)
+					id := int(funcIDs.CodeBytes(key))
+					for id >= len(seen) {
+						seen = append(seen, 0)
+					}
+					if seen[id] != epoch {
+						seen[id] = epoch
+						t.funcs = append(t.funcs, induced{id: int32(id), f: f})
 					}
 				}
 			}
 		}
-		perTargetFuncs[i] = list
+		ws.key, ws.seen = key, seen
+		workPool.Put(ws)
 	})
-	genCount := make(map[string]int)
-	exemplar := make(map[string]metafunc.Func)
-	for _, list := range perTargetFuncs {
-		for _, in := range list {
-			if _, ok := exemplar[in.key]; !ok {
-				exemplar[in.key] = in.f
+	// Merged in task order, so the exemplar of a function is the one its
+	// first sampled target induced, independent of task scheduling.
+	generated := make([]int32, funcIDs.Len())
+	exemplar := make([]metafunc.Func, funcIDs.Len())
+	for i := range tasks {
+		for _, ind := range tasks[i].funcs {
+			if exemplar[ind.id] == nil {
+				exemplar[ind.id] = ind.f
 			}
-			genCount[in.key]++
+			generated[ind.id] += tasks[i].n
 		}
 	}
+	clear(tasks) // the pooled scratch must not pin this call's functions
 
 	// --- Stage 2: significance filter. ---
 	// At full sample size k the threshold is MinGenerated; with fewer
 	// available targets it scales proportionally (never below 1).
-	minGen := cfg.MinGenerated
-	if sampled < k {
-		minGen = int(math.Ceil(float64(cfg.MinGenerated) * float64(sampled) / float64(k)))
-		if minGen < 1 {
-			minGen = 1
+	minGen := in.cfg.MinGenerated
+	if sampled < in.k {
+		minGen = max(1, int(math.Ceil(float64(in.cfg.MinGenerated)*float64(sampled)/float64(in.k))))
+	}
+	keys := funcIDs.Snapshot()
+	var cands []ranked
+	for id, n := range generated {
+		if int(n) >= minGen {
+			cands = append(cands, ranked{Candidate: Candidate{Func: exemplar[id], Generated: int(n)}, key: keys[id], params: exemplar[id].Params()})
 		}
 	}
-	var cands []Candidate
-	for key, n := range genCount { //affidavit:ordered filtered append is sorted by (Generated, Key) directly below
-		if n >= minGen {
-			cands = append(cands, Candidate{Func: exemplar[key], Generated: n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Generated != cands[j].Generated {
-			return cands[i].Generated > cands[j].Generated
-		}
-		return cands[i].Func.Key() < cands[j].Func.Key()
-	})
 	if len(cands) == 0 {
 		return nil
 	}
-	if len(cands) > cfg.MaxRanked {
-		cands = cands[:cfg.MaxRanked]
+	// Function ids follow task scheduling; (Generated, Key) is a total order.
+	slices.SortFunc(cands, func(a, b ranked) int {
+		if a.Generated != b.Generated {
+			return cmp.Compare(b.Generated, a.Generated)
+		}
+		return cmp.Compare(a.key, b.key)
+	})
+	if len(cands) > in.cfg.MaxRanked {
+		cands = cands[:in.cfg.MaxRanked]
 	}
 
 	// --- Stage 3: rank by estimated histogram overlap. ---
-	rankByOverlap(r, attr, cands, cfg, rng)
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	in.rankByOverlap(sc, r, attr, cands, rng)
+	slices.SortFunc(cands, func(a, b ranked) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
 		// Prefer the cheaper function, then a stable key order.
-		pi, pj := cands[i].Func.Params(), cands[j].Func.Params()
-		if pi != pj {
-			return pi < pj
+		if a.params != b.params {
+			return cmp.Compare(a.params, b.params)
 		}
-		return cands[i].Func.Key() < cands[j].Func.Key()
+		return cmp.Compare(a.key, b.key)
 	})
 	if top > 0 && len(cands) > top {
 		cands = cands[:top]
 	}
-	return cands
+	out := make([]Candidate, len(cands))
+	for i := range cands {
+		out[i] = cands[i].Candidate
+	}
+	return out
 }
 
 // rankByOverlap fills Overlap and Score by evaluating every candidate on
@@ -292,82 +439,97 @@ func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config,
 // within each sampled block, a candidate's value histogram over the block's
 // source values is intersected with the block's target value histogram.
 //
-// Histograms are kept per interned value code. A candidate output that was
-// never interned cannot equal any target value, so it is skipped via a
-// read-only dictionary probe — ranking never grows the dictionaries.
-func rankByOverlap(r *blocking.Result, attr int, cands []Candidate, cfg Config, rng *rand.Rand) {
+// Histograms are bars over call-local value ids, built once for all
+// candidates. A candidate output that is not a value of a sampled block —
+// never interned, interned by a refinement after the snapshots (code ≥
+// Base), or simply absent from the sample — cannot equal any sampled target
+// value, so it is skipped via a read-only dictionary probe: ranking never
+// grows the dictionaries.
+func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cands []ranked, rng *rand.Rand) {
 	coded := r.Coded()
-	dict := coded.Dicts[attr]
+	dict, base := coded.Dicts[attr], coded.Base[attr]
+	vals := dict.Snapshot()
 	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
 	mixed := r.MixedBlocks()
-	var sources []*blocking.Block // one entry per source record, its block
-	for _, b := range mixed {
+	sources := sc.sources // one entry per source record, its block
+	for bi, b := range mixed {
 		for range b.Src {
-			sources = append(sources, b)
+			sources = append(sources, int32(bi))
 		}
 	}
-	kPrime := CochranSize(cfg.Theta)
-	if len(sources) > kPrime {
+	sc.sources = sources
+	if len(sources) > in.kPrime {
 		rng.Shuffle(len(sources), func(i, j int) { sources[i], sources[j] = sources[j], sources[i] })
-		sources = sources[:kPrime]
+		sources = sources[:in.kPrime]
 	}
-	var blocks []*blocking.Block // sampled blocks, first-appearance order
-	seen := make(map[*blocking.Block]bool)
-	for _, b := range sources {
-		if !seen[b] {
-			seen[b] = true
-			blocks = append(blocks, b)
+	// Shared per-block histograms of the sampled blocks, in first-appearance
+	// order, over local ids handed out in first-appearance order too.
+	sc.blocks.begin(len(mixed))
+	sc.codes.begin(int(base))
+	sc.spans = sc.spans[:0]
+	bars := func(recs, codes []int32) {
+		lo := len(sc.runs)
+		for _, rec := range recs {
+			l, fresh := sc.codes.id(codes[rec])
+			if fresh {
+				sc.local, sc.pos = append(sc.local, codes[rec]), append(sc.pos, 0)
+			}
+			if sc.pos[l] == 0 {
+				sc.runs = append(sc.runs, run{id: l})
+				sc.pos[l] = int32(len(sc.runs))
+			}
+			sc.runs[sc.pos[l]-1].n++
+		}
+		for _, bar := range sc.runs[lo:] {
+			sc.pos[bar.id] = 0
 		}
 	}
-	// Shared per-block histograms, computed once for all candidates.
-	srcHists := make([]map[int32]int, len(blocks))
-	tgtHists := make([]map[int32]int, len(blocks))
-	for i, b := range blocks {
-		sh := make(map[int32]int, len(b.Src))
-		for _, s := range b.Src {
-			sh[srcCodes[s]]++
+	for _, bi := range sources {
+		if _, fresh := sc.blocks.id(bi); fresh {
+			sp := span{lo: int32(len(sc.runs))}
+			bars(mixed[bi].Src, srcCodes)
+			sp.mid = int32(len(sc.runs))
+			bars(mixed[bi].Tgt, tgtCodes)
+			sp.hi = int32(len(sc.runs))
+			sc.spans = append(sc.spans, sp)
 		}
-		th := make(map[int32]int, len(b.Tgt))
-		for _, t := range b.Tgt {
-			th[tgtCodes[t]]++
-		}
-		srcHists[i], tgtHists[i] = sh, th
 	}
 	// Candidates are scored independently (overlap sums are commutative over
 	// blocks), so the ranking stage parallelises per candidate.
-	cfg.runner()(len(cands), func(i int) {
+	runs, spans, local, ids := sc.runs, sc.spans, sc.local, &sc.codes
+	in.run(len(cands), func(i int) {
+		ws := workPool.Get().(*workScratch)
+		ws.reset(len(local))
 		f := cands[i].Func
-		applied := make(map[int32]int32) // input code → output code, -1 = not a snapshot value
-		outHist := make(map[int32]int)
-		overlap := 0
-		for bi := range blocks {
-			clear(outHist)
-			//affidavit:ordered commutative accumulation: outHist[out] += n and the applied cache are both pure functions of the histogram multiset
-			for c, n := range srcHists[bi] {
-				out, ok := applied[c]
-				if !ok {
+		overlap, touched := 0, ws.touched[:0]
+		for _, sp := range spans {
+			for _, bar := range runs[sp.lo:sp.mid] {
+				out := ws.applied[bar.id]
+				if out == 0 {
 					out = -1
-					if o, found := dict.Lookup(f.Apply(dict.Value(c))); found {
-						out = o
+					if o, found := dict.Lookup(f.Apply(vals[local[bar.id]])); found && o < base && ids.lookup(o) >= 0 {
+						out = ids.lookup(o) + 1
 					}
-					applied[c] = out
+					ws.applied[bar.id] = out
 				}
-				if out >= 0 {
-					outHist[out] += n
+				if out > 0 {
+					if ws.count[out-1] == 0 {
+						touched = append(touched, out-1)
+					}
+					ws.count[out-1] += bar.n
 				}
 			}
-			//affidavit:ordered commutative sum: overlap accumulates min(n, m) per value, independent of visit order
-			for v, n := range outHist {
-				if m := tgtHists[bi][v]; m > 0 {
-					if m < n {
-						overlap += m
-					} else {
-						overlap += n
-					}
-				}
+			for _, bar := range runs[sp.mid:sp.hi] {
+				overlap += int(min(bar.n, ws.count[bar.id]))
 			}
+			for _, l := range touched {
+				ws.count[l] = 0
+			}
+			touched = touched[:0]
 		}
+		ws.touched = touched
+		workPool.Put(ws)
 		cands[i].Overlap = overlap
-		cands[i].Score = overlap - f.Params()
+		cands[i].Score = overlap - cands[i].params
 	})
 }

@@ -75,6 +75,8 @@ func (f DateConvert) Params() int { return 2 }
 
 func (f DateConvert) Key() string { return key2("datecv:", f.From, f.To) }
 
+func (f DateConvert) AppendKey(dst []byte) []byte { return appendKey2(dst, "datecv:", f.From, f.To) }
+
 func (f DateConvert) String() string {
 	return fmt.Sprintf("date(%s) ↦ date(%s), otherwise x ↦ x", f.From, f.To)
 }

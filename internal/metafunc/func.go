@@ -47,43 +47,61 @@ type Meta interface {
 	Induce(in, out string) []Func
 }
 
-// writeQuoted length-prefixes a parameter so Keys cannot collide. The
-// rendering is "<len>:<s>", identical for every builder below.
-func writeQuoted(sb *strings.Builder, s string) {
-	var tmp [20]byte
-	sb.Write(strconv.AppendInt(tmp[:0], int64(len(s)), 10))
-	sb.WriteByte(':')
-	sb.WriteString(s)
+// KeyAppender is an optional fast path of a Func: AppendKey appends exactly
+// the bytes of Key() to dst and returns the extended slice. Induction keys
+// millions of short-lived functions; with it a function that was seen before
+// is recognised from a reused buffer without materialising its key string.
+type KeyAppender interface {
+	AppendKey(dst []byte) []byte
 }
 
-// key1 and key2 render prefix plus quoted parameters in one allocation;
-// Key() sits on the induction/dedup hot path, so the fmt round trip the
-// obvious Sprintf formulation costs is worth avoiding.
+// AppendKey appends f.Key() to dst, through f's KeyAppender when it has one.
+func AppendKey(dst []byte, f Func) []byte {
+	if ka, ok := f.(KeyAppender); ok {
+		return ka.AppendKey(dst)
+	}
+	return append(dst, f.Key()...)
+}
+
+// appendQuoted length-prefixes a parameter so Keys cannot collide. The
+// rendering is "<len>:<s>", identical for every builder below.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
+}
+
+// appendKey1 and appendKey2 render prefix plus quoted parameters; key1 and
+// key2 are their string forms, built in a stack buffer so a typical key
+// costs the one allocation of its string. Key() sits on the refinement and
+// state-key paths, so the fmt round trip the obvious Sprintf formulation
+// costs is worth avoiding.
+func appendKey1(dst []byte, prefix, s string) []byte {
+	return appendQuoted(append(dst, prefix...), s)
+}
+
+func appendKey2(dst []byte, prefix, a, b string) []byte {
+	return appendQuoted(appendKey1(dst, prefix, a), b)
+}
+
 func key1(prefix, s string) string {
-	var sb strings.Builder
-	sb.Grow(len(prefix) + len(s) + 21)
-	sb.WriteString(prefix)
-	writeQuoted(&sb, s)
-	return sb.String()
+	var tmp [64]byte
+	return string(appendKey1(tmp[:0], prefix, s))
 }
 
 func key2(prefix, a, b string) string {
-	var sb strings.Builder
-	sb.Grow(len(prefix) + len(a) + len(b) + 42)
-	sb.WriteString(prefix)
-	writeQuoted(&sb, a)
-	writeQuoted(&sb, b)
-	return sb.String()
+	var tmp [96]byte
+	return string(appendKey2(tmp[:0], prefix, a, b))
 }
 
-// keyByte is key1 for a single-byte parameter, without the string conversion.
+// appendKeyByte is appendKey1 for a single-byte parameter.
+func appendKeyByte(dst []byte, prefix string, c byte) []byte {
+	return append(append(dst, prefix...), '1', ':', c)
+}
+
 func keyByte(prefix string, c byte) string {
-	var sb strings.Builder
-	sb.Grow(len(prefix) + 3)
-	sb.WriteString(prefix)
-	sb.WriteString("1:")
-	sb.WriteByte(c)
-	return sb.String()
+	var tmp [16]byte
+	return string(appendKeyByte(tmp[:0], prefix, c))
 }
 
 // verified filters candidates down to those that actually reproduce the
@@ -104,10 +122,11 @@ func verified(in, out string, fs []Func) []Func {
 // Identity is x ↦ x with ψ = 0.
 type Identity struct{}
 
-func (Identity) Apply(x string) string { return x }
-func (Identity) Params() int           { return 0 }
-func (Identity) Key() string           { return "id" }
-func (Identity) String() string        { return "x ↦ x" }
+func (Identity) Apply(x string) string       { return x }
+func (Identity) Params() int                 { return 0 }
+func (Identity) Key() string                 { return "id" }
+func (Identity) AppendKey(dst []byte) []byte { return append(dst, "id"...) }
+func (Identity) String() string              { return "x ↦ x" }
 
 // IdentityMeta induces Identity exactly from no-change examples.
 type IdentityMeta struct{}
@@ -133,18 +152,20 @@ func IsIdentity(f Func) bool {
 // Upper is x ↦ Uppercase(x) with ψ = 0.
 type Upper struct{}
 
-func (Upper) Apply(x string) string { return strings.ToUpper(x) }
-func (Upper) Params() int           { return 0 }
-func (Upper) Key() string           { return "upper" }
-func (Upper) String() string        { return "x ↦ Uppercase(x)" }
+func (Upper) Apply(x string) string       { return strings.ToUpper(x) }
+func (Upper) Params() int                 { return 0 }
+func (Upper) Key() string                 { return "upper" }
+func (Upper) AppendKey(dst []byte) []byte { return append(dst, "upper"...) }
+func (Upper) String() string              { return "x ↦ Uppercase(x)" }
 
 // Lower is the inverse variant, x ↦ Lowercase(x) with ψ = 0.
 type Lower struct{}
 
-func (Lower) Apply(x string) string { return strings.ToLower(x) }
-func (Lower) Params() int           { return 0 }
-func (Lower) Key() string           { return "lower" }
-func (Lower) String() string        { return "x ↦ Lowercase(x)" }
+func (Lower) Apply(x string) string       { return strings.ToLower(x) }
+func (Lower) Params() int                 { return 0 }
+func (Lower) Key() string                 { return "lower" }
+func (Lower) AppendKey(dst []byte) []byte { return append(dst, "lower"...) }
+func (Lower) String() string              { return "x ↦ Lowercase(x)" }
 
 // CasingMeta induces Upper or Lower when the example shows a case change.
 type CasingMeta struct{}
@@ -171,10 +192,11 @@ func (CasingMeta) Induce(in, out string) []Func {
 // Constant is x ↦ c with ψ = 1.
 type Constant struct{ C string }
 
-func (f Constant) Apply(string) string { return f.C }
-func (f Constant) Params() int         { return 1 }
-func (f Constant) Key() string         { return key1("const:", f.C) }
-func (f Constant) String() string      { return fmt.Sprintf("x ↦ %q", f.C) }
+func (f Constant) Apply(string) string         { return f.C }
+func (f Constant) Params() int                 { return 1 }
+func (f Constant) Key() string                 { return key1("const:", f.C) }
+func (f Constant) AppendKey(dst []byte) []byte { return appendKey1(dst, "const:", f.C) }
+func (f Constant) String() string              { return fmt.Sprintf("x ↦ %q", f.C) }
 
 // ConstantMeta induces x ↦ out from every example.
 type ConstantMeta struct{}

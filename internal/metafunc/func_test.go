@@ -16,6 +16,10 @@ func TestTable1Inventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	third, err := NewDivision("3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		f    Func
 		psi  int
@@ -37,6 +41,9 @@ func TestTable1Inventory(t *testing.T) {
 		{SuffixReplace{Y: "a", Z: "b"}, 2, "suffix replacement (inverse)"},
 		{NewMapping(map[string]string{"a": "b", "c": "d"}), 4, "value mapping (2 entries)"},
 		{Negation{}, 0, "boolean negation (reduction)"},
+		{third, 1, "division with a non-terminating factor"},
+		{DateConvert{From: "20060102", To: "Jan 2 2006"}, 2, "date conversion"},
+		{Constant{C: strings.Repeat("long ", 40)}, 1, "constant longer than the key stack buffer"},
 	}
 	keys := make(map[string]string)
 	for _, c := range cases {
@@ -47,6 +54,9 @@ func TestTable1Inventory(t *testing.T) {
 			t.Errorf("%s and %s share key %q", c.name, prev, c.f.Key())
 		}
 		keys[c.f.Key()] = c.name
+		if got := string(AppendKey([]byte("dst|"), c.f)); got != "dst|"+c.f.Key() {
+			t.Errorf("%s: AppendKey wrote %q, Key() is %q", c.name, got, c.f.Key())
+		}
 		if c.f.String() == "" {
 			t.Errorf("%s: empty String()", c.name)
 		}

@@ -3,6 +3,7 @@ package metafunc
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -70,9 +71,13 @@ func (m *Mapping) Key() string {
 	var sb strings.Builder
 	sb.Grow(n)
 	sb.WriteString("map:")
+	var tmp [20]byte
 	for _, k := range m.keys {
-		writeQuoted(&sb, k)
-		writeQuoted(&sb, m.pairs[k])
+		for _, s := range [2]string{k, m.pairs[k]} { // appendQuoted, straight into the builder
+			sb.Write(strconv.AppendInt(tmp[:0], int64(len(s)), 10))
+			sb.WriteByte(':')
+			sb.WriteString(s)
+		}
 	}
 	return sb.String()
 }

@@ -16,9 +16,10 @@ func (Negation) Apply(x string) string {
 	return x
 }
 
-func (Negation) Params() int    { return 0 }
-func (Negation) Key() string    { return "neg" }
-func (Negation) String() string { return "x ↦ ¬x on {0,1}, otherwise x ↦ x" }
+func (Negation) Params() int                 { return 0 }
+func (Negation) Key() string                 { return "neg" }
+func (Negation) AppendKey(dst []byte) []byte { return append(dst, "neg"...) }
+func (Negation) String() string              { return "x ↦ ¬x on {0,1}, otherwise x ↦ x" }
 
 // NegationMeta induces Negation from flipped-bit examples.
 type NegationMeta struct{}

@@ -42,6 +42,8 @@ func (f Add) Params() int { return 1 }
 
 func (f Add) Key() string { return "add:" + f.Y.String() }
 
+func (f Add) AppendKey(dst []byte) []byte { return f.Y.AppendString(append(dst, "add:"...)) }
+
 func (f Add) String() string {
 	if s, ok := f.Y.Format(); ok && len(s) > 0 && s[0] == '-' {
 		return fmt.Sprintf("x ↦ x − %s", s[1:])
@@ -117,6 +119,8 @@ func (f Scale) Apply(x string) string {
 func (f Scale) Params() int { return 1 }
 
 func (f Scale) Key() string { return "scale:" + f.K.String() }
+
+func (f Scale) AppendKey(dst []byte) []byte { return f.K.AppendString(append(dst, "scale:"...)) }
 
 func (f Scale) String() string {
 	// Render 1/n factors in the paper's division notation.

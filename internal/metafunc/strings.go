@@ -19,9 +19,10 @@ func (f FrontMask) Apply(x string) string {
 	return f.M + x[len(f.M):]
 }
 
-func (f FrontMask) Params() int    { return 1 }
-func (f FrontMask) Key() string    { return key1("fmask:", f.M) }
-func (f FrontMask) String() string { return fmt.Sprintf(".{%d}◦x ↦ %q◦x", len(f.M), f.M) }
+func (f FrontMask) Params() int                 { return 1 }
+func (f FrontMask) Key() string                 { return key1("fmask:", f.M) }
+func (f FrontMask) AppendKey(dst []byte) []byte { return appendKey1(dst, "fmask:", f.M) }
+func (f FrontMask) String() string              { return fmt.Sprintf(".{%d}◦x ↦ %q◦x", len(f.M), f.M) }
 
 // BackMask is the inverse variant: the last |m| bytes are replaced.
 type BackMask struct{ M string }
@@ -33,9 +34,10 @@ func (f BackMask) Apply(x string) string {
 	return x[:len(x)-len(f.M)] + f.M
 }
 
-func (f BackMask) Params() int    { return 1 }
-func (f BackMask) Key() string    { return key1("bmask:", f.M) }
-func (f BackMask) String() string { return fmt.Sprintf("x◦.{%d} ↦ x◦%q", len(f.M), f.M) }
+func (f BackMask) Params() int                 { return 1 }
+func (f BackMask) Key() string                 { return key1("bmask:", f.M) }
+func (f BackMask) AppendKey(dst []byte) []byte { return appendKey1(dst, "bmask:", f.M) }
+func (f BackMask) String() string              { return fmt.Sprintf("x◦.{%d} ↦ x◦%q", len(f.M), f.M) }
 
 // MaskingMeta induces the shortest mask consistent with the example, at
 // either margin. Masking requires |in| == |out|.
@@ -85,9 +87,10 @@ func (f FrontTrim) Apply(x string) string {
 	return x[i:]
 }
 
-func (f FrontTrim) Params() int    { return 1 }
-func (f FrontTrim) Key() string    { return keyByte("ftrim:", f.C) }
-func (f FrontTrim) String() string { return fmt.Sprintf("[%q]*◦x ↦ x", f.C) }
+func (f FrontTrim) Params() int                 { return 1 }
+func (f FrontTrim) Key() string                 { return keyByte("ftrim:", f.C) }
+func (f FrontTrim) AppendKey(dst []byte) []byte { return appendKeyByte(dst, "ftrim:", f.C) }
+func (f FrontTrim) String() string              { return fmt.Sprintf("[%q]*◦x ↦ x", f.C) }
 
 // BackTrim is the inverse variant: the trailing run of C is removed.
 type BackTrim struct{ C byte }
@@ -100,9 +103,10 @@ func (f BackTrim) Apply(x string) string {
 	return x[:i]
 }
 
-func (f BackTrim) Params() int    { return 1 }
-func (f BackTrim) Key() string    { return keyByte("btrim:", f.C) }
-func (f BackTrim) String() string { return fmt.Sprintf("x◦[%q]* ↦ x", f.C) }
+func (f BackTrim) Params() int                 { return 1 }
+func (f BackTrim) Key() string                 { return keyByte("btrim:", f.C) }
+func (f BackTrim) AppendKey(dst []byte) []byte { return appendKeyByte(dst, "btrim:", f.C) }
+func (f BackTrim) String() string              { return fmt.Sprintf("x◦[%q]* ↦ x", f.C) }
 
 // TrimmingMeta induces trims from examples with a visible stripped run.
 type TrimmingMeta struct{}
@@ -135,18 +139,20 @@ func (TrimmingMeta) Induce(in, out string) []Func {
 // Prefix is x ↦ y ◦ x with ψ = 1.
 type Prefix struct{ Y string }
 
-func (f Prefix) Apply(x string) string { return f.Y + x }
-func (f Prefix) Params() int           { return 1 }
-func (f Prefix) Key() string           { return key1("prefix:", f.Y) }
-func (f Prefix) String() string        { return fmt.Sprintf("x ↦ %q◦x", f.Y) }
+func (f Prefix) Apply(x string) string       { return f.Y + x }
+func (f Prefix) Params() int                 { return 1 }
+func (f Prefix) Key() string                 { return key1("prefix:", f.Y) }
+func (f Prefix) AppendKey(dst []byte) []byte { return appendKey1(dst, "prefix:", f.Y) }
+func (f Prefix) String() string              { return fmt.Sprintf("x ↦ %q◦x", f.Y) }
 
 // Suffix is the inverse variant x ↦ x ◦ y.
 type Suffix struct{ Y string }
 
-func (f Suffix) Apply(x string) string { return x + f.Y }
-func (f Suffix) Params() int           { return 1 }
-func (f Suffix) Key() string           { return key1("suffix:", f.Y) }
-func (f Suffix) String() string        { return fmt.Sprintf("x ↦ x◦%q", f.Y) }
+func (f Suffix) Apply(x string) string       { return x + f.Y }
+func (f Suffix) Params() int                 { return 1 }
+func (f Suffix) Key() string                 { return key1("suffix:", f.Y) }
+func (f Suffix) AppendKey(dst []byte) []byte { return appendKey1(dst, "suffix:", f.Y) }
+func (f Suffix) String() string              { return fmt.Sprintf("x ↦ x◦%q", f.Y) }
 
 // AffixMeta induces prefixing/suffixing when out extends in at one margin.
 type AffixMeta struct{}
@@ -182,8 +188,9 @@ func (f PrefixReplace) Apply(x string) string {
 	return f.Z + x[len(f.Y):]
 }
 
-func (f PrefixReplace) Params() int { return 2 }
-func (f PrefixReplace) Key() string { return key2("pfxrep:", f.Y, f.Z) }
+func (f PrefixReplace) Params() int                 { return 2 }
+func (f PrefixReplace) Key() string                 { return key2("pfxrep:", f.Y, f.Z) }
+func (f PrefixReplace) AppendKey(dst []byte) []byte { return appendKey2(dst, "pfxrep:", f.Y, f.Z) }
 func (f PrefixReplace) String() string {
 	return fmt.Sprintf("%q◦x ↦ %q◦x, otherwise x ↦ x", f.Y, f.Z)
 }
@@ -198,8 +205,9 @@ func (f SuffixReplace) Apply(x string) string {
 	return x[:len(x)-len(f.Y)] + f.Z
 }
 
-func (f SuffixReplace) Params() int { return 2 }
-func (f SuffixReplace) Key() string { return key2("sfxrep:", f.Y, f.Z) }
+func (f SuffixReplace) Params() int                 { return 2 }
+func (f SuffixReplace) Key() string                 { return key2("sfxrep:", f.Y, f.Z) }
+func (f SuffixReplace) AppendKey(dst []byte) []byte { return appendKey2(dst, "sfxrep:", f.Y, f.Z) }
 func (f SuffixReplace) String() string {
 	return fmt.Sprintf("x◦%q ↦ x◦%q, otherwise x ↦ x", f.Y, f.Z)
 }

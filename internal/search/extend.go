@@ -97,9 +97,7 @@ func (e *engine) probe(h *State, attr int, r []align.Pair) probeResult {
 	}
 	g := align.GreedyMap(h.inst, r, attr)
 	hg := h.extend(attr, g, e.cm)
-	icfg := e.opts.Induce
-	icfg.Runner = e.runAll
-	cands := induce.Candidates(h.blocks, attr, h.inst.Metas, icfg, e.opts.Beta, e.probeRng(attr))
+	cands := e.ind.Candidates(h.blocks, attr, e.opts.Beta, e.probeRng(attr))
 	pr := probeResult{attr: attr, hg: hg, generated: len(cands)}
 	// The candidate refinements are independent of each other; evaluate
 	// them on the pool too, then keep survivors in rank order.
@@ -172,6 +170,10 @@ type engine struct {
 	rng   *rand.Rand
 	stats *Stats
 	sem   chan struct{} // worker-pool slots; nil = sequential engine
+
+	// ind induces the run's function candidates: opts.Induce with its sample
+	// sizes resolved once and runAll as the Runner.
+	ind *induce.Inducer
 
 	// alignSc is the run's reusable alignment-sampling scratch. Touched only
 	// from the polling goroutine (extensions and finalize); each returned

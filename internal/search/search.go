@@ -291,6 +291,9 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 		// semaphore holds Workers−1 extra slots.
 		e.sem = make(chan struct{}, opts.Workers-1)
 	}
+	icfg := opts.Induce
+	icfg.Runner = e.runAll
+	e.ind = induce.New(inst.Metas, icfg)
 	finish := func(expl *delta.Explanation) (*Result, error) {
 		if err := expl.Validate(); err != nil {
 			return nil, fmt.Errorf("search: produced invalid explanation: %w", err)

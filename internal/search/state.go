@@ -156,12 +156,16 @@ func (s *State) Describe() string {
 // indeterminacy, most determined first (Section 4.3); ties break towards
 // the lower attribute index for determinism.
 func (s *State) undecided() []int {
-	type ia struct{ attr, ind int }
-	var list []ia
+	var attrs []int
 	for a, f := range s.funcs {
 		if f == nil {
-			list = append(list, ia{attr: a, ind: s.blocks.Indeterminacy(a)})
+			attrs = append(attrs, a)
 		}
+	}
+	type ia struct{ attr, ind int }
+	list := make([]ia, len(attrs))
+	for i, ind := range s.blocks.Indeterminacies(attrs) {
+		list[i] = ia{attr: attrs[i], ind: ind}
 	}
 	sort.SliceStable(list, func(i, j int) bool {
 		if list[i].ind != list[j].ind {
@@ -169,9 +173,8 @@ func (s *State) undecided() []int {
 		}
 		return list[i].attr < list[j].attr
 	})
-	out := make([]int, len(list))
 	for i, e := range list {
-		out[i] = e.attr
+		attrs[i] = e.attr
 	}
-	return out
+	return attrs
 }

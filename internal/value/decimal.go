@@ -13,8 +13,10 @@
 package value
 
 import (
+	"math"
 	"math/big"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -504,13 +506,32 @@ func (d Decimal) Equal(o Decimal) bool { return d.Cmp(o) == 0 }
 
 // String implements fmt.Stringer using the canonical format; values with
 // non-terminating expansions render with a trailing "…" marker (they can
-// never equal an attribute value, so this form is for diagnostics only).
+// never equal an attribute value, so this form is for diagnostics and
+// function keys only).
 func (d Decimal) String() string {
-	if s, ok := d.Format(); ok {
-		return s
+	var buf [40]byte
+	return string(d.AppendString(buf[:0]))
+}
+
+// AppendString appends String() to b. A non-terminating value renders as
+// its nearest float64 rounded half away from zero to six fractional digits.
+// strconv prints the same digits except on an exact tie — only odd
+// multiples of 1/128 have one at six digits, and strconv breaks it to even —
+// and a quotient of two int64s below 2^53 is that nearest float64; every
+// other value takes the exact big.Rat route.
+func (d Decimal) AppendString(b []byte) []byte {
+	if out, ok := d.AppendFormat(b); ok {
+		return out
+	}
+	const exact = 1 << 53
+	if d.rat == nil && -exact < d.num && d.num < exact && d.den < exact {
+		f := float64(d.num) / float64(d.den)
+		if g := f * 128; g != math.Floor(g) || math.Mod(g, 2) == 0 {
+			return append(strconv.AppendFloat(b, f, 'f', 6, 64), "…"...)
+		}
 	}
 	f, _ := d.bigRat().Float64()
-	return big.NewRat(0, 1).SetFloat64(f).FloatString(6) + "…"
+	return append(append(b, big.NewRat(0, 1).SetFloat64(f).FloatString(6)...), "…"...)
 }
 
 // RatString returns the exact num/den form, used to build collision-free

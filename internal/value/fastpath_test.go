@@ -134,3 +134,63 @@ func TestFastPathAllocationFree(t *testing.T) {
 		t.Errorf("fast path allocates %v objects per op, want 0", allocs)
 	}
 }
+
+// refString is String's pre-fast-path formula for non-terminating values.
+func refString(d Decimal) string {
+	if s, ok := d.Format(); ok {
+		return s
+	}
+	f, _ := d.bigRat().Float64()
+	return big.NewRat(0, 1).SetFloat64(f).FloatString(6) + "…"
+}
+
+// TestStringMatchesBigRat pins the strconv route of String/AppendString to
+// the big.Rat formula: corpus quotients, random fractions, and fractions
+// whose nearest float64 is an odd multiple of 1/128 — the exact six-digit
+// ties strconv and big.Rat round differently.
+func TestStringMatchesBigRat(t *testing.T) {
+	check := func(d Decimal) {
+		t.Helper()
+		if got, want := d.String(), refString(d); got != want {
+			t.Errorf("String(%s) = %q, want %q", d.RatString(), got, want)
+		}
+		if got := string(d.AppendString([]byte("k:"))); got != "k:"+d.String() {
+			t.Errorf("AppendString(%s) = %q, String() = %q", d.RatString(), got, d.String())
+		}
+	}
+	for _, as := range corpus {
+		for _, bs := range corpus {
+			da, okA := Parse(as)
+			db, okB := Parse(bs)
+			if q, ok := da.Div(db); okA && okB && ok {
+				check(q)
+			}
+		}
+	}
+	if err := quick.Check(func(num, den int64) bool {
+		if den == 0 {
+			return true
+		}
+		d, _ := FromInt(num).Div(FromInt(den))
+		return d.String() == refString(d) && FromInt(num>>12).Mul(d).String() == refString(FromInt(num>>12).Mul(d))
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	ties := 0
+	for j := int64(1); j < 4000; j += 2 { // tie value j/128
+		for den := int64(1)<<47 + 1; den < int64(1)<<47+300; den += 2 {
+			if (j*den+1)%128 != 0 {
+				continue
+			}
+			d := reduce((j*den+1)/128, den) // j/128 + 1/(128·den)
+			if f, _ := d.bigRat().Float64(); f == float64(j)/128 {
+				ties++
+			}
+			check(d)
+			check(d.Neg())
+		}
+	}
+	if ties == 0 {
+		t.Error("no fraction rounded onto a tie; the construction no longer covers the slow route")
+	}
+}
