@@ -1,16 +1,17 @@
 // Allocation-regression tests: the raw-speed pass drove the hot-path
 // allocation counts down by replacing per-call maps, packed string keys and
-// throwaway scratch with pooled slabs and open-addressing tables. These
+// throwaway scratch with pooled slabs and open-addressing tables, and the
+// induction-on-codes rewrite halved them again. These
 // tests pin the two headline workloads — the warm session chain
 // (BenchmarkChain/warm) and the scale-20 Figure 5 cold search — under
 // explicit allocs-per-run ceilings so a future change that quietly
 // reintroduces per-record or per-state allocations fails CI instead of
 // only moving a benchmark number.
 //
-// The ceilings carry ~30% headroom over the measured counts (see the
-// baselines recorded in BENCH_8.json), so ordinary drift — a few extra
-// allocations per poll, a new trace field — passes, while regressing to the
-// pre-pass shape (3-5x the ceiling) cannot.
+// The ceilings carry ~30% headroom over the measured counts, so ordinary
+// drift — a few extra allocations per poll, a new trace field — passes,
+// while regressing to map-based induction (1.7-2x the measured counts) or
+// to the pre-pass shape (7-9x) cannot.
 package affidavit_test
 
 import (
@@ -53,9 +54,9 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 			}
 		}
 	})
-	// Measured 369k allocs/run after the raw-speed pass (down from ~1.7M
-	// in the BENCH_5 era).
-	const ceiling = 480_000
+	// Measured 159k allocs/run with induction on codes (369k after the
+	// raw-speed pass, ~1.7M in the BENCH_5 era).
+	const ceiling = 210_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("warm chain allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
@@ -93,9 +94,9 @@ func TestAllocRegressionScale20(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 711k allocs/run after the raw-speed pass (down from ~2.85M
-	// in the BENCH_5 era).
-	const ceiling = 950_000
+	// Measured 382k allocs/run with induction on codes (711k after the
+	// raw-speed pass, ~2.85M in the BENCH_5 era).
+	const ceiling = 500_000
 	t.Logf("scale20 cold: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("scale20 cold search allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)

@@ -17,14 +17,14 @@ var benchSink int
 // attribute on the root blocking — the call the search makes on its first
 // polls, where blocks are coarsest and induction most expensive. flight20k
 // is the Figure 5 reference size (one 20 000-record block, 21 attributes);
-// uniprot is the widest registry schema (182 attributes, 1 000 records).
+// uniprot300 is the widest registry schema (182 attributes) at 300 records.
 func BenchmarkCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name, dataset string
 		rows          int
 	}{
 		{"flight20k", "flight-500k", 20000},
-		{"uniprot", "uniprot", 1000},
+		{"uniprot300", "uniprot", 300},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {

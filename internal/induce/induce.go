@@ -334,7 +334,12 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			ti = int32(len(tasks))
 			taskOf[key] = ti
 			sp := spans[sc.blocks.lookup(tr.block)]
-			tasks = append(tasks, task{out: key.rec, lo: sp.lo, hi: sp.hi})
+			if int(ti) < cap(tasks) {
+				tasks = tasks[:ti+1] // a slot of an earlier call: reuse its funcs buffer
+			} else {
+				tasks = append(tasks, task{})
+			}
+			tasks[ti] = task{out: key.rec, lo: sp.lo, hi: sp.hi, funcs: tasks[ti].funcs[:0]}
 		}
 		tasks[ti].n++
 	}
@@ -382,7 +387,9 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			generated[ind.id] += tasks[i].n
 		}
 	}
-	clear(tasks) // the pooled scratch must not pin this call's functions
+	for i := range tasks {
+		clear(tasks[i].funcs) // the pooled scratch keeps the buffers, not the functions
+	}
 
 	// --- Stage 2: significance filter. ---
 	// At full sample size k the threshold is MinGenerated; with fewer
