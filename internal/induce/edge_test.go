@@ -39,6 +39,8 @@ func prefixedPair(t *testing.T, n int, dicts []*table.Dict) *delta.Instance {
 	return inst
 }
 
+// describe renders candidates as "Generated Overlap Score Key", the form
+// the golden file and the pinned expectations use.
 func describe(cands []induce.Candidate) []string {
 	out := make([]string, len(cands))
 	for i, c := range cands {

@@ -106,11 +106,7 @@ func TestCandidatesGolden(t *testing.T) {
 				for _, runner := range []func(int, func(int)){nil, concurrentRunner} {
 					cfg := induce.Defaults
 					cfg.Runner = runner
-					cands := induce.Candidates(r, attr, p.Inst.Metas, cfg, 0, rand.New(rand.NewSource(int64(attr)+1)))
-					list := make([]string, len(cands))
-					for i, c := range cands {
-						list[i] = fmt.Sprintf("%d %d %d %s", c.Generated, c.Overlap, c.Score, c.Func.Key())
-					}
+					list := describe(induce.Candidates(r, attr, p.Inst.Metas, cfg, 0, rand.New(rand.NewSource(int64(attr)+1))))
 					if prev, ok := got[key]; ok && !reflect.DeepEqual(prev, list) {
 						t.Errorf("%s: concurrent Runner ranks differently from the inline one", key)
 					}

@@ -311,7 +311,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// draw from rng in a deterministic sequence; induction below is then
 	// rng-free and may run in parallel.
 	sc.blocks.begin(len(mixed))
-	taskOf := make(map[tref]int32, len(targets))
+	taskOf := make(map[[2]int32]int32, len(targets)) // (block, target value code) → task
 	srcVals, spans, tasks := sc.vals, sc.spans, sc.tasks
 	for _, tr := range targets {
 		if _, fresh := sc.blocks.id(tr.block); fresh { // its id indexes spans
@@ -328,7 +328,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			}
 			spans = append(spans, span{lo: int32(lo), hi: int32(len(srcVals))})
 		}
-		key := tref{block: tr.block, rec: tgtCodes[tr.rec]} // rec holds the value code here
+		key := [2]int32{tr.block, tgtCodes[tr.rec]}
 		ti, ok := taskOf[key]
 		if !ok {
 			ti = int32(len(tasks))
@@ -339,7 +339,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			} else {
 				tasks = append(tasks, task{})
 			}
-			tasks[ti] = task{out: key.rec, lo: sp.lo, hi: sp.hi, funcs: tasks[ti].funcs[:0]}
+			tasks[ti] = task{out: key[1], lo: sp.lo, hi: sp.hi, funcs: tasks[ti].funcs[:0]}
 		}
 		tasks[ti].n++
 	}
@@ -514,8 +514,10 @@ func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cand
 				out := ws.applied[bar.id]
 				if out == 0 {
 					out = -1
-					if o, found := dict.Lookup(f.Apply(vals[local[bar.id]])); found && o < base && ids.lookup(o) >= 0 {
-						out = ids.lookup(o) + 1
+					if o, found := dict.Lookup(f.Apply(vals[local[bar.id]])); found && o < base {
+						if l := ids.lookup(o); l >= 0 {
+							out = l + 1
+						}
 					}
 					ws.applied[bar.id] = out
 				}

@@ -71,15 +71,20 @@ func (m *Mapping) Key() string {
 	var sb strings.Builder
 	sb.Grow(n)
 	sb.WriteString("map:")
-	var tmp [20]byte
 	for _, k := range m.keys {
-		for _, s := range [2]string{k, m.pairs[k]} { // appendQuoted, straight into the builder
-			sb.Write(strconv.AppendInt(tmp[:0], int64(len(s)), 10))
-			sb.WriteByte(':')
-			sb.WriteString(s)
-		}
+		writeQuoted(&sb, k)
+		writeQuoted(&sb, m.pairs[k])
 	}
 	return sb.String()
+}
+
+// writeQuoted is appendQuoted straight into a builder, so a mapping's long
+// key is written once.
+func writeQuoted(sb *strings.Builder, s string) {
+	var tmp [20]byte
+	sb.Write(strconv.AppendInt(tmp[:0], int64(len(s)), 10))
+	sb.WriteByte(':')
+	sb.WriteString(s)
 }
 
 func (m *Mapping) String() string {
