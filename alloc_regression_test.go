@@ -8,7 +8,9 @@
 // reintroduces per-record or per-state allocations fails CI instead of
 // only moving a benchmark number.
 //
-// The ceilings carry ~30% headroom over the measured counts, so ordinary
+// The ceilings carry 30-40% headroom over the measured counts (10-15% over
+// what the same runs read under -race, where sync.Pool drops a quarter of
+// its Puts and pooled scratch is rebuilt that much more often), so ordinary
 // drift — a few extra allocations per poll, a new trace field — passes,
 // while regressing to map-based induction (1.7-2x the measured counts) or
 // to the pre-pass shape (7-9x) cannot.
@@ -54,9 +56,9 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 			}
 		}
 	})
-	// Measured 159k allocs/run with induction on codes (369k after the
+	// Measured 143k allocs/run with induction on codes (182k under -race) (369k after the
 	// raw-speed pass, ~1.7M in the BENCH_5 era).
-	const ceiling = 210_000
+	const ceiling = 200_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("warm chain allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
@@ -94,9 +96,9 @@ func TestAllocRegressionScale20(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 382k allocs/run with induction on codes (711k after the
+	// Measured 346k allocs/run with induction on codes (403k under -race) (711k after the
 	// raw-speed pass, ~2.85M in the BENCH_5 era).
-	const ceiling = 500_000
+	const ceiling = 460_000
 	t.Logf("scale20 cold: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("scale20 cold search allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)

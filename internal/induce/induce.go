@@ -7,7 +7,9 @@
 package induce
 
 import (
+	"bytes"
 	"cmp"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,7 +17,6 @@ import (
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/metafunc"
-	"affidavit/internal/table"
 )
 
 // Config carries the statistical parameters of Sections 4.4.2–4.4.3.
@@ -210,10 +211,10 @@ type (
 		out, n, lo, hi int32
 		funcs          []induced
 	}
-	// induced is a function one task induced, under its call-local id.
+	// induced is a function one task induced, with the hash of its key.
 	induced struct {
-		id int32
-		f  metafunc.Func
+		hash uint64
+		f    metafunc.Func
 	}
 	// run is one histogram bar: n records carry the value with local id id.
 	run struct{ id, n int32 }
@@ -250,24 +251,78 @@ func (sc *scratch) reset() {
 // workScratch is the pooled working set of one induction or ranking task.
 type workScratch struct {
 	key     []byte  // induction: the current function's key bytes
-	seen    []int32 // induction: function id → epoch of the task that saw it
-	epoch   int32
+	keys    keySet  // induction: the keys the task has seen
 	applied []int32 // ranking: local value id → local id of f's output + 1, 0 = unset, -1 = not a sampled value
 	count   []int32 // ranking: local value id → records mapped onto it in the open block
 	touched []int32
 }
 
 func (ws *workScratch) reset(values int) {
-	if ws.epoch++; ws.epoch == math.MaxInt32 {
-		clear(ws.seen)
-		ws.epoch = 1
-	}
+	ws.keys.reset()
 	if cap(ws.applied) < values {
 		ws.applied, ws.count = make([]int32, values), make([]int32, values)
 	}
 	ws.applied, ws.count = ws.applied[:values], ws.count[:values]
 	clear(ws.applied)
 }
+
+// keySet is the set of function keys one induction task has seen: open
+// addressing on the key's hash, equality decided on the key bytes, which it
+// keeps in one arena — no string and no map entry per function. reset
+// readies it, also for its first use.
+type keySet struct {
+	slots   []int32 // 1 + index of the key in hashes/ends, 0 = free
+	touched []int32 // occupied slots
+	hashes  []uint64
+	ends    []int32 // key i is arena[ends[i]:ends[i+1]]; ends[0] = 0
+	arena   []byte
+}
+
+func (s *keySet) reset() {
+	if 4*len(s.touched) < len(s.slots) {
+		for _, i := range s.touched {
+			s.slots[i] = 0
+		}
+	} else {
+		clear(s.slots)
+	}
+	s.touched, s.hashes, s.ends, s.arena = s.touched[:0], s.hashes[:0], append(s.ends[:0], 0), s.arena[:0]
+}
+
+// add records key, whose hash is h, and reports whether it was new.
+func (s *keySet) add(h uint64, key []byte) bool {
+	if 2*len(s.hashes) >= len(s.slots) {
+		s.slots, s.touched = make([]int32, max(64, 2*len(s.slots))), s.touched[:0]
+		for i, h := range s.hashes {
+			s.place(h, int32(i)+1)
+		}
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := h & mask; s.slots[i] != 0; i = (i + 1) & mask {
+		if e := s.slots[i] - 1; s.hashes[e] == h && bytes.Equal(s.arena[s.ends[e]:s.ends[e+1]], key) {
+			return false
+		}
+	}
+	s.hashes, s.arena = append(s.hashes, h), append(s.arena, key...)
+	s.ends = append(s.ends, int32(len(s.arena)))
+	s.place(h, int32(len(s.hashes)))
+	return true
+}
+
+// place puts entry e into the first free slot of h's probe sequence.
+func (s *keySet) place(h uint64, e int32) {
+	mask := uint64(len(s.slots) - 1)
+	i := h & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = e
+	s.touched = append(s.touched, int32(i))
+}
+
+// hashSeed keys the function-key hashes. They only group equal keys within
+// one call, so results do not depend on it.
+var hashSeed = maphash.MakeSeed()
 
 var (
 	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -344,52 +399,30 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 		tasks[ti].n++
 	}
 	sc.vals, sc.spans, sc.tasks = srcVals, spans, tasks
-	// Functions are interned by key into call-local ids: a task dedups by
-	// id, and the merge below counts and picks exemplars by id, so a key
-	// string exists once per distinct function instead of once per induced
-	// one. Metas are applied directly instead of through metafunc.InduceAll:
-	// no meta family emits duplicate keys on one example, so the per-task
-	// dedup subsumes InduceAll's per-example dedup.
-	funcIDs := table.NewDict()
+	// A task dedups the functions it induces on their key bytes (keySet) and
+	// keeps each under the hash of its key: no key string and no shared
+	// table on this path. Metas are applied directly instead of through
+	// metafunc.InduceAll: no meta family emits duplicate keys on one
+	// example, so the per-task dedup subsumes InduceAll's per-example dedup.
 	in.run(len(tasks), func(i int) {
 		ws := workPool.Get().(*workScratch)
 		ws.reset(0)
-		key, seen, epoch := ws.key, ws.seen, ws.epoch
+		key := ws.key
 		t := &tasks[i]
 		out := vals[t.out]
 		for _, c := range srcVals[t.lo:t.hi] {
 			for _, m := range in.metas {
 				for _, f := range m.Induce(vals[c], out) {
 					key = metafunc.AppendKey(key[:0], f)
-					id := int(funcIDs.CodeBytes(key))
-					for id >= len(seen) {
-						seen = append(seen, 0)
-					}
-					if seen[id] != epoch {
-						seen[id] = epoch
-						t.funcs = append(t.funcs, induced{id: int32(id), f: f})
+					if h := maphash.Bytes(hashSeed, key); ws.keys.add(h, key) {
+						t.funcs = append(t.funcs, induced{hash: h, f: f})
 					}
 				}
 			}
 		}
-		ws.key, ws.seen = key, seen
+		ws.key = key
 		workPool.Put(ws)
 	})
-	// Merged in task order, so the exemplar of a function is the one its
-	// first sampled target induced, independent of task scheduling.
-	generated := make([]int32, funcIDs.Len())
-	exemplar := make([]metafunc.Func, funcIDs.Len())
-	for i := range tasks {
-		for _, ind := range tasks[i].funcs {
-			if exemplar[ind.id] == nil {
-				exemplar[ind.id] = ind.f
-			}
-			generated[ind.id] += tasks[i].n
-		}
-	}
-	for i := range tasks {
-		clear(tasks[i].funcs) // the pooled scratch keeps the buffers, not the functions
-	}
 
 	// --- Stage 2: significance filter. ---
 	// At full sample size k the threshold is MinGenerated; with fewer
@@ -398,17 +431,46 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	if sampled < in.k {
 		minGen = max(1, int(math.Ceil(float64(in.cfg.MinGenerated)*float64(sampled)/float64(in.k))))
 	}
-	keys := funcIDs.Snapshot()
-	var cands []ranked
-	for id, n := range generated {
-		if int(n) >= minGen {
-			cands = append(cands, ranked{Candidate: Candidate{Func: exemplar[id], Generated: int(n)}, key: keys[id], params: exemplar[id].Params()})
+	// Generations are first counted per hash. Distinct keys may share a
+	// hash, so that count only bounds a function's own from above: the few
+	// functions it lets through are then counted exactly, by key, in task
+	// order — the exemplar of a function is the one its first sampled
+	// target induced, independent of task scheduling.
+	total := 0
+	for i := range tasks {
+		total += len(tasks[i].funcs)
+	}
+	byHash := make(map[uint64]int32, total)
+	for i := range tasks {
+		for _, ind := range tasks[i].funcs {
+			byHash[ind.hash] += tasks[i].n
 		}
 	}
+	var cands []ranked
+	var key []byte
+	ids := make(map[string]int)
+	for i := range tasks {
+		for _, ind := range tasks[i].funcs {
+			if int(byHash[ind.hash]) < minGen {
+				continue
+			}
+			key = metafunc.AppendKey(key[:0], ind.f)
+			id, ok := ids[string(key)]
+			if !ok {
+				id = len(cands)
+				cands = append(cands, ranked{Candidate: Candidate{Func: ind.f}, key: string(key), params: ind.f.Params()})
+				ids[cands[id].key] = id
+			}
+			cands[id].Generated += int(tasks[i].n)
+		}
+	}
+	for i := range tasks {
+		clear(tasks[i].funcs) // the pooled scratch keeps the buffers, not the functions
+	}
+	cands = slices.DeleteFunc(cands, func(c ranked) bool { return c.Generated < minGen })
 	if len(cands) == 0 {
 		return nil
 	}
-	// Function ids follow task scheduling; (Generated, Key) is a total order.
 	slices.SortFunc(cands, func(a, b ranked) int {
 		if a.Generated != b.Generated {
 			return cmp.Compare(b.Generated, a.Generated)

@@ -52,18 +52,6 @@ func (d *Dict) Code(v string) int32 {
 	return c
 }
 
-// CodeBytes is Code for a value held in a reusable byte buffer: the lookup
-// reads b in place, and a string is materialised only when the value is new.
-func (d *Dict) CodeBytes(b []byte) int32 {
-	d.mu.RLock()
-	c, ok := d.codes[string(b)]
-	d.mu.RUnlock()
-	if ok {
-		return c
-	}
-	return d.Code(string(b))
-}
-
 // Lookup returns v's code without interning; ok is false when v was never
 // interned.
 func (d *Dict) Lookup(v string) (int32, bool) {

@@ -39,18 +39,6 @@ func TestDictRoundTrip(t *testing.T) {
 	if d.Len() != 5 {
 		t.Error("Lookup must not intern")
 	}
-	// CodeBytes is Code on a reusable buffer: same codes for known values,
-	// and a new value must not alias the buffer it was read from.
-	buf := []byte("k $")
-	if c := d.CodeBytes(buf); c != codes[4] {
-		t.Errorf("CodeBytes(%q) = %d, Code gave %d", buf, c, codes[4])
-	}
-	copy(buf, "new")
-	c := d.CodeBytes(buf)
-	copy(buf, "xxx")
-	if d.Len() != 6 || d.Value(c) != "new" || d.Code("new") != c {
-		t.Errorf("CodeBytes interned %q under %d; Len = %d", d.Value(c), c, d.Len())
-	}
 }
 
 func TestDictConcurrentInterning(t *testing.T) {
