@@ -37,6 +37,7 @@ import (
 	"affidavit/internal/satreduce"
 	"affidavit/internal/search"
 	"affidavit/internal/session"
+	"affidavit/internal/spill"
 	"affidavit/internal/table"
 )
 
@@ -332,18 +333,19 @@ func BenchmarkChainInterning(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildSharded measures the end-state conversion in isolation:
-// delta.Build's greedy multiset matching, sequential versus key-sharded at
-// GOMAXPROCS workers, on the Figure 5 instance with its reference function
-// tuple. The sharded path is byte-identical to the sequential one (asserted
-// by TestBuildShardedMatchesSequential); this bench records the speedup of
-// parallelising the last single-threaded O(|S|+|T|) pass.
+// BenchmarkBuild measures the end-state conversion in isolation —
+// delta.BuildCtx's memos, greedy multiset matching and assembly — on the
+// Figure 5 instance (40 000 rows) with its reference function tuple: w1 is
+// the one-partition matching, w2 two in-memory partitions on two
+// goroutines, disk the same matching under a 1 MiB budget (eight
+// partitions, matched one at a time, member lists in a temp file). All three produce the
+// same explanation (TestBuildShardedMatchesSequential,
+// TestBuildExternalMatchesSequential).
 //
-// The par4 variant pins GOMAXPROCS to 4 for its duration so the matching
-// actually splits into four shards even on a single-core runner — without
-// the pin, matchSharded clamps the shard count to GOMAXPROCS and par4 would
-// silently degenerate to the sequential shape on one-CPU CI.
-func BenchmarkBuildSharded(b *testing.B) {
+// w2 pins GOMAXPROCS to 2 for its duration: the partition count is clamped
+// to GOMAXPROCS, so on a one-CPU runner it would otherwise silently time w1
+// again.
+func BenchmarkBuild(b *testing.B) {
 	ds, err := datasets.Get("flight-500k")
 	if err != nil {
 		b.Fatal(err)
@@ -356,36 +358,27 @@ func BenchmarkBuildSharded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	funcs := p.Reference.Funcs
-	p.Inst.Coded() // intern outside the timer; both paths share the view
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := delta.Build(p.Inst, funcs); err != nil {
-				b.Fatal(err)
+	p.Inst.Coded() // intern outside the timer; every variant shares the view
+	for _, v := range []struct {
+		name string
+		opts delta.BuildOptions
+	}{
+		{"w1", delta.BuildOptions{Workers: 1}},
+		{"w2", delta.BuildOptions{Workers: 2}},
+		{"disk", delta.BuildOptions{Workers: 1, Spill: spill.NewManager(1<<20, b.TempDir())}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			if prev := runtime.GOMAXPROCS(0); v.opts.Workers > prev {
+				runtime.GOMAXPROCS(v.opts.Workers)
+				defer runtime.GOMAXPROCS(prev)
 			}
-		}
-	})
-	b.Run(fmt.Sprintf("par%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		opts := delta.BuildOptions{Workers: runtime.GOMAXPROCS(0)}
-		for i := 0; i < b.N; i++ {
-			if _, err := delta.BuildCtx(context.Background(), p.Inst, funcs, opts); err != nil {
-				b.Fatal(err)
+			for i := 0; i < b.N; i++ {
+				if _, err := delta.BuildCtx(context.Background(), p.Inst, p.Reference.Funcs, v.opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	if runtime.GOMAXPROCS(0) == 4 {
-		return // the auto variant above already ran as par4
+		})
 	}
-	b.Run("par4", func(b *testing.B) {
-		prev := runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-		opts := delta.BuildOptions{Workers: 4}
-		for i := 0; i < b.N; i++ {
-			if _, err := delta.BuildCtx(context.Background(), p.Inst, funcs, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ablationProblem is a mid-sized instance shared by the ablation benches.

@@ -27,7 +27,7 @@ func get(t *testing.T, url string) string {
 }
 
 // spillPair is a CSV pair big and distinct enough that an 8 KiB budget
-// spills during both blocking refinement and the end-state conversion.
+// spills during the end-state conversion.
 func spillPair() (source, target string) {
 	var src, tgt strings.Builder
 	src.WriteString("id,city,qty\n")

@@ -127,10 +127,10 @@ func WithWarmGuard(g float64) Option { return func(e *Explainer) { e.so.WarmGuar
 
 // WithMemBudget runs every explanation under an approximate memory budget
 // of n bytes (0 = unlimited): streamed snapshots page cold column chunks
-// to a temp file once the budget's table share fills, blocking refinements
-// whose group tables would exceed their share group through disk
-// partitions, and the end-state conversion streams its multiset matching
-// partition by partition. Explanations are byte-identical to the
+// to a temp file once the budget's table share fills, the overlap start
+// strategy groups its score index through disk partitions, and the
+// end-state conversion matches one disk-backed partition at a time. The
+// interned code columns and blocking's refinements stay resident. Explanations are byte-identical to the
 // unbudgeted run for equal seeds — the budget trades disk I/O for peak
 // memory, which is what lets the paper's full 500k-row Figure 5 instance
 // run on small machines. Spill activity is observable: Stats carries the

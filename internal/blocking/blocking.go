@@ -19,7 +19,6 @@ import (
 
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
-	"affidavit/internal/spill"
 )
 
 // Block is one ϕ(κ): the source and target records sharing blocking index
@@ -121,15 +120,12 @@ type Result struct {
 	tgtBlockOf []int32
 	mixed      []*Block        // blocks with records on both sides (cached)
 	tSur, sSur int             // c_t(H), c_s(H), computed at Refine time
-	workers    int             // ≤ 1 = fully sequential refinement
 	ctx        context.Context // nil = never cancelled
-	spillM     *spill.Manager  // nil/inactive = always group in memory
-	spillSt    *spill.Stats    // spill accounting sink (may be nil)
 	lazy       *lazyRefine     // pending materialisation; nil once forced
 }
 
 // lazyRefine holds a deferred refinement. It lives behind a pointer so
-// Result copies (WithWorkers and friends) share the once.
+// Result copies (WithContext) share the once.
 type lazyRefine struct {
 	once   sync.Once
 	parent *Result
@@ -168,19 +164,11 @@ func New(inst *delta.Instance) *Result {
 	return r
 }
 
-// WithWorkers returns a result whose refinements — and those of every
-// result derived from it — may partition very large blocks across up to n
-// goroutines. n ≤ 1 returns the receiver unchanged. The parallel and
-// sequential refinement paths produce byte-identical results.
-func (r *Result) WithWorkers(n int) *Result {
-	if n <= 1 || n == r.workers {
-		return r
-	}
-	r.force() // copies must not share a pending materialisation
-	nr := *r
-	nr.workers = n
-	return &nr
-}
+// WithWorkers returns its receiver: refinement is single-threaded (the
+// partitioned grouper was slower than this one inside the daemon). The
+// method remains only because the frozen bench/probes.go calls it for
+// blocking.refine_w2_ms; the next benchmark PR removes both.
+func (r *Result) WithWorkers(int) *Result { return r }
 
 // WithContext returns a result whose refinements — and those of every
 // result derived from it — observe ctx: Refine called after ctx is
@@ -199,49 +187,16 @@ func (r *Result) WithContext(ctx context.Context) *Result {
 	return &nr
 }
 
-// WithSpill returns a result whose refinements — and those of every result
-// derived from it — group externally whenever one parent block's in-memory
-// group table would exceed the manager's share of the memory budget: the
-// block's (position, split code) tuples are hash-partitioned to a temp
-// file and grouped one partition at a time (grace-hash grouping). The
-// budget governs the grouping's *working set* — only one partition's hash
-// table is ever resident; flat O(distinct) metadata (per-group counts,
-// first positions, and the refined Result's own block arrays) remains,
-// because it IS the refinement's output. In practice that trades ~48
-// bytes of hash-table entry per distinct split code for disk I/O plus
-// ~32 bytes of flat arrays. The external and in-memory paths produce
-// byte-identical results; spilled volume is recorded into st (which may
-// be nil). An inactive manager returns the receiver unchanged.
-func (r *Result) WithSpill(m *spill.Manager, st *spill.Stats) *Result {
-	if !m.Active() {
-		return r
-	}
-	r.force()
-	nr := *r
-	nr.spillM = m
-	nr.spillSt = st
-	return &nr
-}
-
-// parallelBlockMin is the record count at which Refine partitions one
-// block's grouping across goroutines. Below it the per-chunk bookkeeping
-// outweighs the hash work; above it one huge block (the common shape early
-// in a search, when few attributes are decided) scales with cores instead
-// of serialising a whole refinement.
-const parallelBlockMin = 1 << 14
-
 // Refine returns the blocking result after additionally deciding attribute
 // attr with function f: each block splits by f(source value) on the source
 // side and the raw value on the target side. The receiver is unchanged.
 // Refine is safe to call concurrently on the same receiver; the resulting
 // blocks are ordered deterministically (parent-block order, then first
-// appearance in record order) regardless of WithWorkers.
+// appearance in record order).
 //
-// Without an active spill manager the returned result is lazy: only the
-// counting pass has run (enough for TargetSurplus and SourceSurplus), and
-// the block lists materialise on first access. Under a spill manager the
-// full refinement runs eagerly so the grouping honours — and is accounted
-// against — the memory budget at the moment the search creates the state.
+// The returned result is lazy: only the counting pass has run (enough for
+// TargetSurplus and SourceSurplus), and the block lists materialise on
+// first access.
 func (r *Result) Refine(attr int, f metafunc.Func) *Result {
 	if r.ctx != nil && r.ctx.Err() != nil {
 		// Cancelled: skip the grouping pass entirely. The receiver is a
@@ -250,16 +205,12 @@ func (r *Result) Refine(attr int, f metafunc.Func) *Result {
 		return r
 	}
 	r.force()
-	if r.spillM != nil {
-		return r.refineEager(attr, f)
-	}
 	nr := &Result{
-		inst:    r.inst,
-		coded:   r.coded,
-		cache:   r.cache,
-		workers: r.workers,
-		ctx:     r.ctx,
-		lazy:    &lazyRefine{parent: r, attr: attr, fn: f},
+		inst:  r.inst,
+		coded: r.coded,
+		cache: r.cache,
+		ctx:   r.ctx,
+		lazy:  &lazyRefine{parent: r, attr: attr, fn: f},
 	}
 	nr.tSur, nr.sSur = r.countRefine(attr, f)
 	return nr
@@ -314,72 +265,18 @@ func (r *Result) force() {
 	l.once.Do(func() {
 		p := l.parent
 		g := p.newGrouper(l.attr, l.fn)
-		distinct := p.coded.Dicts[l.attr].Len()
 		for _, b := range p.blocks {
-			n := len(b.Src) + len(b.Tgt)
-			if p.workers > 1 && n >= parallelBlockMin && distinct*8 <= n {
-				g.groupParallel(b, p.workers)
-			} else {
-				g.group(b)
-			}
+			g.group(b)
 		}
 		r.finishRefine(p, g)
+		// A forced result no longer needs its parent: release it, or every
+		// state would keep its whole chain of materialised ancestors alive
+		// (two record→block arrays and the block lists per level). Only
+		// this body reads these fields, so the once orders the writes.
+		l.parent, l.fn = nil, nil
 		// r.lazy stays set: concurrent force callers synchronise on the
 		// once, and accessors never read the materialised fields directly.
 	})
-}
-
-// refineEager runs the full refinement immediately, routing oversized
-// blocks through external grouping when the spill budget demands it.
-func (r *Result) refineEager(attr int, f metafunc.Func) *Result {
-	g := r.newGrouper(attr, f)
-	// Partitioning pays off only for low-cardinality splits: the merge
-	// touches every distinct (chunk, split code) pair sequentially, so when
-	// nearly every record carries a distinct code (key-like attributes) the
-	// merge would redo the whole grouping. The dictionary size bounds the
-	// distinct split codes cheaply.
-	distinct := r.coded.Dicts[attr].Len()
-	for _, b := range r.blocks {
-		n := len(b.Src) + len(b.Tgt)
-		// est bounds the block's group-table memory: one entry (~48
-		// bytes) per distinct split code, itself bounded by both the block
-		// size and the attribute's dictionary.
-		est := int64(distinct)
-		if int64(n) < est {
-			est = int64(n)
-		}
-		est *= 48
-		if r.spillM.ShouldSpillGroup(est) {
-			if g.groupExternal(b, r.spillM, r.spillSt, est) == nil {
-				continue
-			}
-			// Disk trouble: the budget is advisory — fall through to the
-			// in-memory path rather than fail the refinement.
-		}
-		if r.workers > 1 && n >= parallelBlockMin && distinct*8 <= n {
-			g.groupParallel(b, r.workers)
-		} else {
-			g.group(b)
-		}
-	}
-	nr := &Result{
-		inst:    r.inst,
-		coded:   r.coded,
-		cache:   r.cache,
-		workers: r.workers,
-		ctx:     r.ctx,
-		spillM:  r.spillM,
-		spillSt: r.spillSt,
-	}
-	nr.finishRefine(r, g)
-	for i := range g.cntS {
-		if d := int(g.cntT[i] - g.cntS[i]); d > 0 {
-			nr.tSur += d
-		} else {
-			nr.sSur -= d
-		}
-	}
-	return nr
 }
 
 // newGrouper prepares the grouping pass over the receiver's blocks.
@@ -457,7 +354,7 @@ func (g *grouper) get(c int32) int32 {
 	return idx
 }
 
-// group splits one parent block sequentially.
+// group splits one parent block.
 func (g *grouper) group(b *Block) {
 	g.sub.reset()
 	for _, s := range b.Src {
@@ -470,125 +367,6 @@ func (g *grouper) group(b *Block) {
 		g.cntT[idx]++
 		g.tgtBlockOf[t] = idx
 	}
-}
-
-// refineChunk is one contiguous range of a parent block's scan order with
-// its chunk-local grouping tables.
-type refineChunk struct {
-	src, tgt []int32 // sub-ranges of the parent's record lists
-	order    []int32 // distinct split codes in first-appearance order
-	cntS     []int32 // records per local sub-block
-	cntT     []int32
-	remap    []int32 // local sub-block index → global index
-}
-
-// groupParallel splits one huge parent block with partitioned record
-// ranges. The sequential scan order is all of b.Src followed by all of
-// b.Tgt; chunks are contiguous ranges of that concatenation, so merging the
-// chunk-local first-appearance orders in chunk order reproduces the
-// sequential sub-block numbering exactly:
-//
-//  1. (parallel) each chunk groups its records into chunk-local sub-blocks,
-//     parking the local index of every record in the global blockOf arrays
-//     (records are disjoint across chunks, so the writes never race);
-//  2. (sequential) chunk tables merge in chunk order into the global
-//     numbering, summing counts and recording a local→global remap;
-//  3. (parallel) every parked local index is rewritten to its global one.
-//
-// Only the map-heavy grouping work runs concurrently; the merge touches one
-// entry per distinct (chunk, split code) pair, not one per record.
-func (g *grouper) groupParallel(b *Block, workers int) {
-	total := len(b.Src) + len(b.Tgt)
-	chunkLen := (total + workers - 1) / workers
-	if chunkLen < parallelBlockMin/4 {
-		chunkLen = parallelBlockMin / 4
-	}
-	var chunks []*refineChunk
-	for off := 0; off < total; off += chunkLen {
-		end := off + chunkLen
-		if end > total {
-			end = total
-		}
-		ck := &refineChunk{}
-		if off < len(b.Src) {
-			sEnd := end
-			if sEnd > len(b.Src) {
-				sEnd = len(b.Src)
-			}
-			ck.src = b.Src[off:sEnd]
-		}
-		if end > len(b.Src) {
-			tOff := off - len(b.Src)
-			if tOff < 0 {
-				tOff = 0
-			}
-			ck.tgt = b.Tgt[tOff : end-len(b.Src)]
-		}
-		chunks = append(chunks, ck)
-	}
-
-	runChunks := func(task func(*refineChunk)) {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for _, ck := range chunks {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ck *refineChunk) {
-				defer func() {
-					<-sem
-					wg.Done()
-				}()
-				task(ck)
-			}(ck)
-		}
-		wg.Wait()
-	}
-
-	// Phase 1: chunk-local grouping.
-	runChunks(func(ck *refineChunk) {
-		var local codeTable
-		get := func(c int32) int32 {
-			idx, found := local.getOrInsert(c, int32(len(ck.order)))
-			if !found {
-				ck.order = append(ck.order, c)
-				ck.cntS = append(ck.cntS, 0)
-				ck.cntT = append(ck.cntT, 0)
-			}
-			return idx
-		}
-		for _, s := range ck.src {
-			idx := get(g.memo[g.srcCodes[s]])
-			ck.cntS[idx]++
-			g.srcBlockOf[s] = idx
-		}
-		for _, t := range ck.tgt {
-			idx := get(g.tgtCodes[t])
-			ck.cntT[idx]++
-			g.tgtBlockOf[t] = idx
-		}
-	})
-
-	// Phase 2: deterministic merge in chunk order.
-	g.sub.reset()
-	for _, ck := range chunks {
-		ck.remap = make([]int32, len(ck.order))
-		for li, c := range ck.order {
-			gi := g.get(c)
-			ck.remap[li] = gi
-			g.cntS[gi] += ck.cntS[li]
-			g.cntT[gi] += ck.cntT[li]
-		}
-	}
-
-	// Phase 3: rewrite parked local indices to global ones.
-	runChunks(func(ck *refineChunk) {
-		for _, s := range ck.src {
-			g.srcBlockOf[s] = ck.remap[g.srcBlockOf[s]]
-		}
-		for _, t := range ck.tgt {
-			g.tgtBlockOf[t] = ck.remap[g.tgtBlockOf[t]]
-		}
-	})
 }
 
 // Instance returns the problem instance the result was built over.

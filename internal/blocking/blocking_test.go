@@ -1,7 +1,9 @@
 package blocking_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
@@ -233,4 +235,31 @@ func TestIndeterminaciesMatchNaiveCount(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForcedResultReleasesParent: refinement is lazy, so an unforced result
+// must keep its parent to group from — but once forced it must let go.
+// Otherwise every search state pins its whole chain of materialised
+// ancestors (two record→block arrays plus the block lists per level),
+// which is what made budgeted runs peak far above the eager refinement
+// this replaced.
+func TestForcedResultReleasesParent(t *testing.T) {
+	mid := blocking.New(fixture.Instance()).Refine(0, metafunc.Identity{})
+	collected := make(chan struct{})
+	runtime.SetFinalizer(mid, func(*blocking.Result) { close(collected) })
+	leaf := mid.Refine(1, metafunc.Identity{})
+	if leaf.NumBlocks() == 0 { // forces leaf (and, through Refine, mid)
+		t.Fatal("refinement produced no blocks")
+	}
+	mid = nil
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(leaf)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a forced result still keeps its parent alive")
 }

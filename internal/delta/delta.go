@@ -193,18 +193,18 @@ type Explanation struct {
 
 // BuildOptions configures BuildCtx.
 type BuildOptions struct {
-	// Workers shards the multiset matching (and the per-attribute memo
-	// construction) across up to this many goroutines. ≤ 1 runs the
-	// sequential matcher. For any value the resulting explanation is
-	// byte-identical to the sequential one — sharding partitions the
-	// matching by key, which the greedy procedure resolves independently
-	// per key anyway.
+	// Workers bounds the goroutines of the conversion: with Workers > 1 the
+	// multiset matching is partitioned by key hash and up to this many
+	// partitions (and per-attribute memo constructions) run at a time. For
+	// any value the resulting explanation is byte-identical to the
+	// one-partition one — the greedy procedure resolves each key
+	// independently anyway.
 	Workers int
 	// Spill, when active, bounds the matching's memory: if the in-memory
-	// key map's estimated size exceeds the budget's share, the matching
-	// hash-partitions both snapshots' code tuples to temp files and matches
-	// one bounded partition at a time (concurrently across partitions when
-	// Workers > 1). Explanations are byte-identical to the in-memory path.
+	// index's estimated size exceeds the budget's share, the partitions are
+	// sized to fit the share and their member lists go to a temp file.
+	// Explanations are byte-identical to the in-memory path; if the disk
+	// fails, the matching reruns in memory.
 	Spill *spill.Manager
 	// SpillStats, when non-nil, accumulates the spilled volume.
 	SpillStats *spill.Stats
@@ -216,20 +216,16 @@ type BuildOptions struct {
 // broken in source order, making construction deterministic.
 //
 // Matching runs on the interned columnar view: records are compared as
-// packed code tuples, and each function is applied at most once per distinct
-// source value of its attribute. Build is BuildCtx without cancellation and
-// without sharding.
+// code tuples, and each function is applied at most once per distinct
+// source value of its attribute. Build is BuildCtx without cancellation,
+// workers or a budget.
 func Build(inst *Instance, funcs FuncTuple) (*Explanation, error) {
 	return BuildCtx(context.Background(), inst, funcs, BuildOptions{})
 }
 
-// BuildCtx is Build with cooperative cancellation and optional sharding.
-// The conversion checks ctx between coarse phases and periodically inside
-// every record scan; once cancelled it returns ctx's error. With
-// opts.Workers > 1 the multiset matching is partitioned by a hash of each
-// record's (image) code tuple, so each shard replays the sequential greedy
-// order on its own keys and the merged result is byte-identical to the
-// sequential path.
+// BuildCtx is Build with cooperative cancellation and BuildOptions. The
+// conversion checks ctx between coarse phases and periodically inside every
+// record scan; once cancelled it returns ctx's error.
 func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOptions) (*Explanation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -243,23 +239,11 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 	if err != nil {
 		return nil, err
 	}
-	var matchOf []int32
-	switch {
-	case opts.Spill.ShouldSpillMatch(matchEstimate(inst.NumAttrs(), inst.Target.Len())):
-		matchOf, err = matchExternal(ctx, inst, co, memos, opts.Workers, opts.Spill, opts.SpillStats)
-		if err != nil && ctx.Err() == nil {
-			// Disk trouble (not cancellation): the budget is advisory, so
-			// fall back to the in-memory matcher rather than fail the run.
-			if opts.Workers > 1 {
-				matchOf, err = matchSharded(ctx, inst, co, memos, opts.Workers)
-			} else {
-				matchOf, err = matchSequential(ctx, inst, co, memos)
-			}
-		}
-	case opts.Workers > 1:
-		matchOf, err = matchSharded(ctx, inst, co, memos, opts.Workers)
-	default:
-		matchOf, err = matchSequential(ctx, inst, co, memos)
+	matchOf, err := match(ctx, inst, co, memos, opts.Workers, opts.Spill, opts.SpillStats)
+	if err != nil && ctx.Err() == nil {
+		// Disk trouble, not cancellation: the budget is advisory, so rerun
+		// on in-memory partitions rather than fail the run.
+		matchOf, err = match(ctx, inst, co, memos, opts.Workers, nil, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -277,11 +261,13 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 // here. Identity attributes skip the memo entirely. Attributes are
 // independent, so workers > 1 fans them out.
 func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple, workers int) ([][]int32, error) {
-	d := len(funcs)
-	memos := make([][]int32, d)
-	build := func(a int) {
+	memos := make([][]int32, len(funcs))
+	err := forEach(len(funcs), workers, func(a int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if metafunc.IsIdentity(funcs[a]) {
-			return
+			return nil
 		}
 		dict := co.Dicts[a]
 		m := make([]int32, co.Base[a])
@@ -293,36 +279,12 @@ func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple, workers int) ([
 			}
 		}
 		memos[a] = m
-	}
-	if workers > 1 && d > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for a := 0; a < d; a++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(a int) {
-				defer func() {
-					<-sem
-					wg.Done()
-				}()
-				if ctx.Err() == nil {
-					build(a)
-				}
-			}(a)
-		}
-		wg.Wait()
-	} else {
-		for a := 0; a < d; a++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			build(a)
-		}
-	}
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return memos, nil
+	return memos, ctx.Err()
 }
 
 // imageCode returns source record s's image code of attribute a under the
@@ -333,41 +295,6 @@ func imageCode(co *Coded, memos [][]int32, a int, s int) int32 {
 		return c
 	}
 	return memos[a][c]
-}
-
-// buildCancelMask is how many records each matching loop scans between
-// context checks.
-const buildCancelMask = 8192 - 1
-
-// matchSequential runs the single-threaded greedy multiset matching:
-// matchOf[s] is the target record claimed by source s, or −1 when s is
-// deleted.
-func matchSequential(ctx context.Context, inst *Instance, co *Coded, memos [][]int32) ([]int32, error) {
-	d := inst.NumAttrs()
-	nTgt := inst.Target.Len()
-	// Multiset index of unclaimed target records; positions are the records.
-	free := newTupleIndex(co, d, nil, nTgt)
-	for t := 0; t < nTgt; t++ {
-		if t&buildCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		free.insert(int32(t), free.hashTgt(int32(t)))
-	}
-	matchOf := make([]int32, inst.Source.Len())
-	for s := 0; s < inst.Source.Len(); s++ {
-		if s&buildCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		matchOf[s] = -1
-		if h, ok := free.hashImg(memos, s); ok {
-			matchOf[s] = free.take(memos, s, h)
-		}
-	}
-	return matchOf, nil
 }
 
 // assemble turns the match table into the explanation's record partitions:

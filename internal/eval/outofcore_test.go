@@ -3,8 +3,10 @@ package eval
 import (
 	"context"
 	"os"
+	"strings"
 	"testing"
 
+	"affidavit/internal/obs"
 	"affidavit/internal/search"
 	"affidavit/internal/spill"
 )
@@ -21,6 +23,10 @@ import (
 // runs at test scale by TestSpillEquivalence (root package) — it cannot be
 // asserted here at 500k rows, because the comparison run would need the
 // very memory the cap removes.
+//
+// On Linux the test logs the process's peak resident set (VmHWM) when the
+// search starts — generation and snapshot realisation are behind it — and
+// at the end, so what -mem-budget buys is a number (run with -v).
 func TestFigure5OutOfCore(t *testing.T) {
 	rows := 20000
 	if env := os.Getenv("AFFIDAVIT_F5_ROWS"); env != "" {
@@ -43,6 +49,11 @@ func TestFigure5OutOfCore(t *testing.T) {
 
 	opts := search.DefaultOptions()
 	opts.Spill = spill.NewManager(budget, "")
+	opts.OnEvent = func(ev obs.Event) {
+		if ev.Kind == obs.KindSearchStart {
+			logPeakRSS(t, "after generation")
+		}
+	}
 	points, err := Figure5(context.Background(), Figure5Spec{
 		BaseRows: rows,
 		Factors:  []float64{1.0},
@@ -64,5 +75,19 @@ func TestFigure5OutOfCore(t *testing.T) {
 	}
 	if !points[0].MatchedReference {
 		t.Errorf("budgeted run did not reproduce the reference explanation at %d rows", points[0].Rows)
+	}
+	logPeakRSS(t, "at the end")
+}
+
+// logPeakRSS logs VmHWM from /proc/self/status; off Linux it logs nothing.
+func logPeakRSS(t *testing.T, when string) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if hwm, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			t.Logf("peak RSS %s: %s", when, strings.TrimSpace(hwm))
+		}
 	}
 }

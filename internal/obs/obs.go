@@ -48,8 +48,8 @@ const (
 	KindDone
 	// KindSpill reports out-of-core activity under a memory budget:
 	// Component names the spilling stage ("ingest" for cold column chunks,
-	// "overlap" for the external overlap-score index, "blocking" for
-	// external grouping, "convert" for external matching),
+	// "overlap" for the disk-partitioned overlap-score index, "convert"
+	// for the conversion's disk-partitioned matching),
 	// SpillBytes the bytes written to temp files and SpillParts the
 	// external partitions created. Ingest spill events fire per snapshot
 	// (Snapshot carries the role); pipeline spill events fire once per run,
@@ -106,7 +106,7 @@ type Event struct {
 	Cancelled bool // the run's context was cancelled
 
 	// KindSpill (ingest spill events also set Snapshot).
-	Component  string // "ingest" | "overlap" | "blocking" | "convert"
+	Component  string // "ingest" | "overlap" | "convert"
 	SpillBytes int64  // bytes written to spill files
 	SpillParts int64  // external partitions created
 }

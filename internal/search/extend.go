@@ -180,10 +180,9 @@ type engine struct {
 	// alignment is consumed by one probe wave before the next sample.
 	alignSc align.Scratch
 
-	// Per-run spill accounting (nil without a budget): refinement grouping
+	// Per-run spill accounting (nil without a budget): the overlap index
 	// and end-state matching report here, and the totals surface as Stats
 	// fields and KindSpill events.
-	groupSpill   *spill.Stats
 	matchSpill   *spill.Stats
 	overlapSpill *spill.Stats
 }

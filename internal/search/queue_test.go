@@ -162,7 +162,7 @@ func TestQuickQueueMonotonePoll(t *testing.T) {
 func TestStateDescribe(t *testing.T) {
 	inst := fixture.Instance()
 	cm := delta.DefaultCosts
-	root := newRoot(context.Background(), inst, cm, 1, nil, nil)
+	root := newRoot(context.Background(), inst, cm)
 	s := root.extend(fixture.Type, metafunc.Identity{}, cm).
 		extend(fixture.Unit, metafunc.Constant{C: "k $"}, cm)
 	want := `(∗, ∗, ∗, id, ∗, x ↦ "k $", ∗)`
@@ -183,7 +183,7 @@ func TestStateDescribe(t *testing.T) {
 func TestEndStateCostCoherence(t *testing.T) {
 	inst := fixture.Instance()
 	cm := delta.DefaultCosts
-	s := newRoot(context.Background(), inst, cm, 1, nil, nil)
+	s := newRoot(context.Background(), inst, cm)
 	for a, f := range fixture.ReferenceFuncs() {
 		s = s.extend(a, f, cm)
 	}
@@ -199,7 +199,7 @@ func TestEndStateCostCoherence(t *testing.T) {
 func TestStateCostMonotone(t *testing.T) {
 	inst := fixture.Instance()
 	cm := delta.DefaultCosts
-	root := newRoot(context.Background(), inst, cm, 1, nil, nil)
+	root := newRoot(context.Background(), inst, cm)
 	ref := fixture.ReferenceFuncs()
 	s := root
 	for a, f := range ref {

@@ -71,8 +71,8 @@ type Options struct {
 	// MaxExpansions caps polled states as a safety valve. Must be ≥ 0;
 	// 0 means unlimited.
 	MaxExpansions int
-	// Workers bounds how many extension probes and blocking refinements the
-	// engine evaluates concurrently. Must be ≥ 0; 0 and 1 both mean the
+	// Workers bounds how many extension probes the engine evaluates
+	// concurrently (and the partitions of the end-state conversion). Must be ≥ 0; 0 and 1 both mean the
 	// sequential engine. For any fixed Seed the parallel and sequential
 	// engines return identical Results (same explanation, cost and stats) —
 	// probes draw from per-probe deterministic rngs and are merged in
@@ -128,11 +128,10 @@ type Options struct {
 	// trivial-explanation cost — the compression-ratio baseline the guard
 	// compares against. Must be ≥ 0. Sessions fill it automatically.
 	WarmPrevRatio float64
-	// Spill, when active, runs the search under its memory budget: any
-	// blocking refinement whose group table would exceed the budget's
-	// share groups externally (grace-hash partitions on temp files), and
-	// the end-state conversion's multiset matching streams disk partitions
-	// instead of holding the whole target key map. Explanations are
+	// Spill, when active, runs the search under its memory budget: the
+	// overlap start strategy's score index and the end-state conversion's
+	// multiset matching partition through temp files when their estimates
+	// exceed the budget's share (blocking always groups in memory). Explanations are
 	// byte-identical to the unbudgeted run for equal seeds; the run's
 	// spill totals land in Stats and in one KindSpill event per spilling
 	// stage, emitted just before the done event. Nil (or a zero-budget
@@ -217,10 +216,10 @@ type Stats struct {
 	// warm states as stale and the run fell back to a cold search.
 	WarmEscalated bool
 	// SpilledBytes is the volume this run wrote to spill files under a
-	// memory budget (blocking's external grouping plus the conversion's
-	// external matching; streamed front-end calls such as ExplainSources
-	// additionally fold in the ingest spill of the snapshots they drained
-	// themselves); 0 without a budget.
+	// memory budget (the overlap index plus the conversion's
+	// disk-partitioned matching; streamed front-end calls such as
+	// ExplainSources additionally fold in the ingest spill of the snapshots
+	// they drained themselves); 0 without a budget.
 	SpilledBytes int64
 	// SpillPartitions counts the external partitions those spills created.
 	SpillPartitions int64
@@ -282,7 +281,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 		stats: &Stats{},
 	}
 	if opts.Spill.Active() {
-		e.groupSpill = &spill.Stats{}
 		e.matchSpill = &spill.Stats{}
 		e.overlapSpill = &spill.Stats{}
 	}
@@ -309,7 +307,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 			st        *spill.Stats
 		}{
 			{"overlap", e.overlapSpill},
-			{"blocking", e.groupSpill},
 			{"convert", e.matchSpill},
 		} {
 			if sp.st.Bytes() == 0 && sp.st.Partitions() == 0 {
@@ -345,7 +342,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, 
 		e.emit(obs.Event{Kind: obs.KindSearchStart, Mode: "cancelled", Start: opts.Start.String()})
 		return finish(delta.Trivial(inst))
 	}
-	root := newRoot(ctx, inst, e.cm, opts.Workers, opts.Spill, e.groupSpill)
+	root := newRoot(ctx, inst, e.cm)
 	q := newQueue(opts.QueueWidth)
 	starts := e.warmStates(root)
 	mode := "cold"

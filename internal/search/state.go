@@ -13,7 +13,6 @@ import (
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
-	"affidavit/internal/spill"
 )
 
 // State is a search state H ∈ H_I: a partial assignment of functions to
@@ -28,17 +27,14 @@ type State struct {
 	key    string
 }
 
-// newRoot returns the all-undecided state H∅ = (∗, …, ∗). workers > 1
-// additionally lets every blocking refinement in the search tree partition
-// huge blocks across that many goroutines (see blocking.Result.WithWorkers).
-// Every refinement in the tree observes ctx, so a cancelled run never
-// starts another block split; under an active spill manager every
-// refinement groups externally when its tables would exceed the budget.
-func newRoot(ctx context.Context, inst *delta.Instance, cm delta.CostModel, workers int, sm *spill.Manager, st *spill.Stats) *State {
+// newRoot returns the all-undecided state H∅ = (∗, …, ∗). Every
+// refinement in the tree observes ctx, so a cancelled run never starts
+// another block split.
+func newRoot(ctx context.Context, inst *delta.Instance, cm delta.CostModel) *State {
 	s := &State{
 		inst:   inst,
 		funcs:  make([]metafunc.Func, inst.NumAttrs()),
-		blocks: blocking.New(inst).WithWorkers(workers).WithContext(ctx).WithSpill(sm, st),
+		blocks: blocking.New(inst).WithContext(ctx),
 	}
 	s.cost = stateCost(s, cm)
 	s.key = stateKey(s.funcs)

@@ -3,8 +3,8 @@ package spill
 import "os"
 
 // Pager spills fixed-size records into hash partitions backed by one
-// unlinked temp file — the disk half of the grace-hash external grouping
-// and matching modes. Writes buffer per partition and flush full pages to
+// unlinked temp file — the disk half of the partitioned overlap index and
+// matching. Writes buffer per partition and flush full pages to
 // the file; reads replay one partition's pages in write order, so a
 // partition's records come back exactly as they went in. A Pager belongs
 // to one external operation and is closed when the operation finishes.

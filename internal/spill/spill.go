@@ -1,15 +1,16 @@
 // Package spill is the out-of-core substrate of the explain pipeline: a
 // process-wide memory budget (Manager), per-run spill accounting (Stats),
 // a chunked int32 column that pages cold chunks to a temp file (Ints), and
-// a fixed-record partition pager (Pager) backing the grace-hash external
-// grouping and matching modes of blocking and delta.
+// a fixed-record partition pager (Pager) backing the disk-partitioned modes
+// of align's overlap index and delta's matching.
 //
 // The budget is a soft, advisory bound on the *auxiliary* memory of one
-// explanation — column chunks, grouping hash tables, matching key maps —
-// not a hard process limit. Consumers estimate the in-memory cost of an
-// operation up front and switch to their external (disk-partitioned)
-// algorithm when the estimate exceeds their share of the budget; results
-// are byte-identical either way, only the memory/IO profile differs.
+// explanation — ingest column chunks, the overlap index, the matching's
+// index — not a hard process limit: the instance's interned code columns
+// and the search's blocking results stay resident. Consumers estimate the
+// in-memory cost of an operation up front and partition it through disk
+// when the estimate exceeds their share of the budget; results are
+// byte-identical either way, only the memory/IO profile differs.
 //
 // Spill files are created under the manager's directory (os.TempDir by
 // default) and unlinked immediately after creation, so they never outlive
@@ -33,11 +34,11 @@ const (
 	// tableShareDiv: resident cold column chunks may hold budget/2 bytes
 	// across all live tables before new chunks spill.
 	tableShareDiv = 2
-	// groupShareDiv: one blocking refinement's group table may be estimated
-	// at budget/4 bytes before the refinement groups externally.
+	// groupShareDiv: the overlap index's group tables may be estimated at
+	// budget/4 bytes before it groups through disk partitions.
 	groupShareDiv = 4
-	// matchShareDiv: the end-state conversion's key maps may be estimated
-	// at budget/4 bytes before the matching partitions to disk.
+	// matchShareDiv: the end-state conversion's index may be estimated at
+	// budget/4 bytes before the matching partitions to disk.
 	matchShareDiv = 4
 )
 
@@ -87,7 +88,7 @@ func (m *Manager) ShouldSpillGroup(est int64) bool {
 	return m.Active() && est > m.budget/groupShareDiv
 }
 
-// ShouldSpillMatch reports whether a multiset matching whose key maps are
+// ShouldSpillMatch reports whether a multiset matching whose index is
 // estimated at est bytes should partition to disk.
 func (m *Manager) ShouldSpillMatch(est int64) bool {
 	return m.Active() && est > m.budget/matchShareDiv
@@ -113,7 +114,9 @@ func (m *Manager) Partitions(est int64, shareDiv int64) int {
 // GroupPartitions sizes an external grouping pass.
 func (m *Manager) GroupPartitions(est int64) int { return m.Partitions(est, groupShareDiv) }
 
-// MatchPartitions sizes an external matching pass.
+// MatchPartitions sizes a disk-partitioned matching: one partition's index
+// fits the share (until the 64-partition cap), so a caller that honours
+// the budget holds one partition at a time.
 func (m *Manager) MatchPartitions(est int64) int { return m.Partitions(est, matchShareDiv) }
 
 // tempFile creates an anonymous spill file: created under the manager's
@@ -195,8 +198,8 @@ func (m *Manager) readChunk(b []byte, off int64) error {
 }
 
 // Stats counts one scope's spill activity — a run, a snapshot ingest —
-// with atomic counters, so concurrent refinements and builders report into
-// one place. The nil *Stats discards.
+// with atomic counters, so concurrent probes and builders report into one
+// place. The nil *Stats discards.
 type Stats struct {
 	bytes atomic.Int64
 	parts atomic.Int64

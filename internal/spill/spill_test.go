@@ -195,6 +195,22 @@ func TestManagerSizing(t *testing.T) {
 	if p := m.GroupPartitions(1 << 22); p < 2 || p > maxPartitions {
 		t.Errorf("partitions out of range: %d", p)
 	}
+	// A matching holds one disk partition at a time whatever its worker
+	// count, so the budget holds exactly when one partition fits the share:
+	// true for every estimate up to maxPartitions shares.
+	share := int64(1<<20) / matchShareDiv
+	for _, est := range []int64{share + 1, 2 * share, 3*share + 1, 17 * share, maxPartitions * share} {
+		if !m.ShouldSpillMatch(est) {
+			t.Errorf("match estimate %d above the share %d should spill", est, share)
+		}
+		p := int64(m.MatchPartitions(est))
+		if p < 2 || p > maxPartitions || (est+p-1)/p > share {
+			t.Errorf("match estimate %d: %d partitions, one holds %d B > share %d", est, p, (est+p-1)/p, share)
+		}
+	}
+	if p := m.MatchPartitions(1000 * share); p != maxPartitions {
+		t.Errorf("partitions past the cap: %d", p)
+	}
 	var nilM *Manager
 	if nilM.Active() || nilM.ShouldSpillGroup(1<<40) || nilM.ShouldSpillMatch(1<<40) {
 		t.Error("nil manager must never spill")

@@ -80,7 +80,7 @@ type PollSummary struct {
 // ComponentSpill is one stage's out-of-core volume.
 type ComponentSpill struct {
 	// Component names the spilling stage: "ingest" (with Snapshot set),
-	// "overlap", "blocking", "convert".
+	// "overlap", "convert".
 	Component string `json:"component"`
 	// Snapshot is the ingest role for ingest spill ("source"/"target").
 	Snapshot   string `json:"snapshot,omitempty"`

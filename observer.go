@@ -37,7 +37,7 @@ const (
 	// EventDone fires once per run: Polls, States, final Cost, Cancelled.
 	EventDone = obs.KindDone
 	// EventSpill reports out-of-core activity under a memory budget:
-	// Component ("ingest"/"blocking"/"convert"), SpillBytes, SpillParts.
+	// Component ("ingest"/"overlap"/"convert"), SpillBytes, SpillParts.
 	// Ingest spill events fire per snapshot; pipeline spill events fire
 	// once per run, aggregated, just before EventDone.
 	EventSpill = obs.KindSpill

@@ -24,10 +24,8 @@ func spillRows(spec datasets.Spec) int {
 	return rows
 }
 
-// spillTestBudget is small enough that every dataset's search both groups
-// blocking refinements externally (any refined attribute with more than a
-// few dozen distinct values busts the share) and streams the end-state
-// matching through disk partitions.
+// spillTestBudget is small enough that every dataset's end-state matching
+// keeps its partitions' member lists on disk.
 const spillTestBudget = 8 << 10
 
 // explanationBytes encodes everything seed-determined about a result —
@@ -64,10 +62,9 @@ func (c *spillComponents) Observe(ev affidavit.Event) {
 
 // TestSpillEquivalence is the out-of-core acceptance check: on every
 // registry dataset, an artificially tiny memory budget forces spilling in
-// both blocking's grouping pass and delta.Build's multiset matching, and
-// the resulting explanation bytes equal the unbudgeted run's — for the
-// sequential and the parallel engine. Run under -race in CI, this also
-// exercises concurrent refinements over one spill manager.
+// delta.Build's multiset matching (and in the overlap index where the
+// start strategy builds one), and the resulting explanation bytes equal the
+// unbudgeted run's — for the sequential and the parallel engine.
 func TestSpillEquivalence(t *testing.T) {
 	for _, spec := range datasets.All() {
 		spec := spec
@@ -111,8 +108,8 @@ func TestSpillEquivalence(t *testing.T) {
 					t.Fatalf("workers=%d: budgeted run did not spill (bytes=%d parts=%d)",
 						workers, got.Stats.SpilledBytes, got.Stats.SpillPartitions)
 				}
-				if !comps.seen["blocking"] || !comps.seen["convert"] {
-					t.Fatalf("workers=%d: spill components %v, want blocking and convert", workers, comps.seen)
+				if !comps.seen["convert"] {
+					t.Fatalf("workers=%d: spill components %v, want convert", workers, comps.seen)
 				}
 				wb, gb := explanationBytes(t, want), explanationBytes(t, got)
 				if string(wb) != string(gb) {
@@ -124,15 +121,13 @@ func TestSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpillSlabInteraction pins the spill × pooled-slab boundary: with a
-// budget, blocking refinements take the eager spill-accounted path, while
-// unbudgeted runs count surpluses through process-global pooled scratch
-// (blocking's countPool) and defer materialisation. Interleaving budgeted
-// and unbudgeted explains in one process therefore hands each mode slabs
-// the other mode dirtied — if any pooled state survived a run, or the lazy
-// path diverged from the eager one, the explanation bytes would drift from
-// the reference. Runs on a shape-diverse registry subset, both engines;
-// the full-registry single-pass sweep is TestSpillEquivalence.
+// TestSpillSlabInteraction pins the spill × pooled-slab boundary: every
+// run counts surpluses through process-global pooled scratch (blocking's
+// countPool, induce's pools), budgeted or not. Interleaving budgeted and
+// unbudgeted explains in one process hands each mode slabs the other mode
+// dirtied — if any pooled state survived a run, the explanation bytes would
+// drift from the reference. Runs on a shape-diverse registry subset, both
+// engines; the full-registry single-pass sweep is TestSpillEquivalence.
 func TestSpillSlabInteraction(t *testing.T) {
 	for _, name := range []string{"bridges", "ncvoter-1k", "horse", "flight-1k"} {
 		name := name
