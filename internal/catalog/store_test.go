@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -205,5 +207,35 @@ func TestSnapshotIDDeterminism(t *testing.T) {
 	}
 	if a[0] == a[1] || a[1] == a[2] {
 		t.Error("distinct pushes share a snapshot id")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/catalog_parent.jsonl from this checkout")
+
+// TestCatalogParentFixture pins the catalog journal's bytes across
+// commits: testdata/catalog_parent.jsonl was recorded by buildStore
+// (register → push → push → start → finish, on fakeClock) on the commit
+// before the journal moved to internal/wal, and every later commit must
+// write the same file.
+func TestCatalogParentFixture(t *testing.T) {
+	const fixture = "testdata/catalog_parent.jsonl"
+	got, err := os.ReadFile(buildStore(t, t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("scripted catalog journal differs from the parent's:\n%s\nwant\n%s", got, want)
 	}
 }

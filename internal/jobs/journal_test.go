@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,4 +118,56 @@ func FuzzJobJournal(f *testing.F) {
 			t.Fatalf("journal round-trip diverged:\n%s\nvs\n%s", encode(recs2), reencoded)
 		}
 	})
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/journal_parent.jsonl from this checkout")
+
+// scriptJournal drives submit → run → complete → compaction → retry on
+// a durable store and returns the journal it leaves: two compacted lines
+// (the fourth append trips CompactEvery) and two appended after them.
+func scriptJournal(t *testing.T) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, CompactEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, _ := s.Submit(Spec{Addr: "addr-a", Table: "ta", Format: "json", SourceBlob: "blob-s", TargetBlob: "blob-t"})
+	s.startRun(a, func(error) {})
+	s.complete(a, &Outcome{Body: []byte("{}"), ContentType: "application/json", Stats: []byte(`{"polls":3}`), TraceID: "trace-a"})
+	b, _, _ := s.Submit(Spec{Table: "tb", Warm: true, Kind: "catalog", SnapshotID: "snap-2", ParentID: "snap-1"})
+	s.startRun(b, func(error) {})
+	s.retry(b, "transient <&>", 0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestJournalParentFixture pins the journal's bytes across commits:
+// testdata/journal_parent.jsonl was recorded by scriptJournal on the
+// commit before the journal moved to internal/wal, and every later
+// commit must write the same file.
+func TestJournalParentFixture(t *testing.T) {
+	const fixture = "testdata/journal_parent.jsonl"
+	got := scriptJournal(t)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("scripted journal differs from the parent's:\n%s\nwant\n%s", got, want)
+	}
 }
