@@ -4,9 +4,11 @@
 // into a monitoring surface — push successive snapshots of a table and
 // the catalog keeps the full drift history, not just the latest diff.
 //
-// Durability reuses the job subsystem's idioms: an append-only JSONL
-// journal (one fixed-struct record per line, fsynced per append,
-// torn-tail tolerant on replay) holds three record kinds — table
+// Durability is the job subsystem's: an internal/wal journal (one
+// fixed-struct record per line, fsynced per append, torn-tail tolerant on
+// replay) that is never compacted — catalog records are lineage facts,
+// each written once (snapshots) or twice (steps), so the log is bounded
+// by the history it stores. It holds three record kinds — table
 // registrations, snapshot lineage (snapshot id, parent id, blob content
 // address, operation tag, push timestamp, schema), and explanation steps
 // (job id, status, per-step summary). Replay is last-line-per-key-wins,
@@ -29,6 +31,7 @@ import (
 	"time"
 
 	"affidavit/internal/jobs"
+	"affidavit/internal/wal"
 )
 
 // Record kinds: one journal line shape shared by the three catalog facts.
@@ -138,9 +141,12 @@ type Record struct {
 	Summary *StepSummary `json:"summary,omitempty"`
 }
 
-// key is the replay identity: the journal's last line per key wins.
-func (r *Record) key() string {
-	return r.Kind + "/" + r.Table + "/" + r.SnapshotID
+// journalSchema replays catalog.jsonl: one live record per fact, so a
+// step's terminal line supersedes its pending line.
+var journalSchema = wal.Schema[Record]{
+	Key:   func(r *Record) string { return r.Kind + "/" + r.Table + "/" + r.SnapshotID },
+	Seq:   func(r *Record) uint64 { return r.Seq },
+	Valid: (*Record).validate,
 }
 
 // validate rejects records a hostile or torn journal could hold but a
@@ -194,7 +200,7 @@ type tableState struct {
 // concurrent use.
 type Store struct {
 	mu     sync.Mutex
-	jrnl   *journal // nil in memory mode
+	jrnl   *wal.Log[Record] // nil in memory mode
 	now    func() time.Time
 	tables map[string]*tableState
 	order  []string // registration order — the deterministic listing order
@@ -220,7 +226,7 @@ func OpenStore(dir string, now func() time.Time) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: store dir: %w", err)
 	}
-	jrnl, recs, err := openCatalogJournal(filepath.Join(dir, "catalog.jsonl"))
+	jrnl, recs, err := wal.Open(filepath.Join(dir, "catalog.jsonl"), journalSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +270,7 @@ func (s *Store) appendLocked(rec Record) {
 	if s.jrnl == nil {
 		return
 	}
-	if err := s.jrnl.append(rec); err != nil && s.journalErr == nil {
+	if err := s.jrnl.Append(rec); err != nil && s.journalErr == nil {
 		s.journalErr = err
 	}
 }
@@ -486,7 +492,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.jrnl != nil {
-		if err := s.jrnl.close(); err != nil && s.journalErr == nil {
+		if err := s.jrnl.Close(); err != nil && s.journalErr == nil {
 			s.journalErr = err
 		}
 		s.jrnl = nil

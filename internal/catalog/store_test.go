@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"affidavit/internal/wal/waltest"
 )
 
 // fakeClock returns a deterministic advancing clock for journaled
@@ -238,4 +240,35 @@ func TestCatalogParentFixture(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("scripted catalog journal differs from the parent's:\n%s\nwant\n%s", got, want)
 	}
+	// The parent's file replays whole to table, two snapshots and the
+	// explained step, each re-encoding to the very line that won (every
+	// line but the step's superseded pending one).
+	recs, keep := waltest.Replay(t, want, journalSchema)
+	if keep != int64(len(want)) || len(recs) != 4 {
+		t.Fatalf("replayed %d records from %d of %d bytes", len(recs), keep, len(want))
+	}
+	if step := recs[3]; recs[0].Kind != KindTable || recs[1].Blob != "blob-1" || recs[2].ParentID != recs[1].SnapshotID ||
+		step.Kind != KindStep || step.Status != StepExplained || step.Summary == nil || step.Summary.Core != 9 {
+		t.Fatalf("replayed records: %+v", recs)
+	}
+	lines := bytes.SplitAfter(want, []byte("\n"))
+	if enc := waltest.Encode(t, recs, journalSchema); !bytes.Equal(enc, bytes.Join(append(lines[:3:3], lines[4]), nil)) {
+		t.Fatalf("re-encoded records differ from the parent's lines:\n%s", enc)
+	}
+}
+
+// FuzzCatalogJournal holds the catalog record to the job journal's
+// replay property (see waltest.FixedPoint).
+func FuzzCatalogJournal(f *testing.F) {
+	seed, err := os.ReadFile("testdata/catalog_parent.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte("{\"kind\":\"step\",\"table\":\"t\",\"snapshot_id\":\"s\"}\n{\"kind\":\"step\",\"table\":\"t\"}\n"))
+	f.Add([]byte("not json at all\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		waltest.FixedPoint(t, data, journalSchema)
+	})
 }

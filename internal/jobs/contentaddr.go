@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"affidavit/internal/wal"
 )
 
 // Address hashes the given parts into a content address. Parts are
@@ -124,7 +126,7 @@ func (w *BlobWriter) Commit() (string, error) {
 		return "", fmt.Errorf("jobs: blob store: %w", err)
 	}
 	w.tmp = nil // the spool is the blob now; nothing left to discard
-	syncDir(w.b.dir)
+	wal.SyncDir(w.b.dir)
 	return sum, nil
 }
 
@@ -182,16 +184,6 @@ func writeFileSync(path string, data []byte) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	syncDir(dir)
+	wal.SyncDir(dir)
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename into it survives power loss.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync() // best effort: directory fsync is advisory on some systems
-	d.Close()
 }

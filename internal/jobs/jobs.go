@@ -3,12 +3,12 @@
 // standard library, and a worker pool that drains it through a
 // caller-supplied runner.
 //
-// Durability is an append-only JSONL journal — one full job record per
-// line, fsynced on every state transition — plus periodic snapshot
-// compaction (the live records rewritten to a fresh file and renamed into
-// place). Recovery replays the journal last-line-per-id-wins, tolerates a
-// torn final line (the tail is truncated, not fatal), requeues jobs that
-// were running when the process died, and keeps completed results intact.
+// Durability is an internal/wal journal — one full job record per line,
+// fsynced on every state transition — plus periodic snapshot compaction
+// (the live records rewritten to a fresh file and renamed into place).
+// Recovery replays the journal last-line-per-id-wins, tolerates a torn
+// final line (the tail is truncated, not fatal), requeues jobs that were
+// running when the process died, and keeps completed results intact.
 //
 // Jobs are keyed by a content address: a SHA-256 over the canonicalized
 // snapshot uploads and the explain options (see Address). Submitting a
@@ -22,6 +22,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"affidavit/internal/wal"
 )
 
 // State is a job's lifecycle position.
@@ -145,6 +147,14 @@ func Transient(err error) error {
 func IsTransient(err error) bool {
 	var te *transientError
 	return errors.As(err, &te)
+}
+
+// journalSchema replays journal.jsonl: one live record per job id,
+// listed by submission order.
+var journalSchema = wal.Schema[Record]{
+	Key:   func(r *Record) string { return r.ID },
+	Seq:   func(r *Record) uint64 { return r.Seq },
+	Valid: (*Record).validate,
 }
 
 // validate rejects records a hostile or torn journal could hold but a

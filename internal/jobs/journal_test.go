@@ -6,18 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-)
 
-func writeJournalFile(t testing.TB, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
+	"affidavit/internal/wal/waltest"
+)
 
 func TestReplayLastLineWins(t *testing.T) {
 	lines := [][]byte{}
@@ -34,10 +26,7 @@ func TestReplayLastLineWins(t *testing.T) {
 	for _, l := range lines {
 		data = append(data, l...)
 	}
-	recs, keep, err := replayJournal(writeJournalFile(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, keep := waltest.Replay(t, data, journalSchema)
 	if keep != int64(len(data)) {
 		t.Fatalf("valid prefix %d, want %d", keep, len(data))
 	}
@@ -56,10 +45,7 @@ func TestReplayStopsAtCorruptLine(t *testing.T) {
 	good, _ := json.Marshal(Record{ID: "a", Seq: 0, State: StatePending})
 	data := append(append([]byte{}, good...), '\n')
 	data = append(data, []byte("{\"id\":\"b\",\"state\":\"nonsense\"}\n{\"id\":\"c\"")...)
-	recs, keep, err := replayJournal(writeJournalFile(t, data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, keep := waltest.Replay(t, data, journalSchema)
 	if keep != int64(len(good)+1) {
 		t.Fatalf("keep=%d, want %d (stop at the first invalid line)", keep, len(good)+1)
 	}
@@ -69,9 +55,7 @@ func TestReplayStopsAtCorruptLine(t *testing.T) {
 }
 
 // FuzzJobJournal feeds arbitrary bytes through replay and checks the
-// decode round-trip: whatever replay accepts must re-encode to a journal
-// that replays to the identical record set (a fixed point), and replay
-// must never panic or accept an invalid state.
+// decode round-trip over the real job record (see waltest.FixedPoint).
 func FuzzJobJournal(f *testing.F) {
 	seedRec, _ := json.Marshal(Record{ID: "a", Seq: 3, State: StateRunning, Attempts: 2})
 	f.Add(append(seedRec, '\n'))
@@ -79,44 +63,7 @@ func FuzzJobJournal(f *testing.F) {
 	f.Add([]byte("not json at all\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, keep, err := replayJournal(writeJournalFile(t, data))
-		if err != nil {
-			t.Skip() // I/O-level failure only; nothing to round-trip
-		}
-		if keep < 0 || keep > int64(len(data)) {
-			t.Fatalf("keep=%d out of range [0,%d]", keep, len(data))
-		}
-		encode := func(recs []Record) []byte {
-			var out []byte
-			for _, rec := range recs {
-				if rec.validate() != nil {
-					t.Fatalf("replay accepted an invalid record: %+v", rec)
-				}
-				line, err := json.Marshal(rec)
-				if err != nil {
-					t.Fatalf("re-encoding replayed record: %v", err)
-				}
-				out = append(out, append(line, '\n')...)
-			}
-			return out
-		}
-		// encode∘replay must be a fixed point: a journal the store itself
-		// wrote replays losslessly. (The first replay may normalise, e.g.
-		// compacting whitespace inside the raw stats message.)
-		reencoded := encode(recs)
-		recs2, keep2, err := replayJournal(writeJournalFile(t, reencoded))
-		if err != nil {
-			t.Fatalf("replaying re-encoded journal: %v", err)
-		}
-		if keep2 != int64(len(reencoded)) {
-			t.Fatalf("re-encoded journal has a corrupt tail: keep=%d len=%d", keep2, len(reencoded))
-		}
-		if len(recs2) != len(recs) {
-			t.Fatalf("round-trip changed the record count: %d vs %d", len(recs2), len(recs))
-		}
-		if !reflect.DeepEqual(encode(recs2), reencoded) {
-			t.Fatalf("journal round-trip diverged:\n%s\nvs\n%s", encode(recs2), reencoded)
-		}
+		waltest.FixedPoint(t, data, journalSchema)
 	})
 }
 
@@ -169,5 +116,20 @@ func TestJournalParentFixture(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("scripted journal differs from the parent's:\n%s\nwant\n%s", got, want)
+	}
+	// The parent's file replays whole: job a completed, the warm step back
+	// in the queue with its transient error, each re-encoding to the very
+	// line that won (the compacted first line and the last one).
+	recs, keep := waltest.Replay(t, want, journalSchema)
+	if keep != int64(len(want)) || len(recs) != 2 {
+		t.Fatalf("replayed %d records from %d of %d bytes", len(recs), keep, len(want))
+	}
+	if a, b := recs[0], recs[1]; a.ID != "addr-a" || a.State != StateCompleted || string(a.Stats) != `{"polls":3}` ||
+		b.Seq != 1 || b.State != StatePending || b.Attempts != 1 || b.Error != "transient <&>" || b.SnapshotID != "snap-2" {
+		t.Fatalf("replayed records: %+v", recs)
+	}
+	lines := bytes.SplitAfter(want, []byte("\n"))
+	if enc := waltest.Encode(t, recs, journalSchema); !bytes.Equal(enc, append(lines[0], lines[3]...)) {
+		t.Fatalf("re-encoded records differ from the parent's lines:\n%s", enc)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"affidavit/internal/wal"
 )
 
 // Options configures Open.
@@ -37,7 +39,7 @@ type Store struct {
 	compactEvery int
 
 	mu       sync.Mutex
-	jrnl     *journal // nil in memory mode
+	jrnl     *wal.Log[Record] // nil in memory mode
 	jobs     map[string]*Job
 	byAddr   map[string]*Job
 	order    []*Job // submission order (ascending Seq) — the listing order
@@ -139,7 +141,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return s, nil
 	}
-	jrnl, recs, err := openJournal(filepath.Join(opts.Dir, "journal.jsonl"))
+	jrnl, recs, err := wal.Open(filepath.Join(opts.Dir, "journal.jsonl"), journalSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +155,7 @@ func Open(opts Options) (*Store, error) {
 			// for the same interruption.
 			j.rec.State = StatePending
 			j.rec.Requeues++
-			if err := jrnl.append(j.rec); err != nil {
+			if err := jrnl.Append(j.rec); err != nil {
 				return nil, err
 			}
 		case StateCompleted:
@@ -162,7 +164,7 @@ func Open(opts Options) (*Store, error) {
 				// loss as a terminal error instead of serving nothing.
 				j.rec.State = StateError
 				j.rec.Error = "result lost before shutdown; resubmit the pair"
-				if err := jrnl.append(j.rec); err != nil {
+				if err := jrnl.Append(j.rec); err != nil {
 					return nil, err
 				}
 			}
@@ -446,7 +448,7 @@ func (s *Store) Close() error {
 	close(s.closedCh)
 	s.broadcastLocked()
 	if s.jrnl != nil {
-		if err := s.jrnl.close(); err != nil && s.journalErr == nil {
+		if err := s.jrnl.Close(); err != nil && s.journalErr == nil {
 			s.journalErr = err
 		}
 	}
@@ -464,20 +466,16 @@ func (s *Store) appendLocked(rec Record) {
 	if s.jrnl == nil {
 		return
 	}
-	if err := s.jrnl.append(rec); err != nil {
-		if s.journalErr == nil {
-			s.journalErr = err
-		}
-		return
-	}
-	if s.jrnl.lines >= s.compactEvery {
+	err := s.jrnl.Append(rec)
+	if err == nil && s.jrnl.Appended() >= s.compactEvery {
 		live := make([]Record, len(s.order))
 		for i, j := range s.order {
 			live[i] = j.rec
 		}
-		if err := s.jrnl.compact(live); err != nil && s.journalErr == nil {
-			s.journalErr = err
-		}
+		err = s.jrnl.Compact(live)
+	}
+	if err != nil && s.journalErr == nil {
+		s.journalErr = err
 	}
 }
 

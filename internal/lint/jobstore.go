@@ -5,15 +5,16 @@ import (
 	"go/types"
 )
 
-// jobstoreScope names the journaling packages. The job subsystem and the
-// snapshot-history catalog share one determinism contract, distinct from
-// the explanation pipeline's: journal lines and content addresses are
-// compared byte-for-byte across process restarts, so replay and dedupe
-// only work while the on-disk encoding is a pure function of declared
-// struct fields.
+// jobstoreScope names the journaling packages. The job subsystem, the
+// snapshot-history catalog and the log they both write through share one
+// determinism contract, distinct from the explanation pipeline's: journal
+// lines and content addresses are compared byte-for-byte across process
+// restarts, so replay and dedupe only work while the on-disk encoding is
+// a pure function of declared struct fields.
 var jobstoreScope = map[string]bool{
 	"jobs":    true,
 	"catalog": true,
+	"wal":     true,
 }
 
 // JobStore guards the byte-stability invariants of the durable job store:
@@ -28,7 +29,10 @@ var jobstoreScope = map[string]bool{
 //     bytes must follow declared field order, not encoder internals.
 //     Keep journaled types map-free; if a map truly belongs in a record,
 //     flatten it to a sorted slice first and justify the call with
-//     //affidavit:ignore jobstore <why>.
+//     //affidavit:ignore jobstore <why>;
+//   - map-bearing type arguments to the log's generics (wal.Open,
+//     wal.Log, wal.Schema): the log encodes its record type parameter,
+//     which no call-site check inside package wal can see through.
 var JobStore = &Analyzer{
 	Name: "jobstore",
 	Doc: "flags unordered map iteration and JSON encoding of map-bearing " +
@@ -43,8 +47,11 @@ func runJobStore(pass *Pass) {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkJobEncode(pass, call)
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkJobEncode(pass, n)
+			case *ast.Ident:
+				checkLogRecord(pass, n)
 			}
 			stmts := statementList(n)
 			for i, stmt := range stmts {
@@ -105,6 +112,24 @@ func checkJobEncode(pass *Pass, call *ast.CallExpr) {
 		"field order — flatten the map to a sorted slice, or justify with "+
 		"//affidavit:ignore jobstore",
 		types.TypeString(t, types.RelativeTo(pass.Pkg)))
+}
+
+// checkLogRecord flags an instantiation of one of package wal's generics
+// with a type argument that is or contains a map.
+func checkLogRecord(pass *Pass, id *ast.Ident) {
+	obj := pass.TypesInfo.Uses[id]
+	if obj == nil || obj.Pkg() == nil || lastSegment(obj.Pkg().Path()) != "wal" {
+		return
+	}
+	targs := pass.TypesInfo.Instances[id].TypeArgs
+	for i := 0; i < targs.Len(); i++ {
+		if t := targs.At(i); containsMap(t, make(map[types.Type]bool)) {
+			pass.Report(id.Pos(), "map-bearing %s instantiates wal.%s in the job store; "+
+				"journal lines must be a pure function of declared field order — "+
+				"flatten the map to a sorted slice, or justify with //affidavit:ignore jobstore",
+				types.TypeString(t, types.RelativeTo(pass.Pkg)), id.Name)
+		}
+	}
 }
 
 // isJSONEncoderEncode reports whether call is (*encoding/json.Encoder).Encode.

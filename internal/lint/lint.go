@@ -96,6 +96,7 @@ func NewTypesInfo() *types.Info {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 }
 

@@ -5,6 +5,8 @@ package jobs
 import (
 	"encoding/json"
 	"sort"
+
+	"wal"
 )
 
 type record struct {
@@ -102,4 +104,19 @@ func encodeFlat(r record) ([]byte, error) {
 func encodeDebug(m map[string]int64) ([]byte, error) {
 	//affidavit:ignore jobstore debug dump, never journaled or addressed
 	return json.Marshal(m)
+}
+
+// Flagged: the log would journal a map-bearing record type, both where
+// the type is named and where the constructor infers it.
+type taggedStore struct {
+	jrnl *wal.Log[taggedRecord] // want "map-bearing taggedRecord instantiates wal.Log"
+}
+
+func openTagged() *taggedStore {
+	return &taggedStore{jrnl: wal.Open[taggedRecord]("journal.jsonl")} // want "map-bearing taggedRecord instantiates wal.Open"
+}
+
+// Allowed: a flat record type.
+func openFlat() *wal.Log[record] {
+	return wal.Open[record]("journal.jsonl")
 }
