@@ -20,16 +20,14 @@
 //	fmt.Println(res.SQL("my_table"))   // executable migration script
 //	out := res.Transform(unseenRecord) // generalises to unseen records
 //
-// The Explainer is the package's front door: construct one from functional
-// options (WithAlpha, WithWorkers, WithObserver, …), then reuse it for
-// explanations, streamed Sources, and Sessions. The flat Options struct and
-// the Explain/ExplainCSV entry points below predate it and remain as thin
-// compatibility shims with their historical zero-value semantics.
+// The Explainer is the package's one front door: construct it from
+// functional options (WithAlpha, WithWorkers, WithObserver, …), then reuse
+// it for explanations of in-memory tables, streamed Sources, renamed
+// schemas and Sessions over snapshot chains. Every entry point takes a
+// context; domain experts extend the function library through Meta.
 package affidavit
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"affidavit/internal/delta"
@@ -67,7 +65,7 @@ type Func = metafunc.Func
 
 // Meta is a family of transformation functions learnable from a single
 // input–output example. Domain experts extend Affidavit by implementing
-// this interface and passing instances via Options.ExtraMetas — the Go
+// this interface and passing instances via WithExtraMetas — the Go
 // rendition of the paper's "small Java interface" extension point.
 type Meta = metafunc.Meta
 
@@ -80,102 +78,6 @@ const (
 	// StartEmpty starts from the all-undecided state (H∅).
 	StartEmpty = search.StartEmpty
 )
-
-// Options configures the legacy Explain entry points. Zero value fields
-// fall back to the defaults of DefaultOptions — which makes explicit
-// Alpha = 0 or Theta = 0 inexpressible here; the Explainer's functional
-// options (WithAlpha, WithTheta, …) do not share that wart. New code
-// should construct an Explainer; Options remains supported and maps onto
-// it via FromOptions.
-type Options struct {
-	// Alpha weighs unexplained records against function complexity in the
-	// MDL cost 2α·L(T+) + 2(1−α)·L(F). Default 0.5.
-	Alpha float64
-	// Beta is the search branching factor β. Default 2.
-	Beta int
-	// QueueWidth is the bounded-queue width ϱ. Default 5.
-	QueueWidth int
-	// Start is the start-state strategy. Default StartID.
-	Start Start
-	// MaxBlockSize bounds overlap matching for StartOverlap. Default 100000.
-	MaxBlockSize int
-	// Theta is the estimated fraction of records showing a transformation's
-	// effect (drives sampling sizes). Default 0.1.
-	Theta float64
-	// Rho is the sampling confidence level. Default 0.95.
-	Rho float64
-	// Seed drives all sampling; equal seeds give equal explanations.
-	Seed int64
-	// MaxExpansions caps search-state expansions; 0 = unlimited.
-	MaxExpansions int
-	// Workers bounds how many search probes run concurrently. 0 or 1 runs
-	// sequentially; for any fixed Seed the parallel and sequential engines
-	// return identical explanations. Workers > 1 also shards the end-state
-	// conversion's multiset matching, with byte-identical output.
-	Workers int
-	// WarmGuard arms the warm-start quality guard used by session warm
-	// paths (ExplainNext/ExplainWarm): when the previous explanation,
-	// re-validated against the new pair, costs more than WarmGuard × the
-	// previous run's compression ratio, the run escalates to a cold search
-	// instead of anchoring on the stale structure (Stats.WarmEscalated
-	// reports it). 0 disables the guard.
-	WarmGuard float64
-	// ExtraMetas extends the built-in meta-function library with
-	// domain-specific families (see Meta).
-	ExtraMetas []Meta
-}
-
-// DefaultOptions returns the paper's robust Hid configuration
-// (β=2, ϱ=5, α=0.5, θ=0.1, ρ=0.95).
-func DefaultOptions() Options {
-	return fromSearch(search.DefaultOptions())
-}
-
-// OverlapOptions returns the paper's fast greedy Hs configuration
-// (overlap start, β=1, ϱ=1).
-func OverlapOptions() Options {
-	return fromSearch(search.OverlapOptions())
-}
-
-func fromSearch(o search.Options) Options {
-	return Options{
-		Alpha:        o.Alpha,
-		Beta:         o.Beta,
-		QueueWidth:   o.QueueWidth,
-		Start:        o.Start,
-		MaxBlockSize: o.MaxBlockSize,
-		Theta:        o.Induce.Theta,
-		Rho:          o.Induce.Rho,
-	}
-}
-
-func (o Options) toSearch() search.Options {
-	so := search.DefaultOptions()
-	if o.Alpha > 0 {
-		so.Alpha = o.Alpha
-	}
-	if o.Beta > 0 {
-		so.Beta = o.Beta
-	}
-	if o.QueueWidth > 0 {
-		so.QueueWidth = o.QueueWidth
-	}
-	so.Start = o.Start
-	if o.MaxBlockSize > 0 {
-		so.MaxBlockSize = o.MaxBlockSize
-	}
-	if o.Theta > 0 {
-		so.Induce.Theta = o.Theta
-	}
-	if o.Rho > 0 {
-		so.Induce.Rho = o.Rho
-	}
-	so.Seed = o.Seed
-	so.MaxExpansions = o.MaxExpansions
-	so.Workers = o.Workers
-	so.WarmGuard = o.WarmGuard
-	return so
-}
 
 // Result is a finished explanation run.
 type Result struct {
@@ -196,50 +98,6 @@ type Result struct {
 	Trace *Trace
 
 	alpha float64
-}
-
-// Explain runs Affidavit on two snapshots sharing a schema. It is
-// ExplainContext under context.Background().
-func Explain(source, target *Table, opts Options) (*Result, error) {
-	return ExplainContext(context.Background(), source, target, opts)
-}
-
-// ExplainContext is Explain under ctx: the search, its blocking
-// refinements and the end-state conversion all observe cancellation and
-// deadlines cooperatively. An interrupted run is not an error — it returns
-// the best explanation found so far (always valid) with Stats.Cancelled
-// set, so callers on a deadline keep the partial work and can distinguish
-// complete from interrupted results.
-//
-// ExplainContext is a compatibility shim over the Explainer front-end:
-// it behaves exactly like New(FromOptions(opts)) followed by Explain,
-// minus the eager validation (configuration errors surface here, from the
-// run, as they always did).
-func ExplainContext(ctx context.Context, source, target *Table, opts Options) (*Result, error) {
-	e := &Explainer{
-		so:    opts.toSearch(),
-		metas: append(metafunc.DefaultMetas(), opts.ExtraMetas...),
-	}
-	return e.Explain(ctx, source, target)
-}
-
-// ExplainCSV reads two CSV files (header row = schema) and explains their
-// differences.
-func ExplainCSV(sourcePath, targetPath string, opts Options) (*Result, error) {
-	return ExplainCSVContext(context.Background(), sourcePath, targetPath, opts)
-}
-
-// ExplainCSVContext is ExplainCSV under ctx (see ExplainContext).
-func ExplainCSVContext(ctx context.Context, sourcePath, targetPath string, opts Options) (*Result, error) {
-	src, err := table.ReadCSVFile(sourcePath)
-	if err != nil {
-		return nil, fmt.Errorf("affidavit: reading source: %w", err)
-	}
-	tgt, err := table.ReadCSVFile(targetPath)
-	if err != nil {
-		return nil, fmt.Errorf("affidavit: reading target: %w", err)
-	}
-	return ExplainContext(ctx, src, tgt, opts)
 }
 
 // Report renders the explanation as a human-readable text report.
@@ -270,34 +128,6 @@ func (r *Result) Transform(rec Record) Record {
 // SchemaMatch is an alignment of renamed/reordered target attributes to
 // source attributes.
 type SchemaMatch = schemamatch.Match
-
-// ExplainRenamed explains snapshots whose target schema was renamed or
-// reordered (the paper's future-work problem variant): attributes are first
-// matched by value-distribution similarity, the target is rewritten into
-// the source schema, and the ordinary search runs on the aligned pair.
-// ExplainRenamed is ExplainRenamedContext under context.Background().
-func ExplainRenamed(source, target *Table, opts Options) (*Result, *SchemaMatch, error) {
-	return ExplainRenamedContext(context.Background(), source, target, opts)
-}
-
-// ExplainRenamedContext is ExplainRenamed under ctx (see ExplainContext):
-// the schema match runs to completion, then the aligned search honours
-// cancellation and deadlines.
-func ExplainRenamedContext(ctx context.Context, source, target *Table, opts Options) (*Result, *SchemaMatch, error) {
-	m, err := schemamatch.Attributes(source, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	aligned, err := m.AlignTarget(source, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := ExplainContext(ctx, source, aligned, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m, nil
-}
 
 // NewSchema builds a schema from attribute names.
 func NewSchema(attrs ...string) (*Schema, error) { return table.NewSchema(attrs...) }

@@ -1,6 +1,7 @@
 package affidavit_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,12 +30,7 @@ func figure1Tables(t *testing.T) (*affidavit.Table, *affidavit.Table) {
 
 func TestExplainRunningExample(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	res, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt, affidavit.WithSeed(1))
 	if res.Cost != fixture.ReferenceCost {
 		t.Errorf("cost = %v, want %d", res.Cost, fixture.ReferenceCost)
 	}
@@ -60,12 +56,7 @@ func TestExplainRunningExample(t *testing.T) {
 // avoided" benefit.
 func TestTransformGeneralises(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	res, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt, affidavit.WithSeed(1))
 	unseen := affidavit.Record{"S99", "0099", "20190101", "G", "123000", "USD", "NEWCO"}
 	got := res.Transform(unseen)
 	// Val ÷ 1000, Unit constant; unseen keys pass through the mappings.
@@ -87,19 +78,22 @@ func TestExplainCSVRoundTrip(t *testing.T) {
 	tp := filepath.Join(dir, "target.csv")
 	writeCSV(t, sp, src)
 	writeCSV(t, tp, tgt)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	res, err := affidavit.ExplainCSV(sp, tp, opts)
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := ex.ExplainFiles(ctx, sp, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost != fixture.ReferenceCost {
 		t.Errorf("cost via CSV = %v, want %d", res.Cost, fixture.ReferenceCost)
 	}
-	if _, err := affidavit.ExplainCSV("/missing.csv", tp, opts); err == nil {
+	if _, err := ex.ExplainFiles(ctx, "/missing.csv", tp); err == nil {
 		t.Error("missing source accepted")
 	}
-	if _, err := affidavit.ExplainCSV(sp, "/missing.csv", opts); err == nil {
+	if _, err := ex.ExplainFiles(ctx, sp, "/missing.csv"); err == nil {
 		t.Error("missing target accepted")
 	}
 }
@@ -116,38 +110,16 @@ func writeCSV(t *testing.T, path string, tab *affidavit.Table) {
 	}
 }
 
-func TestOptionDefaultsFill(t *testing.T) {
-	// Zero options must behave like DefaultOptions (not crash on β=0).
-	src, tgt := figure1Tables(t)
-	res, err := affidavit.Explain(src, tgt, affidavit.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost > fixture.TrivialCost {
-		t.Errorf("zero-options run produced cost %v above trivial", res.Cost)
-	}
-}
-
-func TestOverlapOptionsShape(t *testing.T) {
-	o := affidavit.OverlapOptions()
-	if o.Start != affidavit.StartOverlap || o.Beta != 1 || o.QueueWidth != 1 {
-		t.Errorf("OverlapOptions = %+v", o)
-	}
-	d := affidavit.DefaultOptions()
-	if d.Start != affidavit.StartID || d.Beta != 2 || d.QueueWidth != 5 {
-		t.Errorf("DefaultOptions = %+v", d)
-	}
-	if d.Theta != 0.1 || d.Rho != 0.95 || d.Alpha != 0.5 {
-		t.Errorf("statistical defaults wrong: %+v", d)
-	}
-}
-
 func TestExplainSchemaMismatch(t *testing.T) {
 	s1, _ := affidavit.NewSchema("a")
 	s2, _ := affidavit.NewSchema("b")
 	t1, _ := affidavit.NewTable(s1, []affidavit.Record{{"x"}})
 	t2, _ := affidavit.NewTable(s2, []affidavit.Record{{"x"}})
-	if _, err := affidavit.Explain(t1, t2, affidavit.DefaultOptions()); err == nil {
+	ex, err := affidavit.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Explain(context.Background(), t1, t2); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }

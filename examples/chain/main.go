@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -54,9 +55,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	session := ex.Session(snapshots[0])
 	for i := 1; i < len(snapshots); i++ {
-		res, err := session.ExplainNext(snapshots[i])
+		res, err := session.ExplainNextContext(ctx, snapshots[i])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 	"affidavit/internal/obs"
+	"affidavit/internal/schemamatch"
 	"affidavit/internal/search"
 	"affidavit/internal/session"
 	"affidavit/internal/spill"
@@ -19,10 +20,9 @@ import (
 
 // Explainer is the long-lived front door of the package: one fully-resolved
 // configuration shared by every explanation it runs, built once from
-// functional options and validated eagerly. Unlike the legacy Options
-// struct — whose zero values were ambiguous (Alpha 0 silently meant 0.5,
-// Theta 0 silently meant 0.1) — every With option sets exactly the value it
-// names, so α = 0 and θ = 0 are expressible.
+// functional options and validated eagerly. Every With option sets exactly
+// the value it names — there is no "zero means default" — so α = 0 and
+// θ = 0 are expressible.
 //
 //	ex, err := affidavit.New(
 //	    affidavit.WithAlpha(0.3),
@@ -70,9 +70,10 @@ func New(opts ...Option) (*Explainer, error) {
 	return e, nil
 }
 
-// WithAlpha sets the MDL cost parameter α ∈ [0,1] (Definition 3.10). Unlike
-// the legacy Options struct, an explicit 0 is honoured: the cost then
-// weighs only function complexity.
+// WithAlpha sets the MDL cost parameter α ∈ [0,1] (Definition 3.10): it
+// weighs unexplained records against function complexity in the cost
+// 2α·L(T+) + 2(1−α)·L(F). An explicit 0 is honoured: the cost then weighs
+// only function complexity.
 func WithAlpha(alpha float64) Option { return func(e *Explainer) { e.so.Alpha = alpha } }
 
 // WithBeta sets the search branching factor β ≥ 1.
@@ -86,8 +87,8 @@ func WithQueueWidth(width int) Option { return func(e *Explainer) { e.so.QueueWi
 func WithStart(s Start) Option { return func(e *Explainer) { e.so.Start = s } }
 
 // WithOverlapConfig applies the paper's fast greedy Hs configuration
-// (overlap start, β = 1, ϱ = 1) — the functional-option form of the legacy
-// OverlapOptions preset. Compose further options after it to adjust.
+// (overlap start, β = 1, ϱ = 1). Compose further options after it to
+// adjust.
 func WithOverlapConfig() Option {
 	return func(e *Explainer) {
 		e.so.Start = search.StartOverlap
@@ -101,9 +102,9 @@ func WithOverlapConfig() Option {
 func WithMaxBlockSize(n int) Option { return func(e *Explainer) { e.so.MaxBlockSize = n } }
 
 // WithTheta sets θ ∈ [0,1], the estimated fraction of records showing a
-// transformation's effect. An explicit 0 is honoured and means minimal
-// sampling (the induction sample falls to its floor and overlap ranking
-// samples nothing) — the legacy Options struct could not express it.
+// transformation's effect (it drives sampling sizes). An explicit 0 is
+// honoured and means minimal sampling: the induction sample falls to its
+// floor and overlap ranking samples nothing.
 func WithTheta(theta float64) Option { return func(e *Explainer) { e.so.Induce.Theta = theta } }
 
 // WithRho sets the sampling confidence level ρ ∈ [0,1].
@@ -118,11 +119,16 @@ func WithMaxExpansions(n int) Option { return func(e *Explainer) { e.so.MaxExpan
 
 // WithWorkers bounds how many search probes run concurrently (0 or 1 =
 // sequential engine). For any fixed seed the parallel and sequential
-// engines return identical explanations.
+// engines return identical explanations. Workers > 1 also partitions the
+// end-state conversion's multiset matching, with byte-identical output.
 func WithWorkers(n int) Option { return func(e *Explainer) { e.so.Workers = n } }
 
 // WithWarmGuard arms the warm-start quality guard used by session warm
-// paths; 0 disables it (see Options.WarmGuard).
+// paths (ExplainNextContext, ExplainWarmContext): when the previous
+// explanation, re-validated against the new pair, costs more than g × the
+// previous run's compression ratio, the run escalates to a cold search
+// instead of anchoring on the stale structure (Stats.WarmEscalated reports
+// it). 0 disables the guard.
 func WithWarmGuard(g float64) Option { return func(e *Explainer) { e.so.WarmGuard = g } }
 
 // WithMemBudget runs every explanation under an approximate memory budget
@@ -168,16 +174,6 @@ func WithObserver(o Observer) Option { return func(e *Explainer) { e.obs = Obser
 // Result.JSON stay byte-identical with tracing on or off. Batch runs
 // (ExplainBatch) are not traced: their pairs interleave on one context.
 func WithTracing() Option { return func(e *Explainer) { e.tracing = true } }
-
-// FromOptions applies a legacy Options struct with its historical
-// zero-value semantics (zero fields fall back to defaults) — the bridge
-// for callers migrating to functional options one step at a time.
-func FromOptions(o Options) Option {
-	return func(e *Explainer) {
-		e.so = o.toSearch()
-		e.metas = append(metafunc.DefaultMetas(), o.ExtraMetas...)
-	}
-}
 
 // Fingerprint digests every result-affecting engine option — α, β, the
 // queue width ϱ, the start strategy, the overlap block threshold, the
@@ -237,9 +233,12 @@ func (e *Explainer) runSink(ctx context.Context) obs.Sink {
 }
 
 // Explain explains the difference between two in-memory snapshots sharing
-// a schema. An interrupted ctx is not an error — the result carries the
-// best explanation found so far with Stats.Cancelled set (see the legacy
-// ExplainContext for details).
+// a schema. The search, its blocking refinements and the end-state
+// conversion all observe ctx's cancellation and deadlines cooperatively.
+// An interrupted run is not an error — it returns the best explanation
+// found so far (always valid) with Stats.Cancelled set, so callers on a
+// deadline keep the partial work and can distinguish complete from
+// interrupted results.
 func (e *Explainer) Explain(ctx context.Context, source, target *Table) (*Result, error) {
 	ctx, rec := e.traceRun(ctx)
 	inst, err := delta.NewInstance(source, target, e.metas)
@@ -250,10 +249,28 @@ func (e *Explainer) Explain(ctx context.Context, source, target *Table) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		res.Trace = rec.Trace()
+	return traced(res, rec), nil
+}
+
+// ExplainRenamed explains snapshots whose target schema was renamed or
+// reordered (the paper's future-work problem variant): attributes are first
+// matched by value-distribution similarity, the target is rewritten into
+// the source schema, and Explain runs on the aligned pair. The schema
+// match runs to completion; the aligned search honours ctx.
+func (e *Explainer) ExplainRenamed(ctx context.Context, source, target *Table) (*Result, *SchemaMatch, error) {
+	m, err := schemamatch.Attributes(source, target)
+	if err != nil {
+		return nil, nil, err
 	}
-	return res, nil
+	aligned, err := m.AlignTarget(source, target)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := e.Explain(ctx, source, aligned)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, m, nil
 }
 
 // ExplainSources streams two snapshots out of their Sources — interning
@@ -290,12 +307,12 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 		shared[a] = table.NewDict()
 	}
 	ingest := &spill.Stats{}
-	src, err := e.drainSourceAcc(ctx, source, srcSchema, shared, "source", ingest)
+	src, err := e.drainSource(ctx, source, srcSchema, shared, "source", ingest)
 	if err != nil {
 		target.Close()
 		return nil, err
 	}
-	tgt, err := e.drainSourceAcc(ctx, target, tgtSchema, shared, "target", ingest)
+	tgt, err := e.drainSource(ctx, target, tgtSchema, shared, "target", ingest)
 	if err != nil {
 		return nil, err
 	}
@@ -313,15 +330,11 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 	// spills chunks) doesn't read as "spilled 0 bytes".
 	res.Stats.SpilledBytes += ingest.Bytes()
 	res.Stats.SpillPartitions += ingest.Partitions()
-	if rec != nil {
-		res.Trace = rec.Trace()
-	}
-	return res, nil
+	return traced(res, rec), nil
 }
 
 // ExplainFiles is ExplainSources over two CSV files (header row = schema),
-// streamed — the drop-in upgrade for the legacy ExplainCSV that never
-// buffers either file.
+// streamed: neither file is ever buffered whole.
 func (e *Explainer) ExplainFiles(ctx context.Context, sourcePath, targetPath string) (*Result, error) {
 	return e.ExplainSources(ctx, CSVFileSource(sourcePath), CSVFileSource(targetPath))
 }
@@ -353,21 +366,15 @@ func (e *Explainer) readSource(ctx context.Context, src Source, role string) (*T
 		src.Close()
 		return nil, err
 	}
-	return e.drainSource(ctx, src, schema, nil, role)
+	return e.drainSource(ctx, src, schema, nil, role, nil)
 }
 
 // drainSource interns every remaining record of an already-opened source
 // into a columnar table. dicts, when non-nil, is the positional dictionary
 // set shared across the snapshots of one pair, so both intern into one
-// code space.
-func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string) (*Table, error) {
-	return e.drainSourceAcc(ctx, src, schema, dicts, role, nil)
-}
-
-// drainSourceAcc is drainSource with an optional accumulator the
-// snapshot's ingest-spill volume is added to (for callers that fold it
-// into a run's Stats).
-func (e *Explainer) drainSourceAcc(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string, acc *spill.Stats) (*Table, error) {
+// code space. acc, when non-nil, accumulates the snapshot's ingest-spill
+// volume (for callers that fold it into a run's Stats).
+func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string, acc *spill.Stats) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -436,25 +443,37 @@ func (e *Explainer) explainInstance(ctx context.Context, inst *delta.Instance) (
 	if err != nil {
 		return nil, err
 	}
-	cm := delta.CostModel{Alpha: so.Alpha}
+	return e.newResult(res), nil
+}
+
+// newResult wraps a finished search under the Explainer's α. The trivial
+// cost comes from its closed form, not from building E∅.
+func (e *Explainer) newResult(res *search.Result) *Result {
+	inst := res.Explanation.Inst
 	return &Result{
 		Explanation: res.Explanation,
 		Cost:        res.Cost,
-		TrivialCost: cm.Cost(delta.Trivial(inst)),
+		TrivialCost: delta.CostModel{Alpha: e.so.Alpha}.TrivialCost(inst.NumAttrs(), inst.Target.Len()),
 		Stats:       res.Stats,
-		alpha:       so.Alpha,
-	}, nil
+		alpha:       e.so.Alpha,
+	}
+}
+
+// traced attaches the recorder's finished trace, if any.
+func traced(res *Result, rec *trace.Recorder) *Result {
+	if rec != nil {
+		res.Trace = rec.Trace()
+	}
+	return res
 }
 
 // Session creates a long-lived session sharing the Explainer's
-// configuration and observer. initial, when non-nil, is the chain baseline
-// (see NewSession).
+// configuration and observer. initial, when non-nil, is the chain
+// baseline: the first ExplainNextContext call diffs it against its
+// argument. A nil initial starts a batch/service session —
+// ExplainPairContext, ExplainWarmContext and ExplainBatchContext work
+// immediately, while ExplainNextContext errors until a baseline exists
+// (ExplainWarmContext sets one).
 func (e *Explainer) Session(initial *Table) *Session {
-	so := e.searchOptions()
-	return &Session{
-		inner:   session.New(initial, so, e.metas),
-		alpha:   so.Alpha,
-		workers: so.Workers,
-		tracing: e.tracing,
-	}
+	return &Session{inner: session.New(initial, e.searchOptions(), e.metas), ex: e}
 }

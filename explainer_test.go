@@ -25,80 +25,28 @@ func sameResult(t *testing.T, a, b *affidavit.Result) {
 	}
 }
 
-// TestLegacyOptionsMapIdentically is the regression for the Options →
-// Explainer bridge: the legacy Options{Alpha: 0.5} path (every other field
-// zero, relying on the historical zero-value fallbacks — including the
-// wart that a zero Start means StartOverlap, not the DefaultOptions
-// StartID) must produce the same run as the functional-option construction
-// of what it historically meant — and as FromOptions.
-func TestLegacyOptionsMapIdentically(t *testing.T) {
-	src, tgt := figure1Tables(t)
-	ctx := context.Background()
-
-	legacy, err := affidavit.Explain(src, tgt, affidavit.Options{Alpha: 0.5, Seed: 1})
+// explainWith builds an Explainer from opts and explains the pair.
+func explainWith(t *testing.T, src, tgt *affidavit.Table, opts ...affidavit.Option) *affidavit.Result {
+	t.Helper()
+	ex, err := affidavit.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The explicit spelling of the historical mapping: defaults for β, ϱ,
-	// θ, ρ — but Start is the zero strategy, StartOverlap.
-	ex, err := affidavit.New(
-		affidavit.WithAlpha(0.5),
-		affidavit.WithStart(affidavit.StartOverlap),
-		affidavit.WithSeed(1),
-	)
+	res, err := ex.Explain(context.Background(), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modern, err := ex.Explain(ctx, src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacy, modern)
-
-	bridged, err := affidavit.New(affidavit.FromOptions(affidavit.Options{Alpha: 0.5, Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBridge, err := bridged.Explain(ctx, src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacy, viaBridge)
-
-	// The zero Options value maps to the full default configuration.
-	zero, err := affidavit.Explain(src, tgt, affidavit.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacy, zero)
+	return res
 }
 
 // TestExplicitZerosRepresentable: WithAlpha(0) and WithTheta(0) must mean
-// zero — the legacy struct silently swapped both for their defaults.
+// zero, not "use the default".
 func TestExplicitZerosRepresentable(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	ctx := context.Background()
 
-	// Legacy wart, documented: Alpha 0 falls back to 0.5.
-	legacyZero, err := affidavit.Explain(src, tgt, affidavit.Options{Alpha: 0, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyZero.TrivialCost == 0 {
-		t.Fatal("legacy Alpha:0 unexpectedly ran at α=0")
-	}
-
-	// Functional options: α = 0 is real. The trivial explanation costs
-	// 2α·|A|·|T|, so it must be exactly 0.
-	ex, err := affidavit.New(affidavit.WithAlpha(0), affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := ex.Explain(ctx, src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// α = 0 is real. The trivial explanation costs 2α·|A|·|T|, so it must
+	// be exactly 0.
+	zero := explainWith(t, src, tgt, affidavit.WithAlpha(0), affidavit.WithSeed(1))
 	if zero.TrivialCost != 0 {
 		t.Errorf("TrivialCost = %v under α=0, want 0", zero.TrivialCost)
 	}
@@ -107,28 +55,11 @@ func TestExplicitZerosRepresentable(t *testing.T) {
 	}
 
 	// θ = 0 is honoured: the run completes with minimal sampling and stays
-	// valid. (The legacy Theta:0 maps to 0.1, asserted by equality with the
-	// default run.)
-	exTheta, err := affidavit.New(affidavit.WithTheta(0), affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	thetaZero, err := exTheta.Explain(ctx, src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// valid.
+	thetaZero := explainWith(t, src, tgt, affidavit.WithTheta(0), affidavit.WithSeed(1))
 	if err := thetaZero.Explanation.Validate(); err != nil {
 		t.Error(err)
 	}
-	legacyTheta, err := affidavit.Explain(src, tgt, affidavit.Options{Theta: 0, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defaults, err := affidavit.Explain(src, tgt, affidavit.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacyTheta, defaults)
 }
 
 // TestNewValidatesEagerly: a misconfigured Explainer fails at New, not on
@@ -157,58 +88,42 @@ func TestNewValidatesEagerly(t *testing.T) {
 	}
 }
 
-// TestWithOverlapConfig mirrors the legacy OverlapOptions preset.
+// TestWithOverlapConfig: the preset is exactly overlap start, β = 1,
+// ϱ = 1, and New without options is exactly the paper's Hid defaults —
+// Fingerprint digests every one of those values, so equal fingerprints
+// pin them — and the preset runs like its spelled-out form.
 func TestWithOverlapConfig(t *testing.T) {
+	fp := func(opts ...affidavit.Option) string {
+		t.Helper()
+		ex, err := affidavit.New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ex.Fingerprint()
+	}
+	spelled := []affidavit.Option{affidavit.WithStart(affidavit.StartOverlap), affidavit.WithBeta(1), affidavit.WithQueueWidth(1)}
+	if fp(affidavit.WithOverlapConfig()) != fp(spelled...) {
+		t.Error("WithOverlapConfig is not overlap start, β = 1, ϱ = 1")
+	}
+	if fp() != fp(affidavit.WithStart(affidavit.StartID), affidavit.WithBeta(2), affidavit.WithQueueWidth(5),
+		affidavit.WithAlpha(0.5), affidavit.WithTheta(0.1), affidavit.WithRho(0.95)) {
+		t.Error("New() is not Hid start, β = 2, ϱ = 5, α = 0.5, θ = 0.1, ρ = 0.95")
+	}
 	src, tgt := figure1Tables(t)
-	opts := affidavit.OverlapOptions()
-	opts.Seed = 1
-	legacy, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := affidavit.New(affidavit.WithOverlapConfig(), affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := ex.Explain(context.Background(), src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacy, modern)
-}
-
-// TestExplainerSessionMatchesLegacy: sessions created from an Explainer
-// behave like legacy NewSession ones.
-func TestExplainerSessionMatchesLegacy(t *testing.T) {
-	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	legacySess := affidavit.NewSession(src, opts)
-	legacy, err := legacySess.ExplainNext(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := affidavit.New(affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := ex.Session(src)
-	modern, err := sess.ExplainNext(tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, legacy, modern)
+	sameResult(t,
+		explainWith(t, src, tgt, affidavit.WithOverlapConfig(), affidavit.WithSeed(1)),
+		explainWith(t, src, tgt, append(spelled, affidavit.WithSeed(1))...))
 }
 
 // TestLegacyBoundaryThetaStillRuns: θ = 1 and ρ = 1 are degenerate but
-// defined and predate validation — the shims must keep accepting them.
+// defined and ran before validation existed — New must keep accepting
+// them, under the overlap start (whose ranking samples by θ) and Hid alike.
 func TestLegacyBoundaryThetaStillRuns(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	res, err := affidavit.Explain(src, tgt, affidavit.Options{Theta: 1, Rho: 1, Seed: 1})
-	if err != nil {
-		t.Fatalf("legacy Theta=1/Rho=1 rejected: %v", err)
-	}
-	if err := res.Explanation.Validate(); err != nil {
-		t.Error(err)
+	for _, start := range []affidavit.Start{affidavit.StartOverlap, affidavit.StartID} {
+		res := explainWith(t, src, tgt, affidavit.WithStart(start), affidavit.WithTheta(1), affidavit.WithRho(1), affidavit.WithSeed(1))
+		if err := res.Explanation.Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -66,19 +66,8 @@ func TestExtraMetas(t *testing.T) {
 	}
 
 	// Without the custom meta the best explanation pays for a mapping.
-	plain := affidavit.DefaultOptions()
-	plain.Seed = 4
-	resPlain, err := affidavit.Explain(src, tgt, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	custom := plain
-	custom.ExtraMetas = []affidavit.Meta{reverseMeta{}}
-	resCustom, err := affidavit.Explain(src, tgt, custom)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resPlain := explainWith(t, src, tgt, affidavit.WithSeed(4))
+	resCustom := explainWith(t, src, tgt, affidavit.WithSeed(4), affidavit.WithExtraMetas(reverseMeta{}))
 	if resCustom.Cost >= resPlain.Cost {
 		t.Errorf("custom meta did not help: %v vs %v", resCustom.Cost, resPlain.Cost)
 	}
@@ -111,9 +100,11 @@ func TestExplainRenamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	res, match, err := affidavit.ExplainRenamed(src, tgt, opts)
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, match, err := ex.ExplainRenamed(context.Background(), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +117,7 @@ func TestExplainRenamed(t *testing.T) {
 	// Mismatched arity propagates an error.
 	tiny, _ := affidavit.NewSchema("only")
 	tt, _ := affidavit.NewTable(tiny, []affidavit.Record{{"x"}})
-	if _, _, err := affidavit.ExplainRenamed(src, tt, opts); err == nil {
+	if _, _, err := ex.ExplainRenamed(context.Background(), src, tt); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -134,8 +125,8 @@ func TestExplainRenamed(t *testing.T) {
 // TestExplainRenamedContext: the renamed-schema pipeline honours
 // cancellation like every other entry point (the ctxflow analyzer's
 // contract — cooperative: an interrupted run returns the partial result
-// with Stats.Cancelled set), and the context variant agrees with the
-// plain one.
+// with Stats.Cancelled set), and an uninterrupted run under a live context
+// finishes with the reference explanation.
 func TestExplainRenamedContext(t *testing.T) {
 	s, _ := affidavit.NewSchema("ID1", "ID2", "Date", "Type", "Val", "Unit", "Org")
 	src, err := affidavit.NewTable(s, fixture.SourceRows())
@@ -147,12 +138,14 @@ func TestExplainRenamedContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	interrupted, _, err := affidavit.ExplainRenamedContext(ctx, src, tgt, opts)
+	interrupted, _, err := ex.ExplainRenamed(ctx, src, tgt)
 	if err != nil {
 		t.Fatalf("cancelled context: err = %v, want partial result", err)
 	}
@@ -160,15 +153,12 @@ func TestExplainRenamedContext(t *testing.T) {
 		t.Error("cancelled context: Stats.Cancelled not set — ctx did not reach the search")
 	}
 
-	res, _, err := affidavit.ExplainRenamedContext(context.Background(), src, tgt, opts)
+	res, _, err := ex.ExplainRenamed(context.Background(), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := affidavit.ExplainRenamed(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != ref.Cost || res.Report() != ref.Report() {
-		t.Error("context variant diverges from ExplainRenamed")
+	if res.Stats.Cancelled || res.Cost != fixture.ReferenceCost {
+		t.Errorf("live context: cancelled=%v cost=%v, want a finished run at %d",
+			res.Stats.Cancelled, res.Cost, fixture.ReferenceCost)
 	}
 }

@@ -2,6 +2,7 @@ package affidavit_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,10 +135,11 @@ func FuzzResultJSON(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		opts := affidavit.DefaultOptions()
-		opts.Seed = 7
-		opts.MaxExpansions = 50
-		res, err := affidavit.Explain(src, tgt, opts)
+		ex, err := affidavit.New(affidavit.WithSeed(7), affidavit.WithMaxExpansions(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ex.Explain(context.Background(), src, tgt)
 		if err != nil {
 			t.Skip() // schema mismatch etc. — not this fuzzer's concern
 		}

@@ -76,12 +76,7 @@ func TestAdversarialValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 13
-	res, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt, affidavit.WithSeed(13))
 	if err := res.Explanation.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +105,12 @@ func TestEmptySnapshots(t *testing.T) {
 		{"empty-target", one, empty},
 		{"single-single", one, one},
 	}
+	ex, err := affidavit.New(affidavit.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range cases {
-		opts := affidavit.DefaultOptions()
-		opts.Seed = 3
-		res, err := affidavit.Explain(c.src, c.tgt, opts)
+		res, err := ex.Explain(context.Background(), c.src, c.tgt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -135,12 +132,7 @@ func TestAllDuplicateRecords(t *testing.T) {
 	tgtRows = tgtRows[:30] // 10 fewer targets
 	src, _ := affidavit.NewTable(schema, srcRows)
 	tgt, _ := affidavit.NewTable(schema, tgtRows)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 17
-	res, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt, affidavit.WithSeed(17))
 	if err := res.Explanation.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +146,10 @@ func TestAllDuplicateRecords(t *testing.T) {
 // returns a valid explanation whose cost never exceeds the trivial one.
 func TestQuickExplainAlwaysValid(t *testing.T) {
 	schema, _ := affidavit.NewSchema("x", "y")
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(cells [8]string, nSrc, nTgt uint8) bool {
 		srcN := int(nSrc%3) + 1
 		tgtN := int(nTgt%3) + 1
@@ -172,9 +168,7 @@ func TestQuickExplainAlwaysValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opts := affidavit.DefaultOptions()
-		opts.Seed = 1
-		res, err := affidavit.Explain(src, tgt, opts)
+		res, err := ex.Explain(context.Background(), src, tgt)
 		if err != nil {
 			return false
 		}
@@ -199,10 +193,7 @@ func TestStatsPopulated(t *testing.T) {
 	}
 	src, _ := affidavit.NewTable(schema, srcRows)
 	tgt, _ := affidavit.NewTable(schema, tgtRows)
-	res, err := affidavit.Explain(src, tgt, affidavit.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt)
 	if res.Stats.Polls == 0 || res.Stats.Enqueued == 0 {
 		t.Errorf("stats empty: %+v", res.Stats)
 	}
@@ -224,13 +215,7 @@ func TestAlphaExtremes(t *testing.T) {
 	src, _ := affidavit.NewTable(schema, srcRows)
 	tgt, _ := affidavit.NewTable(schema, tgtRows)
 	for _, alpha := range []float64{0.1, 0.9, 1.0} {
-		opts := affidavit.DefaultOptions()
-		opts.Alpha = alpha
-		opts.Seed = 2
-		res, err := affidavit.Explain(src, tgt, opts)
-		if err != nil {
-			t.Fatalf("α=%v: %v", alpha, err)
-		}
+		res := explainWith(t, src, tgt, affidavit.WithAlpha(alpha), affidavit.WithSeed(2))
 		if err := res.Explanation.Validate(); err != nil {
 			t.Fatalf("α=%v: %v", alpha, err)
 		}

@@ -190,7 +190,7 @@ func (o Options) Validate() error {
 	}
 	// Both boundaries are degenerate but defined (θ ∈ {0,1} collapse the
 	// sample sizing, ρ = 1 demands the cap) and ran fine before validation
-	// existed, so the legacy shims keep accepting them.
+	// existed, so they stay accepted.
 	if o.Induce.Theta < 0 || o.Induce.Theta > 1 {
 		return fmt.Errorf("search: Theta must be in [0,1], got %v", o.Induce.Theta)
 	}

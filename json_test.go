@@ -19,12 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // change.
 func TestResultJSONGolden(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	res, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := explainWith(t, src, tgt, affidavit.WithSeed(1))
 	got, err := res.JSON("accounts")
 	if err != nil {
 		t.Fatal(err)
@@ -78,16 +73,8 @@ func TestResultJSONGolden(t *testing.T) {
 // TestResultJSONDeterministic: equal runs encode byte-identically.
 func TestResultJSONDeterministic(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	a, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := explainWith(t, src, tgt, affidavit.WithSeed(1))
+	b := explainWith(t, src, tgt, affidavit.WithSeed(1))
 	aj, err := a.JSON("t")
 	if err != nil {
 		t.Fatal(err)

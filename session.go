@@ -3,11 +3,8 @@ package affidavit
 import (
 	"context"
 
-	"affidavit/internal/delta"
-	"affidavit/internal/metafunc"
-	"affidavit/internal/obs"
+	"affidavit/internal/search"
 	"affidavit/internal/session"
-	"affidavit/internal/trace"
 )
 
 // Pair is one source/target snapshot pair of a batch explanation.
@@ -16,148 +13,97 @@ type Pair struct {
 }
 
 // Session is a long-lived explanation context for snapshot chains and
-// batches. Where Explain treats every pair in isolation, a session keeps a
-// shared dictionary pool — values interned while explaining snapshot n keep
-// their codes when snapshot n+1 arrives, so only novel values pay interning
-// cost — and warm-starts each chain run with the previous explanation,
-// re-validated and re-costed against the new pair, so recurring
-// transformation patterns are confirmed in a handful of queue polls instead
-// of re-discovered from scratch.
+// batches, created by Explainer.Session. Where Explainer.Explain treats
+// every pair in isolation, a session keeps a shared dictionary pool —
+// values interned while explaining snapshot n keep their codes when
+// snapshot n+1 arrives, so only novel values pay interning cost — and
+// warm-starts each chain run with the previous explanation, re-validated
+// and re-costed against the new pair, so recurring transformation patterns
+// are confirmed in a handful of queue polls instead of re-discovered from
+// scratch.
 //
-// Sessions are safe for concurrent use. ExplainPair and ExplainBatch
-// results are identical to cold Explain runs with the same options and
-// seed — the shared pool only changes the interning work. The warm paths
-// (ExplainNext, ExplainWarm) run the search in incremental mode: on a
-// recurring pattern they converge to the same explanation with a fraction
-// of the effort, but they anchor on the previous structure, so when the
-// feed's pattern changes the result — always a valid explanation — may
-// differ from a cold run's. Use Explain (or ExplainPair) when cold-search
-// behaviour is required, or arm Options.WarmGuard to have stale warm seeds
-// escalate to a cold search automatically.
+// Sessions are safe for concurrent use. ExplainPairContext and
+// ExplainBatchContext results are identical to cold Explainer.Explain runs
+// with the same options and seed — the shared pool only changes the
+// interning work. The warm paths (ExplainNextContext, ExplainWarmContext)
+// run the search in incremental mode: on a recurring pattern they converge
+// to the same explanation with a fraction of the effort, but they anchor
+// on the previous structure, so when the feed's pattern changes the result
+// — always a valid explanation — may differ from a cold run's. Use
+// Explainer.Explain (or ExplainPairContext) when cold-search behaviour is
+// required, or arm WithWarmGuard to have stale warm seeds escalate to a
+// cold search automatically.
 //
-// Every method has a Context form (ExplainNextContext and friends) that
-// honours cancellation and deadlines: an interrupted run still returns a
-// valid best-so-far result with Stats.Cancelled set, and the session skips
-// storing an interrupted run's tuple as the next warm seed. The plain
-// forms are the Context forms under context.Background().
+// Every method honours cancellation and deadlines: an interrupted run
+// still returns a valid best-so-far result with Stats.Cancelled set, and
+// the session skips storing an interrupted run's tuple as the next warm
+// seed.
 type Session struct {
-	inner   *session.Session
-	alpha   float64
-	workers int
-	tracing bool // from the parent Explainer's WithTracing
+	inner *session.Session
+	ex    *Explainer
 }
 
-// traceRun mirrors Explainer.traceRun for session runs: when the parent
-// Explainer was built WithTracing, each single-pair run gets a fresh
-// recorder on its context (batch runs interleave pairs on one context and
-// are deliberately not traced).
-func (s *Session) traceRun(ctx context.Context) (context.Context, *trace.Recorder) {
-	if !s.tracing {
-		return ctx, nil
+// single runs one traced single-pair explanation (batch runs interleave
+// pairs on one context and are deliberately not traced).
+func (s *Session) single(ctx context.Context, run func(context.Context) (*search.Result, error)) (*Result, error) {
+	ctx, rec := s.ex.traceRun(ctx)
+	res, err := run(ctx)
+	if err != nil {
+		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rec := trace.NewRecorder(trace.NewID())
-	return obs.ContextWithSink(ctx, rec.Observe), rec
+	return traced(s.ex.newResult(res), rec), nil
 }
 
-// NewSession creates a session. initial, when non-nil, is the chain
-// baseline: the first ExplainNext call diffs it against its argument. A nil
-// initial starts a batch/service session — ExplainPair, ExplainWarm and
-// ExplainBatch work immediately, while ExplainNext errors until a baseline
-// exists (ExplainWarm sets one).
-func NewSession(initial *Table, opts Options) *Session {
-	e := &Explainer{
-		so:    opts.toSearch(),
-		metas: append(metafunc.DefaultMetas(), opts.ExtraMetas...),
-	}
-	return e.Session(initial)
-}
-
-// ExplainNext explains the difference between the chain head and next,
-// advances the chain head to next, and stores the learned functions as the
-// warm start of the following call. Chains are deterministic for fixed
-// seeds: re-running the same chain reproduces every explanation and every
-// search statistic.
-func (s *Session) ExplainNext(next *Table) (*Result, error) {
-	return s.ExplainNextContext(context.Background(), next)
-}
-
-// ExplainNextContext is ExplainNext under ctx: cancellation and deadlines
-// interrupt the search cooperatively, returning the best-so-far result
-// with Stats.Cancelled set.
+// ExplainNextContext explains the difference between the chain head and
+// next, advances the chain head to next, and stores the learned functions
+// as the warm start of the following call. Chains are deterministic for
+// fixed seeds: re-running the same chain reproduces every explanation and
+// every search statistic.
 func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result, error) {
-	ctx, rec := s.traceRun(ctx)
-	res, err := s.inner.ExplainNext(ctx, next)
-	if err != nil {
-		return nil, err
-	}
-	return s.traced(s.result(res.Explanation, res.Cost, res.Stats), rec), nil
+	return s.single(ctx, func(ctx context.Context) (*search.Result, error) {
+		return s.inner.ExplainNext(ctx, next)
+	})
 }
 
-// ExplainPair explains one pair over the session's shared dictionary pool
-// without touching the chain state. Safe to call concurrently.
-func (s *Session) ExplainPair(source, target *Table) (*Result, error) {
-	return s.ExplainPairContext(context.Background(), source, target)
-}
-
-// ExplainPairContext is ExplainPair under ctx.
+// ExplainPairContext explains one pair over the session's shared
+// dictionary pool without touching the chain state. Safe to call
+// concurrently.
 func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table) (*Result, error) {
-	ctx, rec := s.traceRun(ctx)
-	res, err := s.inner.ExplainPair(ctx, source, target)
-	if err != nil {
-		return nil, err
-	}
-	return s.traced(s.result(res.Explanation, res.Cost, res.Stats), rec), nil
+	return s.single(ctx, func(ctx context.Context) (*search.Result, error) {
+		return s.inner.ExplainPair(ctx, source, target)
+	})
 }
 
-// ExplainWarm explains one pair over the shared pool, warm-started with the
-// session's most recent explanation of the same schema, and stores the
-// learned functions for the next call — the service-shaped variant of
-// ExplainNext for repeated uploads of the same table. Concurrent calls are
-// race-clean; the stored warm tuple is last-writer-wins, which affects only
-// search effort, never the explanation.
-func (s *Session) ExplainWarm(source, target *Table) (*Result, error) {
-	return s.ExplainWarmContext(context.Background(), source, target)
-}
-
-// ExplainWarmContext is ExplainWarm under ctx.
+// ExplainWarmContext explains one pair over the shared pool, warm-started
+// with the session's most recent explanation of the same schema, and
+// stores the learned functions for the next call — the service-shaped
+// variant of ExplainNextContext for repeated uploads of the same table.
+// Concurrent calls are race-clean; the stored warm tuple is
+// last-writer-wins, which affects only search effort, never the
+// explanation.
 func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table) (*Result, error) {
-	ctx, rec := s.traceRun(ctx)
-	res, err := s.inner.ExplainWarm(ctx, source, target)
-	if err != nil {
-		return nil, err
-	}
-	return s.traced(s.result(res.Explanation, res.Cost, res.Stats), rec), nil
+	return s.single(ctx, func(ctx context.Context) (*search.Result, error) {
+		return s.inner.ExplainWarm(ctx, source, target)
+	})
 }
 
-// ExplainBatch explains every pair over the shared dictionary pool, fanning
-// out across the session's configured Workers (at most one goroutine per
-// pair; Workers ≤ 1 runs sequentially). Results arrive in input order and
-// equal per-pair cold runs. Failed pairs leave nil entries; the returned
-// error joins every failure.
-func (s *Session) ExplainBatch(pairs []Pair) ([]*Result, error) {
-	return s.ExplainBatchContext(context.Background(), pairs)
-}
-
-// ExplainBatchContext is ExplainBatch under ctx: cancelling ctx interrupts
-// every in-flight pair, each returning its best-so-far result with
-// Stats.Cancelled set.
+// ExplainBatchContext explains every pair over the shared dictionary pool,
+// fanning out across the Explainer's configured Workers (at most one
+// goroutine per pair; Workers ≤ 1 runs sequentially). Results arrive in
+// input order and equal per-pair cold runs. Failed pairs leave nil
+// entries; the returned error joins every failure. Cancelling ctx
+// interrupts every in-flight pair, each returning its best-so-far result
+// with Stats.Cancelled set.
 func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Result, error) {
 	inner := make([]session.Pair, len(pairs))
 	for i, p := range pairs {
 		inner[i] = session.Pair{Source: p.Source, Target: p.Target}
 	}
-	workers := s.workers
-	if workers < 1 {
-		workers = 1
-	}
-	raw, err := s.inner.ExplainBatch(ctx, inner, workers)
+	raw, err := s.inner.ExplainBatch(ctx, inner, max(s.ex.so.Workers, 1))
 	out := make([]*Result, len(raw))
 	for i, r := range raw {
 		if r != nil {
-			out[i] = s.result(r.Explanation, r.Cost, r.Stats)
+			out[i] = s.ex.newResult(r)
 		}
 	}
 	return out, err
@@ -171,22 +117,3 @@ func (s *Session) PoolStats() (attrs, values int) {
 
 // Runs returns how many explanations the session has produced.
 func (s *Session) Runs() int { return s.inner.Runs() }
-
-// traced attaches the recorder's finished trace, if any.
-func (s *Session) traced(res *Result, rec *trace.Recorder) *Result {
-	if rec != nil {
-		res.Trace = rec.Trace()
-	}
-	return res
-}
-
-func (s *Session) result(expl *Explanation, cost float64, stats Stats) *Result {
-	cm := delta.CostModel{Alpha: s.alpha}
-	return &Result{
-		Explanation: expl,
-		Cost:        cost,
-		TrivialCost: cm.Cost(delta.Trivial(expl.Inst)),
-		Stats:       stats,
-		alpha:       s.alpha,
-	}
-}

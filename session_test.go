@@ -1,6 +1,7 @@
 package affidavit_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,15 +54,18 @@ func assertSameResults(t *testing.T, label string, a, b *affidavit.Result) {
 // strictly fewer search states, and the whole chain is reproducible.
 func TestSessionChain(t *testing.T) {
 	ch := sessionChain(t, "bridges", 3)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 31
-	s := affidavit.NewSession(ch.Snapshots[0], opts)
+	ex, err := affidavit.New(affidavit.WithSeed(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := ex.Session(ch.Snapshots[0])
 	for i := 1; i < len(ch.Snapshots); i++ {
-		warm, err := s.ExplainNext(ch.Snapshots[i])
+		warm, err := s.ExplainNextContext(ctx, ch.Snapshots[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := affidavit.Explain(ch.Snapshots[i-1], ch.Snapshots[i], opts)
+		cold, err := ex.Explain(ctx, ch.Snapshots[i-1], ch.Snapshots[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,21 +93,23 @@ func TestSessionChain(t *testing.T) {
 // TestSessionExplainBatch: the public batch API equals per-pair cold runs.
 func TestSessionExplainBatch(t *testing.T) {
 	ch := sessionChain(t, "echo", 2)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 31
-	opts.Workers = 4
-	s := affidavit.NewSession(nil, opts)
+	ex, err := affidavit.New(affidavit.WithSeed(31), affidavit.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := ex.Session(nil)
 	pairs := []affidavit.Pair{
 		{Source: ch.Snapshots[0], Target: ch.Snapshots[1]},
 		{Source: ch.Snapshots[1], Target: ch.Snapshots[2]},
 		{Source: ch.Snapshots[0], Target: ch.Snapshots[2]},
 	}
-	results, err := s.ExplainBatch(pairs)
+	results, err := s.ExplainBatchContext(ctx, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range pairs {
-		cold, err := affidavit.Explain(p.Source, p.Target, opts)
+		cold, err := ex.Explain(ctx, p.Source, p.Target)
 		if err != nil {
 			t.Fatal(err)
 		}

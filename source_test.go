@@ -95,12 +95,7 @@ func TestSourceEquivalenceRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := affidavit.DefaultOptions()
-			opts.Seed = 7
-			ref, err := affidavit.Explain(src, tgt, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := explainWith(t, src, tgt, affidavit.WithSeed(7))
 			refReport, refJSON := ref.Report(), mustJSON(t, ref)
 
 			ex, err := affidavit.New(affidavit.WithSeed(7))
@@ -151,12 +146,7 @@ func mustJSON(t *testing.T, r *affidavit.Result) string {
 // pipeline.
 func TestRowsAndTableSource(t *testing.T) {
 	src, tgt := figure1Tables(t)
-	opts := affidavit.DefaultOptions()
-	opts.Seed = 1
-	ref, err := affidavit.Explain(src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := explainWith(t, src, tgt, affidavit.WithSeed(1))
 	ex, err := affidavit.New(affidavit.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
