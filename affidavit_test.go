@@ -78,10 +78,7 @@ func TestExplainCSVRoundTrip(t *testing.T) {
 	tp := filepath.Join(dir, "target.csv")
 	writeCSV(t, sp, src)
 	writeCSV(t, tp, tgt)
-	ex, err := affidavit.New(affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(1))
 	ctx := context.Background()
 	res, err := ex.ExplainFiles(ctx, sp, tp)
 	if err != nil {
@@ -115,10 +112,7 @@ func TestExplainSchemaMismatch(t *testing.T) {
 	s2, _ := affidavit.NewSchema("b")
 	t1, _ := affidavit.NewTable(s1, []affidavit.Record{{"x"}})
 	t2, _ := affidavit.NewTable(s2, []affidavit.Record{{"x"}})
-	ex, err := affidavit.New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t)
 	if _, err := ex.Explain(context.Background(), t1, t2); err == nil {
 		t.Error("schema mismatch accepted")
 	}

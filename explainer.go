@@ -344,30 +344,24 @@ func (e *Explainer) ExplainFiles(ctx context.Context, sourcePath, targetPath str
 // later (servers, queues). The observer (if any) sees ingest events
 // labelled "source".
 func (e *Explainer) ReadSource(ctx context.Context, src Source) (*Table, error) {
-	return e.readSource(ctx, src, "source")
+	return e.ReadSourceNamed(ctx, src, "source")
 }
 
 // ReadSourceNamed is ReadSource with a caller-chosen snapshot label for
 // the observer's ingest events ("source", "target", …), so multi-snapshot
 // ingest paths report per-role volumes.
 func (e *Explainer) ReadSourceNamed(ctx context.Context, src Source, label string) (*Table, error) {
-	return e.readSource(ctx, src, label)
-}
-
-// ingestChunk is how many records are interned between context checks and
-// ingest-progress events.
-const ingestChunk = 8192
-
-// readSource opens src and drains it into a columnar table with fresh
-// dictionaries.
-func (e *Explainer) readSource(ctx context.Context, src Source, role string) (*Table, error) {
 	schema, err := src.Open()
 	if err != nil {
 		src.Close()
 		return nil, err
 	}
-	return e.drainSource(ctx, src, schema, nil, role, nil)
+	return e.drainSource(ctx, src, schema, nil, label, nil)
 }
+
+// ingestChunk is how many records are interned between context checks and
+// ingest-progress events.
+const ingestChunk = 8192
 
 // drainSource interns every remaining record of an already-opened source
 // into a columnar table. dicts, when non-nil, is the positional dictionary

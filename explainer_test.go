@@ -25,14 +25,20 @@ func sameResult(t *testing.T, a, b *affidavit.Result) {
 	}
 }
 
-// explainWith builds an Explainer from opts and explains the pair.
-func explainWith(t *testing.T, src, tgt *affidavit.Table, opts ...affidavit.Option) *affidavit.Result {
+// newExplainer is affidavit.New, fatal on a configuration error.
+func newExplainer(t testing.TB, opts ...affidavit.Option) *affidavit.Explainer {
 	t.Helper()
 	ex, err := affidavit.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.Explain(context.Background(), src, tgt)
+	return ex
+}
+
+// explainWith builds an Explainer from opts and explains the pair.
+func explainWith(t *testing.T, src, tgt *affidavit.Table, opts ...affidavit.Option) *affidavit.Result {
+	t.Helper()
+	res, err := newExplainer(t, opts...).Explain(context.Background(), src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +101,7 @@ func TestNewValidatesEagerly(t *testing.T) {
 func TestWithOverlapConfig(t *testing.T) {
 	fp := func(opts ...affidavit.Option) string {
 		t.Helper()
-		ex, err := affidavit.New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex.Fingerprint()
+		return newExplainer(t, opts...).Fingerprint()
 	}
 	spelled := []affidavit.Option{affidavit.WithStart(affidavit.StartOverlap), affidavit.WithBeta(1), affidavit.WithQueueWidth(1)}
 	if fp(affidavit.WithOverlapConfig()) != fp(spelled...) {

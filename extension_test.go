@@ -100,10 +100,7 @@ func TestExplainRenamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := affidavit.New(affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(1))
 	res, match, err := ex.ExplainRenamed(context.Background(), src, tgt)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +135,7 @@ func TestExplainRenamedContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := affidavit.New(affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(1))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -135,10 +135,7 @@ func FuzzResultJSON(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		ex, err := affidavit.New(affidavit.WithSeed(7), affidavit.WithMaxExpansions(50))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ex := newExplainer(t, affidavit.WithSeed(7), affidavit.WithMaxExpansions(50))
 		res, err := ex.Explain(context.Background(), src, tgt)
 		if err != nil {
 			t.Skip() // schema mismatch etc. — not this fuzzer's concern

@@ -105,10 +105,7 @@ func TestEmptySnapshots(t *testing.T) {
 		{"empty-target", one, empty},
 		{"single-single", one, one},
 	}
-	ex, err := affidavit.New(affidavit.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(3))
 	for _, c := range cases {
 		res, err := ex.Explain(context.Background(), c.src, c.tgt)
 		if err != nil {
@@ -146,10 +143,7 @@ func TestAllDuplicateRecords(t *testing.T) {
 // returns a valid explanation whose cost never exceeds the trivial one.
 func TestQuickExplainAlwaysValid(t *testing.T) {
 	schema, _ := affidavit.NewSchema("x", "y")
-	ex, err := affidavit.New(affidavit.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(1))
 	f := func(cells [8]string, nSrc, nTgt uint8) bool {
 		srcN := int(nSrc%3) + 1
 		tgtN := int(nTgt%3) + 1

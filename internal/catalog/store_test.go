@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,28 +211,17 @@ func TestSnapshotIDDeterminism(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/catalog_parent.jsonl from this checkout")
-
 // TestCatalogParentFixture pins the catalog journal's bytes across
-// commits: testdata/catalog_parent.jsonl was recorded by buildStore
-// (register → push → push → start → finish, on fakeClock) on the commit
-// before the journal moved to internal/wal, and every later commit must
-// write the same file.
+// commits: testdata/catalog_parent.jsonl is what buildStore (register →
+// push → push → start → finish, on fakeClock) wrote on the commit before
+// the journal moved to internal/wal (hence no -update), and every later
+// commit must write the same file and replay it.
 func TestCatalogParentFixture(t *testing.T) {
-	const fixture = "testdata/catalog_parent.jsonl"
 	got, err := os.ReadFile(buildStore(t, t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fixture, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(fixture)
+	want, err := os.ReadFile("testdata/catalog_parent.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,6 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,20 +10,12 @@ import (
 )
 
 func TestReplayLastLineWins(t *testing.T) {
-	lines := [][]byte{}
-	for _, rec := range []Record{
+	data := waltest.Encode(t, []Record{
 		{ID: "a", Seq: 0, State: StatePending},
 		{ID: "b", Seq: 1, State: StatePending},
 		{ID: "a", Seq: 0, State: StateRunning, Attempts: 1},
 		{ID: "a", Seq: 0, State: StateCompleted, Attempts: 1, ContentType: "application/json"},
-	} {
-		b, _ := json.Marshal(rec)
-		lines = append(lines, append(b, '\n'))
-	}
-	var data []byte
-	for _, l := range lines {
-		data = append(data, l...)
-	}
+	}, journalSchema)
 	recs, keep := waltest.Replay(t, data, journalSchema)
 	if keep != int64(len(data)) {
 		t.Fatalf("valid prefix %d, want %d", keep, len(data))
@@ -42,12 +32,11 @@ func TestReplayLastLineWins(t *testing.T) {
 }
 
 func TestReplayStopsAtCorruptLine(t *testing.T) {
-	good, _ := json.Marshal(Record{ID: "a", Seq: 0, State: StatePending})
-	data := append(append([]byte{}, good...), '\n')
-	data = append(data, []byte("{\"id\":\"b\",\"state\":\"nonsense\"}\n{\"id\":\"c\"")...)
+	good := waltest.Encode(t, []Record{{ID: "a", Seq: 0, State: StatePending}}, journalSchema)
+	data := append(good[:len(good):len(good)], "{\"id\":\"b\",\"state\":\"nonsense\"}\n{\"id\":\"c\""...)
 	recs, keep := waltest.Replay(t, data, journalSchema)
-	if keep != int64(len(good)+1) {
-		t.Fatalf("keep=%d, want %d (stop at the first invalid line)", keep, len(good)+1)
+	if keep != int64(len(good)) {
+		t.Fatalf("keep=%d, want %d (stop at the first invalid line)", keep, len(good))
 	}
 	if len(recs) != 1 || recs[0].ID != "a" {
 		t.Fatalf("replay past corruption: %+v", recs)
@@ -57,8 +46,7 @@ func TestReplayStopsAtCorruptLine(t *testing.T) {
 // FuzzJobJournal feeds arbitrary bytes through replay and checks the
 // decode round-trip over the real job record (see waltest.FixedPoint).
 func FuzzJobJournal(f *testing.F) {
-	seedRec, _ := json.Marshal(Record{ID: "a", Seq: 3, State: StateRunning, Attempts: 2})
-	f.Add(append(seedRec, '\n'))
+	f.Add(waltest.Encode(f, []Record{{ID: "a", Seq: 3, State: StateRunning, Attempts: 2}}, journalSchema))
 	f.Add([]byte("{\"id\":\"x\",\"state\":\"pending\"}\n{\"id\":\"x\",\"state\":\"completed\"}\n"))
 	f.Add([]byte("not json at all\n"))
 	f.Add([]byte{})
@@ -66,8 +54,6 @@ func FuzzJobJournal(f *testing.F) {
 		waltest.FixedPoint(t, data, journalSchema)
 	})
 }
-
-var update = flag.Bool("update", false, "rewrite testdata/journal_parent.jsonl from this checkout")
 
 // scriptJournal drives submit → run → complete → compaction → retry on
 // a durable store and returns the journal it leaves: two compacted lines
@@ -96,21 +82,12 @@ func scriptJournal(t *testing.T) []byte {
 }
 
 // TestJournalParentFixture pins the journal's bytes across commits:
-// testdata/journal_parent.jsonl was recorded by scriptJournal on the
-// commit before the journal moved to internal/wal, and every later
-// commit must write the same file.
+// testdata/journal_parent.jsonl is what scriptJournal wrote on the commit
+// before the journal moved to internal/wal (hence no -update), and every
+// later commit must write the same file and replay it.
 func TestJournalParentFixture(t *testing.T) {
-	const fixture = "testdata/journal_parent.jsonl"
 	got := scriptJournal(t)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(fixture, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(fixture)
+	want, err := os.ReadFile("testdata/journal_parent.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}

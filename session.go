@@ -8,9 +8,7 @@ import (
 )
 
 // Pair is one source/target snapshot pair of a batch explanation.
-type Pair struct {
-	Source, Target *Table
-}
+type Pair = session.Pair
 
 // Session is a long-lived explanation context for snapshot chains and
 // batches, created by Explainer.Session. Where Explainer.Explain treats
@@ -95,11 +93,7 @@ func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table)
 // interrupts every in-flight pair, each returning its best-so-far result
 // with Stats.Cancelled set.
 func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Result, error) {
-	inner := make([]session.Pair, len(pairs))
-	for i, p := range pairs {
-		inner[i] = session.Pair{Source: p.Source, Target: p.Target}
-	}
-	raw, err := s.inner.ExplainBatch(ctx, inner, max(s.ex.so.Workers, 1))
+	raw, err := s.inner.ExplainBatch(ctx, pairs, max(s.ex.so.Workers, 1))
 	out := make([]*Result, len(raw))
 	for i, r := range raw {
 		if r != nil {

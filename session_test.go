@@ -54,10 +54,7 @@ func assertSameResults(t *testing.T, label string, a, b *affidavit.Result) {
 // strictly fewer search states, and the whole chain is reproducible.
 func TestSessionChain(t *testing.T) {
 	ch := sessionChain(t, "bridges", 3)
-	ex, err := affidavit.New(affidavit.WithSeed(31))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(31))
 	ctx := context.Background()
 	s := ex.Session(ch.Snapshots[0])
 	for i := 1; i < len(ch.Snapshots); i++ {
@@ -93,10 +90,7 @@ func TestSessionChain(t *testing.T) {
 // TestSessionExplainBatch: the public batch API equals per-pair cold runs.
 func TestSessionExplainBatch(t *testing.T) {
 	ch := sessionChain(t, "echo", 2)
-	ex, err := affidavit.New(affidavit.WithSeed(31), affidavit.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := newExplainer(t, affidavit.WithSeed(31), affidavit.WithWorkers(4))
 	ctx := context.Background()
 	s := ex.Session(nil)
 	pairs := []affidavit.Pair{
