@@ -92,10 +92,11 @@ func replay[R any](path string, sc Schema[R]) ([]R, int64, error) {
 			break // corrupt line: everything from here on is the torn tail
 		}
 		keep += int64(len(line))
-		if i, ok := byKey[sc.Key(&rec)]; ok {
+		key := sc.Key(&rec)
+		if i, ok := byKey[key]; ok {
 			recs[i] = rec
 		} else {
-			byKey[sc.Key(&rec)] = len(recs)
+			byKey[key] = len(recs)
 			recs = append(recs, rec)
 		}
 	}
