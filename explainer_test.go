@@ -8,23 +8,6 @@ import (
 	"affidavit"
 )
 
-// sameResult asserts two runs produced byte-identical explanations and the
-// same deterministic statistics.
-func sameResult(t *testing.T, a, b *affidavit.Result) {
-	t.Helper()
-	if a.Report() != b.Report() {
-		t.Errorf("reports differ:\n%s\nvs\n%s", a.Report(), b.Report())
-	}
-	if a.Cost != b.Cost || a.TrivialCost != b.TrivialCost {
-		t.Errorf("costs differ: %v/%v vs %v/%v", a.Cost, a.TrivialCost, b.Cost, b.TrivialCost)
-	}
-	as, bs := a.Stats, b.Stats
-	as.Duration, bs.Duration = 0, 0
-	if as != bs {
-		t.Errorf("stats differ: %+v vs %+v", as, bs)
-	}
-}
-
 // newExplainer is affidavit.New, fatal on a configuration error.
 func newExplainer(t testing.TB, opts ...affidavit.Option) *affidavit.Explainer {
 	t.Helper()
@@ -112,9 +95,10 @@ func TestWithOverlapConfig(t *testing.T) {
 		t.Error("New() is not Hid start, β = 2, ϱ = 5, α = 0.5, θ = 0.1, ρ = 0.95")
 	}
 	src, tgt := figure1Tables(t)
-	sameResult(t,
-		explainWith(t, src, tgt, affidavit.WithOverlapConfig(), affidavit.WithSeed(1)),
-		explainWith(t, src, tgt, append(spelled, affidavit.WithSeed(1))...))
+	preset := explainWith(t, src, tgt, affidavit.WithOverlapConfig(), affidavit.WithSeed(1))
+	if mustJSON(t, preset) != mustJSON(t, explainWith(t, src, tgt, append(spelled, affidavit.WithSeed(1))...)) {
+		t.Error("the preset and its spelled-out form explain differently")
+	}
 }
 
 // TestLegacyBoundaryThetaStillRuns: θ = 1 and ρ = 1 are degenerate but

@@ -1,6 +1,5 @@
-// Package wal is a jobstore fixture: the package path's last segment is
-// "wal", so the analyzer scopes it like the real affidavit/internal/wal,
-// and the jobs fixture imports it to instantiate Log.
+// Package wal is a jobstore fixture scoped like affidavit/internal/wal; the
+// jobs fixture imports it to instantiate Log.
 package wal
 
 import "encoding/json"
