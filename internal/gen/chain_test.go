@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"affidavit/internal/datasets"
@@ -153,6 +156,48 @@ func TestMakeChainSustainedFuncs(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatalf("step %d: no surviving records checked", i)
+		}
+	}
+}
+
+// TestMakeChainDigest pins MakeChain's output bytes: the SHA-256 over every
+// snapshot's CSV of a flight-500k chain, recorded on the code before the
+// generator stopped going through rows. There is no -update on purpose.
+func TestMakeChainDigest(t *testing.T) {
+	ds, err := datasets.Get("flight-500k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ds.BuildRows(2000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"seed3/permute=false": "3672a035fc487892aef9c190a3ff3793d39d9a64543129bbba736177212fa610",
+		"seed3/permute=true":  "7795b3e471ce9b5147b372a66b3b4e41df1eed13eacee8fc55349f1c473d2413",
+		"seed4/permute=false": "b160d40aebb248218c17985f9e2519348f44f9e1e5da02481e027d5096760ddd",
+		"seed4/permute=true":  "a50258c7c2b26df368a20933ac00c778d0405da637a787e2261b9316f2868b98",
+		"seed5/permute=false": "5dfd67ad11f845c7f5c25ebe6a15b0cb86801f0cb9aec46cda5acac767b8d432",
+		"seed5/permute=true":  "e605f75343eed5030c4cb771031bb9378577599f041b5aed591f951dc05f632f",
+		"seed6/permute=false": "400c42394274c409425d8c4e0be40e221a231f7df9655c2a9d9ccf0b50ee10bc",
+		"seed6/permute=true":  "2ad281efbc6a8f2aaf90125a1a1214cc90f4dc54655eff3267dafddd51278efc",
+	}
+	for seed := int64(3); seed <= 6; seed++ {
+		for _, permute := range []bool{false, true} {
+			ch, err := MakeChain(tab, ChainConfig{Steps: 8, Eta: 0.1, Tau: 0.5, Seed: seed, PermuteKeys: permute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, s := range ch.Snapshots {
+				if err := s.WriteCSV(h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key := fmt.Sprintf("seed%d/permute=%v", seed, permute)
+			if got := hex.EncodeToString(h.Sum(nil)); got != want[key] {
+				t.Errorf("%s: digest %s, want %s", key, got, want[key])
+			}
 		}
 	}
 }
