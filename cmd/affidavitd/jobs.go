@@ -18,8 +18,8 @@ import (
 )
 
 // jobPayload is the non-durable state a live submission hands the
-// runner: the already-interned snapshot pair and the request's trace
-// recorder. Journal-replayed jobs run without one and re-ingest from the
+// runner: the snapshot pair, already interned into its table's session
+// pool, and the request's trace recorder. Journal-replayed jobs run without one and re-ingest from the
 // blob store.
 type jobPayload struct {
 	src, tgt *affidavit.Table
@@ -51,18 +51,17 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 		trec.SetJobID(rec.ID)
 		ctx = affidavit.ContextWithObserver(ctx, trec)
 	}
+	sess := s.session(rec.Table)
+	var err error
 	if src == nil || tgt == nil {
-		var err error
-		if src, err = upload.IngestBlob(ctx, s.ex, s.store.Blobs(), rec.SourceBlob, "source"); err != nil {
+		if src, err = upload.IngestBlob(ctx, sess.ReadSource, s.store.Blobs(), rec.SourceBlob, "source"); err != nil {
 			return nil, err
 		}
-		if tgt, err = upload.IngestBlob(ctx, s.ex, s.store.Blobs(), rec.TargetBlob, "target"); err != nil {
+		if tgt, err = upload.IngestBlob(ctx, sess.ReadSource, s.store.Blobs(), rec.TargetBlob, "target"); err != nil {
 			return nil, err
 		}
 	}
-	sess := s.session(rec.Table)
 	var res *affidavit.Result
-	var err error
 	if rec.Warm {
 		res, err = sess.ExplainWarmContext(ctx, src, tgt)
 	} else {

@@ -556,8 +556,11 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			payload.trace = affidavit.NewTraceRecorder()
 			ictx = affidavit.ContextWithObserver(ctx, payload.trace)
 		}
-		if payload.src, err = up.Ingest(ictx, s.ex, "source"); err == nil {
-			payload.tgt, err = up.Ingest(ictx, s.ex, "target")
+		// Resolved only on a miss, so a dedupe hit creates no session. The
+		// pair interns straight into the pool its job will run over.
+		read := s.session(table).ReadSource
+		if payload.src, err = up.Ingest(ictx, read, "source"); err == nil {
+			payload.tgt, err = up.Ingest(ictx, read, "target")
 		}
 		if err != nil {
 			badUpload(err)

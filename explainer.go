@@ -59,9 +59,8 @@ func New(opts ...Option) (*Explainer, error) {
 		return nil, fmt.Errorf("affidavit: memory budget must be ≥ 0, got %d", e.budget)
 	}
 	if e.budget > 0 {
-		// One manager for the Explainer's lifetime: its temp file backs the
-		// cold column chunks of every snapshot this Explainer ingests, and
-		// every run it executes spills against the same budget.
+		// One manager for the Explainer's lifetime: every run it executes
+		// spills against the same budget.
 		e.so.Spill = spill.NewManager(e.budget, "")
 	}
 	if err := e.so.Validate(); err != nil {
@@ -131,18 +130,18 @@ func WithWorkers(n int) Option { return func(e *Explainer) { e.so.Workers = n } 
 // it). 0 disables the guard.
 func WithWarmGuard(g float64) Option { return func(e *Explainer) { e.so.WarmGuard = g } }
 
-// WithMemBudget runs every explanation under an approximate memory budget
-// of n bytes (0 = unlimited): streamed snapshots page cold column chunks
-// to a temp file once the budget's table share fills, the overlap start
+// WithMemBudget runs every explanation under an approximate budget of n
+// bytes (0 = unlimited) for its auxiliary memory: the overlap start
 // strategy groups its score index through disk partitions, and the
 // end-state conversion matches one disk-backed partition at a time. The
-// interned code columns and blocking's refinements stay resident. Explanations are byte-identical to the
-// unbudgeted run for equal seeds — the budget trades disk I/O for peak
-// memory, which is what lets the paper's full 500k-row Figure 5 instance
-// run on small machines. Spill activity is observable: Stats carries the
-// run's spilled bytes/partitions, and observers receive per-stage
-// EventSpill events (metrics: affidavit_spill_bytes_total,
-// affidavit_spill_partitions_total).
+// snapshots themselves (interned code columns, 4 bytes per cell, plus
+// their distinct values) and blocking's refinements stay resident.
+// Explanations are byte-identical to the unbudgeted run for equal seeds —
+// the budget trades disk I/O for peak memory, which is what lets the
+// paper's full 500k-row Figure 5 instance run on small machines. Spill
+// activity is observable: Stats carries the run's spilled bytes/partitions,
+// and observers receive per-stage EventSpill events (metrics:
+// affidavit_spill_bytes_total, affidavit_spill_partitions_total).
 func WithMemBudget(n int64) Option { return func(e *Explainer) { e.budget = n } }
 
 // ParseMemBudget parses a human-readable byte size for WithMemBudget: a
@@ -274,11 +273,12 @@ func (e *Explainer) ExplainRenamed(ctx context.Context, source, target *Table) (
 }
 
 // ExplainSources streams two snapshots out of their Sources — interning
-// every record into a shared per-attribute dictionary set the moment it
-// arrives, so neither snapshot is ever materialised as a [][]string — and
-// explains the resulting pair. Explanations are byte-identical to the
-// buffered Explain path on the same data; only the ingest memory profile
-// differs. The observer (if any) sees ingest-progress events per chunk.
+// every record into one shared per-attribute dictionary set the moment it
+// arrives, so neither snapshot is ever materialised as a [][]string and
+// the run shares the stored columns instead of translating them — and
+// explains the resulting pair. Explanations are byte-identical to Explain
+// on the same data; only the interning work differs. The observer (if any)
+// sees ingest-progress events per chunk.
 func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (*Result, error) {
 	ctx, rec := e.traceRun(ctx)
 	// Open both sources and compare schemas BEFORE draining either: a
@@ -306,13 +306,12 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 	for a := range shared {
 		shared[a] = table.NewDict()
 	}
-	ingest := &spill.Stats{}
-	src, err := e.drainSource(ctx, source, srcSchema, shared, "source", ingest)
+	src, err := e.drainSource(ctx, source, srcSchema, shared, "source")
 	if err != nil {
 		target.Close()
 		return nil, err
 	}
-	tgt, err := e.drainSource(ctx, target, tgtSchema, shared, "target", ingest)
+	tgt, err := e.drainSource(ctx, target, tgtSchema, shared, "target")
 	if err != nil {
 		return nil, err
 	}
@@ -324,12 +323,6 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 	if err != nil {
 		return nil, err
 	}
-	// Stats covers every stage this call performed — for a streamed pair
-	// that includes the ingest spill of the two snapshots it drained, so
-	// the one common spill scenario (wide low-distinct data that only
-	// spills chunks) doesn't read as "spilled 0 bytes".
-	res.Stats.SpilledBytes += ingest.Bytes()
-	res.Stats.SpillPartitions += ingest.Partitions()
 	return traced(res, rec), nil
 }
 
@@ -339,10 +332,11 @@ func (e *Explainer) ExplainFiles(ctx context.Context, sourcePath, targetPath str
 	return e.ExplainSources(ctx, CSVFileSource(sourcePath), CSVFileSource(targetPath))
 }
 
-// ReadSource drains a Source into an interned columnar Table — the
+// ReadSource drains a Source into a Table over private dictionaries — the
 // streaming replacement for ReadCSV when the snapshot will be explained
-// later (servers, queues). The observer (if any) sees ingest events
-// labelled "source".
+// later. A snapshot bound for a Session is better read with
+// Session.ReadSource, which interns it once, into the dictionaries the run
+// will use. The observer (if any) sees ingest events labelled "source".
 func (e *Explainer) ReadSource(ctx context.Context, src Source) (*Table, error) {
 	return e.ReadSourceNamed(ctx, src, "source")
 }
@@ -351,12 +345,22 @@ func (e *Explainer) ReadSource(ctx context.Context, src Source) (*Table, error) 
 // the observer's ingest events ("source", "target", …), so multi-snapshot
 // ingest paths report per-role volumes.
 func (e *Explainer) ReadSourceNamed(ctx context.Context, src Source, label string) (*Table, error) {
+	return e.readSource(ctx, src, nil, label)
+}
+
+// readSource opens and drains src into pool's dictionaries for its schema
+// (nil pool = private dictionaries).
+func (e *Explainer) readSource(ctx context.Context, src Source, pool *table.DictPool, label string) (*Table, error) {
 	schema, err := src.Open()
 	if err != nil {
 		src.Close()
 		return nil, err
 	}
-	return e.drainSource(ctx, src, schema, nil, label, nil)
+	var dicts []*table.Dict
+	if pool != nil {
+		dicts = pool.DictsFor(schema)
+	}
+	return e.drainSource(ctx, src, schema, dicts, label)
 }
 
 // ingestChunk is how many records are interned between context checks and
@@ -364,11 +368,10 @@ func (e *Explainer) ReadSourceNamed(ctx context.Context, src Source, label strin
 const ingestChunk = 8192
 
 // drainSource interns every remaining record of an already-opened source
-// into a columnar table. dicts, when non-nil, is the positional dictionary
-// set shared across the snapshots of one pair, so both intern into one
-// code space. acc, when non-nil, accumulates the snapshot's ingest-spill
-// volume (for callers that fold it into a run's Stats).
-func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string, acc *spill.Stats) (*Table, error) {
+// into a table. dicts, when non-nil, is the positional dictionary set the
+// snapshot shares with others (its pair, a session pool), so all intern
+// into one code space.
+func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -376,11 +379,6 @@ func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema,
 	if err != nil {
 		src.Close()
 		return nil, err
-	}
-	var spillSt *spill.Stats
-	if e.so.Spill.Active() {
-		spillSt = &spill.Stats{}
-		b = b.WithSpill(e.so.Spill, spillSt)
 	}
 	sink := e.runSink(ctx)
 	emit := func(complete bool) {
@@ -413,18 +411,6 @@ func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema,
 		return nil, fmt.Errorf("affidavit: closing %s: %w", role, err)
 	}
 	emit(true)
-	if spillSt.Bytes() > 0 {
-		acc.Note(spillSt.Bytes(), int(spillSt.Partitions()))
-		if sink != nil {
-			sink(Event{
-				Kind:       obs.KindSpill,
-				Component:  "ingest",
-				Snapshot:   role,
-				SpillBytes: spillSt.Bytes(),
-				SpillParts: spillSt.Partitions(),
-			})
-		}
-	}
 	return b.Table(), nil
 }
 

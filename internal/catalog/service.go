@@ -416,7 +416,7 @@ func (s *Service) handlePush(w http.ResponseWriter, r *http.Request, name string
 		return
 	}
 	ctx := r.Context()
-	up, tab, hash, err := s.readPush(ctx, r)
+	up, tab, hash, err := s.readPush(ctx, r, name)
 	if err != nil {
 		if ctx.Err() != nil {
 			http.Error(w, "request expired during snapshot ingest", http.StatusServiceUnavailable)
@@ -531,8 +531,11 @@ func (s *Service) writeStepOutcome(w http.ResponseWriter, rec jobs.Record) {
 
 // readPush spools the push body, interns the "snapshot" part and commits
 // its blob; the returned body only serves form values from then on. A
-// rejected push leaves no blob behind.
-func (s *Service) readPush(ctx context.Context, r *http.Request) (*upload.Body, *affidavit.Table, string, error) {
+// rejected push leaves no blob behind. Once the chain has a session the
+// snapshot interns straight into its pool; a first push (and a push that
+// finds the chain re-seeded by the time its step runs) reads into private
+// dictionaries and the step translates them.
+func (s *Service) readPush(ctx context.Context, r *http.Request, name string) (*upload.Body, *affidavit.Table, string, error) {
 	up, err := upload.Spool(r, s.cfg.Jobs.Blobs(), upload.Limits{
 		FieldBytes:    maxFieldBytes,
 		SnapshotBytes: s.cfg.MaxSnapshotBytes,
@@ -542,7 +545,13 @@ func (s *Service) readPush(ctx context.Context, r *http.Request) (*upload.Body, 
 		return nil, nil, "", err
 	}
 	defer up.Discard()
-	tab, err := up.Ingest(ctx, s.cfg.Explainer, "snapshot")
+	read := upload.Reader(s.cfg.Explainer.ReadSourceNamed)
+	s.mu.Lock()
+	if cs := s.chains[name]; cs != nil && cs.sess != nil {
+		read = cs.sess.ReadSource
+	}
+	s.mu.Unlock()
+	tab, err := up.Ingest(ctx, read, "snapshot")
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -698,7 +707,7 @@ func (s *Service) resetChain(table, headID string, head *affidavit.Table, schema
 // ingestBlob re-interns a journaled snapshot upload (the blob is simply
 // absent under an in-memory job store, e.g. after a cancel).
 func (s *Service) ingestBlob(ctx context.Context, hash string) (*affidavit.Table, error) {
-	return upload.IngestBlob(ctx, s.cfg.Explainer, s.cfg.Jobs.Blobs(), hash, "snapshot")
+	return upload.IngestBlob(ctx, s.cfg.Explainer.ReadSourceNamed, s.cfg.Jobs.Blobs(), hash, "snapshot")
 }
 
 func equalSchema(a, b []string) bool {

@@ -54,13 +54,9 @@ func Figure5(ctx context.Context, spec Figure5Spec) ([]ScalePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The search options' memory budget also governs generation: under it
-	// the synthetic snapshots spill cold column chunks while they are
-	// built, so the full 500k-row sweep materialises within the budget.
 	base, err := gen.Generate(tab, gen.Config{
 		Setting: gen.Setting{Eta: 0.3, Tau: 0.3},
 		Seed:    spec.Seed,
-		Spill:   spec.Opts.Spill,
 	})
 	if err != nil {
 		return nil, err

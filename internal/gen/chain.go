@@ -106,7 +106,7 @@ func MakeChain(dataset *table.Table, cfg ChainConfig) (*ChainProblem, error) {
 	noise := int(cfg.Eta * float64(m))
 
 	perm := rng.Perm(n)
-	row := func(i int) table.Record { return filtered.Record(perm[i]).Clone() }
+	row := func(i int) table.Record { return filtered.Record(perm[i]) }
 	// Stable keys ride along inside each record (position d) so deletions
 	// and shuffles keep every record's identity; materialize strips or
 	// rewrites them as configured.
@@ -150,21 +150,33 @@ func MakeChain(dataset *table.Table, cfg ChainConfig) (*ChainProblem, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every snapshot of the chain interns into one dictionary set: most
+	// values recur from step to step, so only a step's novel values grow it.
+	shared := make([]*table.Dict, schema.Len())
+	for a := range shared {
+		shared[a] = table.NewDict()
+	}
 	materialize := func(rows []table.Record) (*table.Table, error) {
 		order := rng.Perm(len(rows))
 		var keys []int
 		if cfg.PermuteKeys {
 			keys = rng.Perm(len(rows))
 		}
-		out := make([]table.Record, len(rows))
-		for i, j := range order {
-			r := rows[j].Clone()
-			if cfg.PermuteKeys {
-				r[d] = fmt.Sprintf("%d", keys[j])
-			}
-			out[i] = r
+		b, err := table.NewBuilder(schema, shared)
+		if err != nil {
+			return nil, err
 		}
-		return table.FromRows(schema, out)
+		rec := make(table.Record, d+1)
+		for _, j := range order {
+			copy(rec, rows[j])
+			if cfg.PermuteKeys {
+				rec[d] = fmt.Sprintf("%d", keys[j])
+			}
+			if err := b.Append(rec); err != nil {
+				return nil, err
+			}
+		}
+		return b.Table(), nil
 	}
 
 	p := &ChainProblem{

@@ -13,7 +13,6 @@ import (
 
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
-	"affidavit/internal/spill"
 	"affidavit/internal/table"
 )
 
@@ -45,11 +44,6 @@ type Config struct {
 	MaxDistinctRatio float64
 	// KeyAttr names the artificial primary-key attribute. Default "rid".
 	KeyAttr string
-	// Spill, when active, builds the snapshots under its memory budget:
-	// the generated tables page cold code chunks to the manager's temp
-	// file, so full-size Figure 5 instances materialise without holding
-	// both snapshots' columns resident. Generated values are identical.
-	Spill *spill.Manager
 }
 
 // Problem is a generated instance plus its ground truth.
@@ -187,10 +181,9 @@ func Generate(dataset *table.Table, cfg Config) (*Problem, error) {
 }
 
 // realize builds snapshots, instance and reference explanation from a
-// blueprint. Snapshots are streamed position by position into columnar
-// builders (optionally spilling under cfg.Spill) — record values are
-// decoded from the filtered dataset on the fly, so no row-tuple copy of
-// either snapshot ever exists.
+// blueprint. Snapshots are streamed position by position into builders —
+// record values are decoded from the filtered dataset on the fly, so no
+// row-tuple copy of either snapshot ever exists.
 func (bp *blueprint) realize(rng *rand.Rand) (*Problem, error) {
 	d := bp.schema().Len()
 	nCore := len(bp.core)
@@ -256,9 +249,6 @@ func (bp *blueprint) realize(rng *rand.Rand) (*Problem, error) {
 		b, err := table.NewBuilder(schema, shared)
 		if err != nil {
 			return nil, err
-		}
-		if bp.cfg.Spill.Active() {
-			b = b.WithSpill(bp.cfg.Spill, nil)
 		}
 		rec := make(table.Record, d+1)
 		for pos := 0; pos < n; pos++ {

@@ -244,21 +244,7 @@ type Result struct {
 // converted like an ordinary end state — and returns that explanation with
 // Stats.Cancelled set and a nil error. Callers that must distinguish
 // complete from interrupted results check Stats.Cancelled.
-func Run(ctx context.Context, inst *delta.Instance, opts Options) (res *Result, err error) {
-	// Spilled tables cannot surface read errors through the table accessor
-	// signatures, so a failed spill-file read arrives as a *spill.ReadError
-	// panic. Every such read in a run happens on this goroutine (probes only
-	// touch the in-memory coded columns), so containing it here turns a
-	// disk fault into a failed run instead of a dead process.
-	defer func() {
-		if p := recover(); p != nil {
-			re, ok := p.(*spill.ReadError)
-			if !ok {
-				panic(p)
-			}
-			res, err = nil, fmt.Errorf("search: %w", re)
-		}
-	}()
+func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,13 +1,12 @@
 // Package spill is the out-of-core substrate of the explain pipeline: a
-// process-wide memory budget (Manager), per-run spill accounting (Stats),
-// a chunked int32 column that pages cold chunks to a temp file (Ints), and
-// a fixed-record partition pager (Pager) backing the disk-partitioned modes
-// of align's overlap index and delta's matching.
+// process-wide memory budget (Manager), per-run spill accounting (Stats)
+// and a fixed-record partition pager (Pager) backing the disk-partitioned
+// modes of align's overlap index and delta's matching.
 //
 // The budget is a soft, advisory bound on the *auxiliary* memory of one
-// explanation — ingest column chunks, the overlap index, the matching's
-// index — not a hard process limit: the instance's interned code columns
-// and the search's blocking results stay resident. Consumers estimate the
+// explanation — the overlap index and the matching's index — not a hard
+// process limit: snapshots (interned code columns, 4 bytes per cell) and
+// the search's blocking results stay resident. Consumers estimate the
 // in-memory cost of an operation up front and partition it through disk
 // when the estimate exceeds their share of the budget; results are
 // byte-identical either way, only the memory/IO profile differs.
@@ -18,22 +17,17 @@
 package spill
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Shares split the budget across the pipeline's three memory consumers.
+// Shares split the budget across the pipeline's two memory consumers.
 // They are deliberately coarse: the point is that no single subsystem can
 // claim the whole budget, not a precise accounting.
 const (
-	// tableShareDiv: resident cold column chunks may hold budget/2 bytes
-	// across all live tables before new chunks spill.
-	tableShareDiv = 2
 	// groupShareDiv: the overlap index's group tables may be estimated at
 	// budget/4 bytes before it groups through disk partitions.
 	groupShareDiv = 4
@@ -46,23 +40,13 @@ const (
 // this, per-partition buffers dominate and seek locality degrades.
 const maxPartitions = 64
 
-// Manager carries one memory budget plus the shared spill file cold column
-// chunks are written to. The zero budget (or a nil manager) disables
-// spilling entirely: every Should* probe answers false and no file is ever
-// created. Managers are safe for concurrent use and typically live as long
-// as their Explainer.
+// Manager carries one memory budget. The zero budget (or a nil manager)
+// disables spilling entirely: every Should* probe answers false and no file
+// is ever created. Managers are immutable, safe for concurrent use and
+// typically live as long as their Explainer.
 type Manager struct {
 	budget int64
 	dir    string
-
-	// chunkResident tracks resident cold-chunk bytes across every Ints of
-	// this manager; chunks completed past the table share spill.
-	chunkResident atomic.Int64
-
-	// mu guards lazy creation of and appends to the shared chunk file.
-	mu       sync.Mutex
-	chunks   *os.File
-	chunkOff int64
 }
 
 // NewManager returns a manager enforcing the given budget in bytes under
@@ -137,68 +121,8 @@ func (m *Manager) tempFile(pattern string) (*os.File, error) {
 	return f, nil
 }
 
-// reserveChunk accounts one completed resident chunk. It reports false —
-// the chunk should spill — when keeping it resident would push the
-// manager's cold-chunk total past the table share.
-func (m *Manager) reserveChunk(bytes int64) bool {
-	if !m.Active() {
-		return true
-	}
-	share := m.budget / tableShareDiv
-	for {
-		cur := m.chunkResident.Load()
-		if cur+bytes > share {
-			return false
-		}
-		if m.chunkResident.CompareAndSwap(cur, cur+bytes) {
-			return true
-		}
-	}
-}
-
-// releaseChunks returns resident bytes to the table share (used by the
-// Ints finalizer when a spilled table is collected).
-func (m *Manager) releaseChunks(bytes int64) {
-	if m.Active() && bytes > 0 {
-		m.chunkResident.Add(-bytes)
-	}
-}
-
-// writeChunk appends raw bytes to the shared chunk file and returns their
-// offset. Appends from concurrent builders serialise on the manager lock;
-// reads go through ReadAt and need no lock.
-func (m *Manager) writeChunk(b []byte) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.chunks == nil {
-		f, err := m.tempFile("affidavit-chunks-*")
-		if err != nil {
-			return 0, err
-		}
-		m.chunks = f
-	}
-	off := m.chunkOff
-	if _, err := m.chunks.WriteAt(b, off); err != nil {
-		return 0, err
-	}
-	m.chunkOff += int64(len(b))
-	return off, nil
-}
-
-// readChunk reads a chunk back from the shared file.
-func (m *Manager) readChunk(b []byte, off int64) error {
-	m.mu.Lock()
-	f := m.chunks
-	m.mu.Unlock()
-	if f == nil {
-		return fmt.Errorf("spill: no chunk file")
-	}
-	_, err := f.ReadAt(b, off)
-	return err
-}
-
-// Stats counts one scope's spill activity — a run, a snapshot ingest —
-// with atomic counters, so concurrent probes and builders report into one
+// Stats counts one scope's spill activity (a run's overlap index, its
+// conversion) with atomic counters, so concurrent probes report into one
 // place. The nil *Stats discards.
 type Stats struct {
 	bytes atomic.Int64
@@ -279,18 +203,4 @@ func FormatSize(n int64) string {
 		return fmt.Sprintf("%dKiB", n>>10)
 	}
 	return strconv.FormatInt(n, 10)
-}
-
-// putInt32s encodes codes little-endian into b (len(b) ≥ 4·len(codes)).
-func putInt32s(b []byte, codes []int32) {
-	for i, c := range codes {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(c))
-	}
-}
-
-// getInt32s decodes len(dst) codes from b.
-func getInt32s(dst []int32, b []byte) {
-	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
 }

@@ -3,7 +3,6 @@ package spill
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -47,65 +46,6 @@ func TestFormatSizeRoundTrips(t *testing.T) {
 			t.Errorf("ParseSize(FormatSize(%d)) = %d, %v", n, got, err)
 		}
 	}
-}
-
-// TestIntsSpillsAndReadsBack drives a column past the table share so cold
-// chunks hit disk, then checks every access path returns the appended
-// sequence.
-func TestIntsSpillsAndReadsBack(t *testing.T) {
-	m := NewManager(4*chunkBytes, t.TempDir()) // share = 2 chunks resident
-	st := &Stats{}
-	c := m.NewInts(st)
-	const n = 7*chunkLen + 123
-	for i := 0; i < n; i++ {
-		c.Append(int32(i * 3))
-	}
-	if c.Len() != n {
-		t.Fatalf("Len = %d, want %d", c.Len(), n)
-	}
-	if st.Bytes() == 0 {
-		t.Fatal("no chunks spilled despite a 2-chunk share")
-	}
-	got := c.AppendTo(nil)
-	if len(got) != n {
-		t.Fatalf("AppendTo len = %d, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != int32(i*3) {
-			t.Fatalf("AppendTo[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-	// Random access across chunk boundaries, including the tail.
-	for _, i := range []int{0, 1, chunkLen - 1, chunkLen, 3*chunkLen + 7, n - 1} {
-		if v := c.At(i); v != int32(i*3) {
-			t.Fatalf("At(%d) = %d, want %d", i, v, i*3)
-		}
-	}
-}
-
-// TestIntsConcurrentReads exercises the page cache under -race.
-func TestIntsConcurrentReads(t *testing.T) {
-	m := NewManager(chunkBytes, t.TempDir())
-	c := m.NewInts(nil)
-	const n = 5 * chunkLen
-	for i := 0; i < n; i++ {
-		c.Append(int32(i))
-	}
-	c.Freeze()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += 4 {
-				if v := c.At(i); v != int32(i) {
-					t.Errorf("At(%d) = %d", i, v)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestPagerRoundTrips(t *testing.T) {
@@ -153,35 +93,6 @@ func TestPagerRoundTrips(t *testing.T) {
 	if total != recs {
 		t.Fatalf("replayed %d records, want %d", total, recs)
 	}
-}
-
-// TestIntsReadErrorPanicsTyped: a failed chunk read panics with a
-// *ReadError — the typed value search.Run's containment boundary keys on
-// — never with a bare string.
-func TestIntsReadErrorPanicsTyped(t *testing.T) {
-	m := NewManager(1, t.TempDir()) // 1-byte budget: every chunk spills
-	c := m.NewInts(nil)
-	for i := 0; i < 2*chunkLen; i++ {
-		c.Append(int32(i))
-	}
-	// Sabotage the backing file; the next cold read must fail.
-	m.mu.Lock()
-	m.chunks.Close()
-	m.mu.Unlock()
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("read from a closed spill file did not panic")
-		}
-		re, ok := p.(*ReadError)
-		if !ok {
-			t.Fatalf("panic value is %T, want *ReadError", p)
-		}
-		if re.Unwrap() == nil {
-			t.Fatal("ReadError carries no cause")
-		}
-	}()
-	c.At(0)
 }
 
 func TestManagerSizing(t *testing.T) {

@@ -7,30 +7,37 @@ import (
 	"os"
 )
 
-// ReadCSV parses a table from CSV. The first row is the header and becomes
-// the schema. Rows must be rectangular.
+// ReadCSV parses a table from CSV, interning row by row. The first row is
+// the header and becomes the schema. Rows must be rectangular.
 func ReadCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validate ourselves for a better message
-	rows, err := cr.ReadAll()
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("table: csv has no header row")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("table: reading csv: %w", err)
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("table: csv has no header row")
-	}
-	schema, err := NewSchema(rows[0]...)
+	schema, err := NewSchema(header...)
 	if err != nil {
 		return nil, err
 	}
 	t := New(schema)
-	for i, row := range rows[1:] {
-		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("table: csv row %d has %d fields, header has %d", i+2, len(row), schema.Len())
+	for {
+		row, err := cr.Read()
+		if err == io.EOF {
+			return t, nil
 		}
-		t.records = append(t.records, Record(row).Clone())
+		if err != nil {
+			return nil, fmt.Errorf("table: reading csv: %w", err)
+		}
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("table: csv row %d has %d fields, header has %d", t.n+2, len(row), schema.Len())
+		}
+		t.intern(row)
 	}
-	return t, nil
 }
 
 // ReadCSVFile parses a table from the CSV file at path.
@@ -49,8 +56,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(t.schema.attrs); err != nil {
 		return err
 	}
-	for i, n := 0, t.Len(); i < n; i++ {
-		if err := cw.Write(t.Record(i)); err != nil {
+	rec := make(Record, len(t.cols))
+	for i := 0; i < t.n; i++ {
+		if err := cw.Write(t.decode(rec, i)); err != nil {
 			return err
 		}
 	}

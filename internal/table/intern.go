@@ -80,23 +80,30 @@ func (d *Dict) Snapshot() []string {
 	return v
 }
 
-// CodeColumn interns attribute a's values into d and returns them as a code
-// column in record order. Passing the same Dict for the corresponding
-// attribute of two snapshots puts both columns in one shared code space, so
-// cross-snapshot equality is code equality. A columnar table whose backing
-// dictionary for a IS d short-circuits: its stored codes are already the
-// answer, so streamed-in snapshots are never re-interned.
+// CodeColumn returns attribute a's values as a code column of d in record
+// order. Passing the same Dict for the corresponding attribute of two
+// snapshots puts both columns in one shared code space, so cross-snapshot
+// equality is code equality. When d IS the table's own dictionary for a,
+// the result is the stored column itself — capacity-clamped and read-only:
+// callers must not write it — so a snapshot ingested into the dictionaries
+// it is explained over is interned exactly once. Otherwise the stored codes
+// are translated through a remap filled on first appearance in record
+// order: d interns each distinct value present once, in that order.
 func (t *Table) CodeColumn(a int, d *Dict) []int32 {
-	if t.columnar() && t.dicts[a] == d {
-		if t.spilled() {
-			return t.scols[a].AppendTo(make([]int32, 0, t.clen))
-		}
-		return append([]int32(nil), t.cols[a]...)
+	if t.dicts[a] == d {
+		return t.cols[a][:t.n:t.n]
 	}
-	n := t.Len()
-	col := make([]int32, n)
-	for i := 0; i < n; i++ {
-		col[i] = d.Code(t.Value(i, a))
+	view := t.views[a]
+	remap := make([]int32, len(view))
+	for i := range remap {
+		remap[i] = -1
+	}
+	col := make([]int32, t.n)
+	for i, c := range t.cols[a] {
+		if remap[c] < 0 {
+			remap[c] = d.Code(view[c])
+		}
+		col[i] = remap[c]
 	}
 	return col
 }

@@ -1,18 +1,12 @@
 package table
 
-import (
-	"fmt"
+import "fmt"
 
-	"affidavit/internal/spill"
-)
-
-// Builder assembles a columnar table incrementally: every appended record
-// is interned into the per-attribute dictionaries the moment it arrives and
-// stored as int32 codes, so a snapshot streamed in from a reader never
-// exists as a [][]string. This is the ingest side of the interned columnar
-// backend — feeding source and target through builders sharing one
-// dictionary set puts both snapshots in a common code space before the
-// search even starts.
+// Builder assembles a table incrementally over a caller-chosen dictionary
+// set: feeding source and target through builders sharing one set (or a
+// DictPool's DictsFor) puts both snapshots in a common code space before
+// the search even starts, so Instance.Coded shares their stored columns
+// instead of translating them.
 type Builder struct {
 	t    *Table
 	done bool
@@ -23,10 +17,7 @@ type Builder struct {
 // snapshot pair, or a DictPool's DictsFor); nil creates fresh dictionaries.
 func NewBuilder(s *Schema, dicts []*Dict) (*Builder, error) {
 	if dicts == nil {
-		dicts = make([]*Dict, s.Len())
-		for a := range dicts {
-			dicts[a] = NewDict()
-		}
+		return &Builder{t: New(s)}, nil
 	}
 	if len(dicts) != s.Len() {
 		return nil, fmt.Errorf("table: got %d dictionaries, schema has %d attributes", len(dicts), s.Len())
@@ -36,35 +27,7 @@ func NewBuilder(s *Schema, dicts []*Dict) (*Builder, error) {
 			return nil, fmt.Errorf("table: dictionary for attribute %d is nil", a)
 		}
 	}
-	t := New(s)
-	t.cols = make([][]int32, s.Len())
-	t.dicts = dicts
-	t.views = make([][]string, s.Len())
-	for a, d := range dicts {
-		t.views[a] = d.Snapshot()
-	}
-	return &Builder{t: t}, nil
-}
-
-// WithSpill rebacks the builder's code columns with spillable chunked
-// columns governed by m: once the manager's table share is full, completed
-// chunks page out to its temp file and back on demand, bounding the
-// resident cost of arbitrarily long snapshots. st (which may be nil)
-// accumulates the spilled volume. Must be called before the first Append;
-// an inactive manager leaves the builder unchanged.
-func (b *Builder) WithSpill(m *spill.Manager, st *spill.Stats) *Builder {
-	if !m.Active() {
-		return b
-	}
-	if b.done || b.t.Len() > 0 {
-		panic("table: WithSpill after Append")
-	}
-	b.t.cols = nil
-	b.t.scols = make([]*spill.Ints, b.t.schema.Len())
-	for a := range b.t.scols {
-		b.t.scols[a] = m.NewInts(st)
-	}
-	return b
+	return &Builder{t: newTable(s, dicts)}, nil
 }
 
 // Append interns one record. The record is consumed by value — the builder
@@ -79,8 +42,8 @@ func (b *Builder) Append(r Record) error {
 // Len returns the number of records appended so far.
 func (b *Builder) Len() int { return b.t.Len() }
 
-// Table finishes the build and returns the columnar table. The builder
-// must not be appended to afterwards.
+// Table finishes the build and returns the table. The builder must not be
+// appended to afterwards.
 func (b *Builder) Table() *Table {
 	b.done = true
 	return b.t

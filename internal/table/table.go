@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strings"
 
-	"affidavit/internal/spill"
 	"affidavit/internal/value"
 )
 
@@ -101,8 +100,9 @@ func (s *Schema) WithoutAttrs(drop map[int]bool) (*Schema, []int) {
 	return ns, old
 }
 
-// Record is one value tuple. Records are value types; helpers copy rather
-// than alias unless documented otherwise.
+// Record is one value tuple. Records are value types: tables intern what
+// they are given and decode fresh tuples on the way out, so a Record never
+// aliases table storage.
 type Record []string
 
 // Clone returns a deep copy of the record.
@@ -142,61 +142,41 @@ func (r Record) Project(cols []int) Record {
 	return p
 }
 
-// Table is a snapshot: a schema plus a multiset of records. Tables have two
-// interchangeable backings:
-//
-//   - Row backing: records are stored as string tuples (FromRows, ReadCSV).
-//   - Columnar backing: every value is interned into a per-attribute Dict the
-//     moment it is appended, and records are stored as dense int32 code
-//     columns (NewBuilder). A snapshot streamed in chunk-by-chunk therefore
-//     never exists as a [][]string — memory is bounded by the number of
-//     *distinct* values plus 4 bytes per cell.
-//
-// Both backings serve the same accessors and produce identical explanations;
-// only the memory layout and the interning work differ.
-//
-// A columnar table built under a memory budget (Builder.WithSpill) stores
-// its code columns as spillable chunked columns instead of plain slices:
-// cold chunks page out to the budget manager's temp file and back on
-// demand, so a snapshot's resident cost drops to the dictionary plus the
-// budget's table share. Accessors and explanations are unchanged.
+// Table is a snapshot: a schema plus a multiset of records (Def. 3.1). It
+// has one representation: every value is interned into a per-attribute
+// Dict the moment it is appended and records are stored as dense in-memory
+// int32 code columns, so a snapshot costs its distinct values plus 4 bytes
+// per cell and never exists as a [][]string. Tables built over the same
+// dictionaries (NewBuilder, DictPool.DictsFor) share one code space.
 type Table struct {
-	schema  *Schema
-	records []Record // row backing; nil when columnar
-
-	// Columnar backing. cols[a][i] is the code of record i's value of
-	// attribute a in dicts[a]; views[a] is a lock-free snapshot of dicts[a]'s
-	// value table covering every code stored in cols[a]; clen is the record
-	// count (kept separately so zero-attribute tables still know their size).
-	// Under a memory budget scols[a] replaces cols[a].
-	cols  [][]int32
-	scols []*spill.Ints
+	schema *Schema
+	// cols[a][i] is the code of record i's value of attribute a in dicts[a];
+	// views[a] is a lock-free snapshot of dicts[a]'s value table covering
+	// every code stored in cols[a]; n is the record count (kept separately
+	// so zero-attribute tables still know their size).
 	dicts []*Dict
 	views [][]string
-	clen  int
+	cols  [][]int32
+	n     int
 }
 
-// columnar reports whether the table uses the interned columnar backing.
-func (t *Table) columnar() bool { return t.dicts != nil }
-
-// spilled reports whether the columnar backing is spillable.
-func (t *Table) spilled() bool { return t.scols != nil }
-
-// Spilled reports whether the table's code columns live behind a spillable
-// chunked store (Builder.WithSpill) rather than plain in-memory slices.
-func (t *Table) Spilled() bool { return t.spilled() }
-
-// code returns the stored code of record i, attribute a (columnar only).
-func (t *Table) code(i, a int) int32 {
-	if t.spilled() {
-		return t.scols[a].At(i)
-	}
-	return t.cols[a][i]
-}
-
-// New creates an empty table under the given schema.
+// New creates an empty table under the given schema, interning into fresh
+// dictionaries.
 func New(s *Schema) *Table {
-	return &Table{schema: s}
+	dicts := make([]*Dict, s.Len())
+	for a := range dicts {
+		dicts[a] = NewDict()
+	}
+	return newTable(s, dicts)
+}
+
+// newTable creates an empty table interning into the given dictionaries.
+func newTable(s *Schema, dicts []*Dict) *Table {
+	t := &Table{schema: s, dicts: dicts, views: make([][]string, len(dicts)), cols: make([][]int32, len(dicts))}
+	for a, d := range dicts {
+		t.views[a] = d.Snapshot()
+	}
+	return t
 }
 
 // FromRows builds a table from a schema and rows, validating widths.
@@ -206,7 +186,7 @@ func FromRows(s *Schema, rows []Record) (*Table, error) {
 		if len(r) != s.Len() {
 			return nil, fmt.Errorf("table: row %d has %d values, schema has %d attributes", i, len(r), s.Len())
 		}
-		t.records = append(t.records, r.Clone())
+		t.intern(r)
 	}
 	return t, nil
 }
@@ -224,186 +204,90 @@ func MustFromRows(s *Schema, rows []Record) *Table {
 func (t *Table) Schema() *Schema { return t.schema }
 
 // Len returns the number of records.
-func (t *Table) Len() int {
-	if t.columnar() {
-		return t.clen
-	}
-	return len(t.records)
+func (t *Table) Len() int { return t.n }
+
+// Record decodes record i into a fresh tuple, safe to hold and mutate.
+func (t *Table) Record(i int) Record {
+	return t.decode(make(Record, len(t.cols)), i)
 }
 
-// Record returns record i. For row-backed tables it aliases the stored
-// tuple and callers must not mutate it; for columnar tables it decodes a
-// fresh tuple per call (same values, safe to hold).
-func (t *Table) Record(i int) Record {
-	if t.columnar() {
-		r := make(Record, len(t.views))
-		for a := range t.views {
-			r[a] = t.views[a][t.code(i, a)]
-		}
-		return r
+// decode fills r (len = attribute count) with record i's values.
+func (t *Table) decode(r Record, i int) Record {
+	for a, col := range t.cols {
+		r[a] = t.views[a][col[i]]
 	}
-	return t.records[i]
+	return r
 }
 
 // Value returns the value of attribute a in record i.
-func (t *Table) Value(i, a int) string {
-	if t.columnar() {
-		return t.views[a][t.code(i, a)]
-	}
-	return t.records[i][a]
-}
+func (t *Table) Value(i, a int) string { return t.views[a][t.cols[a][i]] }
 
-// Append adds a record (validated against the schema). On a columnar table
-// the values are interned immediately.
+// Append interns one record (validated against the schema). The record is
+// consumed by value — the table keeps no reference to it.
 func (t *Table) Append(r Record) error {
 	if len(r) != t.schema.Len() {
 		return fmt.Errorf("table: record has %d values, schema has %d attributes", len(r), t.schema.Len())
 	}
-	if t.columnar() {
-		t.appendCoded(r)
-		return nil
-	}
-	t.records = append(t.records, r.Clone())
+	t.intern(r)
 	return nil
 }
 
-// appendCoded interns one record into the columnar backing.
-func (t *Table) appendCoded(r Record) {
+// intern appends one record of the schema's width.
+func (t *Table) intern(r Record) {
 	for a, v := range r {
 		c := t.dicts[a].Code(v)
 		if int(c) >= len(t.views[a]) {
 			t.views[a] = t.dicts[a].Snapshot()
 		}
-		if t.spilled() {
-			t.scols[a].Append(c)
-		} else {
-			t.cols[a] = append(t.cols[a], c)
-		}
+		t.cols[a] = append(t.cols[a], c)
 	}
-	t.clen++
+	t.n++
 }
 
-// Clone returns a deep copy of the table. Columnar clones copy the code
-// columns and share the (append-only) dictionaries; a spilled table's
-// clone materialises the columns in memory — cloning is a small-table
-// operation, spilling an ingest-time one.
+// Clone returns a copy of the table: the code columns are copied, the
+// (append-only) dictionaries shared.
 func (t *Table) Clone() *Table {
-	if t.columnar() {
-		c := New(t.schema)
-		c.cols = make([][]int32, t.schema.Len())
-		for a := range c.cols {
-			if t.spilled() {
-				c.cols[a] = t.scols[a].AppendTo(make([]int32, 0, t.clen))
-			} else {
-				c.cols[a] = append([]int32(nil), t.cols[a]...)
-			}
-		}
-		c.dicts = append([]*Dict(nil), t.dicts...)
-		c.views = append([][]string(nil), t.views...)
-		c.clen = t.clen
-		return c
+	c := *t
+	c.views = append([][]string(nil), t.views...)
+	c.cols = make([][]int32, len(t.cols))
+	for a, col := range t.cols {
+		c.cols[a] = append([]int32(nil), col...)
 	}
-	c := New(t.schema)
-	c.records = make([]Record, len(t.records))
-	for i, r := range t.records {
-		c.records[i] = r.Clone()
-	}
-	return c
+	return &c
 }
 
 // Select returns a new table containing the records at the given indices
-// (records are copied; columnar tables stay columnar).
+// (copied; the dictionaries are shared).
 func (t *Table) Select(idx []int) *Table {
-	if t.columnar() {
-		c := New(t.schema)
-		c.cols = make([][]int32, t.schema.Len())
-		for a := range c.cols {
-			sel := make([]int32, len(idx))
-			for i, j := range idx {
-				sel[i] = t.code(j, a)
-			}
-			c.cols[a] = sel
+	c := *t
+	c.n = len(idx)
+	c.views = append([][]string(nil), t.views...)
+	c.cols = make([][]int32, len(t.cols))
+	for a, col := range t.cols {
+		sel := make([]int32, len(idx))
+		for i, j := range idx {
+			sel[i] = col[j]
 		}
-		c.dicts = append([]*Dict(nil), t.dicts...)
-		c.views = append([][]string(nil), t.views...)
-		c.clen = len(idx)
-		return c
+		c.cols[a] = sel
 	}
-	c := New(t.schema)
-	c.records = make([]Record, len(idx))
-	for i, j := range idx {
-		c.records[i] = t.records[j].Clone()
-	}
-	return c
-}
-
-// Column returns a copy of attribute a's values in record order.
-func (t *Table) Column(a int) []string {
-	n := t.Len()
-	col := make([]string, n)
-	for i := 0; i < n; i++ {
-		col[i] = t.Value(i, a)
-	}
-	return col
+	return &c
 }
 
 // DropAttrs returns a new table without the attributes at the given
-// positions. A columnar table stays columnar: the surviving code columns
-// are shared read-only views (capacity-clamped, so appending to the
-// projection can never write into the original), which keeps the
-// projection O(d) instead of re-materialising every record — the
-// difference between a cheap filter and hundreds of megabytes on the
-// Figure 5 input. Spilled columns are shared too and frozen against
-// further appends.
+// positions. The surviving code columns are shared read-only views
+// (capacity-clamped, so appending to either table can never write into the
+// other's records), which keeps the projection O(d) instead of
+// re-materialising every record — the difference between a cheap filter
+// and hundreds of megabytes on the Figure 5 input.
 func (t *Table) DropAttrs(drop map[int]bool) *Table {
 	ns, old := t.schema.WithoutAttrs(drop)
-	c := New(ns)
-	if t.columnar() {
-		c.dicts = make([]*Dict, len(old))
-		c.views = make([][]string, len(old))
-		c.clen = t.clen
-		if t.spilled() {
-			c.scols = make([]*spill.Ints, len(old))
-		} else {
-			c.cols = make([][]int32, len(old))
-		}
-		for i, a := range old {
-			c.dicts[i] = t.dicts[a]
-			c.views[i] = t.views[a]
-			if t.spilled() {
-				t.scols[a].Freeze()
-				c.scols[i] = t.scols[a]
-			} else {
-				col := t.cols[a]
-				c.cols[i] = col[:len(col):len(col)]
-			}
-		}
-		return c
-	}
-	n := t.Len()
-	c.records = make([]Record, n)
-	for i := 0; i < n; i++ {
-		c.records[i] = t.Record(i).Project(old)
+	c := &Table{schema: ns, n: t.n, dicts: make([]*Dict, len(old)), views: make([][]string, len(old)), cols: make([][]int32, len(old))}
+	for i, a := range old {
+		c.dicts[i] = t.dicts[a]
+		c.views[i] = t.views[a]
+		c.cols[i] = t.cols[a][:t.n:t.n]
 	}
 	return c
-}
-
-// WithColumn returns a new table with one attribute appended whose value in
-// record i is col[i]. len(col) must equal t.Len().
-func (t *Table) WithColumn(name string, col []string) (*Table, error) {
-	if len(col) != t.Len() {
-		return nil, fmt.Errorf("table: column has %d values, table has %d records", len(col), t.Len())
-	}
-	ns, err := t.schema.WithAttr(name)
-	if err != nil {
-		return nil, err
-	}
-	c := New(ns)
-	c.records = make([]Record, t.Len())
-	for i := range c.records {
-		c.records[i] = append(t.Record(i).Clone(), col[i])
-	}
-	return c, nil
 }
 
 // ColumnStats summarises one attribute, driving both the generator's domain
@@ -417,19 +301,25 @@ type ColumnStats struct {
 	DistinctRatio float64
 }
 
-// Stats computes ColumnStats for attribute a.
+// Stats computes ColumnStats for attribute a. Distinct counts the values
+// present in the column, not everything a shared dictionary holds.
 func (t *Table) Stats(a int) ColumnStats {
 	st := ColumnStats{Attr: t.schema.Attr(a), NumericAll: true, CanonicalAll: true}
-	seen := make(map[string]bool)
-	for i, n := 0, t.Len(); i < n; i++ {
-		v := t.Value(i, a)
-		if !seen[v] {
-			seen[v] = true
+	view := t.views[a]
+	seen := make([]bool, len(view))
+	for _, c := range t.cols[a] {
+		v := view[c]
+		if v != "" {
+			st.NonEmpty++
 		}
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		st.Distinct++
 		if v == "" {
 			continue
 		}
-		st.NonEmpty++
 		if !value.IsNumeric(v) {
 			st.NumericAll = false
 			st.CanonicalAll = false
@@ -437,24 +327,14 @@ func (t *Table) Stats(a int) ColumnStats {
 			st.CanonicalAll = false
 		}
 	}
-	st.Distinct = len(seen)
-	if t.Len() > 0 {
-		st.DistinctRatio = float64(st.Distinct) / float64(t.Len())
+	if t.n > 0 {
+		st.DistinctRatio = float64(st.Distinct) / float64(t.n)
 	}
 	if st.NonEmpty == 0 {
 		st.NumericAll = false
 		st.CanonicalAll = false
 	}
 	return st
-}
-
-// AllStats computes stats for every attribute.
-func (t *Table) AllStats() []ColumnStats {
-	out := make([]ColumnStats, t.schema.Len())
-	for a := range out {
-		out[a] = t.Stats(a)
-	}
-	return out
 }
 
 // String renders a compact preview (schema plus up to 8 rows) for debugging.

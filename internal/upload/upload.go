@@ -5,7 +5,10 @@
 // memory — and collects the small form values; the handler then knows the
 // content hashes and decides whether the snapshots need interning at all.
 // Ingest interns one from its spool; IngestBlob re-interns a stored blob
-// for a job replayed without its submitter.
+// for a job replayed without its submitter. Both intern through a Reader:
+// the session's ReadSource when the snapshot will be explained on that
+// session (interned once, into its pool), Explainer.ReadSourceNamed when no
+// session exists yet.
 package upload
 
 import (
@@ -130,14 +133,18 @@ func (b *Body) Value(key string) string {
 	return b.form[key]
 }
 
+// Reader drains a source into a table, labelling its ingest events:
+// (*affidavit.Session).ReadSource or (*affidavit.Explainer).ReadSourceNamed.
+type Reader func(ctx context.Context, src affidavit.Source, label string) (*affidavit.Table, error)
+
 // Ingest interns the spooled file part name under the record cap. Ingest
 // events go to the observer attached to ctx.
-func (b *Body) Ingest(ctx context.Context, ex *affidavit.Explainer, name string) (*affidavit.Table, error) {
+func (b *Body) Ingest(ctx context.Context, read Reader, name string) (*affidavit.Table, error) {
 	rd, err := b.Files[name].Rewind()
 	if err != nil {
 		return nil, fmt.Errorf("reading %q file: %w", name, err)
 	}
-	tab, err := ex.ReadSourceNamed(ctx, capRecords(affidavit.NewCSVSource(rd), b.lim.Records), name)
+	tab, err := read(ctx, capRecords(affidavit.NewCSVSource(rd), b.lim.Records), name)
 	if err != nil {
 		return nil, fmt.Errorf("reading %q file: %w", name, err)
 	}
@@ -156,13 +163,13 @@ func (b *Body) Discard() {
 // cannot be opened is a transient failure — it may sit on slow or briefly
 // unavailable storage, and a retry with backoff is cheaper than failing a
 // durable job; one that no longer parses is permanent.
-func IngestBlob(ctx context.Context, ex *affidavit.Explainer, blobs *jobs.BlobStore, hash, role string) (*affidavit.Table, error) {
+func IngestBlob(ctx context.Context, read Reader, blobs *jobs.BlobStore, hash, role string) (*affidavit.Table, error) {
 	rc, err := blobs.Open(hash)
 	if err != nil {
 		return nil, jobs.Transient(fmt.Errorf("replaying %s upload: %w", role, err))
 	}
 	defer rc.Close()
-	tab, err := ex.ReadSourceNamed(ctx, affidavit.NewCSVSource(rc), role)
+	tab, err := read(ctx, affidavit.NewCSVSource(rc), role)
 	if err != nil {
 		return nil, fmt.Errorf("re-ingesting %s upload: %w", role, err)
 	}

@@ -103,6 +103,18 @@ func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Res
 	return out, err
 }
 
+// ReadSource drains src into a Table interned straight into the session's
+// dictionary pool, so explaining it on this session shares the stored
+// columns instead of translating them: every value is interned once. label
+// names the snapshot in the observer's ingest events. It does not wait for
+// a run in progress. The pool keeps every value read this way for the
+// session's lifetime, whether or not the table is explained afterwards;
+// explaining the table elsewhere is still correct, it only pays the
+// translation Explainer.ReadSource tables pay.
+func (s *Session) ReadSource(ctx context.Context, src Source, label string) (*Table, error) {
+	return s.ex.readSource(ctx, src, s.inner.Pool(), label)
+}
+
 // PoolStats reports the shared dictionary pool's size: the number of
 // attribute dictionaries and the total interned values across them.
 func (s *Session) PoolStats() (attrs, values int) {

@@ -248,9 +248,9 @@ func TestSpillEventDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpillEquivalenceStreamedIngest covers the third spill stage: under a
-// tiny budget a streamed snapshot pages cold column chunks to disk during
-// ingest, and the explanation still matches the unbudgeted streamed run.
+// TestSpillEquivalenceStreamedIngest: ingest is not a spill stage. Under a
+// tiny budget a streamed pair stays resident — only the conversion spills —
+// and the explanation matches the unbudgeted streamed run.
 func TestSpillEquivalenceStreamedIngest(t *testing.T) {
 	spec, err := datasets.Get("flight-500k")
 	if err != nil {
@@ -286,11 +286,11 @@ func TestSpillEquivalenceStreamedIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !comps.seen["ingest"] {
-		t.Fatalf("spill components %v, want ingest", comps.seen)
+	if comps.seen["ingest"] || !comps.seen["convert"] {
+		t.Fatalf("spill components %v, want convert and no ingest", comps.seen)
 	}
 	if got.Stats.SpilledBytes == 0 {
-		t.Fatal("streamed budgeted run's Stats does not include ingest spill")
+		t.Fatal("streamed budgeted run's Stats does not include the conversion's spill")
 	}
 	wb, gb := explanationBytes(t, want), explanationBytes(t, got)
 	if string(wb) != string(gb) {
