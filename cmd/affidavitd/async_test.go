@@ -276,8 +276,16 @@ func TestJobRestartDurability(t *testing.T) {
 		t.Error("replayed result differs from the sync reference")
 	}
 
-	// A re-submission of the same pair after the "restart" dedupes to
-	// the journaled completed job: no new computation is queued.
+	// A second restart replays the job as completed. A re-submission of
+	// the same pair dedupes to it: no new computation is queued and — the
+	// session being resolved only on a miss — none appears for its table.
+	srv.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv = httptest.NewServer(s.handler())
+	t.Cleanup(srv.Close)
 	code, body := post(t, srv, src, tgt, map[string]string{"table": "t"})
 	if code != http.StatusOK || string(body) != string(want) {
 		t.Fatalf("post-restart re-submission: status %d, identical %v", code, string(body) == string(want))
@@ -287,8 +295,8 @@ func TestJobRestartDurability(t *testing.T) {
 	if err := json.Unmarshal([]byte(stats), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Jobs.DedupeHits != 1 || st.Jobs.Submitted != 0 {
-		t.Errorf("post-restart jobs stats = %+v, want a pure dedupe hit", st.Jobs)
+	if st.Jobs.DedupeHits != 1 || st.Jobs.Submitted != 0 || len(st.Tables) != 0 {
+		t.Errorf("post-restart stats = %+v with sessions %v, want a pure dedupe hit and no session", st.Jobs, st.Tables)
 	}
 }
 

@@ -11,6 +11,7 @@ package datasets
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"affidavit/internal/table"
 )
@@ -154,16 +155,28 @@ type Word struct {
 	Len  int
 }
 
+// words memoises the pseudo-word of a (pool index, length): it is a pure
+// function, and seeding a math/rand source per cell to recompute it was two
+// thirds of BuildRows' CPU. Dataset builds run in parallel, hence sync.Map.
+var words sync.Map // wordKey → string
+
+type wordKey struct{ idx, n int }
+
 func (c Word) Name() string { return c.N }
 func (c Word) Value(rng *rand.Rand) string {
 	// Deterministic word per pool index, lowercase letters.
-	idx := rng.Intn(c.Pool)
-	local := rand.New(rand.NewSource(int64(idx)*2654435761 + int64(c.Len)))
+	k := wordKey{rng.Intn(c.Pool), c.Len}
+	if w, ok := words.Load(k); ok {
+		return w.(string)
+	}
+	local := rand.New(rand.NewSource(int64(k.idx)*2654435761 + int64(c.Len)))
 	b := make([]byte, c.Len)
 	for i := range b {
 		b[i] = byte('a' + local.Intn(26))
 	}
-	return string(b)
+	w := string(b)
+	words.Store(k, w)
+	return w
 }
 
 // Sparse wraps a column, emitting the empty string with probability P.

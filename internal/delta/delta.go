@@ -42,11 +42,12 @@ func NewInstance(source, target *table.Table, metas []metafunc.Meta) (*Instance,
 
 // NewInstanceWithDicts is NewInstance with pre-seeded per-attribute
 // dictionaries (one per schema attribute, typically from a table.DictPool):
-// the coded view interns both snapshots into the given dictionaries, so
-// values already interned by earlier runs keep their codes and are not
-// re-interned. Explanations are unaffected by the pre-seeding — nothing in
-// the pipeline depends on numeric code order — only the interning work
-// changes.
+// the coded view puts both snapshots into the given dictionaries, so
+// values already interned by earlier runs keep their codes, and a snapshot
+// that was built over these very dictionaries is not interned again — the
+// view shares its stored columns. Explanations are unaffected by the
+// pre-seeding — nothing in the pipeline depends on numeric code order —
+// only the interning work changes.
 func NewInstanceWithDicts(source, target *table.Table, metas []metafunc.Meta, dicts []*table.Dict) (*Instance, error) {
 	inst, err := NewInstance(source, target, metas)
 	if err != nil {
@@ -83,7 +84,8 @@ type Coded struct {
 	// attribute-function outputs are interned during the search.
 	Dicts []*table.Dict
 	// Src[a][i] is the code of source record i's value of attribute a;
-	// Tgt likewise for the target snapshot.
+	// Tgt likewise for the target snapshot. Read-only: a column is the
+	// snapshot's own storage when the snapshot was built over Dicts[a].
 	Src, Tgt [][]int32
 	// Base[a] is Dicts[a].Len() right after both raw columns were interned.
 	// Raw snapshot values always have codes < Base[a]; codes ≥ Base[a] are
@@ -101,7 +103,8 @@ type Coded struct {
 }
 
 // Coded returns the interned columnar view, building it on first use. The
-// view is shared: callers must not mutate the snapshots afterwards.
+// view is shared and never written; appending to a snapshot afterwards does
+// not show through it.
 func (in *Instance) Coded() *Coded {
 	in.codedOnce.Do(func() {
 		d := in.NumAttrs()

@@ -265,6 +265,28 @@ func TestNewInstanceWithDicts(t *testing.T) {
 			}
 		}
 	}
+	// The same pair streamed over one shared dictionary set is interned
+	// once, and codes exactly like the translated FromRows pair.
+	shared := table.NewDictPool().DictsFor(inst.Schema())
+	stream := func(tab *table.Table) *table.Table {
+		b, err := table.NewBuilder(tab.Schema(), shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tab.Len(); i++ {
+			if err := b.Append(tab.Record(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Table()
+	}
+	streamed, err := delta.NewInstanceWithDicts(stream(inst.Source), stream(inst.Target), inst.Metas, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc := streamed.Coded(); fmt.Sprint(sc.Base, sc.Present) != fmt.Sprint(fresh.Base, fresh.Present) {
+		t.Errorf("streamed pair codes differently from the FromRows pair:\n%v %v\n%v %v", sc.Base, sc.Present, fresh.Base, fresh.Present)
+	}
 	// Explanations built over the pooled view equal fresh ones.
 	ft := delta.IdentityTuple(pooled.NumAttrs())
 	a, err := delta.Build(pooled, ft)

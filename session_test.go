@@ -3,6 +3,7 @@ package affidavit_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"affidavit"
@@ -109,4 +110,107 @@ func TestSessionExplainBatch(t *testing.T) {
 		}
 		assertSameResults(t, fmt.Sprintf("pair %d", i), results[i], cold)
 	}
+}
+
+// TestSessionReadSourceInternsOnce: a pair read through Session.ReadSource
+// lands in the session's pool — right after both reads the pool holds
+// exactly the pair's distinct values per attribute — and explaining it
+// there, on another session, or from private tables gives the same bytes
+// and the same pool the parent commit's double interning left behind.
+func TestSessionReadSourceInternsOnce(t *testing.T) {
+	src, tgt := figure1Tables(t)
+	ctx := context.Background()
+	ex := newExplainer(t, affidavit.WithSeed(1))
+	read := func(s *affidavit.Session) (*affidavit.Table, *affidavit.Table) {
+		t.Helper()
+		a, err := s.ReadSource(ctx, affidavit.TableSource(src), "source")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.ReadSource(ctx, affidavit.TableSource(tgt), "target")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	explain := func(s *affidavit.Session, a, b *affidavit.Table) string {
+		t.Helper()
+		res, err := s.ExplainPairContext(ctx, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := res.JSON("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 110 = the pair's values plus the function outputs the search
+		// interns, as measured on the parent commit.
+		if attrs, values := s.PoolStats(); attrs != 7 || values != 110 {
+			t.Errorf("pool after the run: %d attrs, %d values, want 7 and 110", attrs, values)
+		}
+		return string(body)
+	}
+	distinct := 0
+	for a := 0; a < src.Schema().Len(); a++ {
+		seen := map[string]bool{}
+		for _, tab := range []*affidavit.Table{src, tgt} {
+			for i := 0; i < tab.Len(); i++ {
+				seen[tab.Value(i, a)] = true
+			}
+		}
+		distinct += len(seen)
+	}
+	pooled := ex.Session(nil)
+	ps, pt := read(pooled)
+	if attrs, values := pooled.PoolStats(); attrs != 7 || values != distinct {
+		t.Fatalf("pool after ReadSource: %d attrs, %d values, want 7 and %d", attrs, values, distinct)
+	}
+	allPooled := explain(pooled, ps, pt)
+	if got := explain(ex.Session(nil), src, tgt); got != allPooled {
+		t.Error("private tables explain differently from pooled ones")
+	}
+	as, at := read(ex.Session(nil))
+	if got := explain(ex.Session(nil), as, at); got != allPooled {
+		t.Error("a pair read on one session explains differently on another")
+	}
+}
+
+// TestSessionReadSourceDuringRun: ReadSource interns into the pool while a
+// chain run holds the session and a pair run reads the same dictionaries;
+// it must not wait for either (the run below cannot finish before the
+// reads return) and must be clean under -race.
+func TestSessionReadSourceDuringRun(t *testing.T) {
+	ch := sessionChain(t, "iris", 2)
+	ctx := context.Background()
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	ex := newExplainer(t, affidavit.WithSeed(31), affidavit.WithObserver(affidavit.ObserverFunc(func(ev affidavit.Event) {
+		if ev.Kind == affidavit.EventSearchStart {
+			started <- struct{}{}
+			<-release
+		}
+	})))
+	s := ex.Session(ch.Snapshots[0])
+	var wg sync.WaitGroup
+	for _, run := range []func() (*affidavit.Result, error){
+		func() (*affidavit.Result, error) { return s.ExplainNextContext(ctx, ch.Snapshots[1]) },
+		func() (*affidavit.Result, error) { return s.ExplainPairContext(ctx, ch.Snapshots[0], ch.Snapshots[2]) },
+	} {
+		wg.Add(1)
+		go func(run func() (*affidavit.Result, error)) {
+			defer wg.Done()
+			if _, err := run(); err != nil {
+				t.Error(err)
+			}
+		}(run)
+	}
+	<-started
+	<-started
+	for _, snap := range ch.Snapshots {
+		tab, err := s.ReadSource(ctx, affidavit.TableSource(snap), "snapshot")
+		if err != nil || tab.Len() != snap.Len() {
+			t.Fatalf("ReadSource during a run: %v", err)
+		}
+	}
+	close(release)
+	wg.Wait()
 }
