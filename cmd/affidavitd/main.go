@@ -102,9 +102,10 @@
 //	               guard at ingest (default 10M)
 //	-max-snapshot  cap on each snapshot's raw bytes, in MiB —
 //	               catches few-records-huge-fields bodies (default 1024)
-//	-mem-budget    approximate per-run memory budget (e.g. 256MiB): cold
-//	               column chunks, blocking group tables and conversion key
-//	               maps spill to temp files instead of growing the heap;
+//	-mem-budget    approximate per-run budget (e.g. 256MiB) for auxiliary
+//	               memory: the overlap index and the conversion's matching
+//	               partition through temp files instead of growing the
+//	               heap, while snapshots stay resident at 4 B per cell;
 //	               explanations are unchanged, /stats and /metrics report
 //	               the spilled volume
 //	-trace-buffer  retained run traces behind /traces (default 128;

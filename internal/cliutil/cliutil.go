@@ -56,7 +56,7 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 		Seed:      fs.Int64("seed", d.Seed, "random seed (equal seeds give equal explanations)"),
 		Workers:   fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent search probes (1 = sequential engine)"),
 		Progress:  fs.Bool("progress", false, "narrate pipeline progress (ingest, polls, phases) on stderr"),
-		MemBudget: fs.String("mem-budget", "", "approximate per-run memory budget, e.g. 256MiB (empty = unlimited); beyond it cold column chunks, blocking group tables and the conversion's key maps spill to temp files — explanations are byte-identical, only peak memory changes"),
+		MemBudget: fs.String("mem-budget", "", "approximate per-run memory budget, e.g. 256MiB (empty = unlimited); beyond it the overlap index and the conversion's matching partition through temp files (snapshots stay resident) — explanations are byte-identical, only peak memory changes"),
 	}
 }
 

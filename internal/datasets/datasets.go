@@ -39,11 +39,9 @@ func (s Spec) Build(seed int64) (*table.Table, error) {
 }
 
 // BuildRows materialises the dataset with a custom record count (used by
-// the Figure 5/6 scalability harnesses). The table is built columnar —
-// every value interned on arrival — so a 500k-row dataset costs its
-// distinct values plus 4 bytes per cell instead of a string tuple per
-// record; accessors and downstream explanations are identical to the
-// historical row backing.
+// the Figure 5/6 scalability harnesses). Every value is interned on
+// arrival, so a 500k-row dataset costs its distinct values plus 4 bytes
+// per cell, never a string tuple per record.
 func (s Spec) BuildRows(rows int, seed int64) (*table.Table, error) {
 	if len(s.Columns) != s.DataAttrs {
 		return nil, fmt.Errorf("datasets: %s declares %d attrs but has %d columns",

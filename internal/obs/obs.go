@@ -47,14 +47,12 @@ const (
 	// absent — event streams are byte-deterministic for fixed seeds.
 	KindDone
 	// KindSpill reports out-of-core activity under a memory budget:
-	// Component names the spilling stage ("ingest" for cold column chunks,
-	// "overlap" for the disk-partitioned overlap-score index, "convert"
-	// for the conversion's disk-partitioned matching),
-	// SpillBytes the bytes written to temp files and SpillParts the
-	// external partitions created. Ingest spill events fire per snapshot
-	// (Snapshot carries the role); pipeline spill events fire once per run,
-	// aggregated, just before KindDone, so they stay deterministic for
-	// fixed seeds regardless of Workers.
+	// Component names the spilling stage ("overlap" for the
+	// disk-partitioned overlap-score index, "convert" for the conversion's
+	// disk-partitioned matching), SpillBytes the bytes written to temp
+	// files and SpillParts the external partitions created. Spill events
+	// fire once per run, aggregated, just before KindDone, so they stay
+	// deterministic for fixed seeds regardless of Workers.
 	KindSpill
 )
 
@@ -105,8 +103,8 @@ type Event struct {
 	States    int  // candidate states costed
 	Cancelled bool // the run's context was cancelled
 
-	// KindSpill (ingest spill events also set Snapshot).
-	Component  string // "ingest" | "overlap" | "convert"
+	// KindSpill.
+	Component  string // "overlap" | "convert"
 	SpillBytes int64  // bytes written to spill files
 	SpillParts int64  // external partitions created
 }

@@ -217,9 +217,7 @@ type Stats struct {
 	WarmEscalated bool
 	// SpilledBytes is the volume this run wrote to spill files under a
 	// memory budget (the overlap index plus the conversion's
-	// disk-partitioned matching; streamed front-end calls such as
-	// ExplainSources additionally fold in the ingest spill of the snapshots
-	// they drained themselves); 0 without a budget.
+	// disk-partitioned matching); 0 without a budget.
 	SpilledBytes int64
 	// SpillPartitions counts the external partitions those spills created.
 	SpillPartitions int64

@@ -79,11 +79,8 @@ type PollSummary struct {
 
 // ComponentSpill is one stage's out-of-core volume.
 type ComponentSpill struct {
-	// Component names the spilling stage: "ingest" (with Snapshot set),
-	// "overlap", "convert".
-	Component string `json:"component"`
-	// Snapshot is the ingest role for ingest spill ("source"/"target").
-	Snapshot   string `json:"snapshot,omitempty"`
+	// Component names the spilling stage: "overlap" or "convert".
+	Component  string `json:"component"`
 	Bytes      int64  `json:"bytes"`
 	Partitions int64  `json:"partitions"`
 }
@@ -304,7 +301,6 @@ func (r *Recorder) Observe(ev obs.Event) {
 		r.t.Spill.Partitions += ev.SpillParts
 		r.t.Spill.Components = append(r.t.Spill.Components, ComponentSpill{
 			Component:  ev.Component,
-			Snapshot:   ev.Snapshot,
 			Bytes:      ev.SpillBytes,
 			Partitions: ev.SpillParts,
 		})

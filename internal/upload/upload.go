@@ -195,7 +195,7 @@ func (c *byteCap) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.left -= int64(n)
 	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it and bounding memory with -mem-budget instead")
+		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it (they stay resident at 4 bytes per cell; -mem-budget bounds the run's auxiliary memory)")
 	}
 	return n, err
 }

@@ -37,9 +37,8 @@ const (
 	// EventDone fires once per run: Polls, States, final Cost, Cancelled.
 	EventDone = obs.KindDone
 	// EventSpill reports out-of-core activity under a memory budget:
-	// Component ("ingest"/"overlap"/"convert"), SpillBytes, SpillParts.
-	// Ingest spill events fire per snapshot; pipeline spill events fire
-	// once per run, aggregated, just before EventDone.
+	// Component ("overlap"/"convert"), SpillBytes, SpillParts. Spill events
+	// fire once per run, aggregated, just before EventDone.
 	EventSpill = obs.KindSpill
 )
 

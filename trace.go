@@ -44,7 +44,7 @@ func NewTraceCollector(onTrace func(*Trace)) Observer {
 // its events to o, in addition to the Explainer's configured observer.
 // Attachments nest — an observer already on ctx keeps receiving. This is
 // how a service attaches a per-request TraceRecorder across separate
-// ingest (ReadSourceNamed) and explain (Session) calls without touching
+// ingest (Session.ReadSource) and explain (Session) calls without touching
 // the shared Explainer. A nil o returns ctx unchanged.
 func ContextWithObserver(ctx context.Context, o Observer) context.Context {
 	if o == nil {
