@@ -189,28 +189,25 @@ func MakeChain(dataset *table.Table, cfg ChainConfig) (*ChainProblem, error) {
 	}
 	p.Snapshots = append(p.Snapshots, s0)
 	for step := 0; step < cfg.Steps; step++ {
-		next := make([]table.Record, len(cur))
-		for i, r := range cur {
-			nr := make(table.Record, d+1)
+		// The previous snapshot interned its own copy of every value, so the
+		// live records advance in place.
+		for _, r := range cur {
 			for a := 0; a < d; a++ {
-				nr[a] = funcs[a].Apply(r[a])
+				r[a] = funcs[a].Apply(r[a])
 			}
-			nr[d] = r[d]
-			next[i] = nr
 		}
 		// Delete η·m random survivors, insert as many fresh records.
-		rng.Shuffle(len(next), func(i, j int) { next[i], next[j] = next[j], next[i] })
-		next = next[:len(next)-noise]
+		rng.Shuffle(len(cur), func(i, j int) { cur[i], cur[j] = cur[j], cur[i] })
+		cur = cur[:len(cur)-noise]
 		for i := 0; i < noise; i++ {
-			next = append(next, append(row(reservoir), nextKey()))
+			cur = append(cur, append(row(reservoir), nextKey()))
 			reservoir++
 		}
-		si, err := materialize(next)
+		si, err := materialize(cur)
 		if err != nil {
 			return nil, err
 		}
 		p.Snapshots = append(p.Snapshots, si)
-		cur = next
 	}
 	return p, nil
 }
