@@ -463,12 +463,12 @@ func BenchmarkAblationTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkCSVSourceIngest compares snapshot ingest strategies on a
-// generated flight-500k slice: the buffered ReadCSV path (whole file as
-// [][]string rows) against the streaming CSVSource path (records interned
-// into the columnar backend as they are read). ReportAllocs makes the
-// memory-profile difference visible — the streamed table retains 4-byte
-// codes plus one copy of each distinct value.
+// BenchmarkCSVSourceIngest times the two CSV front doors on a generated
+// flight-500k slice: ReadCSV ("buffered", a name from when it held the
+// whole file as [][]string) and the CSVSource path ("streamed", with
+// ingest events and context checks). Both now intern row by row into the
+// same table — 4-byte codes plus one copy of each distinct value — so the
+// arms should read alike.
 func BenchmarkCSVSourceIngest(b *testing.B) {
 	spec, err := datasets.Get("flight-500k")
 	if err != nil {

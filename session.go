@@ -14,7 +14,8 @@ type Pair = session.Pair
 // batches, created by Explainer.Session. Where Explainer.Explain treats
 // every pair in isolation, a session keeps a shared dictionary pool —
 // values interned while explaining snapshot n keep their codes when
-// snapshot n+1 arrives, so only novel values pay interning cost — and
+// snapshot n+1 arrives, so only novel values pay interning cost, and a
+// snapshot read through ReadSource is interned there once, at ingest — and
 // warm-starts each chain run with the previous explanation, re-validated
 // and re-costed against the new pair, so recurring transformation patterns
 // are confirmed in a handful of queue polls instead of re-discovered from
