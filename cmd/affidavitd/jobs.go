@@ -19,8 +19,8 @@ import (
 
 // jobPayload is the non-durable state a live submission hands the
 // runner: the snapshot pair, already interned into its table's session
-// pool, and the request's trace recorder. Journal-replayed jobs run without one and re-ingest from the
-// blob store.
+// pool, and the request's trace recorder. Journal-replayed jobs run
+// without one and re-ingest from the blob store.
 type jobPayload struct {
 	src, tgt *affidavit.Table
 	trace    *affidavit.TraceRecorder

@@ -152,10 +152,7 @@ func MakeChain(dataset *table.Table, cfg ChainConfig) (*ChainProblem, error) {
 	}
 	// Every snapshot of the chain interns into one dictionary set: most
 	// values recur from step to step, so only a step's novel values grow it.
-	shared := make([]*table.Dict, schema.Len())
-	for a := range shared {
-		shared[a] = table.NewDict()
-	}
+	shared := table.NewDictPool().DictsFor(schema)
 	materialize := func(rows []table.Record) (*table.Table, error) {
 		order := rng.Perm(len(rows))
 		var keys []int
