@@ -7,8 +7,8 @@
 // Ingest interns one from its spool; IngestBlob re-interns a stored blob
 // for a job replayed without its submitter. Both intern through a Reader:
 // the session's ReadSource when the snapshot will be explained on that
-// session (interned once, into its pool), Explainer.ReadSourceNamed when no
-// session exists yet.
+// session (interned once, into its pool), the Explainer's private-dictionary
+// read when no session exists yet.
 package upload
 
 import (
@@ -134,7 +134,7 @@ func (b *Body) Value(key string) string {
 }
 
 // Reader drains a source into a table, labelling its ingest events:
-// (*affidavit.Session).ReadSource or (*affidavit.Explainer).ReadSourceNamed.
+// (*affidavit.Session).ReadSource, or the Explainer's labelled read.
 type Reader func(ctx context.Context, src affidavit.Source, label string) (*affidavit.Table, error)
 
 // Ingest interns the spooled file part name under the record cap. Ingest
