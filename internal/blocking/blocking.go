@@ -198,7 +198,7 @@ func (r *Result) WithContext(ctx context.Context) *Result {
 // TargetSurplus and SourceSurplus), and the block lists materialise on
 // first access.
 func (r *Result) Refine(attr int, f metafunc.Func) *Result {
-	if r.ctx != nil && r.ctx.Err() != nil {
+	if r.cancelled() {
 		// Cancelled: skip the grouping pass entirely. The receiver is a
 		// valid (coarser) result; the search layer is about to abandon any
 		// state built from it.
@@ -268,7 +268,7 @@ func (r *Result) force() {
 		for _, b := range p.blocks {
 			g.group(b)
 		}
-		r.finishRefine(p, g)
+		r.materialise(g.srcBlockOf, g.tgtBlockOf, g.cntS, g.cntT)
 		// A forced result no longer needs its parent: release it, or every
 		// state would keep its whole chain of materialised ancestors alive
 		// (two record→block arrays and the block lists per level). Only
@@ -290,37 +290,132 @@ func (r *Result) newGrouper(attr int, f metafunc.Func) *grouper {
 	}
 }
 
-// finishRefine is pass 2 of a refinement: carve exactly-sized record
-// slices out of two shared backing arrays and fill them in the parent
-// iteration order, then cache the mixed-block list.
-func (r *Result) finishRefine(p *Result, g *grouper) {
-	nSrc, nTgt := len(p.srcBlockOf), len(p.tgtBlockOf)
-	arena := make([]Block, len(g.codes))
-	blocks := make([]*Block, len(g.codes))
-	srcStore := make([]int32, 0, nSrc)
-	tgtStore := make([]int32, 0, nTgt)
+// RefineAll returns the blocking result after additionally deciding each
+// attrs[i] with fs[i]: exactly the forced chain
+// r.Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])… — the same blocks in
+// the same order, the same record→block maps and surpluses, and apply
+// memos built in the same attribute order, so dictionary codes agree too.
+// It gets there without the chain's intermediate block lists: each level
+// is one grouping pass over two record→block arrays, keyed by (parent
+// block, split code), and the blocks materialise once at the end. The
+// receiver is unchanged; with no attributes, or once the context is
+// cancelled, RefineAll returns the receiver, as Refine does.
+func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
+	if len(attrs) == 0 || r.cancelled() {
+		return r
+	}
+	r.force()
+	// Building a memo interns novel function outputs, so the chain's
+	// attribute order fixes the codes; build them all up front in it.
+	memos := make([]applyMemo, len(attrs))
+	for i, a := range attrs {
+		memos[i] = r.cache.memo(r.coded, a, fs[i])
+	}
+	srcOf := append([]int32(nil), r.srcBlockOf...)
+	tgtOf := append([]int32(nil), r.tgtBlockOf...)
+	// rank[id] is block id's position in chain order. Ids are handed out in
+	// record order (sources, then targets), which within one parent block is
+	// exactly the chain's first-appearance order; a stable counting sort by
+	// the parent's rank then yields the chain's parent-block-first order.
+	rank := make([]int32, len(r.blocks))
+	for i := range rank {
+		rank[i] = int32(i)
+	}
+	var (
+		tab    pairTable
+		parent []int32 // parent id per new block id
+	)
+	for i, a := range attrs {
+		if r.cancelled() {
+			return r
+		}
+		memo, srcCodes, tgtCodes := memos[i], r.coded.Src[a], r.coded.Tgt[a]
+		tab.reset(len(rank))
+		parent = parent[:0]
+		for s, p := range srcOf {
+			id, found := tab.getOrInsert(pairKey(p, memo[srcCodes[s]]), int32(len(parent)))
+			if !found {
+				parent = append(parent, p)
+			}
+			srcOf[s] = id
+		}
+		for t, p := range tgtOf {
+			id, found := tab.getOrInsert(pairKey(p, tgtCodes[t]), int32(len(parent)))
+			if !found {
+				parent = append(parent, p)
+			}
+			tgtOf[t] = id
+		}
+		start := make([]int32, len(rank))
+		for _, p := range parent {
+			start[rank[p]]++
+		}
+		off := int32(0)
+		for k, n := range start {
+			start[k] = off
+			off += n
+		}
+		next := make([]int32, len(parent))
+		for id, p := range parent {
+			next[id] = start[rank[p]]
+			start[rank[p]]++
+		}
+		rank = next
+	}
+	cntS := make([]int32, len(rank))
+	cntT := make([]int32, len(rank))
+	for s, id := range srcOf {
+		srcOf[s] = rank[id]
+		cntS[rank[id]]++
+	}
+	for t, id := range tgtOf {
+		tgtOf[t] = rank[id]
+		cntT[rank[id]]++
+	}
+	nr := &Result{inst: r.inst, coded: r.coded, cache: r.cache, ctx: r.ctx}
+	nr.materialise(srcOf, tgtOf, cntS, cntT)
+	for i := range cntS {
+		if d := int(cntT[i] - cntS[i]); d > 0 {
+			nr.tSur += d
+		} else {
+			nr.sSur -= d
+		}
+	}
+	return nr
+}
+
+// cancelled reports whether the result's context is done.
+func (r *Result) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
+
+// materialise builds the block lists from the record→block maps srcOf and
+// tgtOf and the per-block record counts: exactly-sized member slices carved
+// out of two shared backing arrays, filled in record order (so members are
+// ascending, as every block's are), then the cached mixed-block list.
+func (r *Result) materialise(srcOf, tgtOf, cntS, cntT []int32) {
+	arena := make([]Block, len(cntS))
+	blocks := make([]*Block, len(cntS))
+	srcStore := make([]int32, 0, len(srcOf))
+	tgtStore := make([]int32, 0, len(tgtOf))
 	for i := range arena {
 		off := len(srcStore)
-		srcStore = srcStore[:off+int(g.cntS[i])]
+		srcStore = srcStore[:off+int(cntS[i])]
 		arena[i].Src = srcStore[off:off:len(srcStore)]
 		off = len(tgtStore)
-		tgtStore = tgtStore[:off+int(g.cntT[i])]
+		tgtStore = tgtStore[:off+int(cntT[i])]
 		arena[i].Tgt = tgtStore[off:off:len(tgtStore)]
 		blocks[i] = &arena[i]
 	}
-	for _, b := range p.blocks {
-		for _, s := range b.Src {
-			nb := blocks[g.srcBlockOf[s]]
-			nb.Src = append(nb.Src, s)
-		}
-		for _, t := range b.Tgt {
-			nb := blocks[g.tgtBlockOf[t]]
-			nb.Tgt = append(nb.Tgt, t)
-		}
+	for s, b := range srcOf {
+		nb := blocks[b]
+		nb.Src = append(nb.Src, int32(s))
+	}
+	for t, b := range tgtOf {
+		nb := blocks[b]
+		nb.Tgt = append(nb.Tgt, int32(t))
 	}
 	r.blocks = blocks
-	r.srcBlockOf = g.srcBlockOf
-	r.tgtBlockOf = g.tgtBlockOf
+	r.srcBlockOf = srcOf
+	r.tgtBlockOf = tgtOf
 	mixed := make([]*Block, 0, len(blocks)/2)
 	for _, b := range blocks {
 		if b.Mixed() {
@@ -337,17 +432,15 @@ type grouper struct {
 	srcCodes, tgtCodes []int32
 	srcBlockOf         []int32
 	tgtBlockOf         []int32
-	codes              []int32 // split code per sub-block
-	cntS, cntT         []int32
+	cntS, cntT         []int32   // records per sub-block
 	sub                codeTable // split code → sub-block index, per parent
 }
 
 // get returns the sub-block index of split code c within the current
 // parent, assigning the next global index on first sight.
 func (g *grouper) get(c int32) int32 {
-	idx, found := g.sub.getOrInsert(c, int32(len(g.codes)))
+	idx, found := g.sub.getOrInsert(c, int32(len(g.cntS)))
 	if !found {
-		g.codes = append(g.codes, c)
 		g.cntS = append(g.cntS, 0)
 		g.cntT = append(g.cntT, 0)
 	}

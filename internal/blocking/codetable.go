@@ -1,6 +1,9 @@
 package blocking
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // codeTable is an open-addressing map from non-negative int32 split codes
 // to int32 sub-block indices, replacing map[int32]int32 in the refinement
@@ -77,6 +80,82 @@ func (t *codeTable) reset() {
 	}
 	t.touched = t.touched[:0]
 	t.n = 0
+}
+
+// pairTable is an open-addressing map from (parent block, split code) keys,
+// packed into 64 bits, to int32 sub-block ids: RefineAll's one grouping
+// pass per level, over every record at once instead of one parent block at
+// a time. Keys are stored as key+1 so the zero value marks an empty slot.
+type pairTable struct {
+	keys  []uint64 // key+1; 0 = empty
+	vals  []int32
+	shift uint // 64 − log2(len(keys))
+	n     int
+}
+
+// pairKey packs a parent block id and a split code.
+func pairKey(parent, code int32) uint64 { return uint64(uint32(parent))<<32 | uint64(uint32(code)) }
+
+// slot is the Fibonacci hash of k: the multiply carries both halves of the
+// key into the top bits the table indexes by. A hash of the code alone
+// would pile every parent's sub-blocks for one code onto a single probe run.
+func (t *pairTable) slot(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> t.shift) }
+
+// reset empties the table for up to n keys, keeping the capacity when it
+// holds them at load ≤ 1/2.
+func (t *pairTable) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.keys) {
+		t.keys = make([]uint64, size)
+		t.vals = make([]int32, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	} else {
+		clear(t.keys)
+	}
+	t.n = 0
+}
+
+// getOrInsert returns the id stored for k; on first sight it stores val
+// and returns it with found = false.
+func (t *pairTable) getOrInsert(k uint64, val int32) (id int32, found bool) {
+	if 2*(t.n+1) > len(t.keys) {
+		t.grow()
+	}
+	k++
+	mask := len(t.keys) - 1
+	for i := t.slot(k - 1); ; i = (i + 1) & mask {
+		switch t.keys[i] {
+		case 0:
+			t.keys[i] = k
+			t.vals[i] = val
+			t.n++
+			return val, false
+		case k:
+			return t.vals[i], true
+		}
+	}
+}
+
+// grow doubles the table and rehashes the live entries.
+func (t *pairTable) grow() {
+	keys, vals := t.keys, t.vals
+	t.keys = make([]uint64, 2*len(keys))
+	t.vals = make([]int32, 2*len(keys))
+	t.shift--
+	mask := len(t.keys) - 1
+	for j, k := range keys {
+		if k == 0 {
+			continue
+		}
+		i := t.slot(k - 1)
+		for t.keys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.vals[i] = k, vals[j]
+	}
 }
 
 // countScratch is the pooled working set of a counting-only refinement

@@ -472,7 +472,8 @@ func (e *engine) warmStates(root *State) []*State {
 		return nil
 	}
 	build := func(keepMappings bool) *State {
-		s := root
+		var attrs []int
+		var fs []metafunc.Func
 		for a, f := range e.opts.WarmStart {
 			if f == nil {
 				continue
@@ -480,9 +481,10 @@ func (e *engine) warmStates(root *State) []*State {
 			if _, isMap := f.(*metafunc.Mapping); isMap && !keepMappings {
 				continue
 			}
-			s = s.extend(a, f, e.cm)
+			attrs = append(attrs, a)
+			fs = append(fs, f)
 		}
-		return s
+		return root.extendAll(attrs, fs, e.cm)
 	}
 	full := build(true)
 	if full.level == 0 {
@@ -514,14 +516,11 @@ func (e *engine) startStates(inst *delta.Instance, root *State) []*State {
 	case StartOverlap:
 		ov := align.ComputeOverlapSpill(inst, e.opts.MaxBlockSize, e.opts.Spill, e.overlapSpill)
 		attrs := ov.StartAttrs(inst)
-		if len(attrs) == 0 {
-			return []*State{root}
+		fs := make([]metafunc.Func, len(attrs))
+		for i := range fs {
+			fs[i] = metafunc.Identity{}
 		}
-		s := root
-		for _, a := range attrs {
-			s = s.extend(a, metafunc.Identity{}, e.cm)
-		}
-		return []*State{s}
+		return []*State{root.extendAll(attrs, fs, e.cm)}
 	}
 	return []*State{root}
 }

@@ -57,6 +57,30 @@ func (s *State) extend(attr int, f metafunc.Func, cm delta.CostModel) *State {
 	return ns
 }
 
+// extendAll returns the state with each attrs[i] additionally decided as
+// fs[i]: the state s.extend(attrs[0], fs[0]).extend(attrs[1], fs[1])…
+// reaches, re-blocked in one blocking.RefineAll pass instead of one
+// refinement per attribute. With no attributes it returns s.
+func (s *State) extendAll(attrs []int, fs []metafunc.Func, cm delta.CostModel) *State {
+	if len(attrs) == 0 {
+		return s
+	}
+	funcs := make([]metafunc.Func, len(s.funcs))
+	copy(funcs, s.funcs)
+	for i, a := range attrs {
+		funcs[a] = fs[i]
+	}
+	ns := &State{
+		inst:   s.inst,
+		funcs:  funcs,
+		blocks: s.blocks.RefineAll(attrs, fs),
+		level:  s.level + len(attrs),
+	}
+	ns.cost = stateCost(ns, cm)
+	ns.key = stateKey(ns.funcs)
+	return ns
+}
+
 // stateCost computes c(H) per Definition 4.6 (sign-corrected, DESIGN.md §4):
 //
 //	c(H) = 2α · max(c_t(H), c_s(H) − ∆) + 2(1−α) · c_f(H)
