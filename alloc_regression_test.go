@@ -3,7 +3,8 @@
 // throwaway scratch with pooled slabs and open-addressing tables, and the
 // induction-on-codes rewrite halved them again. These
 // tests pin the two headline workloads — the warm session chain
-// (BenchmarkChain/warm) and the scale-20 Figure 5 cold search — under
+// (BenchmarkChain/warm) and the scale-20 Figure 5 cold search — and the
+// response encoder (Result.JSON on the full Figure 5 pair) under
 // explicit allocs-per-run ceilings so a future change that quietly
 // reintroduces per-record or per-state allocations fails CI instead of
 // only moving a benchmark number.
@@ -20,6 +21,7 @@ import (
 	"context"
 	"testing"
 
+	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/delta"
 	"affidavit/internal/gen"
@@ -56,12 +58,55 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 			}
 		}
 	})
-	// Measured 143k allocs/run with induction on codes (182k under -race) (369k after the
-	// raw-speed pass, ~1.7M in the BENCH_5 era).
-	const ceiling = 200_000
+	// Measured 138k allocs/run with the warm tuple re-blocked by RefineAll
+	// (178k under -race); 144k (185k) before, 369k after the raw-speed pass,
+	// ~1.7M in the BENCH_5 era.
+	const ceiling = 195_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("warm chain allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
+	}
+}
+
+// TestAllocRegressionEncode pins Result.JSON, SQL script included, on the
+// 20 000-row flight explanation (BenchmarkFigure5Rows/scale100's pair):
+// the append encoder writes the record-sized parts itself, so its count
+// must not grow with the core, the noise or the script again.
+func TestAllocRegressionEncode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation regression runs full searches; skipped in -short")
+	}
+	ds, err := datasets.Get("flight-500k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := ds.BuildRows(20000, 38)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := gen.Generate(tab, gen.Config{Setting: gen.Setting{Eta: 0.3, Tau: 0.3}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := res.JSON("flight"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Measured 234 allocs/run (273 under -race); json.MarshalIndent over
+	// JSONResult with the fmt-built script took 781 772.
+	const ceiling = 320
+	t.Logf("encode: %.0f allocs/run (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("Result.JSON allocates %.0f per run, over the %d ceiling — part of the encoding regressed to per-record allocation", allocs, ceiling)
 	}
 }
 

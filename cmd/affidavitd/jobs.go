@@ -5,6 +5,7 @@ package main
 // gauges/counters on /metrics and /stats.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -87,8 +88,7 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	}
 	switch rec.Format {
 	case "", "json":
-		jr := res.JSONResult(rec.Table)
-		body, merr := json.MarshalIndent(jr, "", "  ")
+		body, merr := res.JSON(rec.Table)
 		if merr != nil {
 			return nil, merr
 		}
@@ -203,13 +203,7 @@ func (s *server) writeJobOutcome(w http.ResponseWriter, rec jobs.Record, inlineT
 		// plain responses serve the stored bytes untouched.
 		if inlineTrace && (rec2.Format == "" || rec2.Format == "json") {
 			if tr := s.traceByID(rec2.TraceID); tr != nil {
-				var jr affidavit.JSONResult
-				if json.Unmarshal(body, &jr) == nil {
-					jr.Trace = tr
-					if out, merr := json.MarshalIndent(jr, "", "  "); merr == nil {
-						body = append(out, '\n')
-					}
-				}
+				body = spliceTrace(body, tr)
 			}
 		}
 		w.Header().Set("Content-Type", rec2.ContentType)
@@ -235,6 +229,28 @@ func (s *server) writeJobOutcome(w http.ResponseWriter, rec jobs.Record, inlineT
 		// Unreachable: Wait only returns terminal records.
 		http.Error(w, "job "+rec.ID+" is "+string(rec.State), http.StatusInternalServerError)
 	}
+}
+
+// spliceTrace returns a stored JSON result with tr inlined as its last
+// member, "trace" — the bytes decoding the body onto JSONResult, setting
+// Trace and re-encoding would give, without decoding and re-encoding the
+// whole body. A body that does not end the way Result.JSON plus the stored
+// newline does is served unchanged.
+func spliceTrace(body []byte, tr *affidavit.Trace) []byte {
+	const end = "\n}\n"
+	if !bytes.HasSuffix(body, []byte(end)) {
+		return body
+	}
+	enc, err := json.MarshalIndent(tr, "  ", "  ")
+	if err != nil {
+		return body
+	}
+	head := body[:len(body)-len(end)]
+	out := make([]byte, 0, len(body)+len(enc)+16)
+	out = append(out, head...)
+	out = append(out, ",\n  \"trace\": "...)
+	out = append(out, enc...)
+	return append(out, end...)
 }
 
 // handleJobs serves GET /jobs: every job record in submission order —

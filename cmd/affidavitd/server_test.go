@@ -594,6 +594,53 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestTraceSplice: ?trace=1 splices the trace into the stored body instead
+// of decoding and re-encoding it. The spliced response must equal what the
+// decode/re-encode gave — the stored body decoded onto JSONResult, Trace
+// set, MarshalIndent plus the stored newline — and cutting the "trace"
+// member back out must give the plain response byte for byte.
+func TestTraceSplice(t *testing.T) {
+	s := mustServer(t, serverConfig{options: testOptions(), traceBuffer: 8})
+	srv := httptest.NewServer(s.handler())
+	t.Cleanup(srv.Close)
+	ch := testChain(t, 1)
+	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
+
+	resp, plain := postResp(t, srv, srv.URL+"/explain", src, tgt, map[string]string{"table": "spliced"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", resp.StatusCode, plain)
+	}
+	resp2, traced := postResp(t, srv, srv.URL+"/explain?trace=1", src, tgt, map[string]string{"table": "spliced"})
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("trace=1 explain: status %d: %s", resp2.StatusCode, traced)
+	}
+	tr := s.traceByID(resp.Header.Get("X-Affidavit-Trace-Id"))
+	if tr == nil {
+		t.Fatal("the run's trace is not retained")
+	}
+
+	var jr affidavit.JSONResult
+	if err := json.Unmarshal(plain, &jr); err != nil {
+		t.Fatal(err)
+	}
+	jr.Trace = tr
+	want, err := json.MarshalIndent(jr, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want = append(want, '\n'); !bytes.Equal(traced, want) {
+		t.Errorf("spliced response differs from decode/re-encode:\n got %d bytes\nwant %d bytes", len(traced), len(want))
+	}
+
+	cut := bytes.LastIndex(traced, []byte(",\n  \"trace\": "))
+	if cut < 0 {
+		t.Fatal("no trace member in the ?trace=1 response")
+	}
+	if stripped := append(traced[:cut:cut], "\n}\n"...); !bytes.Equal(stripped, plain) {
+		t.Error("the ?trace=1 response without its trace member is not the plain response")
+	}
+}
+
 // TestTraceRingBound: the ring keeps only the newest -trace-buffer traces,
 // index ordered most recent first.
 func TestTraceRingBound(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"affidavit"
 )
@@ -118,15 +119,18 @@ func fuzzTable(data []byte) (*affidavit.Table, bool) {
 	return tab, true
 }
 
-// FuzzResultJSON: explain a pair of fuzzed snapshots and round-trip the
-// result's JSON — the encoding must stay valid, decode onto JSONResult
-// without loss of the deterministic fields, and re-encode byte-identically
-// (Result.JSON promises a stable field order).
+// FuzzResultJSON: explain a pair of fuzzed snapshots and encode the result
+// under a fuzzed table name. Result.JSON must equal its oracle,
+// json.MarshalIndent over JSONResult, byte for byte; the encoding must stay
+// valid, decode onto JSONResult without loss of the deterministic fields,
+// and re-encode byte-identically (Result.JSON promises a stable field
+// order).
 func FuzzResultJSON(f *testing.F) {
-	f.Add([]byte("a,b\n1,x\n2,y\n"), []byte("a,b\n1,x\n2,z\n"))
-	f.Add([]byte("v\n10\n20\n30\n"), []byte("v\n11\n21\n31\n"))
-	f.Add([]byte("s\nfoo\nbar\n"), []byte("s\nFOO\nBAR\n"))
-	f.Fuzz(func(t *testing.T, srcData, tgtData []byte) {
+	f.Add([]byte("a,b\n1,x\n2,y\n"), []byte("a,b\n1,x\n2,z\n"), "snapshots")
+	f.Add([]byte("v\n10\n20\n30\n"), []byte("v\n11\n21\n31\n"), "")
+	f.Add([]byte("s\nfoo\nbar\n"), []byte("s\nFOO\nBAR\n"), "t\"'\\<>&\b\f\x01\xff")
+	f.Add([]byte("s\n\"a\b\"\n\"<&>\"\n"), []byte("s\n\"a\f\"\n\xe2\x80\xa8\n"), "\xe2\x80\xa9")
+	f.Fuzz(func(t *testing.T, srcData, tgtData []byte, table string) {
 		src, ok := fuzzTable(srcData)
 		if !ok {
 			t.Skip()
@@ -140,9 +144,17 @@ func FuzzResultJSON(f *testing.F) {
 		if err != nil {
 			t.Skip() // schema mismatch etc. — not this fuzzer's concern
 		}
-		raw, err := res.JSON("snapshots")
+		raw, err := res.JSON(table)
 		if err != nil {
 			t.Fatalf("JSON: %v", err)
+		}
+		want := res.JSONResult(table)
+		oracle, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, oracle) {
+			t.Fatalf("Result.JSON differs from MarshalIndent of JSONResult:\n got %q\nwant %q", raw, oracle)
 		}
 		if !json.Valid(raw) {
 			t.Fatalf("Result.JSON emitted invalid JSON:\n%s", raw)
@@ -151,12 +163,11 @@ func FuzzResultJSON(f *testing.F) {
 		if err := json.Unmarshal(raw, &decoded); err != nil {
 			t.Fatalf("round-trip decode: %v\n%s", err, raw)
 		}
-		want := res.JSONResult("snapshots")
 		if decoded.Cost != want.Cost || decoded.TrivialCost != want.TrivialCost ||
-			decoded.Stats != want.Stats || decoded.Table != want.Table {
+			decoded.Stats != want.Stats || (decoded.Table != want.Table && utf8.ValidString(want.Table)) {
 			t.Errorf("round-trip lost fields:\n got %+v\nwant %+v", decoded, want)
 		}
-		again, err := res.JSON("snapshots")
+		again, err := res.JSON(table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -635,7 +635,7 @@ func (s *Service) RunStep(ctx context.Context, rec jobs.Record, payload any) (*j
 	if err := s.store.FinishStep(rec.Table, snap.SnapshotID, StepExplained, "", summary); err != nil {
 		return nil, err
 	}
-	body, merr := json.MarshalIndent(res.JSONResult(rec.Table), "", "  ")
+	body, merr := res.JSON(rec.Table)
 	if merr != nil {
 		return nil, merr
 	}

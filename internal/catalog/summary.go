@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"affidavit"
+	"affidavit/internal/report"
 )
 
 // summarizeStep compresses one chain step's explanation into the summary
@@ -12,8 +13,7 @@ import (
 // byte-stable as the explanation itself.
 func summarizeStep(res *affidavit.Result) *StepSummary {
 	e := res.Explanation
-	jr := res.JSONResult("")
-	attrs := len(jr.Explanation.Schema)
+	attrs := e.Inst.NumAttrs()
 	changedPerAttr := make([]int, attrs)
 	updates := 0
 	src, tgt := e.Inst.Source, e.Inst.Target
@@ -30,19 +30,23 @@ func summarizeStep(res *affidavit.Result) *StepSummary {
 			updates++
 		}
 	}
+	compression := 0.0 // as Result.JSON reports it: 0 when the trivial cost is 0
+	if res.TrivialCost > 0 {
+		compression = res.Cost / res.TrivialCost
+	}
 	sum := &StepSummary{
 		Records:       tgt.Len(),
 		Core:          len(e.CoreSrc),
 		Updates:       updates,
 		Inserts:       len(e.Inserted),
 		Deletes:       len(e.Deleted),
-		Cost:          jr.Cost,
-		TrivialCost:   jr.TrivialCost,
-		Compression:   jr.Compression,
+		Cost:          res.Cost,
+		TrivialCost:   res.TrivialCost,
+		Compression:   compression,
 		Polls:         res.Stats.Polls,
 		WarmEscalated: res.Stats.WarmEscalated,
 	}
-	for a, f := range jr.Explanation.Functions {
+	for a, f := range report.Functions(e) {
 		if f.Kind == "identity" {
 			continue
 		}

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 )
@@ -39,12 +37,23 @@ type JSONPair struct {
 // ToJSON converts an explanation for serialisation.
 func ToJSON(e *delta.Explanation, cm delta.CostModel) JSONExplanation {
 	out := JSONExplanation{
-		Schema:   e.Inst.Schema().Attrs(),
-		Deleted:  append([]int{}, e.Deleted...),
-		Inserted: append([]int{}, e.Inserted...),
-		Cost:     cm.Cost(e),
-		Alpha:    cm.Alpha,
+		Schema:    e.Inst.Schema().Attrs(),
+		Functions: Functions(e),
+		Deleted:   append([]int{}, e.Deleted...),
+		Inserted:  append([]int{}, e.Inserted...),
+		Cost:      cm.Cost(e),
+		Alpha:     cm.Alpha,
 	}
+	for i := range e.CoreSrc {
+		out.Core = append(out.Core, JSONPair{S: e.CoreSrc[i], T: e.CoreTgt[i]})
+	}
+	return out
+}
+
+// Functions describes the explanation's attribute functions, one per
+// attribute in schema order.
+func Functions(e *delta.Explanation) []JSONFunction {
+	var out []JSONFunction
 	for a, f := range e.Funcs {
 		jf := JSONFunction{
 			Attribute: e.Inst.Schema().Attr(a),
@@ -55,17 +64,9 @@ func ToJSON(e *delta.Explanation, cm delta.CostModel) JSONExplanation {
 		if m, ok := f.(*metafunc.Mapping); ok {
 			jf.Mapping = m.Entries()
 		}
-		out.Functions = append(out.Functions, jf)
-	}
-	for i := range e.CoreSrc {
-		out.Core = append(out.Core, JSONPair{S: e.CoreSrc[i], T: e.CoreTgt[i]})
+		out = append(out, jf)
 	}
 	return out
-}
-
-// MarshalJSON renders an explanation as indented JSON.
-func MarshalJSON(e *delta.Explanation, cm delta.CostModel) ([]byte, error) {
-	return json.MarshalIndent(ToJSON(e, cm), "", "  ")
 }
 
 func kindOf(f metafunc.Func) string {

@@ -45,9 +45,9 @@ func TestToJSON(t *testing.T) {
 	}
 }
 
-func TestMarshalJSONRoundTrip(t *testing.T) {
+func TestToJSONRoundTrip(t *testing.T) {
 	e := fixture.ReferenceExplanation()
-	raw, err := report.MarshalJSON(e, delta.DefaultCosts)
+	raw, err := json.Marshal(report.ToJSON(e, delta.DefaultCosts))
 	if err != nil {
 		t.Fatal(err)
 	}

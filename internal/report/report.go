@@ -8,6 +8,8 @@ package report
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"affidavit/internal/delta"
@@ -85,52 +87,112 @@ func Diff(e *delta.Explanation, limit int) string {
 // attribute, then per-record DELETEs and INSERTs for the noise. tableName
 // is interpolated as a quoted identifier.
 func SQL(e *delta.Explanation, tableName string) string {
-	var sb strings.Builder
+	return string(AppendSQL(nil, e, tableName))
+}
+
+// AppendSQL appends SQL's script to dst. The per-record statements are
+// appended piece by piece from the snapshots' interned values, into room
+// reserved once from the noise records' value lengths: the script costs
+// no formatting and no regrowth (unless values carry quotes to double).
+func AppendSQL(dst []byte, e *delta.Explanation, tableName string) []byte {
 	inst := e.Inst
 	tbl := quoteIdent(tableName)
-	sb.WriteString("-- generated by affidavit: explanation-derived migration\n")
-	fmt.Fprintf(&sb, "-- aligned %d, deleted %d, inserted %d\n",
-		e.CoreSize(), len(e.Deleted), len(e.Inserted))
-	sb.WriteString("BEGIN;\n")
-	// Deletes first so updated keys cannot collide with noise rows.
-	for _, i := range e.Deleted {
-		fmt.Fprintf(&sb, "DELETE FROM %s WHERE %s;\n", tbl,
-			whereAll(inst, i))
+	cols := make([]string, inst.NumAttrs())
+	colsLen := 0
+	for a := range cols {
+		cols[a] = quoteIdent(inst.Schema().Attr(a))
+		colsLen += len(cols[a])
 	}
-	for a := 0; a < inst.NumAttrs(); a++ {
+	var updates []byte
+	for a, col := range cols {
 		f := e.Funcs[a]
 		if metafunc.IsIdentity(f) {
 			continue
 		}
-		col := quoteIdent(inst.Schema().Attr(a))
-		fmt.Fprintf(&sb, "UPDATE %s SET %s = %s; -- %s\n", tbl, col,
-			sqlExpr(f, col), f)
+		updates = append(updates, "UPDATE "...)
+		updates = append(updates, tbl...)
+		updates = append(updates, " SET "...)
+		updates = append(updates, col...)
+		updates = append(updates, " = "...)
+		updates = appendExpr(updates, f, col)
+		updates = append(updates, "; -- "...)
+		updates = append(updates, f.String()...)
+		updates = append(updates, '\n')
+	}
+	size := 128 + len(updates)
+	for _, i := range e.Deleted {
+		size += 21 + len(tbl) + colsLen + 10*len(cols)
+		for a := range cols {
+			size += len(inst.Source.Value(i, a))
+		}
 	}
 	for _, t := range e.Inserted {
-		rec := inst.Target.Record(t)
-		cols := make([]string, inst.NumAttrs())
-		vals := make([]string, inst.NumAttrs())
+		size += 32 + len(tbl) + colsLen + 6*len(cols)
 		for a := range cols {
-			cols[a] = quoteIdent(inst.Schema().Attr(a))
-			vals[a] = quoteStr(rec[a])
+			size += len(inst.Target.Value(t, a))
 		}
-		fmt.Fprintf(&sb, "INSERT INTO %s (%s) VALUES (%s);\n", tbl,
-			strings.Join(cols, ", "), strings.Join(vals, ", "))
 	}
-	sb.WriteString("COMMIT;\n")
-	return sb.String()
+	dst = slices.Grow(dst, size+size/64)
+
+	dst = append(dst, "-- generated by affidavit: explanation-derived migration\n-- aligned "...)
+	dst = strconv.AppendInt(dst, int64(e.CoreSize()), 10)
+	dst = append(dst, ", deleted "...)
+	dst = strconv.AppendInt(dst, int64(len(e.Deleted)), 10)
+	dst = append(dst, ", inserted "...)
+	dst = strconv.AppendInt(dst, int64(len(e.Inserted)), 10)
+	dst = append(dst, "\nBEGIN;\n"...)
+	// Deletes first so updated keys cannot collide with noise rows.
+	for _, i := range e.Deleted {
+		dst = append(dst, "DELETE FROM "...)
+		dst = append(dst, tbl...)
+		dst = append(dst, " WHERE "...)
+		for a, col := range cols {
+			if a > 0 {
+				dst = append(dst, " AND "...)
+			}
+			dst = append(dst, col...)
+			dst = append(dst, " = "...)
+			dst = appendQuoted(dst, '\'', inst.Source.Value(i, a))
+		}
+		dst = append(dst, ";\n"...)
+	}
+	dst = append(dst, updates...)
+	insert := "INSERT INTO " + tbl + " (" + strings.Join(cols, ", ") + ") VALUES ("
+	for _, t := range e.Inserted {
+		dst = append(dst, insert...)
+		for a := range cols {
+			if a > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendQuoted(dst, '\'', inst.Target.Value(t, a))
+		}
+		dst = append(dst, ");\n"...)
+	}
+	return append(dst, "COMMIT;\n"...)
 }
 
-func whereAll(inst *delta.Instance, src int) string {
-	rec := inst.Source.Record(src)
-	parts := make([]string, inst.NumAttrs())
-	for a := range parts {
-		parts[a] = fmt.Sprintf("%s = %s", quoteIdent(inst.Schema().Attr(a)), quoteStr(rec[a]))
+// appendExpr appends a portable SQL expression computing f over col. Only
+// a value mapping grows with the data; it is appended entry by entry.
+func appendExpr(dst []byte, f metafunc.Func, col string) []byte {
+	m, ok := f.(*metafunc.Mapping)
+	if !ok {
+		return append(dst, sqlExpr(f, col)...)
 	}
-	return strings.Join(parts, " AND ")
+	dst = append(dst, "CASE "...)
+	dst = append(dst, col...)
+	for _, kv := range m.Entries() {
+		dst = append(dst, " WHEN "...)
+		dst = appendQuoted(dst, '\'', kv[0])
+		dst = append(dst, " THEN "...)
+		dst = appendQuoted(dst, '\'', kv[1])
+	}
+	dst = append(dst, " ELSE "...)
+	dst = append(dst, col...)
+	return append(dst, " END"...)
 }
 
-// sqlExpr translates a metafunc into a portable SQL expression over col.
+// sqlExpr translates a metafunc other than a value mapping into a portable
+// SQL expression over col.
 func sqlExpr(f metafunc.Func, col string) string {
 	switch fn := f.(type) {
 	case metafunc.Identity:
@@ -171,25 +233,30 @@ func sqlExpr(f metafunc.Func, col string) string {
 			col, quoteStr("%"+likeEscape(fn.Y)), col, col, len(fn.Y), quoteStr(fn.Z), col)
 	case metafunc.Negation:
 		return fmt.Sprintf("CASE %s WHEN '0' THEN '1' WHEN '1' THEN '0' ELSE %s END", col, col)
-	case *metafunc.Mapping:
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "CASE %s", col)
-		for _, kv := range fn.Entries() {
-			fmt.Fprintf(&sb, " WHEN %s THEN %s", quoteStr(kv[0]), quoteStr(kv[1]))
-		}
-		fmt.Fprintf(&sb, " ELSE %s END", col)
-		return sb.String()
 	}
 	return fmt.Sprintf("%s /* unsupported function %s */", col, f)
 }
 
-func quoteStr(s string) string {
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+// appendQuoted appends s between two q characters, doubling every q in s:
+// the SQL spelling of a string literal (q = ') or an identifier (q = ").
+func appendQuoted(dst []byte, q byte, s string) []byte {
+	dst = append(dst, q)
+	for {
+		i := strings.IndexByte(s, q)
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, q)
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, q)
 }
 
-func quoteIdent(s string) string {
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-}
+func quoteStr(s string) string { return string(appendQuoted(nil, '\'', s)) }
+
+func quoteIdent(s string) string { return string(appendQuoted(nil, '"', s)) }
 
 func likeEscape(s string) string {
 	s = strings.ReplaceAll(s, "%", `\%`)

@@ -1,6 +1,8 @@
 package affidavit_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,6 +10,8 @@ import (
 	"testing"
 
 	"affidavit"
+	"affidavit/internal/datasets"
+	"affidavit/internal/gen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -67,6 +71,54 @@ func TestResultJSONGolden(t *testing.T) {
 	}
 	if _, ok := m["sql"]; ok {
 		t.Error("SQL emitted without a table name")
+	}
+}
+
+// TestResultJSONMatchesMarshalIndent holds Result.JSON's append encoder to
+// its oracle — json.MarshalIndent over the JSONResult struct, which is
+// what Result.JSON was before it wrote the record-sized parts itself — on
+// every registry dataset × 2 generator seeds, with and without a table
+// name. The encoded document must also leave room for the trailing
+// newline the result stores append.
+func TestResultJSONMatchesMarshalIndent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 36 full explanations; skipped in -short")
+	}
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range datasets.All() {
+		tab, err := spec.BuildRows(min(spec.Rows, 1000), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for genSeed := int64(1); genSeed <= 2; genSeed++ {
+			p, err := gen.Generate(tab, gen.Config{Setting: gen.Setting{Eta: 0.3, Tau: 0.3}, Seed: genSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ex.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
+			if err != nil {
+				t.Fatalf("%s/gen%d: %v", spec.Name, genSeed, err)
+			}
+			for _, table := range []string{spec.Name, ""} {
+				got, err := res.JSON(table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.MarshalIndent(res.JSONResult(table), "", "  ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s/gen%d table %q: Result.JSON differs from MarshalIndent of JSONResult", spec.Name, genSeed, table)
+				}
+				if cap(got) == len(got) {
+					t.Errorf("%s/gen%d table %q: no room left for the trailing newline", spec.Name, genSeed, table)
+				}
+			}
+		}
 	}
 }
 
