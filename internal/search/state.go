@@ -46,15 +46,7 @@ func (s *State) extend(attr int, f metafunc.Func, cm delta.CostModel) *State {
 	funcs := make([]metafunc.Func, len(s.funcs))
 	copy(funcs, s.funcs)
 	funcs[attr] = f
-	ns := &State{
-		inst:   s.inst,
-		funcs:  funcs,
-		blocks: s.blocks.Refine(attr, f),
-		level:  s.level + 1,
-	}
-	ns.cost = stateCost(ns, cm)
-	ns.key = stateKey(ns.funcs)
-	return ns
+	return s.child(funcs, s.blocks.Refine(attr, f), 1, cm)
 }
 
 // extendAll returns the state with each attrs[i] additionally decided as
@@ -70,11 +62,17 @@ func (s *State) extendAll(attrs []int, fs []metafunc.Func, cm delta.CostModel) *
 	for i, a := range attrs {
 		funcs[a] = fs[i]
 	}
+	return s.child(funcs, s.blocks.RefineAll(attrs, fs), len(attrs), cm)
+}
+
+// child returns the costed state n levels below s with tuple funcs and
+// blocking blocks.
+func (s *State) child(funcs []metafunc.Func, blocks *blocking.Result, n int, cm delta.CostModel) *State {
 	ns := &State{
 		inst:   s.inst,
 		funcs:  funcs,
-		blocks: s.blocks.RefineAll(attrs, fs),
-		level:  s.level + len(attrs),
+		blocks: blocks,
+		level:  s.level + n,
 	}
 	ns.cost = stateCost(ns, cm)
 	ns.key = stateKey(ns.funcs)
