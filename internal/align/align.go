@@ -7,8 +7,10 @@ package align
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
@@ -64,33 +66,106 @@ func (sc *Scratch) Random(r *blocking.Result, rng *rand.Rand) []Pair {
 // Ties break deterministically towards the lexicographically smaller target
 // value so that equal seeds give equal searches.
 //
-// Co-occurrences are counted on interned value codes; tie-breaking compares
-// the underlying strings (code order is not deterministic).
+// Everything runs on interned value codes: co-occurrences are counted in a
+// flat pair table, the best target per source code is kept in dense
+// arrays, and the result is a coded mapping whose entry strings are built
+// only if someone reads them. Tie-breaking compares the underlying strings
+// (code order is not deterministic).
 func GreedyMap(inst *delta.Instance, pairs []Pair, attr int) *metafunc.Mapping {
 	coded := inst.Coded()
 	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
 	dict := coded.Dicts[attr]
-	counts := make(map[int64]int)
+	sc := greedyPool.Get().(*greedyScratch)
+	sc.reset(len(pairs), int(coded.Base[attr]))
 	for _, p := range pairs {
-		counts[int64(srcCodes[p.S])<<32|int64(tgtCodes[p.T])]++
+		sc.count(uint64(uint32(srcCodes[p.S]))<<32 | uint64(uint32(tgtCodes[p.T])))
 	}
-	bestT := make(map[int32]int32)
-	bestN := make(map[int32]int)
-	//affidavit:ordered argmax with a total tie-break (count, then lexicographic target value); result is independent of visit order
-	for k, n := range counts {
-		sv, tv := int32(k>>32), int32(k&0xffffffff)
-		cur, seen := bestN[sv]
-		if !seen || n > cur || (n == cur && dict.Value(tv) < dict.Value(bestT[sv])) {
-			bestN[sv] = n
-			bestT[sv] = tv
+	from, to := sc.best(dict.Snapshot())
+	greedyPool.Put(sc)
+	return metafunc.NewCodedMapping(dict, from, to)
+}
+
+// greedyScratch is GreedyMap's pooled working set: an open-addressing
+// table counting (source code, target code) pairs packed into 64 bits, and
+// dense per-source-code arrays for the running argmax. bestN is all zero
+// between borrows (best clears the entries it set), so only the pair
+// table is cleared per call.
+type greedyScratch struct {
+	keys  []uint64 // pair+1; 0 = empty
+	cnts  []int32
+	shift uint // 64 − log2(len(keys))
+	bestN []int32
+	bestT []int32
+	from  []int32 // source codes in first-seen slot order
+}
+
+var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
+
+// reset sizes the pair table for n pairs at load ≤ 1/2 — exactly, so slot
+// order never depends on an earlier borrower — and the argmax arrays for
+// source codes below base.
+func (sc *greedyScratch) reset(n, base int) {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	if cap(sc.keys) < size {
+		sc.keys = make([]uint64, size)
+		sc.cnts = make([]int32, size)
+	} else {
+		sc.keys, sc.cnts = sc.keys[:size], sc.cnts[:size]
+		clear(sc.keys)
+	}
+	sc.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	if len(sc.bestN) < base {
+		sc.bestN = make([]int32, base)
+		sc.bestT = make([]int32, base)
+	}
+	sc.from = sc.from[:0]
+}
+
+// best returns each counted source code with its most frequent target
+// code, breaking count ties towards the smaller target string in vals, and
+// clears bestN for the next borrower. Slot order is a function of the
+// pairs alone, and the argmax has a total tie-break, so the entries do not
+// depend on it either.
+func (sc *greedyScratch) best(vals []string) (from, to []int32) {
+	for i, k := range sc.keys {
+		if k == 0 {
+			continue
+		}
+		s, t, n := int32((k-1)>>32), int32(uint32(k-1)), sc.cnts[i]
+		switch cur := sc.bestN[s]; {
+		case cur == 0:
+			sc.from = append(sc.from, s)
+		case n < cur || n == cur && vals[t] > vals[sc.bestT[s]]:
+			continue
+		}
+		sc.bestN[s], sc.bestT[s] = n, t
+	}
+	from = append([]int32(nil), sc.from...)
+	to = make([]int32, len(from))
+	for i, s := range from {
+		to[i] = sc.bestT[s]
+		sc.bestN[s] = 0
+	}
+	return from, to
+}
+
+// count adds one occurrence of pair k. The table never fills past half, so
+// an empty slot is always found.
+func (sc *greedyScratch) count(k uint64) {
+	mask := len(sc.keys) - 1
+	for i := int((k * 0x9E3779B97F4A7C15) >> sc.shift); ; i = (i + 1) & mask {
+		switch sc.keys[i] {
+		case 0:
+			sc.keys[i], sc.cnts[i] = k+1, 1
+			return
+		case k + 1:
+			sc.cnts[i]++
+			return
 		}
 	}
-	entries := make(map[string]string, len(bestT))
-	//affidavit:ordered writes map entries keyed by dict.Value(sv), which is injective over codes; no order-dependent state
-	for sv, tv := range bestT {
-		entries[dict.Value(sv)] = dict.Value(tv)
-	}
-	return metafunc.NewMapping(entries)
 }
 
 // Overlap holds the a-priori matching of Section 4.2: for every source

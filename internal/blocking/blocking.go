@@ -88,17 +88,59 @@ func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) applyMemo 
 // the only codes a refinement can read — so per-memo apply/intern work is
 // bounded by the pair's value set, not by how much a long-lived dictionary
 // pool has accumulated.
+//
+// A mapping built on codes of the attribute's own dictionary is filled
+// from its code pairs without a string: memo[c] = c, except memo[from[i]]
+// = to[i]. That is dict.Code(f.Apply(dict.Value(c))) for every code,
+// because every to[i] is already interned and dictionaries are
+// append-only, so it also holds for a mapping carried over from an
+// earlier pair into the same pool (a warm start).
 func buildMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
-	dict := co.Dicts[attr]
-	built := make(applyMemo, co.Base[attr])
 	if metafunc.IsIdentity(f) {
+		built := make(applyMemo, co.Base[attr])
 		for _, c := range co.Present[attr] {
 			built[c] = c
 		}
-	} else {
-		for _, c := range co.Present[attr] {
-			built[c] = dict.Code(f.Apply(dict.Value(c)))
+		return built
+	}
+	if m, ok := f.(*metafunc.Mapping); ok {
+		if from, to, ok := m.Codes(co.Dicts[attr]); ok {
+			return codedMapMemo(co, attr, from, to)
 		}
+	}
+	return stringMemo(co, attr, f)
+}
+
+// codedMapMemo is the memo of the mapping from[i] ↦ to[i] over the
+// attribute's dictionary.
+func codedMapMemo(co *delta.Coded, attr int, from, to []int32) applyMemo {
+	present := co.Present[attr]
+	built := make(applyMemo, co.Base[attr])
+	// Mark the present codes first, so an entry whose source value this
+	// pair lacks leaves its slot as the string path does.
+	for _, c := range present {
+		built[c] = -1
+	}
+	for i, c := range from {
+		if int(c) < len(built) && built[c] < 0 {
+			built[c] = to[i]
+		}
+	}
+	for _, c := range present {
+		if built[c] < 0 {
+			built[c] = c
+		}
+	}
+	return built
+}
+
+// stringMemo is the memo of any function: each present value is decoded,
+// transformed and interned.
+func stringMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
+	dict := co.Dicts[attr]
+	built := make(applyMemo, co.Base[attr])
+	for _, c := range co.Present[attr] {
+		built[c] = dict.Code(f.Apply(dict.Value(c)))
 	}
 	return built
 }
@@ -112,16 +154,17 @@ func buildMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
 // (force). The search discards the vast majority of candidate refinements
 // on cost alone, so most Results never materialise.
 type Result struct {
-	inst       *delta.Instance
-	coded      *delta.Coded
-	cache      *applyCache
-	blocks     []*Block
-	srcBlockOf []int32
-	tgtBlockOf []int32
-	mixed      []*Block        // blocks with records on both sides (cached)
-	tSur, sSur int             // c_t(H), c_s(H), computed at Refine time
-	ctx        context.Context // nil = never cancelled
-	lazy       *lazyRefine     // pending materialisation; nil once forced
+	inst         *delta.Instance
+	coded        *delta.Coded
+	cache        *applyCache
+	blocks       []*Block
+	srcBlockOf   []int32
+	tgtBlockOf   []int32
+	mixed        []*Block        // blocks with records on both sides (cached)
+	tSur, sSur   int             // c_t(H), c_s(H), computed at Refine time
+	pureS, pureT int             // records in source-only / target-only blocks
+	ctx          context.Context // nil = never cancelled
+	lazy         *lazyRefine     // pending materialisation; nil once forced
 }
 
 // lazyRefine holds a deferred refinement. It lives behind a pointer so
@@ -160,6 +203,8 @@ func New(inst *delta.Instance) *Result {
 	}
 	if b.Mixed() {
 		r.mixed = r.blocks
+	} else {
+		r.pureS, r.pureT = len(b.Src), len(b.Tgt)
 	}
 	return r
 }
@@ -216,42 +261,74 @@ func (r *Result) Refine(attr int, f metafunc.Func) *Result {
 	return nr
 }
 
-// countRefine runs the counting-only half of a refinement: per parent
-// block, count source and target records per split code and accumulate the
-// block surpluses. It allocates nothing beyond pooled scratch.
+// countRefine runs the counting-only half of a refinement. A source-only
+// or target-only block splits only into blocks of its own side, so it adds
+// exactly its size to the surplus whatever f is: the pure counts enter as
+// constants and only the mixed parent blocks are walked, adding the
+// surplus of each split code. It allocates nothing beyond pooled scratch.
 func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 	memo := r.cache.memo(r.coded, attr, f)
 	srcCodes, tgtCodes := r.coded.Src[attr], r.coded.Tgt[attr]
+	tSur, sSur = r.pureT, r.pureS
 	sc := countPool.Get().(*countScratch)
-	for _, b := range r.blocks {
-		sc.tab.reset()
-		cntS, cntT := sc.cntS[:0], sc.cntT[:0]
-		for _, s := range b.Src {
-			idx, ok := sc.tab.getOrInsert(memo[srcCodes[s]], int32(len(cntS)))
-			if !ok {
-				cntS = append(cntS, 0)
-				cntT = append(cntT, 0)
-			}
-			cntS[idx]++
+	// Split codes are memo outputs (interned before the memo was returned)
+	// and raw target codes, so the dictionary's size bounds them all.
+	sc.reset(r.coded.Dicts[attr].Len())
+	for _, b := range r.mixed {
+		var t, s int
+		if len(b.Src)+len(b.Tgt) <= smallBlock {
+			t, s = countSmall(b, memo, srcCodes, tgtCodes)
+		} else {
+			t, s = sc.countDense(b, memo, srcCodes, tgtCodes)
 		}
-		for _, t := range b.Tgt {
-			idx, ok := sc.tab.getOrInsert(tgtCodes[t], int32(len(cntS)))
-			if !ok {
-				cntS = append(cntS, 0)
-				cntT = append(cntT, 0)
-			}
-			cntT[idx]++
-		}
-		for i := range cntS {
-			if d := int(cntT[i] - cntS[i]); d > 0 {
-				tSur += d
-			} else {
-				sSur -= d
-			}
-		}
-		sc.cntS, sc.cntT = cntS, cntT
+		tSur += t
+		sSur += s
 	}
 	countPool.Put(sc)
+	return tSur, sSur
+}
+
+// smallBlock is the record count up to which countSmall's linear scan over
+// at most that many distinct split codes beats a dense-array lookup.
+const smallBlock = 16
+
+// countSmall returns one small block's target and source surplus: the
+// per-split-code differences |T| − |S| live in two stack arrays searched
+// linearly.
+func countSmall(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+	var codes, diff [smallBlock]int32
+	k := 0
+	for _, s := range b.Src {
+		c := memo[srcCodes[s]]
+		i := 0
+		for i < k && codes[i] != c {
+			i++
+		}
+		if i == k {
+			codes[k], diff[k] = c, 0
+			k++
+		}
+		diff[i]--
+	}
+	for _, t := range b.Tgt {
+		c := tgtCodes[t]
+		i := 0
+		for i < k && codes[i] != c {
+			i++
+		}
+		if i == k {
+			codes[k], diff[k] = c, 0
+			k++
+		}
+		diff[i]++
+	}
+	for _, d := range diff[:k] {
+		if d > 0 {
+			tSur += int(d)
+		} else {
+			sSur -= int(d)
+		}
+	}
 	return tSur, sSur
 }
 
@@ -420,6 +497,9 @@ func (r *Result) materialise(srcOf, tgtOf, cntS, cntT []int32) {
 	for _, b := range blocks {
 		if b.Mixed() {
 			mixed = append(mixed, b)
+		} else {
+			r.pureS += len(b.Src)
+			r.pureT += len(b.Tgt)
 		}
 	}
 	r.mixed = mixed

@@ -159,14 +159,62 @@ func (t *pairTable) grow() {
 }
 
 // countScratch is the pooled working set of a counting-only refinement
-// pass: the per-parent split table and the per-sub-block record counts.
-// Instances are handed out by countPool and must be reset per parent block
-// (reset happens at acquisition points); nothing in a scratch may outlive
-// the countRefine call that borrowed it.
+// pass: one slot per dictionary code holding that split code's |T| − |S|
+// within the current parent block. A slot is live only while its epoch
+// equals the scratch's, so starting the next block is one increment and no
+// clear. Nothing in a scratch may outlive the countRefine call that
+// borrowed it.
 type countScratch struct {
-	tab  codeTable
-	cntS []int32
-	cntT []int32
+	slots []countSlot
+	epoch uint32
+}
+
+type countSlot struct {
+	epoch uint32
+	diff  int32
 }
 
 var countPool = sync.Pool{New: func() any { return new(countScratch) }}
+
+// reset prepares the scratch for split codes below n.
+func (sc *countScratch) reset(n int) {
+	if len(sc.slots) < n {
+		sc.slots = make([]countSlot, n)
+	}
+}
+
+// countDense returns one block's target and source surplus. Sources run
+// first and only move their slots away from zero, so Σ|diff| starts at
+// |S|; each target then moves its slot by one towards or away from zero.
+// With Σ diff = |T| − |S| that yields both halves of the surplus without a
+// pass over the touched codes.
+func (sc *countScratch) countDense(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: no stale slot may look live
+		clear(sc.slots)
+		sc.epoch = 1
+	}
+	epoch, slots := sc.epoch, sc.slots
+	for _, s := range b.Src {
+		p := &slots[memo[srcCodes[s]]]
+		if p.epoch != epoch {
+			p.epoch, p.diff = epoch, 0
+		}
+		p.diff--
+	}
+	abs := len(b.Src)
+	for _, t := range b.Tgt {
+		p := &slots[tgtCodes[t]]
+		if p.epoch != epoch {
+			p.epoch, p.diff = epoch, 0
+		}
+		if p.diff >= 0 {
+			abs++
+		} else {
+			abs--
+		}
+		p.diff++
+	}
+	net := len(b.Tgt) - len(b.Src)
+	return (abs + net) / 2, (abs - net) / 2
+}

@@ -18,28 +18,35 @@ import (
 // be empty.
 func randomInstance(t *testing.T, rng *rand.Rand) *delta.Instance {
 	t.Helper()
-	attrs := 1 + rng.Intn(5)
-	names := make([]string, attrs)
+	names := make([]string, 1+rng.Intn(5))
 	for a := range names {
 		names[a] = fmt.Sprintf("a%d", a)
 	}
-	schema := table.MustSchema(names...)
-	alphabet := []string{"x", "y", "X", "Y", "px", "z", ""}
+	src, tgt := randomTables(rng, table.MustSchema(names...))
+	inst, err := delta.NewInstance(src, tgt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// alphabet is the value set of random instances.
+var alphabet = []string{"x", "y", "X", "Y", "px", "z", ""}
+
+// randomTables draws a source and a target of up to 39 rows each over
+// alphabet, each column skewed towards its first few values.
+func randomTables(rng *rand.Rand, schema *table.Schema) (src, tgt *table.Table) {
 	rows := func() []table.Record {
 		out := make([]table.Record, rng.Intn(40))
 		for i := range out {
-			out[i] = make(table.Record, attrs)
+			out[i] = make(table.Record, schema.Len())
 			for a := range out[i] {
 				out[i][a] = alphabet[rng.Intn(1+rng.Intn(len(alphabet)))]
 			}
 		}
 		return out
 	}
-	inst, err := delta.NewInstance(table.MustFromRows(schema, rows()), table.MustFromRows(schema, rows()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst
+	return table.MustFromRows(schema, rows()), table.MustFromRows(schema, rows())
 }
 
 // randomTuple picks a random subset of the attributes in random order —

@@ -39,10 +39,11 @@ func (q *boundedQueue) capacity(level int) int {
 // && !evicted). Rejections — duplicates, or states worse than every state
 // of a full level — return false, false.
 func (q *boundedQueue) Add(s *State) (admitted, evicted bool) {
-	if q.visited[s.key] {
+	key := s.Key()
+	if q.visited[key] {
 		return false, false
 	}
-	q.visited[s.key] = true
+	q.visited[key] = true
 	lv := q.levels[s.level]
 	if len(lv) < q.capacity(s.level) {
 		q.levels[s.level] = append(lv, s)

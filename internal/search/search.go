@@ -491,7 +491,7 @@ func (e *engine) warmStates(root *State) []*State {
 		return nil
 	}
 	noMaps := build(false)
-	if noMaps.key == full.key {
+	if noMaps.Key() == full.Key() {
 		return []*State{full}
 	}
 	// noMaps degenerates to the root when every warm function is a mapping;

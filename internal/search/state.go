@@ -23,8 +23,8 @@ type State struct {
 	funcs  []metafunc.Func // nil = undecided (∗)
 	blocks *blocking.Result
 	cost   float64
-	level  int // number of decided attributes
-	key    string
+	level  int    // number of decided attributes
+	key    string // rendered by Key on first use; "" until then
 }
 
 // newRoot returns the all-undecided state H∅ = (∗, …, ∗). Every
@@ -37,7 +37,6 @@ func newRoot(ctx context.Context, inst *delta.Instance, cm delta.CostModel) *Sta
 		blocks: blocking.New(inst).WithContext(ctx),
 	}
 	s.cost = stateCost(s, cm)
-	s.key = stateKey(s.funcs)
 	return s
 }
 
@@ -75,7 +74,6 @@ func (s *State) child(funcs []metafunc.Func, blocks *blocking.Result, n int, cm 
 		level:  s.level + n,
 	}
 	ns.cost = stateCost(ns, cm)
-	ns.key = stateKey(ns.funcs)
 	return ns
 }
 
@@ -140,8 +138,17 @@ func (s *State) Cost() float64 { return s.cost }
 // Level returns the number of decided attributes.
 func (s *State) Level() int { return s.level }
 
-// Key returns the canonical assignment key.
-func (s *State) Key() string { return s.key }
+// Key returns the canonical assignment key, rendering it on first use.
+// The search keys a state when it is first offered to the queue, on the
+// polling goroutine, so a probe that is only costed and compared — the
+// greedy-map probe Hд — never renders one. Key is not safe for concurrent
+// use on one state; the engine calls it only from the polling goroutine.
+func (s *State) Key() string {
+	if s.key == "" && s.level > 0 {
+		s.key = stateKey(s.funcs)
+	}
+	return s.key
+}
 
 // Funcs returns the decided tuple; undecided positions are nil.
 func (s *State) Funcs() []metafunc.Func {
