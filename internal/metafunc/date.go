@@ -33,6 +33,42 @@ var dateLayouts = []string{
 	"Mon Jan 2 2006",
 }
 
+// dateWidths[i] is the length of every string dateLayouts[i] formats, or 0
+// when that length varies (unpadded days, full month names). A strict
+// parse requires t.Format(layout) == s, so under a fixed-width layout a
+// value of any other length is rejected before time.Parse runs.
+var dateWidths = layoutWidths(dateLayouts)
+
+// layoutWidths formats every day of a leap year — every month name,
+// weekday name and one- or two-digit day — and keeps each layout's width
+// if it never varies. Catalog years are four digits whatever the date, so
+// one year shows every width a layout can produce.
+func layoutWidths(layouts []string) []int {
+	widths := make([]int, len(layouts))
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	var buf [64]byte
+	for i, l := range layouts {
+		w := len(t0.AppendFormat(buf[:0], l))
+		for d := 1; d < 366 && w > 0; d++ {
+			if len(t0.AddDate(0, 0, d).AppendFormat(buf[:0], l)) != w {
+				w = 0
+			}
+		}
+		widths[i] = w
+	}
+	return widths
+}
+
+// layoutWidth returns the fixed width of a catalog layout, 0 otherwise.
+func layoutWidth(l string) int {
+	for i, k := range dateLayouts {
+		if k == l {
+			return dateWidths[i]
+		}
+	}
+	return 0
+}
+
 // DateConvert is x ↦ Format(Parse(x, From), To), otherwise x ↦ x, with
 // ψ = 2. Parsing is strict: the value must round-trip through From exactly,
 // so '1/2/2006' does not sneak through the '01/02/2006' layout.
@@ -64,7 +100,7 @@ func knownLayout(l string) bool {
 func DateLayouts() []string { return append([]string(nil), dateLayouts...) }
 
 func (f DateConvert) Apply(x string) string {
-	t, ok := parseDateStrict(x, f.From)
+	t, ok := parseDateStrict(x, f.From, layoutWidth(f.From))
 	if !ok {
 		return x
 	}
@@ -82,8 +118,9 @@ func (f DateConvert) String() string {
 }
 
 // parseDateStrict parses s under layout and requires an exact round trip.
-func parseDateStrict(s, layout string) (time.Time, bool) {
-	if !plausibleDate(s) {
+// width is the layout's fixed formatted width, 0 when it varies.
+func parseDateStrict(s, layout string, width int) (time.Time, bool) {
+	if (width > 0 && len(s) != width) || !plausibleDate(s) {
 		return time.Time{}, false
 	}
 	t, err := time.Parse(layout, s)
@@ -125,16 +162,16 @@ func (DateMeta) Induce(in, out string) []Func {
 		return nil
 	}
 	var fs []Func
-	for _, li := range dateLayouts {
-		ti, ok := parseDateStrict(in, li)
+	for i, li := range dateLayouts {
+		ti, ok := parseDateStrict(in, li, dateWidths[i])
 		if !ok {
 			continue
 		}
-		for _, lo := range dateLayouts {
+		for j, lo := range dateLayouts {
 			if lo == li {
 				continue
 			}
-			to, ok := parseDateStrict(out, lo)
+			to, ok := parseDateStrict(out, lo, dateWidths[j])
 			if !ok || !ti.Equal(to) {
 				continue
 			}
@@ -149,13 +186,13 @@ func (DateMeta) Induce(in, out string) []Func {
 // generator uses it to decide that a column can carry a date conversion.
 func DetectDateLayout(values []string) (string, bool) {
 layouts:
-	for _, l := range dateLayouts {
+	for i, l := range dateLayouts {
 		seen := false
 		for _, v := range values {
 			if v == "" {
 				continue
 			}
-			if _, ok := parseDateStrict(v, l); !ok {
+			if _, ok := parseDateStrict(v, l, dateWidths[i]); !ok {
 				continue layouts
 			}
 			seen = true
