@@ -275,60 +275,11 @@ func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 	// and raw target codes, so the dictionary's size bounds them all.
 	sc.reset(r.coded.Dicts[attr].Len())
 	for _, b := range r.mixed {
-		var t, s int
-		if len(b.Src)+len(b.Tgt) <= smallBlock {
-			t, s = countSmall(b, memo, srcCodes, tgtCodes)
-		} else {
-			t, s = sc.countDense(b, memo, srcCodes, tgtCodes)
-		}
+		t, s := sc.countDense(b, memo, srcCodes, tgtCodes)
 		tSur += t
 		sSur += s
 	}
 	countPool.Put(sc)
-	return tSur, sSur
-}
-
-// smallBlock is the record count up to which countSmall's linear scan over
-// at most that many distinct split codes beats a dense-array lookup.
-const smallBlock = 16
-
-// countSmall returns one small block's target and source surplus: the
-// per-split-code differences |T| − |S| live in two stack arrays searched
-// linearly.
-func countSmall(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
-	var codes, diff [smallBlock]int32
-	k := 0
-	for _, s := range b.Src {
-		c := memo[srcCodes[s]]
-		i := 0
-		for i < k && codes[i] != c {
-			i++
-		}
-		if i == k {
-			codes[k], diff[k] = c, 0
-			k++
-		}
-		diff[i]--
-	}
-	for _, t := range b.Tgt {
-		c := tgtCodes[t]
-		i := 0
-		for i < k && codes[i] != c {
-			i++
-		}
-		if i == k {
-			codes[k], diff[k] = c, 0
-			k++
-		}
-		diff[i]++
-	}
-	for _, d := range diff[:k] {
-		if d > 0 {
-			tSur += int(d)
-		} else {
-			sSur -= int(d)
-		}
-	}
 	return tSur, sSur
 }
 

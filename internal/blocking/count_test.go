@@ -50,9 +50,9 @@ func randomRefinement(rng *rand.Rand, inst *delta.Instance, r *blocking.Result, 
 }
 
 // TestCountRefineMatchesForced: the counting pass of a lazy Refine — pure
-// blocks added as a constant, mixed blocks counted by linear scan (≤ 16
-// records) or in the dense per-code array — must give the surpluses its
-// own forced blocks give, over identity, induced functions and mappings.
+// blocks added as a constant, mixed blocks of every size counted in the
+// dense per-code array — must give the surpluses its own forced blocks
+// give, over identity, induced functions and mappings.
 // New, a forced Refine and RefineAll must carry the pure-block counts a
 // recount of their blocks gives.
 func TestCountRefineMatchesForced(t *testing.T) {

@@ -59,7 +59,10 @@ var refineSink int
 // 800 000-record block — the shape that dominates early search — by its
 // low-cardinality attribute: count is what Refine itself costs (the
 // counting pass every candidate state pays), force adds the grouping pass
-// and block build that only states reaching an accessor pay.
+// and block build that only states reaching an accessor pay. count-small
+// is the counting pass over the same records once the key-like attribute
+// has split them into ~200 000 blocks of a few records each, the shape
+// of late search.
 func BenchmarkRefine(b *testing.B) {
 	root := blocking.New(bigInstance(b, 400000))
 	b.Run("count", func(b *testing.B) {
@@ -70,6 +73,13 @@ func BenchmarkRefine(b *testing.B) {
 	b.Run("force", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refineSink += len(root.Refine(1, metafunc.Identity{}).Blocks())
+		}
+	})
+	byKey := root.Refine(0, metafunc.Identity{})
+	byKey.Blocks()
+	b.Run("count-small", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refineSink += byKey.Refine(2, metafunc.Identity{}).TargetSurplus()
 		}
 	})
 }
