@@ -2,6 +2,7 @@ package metafunc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -59,48 +60,31 @@ func layoutWidths(layouts []string) []int {
 	return widths
 }
 
-// layoutWidth returns the fixed width of a catalog layout, 0 otherwise.
-func layoutWidth(l string) int {
-	for i, k := range dateLayouts {
-		if k == l {
-			return dateWidths[i]
-		}
-	}
-	return 0
-}
-
 // DateConvert is x ↦ Format(Parse(x, From), To), otherwise x ↦ x, with
 // ψ = 2. Parsing is strict: the value must round-trip through From exactly,
 // so '1/2/2006' does not sneak through the '01/02/2006' layout.
 type DateConvert struct {
 	From, To string
+	width    int // From's fixed width (dateWidths); 0 when it varies or is unset
 }
 
 // NewDateConvert validates both layouts against the catalog.
 func NewDateConvert(from, to string) (DateConvert, error) {
-	if !knownLayout(from) {
+	i := slices.Index(dateLayouts, from)
+	if i < 0 {
 		return DateConvert{}, fmt.Errorf("metafunc: unknown date layout %q", from)
 	}
-	if !knownLayout(to) {
+	if !slices.Contains(dateLayouts, to) {
 		return DateConvert{}, fmt.Errorf("metafunc: unknown date layout %q", to)
 	}
-	return DateConvert{From: from, To: to}, nil
-}
-
-func knownLayout(l string) bool {
-	for _, k := range dateLayouts {
-		if k == l {
-			return true
-		}
-	}
-	return false
+	return DateConvert{From: from, To: to, width: dateWidths[i]}, nil
 }
 
 // DateLayouts returns a copy of the supported layout catalog.
 func DateLayouts() []string { return append([]string(nil), dateLayouts...) }
 
 func (f DateConvert) Apply(x string) string {
-	t, ok := parseDateStrict(x, f.From, layoutWidth(f.From))
+	t, ok := parseDateStrict(x, f.From, f.width)
 	if !ok {
 		return x
 	}
@@ -175,7 +159,7 @@ func (DateMeta) Induce(in, out string) []Func {
 			if !ok || !ti.Equal(to) {
 				continue
 			}
-			fs = append(fs, DateConvert{From: li, To: lo})
+			fs = append(fs, DateConvert{From: li, To: lo, width: dateWidths[i]})
 		}
 	}
 	return verified(in, out, fs)

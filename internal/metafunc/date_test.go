@@ -3,6 +3,7 @@ package metafunc
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDateConvertApply(t *testing.T) {
@@ -40,6 +41,40 @@ func TestDateConvertStrictness(t *testing.T) {
 	}
 	if got := f.Apply("09/13/2006"); got != "20060913" {
 		t.Errorf("strict date failed: %q", got)
+	}
+}
+
+// TestDateWidthShortcut: the fixed-width check rejects only what the strict
+// round trip rejects too, so a DateConvert built without its width (a
+// literal) converts exactly as one from NewDateConvert.
+func TestDateWidthShortcut(t *testing.T) {
+	var values []string
+	for _, d := range []time.Time{
+		time.Date(2019, 9, 3, 0, 0, 0, 0, time.UTC),
+		time.Date(2020, 2, 29, 0, 0, 0, 0, time.UTC),
+		time.Date(1999, 12, 31, 0, 0, 0, 0, time.UTC),
+	} {
+		for _, l := range dateLayouts {
+			values = append(values, d.Format(l))
+		}
+	}
+	values = append(values, "1/2/2006", "2019-9-03", "Sept 3 2019", "IBM", "80000", "")
+	for i, from := range dateLayouts {
+		for _, to := range dateLayouts {
+			built, err := NewDateConvert(from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if built.width != dateWidths[i] {
+				t.Fatalf("NewDateConvert(%q).width = %d, want %d", from, built.width, dateWidths[i])
+			}
+			literal := DateConvert{From: from, To: to}
+			for _, v := range values {
+				if got, want := built.Apply(v), literal.Apply(v); got != want {
+					t.Errorf("%s → %s on %q: %q with the width, %q without", from, to, v, got, want)
+				}
+			}
+		}
 	}
 }
 
