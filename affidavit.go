@@ -92,7 +92,7 @@ type Result struct {
 	// Stats reports search effort.
 	Stats Stats
 	// Trace is the run's structured trace — stage spans with wall times,
-	// poll trajectory, spill totals — recorded when the Explainer was
+	// poll trajectory — recorded when the Explainer was
 	// built WithTracing; nil otherwise. Wall-clock values live only here,
 	// so tracing never perturbs the deterministic outputs.
 	Trace *Trace

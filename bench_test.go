@@ -37,7 +37,6 @@ import (
 	"affidavit/internal/satreduce"
 	"affidavit/internal/search"
 	"affidavit/internal/session"
-	"affidavit/internal/spill"
 	"affidavit/internal/table"
 )
 
@@ -336,11 +335,8 @@ func BenchmarkChainInterning(b *testing.B) {
 // BenchmarkBuild measures the end-state conversion in isolation —
 // delta.BuildCtx's memos, greedy multiset matching and assembly — on the
 // Figure 5 instance (40 000 rows) with its reference function tuple: w1 is
-// the one-partition matching, w2 two in-memory partitions on two
-// goroutines, disk the same matching under a 1 MiB budget (eight
-// partitions, matched one at a time, member lists in a temp file). All three produce the
-// same explanation (TestBuildShardedMatchesSequential,
-// TestBuildExternalMatchesSequential).
+// the one-partition matching, w2 two partitions on two goroutines. Both
+// produce the same explanation (TestBuildShardedMatchesSequential).
 //
 // w2 pins GOMAXPROCS to 2 for its duration: the partition count is clamped
 // to GOMAXPROCS, so on a one-CPU runner it would otherwise silently time w1
@@ -365,7 +361,6 @@ func BenchmarkBuild(b *testing.B) {
 	}{
 		{"w1", delta.BuildOptions{Workers: 1}},
 		{"w2", delta.BuildOptions{Workers: 2}},
-		{"disk", delta.BuildOptions{Workers: 1, Spill: spill.NewManager(1<<20, b.TempDir())}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			if prev := runtime.GOMAXPROCS(0); v.opts.Workers > prev {

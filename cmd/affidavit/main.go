@@ -12,8 +12,8 @@
 // shown as before/after views; with -json the result is emitted in the
 // same stable encoding affidavitd serves; with -progress the pipeline
 // narrates ingest and search progress on stderr; with -trace-out the run's
-// structured trace (per-stage wall-clock spans, the poll cost curve, spill
-// totals) is appended to a JSONL file; with -pprof a net/http/pprof
+// structured trace (per-stage wall-clock spans, the poll cost curve) is
+// appended to a JSONL file; with -pprof a net/http/pprof
 // listener serves profiling data for the process lifetime.
 //
 // Snapshots are streamed: each CSV is interned into the columnar backend

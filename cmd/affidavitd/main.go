@@ -64,8 +64,8 @@
 //	                   via its context
 //	GET  /traces       index of recent run traces, most recent first
 //	GET  /traces/{id}  one full structured trace: per-stage wall-clock
-//	                   spans (ingest, search, finalize, convert), the
-//	                   thinned poll cost curve, spill totals
+//	                   spans (ingest, search, finalize, convert) and the
+//	                   thinned poll cost curve
 //	GET  /stats        process start time/uptime/Go version, per-table
 //	                   session counters, eviction totals
 //	GET  /metrics      Prometheus-style pipeline counters (ingest volume,
@@ -102,12 +102,6 @@
 //	               guard at ingest (default 10M)
 //	-max-snapshot  cap on each snapshot's raw bytes, in MiB —
 //	               catches few-records-huge-fields bodies (default 1024)
-//	-mem-budget    approximate per-run budget (e.g. 256MiB) for auxiliary
-//	               memory: the overlap index and the conversion's matching
-//	               partition through temp files instead of growing the
-//	               heap, while snapshots stay resident at 4 B per cell;
-//	               explanations are unchanged, /stats and /metrics report
-//	               the spilled volume
 //	-trace-buffer  retained run traces behind /traces (default 128;
 //	               0 disables per-request tracing entirely)
 //	-pprof         mount net/http/pprof handlers under /debug/pprof/

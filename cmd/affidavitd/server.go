@@ -619,10 +619,6 @@ type statsResponse struct {
 	// Catalog mirrors /metrics' affidavit_catalog_* series: registered
 	// tables, stored snapshots, and chain steps by status.
 	Catalog catalogStats `json:"catalog"`
-	// Out-of-core totals under -mem-budget (mirrors /metrics'
-	// affidavit_spill_bytes_total / affidavit_spill_partitions_total).
-	SpillBytes      int64 `json:"spill_bytes_total"`
-	SpillPartitions int64 `json:"spill_partitions_total"`
 }
 
 // handleStats serves GET /stats: process identity (start time, uptime, Go
@@ -647,7 +643,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	evicted := s.evicted
 	s.mu.Unlock()
-	spillBytes, spillParts := s.metrics.SpillTotals()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -660,8 +655,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SessionsEvicted: evicted,
 		Jobs:            s.jobsStats(),
 		Catalog:         s.catalogStats(),
-		SpillBytes:      spillBytes,
-		SpillPartitions: spillParts,
 	}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

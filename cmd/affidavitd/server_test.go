@@ -107,6 +107,21 @@ func post(t *testing.T, srv *httptest.Server, source, target string, fields map[
 	return resp.StatusCode, data
 }
 
+// get fetches a URL and returns its body as a string.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestExplainEndpoint(t *testing.T) {
 	srv := testServer(t)
 	ch := testChain(t, 1)
@@ -772,5 +787,28 @@ func TestMaxSnapshotBytesGuard(t *testing.T) {
 	code, _ = post(t, srv, "v\na\n", "v\nb\n", nil)
 	if code != http.StatusOK {
 		t.Errorf("small upload: status %d", code)
+	}
+}
+
+// TestMaxSnapshotRejectionNamesFlag: the byte-cap rejection names
+// -max-snapshot, the one flag that serves genuinely large snapshots, and no
+// flag that does not exist.
+func TestMaxSnapshotRejectionNamesFlag(t *testing.T) {
+	srv := httptest.NewServer(mustServer(t, serverConfig{
+		options:          testOptions(),
+		maxSnapshotBytes: 1 << 10,
+	}).handler())
+	t.Cleanup(srv.Close)
+
+	huge := "v\n" + strings.Repeat("x", 4<<10) + "\n"
+	code, body := post(t, srv, huge, "v\na\n", nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d", code)
+	}
+	if !strings.Contains(string(body), "-max-snapshot") {
+		t.Errorf("rejection does not name -max-snapshot: %.200s", body)
+	}
+	if strings.Contains(string(body), "-mem-budget") {
+		t.Errorf("rejection mentions the removed -mem-budget: %.200s", body)
 	}
 }

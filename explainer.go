@@ -13,7 +13,6 @@ import (
 	"affidavit/internal/schemamatch"
 	"affidavit/internal/search"
 	"affidavit/internal/session"
-	"affidavit/internal/spill"
 	"affidavit/internal/table"
 	"affidavit/internal/trace"
 )
@@ -38,8 +37,7 @@ type Explainer struct {
 	so      search.Options
 	metas   []metafunc.Meta
 	obs     Observer
-	budget  int64 // WithMemBudget; 0 = unlimited
-	tracing bool  // WithTracing; record a per-run Trace into Result.Trace
+	tracing bool // WithTracing; record a per-run Trace into Result.Trace
 }
 
 // Option configures an Explainer. Options apply in order; later options
@@ -54,14 +52,6 @@ func New(opts ...Option) (*Explainer, error) {
 	e := &Explainer{so: search.DefaultOptions(), metas: metafunc.DefaultMetas()}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.budget < 0 {
-		return nil, fmt.Errorf("affidavit: memory budget must be ≥ 0, got %d", e.budget)
-	}
-	if e.budget > 0 {
-		// One manager for the Explainer's lifetime: every run it executes
-		// spills against the same budget.
-		e.so.Spill = spill.NewManager(e.budget, "")
 	}
 	if err := e.so.Validate(); err != nil {
 		return nil, err
@@ -130,24 +120,10 @@ func WithWorkers(n int) Option { return func(e *Explainer) { e.so.Workers = n } 
 // it). 0 disables the guard.
 func WithWarmGuard(g float64) Option { return func(e *Explainer) { e.so.WarmGuard = g } }
 
-// WithMemBudget runs every explanation under an approximate budget of n
-// bytes (0 = unlimited) for its auxiliary memory: the overlap start
-// strategy groups its score index through disk partitions, and the
-// end-state conversion matches one disk-backed partition at a time. The
-// snapshots themselves (interned code columns, 4 bytes per cell, plus
-// their distinct values) and blocking's refinements stay resident.
-// Explanations are byte-identical to the unbudgeted run for equal seeds —
-// the budget trades disk I/O for peak memory, which is what lets the
-// paper's full 500k-row Figure 5 instance run on small machines. Spill
-// activity is observable: Stats carries the run's spilled bytes/partitions,
-// and observers receive per-stage EventSpill events (metrics:
-// affidavit_spill_bytes_total, affidavit_spill_partitions_total).
-func WithMemBudget(n int64) Option { return func(e *Explainer) { e.budget = n } }
-
-// ParseMemBudget parses a human-readable byte size for WithMemBudget: a
-// plain integer (bytes) or an integer with a KB/MB/GB (decimal) or
-// KiB/MiB/GiB (binary) suffix, e.g. "256MiB". "" and "0" mean no budget.
-func ParseMemBudget(s string) (int64, error) { return spill.ParseSize(s) }
+// WithMemBudget does nothing: no stage spills to disk, and every stage's
+// memory is linear in the snapshots. It stays only for the frozen service
+// benchmark (bench/probes.go), which calls it.
+func WithMemBudget(n int64) Option { return func(*Explainer) {} }
 
 // WithExtraMetas extends the built-in meta-function library with
 // domain-specific families.
@@ -165,10 +141,10 @@ func WithObserver(o Observer) Option { return func(e *Explainer) { e.obs = Obser
 
 // WithTracing records a structured per-run trace into Result.Trace: stage
 // spans with wall times (ingest source/target, search, finalize, convert),
-// the warm/cold/escalated start decision, a bounded poll cost-curve
-// sample, and spill totals. Each run gets its own recorder attached
-// through the Observers fan-out, so concurrent runs trace independently
-// and any WithObserver observer keeps receiving every event. Wall-clock
+// the warm/cold/escalated start decision, and a bounded poll cost-curve
+// sample. Each run gets its own recorder attached through the Observers
+// fan-out, so concurrent runs trace independently and any WithObserver
+// observer keeps receiving every event. Wall-clock
 // values are captured out-of-band in the recorder — the event stream and
 // Result.JSON stay byte-identical with tracing on or off. Batch runs
 // (ExplainBatch) are not traced: their pairs interleave on one context.
@@ -180,8 +156,8 @@ func WithTracing() Option { return func(e *Explainer) { e.tracing = true } }
 // expansion cap — plus the installed meta-function families, into a
 // 16-hex-character identity. Two Explainers with equal fingerprints
 // produce byte-identical explanations for identical inputs; byte-neutral
-// knobs (workers, memory budget, observers, tracing, warm-only guards)
-// are deliberately excluded. affidavitd folds the fingerprint into the
+// knobs (workers, observers, tracing, warm-only guards) are deliberately
+// excluded. affidavitd folds the fingerprint into the
 // job content address, so a configuration change stops serving results
 // computed under the old flags.
 func (e *Explainer) Fingerprint() string {

@@ -36,11 +36,10 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("%s change did not move the fingerprint", name)
 		}
 	}
-	// Byte-neutral knobs must not: the parallel engine and memory budgets
-	// are pinned byte-identical to the defaults.
+	// Byte-neutral knobs must not: the parallel engine is pinned
+	// byte-identical to the sequential one.
 	for name, fp := range map[string]string{
 		"workers": mk(WithSeed(31), WithWorkers(8)),
-		"budget":  mk(WithSeed(31), WithMemBudget(1<<30)),
 		"tracing": mk(WithSeed(31), WithTracing()),
 	} {
 		if fp != base {

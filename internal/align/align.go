@@ -6,7 +6,6 @@
 package align
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"sort"
@@ -15,7 +14,6 @@ import (
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
-	"affidavit/internal/spill"
 )
 
 // Pair aligns source record S with target record T.
@@ -181,200 +179,95 @@ type Overlap struct {
 // ComputeOverlap scores record pairs by counting attributes on which they
 // agree, considering only pairs that share at least one value whose
 // source-group × target-group product does not exceed maxPairs (the paper's
-// configurable block-size threshold; Section 4.2 uses 100000).
+// configurable block-size threshold; Section 4.2 uses 100000). Each source
+// keeps its best-scoring target, ties going to the smaller target index.
+//
+// Sources are scored one at a time against per-attribute postings of the
+// target records, in a dense score array over the targets that is reset
+// entry by entry after each source. Beyond the result, memory is the
+// postings (one int32 per target record and per code, per attribute) plus
+// one int32 per target: linear in the instance, whatever the number of
+// scored pairs.
 func ComputeOverlap(inst *delta.Instance, maxPairs int) *Overlap {
-	return ComputeOverlapSpill(inst, maxPairs, nil, nil)
-}
-
-// overlapEntryBytes approximates one score-table entry: an int64 key, an
-// int32 count and the map bucket overhead around them.
-const overlapEntryBytes = 24
-
-// ComputeOverlapSpill is ComputeOverlap under a memory budget: when the
-// estimated score table blows the manager's group share, candidate pair
-// keys are partitioned to disk by source record (grace-hash, like the
-// external grouping mode) and each partition is counted and arg-maxed
-// separately — per-source results are independent across partitions, so
-// the overlap is byte-identical to the in-memory path. Disk trouble
-// falls back to the in-memory computation: the budget is advisory, the
-// result is not.
-func ComputeOverlapSpill(inst *delta.Instance, maxPairs int, m *spill.Manager, st *spill.Stats) *Overlap {
-	if m.Active() {
-		if est := overlapEstimate(inst, maxPairs); m.ShouldSpillGroup(est) {
-			if ov := computeOverlapExternal(inst, maxPairs, est, m, st); ov != nil {
-				return ov
-			}
-		}
-	}
-	nT := inst.Target.Len()
 	coded := inst.Coded()
-	scores := make(map[int64]int32)
-	for a := 0; a < inst.NumAttrs(); a++ {
-		srcByVal, tgtByVal := overlapGroups(coded, a)
-		for v, ss := range srcByVal {
-			ts := tgtByVal[v]
-			if len(ss) == 0 || len(ts) == 0 {
-				continue
-			}
-			if len(ss)*len(ts) > maxPairs {
-				continue // too frequent a value: skip this overlap
-			}
-			for _, s := range ss {
-				base := int64(s) * int64(nT)
-				for _, t := range ts {
-					scores[base+int64(t)]++
-				}
-			}
-		}
+	var maxBase int32
+	for _, b := range coded.Base {
+		maxBase = max(maxBase, b)
 	}
-	acc := newOverlapAccum(nT)
-	acc.fold(scores)
-	return acc.finish()
-}
-
-// overlapGroups groups both snapshots' records for attribute a by
-// interned code: raw snapshot codes are dense in [0, Base[a]), so plain
-// slices replace the string-keyed maps.
-func overlapGroups(coded *delta.Coded, a int) (srcByVal, tgtByVal [][]int32) {
-	srcByVal = make([][]int32, coded.Base[a])
-	for s, c := range coded.Src[a] {
-		srcByVal[c] = append(srcByVal[c], int32(s))
+	srcN := make([]int32, maxBase)
+	post := make([]postings, inst.NumAttrs())
+	for a := range post {
+		post[a] = newPostings(coded.Src[a], coded.Tgt[a], srcN[:coded.Base[a]], maxPairs)
 	}
-	tgtByVal = make([][]int32, coded.Base[a])
-	for t, c := range coded.Tgt[a] {
-		tgtByVal[c] = append(tgtByVal[c], int32(t))
-	}
-	return srcByVal, tgtByVal
-}
-
-// overlapEstimate upper-bounds the in-memory score table: the sum of
-// per-value group products that survive the maxPairs cut, costed per
-// entry. Counting group sizes is cheap — no pair is enumerated.
-func overlapEstimate(inst *delta.Instance, maxPairs int) int64 {
-	coded := inst.Coded()
-	var total int64
-	for a := 0; a < inst.NumAttrs(); a++ {
-		srcN := make([]int32, coded.Base[a])
-		for _, c := range coded.Src[a] {
-			srcN[c]++
-		}
-		tgtN := make([]int32, coded.Base[a])
-		for _, c := range coded.Tgt[a] {
-			tgtN[c]++
-		}
-		for v := range srcN {
-			p := int64(srcN[v]) * int64(tgtN[v])
-			if p > 0 && p <= int64(maxPairs) {
-				total += p
-			}
-		}
-	}
-	return total * overlapEntryBytes
-}
-
-// computeOverlapExternal runs the score count out of core: pair keys are
-// written to grace-hash partitions keyed by source record, then each
-// partition is replayed into a small map and folded into the global
-// argmax. Returns nil on any pager error (caller falls back in-memory).
-func computeOverlapExternal(inst *delta.Instance, maxPairs int, est int64, m *spill.Manager, st *spill.Stats) *Overlap {
-	nT := inst.Target.Len()
-	coded := inst.Coded()
-	parts := m.GroupPartitions(est)
-	pg, err := m.NewPager(parts, 8, st)
-	if err != nil {
-		return nil
-	}
-	defer pg.Close()
-	var rec [8]byte
-	for a := 0; a < inst.NumAttrs(); a++ {
-		srcByVal, tgtByVal := overlapGroups(coded, a)
-		for v, ss := range srcByVal {
-			ts := tgtByVal[v]
-			if len(ss) == 0 || len(ts) == 0 {
-				continue
-			}
-			if len(ss)*len(ts) > maxPairs {
-				continue
-			}
-			for _, s := range ss {
-				base := int64(s) * int64(nT)
-				part := int(uint32(s) % uint32(parts))
-				for _, t := range ts {
-					binary.LittleEndian.PutUint64(rec[:], uint64(base+int64(t)))
-					if pg.Write(part, rec[:]) != nil {
-						return nil
-					}
-				}
-			}
-		}
-	}
-	if pg.Flush() != nil {
-		return nil
-	}
-	acc := newOverlapAccum(nT)
-	scores := make(map[int64]int32)
-	for part := 0; part < parts; part++ {
-		clear(scores)
-		err := pg.ReadPart(part, func(b []byte) error {
-			scores[int64(binary.LittleEndian.Uint64(b))]++
-			return nil
-		})
-		if err != nil {
-			return nil
-		}
-		// Every key for one source record hashes to the same partition, so
-		// folding partitions one at a time reaches the same argmax as one
-		// big table.
-		acc.fold(scores)
-	}
-	return acc.finish()
-}
-
-// overlapAccum folds score tables into the per-source argmax and
-// assembles the final Overlap. Both the in-memory and external paths end
-// here, which is what keeps them byte-identical.
-type overlapAccum struct {
-	nT        int
-	best      map[int32]Pair
-	bestScore map[int32]int32
-}
-
-func newOverlapAccum(nT int) *overlapAccum {
-	return &overlapAccum{
-		nT:        nT,
-		best:      make(map[int32]Pair),
-		bestScore: make(map[int32]int32),
-	}
-}
-
-// fold merges one score table into the running argmax.
-func (acc *overlapAccum) fold(scores map[int64]int32) {
-	//affidavit:ordered argmax with a total tie-break (score, then smaller target index); result is independent of visit order
-	for key, sc := range scores {
-		s := int32(key / int64(acc.nT))
-		t := int32(key % int64(acc.nT))
-		cur, seen := acc.bestScore[s]
-		// Deterministic tie-break towards the smaller target index.
-		if !seen || sc > cur || (sc == cur && t < acc.best[s].T) {
-			acc.bestScore[s] = sc
-			acc.best[s] = Pair{S: s, T: t}
-		}
-	}
-}
-
-// finish sorts the argmax by source record into the Overlap.
-func (acc *overlapAccum) finish() *Overlap {
+	score := make([]int32, inst.Target.Len())
+	var touched []int32
 	ov := &Overlap{}
-	srcs := make([]int32, 0, len(acc.best))
-	for s := range acc.best {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, s := range srcs {
-		ov.BestPairs = append(ov.BestPairs, acc.best[s])
-		ov.Scores = append(ov.Scores, int(acc.bestScore[s]))
+	for s := 0; s < inst.Source.Len(); s++ {
+		for a, p := range post {
+			c := coded.Src[a][s]
+			for _, t := range p.tgts[p.off[c]:p.off[c+1]] {
+				if score[t] == 0 {
+					touched = append(touched, t)
+				}
+				score[t]++
+			}
+		}
+		if len(touched) == 0 {
+			continue
+		}
+		best := touched[0]
+		for _, t := range touched[1:] {
+			if score[t] > score[best] || score[t] == score[best] && t < best {
+				best = t
+			}
+		}
+		ov.BestPairs = append(ov.BestPairs, Pair{S: int32(s), T: best})
+		ov.Scores = append(ov.Scores, int(score[best]))
+		for _, t := range touched {
+			score[t] = 0
+		}
+		touched = touched[:0]
 	}
 	return ov
+}
+
+// postings lists one attribute's target records by code in CSR form: the
+// targets holding code c are tgts[off[c]:off[c+1]], ascending. A code whose
+// value is missing from either snapshot, or too frequent to score, gets an
+// empty range.
+type postings struct {
+	off  []int32
+	tgts []int32
+}
+
+// newPostings builds one attribute's postings over the codes below
+// len(srcN), using srcN as scratch for the source group sizes.
+func newPostings(src, tgt, srcN []int32, maxPairs int) postings {
+	base := len(srcN)
+	clear(srcN)
+	for _, c := range src {
+		srcN[c]++
+	}
+	off := make([]int32, base+1)
+	for _, c := range tgt {
+		off[c+1]++
+	}
+	for c := 0; c < base; c++ {
+		n := off[c+1]
+		if srcN[c] == 0 || int64(srcN[c])*int64(n) > int64(maxPairs) {
+			n = 0 // absent from the source, or too frequent a value
+		}
+		off[c+1] = off[c] + n
+		srcN[c] = off[c] // now the fill cursor
+	}
+	tgts := make([]int32, off[base])
+	for t, c := range tgt {
+		if i := srcN[c]; i < off[c+1] {
+			tgts[i] = int32(t)
+			srcN[c]++
+		}
+	}
+	return postings{off: off, tgts: tgts}
 }
 
 // StartAttrs selects A^id for the Hs start state: k′ is the modal overlap

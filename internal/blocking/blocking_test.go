@@ -241,8 +241,8 @@ func TestIndeterminaciesMatchNaiveCount(t *testing.T) {
 // must keep its parent to group from — but once forced it must let go.
 // Otherwise every search state pins its whole chain of materialised
 // ancestors (two record→block arrays plus the block lists per level),
-// which is what made budgeted runs peak far above the eager refinement
-// this replaced.
+// which is what made runs peak far above the eager refinement this
+// replaced.
 func TestForcedResultReleasesParent(t *testing.T) {
 	mid := blocking.New(fixture.Instance()).Refine(0, metafunc.Identity{})
 	collected := make(chan struct{})

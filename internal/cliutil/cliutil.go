@@ -19,23 +19,21 @@ import (
 	"affidavit"
 	"affidavit/internal/obs"
 	"affidavit/internal/search"
-	"affidavit/internal/spill"
 )
 
 // Flags holds the registered flag values. Zero int/float flags mean "the
 // configuration default", matching the historical cmd behaviour.
 type Flags struct {
-	Start     *string
-	Alpha     *float64
-	Beta      *int
-	Rho       *int
-	Theta     *float64
-	Conf      *float64
-	MaxBlock  *int
-	Seed      *int64
-	Workers   *int
-	Progress  *bool
-	MemBudget *string
+	Start    *string
+	Alpha    *float64
+	Beta     *int
+	Rho      *int
+	Theta    *float64
+	Conf     *float64
+	MaxBlock *int
+	Seed     *int64
+	Workers  *int
+	Progress *bool
 }
 
 // Defaults parameterises per-cmd flag defaults.
@@ -46,17 +44,16 @@ type Defaults struct {
 // Register installs the shared search flags on fs.
 func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	return &Flags{
-		Start:     fs.String("start", "hid", "start strategy: hid | hs | empty"),
-		Alpha:     fs.Float64("alpha", 0.5, "cost parameter α in [0,1]"),
-		Beta:      fs.Int("beta", 0, "branching factor β (0 = config default)"),
-		Rho:       fs.Int("rho", 0, "queue width ϱ (0 = config default)"),
-		Theta:     fs.Float64("theta", 0.1, "estimated effect fraction θ"),
-		Conf:      fs.Float64("conf", 0.95, "sampling confidence ρ"),
-		MaxBlock:  fs.Int("max-block", 100000, "overlap-matching block threshold (hs)"),
-		Seed:      fs.Int64("seed", d.Seed, "random seed (equal seeds give equal explanations)"),
-		Workers:   fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent search probes (1 = sequential engine)"),
-		Progress:  fs.Bool("progress", false, "narrate pipeline progress (ingest, polls, phases) on stderr"),
-		MemBudget: fs.String("mem-budget", "", "approximate per-run memory budget, e.g. 256MiB (empty = unlimited); beyond it the overlap index and the conversion's matching partition through temp files (snapshots stay resident) — explanations are byte-identical, only peak memory changes"),
+		Start:    fs.String("start", "hid", "start strategy: hid | hs | empty"),
+		Alpha:    fs.Float64("alpha", 0.5, "cost parameter α in [0,1]"),
+		Beta:     fs.Int("beta", 0, "branching factor β (0 = config default)"),
+		Rho:      fs.Int("rho", 0, "queue width ϱ (0 = config default)"),
+		Theta:    fs.Float64("theta", 0.1, "estimated effect fraction θ"),
+		Conf:     fs.Float64("conf", 0.95, "sampling confidence ρ"),
+		MaxBlock: fs.Int("max-block", 100000, "overlap-matching block threshold (hs)"),
+		Seed:     fs.Int64("seed", d.Seed, "random seed (equal seeds give equal explanations)"),
+		Workers:  fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent search probes (1 = sequential engine)"),
+		Progress: fs.Bool("progress", false, "narrate pipeline progress (ingest, polls, phases) on stderr"),
 	}
 }
 
@@ -71,7 +68,7 @@ type Diag struct {
 // RegisterDiag installs the shared diagnostics flags on fs.
 func RegisterDiag(fs *flag.FlagSet) *Diag {
 	return &Diag{
-		TraceOut: fs.String("trace-out", "", "append each run's structured trace (stage wall-clock spans, poll cost curve, spill totals) as a JSON line to this file"),
+		TraceOut: fs.String("trace-out", "", "append each run's structured trace (stage wall-clock spans, poll cost curve) as a JSON line to this file"),
 		Pprof:    fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the process lifetime"),
 	}
 }
@@ -147,15 +144,6 @@ func (l *TraceLog) WireSearch(so *search.Options) {
 	so.OnEvent = obs.Chain(so.OnEvent, collector.Observe)
 }
 
-// memBudget parses the -mem-budget flag (0 when unset).
-func (f *Flags) memBudget() (int64, error) {
-	n, err := spill.ParseSize(*f.MemBudget)
-	if err != nil {
-		return 0, fmt.Errorf("-mem-budget: %w", err)
-	}
-	return n, nil
-}
-
 // ProgressObserver returns the stderr narrator when -progress was set,
 // nil otherwise. Callers compose it with their own observers (e.g.
 // affidavit.Observers(metrics, flags.ProgressObserver())).
@@ -191,11 +179,6 @@ func (f *Flags) Options(extra ...affidavit.Option) ([]affidavit.Option, error) {
 		affidavit.WithSeed(*f.Seed),
 		affidavit.WithWorkers(*f.Workers),
 	)
-	if budget, err := f.memBudget(); err != nil {
-		return nil, err
-	} else if budget > 0 {
-		opts = append(opts, affidavit.WithMemBudget(budget))
-	}
 	if *f.Beta > 0 {
 		opts = append(opts, affidavit.WithBeta(*f.Beta))
 	}
@@ -242,11 +225,6 @@ func (f *Flags) SearchOptions() (search.Options, error) {
 	so.MaxBlockSize = *f.MaxBlock
 	so.Seed = *f.Seed
 	so.Workers = *f.Workers
-	if budget, err := f.memBudget(); err != nil {
-		return so, err
-	} else if budget > 0 {
-		so.Spill = spill.NewManager(budget, "")
-	}
 	if o := f.ProgressObserver(); o != nil {
 		so.OnEvent = o.Observe
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"affidavit/internal/metafunc"
-	"affidavit/internal/spill"
 	"affidavit/internal/table"
 )
 
@@ -203,14 +202,6 @@ type BuildOptions struct {
 	// one-partition one — the greedy procedure resolves each key
 	// independently anyway.
 	Workers int
-	// Spill, when active, bounds the matching's memory: if the in-memory
-	// index's estimated size exceeds the budget's share, the partitions are
-	// sized to fit the share and their member lists go to a temp file.
-	// Explanations are byte-identical to the in-memory path; if the disk
-	// fails, the matching reruns in memory.
-	Spill *spill.Manager
-	// SpillStats, when non-nil, accumulates the spilled volume.
-	SpillStats *spill.Stats
 }
 
 // Build constructs a valid explanation from an attribute-function tuple by
@@ -220,8 +211,8 @@ type BuildOptions struct {
 //
 // Matching runs on the interned columnar view: records are compared as
 // code tuples, and each function is applied at most once per distinct
-// source value of its attribute. Build is BuildCtx without cancellation,
-// workers or a budget.
+// source value of its attribute. Build is BuildCtx without cancellation or
+// workers.
 func Build(inst *Instance, funcs FuncTuple) (*Explanation, error) {
 	return BuildCtx(context.Background(), inst, funcs, BuildOptions{})
 }
@@ -242,12 +233,7 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 	if err != nil {
 		return nil, err
 	}
-	matchOf, err := match(ctx, inst, co, memos, opts.Workers, opts.Spill, opts.SpillStats)
-	if err != nil && ctx.Err() == nil {
-		// Disk trouble, not cancellation: the budget is advisory, so rerun
-		// on in-memory partitions rather than fail the run.
-		matchOf, err = match(ctx, inst, co, memos, opts.Workers, nil, nil)
-	}
+	matchOf, err := match(ctx, inst, co, memos, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,8 @@ package delta
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"sync"
-
-	"affidavit/internal/spill"
 )
 
 // The greedy multiset matching of Proposition 3.6 interacts only within
@@ -18,8 +15,7 @@ import (
 // hash of its (image) code tuple, which keeps all records that could ever
 // match together; each partition replays the greedy order on its own keys,
 // and the union of the partition matchings is the one-partition matching —
-// byte-identical explanations for any partition count, worker count and
-// member store.
+// byte-identical explanations for any partition count and worker count.
 
 // fnv1a64 constants for hashing code tuples.
 const (
@@ -54,79 +50,26 @@ func hashImg(co *Coded, memos [][]int32, s int) (h uint64, ok bool) {
 	return h, true
 }
 
-// matchEstimate is what one in-memory matching allocates beyond its
-// result: newTupleIndex's three slot arrays (the power of two ≥ 2·nTgt
-// int32s each) and its link array, plus the partitions' member lists.
-func matchEstimate(nSrc, nTgt int) int64 {
-	return 4 * int64(3*indexSlots(nTgt)+nTgt+nSrc+nTgt)
-}
-
-// members stores the partitions' record lists, targets of partition p at
-// p and its sources at parts+p: in memory, or — under a memory budget — as
-// 4-byte record indices in a spill.Pager. Everything else about the
-// matching is the same for both stores.
-type members struct {
-	lists [][]int32
-	pager *spill.Pager // nil = in memory
-}
-
-func (m *members) add(list int, rec int32) error {
-	if m.pager == nil {
-		m.lists[list] = append(m.lists[list], rec)
-		return nil
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(rec))
-	return m.pager.Write(list, b[:])
-}
-
-// load returns one list, ascending (the order add saw).
-func (m *members) load(list int) ([]int32, error) {
-	if m.pager == nil {
-		return m.lists[list], nil
-	}
-	var recs []int32
-	err := m.pager.ReadPart(list, func(b []byte) error {
-		recs = append(recs, int32(binary.LittleEndian.Uint32(b)))
-		return nil
-	})
-	return recs, err
-}
-
 // match runs the greedy multiset matching: matchOf[s] is the target record
 // claimed by source s, or −1 when s is deleted. The partition count is
 // computed, never configured: one partition — no routing, no member lists —
-// unless workers > 1 (one per usable core, for load balance) or the
-// estimate exceeds the budget's share (partitions sized so that one fits
-// it, member lists on disk, matched one at a time: a budget is paid in
-// parallelism too, and the spilled partition count stays independent of
-// workers). In memory up to workers partitions match at a time; each writes
-// only its own sources' entries of matchOf. A non-nil error is ctx's or the
-// pager's.
-func match(ctx context.Context, inst *Instance, co *Coded, memos [][]int32, workers int, sm *spill.Manager, st *spill.Stats) ([]int32, error) {
+// unless workers > 1, then one per usable core, for load balance. Up to
+// workers partitions match at a time; each writes only its own sources'
+// entries of matchOf. A non-nil error is ctx's.
+func match(ctx context.Context, inst *Instance, co *Coded, memos [][]int32, workers int) ([]int32, error) {
 	nSrc, nTgt := inst.Source.Len(), inst.Target.Len()
 	matchOf := make([]int32, nSrc)
 	for s := range matchOf {
 		matchOf[s] = -1
 	}
 
-	// In memory the count only balances load: partitions beyond the core
-	// count or the key-bearing record count are pure overhead.
-	parts, mem := max(1, min(workers, runtime.GOMAXPROCS(0), nTgt/2+1)), members{}
-	if est := matchEstimate(nSrc, nTgt); sm.ShouldSpillMatch(est) {
-		// One partition fits the share, so only one may be resident.
-		parts, workers = sm.MatchPartitions(est), 1
-		pager, err := sm.NewPager(2*parts, 4, st)
-		if err != nil {
-			return nil, err
-		}
-		defer pager.Close()
-		mem.pager = pager
-	} else if parts > 1 {
-		mem.lists = make([][]int32, 2*parts)
-	}
-
+	// Partitions beyond the core count or the key-bearing record count are
+	// pure overhead. lists holds partition p's targets at p and its sources
+	// at parts+p.
+	parts := max(1, min(workers, runtime.GOMAXPROCS(0), nTgt/2+1))
+	var lists [][]int32
 	if parts > 1 {
+		lists = make([][]int32, 2*parts)
 		// Route in ascending record order — the order each partition's
 		// greedy matching must replay. The partition comes from the hash's
 		// high half (scaled onto [0, parts)), the index slot from its low
@@ -136,23 +79,16 @@ func match(ctx context.Context, inst *Instance, co *Coded, memos [][]int32, work
 			if t&buildCancelMask == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			if err := mem.add(int(hashTgt(co, t)>>32*w>>32), int32(t)); err != nil {
-				return nil, err
-			}
+			p := int(hashTgt(co, t) >> 32 * w >> 32)
+			lists[p] = append(lists[p], int32(t))
 		}
 		for s := 0; s < nSrc; s++ {
 			if s&buildCancelMask == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
 			if h, ok := hashImg(co, memos, s); ok {
-				if err := mem.add(parts+int(h>>32*w>>32), int32(s)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if mem.pager != nil {
-			if err := mem.pager.Flush(); err != nil {
-				return nil, err
+				p := parts + int(h>>32*w>>32)
+				lists[p] = append(lists[p], int32(s))
 			}
 		}
 	}
@@ -161,13 +97,7 @@ func match(ctx context.Context, inst *Instance, co *Coded, memos [][]int32, work
 		var tgts, srcs []int32 // nil = every record
 		nT, nS := nTgt, nSrc
 		if parts > 1 {
-			var err error
-			if tgts, err = mem.load(p); err != nil {
-				return err
-			}
-			if srcs, err = mem.load(parts + p); err != nil {
-				return err
-			}
+			tgts, srcs = lists[p], lists[parts+p]
 			nT, nS = len(tgts), len(srcs)
 		}
 		// Multiset index of the partition's unclaimed targets.

@@ -48,8 +48,8 @@ type Store struct {
 	closed   bool
 	closedCh chan struct{}
 	// journalErr latches the first journal write failure: the store keeps
-	// serving from memory (availability over durability, like the spill
-	// manager's advisory budget) and Close surfaces the error.
+	// serving from memory (availability over durability) and Close
+	// surfaces the error.
 	journalErr error
 
 	submitted, dedupeHits, completed, failed, cancelled, retried, requeued int64

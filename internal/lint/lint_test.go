@@ -33,10 +33,6 @@ func TestObsEvent(t *testing.T) {
 	linttest.Run(t, "testdata", "pipeline", lint.ObsEvent)
 }
 
-func TestAtomicStats(t *testing.T) {
-	linttest.Run(t, "testdata", "counters", lint.AtomicStats)
-}
-
 func TestScratchReuse(t *testing.T) {
 	linttest.Run(t, "testdata", "scratch", lint.ScratchReuse)
 }
@@ -74,7 +70,7 @@ func TestSuiteComplete(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"mapiter", "nondet", "ctxflow", "obsevent", "atomicstats", "scratchreuse", "jobstore", "doccomment"} {
+	for _, want := range []string{"mapiter", "nondet", "ctxflow", "obsevent", "scratchreuse", "jobstore", "doccomment"} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}

@@ -5,7 +5,7 @@
 // harness reports both missed and unexpected diagnostics.
 //
 // Fixture imports resolve first against testdata/src (so fixtures can
-// declare stand-ins for repo packages like obs or spill under the package
+// declare stand-ins for repo packages like obs or search under the package
 // path the analyzers key on), then against the standard library via the
 // source importer.
 package linttest

@@ -46,14 +46,6 @@ const (
 	// Cost, and whether the run was Cancelled. Wall time is deliberately
 	// absent — event streams are byte-deterministic for fixed seeds.
 	KindDone
-	// KindSpill reports out-of-core activity under a memory budget:
-	// Component names the spilling stage ("overlap" for the
-	// disk-partitioned overlap-score index, "convert" for the conversion's
-	// disk-partitioned matching), SpillBytes the bytes written to temp
-	// files and SpillParts the external partitions created. Spill events
-	// fire once per run, aggregated, just before KindDone, so they stay
-	// deterministic for fixed seeds regardless of Workers.
-	KindSpill
 )
 
 // String returns the kind's stable name.
@@ -71,8 +63,6 @@ func (k Kind) String() string {
 		return "convert"
 	case KindDone:
 		return "done"
-	case KindSpill:
-		return "spill"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -102,11 +92,6 @@ type Event struct {
 	Polls     int  // states extracted from the queue
 	States    int  // candidate states costed
 	Cancelled bool // the run's context was cancelled
-
-	// KindSpill.
-	Component  string // "overlap" | "convert"
-	SpillBytes int64  // bytes written to spill files
-	SpillParts int64  // external partitions created
 }
 
 // Sink receives events. A nil Sink is the no-op observer; emitters check

@@ -9,7 +9,6 @@ import (
 	"affidavit/internal/align"
 	"affidavit/internal/delta"
 	"affidavit/internal/induce"
-	"affidavit/internal/spill"
 )
 
 // extensions implements the Extensions(H) procedure of Algorithm 1:
@@ -179,12 +178,6 @@ type engine struct {
 	// from the polling goroutine (extensions and finalize); each returned
 	// alignment is consumed by one probe wave before the next sample.
 	alignSc align.Scratch
-
-	// Per-run spill accounting (nil without a budget): the overlap index
-	// and end-state matching report here, and the totals surface as Stats
-	// fields and KindSpill events.
-	matchSpill   *spill.Stats
-	overlapSpill *spill.Stats
 }
 
 // done reports whether the run's context was cancelled. Checked once per

@@ -12,7 +12,6 @@ import (
 	"affidavit/internal/induce"
 	"affidavit/internal/metafunc"
 	"affidavit/internal/obs"
-	"affidavit/internal/spill"
 )
 
 // StartStrategy selects the set of start states H₀ (Section 4.2).
@@ -128,15 +127,6 @@ type Options struct {
 	// trivial-explanation cost — the compression-ratio baseline the guard
 	// compares against. Must be ≥ 0. Sessions fill it automatically.
 	WarmPrevRatio float64
-	// Spill, when active, runs the search under its memory budget: the
-	// overlap start strategy's score index and the end-state conversion's
-	// multiset matching partition through temp files when their estimates
-	// exceed the budget's share (blocking always groups in memory). Explanations are
-	// byte-identical to the unbudgeted run for equal seeds; the run's
-	// spill totals land in Stats and in one KindSpill event per spilling
-	// stage, emitted just before the done event. Nil (or a zero-budget
-	// manager) disables spilling.
-	Spill *spill.Manager
 }
 
 // DefaultOptions returns the paper's H^id evaluation configuration
@@ -215,12 +205,9 @@ type Stats struct {
 	// WarmEscalated reports that the warm-start quality guard rejected the
 	// warm states as stale and the run fell back to a cold search.
 	WarmEscalated bool
-	// SpilledBytes is the volume this run wrote to spill files under a
-	// memory budget (the overlap index plus the conversion's
-	// disk-partitioned matching); 0 without a budget.
+	// SpilledBytes is always 0: nothing spills to disk. It stays only for
+	// the frozen service benchmark (bench/probes.go), which reads it.
 	SpilledBytes int64
-	// SpillPartitions counts the external partitions those spills created.
-	SpillPartitions int64
 }
 
 // Result is a finished run: the explanation, its cost, and run statistics.
@@ -264,10 +251,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		stats: &Stats{},
 	}
-	if opts.Spill.Active() {
-		e.matchSpill = &spill.Stats{}
-		e.overlapSpill = &spill.Stats{}
-	}
 	if opts.Workers > 1 {
 		// The polling goroutine participates in probe evaluation, so the
 		// semaphore holds Workers−1 extra slots.
@@ -282,29 +265,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		}
 		e.stats.Duration = time.Since(start) //affidavit:ignore nondet Stats.Duration is a wall-time diagnostic, excluded from coded output and goldens
 		cost := e.cm.Cost(expl)
-		// Spill totals are aggregated per run and emitted from the polling
-		// goroutine just before the done event: both engines evaluate the
-		// same refinements for a fixed seed, so the totals — like every
-		// other event — are deterministic regardless of Workers.
-		for _, sp := range []struct {
-			component string
-			st        *spill.Stats
-		}{
-			{"overlap", e.overlapSpill},
-			{"convert", e.matchSpill},
-		} {
-			if sp.st.Bytes() == 0 && sp.st.Partitions() == 0 {
-				continue
-			}
-			e.stats.SpilledBytes += sp.st.Bytes()
-			e.stats.SpillPartitions += sp.st.Partitions()
-			e.emit(obs.Event{
-				Kind:       obs.KindSpill,
-				Component:  sp.component,
-				SpillBytes: sp.st.Bytes(),
-				SpillParts: sp.st.Partitions(),
-			})
-		}
 		e.emit(obs.Event{
 			Kind:      obs.KindDone,
 			Polls:     e.stats.Polls,
@@ -413,9 +373,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			bctx = context.WithoutCancel(ctx)
 		}
 		var err error
-		expl, err = delta.BuildCtx(bctx, inst, tuple, delta.BuildOptions{
-			Workers: opts.Workers, Spill: opts.Spill, SpillStats: e.matchSpill,
-		})
+		expl, err = delta.BuildCtx(bctx, inst, tuple, delta.BuildOptions{Workers: opts.Workers})
 		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// The deadline fired inside the conversion itself. The run has
 			// already found its end state — the same tuple a slightly
@@ -425,7 +383,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			// explanation.
 			e.stats.Cancelled = true
 			expl, err = delta.BuildCtx(context.WithoutCancel(ctx), inst, tuple,
-				delta.BuildOptions{Workers: opts.Workers, Spill: opts.Spill, SpillStats: e.matchSpill})
+				delta.BuildOptions{Workers: opts.Workers})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("search: converting end state: %w", err)
@@ -514,7 +472,7 @@ func (e *engine) startStates(inst *delta.Instance, root *State) []*State {
 		})
 		return states
 	case StartOverlap:
-		ov := align.ComputeOverlapSpill(inst, e.opts.MaxBlockSize, e.opts.Spill, e.overlapSpill)
+		ov := align.ComputeOverlap(inst, e.opts.MaxBlockSize)
 		attrs := ov.StartAttrs(inst)
 		fs := make([]metafunc.Func, len(attrs))
 		for i := range fs {

@@ -9,7 +9,6 @@ import (
 	"affidavit/internal/fixture"
 	"affidavit/internal/gen"
 	"affidavit/internal/search"
-	"affidavit/internal/spill"
 	"affidavit/internal/table"
 )
 
@@ -273,34 +272,6 @@ func TestStartStrategyString(t *testing.T) {
 	}
 	if search.StartStrategy(9).String() == "" {
 		t.Error("unknown strategy should still render")
-	}
-}
-
-// TestOverlapStartSpillIdentity: running the overlap start under a one-byte
-// spill budget must produce the exact explanation of the unbudgeted run —
-// the external overlap pass is a pure memory trade, never a result change.
-func TestOverlapStartSpillIdentity(t *testing.T) {
-	inst := fixture.Instance()
-	opts := search.OverlapOptions()
-	opts.Seed = 3
-	ref, err := search.Run(context.Background(), inst, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Spill = spill.NewManager(1, t.TempDir())
-	got, err := search.Run(context.Background(), inst, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cost != ref.Cost {
-		t.Errorf("budgeted cost = %v, want %v", got.Cost, ref.Cost)
-	}
-	if gd, rd := describeTuple(got.Explanation.Funcs), describeTuple(ref.Explanation.Funcs); gd != rd {
-		t.Errorf("budgeted funcs diverged:\n got %s\nwant %s", gd, rd)
-	}
-	if got.Stats.SpilledBytes == 0 {
-		t.Error("expected spilled bytes under a 1-byte budget")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package trace folds one explanation run's Observer event stream into a
 // structured RunTrace: per-stage wall-time spans (ingest source/target,
 // search, finalize, convert), a poll-trajectory summary with a bounded
-// cost-curve sample, the warm/cold/escalated start decision, and spill
-// totals. It is the per-run answer to "why was this upload slow" that the
-// process-wide /metrics counters cannot give.
+// cost-curve sample, and the warm/cold/escalated start decision. It is the
+// per-run answer to "why was this upload slow" that the process-wide
+// /metrics counters cannot give.
 //
 // Determinism contract: the Recorder is a pure consumer. It never feeds
 // anything back into the pipeline, so enabling tracing leaves the event
@@ -77,25 +77,6 @@ type PollSummary struct {
 	CurveStride int `json:"curve_stride,omitempty"`
 }
 
-// ComponentSpill is one stage's out-of-core volume.
-type ComponentSpill struct {
-	// Component names the spilling stage: "overlap" or "convert".
-	Component  string `json:"component"`
-	Bytes      int64  `json:"bytes"`
-	Partitions int64  `json:"partitions"`
-}
-
-// SpillSummary totals the run's out-of-core activity under a memory
-// budget; zero without one.
-type SpillSummary struct {
-	Bytes      int64 `json:"bytes"`
-	Partitions int64 `json:"partitions"`
-	// Components lists per-stage volumes in event order (which is
-	// deterministic for a fixed seed: ingest source, ingest target,
-	// overlap, blocking, convert).
-	Components []ComponentSpill `json:"components,omitempty"`
-}
-
 // RunTrace is one explanation run's structured trace.
 type RunTrace struct {
 	// ID identifies the trace (NewID, or a caller-chosen string).
@@ -137,8 +118,6 @@ type RunTrace struct {
 	Spans []Span `json:"spans"`
 	// Polls summarises the poll trajectory.
 	Polls PollSummary `json:"polls"`
-	// Spill totals the out-of-core activity (zero without a budget).
-	Spill SpillSummary `json:"spill"`
 }
 
 // SpanFor returns the named stage's span, or nil.
@@ -296,14 +275,6 @@ func (r *Recorder) Observe(ev obs.Event) {
 	case obs.KindConvert:
 		r.closeStage(r.openStage, now, 0)
 		r.openStage = "convert"
-	case obs.KindSpill:
-		r.t.Spill.Bytes += ev.SpillBytes
-		r.t.Spill.Partitions += ev.SpillParts
-		r.t.Spill.Components = append(r.t.Spill.Components, ComponentSpill{
-			Component:  ev.Component,
-			Bytes:      ev.SpillBytes,
-			Partitions: ev.SpillParts,
-		})
 	case obs.KindDone:
 		// Close whatever stage is open — "convert" on the full pipeline,
 		// "search" when the run ended without an end state (cancelled
@@ -377,7 +348,6 @@ func (r *Recorder) Trace() *RunTrace {
 	defer r.mu.Unlock()
 	out := r.t
 	out.Spans = append([]Span(nil), r.t.Spans...)
-	out.Spill.Components = append([]ComponentSpill(nil), r.t.Spill.Components...)
 	out.Polls.Curve = mergeCurve(r.t.Polls.Curve, r.minPt, r.lastPt)
 	out.Polls.CurveStride = r.stride
 	return &out

@@ -20,7 +20,7 @@ func (c *fakeClock) now() time.Time {
 }
 
 // fullRun replays a representative event stream: two-snapshot ingest, a
-// warm search with a few polls, conversion, spill, done.
+// warm search with a few polls, conversion, done.
 func fullRun(r *Recorder) {
 	r.Observe(obs.Event{Kind: obs.KindIngest, Snapshot: "source", Records: 8192})
 	r.Observe(obs.Event{Kind: obs.KindIngest, Snapshot: "source", Records: 10000, Complete: true})
@@ -31,7 +31,6 @@ func fullRun(r *Recorder) {
 	r.Observe(obs.Event{Kind: obs.KindPoll, Poll: 3, Level: 5, Cost: 75})
 	r.Observe(obs.Event{Kind: obs.KindPoll, Poll: 4, Level: 6, Cost: 60, End: true})
 	r.Observe(obs.Event{Kind: obs.KindConvert})
-	r.Observe(obs.Event{Kind: obs.KindSpill, Component: "convert", SpillBytes: 2048, SpillParts: 4})
 	r.Observe(obs.Event{Kind: obs.KindDone, Polls: 4, States: 40, Cost: 60})
 }
 
@@ -82,8 +81,8 @@ func TestRecorderFullRun(t *testing.T) {
 			t.Errorf("span %+v has negative timing", sp)
 		}
 	}
-	if tr.DurationMS != 100 { // 11 events, first stamps t0, last is t0+100ms
-		t.Errorf("duration = %gms, want 100ms", tr.DurationMS)
+	if tr.DurationMS != 90 { // 10 events, first stamps t0, last is t0+90ms
+		t.Errorf("duration = %gms, want 90ms", tr.DurationMS)
 	}
 	if tr.IngestDurationMS() != 20 { // source 10 (first event stamps t0), target 10
 		t.Errorf("ingest duration = %gms, want 20ms", tr.IngestDurationMS())
@@ -99,14 +98,6 @@ func TestRecorderFullRun(t *testing.T) {
 	}
 	if len(p.Curve) != 4 || p.CurveStride != 1 {
 		t.Errorf("curve = %+v stride %d", p.Curve, p.CurveStride)
-	}
-
-	// Spill totals.
-	if tr.Spill.Bytes != 2048 || tr.Spill.Partitions != 4 {
-		t.Errorf("spill = %+v", tr.Spill)
-	}
-	if len(tr.Spill.Components) != 1 || tr.Spill.Components[0].Component != "convert" {
-		t.Errorf("spill components = %+v", tr.Spill.Components)
 	}
 }
 
@@ -248,7 +239,7 @@ func TestTraceJSONShape(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"id", "started_at", "duration_ms", "mode", "start", "complete", "spans", "polls", "spill"} {
+	for _, key := range []string{"id", "started_at", "duration_ms", "mode", "start", "complete", "spans", "polls"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("encoding missing %q: %s", key, b)
 		}

@@ -32,10 +32,6 @@ type JSONStats struct {
 	StartLevel      int  `json:"start_level"`
 	WarmEscalated   bool `json:"warm_escalated,omitempty"`
 	Cancelled       bool `json:"cancelled,omitempty"`
-	// Spill totals appear only for runs under a memory budget, so
-	// unbudgeted encodings are unchanged.
-	SpilledBytes    int64 `json:"spilled_bytes,omitempty"`
-	SpillPartitions int64 `json:"spill_partitions,omitempty"`
 }
 
 // JSONResult is the stable machine-readable encoding of a Result, shared
@@ -69,8 +65,6 @@ func StatsJSON(s Stats) JSONStats {
 		StartLevel:      s.StartLevel,
 		WarmEscalated:   s.WarmEscalated,
 		Cancelled:       s.Cancelled,
-		SpilledBytes:    s.SpilledBytes,
-		SpillPartitions: s.SpillPartitions,
 	}
 }
 

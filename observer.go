@@ -36,10 +36,6 @@ const (
 	EventConvert = obs.KindConvert
 	// EventDone fires once per run: Polls, States, final Cost, Cancelled.
 	EventDone = obs.KindDone
-	// EventSpill reports out-of-core activity under a memory budget:
-	// Component ("overlap"/"convert"), SpillBytes, SpillParts. Spill events
-	// fire once per run, aggregated, just before EventDone.
-	EventSpill = obs.KindSpill
 )
 
 // Observer receives pipeline events from every explanation an Explainer
@@ -115,12 +111,6 @@ func (p *progressObserver) Observe(ev Event) {
 		fmt.Fprintf(p.w, "finalize: salvaged level %d, cost %g\n", ev.Level, ev.Cost)
 	case EventConvert:
 		fmt.Fprintln(p.w, "convert: building explanation")
-	case EventSpill:
-		scope := ev.Component
-		if ev.Snapshot != "" {
-			scope += " " + ev.Snapshot
-		}
-		fmt.Fprintf(p.w, "spill %s: %d bytes, %d partitions\n", scope, ev.SpillBytes, ev.SpillParts)
 	case EventDone:
 		state := "done"
 		if ev.Cancelled {
@@ -151,8 +141,6 @@ type MetricsObserver struct {
 	finalizations   int64
 	conversions     int64
 	costSum         float64
-	spillBytes      int64
-	spillParts      int64
 	runSeconds      histogram
 	ingestSeconds   histogram
 }
@@ -225,9 +213,6 @@ func (m *MetricsObserver) Observe(ev Event) {
 		m.finalizations++
 	case EventConvert:
 		m.conversions++
-	case EventSpill:
-		m.spillBytes += ev.SpillBytes
-		m.spillParts += ev.SpillParts
 	case EventDone:
 		m.runsDone++
 		if ev.Cancelled {
@@ -278,20 +263,10 @@ func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 	counter("affidavit_search_states_costed_total", "Candidate states costed.", m.statesCosted)
 	counter("affidavit_finalizations_total", "Best-so-far salvage finalisations.", m.finalizations)
 	counter("affidavit_conversions_total", "End-state explanation conversions.", m.conversions)
-	counter("affidavit_spill_bytes_total", "Bytes written to spill files under a memory budget.", m.spillBytes)
-	counter("affidavit_spill_partitions_total", "External partitions created by out-of-core grouping and matching.", m.spillParts)
 	p("# HELP affidavit_explanation_cost_sum Sum of final explanation costs.\n# TYPE affidavit_explanation_cost_sum counter\naffidavit_explanation_cost_sum %g\n", m.costSum)
 	hist("affidavit_run_duration_seconds", "Wall-clock duration of completed explanation runs, from traces.", &m.runSeconds)
 	hist("affidavit_ingest_duration_seconds", "Wall-clock duration of the ingest phase of traced runs.", &m.ingestSeconds)
 	return err
-}
-
-// SpillTotals returns the aggregated out-of-core volume the observer has
-// seen: bytes written to spill files and external partitions created.
-func (m *MetricsObserver) SpillTotals() (bytes, partitions int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.spillBytes, m.spillParts
 }
 
 // ServeHTTP serves the metrics, so a MetricsObserver can be mounted

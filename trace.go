@@ -9,11 +9,11 @@ import (
 
 // Trace is one explanation run's structured trace: per-stage wall-time
 // spans (ingest source/target, search, finalize, convert), the
-// warm/cold/escalated start decision, a bounded poll cost-curve sample,
-// and spill totals. Traces are operational metadata recorded out-of-band:
-// enabling tracing changes neither the deterministic event stream nor
-// Result.JSON — wall-clock times live only here, exactly as
-// Stats.Duration lives outside the deterministic JSON stats.
+// warm/cold/escalated start decision, and a bounded poll cost-curve
+// sample. Traces are operational metadata recorded out-of-band: enabling
+// tracing changes neither the deterministic event stream nor Result.JSON —
+// wall-clock times live only here, exactly as Stats.Duration lives outside
+// the deterministic JSON stats.
 type Trace = trace.RunTrace
 
 // TraceSpan is one stage's wall-time extent within a Trace.
