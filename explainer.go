@@ -144,10 +144,10 @@ func WithObserver(o Observer) Option { return func(e *Explainer) { e.obs = Obser
 // the warm/cold/escalated start decision, and a bounded poll cost-curve
 // sample. Each run gets its own recorder attached through the Observers
 // fan-out, so concurrent runs trace independently and any WithObserver
-// observer keeps receiving every event. Wall-clock
-// values are captured out-of-band in the recorder — the event stream and
-// Result.JSON stay byte-identical with tracing on or off. Batch runs
-// (ExplainBatch) are not traced: their pairs interleave on one context.
+// observer keeps receiving every event. Wall-clock values are captured
+// out-of-band in the recorder — the event stream and Result.JSON stay
+// byte-identical with tracing on or off. Batch runs (ExplainBatch) are not
+// traced: their pairs interleave on one context.
 func WithTracing() Option { return func(e *Explainer) { e.tracing = true } }
 
 // Fingerprint digests every result-affecting engine option — α, β, the
@@ -157,9 +157,9 @@ func WithTracing() Option { return func(e *Explainer) { e.tracing = true } }
 // 16-hex-character identity. Two Explainers with equal fingerprints
 // produce byte-identical explanations for identical inputs; byte-neutral
 // knobs (workers, observers, tracing, warm-only guards) are deliberately
-// excluded. affidavitd folds the fingerprint into the
-// job content address, so a configuration change stops serving results
-// computed under the old flags.
+// excluded. affidavitd folds the fingerprint into the job content address,
+// so a configuration change stops serving results computed under the old
+// flags.
 func (e *Explainer) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "alpha=%g beta=%d width=%d start=%d maxblock=%d theta=%g conf=%g mingen=%d maxranked=%d maxsrc=%d seed=%d maxexp=%d",
