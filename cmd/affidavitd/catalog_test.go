@@ -8,6 +8,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -518,6 +519,142 @@ func TestCatalogMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Catalog.Tables != 1 || st.Catalog.Snapshots != 1 {
+		t.Errorf("stats catalog section = %+v", st.Catalog)
+	}
+}
+
+// TestCatalogRoutes: each /tables route answers its documented method,
+// every other method gets 405 with an Allow header naming the documented
+// one, and an unknown sub-path is a 404.
+func TestCatalogRoutes(t *testing.T) {
+	srv := testServer(t)
+	do := func(method, path, ctype string, body io.Reader) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ctype != "" {
+			req.Header.Set("Content-Type", ctype)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	fw, _ := mw.CreateFormFile("snapshot", "snapshot.csv")
+	io.WriteString(fw, "id,v\na,1\n")
+	mw.Close()
+	routes := []struct {
+		method, path, ctype string
+		body                io.Reader
+		want                int
+	}{
+		{http.MethodPost, "/tables", "application/json", strings.NewReader(`{"name": "x"}`), http.StatusCreated},
+		{http.MethodGet, "/tables", "", nil, http.StatusOK},
+		{http.MethodGet, "/tables/x", "", nil, http.StatusOK},
+		{http.MethodPost, "/tables/x/snapshots", mw.FormDataContentType(), &buf, http.StatusCreated},
+		{http.MethodGet, "/tables/x/history", "", nil, http.StatusOK},
+		{http.MethodGet, "/tables/x/trends", "", nil, http.StatusOK},
+	}
+	documented := make(map[string][]string)
+	for _, rt := range routes {
+		if resp := do(rt.method, rt.path, rt.ctype, rt.body); resp.StatusCode != rt.want {
+			t.Errorf("%s %s: status %d, want %d", rt.method, rt.path, resp.StatusCode, rt.want)
+		}
+		documented[rt.path] = append(documented[rt.path], rt.method)
+	}
+	for _, rt := range routes {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			if slices.Contains(documented[rt.path], method) {
+				continue
+			}
+			resp := do(method, rt.path, "", nil)
+			if resp.StatusCode != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s: status %d, want 405", method, rt.path, resp.StatusCode)
+				continue
+			}
+			for _, allowed := range documented[rt.path] {
+				if !strings.Contains(resp.Header.Get("Allow"), allowed) {
+					t.Errorf("%s %s: Allow %q does not name %s", method, rt.path, resp.Header.Get("Allow"), allowed)
+				}
+			}
+		}
+	}
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		if resp := do(method, "/tables/x/nope", "", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s /tables/x/nope: status %d, want 404", method, resp.StatusCode)
+		}
+	}
+}
+
+// TestCatalogPushUnknownTableLeavesNoBlob: a push to an unregistered
+// table is refused before its snapshot is spooled, so a durable blob
+// store gains no entry.
+func TestCatalogPushUnknownTableLeavesNoBlob(t *testing.T) {
+	srv, blobs := uploadServer(t, true, serverConfig{})
+	before := dirNames(t, blobs)
+	if code, body, _ := pushSnapshot(t, srv, "ghost", "id,v\na,1\n", nil); code != http.StatusNotFound {
+		t.Fatalf("push to unknown table: status %d, want 404: %s", code, body)
+	}
+	if got := dirNames(t, blobs); !slices.Equal(got, before) {
+		t.Errorf("blob directory %v after a refused push, was %v", got, before)
+	}
+}
+
+// TestCatalogDeadlineStepCounts: a step cut by the -timeout budget ends
+// its job in error and is served as "failed" in /history; /trends, the
+// catalog gauges and /stats count it failed, not pending forever.
+func TestCatalogDeadlineStepCounts(t *testing.T) {
+	srv := httptest.NewServer(mustServer(t, serverConfig{options: testOptions(), timeout: time.Nanosecond}).handler())
+	t.Cleanup(srv.Close)
+	ch := testChain(t, 1)
+	if code, _ := registerTable(t, srv, "slow"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	if code, body, _ := pushSnapshot(t, srv, "slow", csvOf(t, ch.Snapshots[0]), nil); code != http.StatusCreated {
+		t.Fatalf("first push: status %d: %s", code, body)
+	}
+	if code, body, _ := pushSnapshot(t, srv, "slow", csvOf(t, ch.Snapshots[1]), nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("deadline-cut push: status %d, want 503: %s", code, body)
+	}
+	var hist struct {
+		Steps []struct {
+			Status string `json:"status"`
+		} `json:"steps"`
+	}
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/slow/history")), &hist); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist.Steps) != 1 || hist.Steps[0].Status != "failed" {
+		t.Fatalf("history steps = %+v, want one failed step", hist.Steps)
+	}
+	var tr struct {
+		StepsFailed  int `json:"steps_failed"`
+		StepsPending int `json:"steps_pending"`
+	}
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/slow/trends")), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.StepsFailed != 1 || tr.StepsPending != 0 {
+		t.Errorf("trends count failed=%d pending=%d, want 1, 0", tr.StepsFailed, tr.StepsPending)
+	}
+	metrics := get(t, srv.URL+"/metrics")
+	for _, want := range []string{"affidavit_catalog_steps_failed 1\n", "affidavit_catalog_steps_pending 0\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	var st statsResponse
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/stats")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Catalog.StepsFailed != 1 || st.Catalog.StepsPending != 0 {
 		t.Errorf("stats catalog section = %+v", st.Catalog)
 	}
 }

@@ -76,7 +76,7 @@ func TestCIPatternsMatch(t *testing.T) {
 			}
 		}
 	}
-	if checked < 40 {
+	if checked < 17 {
 		t.Fatalf("checked only %d pattern alternatives — the extraction is broken", checked)
 	}
 }

@@ -10,48 +10,77 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"affidavit"
-	"affidavit/internal/catalog"
 	"affidavit/internal/jobs"
 	"affidavit/internal/upload"
 )
 
 // jobPayload is the non-durable state a live submission hands the
-// runner: the snapshot pair, already interned into its table's session
-// pool, and the request's trace recorder. Journal-replayed jobs run
-// without one and re-ingest from the blob store.
+// runner: the snapshots, already interned, and the request's trace
+// recorder. An /explain job carries its pair (interned into the table's
+// session pool), a catalog step only tgt, the pushed snapshot.
+// Journal-replayed jobs run without one and re-ingest from the blob store.
 type jobPayload struct {
 	src, tgt *affidavit.Table
 	trace    *affidavit.TraceRecorder
 }
 
-// runJob executes one queued job: resolve the snapshot pair (payload or
-// blob replay), explain it on the table's session (warm chains reuse the
-// previous tuple — worker affinity keeps one table on one worker, so the
-// session never sees concurrent runs), and render the durable result.
-// Blob-store I/O failures are transient (retried with backoff); explain
-// errors such as schema mismatches are permanent.
+// runJob executes one queued job: resolve the snapshots (payload or blob
+// replay), explain them on the right session — a catalog step on its
+// table's chain session (explainStep), an /explain pair on the table's
+// session (warm chains reuse the previous tuple; worker affinity keeps
+// one table on one worker, so a session never sees concurrent runs) — and
+// render the durable result. Blob-store I/O failures are transient
+// (retried with backoff); explain errors such as schema mismatches are
+// permanent.
 func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*jobs.Outcome, error) {
-	if rec.Kind == catalog.JobKind {
-		return s.runCatalogStep(ctx, rec, payload)
-	}
-	var src, tgt *affidavit.Table
-	var trec *affidavit.TraceRecorder
-	if p, ok := payload.(*jobPayload); ok && p != nil {
-		src, tgt, trec = p.src, p.tgt, p.trace
-	}
-	if trec == nil && s.cfg.traceBuffer != 0 {
+	p, _ := payload.(*jobPayload)
+	if p == nil {
 		// Replayed or retried without a live request: the run still gets
 		// a trace of its own.
-		trec = affidavit.NewTraceRecorder()
+		p = &jobPayload{}
+		if s.cfg.traceBuffer != 0 {
+			p.trace = affidavit.NewTraceRecorder()
+		}
 	}
-	if trec != nil {
-		trec.SetLabel(rec.Table)
-		trec.SetJobID(rec.ID)
-		ctx = affidavit.ContextWithObserver(ctx, trec)
+	if p.trace != nil {
+		p.trace.SetLabel(rec.Table)
+		p.trace.SetJobID(rec.ID)
+		if rec.SnapshotID != "" {
+			p.trace.SetLineage(rec.SnapshotID, rec.ParentID)
+		}
+		ctx = affidavit.ContextWithObserver(ctx, p.trace)
 	}
+	var res *affidavit.Result
+	var err error
+	if rec.Kind == catalogJobKind {
+		res, err = s.explainStep(ctx, rec, p.tgt)
+	} else {
+		res, err = s.explainPair(ctx, rec, p.src, p.tgt)
+	}
+	var out *jobs.Outcome
+	if err == nil {
+		out, err = outcome(rec, res)
+	}
+	if p.trace != nil && !jobs.IsTransient(err) {
+		// Every run that ends retains its trace — failed, cancelled and
+		// deadline-cut ones too: a truncated cost curve is exactly what a
+		// post-mortem wants. A transient failure reruns under the same
+		// recorder.
+		tr := p.trace.Trace()
+		if out != nil {
+			out.TraceID = tr.ID
+		}
+		s.storeTrace(tr)
+	}
+	return out, err
+}
+
+// explainPair explains an /explain job's pair on its table's session,
+// re-interning the snapshots from the blob store when the job runs
+// without them.
+func (s *server) explainPair(ctx context.Context, rec jobs.Record, src, tgt *affidavit.Table) (*affidavit.Result, error) {
 	sess := s.session(rec.Table)
 	var err error
 	if src == nil || tgt == nil {
@@ -62,24 +91,18 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 			return nil, err
 		}
 	}
-	var res *affidavit.Result
 	if rec.Warm {
-		res, err = sess.ExplainWarmContext(ctx, src, tgt)
-	} else {
-		res, err = sess.ExplainPairContext(ctx, src, tgt)
+		return sess.ExplainWarmContext(ctx, src, tgt)
 	}
-	if err != nil {
-		return nil, err
-	}
+	return sess.ExplainPairContext(ctx, src, tgt)
+}
+
+// outcome renders a finished run as its durable job outcome: the search
+// statistics, plus the result in the job's format unless the run was
+// interrupted.
+func outcome(rec jobs.Record, res *affidavit.Result) (*jobs.Outcome, error) {
 	out := &jobs.Outcome{}
-	if trec != nil {
-		tr := trec.Trace()
-		out.TraceID = tr.ID
-		// Cancelled and deadline-cut runs retain their trace too — a
-		// truncated cost curve is exactly what a post-mortem wants.
-		s.storeTrace(tr)
-	}
-	if stats, merr := json.Marshal(affidavit.StatsJSON(res.Stats)); merr == nil {
+	if stats, err := json.Marshal(affidavit.StatsJSON(res.Stats)); err == nil {
 		out.Stats = stats
 	}
 	if res.Stats.Cancelled {
@@ -88,9 +111,9 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	}
 	switch rec.Format {
 	case "", "json":
-		body, merr := res.JSON(rec.Table)
-		if merr != nil {
-			return nil, merr
+		body, err := res.JSON(rec.Table)
+		if err != nil {
+			return nil, err
 		}
 		out.Body = append(body, '\n')
 		out.ContentType = "application/json"
@@ -184,10 +207,10 @@ func (s *server) writeJobAccepted(w http.ResponseWriter, job *jobs.Job) {
 	})
 }
 
-// writeJobOutcome renders a terminal job record as the sync /explain
-// response: the stored result bytes (byte-identical across dedupe
-// joiners), the 503 + partial-stats answer for deadline cuts, or the
-// error text.
+// writeJobOutcome renders a terminal job record as the sync /explain or
+// catalog push response: the stored result bytes (byte-identical across
+// dedupe joiners), the 503 + partial-stats answer for deadline cuts, or
+// the error text.
 func (s *server) writeJobOutcome(w http.ResponseWriter, rec jobs.Record, inlineTrace bool) {
 	if rec.TraceID != "" {
 		w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
@@ -256,10 +279,6 @@ func spliceTrace(body []byte, tr *affidavit.Trace) []byte {
 // handleJobs serves GET /jobs: every job record in submission order —
 // the deterministic listing the jobstore analyzer pins.
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	recs := s.store.List()
 	views := make([]jobView, len(recs))
 	for i, rec := range recs {
@@ -270,66 +289,63 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}{views})
 }
 
-// handleJob serves one job: GET /jobs/{id} (status + stats + trace id),
-// GET /jobs/{id}/result (the stored bytes), DELETE /jobs/{id} (cancel —
-// a pending job terminally, a running job via its context).
+// handleJob serves GET /jobs/{id}: status, stats and trace id.
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	id, sub, _ := strings.Cut(rest, "/")
-	if id == "" || (sub != "" && sub != "result") {
-		http.NotFound(w, r)
+	id := r.PathValue("id")
+	job, ok := s.store.Get(id)
+	if !ok {
+		http.Error(w, "no job "+id, http.StatusNotFound)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		job, ok := s.store.Get(id)
-		if !ok {
-			http.Error(w, "no job "+id, http.StatusNotFound)
-			return
-		}
-		rec := job.Record()
-		if sub == "result" {
-			if rec.State != jobs.StateCompleted {
-				http.Error(w, "job "+id+" is "+string(rec.State)+", not completed", http.StatusConflict)
-				return
-			}
-			body, rec2, err := s.store.Result(id)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("X-Affidavit-Job-Id", rec2.ID)
-			if rec2.TraceID != "" {
-				w.Header().Set("X-Affidavit-Trace-Id", rec2.TraceID)
-			}
-			w.Header().Set("Content-Type", rec2.ContentType)
-			w.Write(body)
-			return
-		}
-		w.Header().Set("X-Affidavit-Job-Id", rec.ID)
-		writeIndentJSON(w, http.StatusOK, viewOf(rec))
-	case http.MethodDelete:
-		if sub != "" {
-			http.Error(w, "DELETE targets /jobs/{id}", http.StatusMethodNotAllowed)
-			return
-		}
-		rec, err := s.store.Cancel(id)
-		if err != nil {
-			http.Error(w, "no job "+id, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("X-Affidavit-Job-Id", rec.ID)
-		writeIndentJSON(w, http.StatusOK, viewOf(rec))
-	default:
-		http.Error(w, "GET or DELETE", http.StatusMethodNotAllowed)
+	rec := job.Record()
+	w.Header().Set("X-Affidavit-Job-Id", rec.ID)
+	writeIndentJSON(w, http.StatusOK, viewOf(rec))
+}
+
+// handleJobResult serves GET /jobs/{id}/result: the stored bytes.
+func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	job, ok := s.store.Get(id)
+	if !ok {
+		http.Error(w, "no job "+id, http.StatusNotFound)
+		return
 	}
+	if rec := job.Record(); rec.State != jobs.StateCompleted {
+		http.Error(w, "job "+id+" is "+string(rec.State)+", not completed", http.StatusConflict)
+		return
+	}
+	body, rec, err := s.store.Result(id)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("X-Affidavit-Job-Id", rec.ID)
+	if rec.TraceID != "" {
+		w.Header().Set("X-Affidavit-Trace-Id", rec.TraceID)
+	}
+	w.Header().Set("Content-Type", rec.ContentType)
+	w.Write(body)
+}
+
+// handleJobCancel serves DELETE /jobs/{id}: cancel a pending job
+// terminally, a running job via its context.
+func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	rec, err := s.store.Cancel(id)
+	if err != nil {
+		http.Error(w, "no job "+id, http.StatusNotFound)
+		return
+	}
+	w.Header().Set("X-Affidavit-Job-Id", rec.ID)
+	writeIndentJSON(w, http.StatusOK, viewOf(rec))
 }
 
 // handleMetrics serves GET /metrics: the observer-fed pipeline counters
-// followed by the job-subsystem gauges and counters, in fixed order.
+// followed by the job and catalog gauges and counters, in fixed order.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ServeHTTP(w, r)
 	m := s.store.Metrics()
+	c := s.catalogStats()
 	for _, row := range []struct {
 		name, typ, help string
 		value           int64
@@ -343,10 +359,15 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"affidavit_jobs_cancelled_total", "counter", "Jobs cancelled via DELETE /jobs/{id}.", m.Cancelled},
 		{"affidavit_jobs_retried_total", "counter", "Transient failures scheduled for another attempt.", m.Retried},
 		{"affidavit_jobs_requeued_total", "counter", "Runs returned to the queue by crash recovery or shutdown.", m.Requeued},
+		{"affidavit_catalog_tables", "gauge", "Registered catalog tables.", int64(c.Tables)},
+		{"affidavit_catalog_snapshots", "gauge", "Snapshots stored across all catalog tables.", int64(c.Snapshots)},
+		{"affidavit_catalog_steps_pending", "gauge", "Chain steps queued or running.", int64(c.StepsPending)},
+		{"affidavit_catalog_steps_explained", "gauge", "Chain steps with a stored explanation.", int64(c.StepsExplained)},
+		{"affidavit_catalog_steps_failed", "gauge", "Chain steps that ended without an explanation (refused, failed, deadline-cut or cancelled).", int64(c.StepsFailed)},
+		{"affidavit_catalog_schema_resets_total", "counter", "Chain re-seeds caused by mid-chain schema changes.", c.SchemaResets},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", row.name, row.help, row.name, row.typ, row.name, row.value)
 	}
-	s.writeCatalogMetrics(w)
 }
 
 // jobsStats is the /stats job section.

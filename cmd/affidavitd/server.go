@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -123,10 +122,14 @@ type server struct {
 	store *jobs.Store
 	pool  *jobs.Pool
 
-	// catalog is the snapshot-history surface under /tables: registered
-	// tables, pushed snapshot lineage, and the explanation chain computed
-	// over each adjacent pair (chain steps run as jobs on pool).
-	catalog *catalog.Service
+	// catalog is the snapshot-history journal behind /tables: registered
+	// tables, pushed snapshot lineage, and each chain step's terminal
+	// state. Chain steps run as catalog-kind jobs on pool.
+	catalog *catalog.Store
+	// pushMu serializes a push's lineage append + job submission, so each
+	// snapshot's parent is exactly the previous push. Spooling and ingest
+	// run outside it.
+	pushMu sync.Mutex
 
 	// engineFP is the Explainer's result-affecting option fingerprint,
 	// folded into every explain job's content address so a configuration
@@ -136,6 +139,11 @@ type server struct {
 	mu       sync.Mutex
 	sessions map[string]*sessionEntry
 	evicted  int // sessions dropped by TTL or LRU, for /stats
+	// chains holds each catalog table's live warm chain, outside the
+	// LRU/TTL-bounded sessions; schemaResets counts chain re-seeds caused
+	// by mid-chain schema changes.
+	chains       map[string]chainState
+	schemaResets int64
 
 	// traceMu guards the bounded ring of recent run traces behind /traces.
 	// traceNext is the slot the next trace overwrites once the ring is full.
@@ -177,6 +185,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		ex:        ex,
 		metrics:   metrics,
 		sessions:  make(map[string]*sessionEntry),
+		chains:    make(map[string]chainState),
 		startedAt: cfg.now(),
 	}
 	if cfg.maxInflight > 0 {
@@ -199,14 +208,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	if catDir == "" && cfg.jobsDir != "" {
 		catDir = filepath.Join(cfg.jobsDir, "catalog")
 	}
-	cat, err := catalog.NewService(catalog.Config{
-		Dir:              catDir,
-		Explainer:        ex,
-		Jobs:             store,
-		MaxRecords:       cfg.maxRecords,
-		MaxSnapshotBytes: cfg.maxSnapshotBytes,
-		Now:              cfg.now,
-	})
+	cat, err := catalog.OpenStore(catDir, cfg.now)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -310,17 +312,25 @@ func (s *server) janitor(ctx context.Context) {
 }
 
 func (s *server) handler() http.Handler {
+	// Method patterns: the mux answers a wrong method with 405 and an Allow
+	// header, and an unknown path with 404.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/explain", s.handleExplain)
-	mux.Handle("/tables", s.catalog)
-	mux.Handle("/tables/", s.catalog)
-	mux.HandleFunc("/jobs", s.handleJobs)
-	mux.HandleFunc("/jobs/", s.handleJob)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/traces", s.handleTraces)
-	mux.HandleFunc("/traces/", s.handleTraces)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /explain", s.handleExplain)
+	mux.HandleFunc("GET /tables", s.handleTableList)
+	mux.HandleFunc("POST /tables", s.handleRegister)
+	mux.HandleFunc("GET /tables/{name}", s.handleTable)
+	mux.HandleFunc("POST /tables/{name}/snapshots", s.handlePush)
+	mux.HandleFunc("GET /tables/{name}/history", s.handleHistory)
+	mux.HandleFunc("GET /tables/{name}/trends", s.handleTrends)
+	mux.HandleFunc("GET /jobs", s.handleJobs)
+	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
+	mux.HandleFunc("DELETE /jobs/{id}", s.handleJobCancel)
+	mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /traces", s.handleTraces)
+	mux.HandleFunc("GET /traces/{id}", s.handleTraces)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
@@ -394,15 +404,11 @@ type traceIndexEntry struct {
 // handleTraces serves GET /traces (index of retained run traces, most
 // recent first) and GET /traces/{id} (one full structured trace).
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.cfg.traceBuffer == 0 {
 		http.Error(w, "tracing disabled (-trace-buffer 0)", http.StatusNotFound)
 		return
 	}
-	id := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/traces"), "/")
+	id := r.PathValue("id")
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -475,10 +481,6 @@ type deadlineResponse struct {
 // expiry the job fails terminally and a sync waiter answers 503 Service
 // Unavailable with the partial search statistics.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	ctx := r.Context()
 	if s.maxInflight != nil {
 		// Wait for a slot under the request context: a client that
@@ -492,20 +494,9 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	badUpload := func(err error) {
-		if ctx.Err() != nil {
-			http.Error(w, "request expired during upload ingest", http.StatusServiceUnavailable)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-	up, err := upload.Spool(r, s.store.Blobs(), upload.Limits{
-		FieldBytes:    s.cfg.maxUpload,
-		SnapshotBytes: s.cfg.maxSnapshotBytes,
-		Records:       s.cfg.maxRecords,
-	}, "source", "target")
+	up, err := upload.Spool(r, s.store.Blobs(), s.uploadLimits(), "source", "target")
 	if err != nil {
-		badUpload(err)
+		badUpload(ctx, w, err)
 		return
 	}
 	// A rejected upload leaves no blob: whatever is not committed below is
@@ -547,33 +538,14 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// upload ingests).
 		up.Discard()
 	} else {
-		// One trace recorder rides the whole submission: the ingest here
-		// and the job's search (runJob attaches the same recorder to the
-		// worker context) feed one per-run trace.
-		payload := &jobPayload{}
-		ictx := ctx
-		if s.cfg.traceBuffer != 0 {
-			payload.trace = affidavit.NewTraceRecorder()
-			ictx = affidavit.ContextWithObserver(ctx, payload.trace)
-		}
 		// Resolved only on a miss, so a dedupe hit creates no session. The
 		// pair interns straight into the pool its job will run over.
-		read := s.session(table).ReadSource
-		if payload.src, err = up.Ingest(ictx, read, "source"); err == nil {
-			payload.tgt, err = up.Ingest(ictx, read, "target")
-		}
+		tabs, trec, err := s.intern(ctx, up, s.session(table).ReadSource, "source", "target")
 		if err != nil {
-			badUpload(err)
+			badUpload(ctx, w, err)
 			return
 		}
-		// Blobs are durable before the job that names them is journaled.
-		for _, name := range []string{"source", "target"} {
-			if _, err := up.Files[name].Commit(); err != nil {
-				http.Error(w, fmt.Sprintf("storing %q upload: %v", name, err), http.StatusBadRequest)
-				return
-			}
-		}
-		spec.Payload = payload
+		spec.Payload = &jobPayload{src: tabs[0], tgt: tabs[1], trace: trec}
 	}
 	job, _, err := s.store.Submit(spec)
 	if err != nil {
@@ -585,18 +557,70 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeJobAccepted(w, job)
 		return
 	}
+	s.waitOutcome(ctx, w, job, up.Value("trace") == "1")
+}
+
+// uploadLimits bounds every multipart upload, /explain and catalog push
+// alike.
+func (s *server) uploadLimits() upload.Limits {
+	return upload.Limits{
+		FieldBytes:    s.cfg.maxUpload,
+		SnapshotBytes: s.cfg.maxSnapshotBytes,
+		Records:       s.cfg.maxRecords,
+	}
+}
+
+// badUpload answers a rejected upload: 400 with the reason, or 503 when
+// the request itself expired mid-upload.
+func badUpload(ctx context.Context, w http.ResponseWriter, err error) {
+	if ctx.Err() != nil {
+		http.Error(w, "request expired during upload ingest", http.StatusServiceUnavailable)
+		return
+	}
+	http.Error(w, err.Error(), http.StatusBadRequest)
+}
+
+// intern interns the named file parts of a spooled upload through read
+// and commits their blobs, so the blobs are durable before the job that
+// names them is journaled. One trace recorder rides the whole submission:
+// it sees the ingest here, and runJob attaches it to the job's run, so
+// both feed one per-run trace (nil with tracing off).
+func (s *server) intern(ctx context.Context, up *upload.Body, read upload.Reader, names ...string) ([]*affidavit.Table, *affidavit.TraceRecorder, error) {
+	var trec *affidavit.TraceRecorder
+	if s.cfg.traceBuffer != 0 {
+		trec = affidavit.NewTraceRecorder()
+		ctx = affidavit.ContextWithObserver(ctx, trec)
+	}
+	tabs := make([]*affidavit.Table, len(names))
+	for i, name := range names {
+		tab, err := up.Ingest(ctx, read, name)
+		if err != nil {
+			return nil, nil, err
+		}
+		tabs[i] = tab
+	}
+	for _, name := range names {
+		if _, err := up.Files[name].Commit(); err != nil {
+			return nil, nil, fmt.Errorf("storing %q upload: %w", name, err)
+		}
+	}
+	return tabs, trec, nil
+}
+
+// waitOutcome answers a sync submission with its job's outcome. A client
+// whose wait ends first does not end the job: it keeps running and its
+// result stays fetchable.
+func (s *server) waitOutcome(ctx context.Context, w http.ResponseWriter, job *jobs.Job, inlineTrace bool) {
 	rec, err := s.store.Wait(ctx, job)
 	if err != nil {
 		if ctx.Err() != nil {
-			// The client's wait ended, not the job: it keeps running and
-			// its result stays fetchable.
 			http.Error(w, "request expired while waiting; poll /jobs/"+job.ID(), http.StatusServiceUnavailable)
 			return
 		}
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
-	s.writeJobOutcome(w, rec, up.Value("trace") == "1")
+	s.writeJobOutcome(w, rec, inlineTrace)
 }
 
 type tableStats struct {

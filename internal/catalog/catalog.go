@@ -1,8 +1,12 @@
-// Package catalog is affidavitd's snapshot-history catalog: registered
-// tables, their pushed snapshot lineage, and the explanation chain the
-// service computes over each adjacent pair. It turns the pair-diff engine
-// into a monitoring surface — push successive snapshots of a table and
-// the catalog keeps the full drift history, not just the latest diff.
+// Package catalog is the journal behind affidavitd's snapshot-history
+// catalog: registered tables, their pushed snapshot lineage, and the
+// terminal state of the explanation step the daemon runs over each
+// adjacent pair, plus what derives from those records alone — the step
+// summary (SummarizeStep), the status a step is served with
+// (ServedStatus) and the trend analytics (ComputeTrends). It turns the
+// pair-diff engine into a monitoring surface — push successive snapshots
+// of a table and the catalog keeps the full drift history, not just the
+// latest diff. The HTTP surface and the step runner live in the daemon.
 //
 // Durability is the job subsystem's: an internal/wal journal (one
 // fixed-struct record per line, fsynced per append, torn-tail tolerant on
@@ -47,7 +51,7 @@ const (
 
 // StepStatus is an explanation step's catalog-side lifecycle position.
 // A step the catalog still holds as StepPending may have progressed in
-// the job store; serving code overlays the live job state.
+// the job store; ServedStatus overlays the live job state.
 type StepStatus string
 
 const (
@@ -275,7 +279,7 @@ func (s *Store) appendLocked(rec Record) {
 	}
 }
 
-// Sentinel errors for the service layer to map onto HTTP statuses.
+// Sentinel errors for the daemon to map onto HTTP statuses.
 var (
 	// ErrNoTable reports an unregistered table name.
 	ErrNoTable = fmt.Errorf("catalog: no such table")
@@ -313,6 +317,14 @@ func (s *Store) Tables() []Record {
 		out[i] = s.tables[name].rec
 	}
 	return out
+}
+
+// Has reports whether the table is registered.
+func (s *Store) Has(table string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.tables[table]
+	return ok
 }
 
 // Head returns the table's latest snapshot (false when the table is
@@ -449,42 +461,87 @@ func (s *Store) History(table string) (reg Record, snaps []Record, steps []Recor
 type Metrics struct {
 	// Tables and Snapshots are current totals across the whole catalog.
 	Tables, Snapshots int
-	// StepsPending, StepsExplained and StepsFailed count steps by their
-	// catalog status (pending includes steps whose job already landed a
-	// terminal state the catalog did not record, e.g. cancellations).
+	// StepsPending, StepsExplained and StepsFailed count steps by the
+	// status ServedStatus gives them, as /trends counts them.
 	StepsPending, StepsExplained, StepsFailed int
 	// JournalError is the latched first journal write failure ("" while
 	// durable or in-memory).
 	JournalError string
 }
 
-// Metrics returns the current snapshot.
-func (s *Store) Metrics() Metrics {
+// Metrics returns the current snapshot, resolving pending steps through
+// job.
+func (s *Store) Metrics(job JobLookup) Metrics {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	m := Metrics{Tables: len(s.order)}
 	if s.journalErr != nil {
 		m.JournalError = s.journalErr.Error()
 	}
+	var steps []Record
 	for _, name := range s.order {
 		ts := s.tables[name]
 		m.Snapshots += len(ts.snaps)
 		for _, snap := range ts.snaps {
-			step, ok := ts.steps[snap.SnapshotID]
-			if !ok {
-				continue
-			}
-			switch step.Status {
-			case StepExplained:
-				m.StepsExplained++
-			case StepFailed:
-				m.StepsFailed++
-			default:
-				m.StepsPending++
+			if step, ok := ts.steps[snap.SnapshotID]; ok {
+				steps = append(steps, step)
 			}
 		}
 	}
+	s.mu.Unlock()
+	// Resolved outside the lock: job is the caller's code.
+	var counts stepCounts
+	for _, step := range steps {
+		status, _ := ServedStatus(step, job)
+		counts.add(status)
+	}
+	m.StepsExplained, m.StepsFailed, m.StepsPending = counts.explained, counts.failed, counts.pending
 	return m
+}
+
+// JobLookup returns a job's live record by id (false when the job store
+// does not know it, e.g. an in-memory store after a restart).
+type JobLookup func(id string) (jobs.Record, bool)
+
+// ServedStatus is the one status a step is served with — in /history
+// rows, /trends rows and counts, and the catalog gauges. A terminal
+// catalog status stands; a catalog-pending step reports its job's live
+// state: "queued", "running", "failed" (with the job's error, e.g. a
+// deadline cut) or "cancelled".
+func ServedStatus(step Record, job JobLookup) (status, errMsg string) {
+	if step.Status != StepPending {
+		return string(step.Status), step.Error
+	}
+	if jr, ok := job(step.JobID); ok {
+		switch jr.State {
+		case jobs.StatePending:
+			return "queued", ""
+		case jobs.StateRunning:
+			return "running", ""
+		case jobs.StateError:
+			return string(StepFailed), jr.Error
+		case jobs.StateCancelled:
+			return "cancelled", ""
+		}
+	}
+	return string(StepPending), ""
+}
+
+// stepCounts tallies served statuses into the three counts the catalog
+// reports: explained; pending while the step may still run (queued,
+// running, or pending with no job left to ask); failed for every step
+// that ended without an explanation (refused, failed, deadline-cut or
+// cancelled).
+type stepCounts struct{ explained, failed, pending int }
+
+func (c *stepCounts) add(status string) {
+	switch status {
+	case string(StepExplained):
+		c.explained++
+	case string(StepPending), "queued", "running":
+		c.pending++
+	default:
+		c.failed++
+	}
 }
 
 // Close closes the journal and surfaces any latched write failure.

@@ -2,12 +2,15 @@ package catalog
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"affidavit/internal/jobs"
 	"affidavit/internal/wal/waltest"
 )
 
@@ -75,9 +78,66 @@ func TestStoreReplayRoundTrip(t *testing.T) {
 	if snaps[1].ParentID != snaps[0].SnapshotID {
 		t.Error("lineage chain broken on replay")
 	}
-	m := s.Metrics()
+	m := s.Metrics(noJobs)
 	if m.Tables != 1 || m.Snapshots != 2 || m.StepsExplained != 1 {
 		t.Errorf("metrics after replay: %+v", m)
+	}
+}
+
+// noJobs is a job lookup that knows no job.
+func noJobs(string) (jobs.Record, bool) { return jobs.Record{}, false }
+
+// TestServedStatusCounts: rows and counts read one status. A step the
+// catalog still holds as pending is served with its job's state, and the
+// /trends counts and the gauges bucket it by that state — a deadline-cut
+// or cancelled step counts as failed, not pending forever.
+func TestServedStatusCounts(t *testing.T) {
+	s, err := OpenStore("", fakeClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Register("t"); err != nil {
+		t.Fatal(err)
+	}
+	states := []jobs.State{jobs.StateError, jobs.StateCancelled, jobs.StateRunning, jobs.StatePending, ""}
+	byJob := make(map[string]jobs.Record)
+	parent := ""
+	for i := 0; i <= len(states); i++ {
+		snap, _, _, err := s.AddSnapshot("t", fmt.Sprintf("blob-%d", i), "", 1, []string{"a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			id := fmt.Sprintf("job-%d", i)
+			if _, err := s.StartStep("t", snap.SnapshotID, parent, id); err != nil {
+				t.Fatal(err)
+			}
+			if st := states[i-1]; st != "" {
+				byJob[id] = jobs.Record{ID: id, State: st, Error: "cut"}
+			}
+		}
+		parent = snap.SnapshotID
+	}
+	lookup := func(id string) (jobs.Record, bool) {
+		rec, ok := byJob[id]
+		return rec, ok
+	}
+	reg, snaps, steps, _ := s.History("t")
+	tr := ComputeTrends(reg, snaps, steps, lookup)
+	var got []string
+	for _, row := range tr.Steps {
+		got = append(got, row.Status)
+	}
+	if want := []string{"failed", "cancelled", "running", "queued", "pending"}; !slices.Equal(got, want) {
+		t.Errorf("trend rows = %v, want %v", got, want)
+	}
+	if status, msg := ServedStatus(steps[0], lookup); status != "failed" || msg != "cut" {
+		t.Errorf("deadline-cut step served as %q %q", status, msg)
+	}
+	m := s.Metrics(lookup)
+	if tr.StepsFailed != 2 || tr.StepsPending != 3 || m.StepsFailed != 2 || m.StepsPending != 3 || m.StepsExplained != 0 {
+		t.Errorf("counts: trends failed=%d pending=%d, metrics %+v", tr.StepsFailed, tr.StepsPending, m)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"affidavit/internal/report"
 )
 
-// summarizeStep compresses one chain step's explanation into the summary
+// SummarizeStep compresses one chain step's explanation into the summary
 // journaled with the step: the core/insert/delete mix, how many core
 // records actually changed, per-attribute churn for every non-identity
 // function, and the MDL compression achieved. Everything here derives
 // from the deterministic explanation, so the journaled summary is as
 // byte-stable as the explanation itself.
-func summarizeStep(res *affidavit.Result) *StepSummary {
+func SummarizeStep(res *affidavit.Result) *StepSummary {
 	e := res.Explanation
 	attrs := e.Inst.NumAttrs()
 	changedPerAttr := make([]int, attrs)

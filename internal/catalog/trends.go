@@ -1,5 +1,7 @@
 package catalog
 
+import "slices"
+
 // TrendAttribute aggregates one attribute's churn across the explained
 // chain: in how many steps it changed, how many core records it touched
 // in total, and which function kinds rewrote it (first-seen order).
@@ -57,10 +59,12 @@ type Trends struct {
 	Compression    TrendCompression `json:"compression"`
 }
 
-// computeTrends folds the stored chain into trend analytics. All slices
-// are non-nil (an empty history encodes as [] not null) and all orderings
-// derive from the journal's push order, so the encoding is byte-stable.
-func (s *Service) computeTrends(reg Record, snaps, steps []Record) Trends {
+// ComputeTrends folds a table's stored chain (as Store.History returns it)
+// into trend analytics, each step under the status ServedStatus gives it.
+// All slices are non-nil (an empty history encodes as [] not null) and all
+// orderings derive from the journal's push order, so the encoding is
+// byte-stable.
+func ComputeTrends(reg Record, snaps, steps []Record, job JobLookup) Trends {
 	t := Trends{
 		Table:      reg.Table,
 		Snapshots:  len(snaps),
@@ -77,21 +81,20 @@ func (s *Service) computeTrends(reg Record, snaps, steps []Record) Trends {
 	for i := range snaps {
 		schemaByID[snaps[i].SnapshotID] = &snaps[i]
 	}
+	var counts stepCounts
 	for _, step := range steps {
-		status, _ := s.liveStepStatus(step)
+		status, _ := ServedStatus(step, job)
+		counts.add(status)
 		row := TrendStep{SnapshotID: step.SnapshotID, Status: status}
 		if snap, ok := schemaByID[step.SnapshotID]; ok {
 			row.Op = snap.Op
-			if parent, ok := schemaByID[step.ParentID]; ok && !equalSchema(snap.Schema, parent.Schema) {
+			if parent, ok := schemaByID[step.ParentID]; ok && !slices.Equal(snap.Schema, parent.Schema) {
 				row.SchemaChange = true
 			}
 		}
-		switch {
-		case step.Status == StepExplained && step.Summary != nil:
-			sum := step.Summary
+		if sum := step.Summary; step.Status == StepExplained && sum != nil {
 			row.Updates, row.Inserts, row.Deletes = sum.Updates, sum.Inserts, sum.Deletes
 			row.Compression = sum.Compression
-			t.StepsExplained++
 			t.Ops.Updates += sum.Updates
 			t.Ops.Inserts += sum.Inserts
 			t.Ops.Deletes += sum.Deletes
@@ -106,38 +109,18 @@ func (s *Service) computeTrends(reg Record, snaps, steps []Record) Trends {
 				ta := &t.Attributes[idx]
 				ta.ChangedSteps++
 				ta.Updated += f.Updated
-				if !containsString(ta.Kinds, f.Kind) {
+				if !slices.Contains(ta.Kinds, f.Kind) {
 					ta.Kinds = append(ta.Kinds, f.Kind)
 				}
 			}
-		case step.Status == StepFailed:
-			t.StepsFailed++
-		default:
-			t.StepsPending++
 		}
 		t.Steps = append(t.Steps, row)
 	}
+	t.StepsExplained, t.StepsFailed, t.StepsPending = counts.explained, counts.failed, counts.pending
 	if n := len(t.Compression.Trajectory); n > 0 {
 		traj := t.Compression.Trajectory
 		t.Compression.First, t.Compression.Last = traj[0], traj[n-1]
-		t.Compression.Min, t.Compression.Max = traj[0], traj[0]
-		for _, c := range traj[1:] {
-			if c < t.Compression.Min {
-				t.Compression.Min = c
-			}
-			if c > t.Compression.Max {
-				t.Compression.Max = c
-			}
-		}
+		t.Compression.Min, t.Compression.Max = slices.Min(traj), slices.Max(traj)
 	}
 	return t
-}
-
-func containsString(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

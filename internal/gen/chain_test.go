@@ -162,7 +162,9 @@ func TestMakeChainSustainedFuncs(t *testing.T) {
 
 // TestMakeChainDigest pins MakeChain's output bytes: the SHA-256 over every
 // snapshot's CSV of a flight-500k chain, recorded on the code before the
-// generator stopped going through rows. There is no -update on purpose.
+// generator stopped going through rows. There is no -update on purpose:
+// those chains are the service benchmark's inputs, so a generator change
+// that moves their CSV bytes fails here.
 func TestMakeChainDigest(t *testing.T) {
 	ds, err := datasets.Get("flight-500k")
 	if err != nil {

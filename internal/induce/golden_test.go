@@ -82,8 +82,10 @@ func goldenStates(t *testing.T, name string) (*gen.Problem, map[string]*blocking
 // attribute's full ranked candidate list (top = 0) as "Generated Overlap
 // Score Key", at the root blocking and at one refined state of each golden
 // dataset, must equal testdata/candidates_golden.json, inline and under a
-// concurrent Runner. Regenerate with `go test -run TestCandidatesGolden
-// -update ./internal/induce/` only after an intentional behaviour change.
+// concurrent Runner, so a speed change to induction, blocking or search
+// cannot move a ranking unnoticed. Regenerate with `go test -run
+// TestCandidatesGolden -update ./internal/induce/` only after an
+// intentional behaviour change.
 func TestCandidatesGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "candidates_golden.json")
 	want := map[string][]string{}
