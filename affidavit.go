@@ -21,10 +21,11 @@
 //	out := res.Transform(unseenRecord) // generalises to unseen records
 //
 // The Explainer is the package's one front door: construct it from
-// functional options (WithAlpha, WithWorkers, WithObserver, …), then reuse
-// it for explanations of in-memory tables, streamed Sources, renamed
-// schemas and Sessions over snapshot chains. Every entry point takes a
-// context; domain experts extend the function library through Meta.
+// functional options (WithAlpha, WithWorkers, …), then reuse it for
+// explanations of in-memory tables, streamed Sources, renamed schemas and
+// Sessions over snapshot chains. Every entry point takes a context, which
+// also carries the run's observers (ContextWithObserver); domain experts
+// extend the function library through Meta.
 package affidavit
 
 import (
@@ -91,11 +92,6 @@ type Result struct {
 	TrivialCost float64
 	// Stats reports search effort.
 	Stats Stats
-	// Trace is the run's structured trace — stage spans with wall times,
-	// poll trajectory — recorded when the Explainer was
-	// built WithTracing; nil otherwise. Wall-clock values live only here,
-	// so tracing never perturbs the deterministic outputs.
-	Trace *Trace
 
 	alpha float64
 }

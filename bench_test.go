@@ -98,14 +98,17 @@ func BenchmarkFigure4SearchTree(b *testing.B) {
 	opts.QueueWidth = 3
 	opts.Seed = 1
 	for i := 0; i < b.N; i++ {
-		tr := &search.TreeTracer{}
-		o := opts
-		o.Tracer = tr
-		if _, err := search.Run(context.Background(), inst, o); err != nil {
+		polls := 0
+		ctx := affidavit.ContextWithObserver(context.Background(), affidavit.ObserverFunc(func(ev affidavit.Event) {
+			if ev.Kind == affidavit.EventPoll {
+				polls++
+			}
+		}))
+		if _, err := search.Run(ctx, inst, opts); err != nil {
 			b.Fatal(err)
 		}
-		if len(tr.Polls()) == 0 {
-			b.Fatal("no trace")
+		if polls == 0 {
+			b.Fatal("no poll events")
 		}
 	}
 }
@@ -507,12 +510,11 @@ func BenchmarkCSVSourceIngest(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceOverhead pins the tracing bargain: with tracing disabled
-// (the default) the per-run observer chain contributes nothing — no
-// recorder, no context sink, no per-poll cost — and with tracing enabled
-// the recorder's per-event fold stays cheap enough to leave on in
-// production services. Compare untraced/traced ns/op in the trajectory
-// artifacts.
+// BenchmarkTraceOverhead pins the tracing bargain: without a recorder on
+// the run's context nothing observes — no sink, no per-poll cost — and
+// with one attached the recorder's per-event fold stays cheap enough to
+// leave on in production services. Compare untraced/traced ns/op in the
+// trajectory artifacts.
 func BenchmarkTraceOverhead(b *testing.B) {
 	spec, err := datasets.Get("bridges")
 	if err != nil {
@@ -534,22 +536,23 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		{"traced", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := []affidavit.Option{affidavit.WithSeed(9)}
-			if mode.tracing {
-				opts = append(opts, affidavit.WithTracing())
-			}
-			ex, err := affidavit.New(opts...)
+			ex, err := affidavit.New(affidavit.WithSeed(9))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ex.ExplainSources(context.Background(),
-					affidavit.TableSource(p.Inst.Source), affidavit.TableSource(p.Inst.Target))
-				if err != nil {
+				ctx := context.Background()
+				var rec *affidavit.TraceRecorder
+				if mode.tracing {
+					rec = affidavit.NewTraceRecorder()
+					ctx = affidavit.ContextWithObserver(ctx, rec)
+				}
+				if _, err := ex.ExplainSources(ctx,
+					affidavit.TableSource(p.Inst.Source), affidavit.TableSource(p.Inst.Target)); err != nil {
 					b.Fatal(err)
 				}
-				if mode.tracing && (res.Trace == nil || !res.Trace.Complete) {
+				if mode.tracing && !rec.Trace().Complete {
 					b.Fatal("traced run produced no complete trace")
 				}
 			}

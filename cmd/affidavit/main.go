@@ -57,11 +57,7 @@ func main() {
 	}
 	defer traceLog.Close()
 
-	opts := []affidavit.Option{affidavit.WithObserver(cfg.ProgressObserver())}
-	if traceLog != nil {
-		opts = append(opts, affidavit.WithTracing())
-	}
-	ex, err := cfg.Explainer(opts...)
+	ex, err := cfg.Explainer()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "affidavit:", err)
 		os.Exit(2)
@@ -71,6 +67,11 @@ func main() {
 	// one poll instead of dying mid-write, and we exit non-zero below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = cfg.Observe(ctx, nil)
+	rec := affidavit.NewTraceRecorder()
+	if traceLog != nil {
+		ctx = affidavit.ContextWithObserver(ctx, rec)
+	}
 
 	res, err := ex.ExplainFiles(ctx, *source, *target)
 	if err != nil {
@@ -81,7 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "affidavit: cancelled (interrupt received); partial result discarded")
 		os.Exit(1)
 	}
-	if err := traceLog.Append(res.Trace); err != nil {
+	if err := traceLog.Append(rec.Trace()); err != nil {
 		fmt.Fprintln(os.Stderr, "affidavit: trace-out:", err)
 	}
 	if *asJSON {

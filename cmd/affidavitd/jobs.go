@@ -50,8 +50,8 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 		if rec.SnapshotID != "" {
 			p.trace.SetLineage(rec.SnapshotID, rec.ParentID)
 		}
-		ctx = affidavit.ContextWithObserver(ctx, p.trace)
 	}
+	ctx = s.observe(ctx, p.trace)
 	var res *affidavit.Result
 	var err error
 	if rec.Kind == catalogJobKind {

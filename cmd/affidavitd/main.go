@@ -160,12 +160,14 @@ func main() {
 
 	// SIGINT/SIGTERM cancel this context; every request context derives
 	// from it (BaseContext), so in-flight searches stop cooperatively.
+	// It also carries the -progress narrator, so every ingest and run —
+	// request-side and on the job pool — narrates.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	ctx = cfg.Observe(ctx, nil)
 
-	srv, err := newServer(serverConfig{
+	srv, err := newServer(ctx, serverConfig{
 		options:          options,
-		observer:         cfg.ProgressObserver(),
 		maxUpload:        *maxUpload << 20,
 		maxRecords:       *maxRecords,
 		maxSnapshotBytes: *maxSnapshot << 20,

@@ -1,0 +1,105 @@
+package main
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"testing"
+)
+
+// metricsMix drives a fixed request mix through a durable server and a
+// restart of it, and returns both /metrics pages without their histogram
+// series (wall times): a cold /explain and its duplicate, two warm=1
+// /explain runs on one table, a registered table with three pushes, and a
+// chain whose third push runs after the restart — the step that re-seeds
+// from its parent's blob, the one path that ingests inside a job run.
+func metricsMix(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	ch := testChain(t, 2)
+	csvs := make([]string, len(ch.Snapshots))
+	for i, snap := range ch.Snapshots {
+		csvs[i] = csvOf(t, snap)
+	}
+	explain := func(srv *httptest.Server, table string, src, tgt int, warm bool) {
+		t.Helper()
+		fields := map[string]string{"table": table}
+		if warm {
+			fields["warm"] = "1"
+		}
+		if code, body := post(t, srv, csvs[src], csvs[tgt], fields); code != http.StatusOK {
+			t.Fatalf("explain %s: status %d: %s", table, code, body)
+		}
+	}
+	push := func(srv *httptest.Server, table string, snap, wantCode int) {
+		t.Helper()
+		if code, body, _ := pushSnapshot(t, srv, table, csvs[snap], nil); code != wantCode {
+			t.Fatalf("push %s: status %d, want %d: %s", table, code, wantCode, body)
+		}
+	}
+	register := func(srv *httptest.Server, table string) {
+		t.Helper()
+		if code, body := registerTable(t, srv, table); code != http.StatusCreated {
+			t.Fatalf("register %s: status %d: %s", table, code, body)
+		}
+	}
+	var out strings.Builder
+	page := func(label string, srv *httptest.Server) {
+		out.WriteString("== " + label + "\n")
+		for _, line := range strings.SplitAfter(get(t, srv.URL+"/metrics"), "\n") {
+			if !strings.Contains(line, "_duration_seconds") {
+				out.WriteString(line)
+			}
+		}
+	}
+
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	explain(srv, "cold", 0, 1, false)
+	explain(srv, "cold", 0, 1, false)
+	explain(srv, "warm", 0, 1, true)
+	explain(srv, "warm", 1, 2, true)
+	register(srv, "pushed")
+	push(srv, "pushed", 0, http.StatusCreated)
+	push(srv, "pushed", 1, http.StatusOK)
+	push(srv, "pushed", 2, http.StatusOK)
+	register(srv, "durable")
+	push(srv, "durable", 0, http.StatusCreated)
+	push(srv, "durable", 1, http.StatusOK)
+	page("before restart", srv)
+	srv.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	t.Cleanup(func() { s2.Close() })
+	srv2 := httptest.NewServer(s2.handler())
+	t.Cleanup(srv2.Close)
+	push(srv2, "durable", 2, http.StatusOK)
+	page("after restart", srv2)
+	return out.String()
+}
+
+// TestMetricsGolden: every non-histogram /metrics line of the request mix
+// equals the page the parent commit's code served for it
+// (testdata/metrics_parent.txt, recorded there, no -update on purpose),
+// so rewiring how observers reach the runs moves no counter.
+func TestMetricsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/metrics_parent.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := metricsMix(t)
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d: got %q, want %q\nfull page:\n%s", i+1, gotLines[i], wantLines[i], got)
+		}
+	}
+	t.Fatalf("got %d lines, want %d\nfull page:\n%s", len(gotLines), len(wantLines), got)
+}

@@ -28,13 +28,8 @@ const maxFieldBytes = 1 << 20
 // server the same way.
 type serverConfig struct {
 	// options construct the server's Explainer — the one shared
-	// configuration path for every explanation the service runs. Do not
-	// include WithObserver here (newServer attaches the /metrics observer
-	// last and would shadow it); pass extra observers via observer.
+	// configuration path for every explanation the service runs.
 	options []affidavit.Option
-	// observer, when non-nil, receives pipeline events alongside the
-	// server's own MetricsObserver (e.g. the -progress narrator).
-	observer affidavit.Observer
 	// maxUpload caps each buffered non-file form value in bytes; 0 means
 	// maxFieldBytes. File parts spool to disk and are deliberately NOT
 	// bounded by it: uploads larger than the historical -max-upload are
@@ -106,9 +101,11 @@ const defaultTraceBuffer = 128
 // cap on their count and a TTL on their idleness — so an unbounded stream
 // of distinct table names can no longer grow the dictionary pools forever.
 //
-// Every session derives from one Explainer, whose observer feeds the
-// Prometheus-style /metrics endpoint: ingest volume, run modes
-// (cold/warm/escalated), poll and conversion counters.
+// Every session derives from one Explainer. Every ingest and run reports
+// to the Prometheus-style /metrics endpoint — ingest volume, run modes
+// (cold/warm/escalated), poll and conversion counters — through the
+// metrics observer that intern and runJob attach to their contexts (see
+// observe).
 type server struct {
 	cfg         serverConfig
 	ex          *affidavit.Explainer
@@ -158,7 +155,11 @@ type sessionEntry struct {
 	lastUse time.Time
 }
 
-func newServer(cfg serverConfig) (*server, error) {
+// newServer builds the server and starts its job pool. base carries the
+// observers every ingest and run reports to besides the metrics (main's
+// -progress narrator); the pool runs under it without its cancellation, so
+// a SIGINT requeues running jobs instead of failing them.
+func newServer(base context.Context, cfg serverConfig) (*server, error) {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
@@ -174,16 +175,14 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.traceBuffer < 0 {
 		cfg.traceBuffer = defaultTraceBuffer
 	}
-	metrics := affidavit.NewMetricsObserver()
-	ex, err := affidavit.New(append(append([]affidavit.Option{}, cfg.options...),
-		affidavit.WithObserver(affidavit.Observers(metrics, cfg.observer)))...)
+	ex, err := affidavit.New(cfg.options...)
 	if err != nil {
 		return nil, err
 	}
 	s := &server{
 		cfg:       cfg,
 		ex:        ex,
-		metrics:   metrics,
+		metrics:   affidavit.NewMetricsObserver(),
 		sessions:  make(map[string]*sessionEntry),
 		chains:    make(map[string]chainState),
 		startedAt: cfg.now(),
@@ -194,7 +193,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	// Open the job store (replaying the journal when -jobs-dir holds one:
 	// pending and crash-orphaned jobs requeue, completed results keep
 	// serving) and start the drain pool. The pool's lifetime is bound to
-	// Close, not a request context, so a SIGINT requeues running jobs
+	// Close, not to base's cancellation, so a SIGINT requeues running jobs
 	// instead of failing them.
 	store, err := jobs.Open(jobs.Options{Dir: cfg.jobsDir})
 	if err != nil {
@@ -220,7 +219,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		Backoff:     cfg.jobBackoff,
 		Timeout:     cfg.timeout,
 	})
-	s.pool.Start(context.Background())
+	s.pool.Start(context.WithoutCancel(base))
 	return s, nil
 }
 
@@ -589,8 +588,8 @@ func (s *server) intern(ctx context.Context, up *upload.Body, read upload.Reader
 	var trec *affidavit.TraceRecorder
 	if s.cfg.traceBuffer != 0 {
 		trec = affidavit.NewTraceRecorder()
-		ctx = affidavit.ContextWithObserver(ctx, trec)
 	}
+	ctx = s.observe(ctx, trec)
 	tabs := make([]*affidavit.Table, len(names))
 	for i, name := range names {
 		tab, err := up.Ingest(ctx, read, name)
@@ -605,6 +604,17 @@ func (s *server) intern(ctx context.Context, up *upload.Body, read upload.Reader
 		}
 	}
 	return tabs, trec, nil
+}
+
+// observe attaches the server's metrics observer and, when non-nil, a
+// run's trace recorder to ctx — the two contexts events reach them on are
+// intern's (ingest) and runJob's (the run, and any re-ingest it needs).
+func (s *server) observe(ctx context.Context, trec *affidavit.TraceRecorder) context.Context {
+	ctx = affidavit.ContextWithObserver(ctx, s.metrics)
+	if trec == nil {
+		return ctx
+	}
+	return affidavit.ContextWithObserver(ctx, trec)
 }
 
 // waitOutcome answers a sync submission with its job's outcome. A client

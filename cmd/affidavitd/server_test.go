@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,7 +28,7 @@ func testOptions() []affidavit.Option {
 // mustServer builds a server or fails the test.
 func mustServer(t *testing.T, cfg serverConfig) *server {
 	t.Helper()
-	s, err := newServer(cfg)
+	s, err := newServer(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	}
 	defer traceLog.Close()
 	// Every dataset's run appends one structured trace line.
-	traceLog.WireSearch(&opts)
+	ctx = cfg.Observe(ctx, traceLog)
 	points, err := eval.Figure6(ctx, eval.Figure6Spec{
 		Rows: map[string]int{"fd-red-30": *fdRows},
 		Seed: *cfg.Seed,

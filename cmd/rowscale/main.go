@@ -58,7 +58,7 @@ func main() {
 	}
 	defer traceLog.Close()
 	// Every sweep point's run appends one structured trace line.
-	traceLog.WireSearch(&opts)
+	ctx = cfg.Observe(ctx, traceLog)
 	points, err := eval.Figure5(ctx, eval.Figure5Spec{
 		BaseRows: *baseRows,
 		Factors:  fs,

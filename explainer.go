@@ -13,7 +13,6 @@ import (
 	"affidavit/internal/schemamatch"
 	"affidavit/internal/search"
 	"affidavit/internal/table"
-	"affidavit/internal/trace"
 )
 
 // Explainer is the long-lived front door of the package: one fully-resolved
@@ -25,18 +24,16 @@ import (
 //	ex, err := affidavit.New(
 //	    affidavit.WithAlpha(0.3),
 //	    affidavit.WithWorkers(8),
-//	    affidavit.WithObserver(metrics),
 //	)
-//	res, err := ex.Explain(ctx, src, tgt)
+//	res, err := ex.Explain(affidavit.ContextWithObserver(ctx, metrics), src, tgt)
 //
 // Explainers are immutable after New and safe for concurrent use; every
 // run copies the configuration. Sessions created via Session share the
-// Explainer's configuration and observer.
+// Explainer's configuration. Observers are not configuration: they ride
+// each run's context (ContextWithObserver).
 type Explainer struct {
-	so      search.Options
-	metas   []metafunc.Meta
-	obs     Observer
-	tracing bool // WithTracing; record a per-run Trace into Result.Trace
+	so    search.Options
+	metas []metafunc.Meta
 }
 
 // Option configures an Explainer. Options apply in order; later options
@@ -130,35 +127,15 @@ func WithExtraMetas(metas ...Meta) Option {
 	return func(e *Explainer) { e.metas = append(e.metas, metas...) }
 }
 
-// WithObserver attaches a pipeline observer (progress, metrics). Events
-// within one run arrive in deterministic order for a fixed seed;
-// concurrent runs interleave, so shared observers must be safe for
-// concurrent use. A nil observer is the default no-op and costs nothing on
-// the hot path; Observers(...) compositions normalise to that same nil,
-// so WithObserver(Observers(nil, nil)) is equally free.
-func WithObserver(o Observer) Option { return func(e *Explainer) { e.obs = Observers(o) } }
-
-// WithTracing records a structured per-run trace into Result.Trace: stage
-// spans with wall times (ingest source/target, search, finalize, convert),
-// the warm/cold/escalated start decision, and a bounded poll cost-curve
-// sample. Each run gets its own recorder attached through the Observers
-// fan-out, so concurrent runs trace independently and any WithObserver
-// observer keeps receiving every event. Wall-clock values are captured
-// out-of-band in the recorder — the event stream and Result.JSON stay
-// byte-identical with tracing on or off. Batch runs (ExplainBatch) are not
-// traced: their pairs interleave on one context.
-func WithTracing() Option { return func(e *Explainer) { e.tracing = true } }
-
 // Fingerprint digests every result-affecting engine option — α, β, the
 // queue width ϱ, the start strategy, the overlap block threshold, the
 // induction configuration (θ, ρ and its caps), the sampling seed and the
 // expansion cap — plus the installed meta-function families, into a
 // 16-hex-character identity. Two Explainers with equal fingerprints
 // produce byte-identical explanations for identical inputs; byte-neutral
-// knobs (workers, observers, tracing, warm-only guards) are deliberately
-// excluded. affidavitd folds the fingerprint into the job content address,
-// so a configuration change stops serving results computed under the old
-// flags.
+// knobs (workers, warm-only guards) are deliberately excluded. affidavitd
+// folds the fingerprint into the job content address, so a configuration
+// change stops serving results computed under the old flags.
 func (e *Explainer) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "alpha=%g beta=%d width=%d start=%d maxblock=%d theta=%g conf=%g mingen=%d maxranked=%d maxsrc=%d seed=%d maxexp=%d",
@@ -172,40 +149,6 @@ func (e *Explainer) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// searchOptions returns the per-run search configuration, wiring the
-// observer in.
-func (e *Explainer) searchOptions() search.Options {
-	so := e.so
-	if e.obs != nil {
-		so.OnEvent = e.obs.Observe
-	}
-	return so
-}
-
-// traceRun attaches a fresh per-run trace recorder to ctx when tracing is
-// enabled, so every emission point serving this run — ingest drains and
-// the search loop alike — feeds it alongside the configured observer.
-func (e *Explainer) traceRun(ctx context.Context) (context.Context, *trace.Recorder) {
-	if !e.tracing {
-		return ctx, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rec := trace.NewRecorder(trace.NewID())
-	return obs.ContextWithSink(ctx, rec.Observe), rec
-}
-
-// runSink is the ingest-path event sink for one call: the configured
-// observer chained with any per-run sink the context carries.
-func (e *Explainer) runSink(ctx context.Context) obs.Sink {
-	var base obs.Sink
-	if e.obs != nil {
-		base = e.obs.Observe
-	}
-	return obs.Chain(base, obs.FromContext(ctx))
-}
-
 // Explain explains the difference between two in-memory snapshots sharing
 // a schema. The search, its blocking refinements and the end-state
 // conversion all observe ctx's cancellation and deadlines cooperatively.
@@ -214,16 +157,11 @@ func (e *Explainer) runSink(ctx context.Context) obs.Sink {
 // deadline keep the partial work and can distinguish complete from
 // interrupted results.
 func (e *Explainer) Explain(ctx context.Context, source, target *Table) (*Result, error) {
-	ctx, rec := e.traceRun(ctx)
 	inst, err := delta.NewInstance(source, target, e.metas)
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.explainInstance(ctx, inst)
-	if err != nil {
-		return nil, err
-	}
-	return traced(res, rec), nil
+	return e.run(ctx, inst, e.so)
 }
 
 // ExplainRenamed explains snapshots whose target schema was renamed or
@@ -252,10 +190,9 @@ func (e *Explainer) ExplainRenamed(ctx context.Context, source, target *Table) (
 // arrives, so neither snapshot is ever materialised as a [][]string and
 // the run shares the stored columns instead of translating them — and
 // explains the resulting pair. Explanations are byte-identical to Explain
-// on the same data; only the interning work differs. The observer (if any)
-// sees ingest-progress events per chunk.
+// on the same data; only the interning work differs. Observers on ctx see
+// ingest-progress events per chunk.
 func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (*Result, error) {
-	ctx, rec := e.traceRun(ctx)
 	// Open both sources and compare schemas BEFORE draining either: a
 	// mismatched pair (wrong file, renamed column) fails after two header
 	// reads, not after interning gigabytes.
@@ -281,12 +218,12 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 	for a := range shared {
 		shared[a] = table.NewDict()
 	}
-	src, err := e.drainSource(ctx, source, srcSchema, shared, "source")
+	src, err := drainSource(ctx, source, srcSchema, shared, "source")
 	if err != nil {
 		target.Close()
 		return nil, err
 	}
-	tgt, err := e.drainSource(ctx, target, tgtSchema, shared, "target")
+	tgt, err := drainSource(ctx, target, tgtSchema, shared, "target")
 	if err != nil {
 		return nil, err
 	}
@@ -294,11 +231,7 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.explainInstance(ctx, inst)
-	if err != nil {
-		return nil, err
-	}
-	return traced(res, rec), nil
+	return e.run(ctx, inst, e.so)
 }
 
 // ExplainFiles is ExplainSources over two CSV files (header row = schema),
@@ -311,21 +244,21 @@ func (e *Explainer) ExplainFiles(ctx context.Context, sourcePath, targetPath str
 // streaming replacement for ReadCSV when the snapshot will be explained
 // later. A snapshot bound for a Session is better read with
 // Session.ReadSource, which interns it once, into the dictionaries the run
-// will use. The observer (if any) sees ingest events labelled "source".
+// will use. Observers on ctx see ingest events labelled "source".
 func (e *Explainer) ReadSource(ctx context.Context, src Source) (*Table, error) {
 	return e.ReadSourceNamed(ctx, src, "source")
 }
 
 // ReadSourceNamed is ReadSource with a caller-chosen snapshot label for
-// the observer's ingest events ("source", "target", …), so multi-snapshot
+// the ingest events ("source", "target", …), so multi-snapshot
 // ingest paths report per-role volumes.
 func (e *Explainer) ReadSourceNamed(ctx context.Context, src Source, label string) (*Table, error) {
-	return e.readSource(ctx, src, nil, label)
+	return readSource(ctx, src, nil, label)
 }
 
 // readSource opens and drains src into pool's dictionaries for its schema
 // (nil pool = private dictionaries).
-func (e *Explainer) readSource(ctx context.Context, src Source, pool *table.DictPool, label string) (*Table, error) {
+func readSource(ctx context.Context, src Source, pool *table.DictPool, label string) (*Table, error) {
 	schema, err := src.Open()
 	if err != nil {
 		src.Close()
@@ -335,7 +268,7 @@ func (e *Explainer) readSource(ctx context.Context, src Source, pool *table.Dict
 	if pool != nil {
 		dicts = pool.DictsFor(schema)
 	}
-	return e.drainSource(ctx, src, schema, dicts, label)
+	return drainSource(ctx, src, schema, dicts, label)
 }
 
 // ingestChunk is how many records are interned between context checks and
@@ -346,7 +279,7 @@ const ingestChunk = 8192
 // into a table. dicts, when non-nil, is the positional dictionary set the
 // snapshot shares with others (its pair, a session pool), so all intern
 // into one code space.
-func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string) (*Table, error) {
+func drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -355,7 +288,7 @@ func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema,
 		src.Close()
 		return nil, err
 	}
-	sink := e.runSink(ctx)
+	sink := obs.FromContext(ctx)
 	emit := func(complete bool) {
 		if sink != nil {
 			sink(Event{Kind: obs.KindIngest, Snapshot: role, Records: b.Len(), Complete: complete})
@@ -389,35 +322,19 @@ func (e *Explainer) drainSource(ctx context.Context, src Source, schema *Schema,
 	return b.Table(), nil
 }
 
-// explainInstance runs the search on a prepared instance, chaining any
-// per-run context sink after the configured observer.
-func (e *Explainer) explainInstance(ctx context.Context, inst *delta.Instance) (*Result, error) {
-	so := e.searchOptions()
-	so.OnEvent = obs.Chain(so.OnEvent, obs.FromContext(ctx))
+// run searches a prepared instance under so and wraps the result under
+// the Explainer's α. The trivial cost comes from its closed form, not from
+// building E∅.
+func (e *Explainer) run(ctx context.Context, inst *delta.Instance, so search.Options) (*Result, error) {
 	res, err := search.Run(ctx, inst, so)
 	if err != nil {
 		return nil, err
 	}
-	return e.newResult(res), nil
-}
-
-// newResult wraps a finished search under the Explainer's α. The trivial
-// cost comes from its closed form, not from building E∅.
-func (e *Explainer) newResult(res *search.Result) *Result {
-	inst := res.Explanation.Inst
 	return &Result{
 		Explanation: res.Explanation,
 		Cost:        res.Cost,
 		TrivialCost: delta.CostModel{Alpha: e.so.Alpha}.TrivialCost(inst.NumAttrs(), inst.Target.Len()),
 		Stats:       res.Stats,
 		alpha:       e.so.Alpha,
-	}
-}
-
-// traced attaches the recorder's finished trace, if any.
-func traced(res *Result, rec *trace.Recorder) *Result {
-	if rec != nil {
-		res.Trace = rec.Trace()
-	}
-	return res
+	}, nil
 }

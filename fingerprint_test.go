@@ -40,7 +40,6 @@ func TestFingerprint(t *testing.T) {
 	// byte-identical to the sequential one.
 	for name, fp := range map[string]string{
 		"workers": mk(WithSeed(31), WithWorkers(8)),
-		"tracing": mk(WithSeed(31), WithTracing()),
 	} {
 		if fp != base {
 			t.Errorf("byte-neutral knob %s moved the fingerprint", name)

@@ -1,11 +1,13 @@
 // Package cliutil is the one shared configuration path of the cmds: every
 // CLI registers the same search flags here and turns them into either an
 // affidavit.Explainer (functional options) or a raw search.Options (for
-// the internal eval drivers) — so flag names, defaults, zero-value
-// semantics and the -progress observer cannot drift between binaries.
+// the internal eval drivers), and its runs' observers into one context —
+// so flag names, defaults, zero-value semantics and the -progress
+// observer cannot drift between binaries.
 package cliutil
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,7 +19,6 @@ import (
 	"sync"
 
 	"affidavit"
-	"affidavit/internal/obs"
 	"affidavit/internal/search"
 )
 
@@ -128,37 +129,30 @@ func (l *TraceLog) Close() error {
 	return l.f.Close()
 }
 
-// WireSearch chains a trace collector after so.OnEvent: every run flowing
-// through the options gets its event stream folded into a trace and
-// appended to the log. Append failures surface once on stderr rather than
+// Observe returns ctx carrying the -progress narrator on stderr, when set,
+// and a collector that folds each run under the context into a trace
+// appended to log, when log is non-nil — the observers every run of the
+// cmd reports to. The collector expects runs one after another (a sweep,
+// one explanation); append failures surface on stderr rather than
 // aborting an otherwise-healthy sweep.
-func (l *TraceLog) WireSearch(so *search.Options) {
-	if l == nil {
-		return
+func (f *Flags) Observe(ctx context.Context, log *TraceLog) context.Context {
+	if *f.Progress {
+		ctx = affidavit.ContextWithObserver(ctx, affidavit.NewProgressObserver(os.Stderr))
 	}
-	collector := affidavit.NewTraceCollector(func(tr *affidavit.Trace) {
-		if err := l.Append(tr); err != nil {
-			fmt.Fprintln(os.Stderr, "trace-out:", err)
-		}
-	})
-	so.OnEvent = obs.Chain(so.OnEvent, collector.Observe)
-}
-
-// ProgressObserver returns the stderr narrator when -progress was set,
-// nil otherwise. Callers compose it with their own observers (e.g.
-// affidavit.Observers(metrics, flags.ProgressObserver())).
-func (f *Flags) ProgressObserver() affidavit.Observer {
-	if !*f.Progress {
-		return nil
+	if log != nil {
+		ctx = affidavit.ContextWithObserver(ctx, affidavit.NewTraceCollector(func(tr *affidavit.Trace) {
+			if err := log.Append(tr); err != nil {
+				fmt.Fprintln(os.Stderr, "trace-out:", err)
+			}
+		}))
 	}
-	return affidavit.NewProgressObserver(os.Stderr)
+	return ctx
 }
 
 // Options turns the parsed flags into functional options for affidavit.New,
 // appending any extra options after the flag-derived ones (so callers can
-// override). Observers are deliberately NOT included — each cmd composes
-// its own (ProgressObserver, metrics, …) and attaches them via
-// affidavit.WithObserver, so a later option can never silently drop one.
+// override). Observers are not options: they ride each run's context
+// (Observe).
 func (f *Flags) Options(extra ...affidavit.Option) ([]affidavit.Option, error) {
 	opts := []affidavit.Option{}
 	switch strings.ToLower(*f.Start) {
@@ -198,8 +192,8 @@ func (f *Flags) Explainer(extra ...affidavit.Option) (*affidavit.Explainer, erro
 }
 
 // SearchOptions turns the parsed flags into a search.Options for the
-// internal eval drivers (rowscale, attrscale), including the -progress
-// event sink. It applies the same start-strategy mapping as Options.
+// internal eval drivers (rowscale, attrscale). It applies the same
+// start-strategy mapping as Options.
 func (f *Flags) SearchOptions() (search.Options, error) {
 	var so search.Options
 	switch strings.ToLower(*f.Start) {
@@ -225,8 +219,5 @@ func (f *Flags) SearchOptions() (search.Options, error) {
 	so.MaxBlockSize = *f.MaxBlock
 	so.Seed = *f.Seed
 	so.Workers = *f.Workers
-	if o := f.ProgressObserver(); o != nil {
-		so.OnEvent = o.Observe
-	}
 	return so, nil
 }

@@ -38,17 +38,16 @@ func TestFigure5PeakRSS(t *testing.T) {
 		rows = n
 	}
 
-	opts := search.DefaultOptions()
-	opts.OnEvent = func(ev obs.Event) {
+	ctx := obs.ContextWithSink(context.Background(), func(ev obs.Event) {
 		if ev.Kind == obs.KindSearchStart {
 			logPeakRSS(t, "after generation")
 		}
-	}
-	points, err := Figure5(context.Background(), Figure5Spec{
+	})
+	points, err := Figure5(ctx, Figure5Spec{
 		BaseRows: rows,
 		Factors:  []float64{1.0},
 		Seed:     1,
-		Opts:     opts,
+		Opts:     search.DefaultOptions(),
 		Progress: func(p ScalePoint) {
 			t.Logf("factor %.0f%%: %d rows in %v (matched reference: %v)",
 				p.Factor*100, p.Rows, p.Time, p.MatchedReference)

@@ -8,8 +8,8 @@ import (
 // ObsEvent enforces the PR 4/5 observer rule: pipeline events are emitted
 // from the polling goroutine only, so event streams stay byte-deterministic
 // for a fixed seed regardless of Workers. Concretely, a call to an
-// obs.Sink value, to a method named OnEvent, or to an emit helper must not
-// appear inside code that escapes onto another goroutine:
+// obs.Sink value (such as the sink obs.FromContext returns) or to an emit
+// helper must not appear inside code that escapes onto another goroutine:
 //
 //   - any function literal launched by a `go` statement (or nested in one);
 //   - any function literal passed directly as a call argument (worker
@@ -21,9 +21,10 @@ import (
 // callbacks can justify themselves with //affidavit:ignore obsevent.
 var ObsEvent = &Analyzer{
 	Name: "obsevent",
-	Doc: "requires Observer/obs.Sink emission (OnEvent, emit helpers) to " +
-		"stay on the polling goroutine: event emission inside go-routines " +
-		"or function literals handed to worker pools is reported",
+	Doc: "requires pipeline event emission (calls to an obs.Sink, such as " +
+		"obs.FromContext's, and emit helpers) to stay on the polling " +
+		"goroutine: emission inside go-routines or function literals " +
+		"handed to worker pools is reported",
 	Run: runObsEvent,
 }
 
@@ -93,17 +94,14 @@ func checkEscaping(pass *Pass, n ast.Node, where string) {
 }
 
 // emissionCall reports whether the call emits a pipeline event: invoking
-// an obs.Sink value, an OnEvent method, or an emit helper.
+// an obs.Sink value or an emit helper.
 func emissionCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	if t := info.TypeOf(call.Fun); t != nil && namedFrom(t, "obs", "Sink") {
 		return "obs.Sink call", true
 	}
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		switch fun.Sel.Name {
-		case "OnEvent":
-			return "OnEvent call", true
-		case "emit":
+		if fun.Sel.Name == "emit" {
 			return "emit call", true
 		}
 	case *ast.Ident:

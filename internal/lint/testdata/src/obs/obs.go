@@ -2,6 +2,8 @@
 // obsevent analyzer keys on the Sink type by package last-segment + name.
 package obs
 
+import "context"
+
 // Event is one pipeline event.
 type Event struct {
 	Kind int
@@ -10,3 +12,11 @@ type Event struct {
 
 // Sink receives events.
 type Sink func(Event)
+
+type sinkKey struct{}
+
+// FromContext returns the run's sink, or nil.
+func FromContext(ctx context.Context) Sink {
+	s, _ := ctx.Value(sinkKey{}).(Sink)
+	return s
+}

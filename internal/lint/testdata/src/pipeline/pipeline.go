@@ -3,20 +3,15 @@
 package pipeline
 
 import (
+	"context"
 	"sort"
 	"sync"
 
 	"obs"
 )
 
-// Observer mirrors the public observer interface.
-type Observer interface {
-	OnEvent(obs.Event)
-}
-
 type engine struct {
 	sink obs.Sink
-	obsv Observer
 }
 
 func (e *engine) emit(ev obs.Event) {
@@ -49,16 +44,11 @@ func badWorkerPool(e *engine) {
 	})
 }
 
-// Flagged: OnEvent through the observer interface, off-goroutine.
-func badObserver(e *engine) {
-	go e.report()
-}
-
-func (e *engine) report() {
-	// Reachability across function boundaries is out of lexical scope, but
-	// a literal inside a go statement is not.
+// Flagged: the run's sink, read from its context, called off-goroutine.
+func badContextSink(ctx context.Context) {
+	sink := obs.FromContext(ctx)
 	go func() {
-		e.obsv.OnEvent(obs.Event{}) // want "OnEvent call inside a goroutine"
+		sink(obs.Event{Kind: 2}) // want "obs.Sink call inside a goroutine"
 	}()
 }
 

@@ -2,7 +2,8 @@
 // that reports progress: snapshot ingest, the search loop, end-state
 // conversion, and run completion. The public package re-exports these types
 // as affidavit.Event; internal layers emit them through a plain function
-// sink so the no-op case costs one nil check.
+// sink, read once per run from the run's context (FromContext), so the
+// no-op case costs one nil check.
 //
 // Determinism contract: within one explanation run, events are emitted from
 // a single goroutine in a deterministic order for a fixed seed — the
@@ -99,36 +100,27 @@ type Event struct {
 // branch per emission point.
 type Sink func(Event)
 
-// Chain composes two sinks in order, treating nil as absent: the result is
-// nil when both are, and the single non-nil sink when only one is — so the
-// common unobserved path stays a plain nil check, never a wrapper call.
-func Chain(a, b Sink) Sink {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(ev Event) {
-		a(ev)
-		b(ev)
-	}
-}
-
 // sinkKey carries a per-run Sink through a context.
 type sinkKey struct{}
 
-// ContextWithSink attaches a per-run event sink to ctx: every emission
-// point that serves the run (ingest drains, the search loop) forwards its
-// events to s in addition to any configured observer. A sink already on
-// ctx is chained before s, so nested attachments compose. This is how a
-// per-request trace recorder follows one run through separate ingest and
-// explain calls without touching the long-lived Explainer configuration.
+// ContextWithSink attaches an event sink to ctx: every emission point that
+// serves a run under it (ingest drains, the search loop) forwards its
+// events to s. A sink already on ctx is called before s, so nested
+// attachments compose. This is how a per-request trace recorder follows
+// one run through separate ingest and explain calls without touching the
+// long-lived Explainer configuration.
 func ContextWithSink(ctx context.Context, s Sink) context.Context {
 	if s == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, sinkKey{}, Chain(FromContext(ctx), s))
+	if prev := FromContext(ctx); prev != nil {
+		next := s
+		s = func(ev Event) {
+			prev(ev)
+			next(ev)
+		}
+	}
+	return context.WithValue(ctx, sinkKey{}, s)
 }
 
 // FromContext returns the sink attached by ContextWithSink, or nil.

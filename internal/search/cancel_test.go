@@ -8,24 +8,19 @@ import (
 	"affidavit/internal/datasets"
 	"affidavit/internal/delta"
 	"affidavit/internal/gen"
+	"affidavit/internal/obs"
 	"affidavit/internal/search"
 )
 
-// cancelTracer cancels a context after a fixed number of queue polls — the
-// deterministic way to interrupt a search mid-run.
-type cancelTracer struct {
-	cancel context.CancelFunc
-	after  int
+// cancelAtPoll returns ctx carrying a sink that calls cancel on poll
+// event n — the deterministic way to interrupt a search mid-run.
+func cancelAtPoll(ctx context.Context, cancel context.CancelFunc, n int) context.Context {
+	return obs.ContextWithSink(ctx, func(ev obs.Event) {
+		if ev.Kind == obs.KindPoll && ev.Poll == n {
+			cancel()
+		}
+	})
 }
-
-func (c *cancelTracer) Polled(h *search.State, order int) {
-	if order == c.after {
-		c.cancel()
-	}
-}
-func (c *cancelTracer) Probe(parent *search.State, attr int, hg *search.State, kept []*search.State) {
-}
-func (c *cancelTracer) Finalized(from, end *search.State) {}
 
 // cancelInstance is a mid-sized problem the cancellation tests share.
 func cancelInstance(t *testing.T) *delta.Instance {
@@ -84,8 +79,7 @@ func TestCancelMidRunPrompt(t *testing.T) {
 		opts := search.DefaultOptions()
 		opts.Seed = 23
 		opts.Workers = workers
-		opts.Tracer = &cancelTracer{cancel: cancel, after: after}
-		res, err := search.Run(ctx, inst, opts)
+		res, err := search.Run(cancelAtPoll(ctx, cancel, after), inst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +112,7 @@ func TestCancelSalvagesWork(t *testing.T) {
 	defer cancel()
 	opts := search.DefaultOptions()
 	opts.Seed = 23
-	opts.Tracer = &cancelTracer{cancel: cancel, after: 6}
-	res, err := search.Run(ctx, inst, opts)
+	res, err := search.Run(cancelAtPoll(ctx, cancel, 6), inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"affidavit/internal/align"
 	"affidavit/internal/delta"
 	"affidavit/internal/induce"
+	"affidavit/internal/obs"
 )
 
 // extensions implements the Extensions(H) procedure of Algorithm 1:
@@ -55,9 +56,6 @@ func (e *engine) extensions(h *State) []*State {
 		})
 		for _, pr := range probes {
 			e.stats.StatesGenerated += pr.generated
-			if e.opts.Tracer != nil && pr.hg != nil {
-				e.opts.Tracer.Probe(h, pr.attr, pr.hg, pr.kept)
-			}
 			ext = append(ext, pr.kept...)
 		}
 		queue = queue[:0]
@@ -79,9 +77,7 @@ func (e *engine) extensions(h *State) []*State {
 // probeResult is one attribute probe's outcome, merged deterministically by
 // the caller.
 type probeResult struct {
-	attr      int
-	hg        *State   // the greedy-map probe Hд
-	kept      []*State // induced extensions cheaper than Hд
+	kept      []*State // induced extensions cheaper than the greedy-map probe Hд
 	generated int      // candidate states costed
 }
 
@@ -92,12 +88,12 @@ type probeResult struct {
 // blocking refinements it triggers observe the context as well.
 func (e *engine) probe(h *State, attr int, r []align.Pair) probeResult {
 	if e.done() {
-		return probeResult{attr: attr}
+		return probeResult{}
 	}
 	g := align.GreedyMap(h.inst, r, attr)
 	hg := h.extend(attr, g, e.cm)
 	cands := e.ind.Candidates(h.blocks, attr, e.opts.Beta, e.probeRng(attr))
-	pr := probeResult{attr: attr, hg: hg, generated: len(cands)}
+	pr := probeResult{generated: len(cands)}
 	// The candidate refinements are independent of each other; evaluate
 	// them on the pool too, then keep survivors in rank order.
 	children := make([]*State, len(cands))
@@ -152,9 +148,6 @@ func (e *engine) finalize(h *State) *State {
 		cur = cur.extend(attr, g, e.cm)
 		e.stats.StatesGenerated++
 	}
-	if e.opts.Tracer != nil {
-		e.opts.Tracer.Finalized(h, cur)
-	}
 	return cur
 }
 
@@ -164,6 +157,7 @@ func (e *engine) finalize(h *State) *State {
 // probeResult.
 type engine struct {
 	ctx   context.Context
+	sink  obs.Sink // the run's event sink, from ctx; nil = unobserved
 	opts  Options
 	cm    delta.CostModel
 	rng   *rand.Rand

@@ -77,17 +77,6 @@ type Options struct {
 	// probes draw from per-probe deterministic rngs and are merged in
 	// deterministic order.
 	Workers int
-	// Tracer, when non-nil, observes the search (Figure 4 reproductions).
-	// Tracer callbacks always fire from the polling goroutine, in
-	// deterministic order, regardless of Workers.
-	Tracer Tracer
-	// OnEvent, when non-nil, receives pipeline events: one search-start
-	// event (cold/warm/escalated, start level), one poll event per queue
-	// extraction, finalisation and conversion phase markers, and one done
-	// event with the final tallies. Events fire from the polling goroutine
-	// in deterministic order for a fixed seed, regardless of Workers; a nil
-	// sink costs one branch per emission point.
-	OnEvent obs.Sink
 	// WarmStart, when non-nil, switches Run into incremental mode — the
 	// warm-start API for snapshot chains: when diffing snapshot n against
 	// n+1, the explanation of (n−1, n) is usually mostly right, so instead
@@ -229,6 +218,13 @@ type Result struct {
 // converted like an ordinary end state — and returns that explanation with
 // Stats.Cancelled set and a nil error. Callers that must distinguish
 // complete from interrupted results check Stats.Cancelled.
+//
+// Pipeline events go to the sink ctx carries (obs.ContextWithSink), read
+// once per run: one search-start event (cold/warm/escalated, start level),
+// one poll event per queue extraction, finalisation and conversion phase
+// markers, and one done event with the final tallies. They fire from the
+// polling goroutine in deterministic order for a fixed seed, regardless of
+// Workers; without a sink each emission point costs one branch.
 func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -246,6 +242,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 	start := time.Now() //affidavit:ignore nondet Stats.Duration is a wall-time diagnostic, excluded from coded output and goldens
 	e := &engine{
 		ctx:   ctx,
+		sink:  obs.FromContext(ctx),
 		opts:  opts,
 		cm:    delta.CostModel{Alpha: opts.Alpha},
 		rng:   rand.New(rand.NewSource(opts.Seed)),
@@ -329,9 +326,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		}
 		h := q.Poll()
 		e.stats.Polls++
-		if opts.Tracer != nil {
-			opts.Tracer.Polled(h, e.stats.Polls)
-		}
 		e.emit(obs.Event{
 			Kind:  obs.KindPoll,
 			Poll:  e.stats.Polls,
@@ -400,11 +394,11 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 	return finish(expl)
 }
 
-// emit forwards an event to the configured sink. Called only from the
-// polling goroutine, so event order is deterministic for fixed seeds.
+// emit forwards an event to the run's sink. Called only from the polling
+// goroutine, so event order is deterministic for fixed seeds.
 func (e *engine) emit(ev obs.Event) {
-	if e.opts.OnEvent != nil {
-		e.opts.OnEvent(ev)
+	if e.sink != nil {
+		e.sink(ev)
 	}
 }
 

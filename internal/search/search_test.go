@@ -8,6 +8,8 @@ import (
 	"affidavit/internal/delta"
 	"affidavit/internal/fixture"
 	"affidavit/internal/gen"
+	"affidavit/internal/metafunc"
+	"affidavit/internal/obs"
 	"affidavit/internal/search"
 	"affidavit/internal/table"
 )
@@ -139,43 +141,37 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestFigure4SearchTree traces the H^id search on I1 with the Figure 4
-// parameters (α=0.5, β=2, ϱ=3) and checks the qualitative shape: the
-// search polls several states, probes attributes, and terminates on an end
-// state whose cost equals the optimum.
+// TestFigure4SearchTree watches the H^id search on I1 with the Figure 4
+// parameters (α=0.5, β=2, ϱ=3) through the run's event sink and checks the
+// qualitative shape: the search polls several states and terminates on an
+// end state whose cost equals the optimum, with the ID1/ID2 key columns —
+// explainable only by value mappings — decided as mappings.
 func TestFigure4SearchTree(t *testing.T) {
 	inst := fixture.Instance()
-	tr := &search.TreeTracer{}
 	opts := search.DefaultOptions()
 	opts.Beta = 2
 	opts.QueueWidth = 3
 	opts.Seed = 1
-	opts.Tracer = tr
-	res, err := search.Run(context.Background(), inst, opts)
+	var polls []obs.Event
+	ctx := obs.ContextWithSink(context.Background(), func(ev obs.Event) {
+		if ev.Kind == obs.KindPoll {
+			polls = append(polls, ev)
+		}
+	})
+	res, err := search.Run(ctx, inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	polls := tr.Polls()
 	if len(polls) < 3 {
-		t.Fatalf("expected a multi-step search, got %d polls:\n%s", len(polls), tr)
+		t.Fatalf("expected a multi-step search, got %d polls: %+v", len(polls), polls)
 	}
-	last := polls[len(polls)-1]
-	if last.Cost != res.Cost {
+	if last := polls[len(polls)-1]; last.Cost != res.Cost {
 		t.Errorf("final polled state cost %v ≠ result cost %v", last.Cost, res.Cost)
 	}
-	// The trace must show at least one greedy-map probe winning (the ID1/ID2
-	// key columns can only be explained by value mappings).
-	sawMapWin := false
-	for _, ev := range tr.Events {
-		if ev.Kind == "probe" && ev.MapWon {
-			sawMapWin = true
+	for _, a := range []int{fixture.ID1, fixture.ID2} {
+		if _, ok := res.Explanation.Funcs[a].(*metafunc.Mapping); !ok {
+			t.Errorf("attribute %d ends as %v, want a value mapping", a, res.Explanation.Funcs[a])
 		}
-	}
-	if !sawMapWin {
-		t.Errorf("no ⊡ decision in trace:\n%s", tr)
-	}
-	if tr.String() == "" {
-		t.Error("empty trace rendering")
 	}
 }
 

@@ -33,9 +33,9 @@ const DefaultCurveCap = 64
 
 // Span is one pipeline stage's wall-time extent, relative to the trace
 // start. Stage timings are as observed at the recorder: a stage's span
-// runs from the end of the previous stage's final event to the stage's own
-// final event, so chunk-granular stages (ingest) are accurate to one event
-// interval.
+// runs from the end of the previous stage (the first stage: from the
+// recorder's creation) to the stage's own final event, so chunk-granular
+// stages (ingest) are accurate to one event interval.
 type Span struct {
 	// Stage names the pipeline stage: "ingest:source", "ingest:target",
 	// "search", "finalize", "convert".
@@ -92,9 +92,9 @@ type RunTrace struct {
 	// its chain parent.
 	SnapshotID string `json:"snapshot_id,omitempty"`
 	ParentID   string `json:"parent_id,omitempty"`
-	// StartedAt is the wall-clock time of the first observed event.
+	// StartedAt is the wall-clock time the recorder was created.
 	StartedAt time.Time `json:"started_at"`
-	// DurationMS is the wall time from the first event to the done event.
+	// DurationMS is the wall time from StartedAt to the done event.
 	DurationMS float64 `json:"duration_ms"`
 	// Mode is the start decision: "cold", "warm", "escalated" or
 	// "cancelled" (context already done before any search work).
@@ -168,8 +168,7 @@ type Recorder struct {
 
 	clock     func() time.Time
 	curveCap  int
-	started   bool
-	start     time.Time // first event's wall time
+	start     time.Time // the recorder's creation time
 	stageAt   time.Time // current stage's start
 	openStage string    // stage started but not yet closed ("search", …)
 	// curve thinning state: points at stride intervals, plus the min and
@@ -180,13 +179,25 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder for one run, tracing under the given id
-// (usually NewID()).
+// (usually NewID()). Its clock starts now: create it when the run begins,
+// so a first stage that emits its only event at completion (a small
+// snapshot's ingest) is timed from the start, not from that event.
 func NewRecorder(id string) *Recorder {
-	return &Recorder{
+	r := &Recorder{
 		t:        RunTrace{ID: id},
 		curveCap: DefaultCurveCap,
 		stride:   1,
 	}
+	r.restart()
+	return r
+}
+
+// restart stamps the trace start, and the first stage's start, from the
+// recorder's clock.
+func (r *Recorder) restart() {
+	r.start = r.now()
+	r.stageAt = r.start
+	r.t.StartedAt = r.start
 }
 
 // SetLabel tags the trace (table name, file pair). Safe before or during
@@ -224,10 +235,11 @@ func (r *Recorder) SetCurveCap(n int) {
 	r.mu.Unlock()
 }
 
-// setClock injects a fake clock for tests.
+// setClock injects a fake clock for tests and restamps the start from it.
 func (r *Recorder) setClock(clock func() time.Time) {
 	r.mu.Lock()
 	r.clock = clock
+	r.restart()
 	r.mu.Unlock()
 }
 
@@ -248,12 +260,6 @@ func (r *Recorder) Observe(ev obs.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
-	if !r.started {
-		r.started = true
-		r.start = now
-		r.stageAt = now
-		r.t.StartedAt = now
-	}
 	switch ev.Kind {
 	case obs.KindIngest:
 		if ev.Complete {
@@ -389,7 +395,7 @@ func ms(d time.Duration) float64 {
 }
 
 // Collector watches a sequential stream of runs (an eval sweep, a chain)
-// and emits one completed RunTrace per run: a fresh recorder starts at
+// and emits one completed RunTrace per run: a fresh recorder is created at
 // each run's first event and is flushed to the sink at its done event. The
 // stream must not interleave concurrent runs — use one recorder (or
 // collector) per run for that.

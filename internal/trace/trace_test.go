@@ -72,20 +72,20 @@ func TestRecorderFullRun(t *testing.T) {
 	if sp := tr.SpanFor("ingest:source"); sp.Records != 10000 {
 		t.Errorf("source ingest records = %d", sp.Records)
 	}
-	// Each event advances the fake clock 10ms. The source ingest span
-	// covers its two events (20ms measured from the first event's stamp:
-	// 10ms). Every span must be non-negative and the total must cover the
-	// stream.
+	// Each clock reading advances the fake clock 10ms; the first reading
+	// (t0) stamps the start when the clock is injected, so the source
+	// ingest span covers its two events (20ms). Every span must be
+	// non-negative and the total must cover the stream.
 	for _, sp := range tr.Spans {
 		if sp.DurationMS < 0 || sp.StartMS < 0 {
 			t.Errorf("span %+v has negative timing", sp)
 		}
 	}
-	if tr.DurationMS != 90 { // 10 events, first stamps t0, last is t0+90ms
-		t.Errorf("duration = %gms, want 90ms", tr.DurationMS)
+	if tr.DurationMS != 100 { // start stamps t0, 10 events, last is t0+100ms
+		t.Errorf("duration = %gms, want 100ms", tr.DurationMS)
 	}
-	if tr.IngestDurationMS() != 20 { // source 10 (first event stamps t0), target 10
-		t.Errorf("ingest duration = %gms, want 20ms", tr.IngestDurationMS())
+	if tr.IngestDurationMS() != 30 { // source 20 (timed from the start), target 10
+		t.Errorf("ingest duration = %gms, want 30ms", tr.IngestDurationMS())
 	}
 
 	// Poll summary.

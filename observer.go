@@ -38,13 +38,14 @@ const (
 	EventDone = obs.KindDone
 )
 
-// Observer receives pipeline events from every explanation an Explainer
-// (or its Sessions) runs. Within one run, events arrive from a single
-// goroutine in deterministic order for a fixed seed — the parallel engine
-// reports exactly like the sequential one. Concurrent runs interleave
-// their streams, so observers shared across goroutines (servers, batches)
-// must be safe for concurrent use. Implementations must be cheap: the
-// search calls them synchronously from its poll loop.
+// Observer receives the pipeline events of every ingest and explanation
+// that runs under a context it was attached to (ContextWithObserver).
+// Within one run, events arrive from a single goroutine in deterministic
+// order for a fixed seed — the parallel engine reports exactly like the
+// sequential one. Concurrent runs interleave their streams, so observers
+// shared across goroutines (servers, batches) must be safe for concurrent
+// use. Implementations must be cheap: the search calls them synchronously
+// from its poll loop.
 type Observer interface {
 	Observe(Event)
 }
@@ -54,33 +55,6 @@ type ObserverFunc func(Event)
 
 // Observe implements Observer.
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
-
-// Observers fans every event out to several observers in argument order —
-// e.g. a metrics aggregator plus a progress narrator. Nil entries are
-// skipped; passing a single observer returns it unwrapped.
-func Observers(obs ...Observer) Observer {
-	kept := make([]Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return fanout(kept)
-}
-
-type fanout []Observer
-
-func (f fanout) Observe(ev Event) {
-	for _, o := range f {
-		o.Observe(ev)
-	}
-}
 
 // NewProgressObserver returns an observer that narrates pipeline progress
 // as human-readable lines on w — the observer behind the CLIs' -progress

@@ -41,12 +41,11 @@ func runWithObserver(t *testing.T, workers int) []affidavit.Event {
 	ex, err := affidavit.New(
 		affidavit.WithSeed(11),
 		affidavit.WithWorkers(workers),
-		affidavit.WithObserver(rec),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.ExplainSources(context.Background(),
+	if _, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), rec),
 		affidavit.NewCSVSource(strings.NewReader(srcCSV)),
 		affidavit.NewCSVSource(strings.NewReader(tgtCSV))); err != nil {
 		t.Fatal(err)
@@ -126,11 +125,11 @@ func TestIngestChunkEvents(t *testing.T) {
 		return affidavit.Record{string(rune('a' + i%26)), "x"}, nil
 	})
 	rec := &recorder{}
-	ex, err := affidavit.New(affidavit.WithObserver(rec))
+	ex, err := affidavit.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ex.ReadSource(context.Background(), src)
+	tab, err := ex.ReadSource(affidavit.ContextWithObserver(context.Background(), rec), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +156,11 @@ func TestIngestChunkEvents(t *testing.T) {
 func TestMetricsObserver(t *testing.T) {
 	src, tgt := figure1Tables(t)
 	m := affidavit.NewMetricsObserver()
-	ex, err := affidavit.New(affidavit.WithSeed(1), affidavit.WithObserver(m))
+	ex, err := affidavit.New(affidavit.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.ExplainSources(context.Background(),
+	res, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), m),
 		affidavit.TableSource(src), affidavit.TableSource(tgt))
 	if err != nil {
 		t.Fatal(err)
@@ -227,24 +226,5 @@ func TestMetricsObserverHistograms(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-// TestObserversFanout: the composition helper forwards to every observer
-// in order, skips nils, and unwraps the single-observer case.
-func TestObserversFanout(t *testing.T) {
-	var got []string
-	a := affidavit.ObserverFunc(func(ev affidavit.Event) { got = append(got, "a:"+ev.Kind.String()) })
-	b := affidavit.ObserverFunc(func(ev affidavit.Event) { got = append(got, "b:"+ev.Kind.String()) })
-	fan := affidavit.Observers(nil, a, nil, b)
-	fan.Observe(affidavit.Event{Kind: affidavit.EventDone})
-	if len(got) != 2 || got[0] != "a:done" || got[1] != "b:done" {
-		t.Errorf("fanout order = %v", got)
-	}
-	if affidavit.Observers() != nil {
-		t.Error("empty composition should be nil")
-	}
-	if one := affidavit.Observers(nil, a); one == nil {
-		t.Error("single composition lost the observer")
 	}
 }

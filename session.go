@@ -7,8 +7,6 @@ import (
 	"sync"
 
 	"affidavit/internal/delta"
-	"affidavit/internal/obs"
-	"affidavit/internal/search"
 	"affidavit/internal/table"
 )
 
@@ -80,37 +78,29 @@ func (w *warmSeed) seedFrom(res *Result, schema *Schema) {
 }
 
 // Session creates a long-lived session sharing the Explainer's
-// configuration and observer. initial, when non-nil, is the chain
-// baseline: the first ExplainNextContext call diffs it against its
-// argument. A nil initial starts a batch/service session —
-// ExplainPairContext, ExplainWarmContext and ExplainBatchContext work
-// immediately, while ExplainNextContext errors until a baseline exists
-// (ExplainWarmContext sets one).
+// configuration. initial, when non-nil, is the chain baseline: the first
+// ExplainNextContext call diffs it against its argument. A nil initial
+// starts a batch/service session — ExplainPairContext, ExplainWarmContext
+// and ExplainBatchContext work immediately, while ExplainNextContext
+// errors until a baseline exists (ExplainWarmContext sets one).
 func (e *Explainer) Session(initial *Table) *Session {
 	return &Session{ex: e, pool: table.NewDictPool(), head: initial}
 }
 
 // run executes one search over the pair interned into the session pool,
-// warm-seeded when warm was learned on the source's schema. Any per-run
-// sink the context carries (a trace recorder riding the request) observes
-// after the Explainer's observer.
+// warm-seeded when warm was learned on the source's schema.
 func (s *Session) run(ctx context.Context, source, target *Table, warm warmSeed, workers int) (*Result, error) {
 	inst, err := delta.NewInstanceWithDicts(source, target, s.ex.metas, s.pool.DictsFor(source.Schema()))
 	if err != nil {
 		return nil, err
 	}
-	so := s.ex.searchOptions()
+	so := s.ex.so
 	so.Workers = workers
-	so.OnEvent = obs.Chain(so.OnEvent, obs.FromContext(ctx))
 	if warm.funcs != nil && warm.schema.Equal(source.Schema()) {
 		so.WarmStart = warm.funcs
 		so.WarmPrevRatio = warm.ratio
 	}
-	res, err := search.Run(ctx, inst, so)
-	if err != nil {
-		return nil, err
-	}
-	return s.ex.newResult(res), nil
+	return s.ex.run(ctx, inst, so)
 }
 
 // ExplainNextContext explains the difference between the chain head and
@@ -124,7 +114,6 @@ func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result,
 	if next == nil {
 		return nil, errors.New("affidavit: ExplainNextContext needs a snapshot")
 	}
-	ctx, rec := s.ex.traceRun(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.head == nil {
@@ -139,14 +128,13 @@ func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result,
 		s.warm.seedFrom(res, next.Schema())
 	}
 	s.runs++
-	return traced(res, rec), nil
+	return res, nil
 }
 
 // ExplainPairContext explains one pair over the session's shared
 // dictionary pool without touching the chain state. Safe to call
 // concurrently; the result is independent of what the pool already holds.
 func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table) (*Result, error) {
-	ctx, rec := s.ex.traceRun(ctx)
 	res, err := s.run(ctx, source, target, warmSeed{}, s.ex.so.Workers)
 	if err != nil {
 		return nil, err
@@ -154,7 +142,7 @@ func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table)
 	s.mu.Lock()
 	s.runs++
 	s.mu.Unlock()
-	return traced(res, rec), nil
+	return res, nil
 }
 
 // ExplainWarmContext explains one pair over the shared pool, warm-started
@@ -165,7 +153,6 @@ func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table)
 // tuple is last-writer-wins, which affects only search effort, never the
 // explanation.
 func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table) (*Result, error) {
-	ctx, rec := s.ex.traceRun(ctx)
 	s.mu.Lock()
 	warm := s.warm
 	s.mu.Unlock()
@@ -180,7 +167,7 @@ func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table)
 	}
 	s.runs++
 	s.mu.Unlock()
-	return traced(res, rec), nil
+	return res, nil
 }
 
 // ExplainBatchContext explains every pair over the shared dictionary pool,
@@ -191,8 +178,9 @@ func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table)
 // dictionary. Results arrive in input order and equal per-pair cold runs.
 // Failed pairs leave nil entries; the returned error joins every failure.
 // Cancelling ctx interrupts every in-flight pair, each returning its
-// best-so-far result with Stats.Cancelled set. Batch runs are not traced:
-// their pairs interleave on one context.
+// best-so-far result with Stats.Cancelled set. Observers on ctx see every
+// pair's event stream, interleaved when the batch fans out — attach a
+// TraceRecorder per run, not per batch.
 func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Result, error) {
 	workers := min(max(s.ex.so.Workers, 1), len(pairs))
 	inner := s.ex.so.Workers
@@ -229,13 +217,13 @@ func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Res
 // ReadSource drains src into a Table interned straight into the session's
 // dictionary pool, so explaining it on this session shares the stored
 // columns instead of translating them: every value is interned once. label
-// names the snapshot in the observer's ingest events. It does not wait for
+// names the snapshot in the ingest events of observers on ctx. It does not wait for
 // a run in progress. The pool keeps every value read this way for the
 // session's lifetime, whether or not the table is explained afterwards;
 // explaining the table elsewhere is still correct, it only pays the
 // translation Explainer.ReadSource tables pay.
 func (s *Session) ReadSource(ctx context.Context, src Source, label string) (*Table, error) {
-	return s.ex.readSource(ctx, src, s.pool, label)
+	return readSource(ctx, src, s.pool, label)
 }
 
 // PoolStats reports the shared dictionary pool's size: the number of

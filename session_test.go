@@ -181,14 +181,14 @@ func TestSessionReadSourceInternsOnce(t *testing.T) {
 // reads return) and must be clean under -race.
 func TestSessionReadSourceDuringRun(t *testing.T) {
 	ch := sessionChain(t, "iris", 2)
-	ctx := context.Background()
 	started, release := make(chan struct{}, 2), make(chan struct{})
-	ex := newExplainer(t, affidavit.WithSeed(31), affidavit.WithObserver(affidavit.ObserverFunc(func(ev affidavit.Event) {
+	ctx := affidavit.ContextWithObserver(context.Background(), affidavit.ObserverFunc(func(ev affidavit.Event) {
 		if ev.Kind == affidavit.EventSearchStart {
 			started <- struct{}{}
 			<-release
 		}
-	})))
+	}))
+	ex := newExplainer(t, affidavit.WithSeed(31))
 	s := ex.Session(ch.Snapshots[0])
 	var wg sync.WaitGroup
 	for _, run := range []func() (*affidavit.Result, error){

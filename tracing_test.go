@@ -5,50 +5,49 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/gen"
 )
 
-// explainTraced runs one seeded explanation, optionally traced, and
-// returns the result plus the raw event stream the configured observer
-// saw.
-func explainTraced(t *testing.T, seed int64, tracing bool) (*affidavit.Result, []affidavit.Event) {
+// explainTraced runs one seeded explanation, optionally with a trace
+// recorder beside the event collector on its context, and returns the
+// result, the raw event stream and the trace (nil when untraced).
+func explainTraced(t *testing.T, seed int64, tracing bool) (*affidavit.Result, []affidavit.Event, *affidavit.Trace) {
 	t.Helper()
-	rec := &recorder{}
-	opts := []affidavit.Option{
-		affidavit.WithSeed(seed),
-		affidavit.WithObserver(rec),
-	}
-	if tracing {
-		opts = append(opts, affidavit.WithTracing())
-	}
-	ex, err := affidavit.New(opts...)
+	ex, err := affidavit.New(affidavit.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
+	}
+	rec := &recorder{}
+	ctx := affidavit.ContextWithObserver(context.Background(), rec)
+	var trec *affidavit.TraceRecorder
+	if tracing {
+		trec = affidavit.NewTraceRecorder()
+		ctx = affidavit.ContextWithObserver(ctx, trec)
 	}
 	src, tgt := figure1Tables(t)
-	res, err := ex.ExplainSources(context.Background(),
-		affidavit.TableSource(src), affidavit.TableSource(tgt))
+	res, err := ex.ExplainSources(ctx, affidavit.TableSource(src), affidavit.TableSource(tgt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, rec.events
+	if trec == nil {
+		return res, rec.events, nil
+	}
+	return res, rec.events, trec.Trace()
 }
 
-// TestTracingByteIdentical: turning tracing on changes nothing the
+// TestTracingByteIdentical: attaching a trace recorder changes nothing the
 // determinism contract covers — Result.JSON and the raw event stream are
-// byte-identical to an untraced run; only Result.Trace appears.
+// byte-identical to an untraced run.
 func TestTracingByteIdentical(t *testing.T) {
-	plain, plainEvents := explainTraced(t, 7, false)
-	traced, tracedEvents := explainTraced(t, 7, true)
+	plain, plainEvents, _ := explainTraced(t, 7, false)
+	traced, tracedEvents, tr := explainTraced(t, 7, true)
 
-	if plain.Trace != nil {
-		t.Error("untraced run carries a trace")
-	}
-	if traced.Trace == nil || !traced.Trace.Complete {
-		t.Fatalf("traced run's trace = %+v, want a complete trace", traced.Trace)
+	if !tr.Complete {
+		t.Fatalf("traced run's trace = %+v, want a complete trace", tr)
 	}
 	pj, err := plain.JSON("t")
 	if err != nil {
@@ -63,21 +62,21 @@ func TestTracingByteIdentical(t *testing.T) {
 	}
 	assertSameEvents(t, "tracing", plainEvents, tracedEvents)
 	// The trace agrees with the stream it folded.
-	if traced.Trace.Polls.Polls != traced.Stats.Polls {
-		t.Errorf("trace polls %d, stats polls %d", traced.Trace.Polls.Polls, traced.Stats.Polls)
+	if tr.Polls.Polls != traced.Stats.Polls {
+		t.Errorf("trace polls %d, stats polls %d", tr.Polls.Polls, traced.Stats.Polls)
 	}
-	if traced.Trace.Cost != traced.Cost {
-		t.Errorf("trace cost %v, result cost %v", traced.Trace.Cost, traced.Cost)
+	if tr.Cost != traced.Cost {
+		t.Errorf("trace cost %v, result cost %v", tr.Cost, traced.Cost)
 	}
 }
 
-// TestTracingConcurrentRuns: two explanations interleaving on one traced
+// TestTracingConcurrentRuns: two explanations interleaving on one
 // Explainer produce two complete traces that never cross — each run's
 // recorder rides its own context, so concurrent event streams cannot
 // bleed into each other's trace. Run under -race this also proves the
 // recorder path is race-clean.
 func TestTracingConcurrentRuns(t *testing.T) {
-	ex, err := affidavit.New(affidavit.WithSeed(3), affidavit.WithTracing())
+	ex, err := affidavit.New(affidavit.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,19 +98,21 @@ func TestTracingConcurrentRuns(t *testing.T) {
 		return p.Inst.Source, p.Inst.Target
 	}
 	results := make([]*affidavit.Result, 2)
+	traces := make([]*affidavit.Trace, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			src, tgt := mkPair(int64(11 + i))
-			res, err := ex.ExplainSources(context.Background(),
+			trec := affidavit.NewTraceRecorder()
+			res, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), trec),
 				affidavit.TableSource(src), affidavit.TableSource(tgt))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			results[i] = res
+			results[i], traces[i] = res, trec.Trace()
 		}(i)
 	}
 	wg.Wait()
@@ -119,8 +120,8 @@ func TestTracingConcurrentRuns(t *testing.T) {
 		if res == nil {
 			t.Fatal("a run failed")
 		}
-		tr := res.Trace
-		if tr == nil || !tr.Complete {
+		tr := traces[i]
+		if !tr.Complete {
 			t.Fatalf("run %d: trace = %+v, want complete", i, tr)
 		}
 		// Each trace must describe exactly its own run.
@@ -137,25 +138,66 @@ func TestTracingConcurrentRuns(t *testing.T) {
 			}
 		}
 	}
-	if results[0].Trace.ID == results[1].Trace.ID {
+	if traces[0].ID == traces[1].ID {
 		t.Error("both runs share one trace ID")
 	}
 }
 
-// TestWithObserverNil: a nil observer is a no-op, not a panic — callers
-// can pass conditionally-built observers straight through.
-func TestWithObserverNil(t *testing.T) {
-	ex, err := affidavit.New(affidavit.WithSeed(1), affidavit.WithObserver(nil))
+// slowSource delays every record, so a snapshot far below the ingest
+// chunk still takes measurable wall time to read.
+type slowSource struct {
+	affidavit.Source
+	delay time.Duration
+}
+
+func (s slowSource) Next() (affidavit.Record, error) {
+	time.Sleep(s.delay)
+	return s.Source.Next()
+}
+
+// TestTracingTimesFirstIngest: a snapshot under the ingest chunk emits
+// only its completion event, so the trace must time the first snapshot
+// from the recorder's creation, not from that event — ingest:source
+// covers at least the injected delay, and the run's duration at least the
+// sum of its spans.
+func TestTracingTimesFirstIngest(t *testing.T) {
+	ds, err := datasets.Get("bridges")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, tgt := figure1Tables(t)
-	res, err := ex.ExplainSources(context.Background(),
-		affidavit.TableSource(src), affidavit.TableSource(tgt))
+	tab, err := ds.Build(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cost <= 0 {
-		t.Errorf("cost %v, want a real explanation", res.Cost)
+	p, err := gen.Generate(tab, gen.Config{Setting: gen.Setting{Eta: 0.3, Tau: 0.3}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 200 * time.Microsecond
+	ex, err := affidavit.New(affidavit.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trec := affidavit.NewTraceRecorder()
+	if _, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), trec),
+		slowSource{affidavit.TableSource(p.Inst.Source), delay},
+		slowSource{affidavit.TableSource(p.Inst.Target), delay}); err != nil {
+		t.Fatal(err)
+	}
+	tr := trec.Trace()
+	src := tr.SpanFor("ingest:source")
+	if src == nil {
+		t.Fatalf("no ingest:source span in %+v", tr.Spans)
+	}
+	slept := float64(p.Inst.Source.Len()) * float64(delay) / float64(time.Millisecond)
+	if src.DurationMS < slept {
+		t.Errorf("ingest:source = %.2f ms, below the %.2f ms the source slept", src.DurationMS, slept)
+	}
+	var sum float64
+	for _, sp := range tr.Spans {
+		sum += sp.DurationMS
+	}
+	if tr.DurationMS < sum {
+		t.Errorf("duration %.2f ms < span sum %.2f ms", tr.DurationMS, sum)
 	}
 }
