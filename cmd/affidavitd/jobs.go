@@ -1,8 +1,8 @@
 package main
 
-// Job-subsystem glue: the runner that executes queued jobs through the
-// per-table session machinery, the /jobs API surface, and the job
-// gauges/counters on /metrics and /stats.
+// Job-subsystem glue: the runner that executes queued jobs on their
+// sessions, the /jobs API surface, and the job gauges/counters on /metrics
+// and /stats.
 
 import (
 	"bytes"
@@ -18,22 +18,24 @@ import (
 
 // jobPayload is the non-durable state a live submission hands the
 // runner: the snapshots, already interned, and the request's trace
-// recorder. An /explain job carries its pair (interned into the table's
-// session pool), a catalog step only tgt, the pushed snapshot.
+// recorder. An /explain job carries its pair and the session whose pool
+// it was interned into; a catalog step only tgt, the pushed snapshot.
 // Journal-replayed jobs run without one and re-ingest from the blob store.
+// The job store drops the payload when the job ends, and the upload's
+// session goes with it.
 type jobPayload struct {
+	sess     *affidavit.Session
 	src, tgt *affidavit.Table
 	trace    *affidavit.TraceRecorder
 }
 
 // runJob executes one queued job: resolve the snapshots (payload or blob
 // replay), explain them on the right session — a catalog step on its
-// table's chain session (explainStep), an /explain pair on the table's
-// session (warm chains reuse the previous tuple; worker affinity keeps
-// one table on one worker, so a session never sees concurrent runs) — and
-// render the durable result. Blob-store I/O failures are transient
-// (retried with backoff); explain errors such as schema mismatches are
-// permanent.
+// table's chain session (explainStep; worker affinity keeps one table on
+// one worker, so a chain never sees concurrent steps), an /explain pair on
+// its upload's own session — and render the durable result. Blob-store
+// I/O failures are transient (retried with backoff); explain errors such
+// as schema mismatches are permanent.
 func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*jobs.Outcome, error) {
 	p, _ := payload.(*jobPayload)
 	if p == nil {
@@ -57,7 +59,7 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	if rec.Kind == catalogJobKind {
 		res, err = s.explainStep(ctx, rec, p.tgt)
 	} else {
-		res, err = s.explainPair(ctx, rec, p.src, p.tgt)
+		res, err = s.explainPair(ctx, rec, p)
 	}
 	var out *jobs.Outcome
 	if err == nil {
@@ -77,22 +79,20 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	return out, err
 }
 
-// explainPair explains an /explain job's pair on its table's session,
-// re-interning the snapshots from the blob store when the job runs
-// without them.
-func (s *server) explainPair(ctx context.Context, rec jobs.Record, src, tgt *affidavit.Table) (*affidavit.Result, error) {
-	sess := s.session(rec.Table)
-	var err error
-	if src == nil || tgt == nil {
+// explainPair explains an /explain job's pair on the session its upload
+// interned it into. A job that runs without its payload re-interns both
+// blobs into a fresh session; the result does not depend on the pool.
+func (s *server) explainPair(ctx context.Context, rec jobs.Record, p *jobPayload) (*affidavit.Result, error) {
+	sess, src, tgt := p.sess, p.src, p.tgt
+	if sess == nil {
+		sess = s.ex.Session(nil)
+		var err error
 		if src, err = upload.IngestBlob(ctx, sess.ReadSource, s.store.Blobs(), rec.SourceBlob, "source"); err != nil {
 			return nil, err
 		}
 		if tgt, err = upload.IngestBlob(ctx, sess.ReadSource, s.store.Blobs(), rec.TargetBlob, "target"); err != nil {
 			return nil, err
 		}
-	}
-	if rec.Warm {
-		return sess.ExplainWarmContext(ctx, src, tgt)
 	}
 	return sess.ExplainPairContext(ctx, src, tgt)
 }
@@ -137,7 +137,6 @@ type jobView struct {
 	State       string          `json:"state"`
 	Table       string          `json:"table,omitempty"`
 	Format      string          `json:"format,omitempty"`
-	Warm        bool            `json:"warm,omitempty"`
 	Kind        string          `json:"kind,omitempty"`
 	SnapshotID  string          `json:"snapshot_id,omitempty"`
 	ParentID    string          `json:"parent_id,omitempty"`
@@ -158,7 +157,6 @@ func viewOf(rec jobs.Record) jobView {
 		State:       string(rec.State),
 		Table:       rec.Table,
 		Format:      rec.Format,
-		Warm:        rec.Warm,
 		Kind:        rec.Kind,
 		SnapshotID:  rec.SnapshotID,
 		ParentID:    rec.ParentID,
@@ -276,8 +274,8 @@ func spliceTrace(body []byte, tr *affidavit.Trace) []byte {
 	return append(out, end...)
 }
 
-// handleJobs serves GET /jobs: every job record in submission order —
-// the deterministic listing the jobstore analyzer pins.
+// handleJobs serves GET /jobs: every job record in submission order, a
+// deterministic listing.
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	recs := s.store.List()
 	views := make([]jobView, len(recs))

@@ -1,9 +1,11 @@
 // Command affidavitd serves explanation traffic over HTTP: clients POST
 // pairs of CSV snapshots and receive the learned explanation as JSON, a
-// migration script, or a text report. Uploads naming the same table share
-// one long-lived session — a common dictionary pool, plus warm-started
-// incremental search in chain mode — so recurring traffic over the same
-// domain gets cheaper as the service runs.
+// migration script, or a text report. /explain is stateless: each upload
+// is explained on a session of its own, dropped when its job ends. Warm
+// chains live in the snapshot-history catalog: a registered table keeps
+// one long-lived session — a common dictionary pool plus warm-started
+// incremental search — across its pushed snapshots, so a recurring feed
+// over the same domain gets cheaper as it runs.
 //
 // Usage:
 //
@@ -26,12 +28,12 @@
 //	                   columnar backend. Snapshots are never buffered whole,
 //	                   so uploads beyond the historical -max-upload cap are
 //	                   fine; optional values "table"
-//	                   (session key, default "table"), "format" (json | sql
-//	                   | text), "warm" ("1" = chain mode: warm-start from
-//	                   the table's previous explanation and store the new
-//	                   one), "trace" ("1" = inline the run's structured
-//	                   trace in the JSON response), "async" ("1" = answer
-//	                   202 Accepted with the job id instead of waiting).
+//	                   (SQL and result name, default "table"), "format"
+//	                   (json | sql | text), "trace" ("1" = inline the
+//	                   run's structured trace in the JSON response),
+//	                   "async" ("1" = answer 202 Accepted with the job id
+//	                   instead of waiting). A "warm" value answers 400:
+//	                   warm chains are catalog pushes.
 //	                   Every response carries X-Affidavit-Job-Id and, when
 //	                   tracing is on, X-Affidavit-Trace-Id.
 //	POST /tables       register a table in the snapshot-history catalog
@@ -66,8 +68,8 @@
 //	GET  /traces/{id}  one full structured trace: per-stage wall-clock
 //	                   spans (ingest, search, finalize, convert) and the
 //	                   thinned poll cost curve
-//	GET  /stats        process start time/uptime/Go version, per-table
-//	                   session counters, eviction totals
+//	GET  /stats        process start time/uptime/Go version, each catalog
+//	                   chain's session counters, job and catalog counters
 //	GET  /metrics      Prometheus-style pipeline counters (ingest volume,
 //	                   cold/warm/escalated runs, polls, conversions) and
 //	                   run/ingest duration histograms fed from traces
@@ -83,7 +85,7 @@
 //	               same dedupe/cancel semantics but no crash durability
 //	-job-workers   queue-draining workers; jobs shard across workers by
 //	               table hash, so one table's jobs run serially in
-//	               submission order and warm chains stay warm (default 2)
+//	               submission order and catalog chains stay warm (default 2)
 //	-job-retry     attempts per job, first run included; only transient
 //	               failures (blob-store I/O) retry, with doubling backoff
 //	               (default 3)
@@ -94,8 +96,6 @@
 //	-timeout       per-job explanation budget; on expiry the job fails
 //	               terminally and a sync waiter answers 503 with the
 //	               partial search statistics
-//	-max-sessions  LRU cap on retained per-table sessions
-//	-session-ttl   idle sessions are evicted past this age
 //	-max-upload    cap on each non-file form value, in MiB (file parts
 //	               spool to disk and are not bounded by it)
 //	-max-records   cap on each snapshot's record count — the memory
@@ -134,7 +134,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		warmGuard   = flag.Float64("warm-guard", 0, "warm-start quality guard factor (0 = disabled; e.g. 3 escalates to a cold search when the warm seed costs 3× the previous compression ratio)")
+		warmGuard   = flag.Float64("warm-guard", 0, "warm-start quality guard factor for catalog chain steps (0 = disabled; e.g. 3 escalates a step to a cold search when the warm seed costs 3× the previous step's compression ratio)")
 		maxUpload   = flag.Int64("max-upload", 1, "largest accepted non-file form value in MiB (file parts spool to disk and are not bounded by it; see -max-records and -max-snapshot)")
 		maxRecords  = flag.Int("max-records", 0, "largest accepted snapshot in records (0 = default 10M, negative = unlimited)")
 		maxSnapshot = flag.Int64("max-snapshot", 0, "largest accepted snapshot in MiB (0 = default 1024, negative = unlimited)")
@@ -144,8 +144,6 @@ func main() {
 		catalogDir  = flag.String("catalog-dir", "", "snapshot-history catalog journal root (empty = <jobs-dir>/catalog, or in-memory without -jobs-dir)")
 		jobWorkers  = flag.Int("job-workers", 0, "queue-draining workers; jobs shard by table hash (0 = default 2)")
 		jobRetry    = flag.Int("job-retry", 0, "attempts per job incl. the first; transient failures retry with doubling backoff (0 = default 3)")
-		maxSessions = flag.Int("max-sessions", 0, "retained per-table sessions (0 = unlimited; excess evicts least-recently-used)")
-		sessionTTL  = flag.Duration("session-ttl", 0, "idle session lifetime (0 = sessions never expire)")
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	)
@@ -173,8 +171,6 @@ func main() {
 		maxSnapshotBytes: *maxSnapshot << 20,
 		maxInflight:      *maxInflight,
 		timeout:          *timeout,
-		maxSessions:      *maxSessions,
-		sessionTTL:       *sessionTTL,
 		traceBuffer:      *traceBuffer,
 		pprof:            *pprofFlag,
 		jobsDir:          *jobsDir,
@@ -186,9 +182,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "affidavitd:", err)
 		os.Exit(2)
 	}
-	if *sessionTTL > 0 {
-		go srv.janitor(ctx)
-	}
 
 	hs := &http.Server{
 		Addr:        *addr,
@@ -197,8 +190,8 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (workers=%d timeout=%v max-sessions=%d session-ttl=%v)\n",
-		*addr, *cfg.Workers, *timeout, *maxSessions, *sessionTTL)
+	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (workers=%d timeout=%v)\n",
+		*addr, *cfg.Workers, *timeout)
 
 	select {
 	case <-ctx.Done():

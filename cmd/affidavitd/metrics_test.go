@@ -10,10 +10,10 @@ import (
 
 // metricsMix drives a fixed request mix through a durable server and a
 // restart of it, and returns both /metrics pages without their histogram
-// series (wall times): a cold /explain and its duplicate, two warm=1
-// /explain runs on one table, a registered table with three pushes, and a
-// chain whose third push runs after the restart — the step that re-seeds
-// from its parent's blob, the one path that ingests inside a job run.
+// series (wall times): a cold /explain and its duplicate, a registered
+// table with three pushes, and a chain whose third push runs after the
+// restart — the step that re-seeds from its parent's blob, the one path
+// that ingests inside a job run.
 func metricsMix(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -22,13 +22,9 @@ func metricsMix(t *testing.T) string {
 	for i, snap := range ch.Snapshots {
 		csvs[i] = csvOf(t, snap)
 	}
-	explain := func(srv *httptest.Server, table string, src, tgt int, warm bool) {
+	explain := func(srv *httptest.Server, table string, src, tgt int) {
 		t.Helper()
-		fields := map[string]string{"table": table}
-		if warm {
-			fields["warm"] = "1"
-		}
-		if code, body := post(t, srv, csvs[src], csvs[tgt], fields); code != http.StatusOK {
+		if code, body := post(t, srv, csvs[src], csvs[tgt], map[string]string{"table": table}); code != http.StatusOK {
 			t.Fatalf("explain %s: status %d: %s", table, code, body)
 		}
 	}
@@ -56,10 +52,8 @@ func metricsMix(t *testing.T) string {
 
 	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
 	srv := httptest.NewServer(s.handler())
-	explain(srv, "cold", 0, 1, false)
-	explain(srv, "cold", 0, 1, false)
-	explain(srv, "warm", 0, 1, true)
-	explain(srv, "warm", 1, 2, true)
+	explain(srv, "cold", 0, 1)
+	explain(srv, "cold", 0, 1)
 	register(srv, "pushed")
 	push(srv, "pushed", 0, http.StatusCreated)
 	push(srv, "pushed", 1, http.StatusOK)
@@ -85,7 +79,8 @@ func metricsMix(t *testing.T) string {
 // TestMetricsGolden: every non-histogram /metrics line of the request mix
 // equals the page the parent commit's code served for it
 // (testdata/metrics_parent.txt, recorded there, no -update on purpose),
-// so rewiring how observers reach the runs moves no counter.
+// so rewiring how runs reach their sessions and observers moves no
+// counter.
 func TestMetricsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/metrics_parent.txt")
 	if err != nil {

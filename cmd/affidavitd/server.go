@@ -8,7 +8,6 @@ import (
 	"net/http/pprof"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,9 +18,9 @@ import (
 )
 
 // maxFieldBytes caps each non-file multipart value (table name, format,
-// warm flag). File parts are never buffered — they spool to disk and are
-// interned from there — so this is the only per-part memory bound the
-// server needs.
+// async and trace flags). File parts are never buffered — they spool to
+// disk and are interned from there — so this is the only per-part memory
+// bound the server needs.
 const maxFieldBytes = 1 << 20
 
 // serverConfig bundles the service knobs so tests and main construct the
@@ -52,13 +51,6 @@ type serverConfig struct {
 	// unlimited. On expiry the request answers 503 with the partial search
 	// statistics.
 	timeout time.Duration
-	// maxSessions caps the retained per-table sessions; 0 means unlimited.
-	// Creating a session past the cap evicts the least-recently-used one.
-	maxSessions int
-	// sessionTTL expires sessions idle longer than this; 0 means sessions
-	// never expire. Eviction frees the table's dictionary pool and warm
-	// state; the next upload for that table simply starts a fresh session.
-	sessionTTL time.Duration
 	// traceBuffer caps the ring of recent run traces served by /traces;
 	// 0 disables per-request tracing entirely (no recorder, no
 	// X-Affidavit-Trace-Id header, ?trace=1 ignored). Negative means the
@@ -73,7 +65,7 @@ type serverConfig struct {
 	jobsDir string
 	// jobWorkers sizes the queue-draining pool (-job-workers; 0 = 2).
 	// Jobs shard across workers by table hash, so one table's jobs run
-	// serially in submission order and warm chains stay warm.
+	// serially in submission order and catalog chains stay warm.
 	jobWorkers int
 	// jobRetry bounds runner executions per job, first attempt included
 	// (-job-retry; 0 = 3). Only transient failures retry.
@@ -85,21 +77,17 @@ type serverConfig struct {
 	// Empty defaults to <jobs-dir>/catalog when -jobs-dir is set, else an
 	// in-memory catalog (same chain semantics, no crash durability).
 	catalogDir string
-	// now is the clock; nil means time.Now. Tests inject a fake. It paces
-	// session eviction only — the job store keeps its own wall clock, so
-	// fake-clock tests do not race with queue backoff arithmetic.
-	now func() time.Time
 }
 
 // defaultTraceBuffer is the trace ring size when -trace-buffer is unset.
 const defaultTraceBuffer = 128
 
-// server routes explanation traffic onto per-table affidavit sessions: all
-// uploads naming the same table share one dictionary pool (and, in chain
-// mode, one warm-start tuple), so recurring traffic over the same domain
-// gets cheaper as the service runs. Sessions are bounded two ways — an LRU
-// cap on their count and a TTL on their idleness — so an unbounded stream
-// of distinct table names can no longer grow the dictionary pools forever.
+// server routes explanation traffic onto affidavit sessions. An /explain
+// upload interns its pair into a session of its own, which its job drops
+// when it ends, so /explain keeps no state between requests beyond the job
+// record and the cached result. The catalog's chains are the only
+// long-lived sessions: each registered table keeps one dictionary pool and
+// one warm-start tuple across its pushes.
 //
 // Every session derives from one Explainer. Every ingest and run reports
 // to the Prometheus-style /metrics endpoint — ingest volume, run modes
@@ -133,12 +121,9 @@ type server struct {
 	// change stops serving results computed under old flags.
 	engineFP string
 
-	mu       sync.Mutex
-	sessions map[string]*sessionEntry
-	evicted  int // sessions dropped by TTL or LRU, for /stats
-	// chains holds each catalog table's live warm chain, outside the
-	// LRU/TTL-bounded sessions; schemaResets counts chain re-seeds caused
-	// by mid-chain schema changes.
+	mu sync.Mutex
+	// chains holds each catalog table's live warm chain; schemaResets
+	// counts chain re-seeds caused by mid-chain schema changes.
 	chains       map[string]chainState
 	schemaResets int64
 
@@ -149,20 +134,11 @@ type server struct {
 	traceNext int
 }
 
-// sessionEntry is one table's session plus the bookkeeping eviction needs.
-type sessionEntry struct {
-	sess    *affidavit.Session
-	lastUse time.Time
-}
-
 // newServer builds the server and starts its job pool. base carries the
 // observers every ingest and run reports to besides the metrics (main's
 // -progress narrator); the pool runs under it without its cancellation, so
 // a SIGINT requeues running jobs instead of failing them.
 func newServer(base context.Context, cfg serverConfig) (*server, error) {
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	if cfg.maxUpload <= 0 {
 		cfg.maxUpload = maxFieldBytes
 	}
@@ -183,9 +159,8 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 		cfg:       cfg,
 		ex:        ex,
 		metrics:   affidavit.NewMetricsObserver(),
-		sessions:  make(map[string]*sessionEntry),
 		chains:    make(map[string]chainState),
-		startedAt: cfg.now(),
+		startedAt: time.Now(),
 	}
 	if cfg.maxInflight > 0 {
 		s.maxInflight = make(chan struct{}, cfg.maxInflight)
@@ -207,7 +182,7 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 	if catDir == "" && cfg.jobsDir != "" {
 		catDir = filepath.Join(cfg.jobsDir, "catalog")
 	}
-	cat, err := catalog.OpenStore(catDir, cfg.now)
+	cat, err := catalog.OpenStore(catDir, time.Now)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -234,80 +209,6 @@ func (s *server) Close() error {
 		return serr
 	}
 	return cerr
-}
-
-// session returns the named table's session, creating it on first use and
-// refreshing its last-use stamp. When the LRU cap is hit, the
-// least-recently-used session is dropped to make room (ties break on the
-// smaller table name, for determinism).
-func (s *server) session(table string) *affidavit.Session {
-	now := s.cfg.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.sessions[table]; ok {
-		e.lastUse = now
-		return e.sess
-	}
-	if s.cfg.maxSessions > 0 {
-		for len(s.sessions) >= s.cfg.maxSessions {
-			var victim string
-			for name, e := range s.sessions {
-				if victim == "" ||
-					e.lastUse.Before(s.sessions[victim].lastUse) ||
-					(e.lastUse.Equal(s.sessions[victim].lastUse) && name < victim) {
-					victim = name
-				}
-			}
-			delete(s.sessions, victim)
-			s.evicted++
-		}
-	}
-	e := &sessionEntry{sess: s.ex.Session(nil), lastUse: now}
-	s.sessions[table] = e
-	return e.sess
-}
-
-// evictExpired drops every session idle since before now−TTL and reports
-// how many it removed. No-op when the TTL is unset.
-func (s *server) evictExpired(now time.Time) int {
-	if s.cfg.sessionTTL <= 0 {
-		return 0
-	}
-	cutoff := now.Add(-s.cfg.sessionTTL)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for name, e := range s.sessions {
-		if e.lastUse.Before(cutoff) {
-			delete(s.sessions, name)
-			n++
-		}
-	}
-	s.evicted += n
-	return n
-}
-
-// janitor runs evictExpired periodically until ctx ends. The sweep period
-// is a quarter of the TTL, clamped to [1s, 1m], so an expired session
-// lingers at most ~25% past its deadline.
-func (s *server) janitor(ctx context.Context) {
-	every := s.cfg.sessionTTL / 4
-	if every < time.Second {
-		every = time.Second
-	}
-	if every > time.Minute {
-		every = time.Minute
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			s.evictExpired(now)
-		}
-	}
 }
 
 func (s *server) handler() http.Handler {
@@ -450,10 +351,9 @@ type deadlineResponse struct {
 // handleExplain serves POST /explain: a multipart upload with CSV files
 // "source" and "target" (first row = header). Optional form/query values:
 //
-//	table   session key and SQL table name (default "table")
+//	table   SQL and result table name, and the worker-affinity key
+//	        (default "table")
 //	format  json (default) | sql | text
-//	warm    "1" warm-starts from the table's previous explanation and
-//	        stores the new one (chain mode)
 //	async   "1" answers 202 Accepted with the job id immediately; poll
 //	        GET /jobs/{id} and fetch GET /jobs/{id}/result
 //
@@ -464,9 +364,12 @@ type deadlineResponse struct {
 // address already names a pending, running or completed job whose blobs
 // are stored, the request joins it and the spools are dropped — a
 // duplicate never parses CSV, interns a record or fsyncs a blob. Otherwise
-// both snapshots are interned from their spools record-by-record (only
-// distinct values and 4-byte codes are retained), the blobs are committed
-// and the job is submitted with the tables as its payload.
+// both snapshots are interned from their spools record-by-record into a
+// session of the upload's own (only distinct values and 4-byte codes are
+// retained), the blobs are committed and the job is submitted with the
+// session and its tables as its payload. /explain keeps no warm state: a
+// "warm" value answers 400 naming the catalog routes, which serve warm
+// chains.
 //
 // Every explanation — sync or async — goes through the content-addressed
 // job queue, and Submit is the one atomic dedupe decision: concurrent
@@ -514,21 +417,22 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown format %q", format), http.StatusBadRequest)
 		return
 	}
+	if up.Value("warm") != "" {
+		http.Error(w, "warm chains are served by the catalog: register the table with POST /tables, "+
+			"then push each snapshot with POST /tables/{name}/snapshots", http.StatusBadRequest)
+		return
+	}
 	spec := jobs.Spec{
 		Table:      table,
 		Format:     format,
-		Warm:       up.Value("warm") == "1",
 		SourceBlob: up.Files["source"].Sum(),
 		TargetBlob: up.Files["target"].Sum(),
 	}
-	if !spec.Warm {
-		// The content address: canonicalized upload hashes plus every
-		// option the result bytes depend on — including the engine-option
-		// fingerprint, so restarting with different flags stops serving
-		// results computed under the old configuration. Warm jobs depend on
-		// session history too, so they never dedupe (empty address).
-		spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, spec.SourceBlob, spec.TargetBlob)
-	}
+	// The content address: canonicalized upload hashes plus every option
+	// the result bytes depend on — including the engine-option fingerprint,
+	// so restarting with different flags stops serving results computed
+	// under the old configuration.
+	spec.Addr = jobs.Address("explain/v2", s.engineFP, table, format, spec.SourceBlob, spec.TargetBlob)
 	if s.store.Joinable(spec.Addr) {
 		// A duplicate joins its job on the address alone. Should that job
 		// fail between this lookup and Submit, Submit reruns it without a
@@ -537,14 +441,16 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// upload ingests).
 		up.Discard()
 	} else {
-		// Resolved only on a miss, so a dedupe hit creates no session. The
-		// pair interns straight into the pool its job will run over.
-		tabs, trec, err := s.intern(ctx, up, s.session(table).ReadSource, "source", "target")
+		// Created only on a miss, so a dedupe hit creates no session. The
+		// pair interns straight into the pool its job will run over; a
+		// rejected upload's values go with the session when this returns.
+		sess := s.ex.Session(nil)
+		tabs, trec, err := s.intern(ctx, up, sess.ReadSource, "source", "target")
 		if err != nil {
 			badUpload(ctx, w, err)
 			return
 		}
-		spec.Payload = &jobPayload{src: tabs[0], tgt: tabs[1], trace: trec}
+		spec.Payload = &jobPayload{sess: sess, src: tabs[0], tgt: tabs[1], trace: trec}
 	}
 	job, _, err := s.store.Submit(spec)
 	if err != nil {
@@ -644,9 +550,10 @@ type statsResponse struct {
 	UptimeSeconds float64   `json:"uptime_seconds"`
 	GoVersion     string    `json:"go_version"`
 	// TracesRetained counts the run traces currently in the /traces ring.
-	TracesRetained  int                   `json:"traces_retained"`
-	Tables          map[string]tableStats `json:"tables"`
-	SessionsEvicted int                   `json:"sessions_evicted"`
+	TracesRetained int `json:"traces_retained"`
+	// Tables holds each catalog table's live chain session: its runs and
+	// its dictionary pool. /explain uploads leave nothing here.
+	Tables map[string]tableStats `json:"tables"`
 	// Jobs mirrors /metrics' affidavit_jobs_* series: queue depth,
 	// running, and the lifetime submission/dedupe/outcome counters.
 	Jobs jobsStats `json:"jobs"`
@@ -656,39 +563,29 @@ type statsResponse struct {
 }
 
 // handleStats serves GET /stats: process identity (start time, uptime, Go
-// version) plus per-table session counters and the lifetime eviction
-// count.
+// version) plus the counters of each catalog chain's session.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	now := s.cfg.now()
 	s.traceMu.Lock()
 	retained := len(s.traces)
 	s.traceMu.Unlock()
 	s.mu.Lock()
-	names := make([]string, 0, len(s.sessions))
-	for name := range s.sessions {
-		names = append(names, name)
+	out := make(map[string]tableStats, len(s.chains))
+	for name, cs := range s.chains {
+		attrs, values := cs.sess.PoolStats()
+		out[name] = tableStats{Runs: cs.sess.Runs(), PoolAttrs: attrs, PoolValues: values}
 	}
-	sort.Strings(names)
-	out := make(map[string]tableStats, len(names))
-	for _, name := range names {
-		sess := s.sessions[name].sess
-		attrs, values := sess.PoolStats()
-		out[name] = tableStats{Runs: sess.Runs(), PoolAttrs: attrs, PoolValues: values}
-	}
-	evicted := s.evicted
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(statsResponse{
-		StartedAt:       s.startedAt,
-		UptimeSeconds:   now.Sub(s.startedAt).Seconds(),
-		GoVersion:       runtime.Version(),
-		TracesRetained:  retained,
-		Tables:          out,
-		SessionsEvicted: evicted,
-		Jobs:            s.jobsStats(),
-		Catalog:         s.catalogStats(),
+		StartedAt:      s.startedAt,
+		UptimeSeconds:  time.Since(s.startedAt).Seconds(),
+		GoVersion:      runtime.Version(),
+		TracesRetained: retained,
+		Tables:         out,
+		Jobs:           s.jobsStats(),
+		Catalog:        s.catalogStats(),
 	}); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

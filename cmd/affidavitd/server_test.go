@@ -9,6 +9,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -233,27 +234,47 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
-// TestWarmChainViaService: successive warm uploads of the same table reuse
-// the previous explanation — the service-side incremental path — and
-// report the same explanation with fewer polls.
+// TestWarmChainViaService: the service's warm chain is the catalog.
+// Pushing a chain's snapshots to a registered table returns, step for
+// step, the bytes the /explain?warm=1 chain it replaced returned for the
+// same pairs (testdata/warm_chain_parent.json, recorded on the last commit
+// that served warm=1; no -update). The warm steps poll fewer states than
+// the first, /stats shows the chain's session, and a warm value on
+// /explain answers 400 naming the catalog routes.
 func TestWarmChainViaService(t *testing.T) {
+	raw, err := os.ReadFile("testdata/warm_chain_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
 	srv := testServer(t)
 	ch := testChain(t, 3)
+	if len(want) != len(ch.Snapshots)-1 {
+		t.Fatalf("fixture holds %d steps, chain has %d", len(want), len(ch.Snapshots)-1)
+	}
+	if code, body := registerTable(t, srv, "chain"); code != http.StatusCreated {
+		t.Fatalf("register: status %d: %s", code, body)
+	}
+	if code, body, _ := pushSnapshot(t, srv, "chain", csvOf(t, ch.Snapshots[0]), nil); code != http.StatusCreated {
+		t.Fatalf("seed push: status %d: %s", code, body)
+	}
 	var polls []int
-	var costs []float64
 	for i := 1; i < len(ch.Snapshots); i++ {
-		code, body := post(t, srv,
-			csvOf(t, ch.Snapshots[i-1]), csvOf(t, ch.Snapshots[i]),
-			map[string]string{"table": "chain", "warm": "1"})
+		code, body, _ := pushSnapshot(t, srv, "chain", csvOf(t, ch.Snapshots[i]), nil)
 		if code != http.StatusOK {
 			t.Fatalf("step %d: status %d: %s", i, code, body)
+		}
+		if string(body) != want[i-1] {
+			t.Errorf("step %d: pushed bytes differ from the warm=1 chain's", i)
 		}
 		var resp affidavit.JSONResult
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
 		polls = append(polls, resp.Stats.Polls)
-		costs = append(costs, resp.Cost)
 	}
 	for i := 1; i < len(polls); i++ {
 		if polls[i] >= polls[0] {
@@ -261,20 +282,49 @@ func TestWarmChainViaService(t *testing.T) {
 				i+1, polls[i], polls[0])
 		}
 	}
-	// /stats reflects the session.
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Tables map[string]tableStats `json:"tables"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	var stats statsResponse
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/stats")), &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Tables["chain"].Runs != 3 || stats.Tables["chain"].PoolValues == 0 {
 		t.Errorf("stats: %+v", stats.Tables["chain"])
+	}
+	code, body := post(t, srv, csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1]),
+		map[string]string{"table": "chain", "warm": "1"})
+	if code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "POST /tables") || !strings.Contains(string(body), "POST /tables/{name}/snapshots") {
+		t.Errorf("warm=1: status %d body %q, want 400 naming the catalog routes", code, body)
+	}
+}
+
+// TestExplainLeavesNoSession: /explain is stateless. Explained, duplicate,
+// async and rejected uploads — one rejected mid-ingest, after its source
+// interned — leave nothing in /stats "tables", which lists catalog chains
+// only.
+func TestExplainLeavesNoSession(t *testing.T) {
+	srv := testServer(t)
+	ch := testChain(t, 1)
+	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
+	for _, tc := range []struct {
+		source, target string
+		fields         map[string]string
+		want           int
+	}{
+		{src, tgt, map[string]string{"table": "a"}, http.StatusOK},
+		{src, tgt, map[string]string{"table": "a"}, http.StatusOK},
+		{tgt, src, map[string]string{"table": "b", "async": "1"}, http.StatusAccepted},
+		{src, "id,v\n1,a\n2,\"b\n", map[string]string{"table": "c"}, http.StatusBadRequest},
+	} {
+		if code, body := post(t, srv, tc.source, tc.target, tc.fields); code != tc.want {
+			t.Fatalf("%v: status %d, want %d: %.200s", tc.fields, code, tc.want, body)
+		}
+	}
+	var stats statsResponse
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/stats")), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if len(stats.Tables) != 0 {
+		t.Errorf("/explain traffic left sessions in /stats: %+v", stats.Tables)
 	}
 }
 
@@ -329,114 +379,6 @@ func TestExplainDeadline503(t *testing.T) {
 	}
 	if resp.Error == "" || resp.Table != "slow" {
 		t.Errorf("503 body: %+v", resp)
-	}
-}
-
-// fakeClock hands out strictly increasing timestamps so eviction order is
-// deterministic in tests.
-type fakeClock struct {
-	mu sync.Mutex
-	at time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.at = c.at.Add(time.Second)
-	return c.at
-}
-
-// TestSessionTTLEviction: sessions idle past the TTL are dropped; touching
-// a session refreshes its clock.
-func TestSessionTTLEviction(t *testing.T) {
-	clk := &fakeClock{at: time.Unix(1000, 0)}
-	s := mustServer(t, serverConfig{
-		options:    testOptions(),
-		sessionTTL: time.Minute,
-		now:        clk.now,
-	})
-	s.session("a")
-	s.session("b")
-	s.session("a") // refresh a
-	if n := s.evictExpired(clk.now().Add(30 * time.Second)); n != 0 {
-		t.Fatalf("evicted %d sessions before the TTL", n)
-	}
-	// Age everything past the TTL, then refresh only "a".
-	s.session("a")
-	if n := s.evictExpired(clk.now().Add(59 * time.Second)); n != 1 {
-		t.Fatalf("evicted %d sessions, want 1 (only the idle one)", n)
-	}
-	s.mu.Lock()
-	_, aAlive := s.sessions["a"]
-	_, bAlive := s.sessions["b"]
-	s.mu.Unlock()
-	if !aAlive || bAlive {
-		t.Fatalf("a alive=%v b alive=%v, want a kept and b evicted", aAlive, bAlive)
-	}
-	if n := s.evictExpired(clk.now().Add(2 * time.Minute)); n != 1 {
-		t.Fatalf("evicted %d sessions, want the last one", n)
-	}
-}
-
-// TestSessionLRUCap: the -max-sessions cap evicts the least-recently-used
-// session when a new table arrives.
-func TestSessionLRUCap(t *testing.T) {
-	clk := &fakeClock{at: time.Unix(2000, 0)}
-	s := mustServer(t, serverConfig{
-		options:     testOptions(),
-		maxSessions: 2,
-		now:         clk.now,
-	})
-	s.session("a")
-	s.session("b")
-	s.session("a") // a is now more recently used than b
-	s.session("c") // must evict b
-	s.mu.Lock()
-	_, aAlive := s.sessions["a"]
-	_, bAlive := s.sessions["b"]
-	_, cAlive := s.sessions["c"]
-	n, evicted := len(s.sessions), s.evicted
-	s.mu.Unlock()
-	if !aAlive || bAlive || !cAlive || n != 2 || evicted != 1 {
-		t.Fatalf("a=%v b=%v c=%v len=%d evicted=%d, want a,c kept with b evicted",
-			aAlive, bAlive, cAlive, n, evicted)
-	}
-	// An evicted table simply gets a fresh session on its next upload.
-	s.session("b")
-	s.mu.Lock()
-	n = len(s.sessions)
-	s.mu.Unlock()
-	if n != 2 {
-		t.Fatalf("len=%d after re-creating b, want cap 2", n)
-	}
-}
-
-// TestStatsReportsEvictions: /stats carries the lifetime eviction counter.
-func TestStatsReportsEvictions(t *testing.T) {
-	clk := &fakeClock{at: time.Unix(3000, 0)}
-	s := mustServer(t, serverConfig{
-		options:     testOptions(),
-		maxSessions: 1,
-		now:         clk.now,
-	})
-	s.session("a")
-	s.session("b")
-	srv := httptest.NewServer(s.handler())
-	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.SessionsEvicted != 1 {
-		t.Errorf("sessions_evicted %d, want 1", stats.SessionsEvicted)
-	}
-	if _, ok := stats.Tables["b"]; !ok || len(stats.Tables) != 1 {
-		t.Errorf("tables %v, want only b", stats.Tables)
 	}
 }
 

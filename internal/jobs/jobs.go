@@ -68,16 +68,13 @@ type Record struct {
 	// Seq is the submission sequence number; listings order by it.
 	Seq uint64 `json:"seq"`
 	// Addr is the content address joining identical submissions ("" for
-	// jobs that must never dedupe, e.g. warm-chain steps).
+	// jobs that must never dedupe, e.g. catalog chain steps).
 	Addr string `json:"addr,omitempty"`
-	// Table is the session key; the pool shards worker affinity on it.
+	// Table names the result's table; the pool shards worker affinity on
+	// it.
 	Table string `json:"table,omitempty"`
 	// Format is the requested result encoding (json | sql | text).
 	Format string `json:"format,omitempty"`
-	// Warm marks a chain-mode step (warm-start from the table's previous
-	// explanation). Warm results depend on session history, so warm jobs
-	// are never deduped or served from cache.
-	Warm bool `json:"warm,omitempty"`
 	// Kind tags non-/explain jobs so the runner can dispatch them (e.g.
 	// "catalog" for snapshot-catalog chain steps); empty means a plain
 	// explain job. Old journals decode with the zero value.

@@ -89,7 +89,6 @@ type Spec struct {
 	Addr   string
 	Table  string
 	Format string
-	Warm   bool
 	// Kind tags non-/explain jobs for runner dispatch ("" = explain).
 	Kind string
 	// SnapshotID/ParentID carry catalog lineage through the journal.
@@ -99,7 +98,8 @@ type Spec struct {
 	// Payload is non-durable run state handed to the Runner (the daemon
 	// passes its already-ingested tables and the request's trace
 	// recorder). Jobs replayed from the journal run with a nil payload
-	// and must reconstruct from the blobs.
+	// and must reconstruct from the blobs. The store keeps it across
+	// retries and requeues and drops it when the job ends.
 	Payload any
 }
 
@@ -247,7 +247,7 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 	s.seq++
 	id := spec.Addr
 	if id == "" {
-		// Non-dedupable (warm-chain) jobs get a unique id salted with the
+		// Non-dedupable (catalog-step) jobs get a unique id salted with the
 		// sequence number — deterministic given the submission order,
 		// never colliding across restarts (Seq is restored on replay).
 		id = Address("unaddressed", spec.Table, strconv.FormatUint(seq, 10), spec.SourceBlob, spec.TargetBlob)
@@ -263,7 +263,6 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 			Addr:       spec.Addr,
 			Table:      spec.Table,
 			Format:     spec.Format,
-			Warm:       spec.Warm,
 			Kind:       spec.Kind,
 			SnapshotID: spec.SnapshotID,
 			ParentID:   spec.ParentID,
@@ -321,6 +320,7 @@ func (s *Store) Cancel(id string) (Record, error) {
 	case StatePending:
 		j.rec.State = StateCancelled
 		j.claimed = true // a claimed-but-unstarted worker must drop it
+		j.payload = nil
 		s.cancelled++
 		s.appendLocked(j.rec)
 		close(j.done)
@@ -554,6 +554,7 @@ func (s *Store) complete(j *Job, out *Outcome) {
 	j.rec.Error = ""
 	j.result = out.Body
 	j.cancel = nil
+	j.payload = nil
 	s.completed++
 	s.appendLocked(j.rec)
 	close(j.done)
@@ -570,6 +571,7 @@ func (s *Store) fail(j *Job, msg string, out *Outcome) {
 		j.rec.TraceID = out.TraceID
 	}
 	j.cancel = nil
+	j.payload = nil
 	s.failed++
 	s.appendLocked(j.rec)
 	close(j.done)
@@ -588,6 +590,7 @@ func (s *Store) failDeadline(j *Job, out *Outcome) {
 		j.rec.TraceID = out.TraceID
 	}
 	j.cancel = nil
+	j.payload = nil
 	s.failed++
 	s.appendLocked(j.rec)
 	close(j.done)
@@ -603,6 +606,7 @@ func (s *Store) cancelDone(j *Job, out *Outcome) {
 		j.rec.TraceID = out.TraceID
 	}
 	j.cancel = nil
+	j.payload = nil
 	s.cancelled++
 	s.appendLocked(j.rec)
 	close(j.done)

@@ -127,11 +127,56 @@ func TestSubmitDedupeAndListOrder(t *testing.T) {
 	if list[0].DedupeHits != 1 {
 		t.Fatalf("dedupe hit not recorded on the job: %+v", list[0])
 	}
-	// Unaddressed (warm) submissions never join.
-	w1, _, _ := s.Submit(Spec{Table: "t1", Warm: true})
-	w2, _, _ := s.Submit(Spec{Table: "t1", Warm: true})
+	// Unaddressed (catalog-step) submissions never join.
+	w1, _, _ := s.Submit(Spec{Table: "t1", Kind: "catalog"})
+	w2, _, _ := s.Submit(Spec{Table: "t1", Kind: "catalog"})
 	if w1.ID() == w2.ID() {
-		t.Fatal("warm submissions deduped; they must not")
+		t.Fatal("unaddressed submissions deduped; they must not")
+	}
+}
+
+// TestPayloadReleasedWhenJobEnds: a job keeps its payload while it can
+// still run — across a retry and a shutdown requeue — and lets go of it
+// on every terminal transition, so a finished job does not pin the
+// tables it was submitted with.
+func TestPayloadReleasedWhenJobEnds(t *testing.T) {
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := func(j *Job) {
+		t.Helper()
+		if _, ok := s.startRun(j, func(error) {}); !ok {
+			t.Fatalf("startRun refused job %s", j.ID())
+		}
+	}
+	out := &Outcome{Body: []byte("{}"), ContentType: "application/json"}
+	for _, tc := range []struct {
+		name string
+		end  func(j *Job)
+	}{
+		{"complete", func(j *Job) { start(j); s.complete(j, out) }},
+		{"fail", func(j *Job) { start(j); s.fail(j, "boom", out) }},
+		{"failDeadline", func(j *Job) { start(j); s.failDeadline(j, out) }},
+		{"cancelDone", func(j *Job) { start(j); s.cancelDone(j, out) }},
+		{"cancel pending", func(j *Job) { s.Cancel(j.ID()) }},
+	} {
+		j, _, _ := s.Submit(Spec{Addr: "addr-" + tc.name, Table: "t", Payload: tc.name})
+		start(j)
+		s.retry(j, "transient", 0)
+		if s.payload(j) != tc.name {
+			t.Fatalf("%s: payload %v after retry, want it kept", tc.name, s.payload(j))
+		}
+		start(j)
+		s.requeue(j)
+		if s.payload(j) != tc.name {
+			t.Fatalf("%s: payload %v after requeue, want it kept", tc.name, s.payload(j))
+		}
+		tc.end(j)
+		if p := s.payload(j); p != nil {
+			t.Errorf("%s: payload %v kept after the job ended", tc.name, p)
+		}
 	}
 }
 

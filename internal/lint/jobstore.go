@@ -17,12 +17,9 @@ var jobstoreScope = map[string]bool{
 	"wal":     true,
 }
 
-// JobStore guards the byte-stability invariants of the durable job store:
+// JobStore guards the byte-stability invariants of the durable job store
+// (map iteration there is mapiter's, whose scope holds the same packages):
 //
-//   - unordered map iteration, with the same escape hatches as mapiter
-//     (append-then-sort, provably commutative bodies, //affidavit:ordered):
-//     replayed state and /jobs listings must not depend on Go's randomised
-//     map order;
 //   - JSON encoding of map-bearing values (json.Marshal, MarshalIndent,
 //     or (*json.Encoder).Encode): journal lines and stored results are
 //     the crash-recovery contract and feed content addressing, so their
@@ -35,9 +32,10 @@ var jobstoreScope = map[string]bool{
 //     which no call-site check inside package wal can see through.
 var JobStore = &Analyzer{
 	Name: "jobstore",
-	Doc: "flags unordered map iteration and JSON encoding of map-bearing " +
-		"values in the durable job store (internal/jobs), whose journal " +
-		"lines and content addresses must be byte-stable across restarts",
+	Doc: "flags JSON encoding of map-bearing values and map-bearing wal " +
+		"record types in the durable job store (internal/jobs, " +
+		"internal/catalog, internal/wal), whose journal lines and content " +
+		"addresses must be byte-stable across restarts",
 	Run: runJobStore,
 }
 
@@ -52,32 +50,6 @@ func runJobStore(pass *Pass) {
 				checkJobEncode(pass, n)
 			case *ast.Ident:
 				checkLogRecord(pass, n)
-			}
-			stmts := statementList(n)
-			for i, stmt := range stmts {
-				rng, ok := stmt.(*ast.RangeStmt)
-				if !ok || !isMapType(pass.TypesInfo.TypeOf(rng.X)) {
-					continue
-				}
-				key := rangeVar(rng.Key)
-				val := rangeVar(rng.Value)
-				if key == nil && val == nil {
-					continue // `for range m`: iterations are indistinguishable
-				}
-				var next ast.Stmt
-				if i+1 < len(stmts) {
-					next = stmts[i+1]
-				}
-				if appendThenSort(pass.TypesInfo, rng, next) {
-					continue
-				}
-				if orderInsensitiveStmts(pass.TypesInfo, rng.Body.List, key) {
-					continue
-				}
-				pass.Report(rng.Pos(), "unordered iteration over %s in the job store; "+
-					"replayed state and listings must not depend on map order — "+
-					"sort the keys first, or justify with //affidavit:ordered",
-					types.TypeString(pass.TypesInfo.TypeOf(rng.X), types.RelativeTo(pass.Pkg)))
 			}
 			return true
 		})

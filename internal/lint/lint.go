@@ -113,16 +113,6 @@ func Suite() []*Analyzer {
 	}
 }
 
-// orderedAnalyzers names the analyzers a bare //affidavit:ordered
-// directive covers: "this loop is order-insensitive" is a property of the
-// loop, not of whichever analyzer happens to guard the package.
-func orderedAnalyzers() map[string]bool {
-	return map[string]bool{
-		MapIter.Name:  true,
-		JobStore.Name: true,
-	}
-}
-
 // Run applies the analyzers to pkg, filters suppressed findings, drops
 // findings positioned in _test.go files (the invariants guard shipped
 // code; tests assert them), and returns the rest sorted by position.
@@ -173,7 +163,7 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 type directive struct {
 	file      string
 	line      int
-	analyzer  string // "" = ordered shorthand (any order analyzer)
+	analyzer  string // "" = ordered shorthand (covers mapiter)
 	justified bool
 }
 
@@ -198,11 +188,11 @@ func (ds directiveSet) covers(d Diagnostic) coverage {
 		if dir.line != d.Position.Line && dir.line != d.Position.Line-1 {
 			continue
 		}
-		if dir.analyzer == "" {
-			if !orderedAnalyzers()[d.Analyzer] {
-				continue
-			}
-		} else if dir.analyzer != d.Analyzer {
+		name := dir.analyzer
+		if name == "" {
+			name = MapIter.Name
+		}
+		if name != d.Analyzer {
 			continue
 		}
 		if dir.justified {

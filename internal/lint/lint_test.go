@@ -14,7 +14,10 @@ import (
 // stays quiet) exactly where documented.
 
 func TestMapIter(t *testing.T) {
-	linttest.Run(t, "testdata", "search", lint.MapIter)
+	// search stands for the explanation pipeline, catalog for the journals.
+	for _, pkg := range []string{"search", "catalog"} {
+		t.Run(pkg, func(t *testing.T) { linttest.Run(t, "testdata", pkg, lint.MapIter) })
+	}
 }
 
 func TestMapIterOutOfScope(t *testing.T) {

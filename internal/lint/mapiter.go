@@ -8,8 +8,10 @@ import (
 
 // mapiterScope names the determinism-critical packages: every package
 // whose output (explanations, blocks, stats JSON, reports) is pinned
-// byte-identical across engines, plus the JSON encoders in the public
-// package. Matching is by last path element (see inScope).
+// byte-identical across engines, the JSON encoders in the public package,
+// and the journaling packages (jobstoreScope), whose replayed state and
+// listings are compared byte for byte across restarts. Matching is by last
+// path element (see inScope).
 var mapiterScope = map[string]bool{
 	"search":    true,
 	"delta":     true,
@@ -19,6 +21,9 @@ var mapiterScope = map[string]bool{
 	"report":    true,
 	"table":     true,
 	"affidavit": true, // public package: Result.JSON, metrics text, sources
+	"jobs":      true,
+	"catalog":   true,
+	"wal":       true,
 }
 
 // MapIter flags `for range` over a map in a determinism-critical package.
@@ -40,9 +45,10 @@ var mapiterScope = map[string]bool{
 var MapIter = &Analyzer{
 	Name: "mapiter",
 	Doc: "flags unordered map iteration in determinism-critical packages " +
-		"(search, delta, blocking, induce, align, report, table, and the " +
-		"public JSON/metrics encoders) unless the loop provably feeds an " +
-		"order-insensitive sink or carries //affidavit:ordered",
+		"(search, delta, blocking, induce, align, report, table, the " +
+		"public JSON/metrics encoders, and the jobs, catalog and wal " +
+		"journals) unless the loop provably feeds an order-insensitive " +
+		"sink or carries //affidavit:ordered",
 	Run: runMapIter,
 }
 

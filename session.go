@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"affidavit/internal/delta"
 	"affidavit/internal/table"
@@ -30,14 +31,14 @@ type Pair struct {
 // chain runs serialise on the session, and pair runs proceed in parallel.
 // ExplainPairContext and ExplainBatchContext results are identical to cold
 // Explainer.Explain runs with the same options and seed — the shared pool
-// only changes the interning work. The warm paths (ExplainNextContext,
-// ExplainWarmContext) run the search in incremental mode: on a recurring
-// pattern they converge to the same explanation with a fraction of the
-// effort, but they anchor on the previous structure, so when the feed's
-// pattern changes the result — always a valid explanation — may differ
-// from a cold run's. Use Explainer.Explain (or ExplainPairContext) when
-// cold-search behaviour is required, or arm WithWarmGuard to have stale
-// warm seeds escalate to a cold search automatically.
+// only changes the interning work. The warm path (ExplainNextContext) runs
+// the search in incremental mode: on a recurring pattern it converges to
+// the same explanation with a fraction of the effort, but it anchors on
+// the previous structure, so when the feed's pattern changes the result —
+// always a valid explanation — may differ from a cold run's. Use
+// Explainer.Explain (or ExplainPairContext) when cold-search behaviour is
+// required, or arm WithWarmGuard to have stale warm seeds escalate to a
+// cold search automatically.
 //
 // Every method honours cancellation and deadlines: an interrupted run
 // still returns a valid best-so-far result with Stats.Cancelled set, and
@@ -49,8 +50,10 @@ type Session struct {
 
 	mu   sync.Mutex
 	head *Table   // chain head: what ExplainNextContext diffs against
-	warm warmSeed // the latest finished warm-capable run
-	runs int
+	warm warmSeed // the latest finished chain run
+	// runs is read without mu, so a stats reader never waits for a chain
+	// run to finish.
+	runs atomic.Int64
 }
 
 // warmSeed is what a finished run leaves for the next warm run: its
@@ -63,12 +66,10 @@ type warmSeed struct {
 	ratio  float64
 }
 
-// seedFrom records res as the next warm seed. Cancelled runs leave seed
-// as it was: an interrupted best-so-far tuple would poison the chain.
+// seedFrom records res as the next warm seed. Callers pass only runs that
+// were not cancelled: an interrupted best-so-far tuple would poison the
+// chain.
 func (w *warmSeed) seedFrom(res *Result, schema *Schema) {
-	if res.Stats.Cancelled {
-		return
-	}
 	w.funcs = res.Explanation.Funcs.Clone()
 	w.schema = schema
 	w.ratio = 0
@@ -80,9 +81,9 @@ func (w *warmSeed) seedFrom(res *Result, schema *Schema) {
 // Session creates a long-lived session sharing the Explainer's
 // configuration. initial, when non-nil, is the chain baseline: the first
 // ExplainNextContext call diffs it against its argument. A nil initial
-// starts a batch/service session — ExplainPairContext, ExplainWarmContext
-// and ExplainBatchContext work immediately, while ExplainNextContext
-// errors until a baseline exists (ExplainWarmContext sets one).
+// starts a batch/service session — ExplainPairContext and
+// ExplainBatchContext work immediately, while ExplainNextContext errors:
+// it has no baseline.
 func (e *Explainer) Session(initial *Table) *Session {
 	return &Session{ex: e, pool: table.NewDictPool(), head: initial}
 }
@@ -127,7 +128,7 @@ func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result,
 		s.head = next
 		s.warm.seedFrom(res, next.Schema())
 	}
-	s.runs++
+	s.runs.Add(1)
 	return res, nil
 }
 
@@ -139,34 +140,7 @@ func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.runs++
-	s.mu.Unlock()
-	return res, nil
-}
-
-// ExplainWarmContext explains one pair over the shared pool, warm-started
-// with the session's most recent explanation of the same schema, stores
-// the learned functions for the next call and makes target the chain head
-// — the service-shaped variant of ExplainNextContext for repeated uploads
-// of the same table. Concurrent calls are race-clean; the stored warm
-// tuple is last-writer-wins, which affects only search effort, never the
-// explanation.
-func (s *Session) ExplainWarmContext(ctx context.Context, source, target *Table) (*Result, error) {
-	s.mu.Lock()
-	warm := s.warm
-	s.mu.Unlock()
-	res, err := s.run(ctx, source, target, warm, s.ex.so.Workers)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.warm.seedFrom(res, source.Schema())
-	if !res.Stats.Cancelled {
-		s.head = target
-	}
-	s.runs++
-	s.mu.Unlock()
+	s.runs.Add(1)
 	return res, nil
 }
 
@@ -208,9 +182,7 @@ func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Res
 		}(i, p)
 	}
 	wg.Wait()
-	s.mu.Lock()
-	s.runs += len(pairs)
-	s.mu.Unlock()
+	s.runs.Add(int64(len(pairs)))
 	return results, errors.Join(errs...)
 }
 
@@ -234,7 +206,5 @@ func (s *Session) PoolStats() (attrs, values int) {
 
 // Runs returns how many explanations the session has produced.
 func (s *Session) Runs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runs
+	return int(s.runs.Load())
 }

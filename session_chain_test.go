@@ -279,26 +279,17 @@ func TestSessionExplainBatchErrors(t *testing.T) {
 }
 
 // TestSessionExplainNextNeedsBaseline: chain mode requires an initial
-// snapshot, and ExplainWarmContext sets one.
+// snapshot.
 func TestSessionExplainNextNeedsBaseline(t *testing.T) {
 	ch := chain31(t, "iris", 1, false)
 	s := explainer31(t).Session(nil)
 	if _, err := s.ExplainNextContext(context.Background(), ch.Snapshots[0]); err == nil {
 		t.Fatal("want error without a baseline")
 	}
-	if _, err := s.ExplainWarmContext(context.Background(), ch.Snapshots[0], ch.Snapshots[1]); err != nil {
-		t.Fatalf("ExplainWarmContext should set the baseline: %v", err)
-	}
-	if s.head != ch.Snapshots[1] {
-		t.Error("ExplainWarmContext should advance the chain head")
-	}
-	if _, err := s.ExplainNextContext(context.Background(), ch.Snapshots[1]); err != nil {
-		t.Fatalf("ExplainNextContext after ExplainWarmContext: %v", err)
-	}
 }
 
 // TestSessionConcurrentMixedUse hammers one session with concurrent pair,
-// warm and batch explanations — race-detector coverage for the shared pool
+// chain and batch explanations — race-detector coverage for the shared pool
 // and the session state.
 func TestSessionConcurrentMixedUse(t *testing.T) {
 	ch := chain31(t, "iris", 2, false)
@@ -313,7 +304,7 @@ func TestSessionConcurrentMixedUse(t *testing.T) {
 			case 0:
 				_, err = s.ExplainPairContext(context.Background(), ch.Snapshots[0], ch.Snapshots[1])
 			case 1:
-				_, err = s.ExplainWarmContext(context.Background(), ch.Snapshots[1], ch.Snapshots[2])
+				_, err = s.ExplainNextContext(context.Background(), ch.Snapshots[2])
 			case 2:
 				_, err = s.ExplainBatchContext(context.Background(), []Pair{
 					{Source: ch.Snapshots[0], Target: ch.Snapshots[2]},
