@@ -13,7 +13,7 @@
 //
 // Quickstart:
 //
-//	ex, _ := affidavit.New(affidavit.WithWorkers(8))
+//	ex, _ := affidavit.New(affidavit.WithSeed(7))
 //	res, err := ex.ExplainFiles(ctx, "before.csv", "after.csv")
 //	if err != nil { ... }
 //	fmt.Println(res.Report())          // what changed, as functions
@@ -21,7 +21,7 @@
 //	out := res.Transform(unseenRecord) // generalises to unseen records
 //
 // The Explainer is the package's one front door: construct it from
-// functional options (WithAlpha, WithWorkers, …), then reuse it for
+// functional options (WithAlpha, WithSeed, …), then reuse it for
 // explanations of in-memory tables, streamed Sources, renamed schemas and
 // Sessions over snapshot chains. Every entry point takes a context, which
 // also carries the run's observers (ContextWithObserver); domain experts

@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"affidavit"
@@ -185,11 +184,6 @@ func BenchmarkFigure5Rows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Each scale runs both engines: "seq" is the sequential baseline, "par"
-	// the worker-pool engine at GOMAXPROCS workers. Equal seeds make the
-	// two solve the identical search tree, so the ratio is a pure engine
-	// comparison (on multi-core hosts par/seq shows the worker-pool
-	// speedup; at GOMAXPROCS=1 the two coincide).
 	for _, pct := range []int{20, 40, 60, 80, 100} {
 		p := base
 		if pct < 100 {
@@ -199,25 +193,15 @@ func BenchmarkFigure5Rows(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		for _, engine := range []struct {
-			name    string
-			workers int
-		}{
-			{"seq", 1},
-			{"par", runtime.GOMAXPROCS(0)},
-		} {
-			b.Run(fmt.Sprintf("scale%d/%s", pct, engine.name), func(b *testing.B) {
-				opts := search.DefaultOptions()
-				opts.Seed = 1
-				opts.Workers = engine.workers
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := search.Run(context.Background(), p.Inst, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("scale%d", pct), func(b *testing.B) {
+			opts := search.DefaultOptions()
+			opts.Seed = 1
+			for i := 0; i < b.N; i++ {
+				if _, err := search.Run(context.Background(), p.Inst, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -340,13 +324,7 @@ func BenchmarkChainInterning(b *testing.B) {
 
 // BenchmarkBuild measures the end-state conversion in isolation —
 // delta.BuildCtx's memos, greedy multiset matching and assembly — on the
-// Figure 5 instance (40 000 rows) with its reference function tuple: w1 is
-// the one-partition matching, w2 two partitions on two goroutines. Both
-// produce the same explanation (TestBuildShardedMatchesSequential).
-//
-// w2 pins GOMAXPROCS to 2 for its duration: the partition count is clamped
-// to GOMAXPROCS, so on a one-CPU runner it would otherwise silently time w1
-// again.
+// Figure 5 instance (40 000 rows) with its reference function tuple.
 func BenchmarkBuild(b *testing.B) {
 	ds, err := datasets.Get("flight-500k")
 	if err != nil {
@@ -360,25 +338,12 @@ func BenchmarkBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Inst.Coded() // intern outside the timer; every variant shares the view
-	for _, v := range []struct {
-		name string
-		opts delta.BuildOptions
-	}{
-		{"w1", delta.BuildOptions{Workers: 1}},
-		{"w2", delta.BuildOptions{Workers: 2}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			if prev := runtime.GOMAXPROCS(0); v.opts.Workers > prev {
-				runtime.GOMAXPROCS(v.opts.Workers)
-				defer runtime.GOMAXPROCS(prev)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := delta.BuildCtx(context.Background(), p.Inst, p.Reference.Funcs, v.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	p.Inst.Coded() // intern outside the timer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := delta.BuildCtx(context.Background(), p.Inst, p.Reference.Funcs, delta.BuildOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -83,9 +83,11 @@
 //	-jobs-dir      root of the durable job state (JSONL journal, upload
 //	               blobs, result store); empty = in-memory queue with the
 //	               same dedupe/cancel semantics but no crash durability
-//	-job-workers   queue-draining workers; jobs shard across workers by
-//	               table hash, so one table's jobs run serially in
-//	               submission order and catalog chains stay warm (default 2)
+//	-job-workers   queue-draining workers, the daemon's one parallelism
+//	               setting: each job's search runs on one core. Jobs shard
+//	               across workers by table hash, so one table's jobs run
+//	               serially in submission order and catalog chains stay
+//	               warm (default 2)
 //	-job-retry     attempts per job, first run included; only transient
 //	               failures (blob-store I/O) retry, with doubling backoff
 //	               (default 3)
@@ -147,6 +149,10 @@ func main() {
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	)
+	// -workers does nothing: every search runs on one core, and
+	// -job-workers sets how many run side by side. It is parsed only
+	// because the frozen service benchmark (bench/daemon.go) passes it.
+	_ = flag.Int("workers", 0, "ignored: a search runs on one core; see -job-workers")
 	cfg := cliutil.Register(flag.CommandLine, cliutil.Defaults{})
 	flag.Parse()
 
@@ -190,8 +196,8 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (workers=%d timeout=%v)\n",
-		*addr, *cfg.Workers, *timeout)
+	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (job-workers=%d timeout=%v)\n",
+		*addr, srv.pool.Workers(), *timeout)
 
 	select {
 	case <-ctx.Done():

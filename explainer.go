@@ -23,7 +23,7 @@ import (
 //
 //	ex, err := affidavit.New(
 //	    affidavit.WithAlpha(0.3),
-//	    affidavit.WithWorkers(8),
+//	    affidavit.WithSeed(7),
 //	)
 //	res, err := ex.Explain(affidavit.ContextWithObserver(ctx, metrics), src, tgt)
 //
@@ -41,7 +41,7 @@ type Explainer struct {
 type Option func(*Explainer)
 
 // New builds an Explainer from the paper's default configuration (Hid
-// start, β = 2, ϱ = 5, α = 0.5, θ = 0.1, ρ = 0.95, sequential engine) with
+// start, β = 2, ϱ = 5, α = 0.5, θ = 0.1, ρ = 0.95) with
 // the given options applied, and validates the result eagerly — a
 // misconfigured Explainer fails here, not on its first explanation.
 func New(opts ...Option) (*Explainer, error) {
@@ -102,11 +102,11 @@ func WithSeed(seed int64) Option { return func(e *Explainer) { e.so.Seed = seed 
 // WithMaxExpansions caps search-state expansions; 0 = unlimited.
 func WithMaxExpansions(n int) Option { return func(e *Explainer) { e.so.MaxExpansions = n } }
 
-// WithWorkers bounds how many search probes run concurrently (0 or 1 =
-// sequential engine). For any fixed seed the parallel and sequential
-// engines return identical explanations. Workers > 1 also partitions the
-// end-state conversion's multiset matching, with byte-identical output.
-func WithWorkers(n int) Option { return func(e *Explainer) { e.so.Workers = n } }
+// WithWorkers does nothing: every search runs on one core, and
+// parallelism lives across runs (ExplainBatchContext, affidavitd's job
+// pool). It stays only for the frozen service benchmark (bench/probes.go),
+// which calls it.
+func WithWorkers(n int) Option { return func(*Explainer) {} }
 
 // WithWarmGuard arms the warm-start quality guard used by session warm
 // paths (ExplainNextContext, ExplainWarmContext): when the previous
@@ -133,7 +133,7 @@ func WithExtraMetas(metas ...Meta) Option {
 // expansion cap — plus the installed meta-function families, into a
 // 16-hex-character identity. Two Explainers with equal fingerprints
 // produce byte-identical explanations for identical inputs; byte-neutral
-// knobs (workers, warm-only guards) are deliberately excluded. affidavitd
+// knobs (warm-only guards) are deliberately excluded. affidavitd
 // folds the fingerprint into the job content address, so a configuration
 // change stops serving results computed under the old flags.
 func (e *Explainer) Fingerprint() string {

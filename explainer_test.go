@@ -64,7 +64,6 @@ func TestNewValidatesEagerly(t *testing.T) {
 		{"queue", affidavit.WithQueueWidth(0), "QueueWidth"},
 		{"theta", affidavit.WithTheta(1.5), "Theta"},
 		{"rho", affidavit.WithRho(-0.1), "Rho"},
-		{"workers", affidavit.WithWorkers(-1), "Workers"},
 		{"warmguard", affidavit.WithWarmGuard(-1), "WarmGuard"},
 	}
 	for _, c := range cases {

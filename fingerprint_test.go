@@ -36,10 +36,9 @@ func TestFingerprint(t *testing.T) {
 			t.Errorf("%s change did not move the fingerprint", name)
 		}
 	}
-	// Byte-neutral knobs must not: the parallel engine is pinned
-	// byte-identical to the sequential one.
+	// Byte-neutral knobs must not: the warm guard only acts on chain steps.
 	for name, fp := range map[string]string{
-		"workers": mk(WithSeed(31), WithWorkers(8)),
+		"warmguard": mk(WithSeed(31), WithWarmGuard(3)),
 	} {
 		if fp != base {
 			t.Errorf("byte-neutral knob %s moved the fingerprint", name)

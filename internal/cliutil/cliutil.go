@@ -14,7 +14,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // -pprof serves the default mux's profiling handlers
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -33,7 +32,6 @@ type Flags struct {
 	Conf     *float64
 	MaxBlock *int
 	Seed     *int64
-	Workers  *int
 	Progress *bool
 }
 
@@ -53,7 +51,6 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 		Conf:     fs.Float64("conf", 0.95, "sampling confidence ρ"),
 		MaxBlock: fs.Int("max-block", 100000, "overlap-matching block threshold (hs)"),
 		Seed:     fs.Int64("seed", d.Seed, "random seed (equal seeds give equal explanations)"),
-		Workers:  fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent search probes (1 = sequential engine)"),
 		Progress: fs.Bool("progress", false, "narrate pipeline progress (ingest, polls, phases) on stderr"),
 	}
 }
@@ -171,7 +168,6 @@ func (f *Flags) Options(extra ...affidavit.Option) ([]affidavit.Option, error) {
 		affidavit.WithRho(*f.Conf),
 		affidavit.WithMaxBlockSize(*f.MaxBlock),
 		affidavit.WithSeed(*f.Seed),
-		affidavit.WithWorkers(*f.Workers),
 	)
 	if *f.Beta > 0 {
 		opts = append(opts, affidavit.WithBeta(*f.Beta))
@@ -218,6 +214,5 @@ func (f *Flags) SearchOptions() (search.Options, error) {
 	so.Induce.Rho = *f.Conf
 	so.MaxBlockSize = *f.MaxBlock
 	so.Seed = *f.Seed
-	so.Workers = *f.Workers
 	return so, nil
 }

@@ -195,12 +195,8 @@ type Explanation struct {
 
 // BuildOptions configures BuildCtx.
 type BuildOptions struct {
-	// Workers bounds the goroutines of the conversion: with Workers > 1 the
-	// multiset matching is partitioned by key hash and up to this many
-	// partitions (and per-attribute memo constructions) run at a time. For
-	// any value the resulting explanation is byte-identical to the
-	// one-partition one — the greedy procedure resolves each key
-	// independently anyway.
+	// Workers does nothing: the conversion is single-threaded. It stays
+	// only for the frozen service benchmark (bench/probes.go), which sets it.
 	Workers int
 }
 
@@ -211,8 +207,7 @@ type BuildOptions struct {
 //
 // Matching runs on the interned columnar view: records are compared as
 // code tuples, and each function is applied at most once per distinct
-// source value of its attribute. Build is BuildCtx without cancellation or
-// workers.
+// source value of its attribute. Build is BuildCtx without cancellation.
 func Build(inst *Instance, funcs FuncTuple) (*Explanation, error) {
 	return BuildCtx(context.Background(), inst, funcs, BuildOptions{})
 }
@@ -229,11 +224,11 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 			len(funcs), inst.NumAttrs())
 	}
 	co := inst.Coded()
-	memos, err := buildMemos(ctx, co, funcs, opts.Workers)
+	memos, err := buildMemos(ctx, co, funcs)
 	if err != nil {
 		return nil, err
 	}
-	matchOf, err := match(ctx, inst, co, memos, opts.Workers)
+	matchOf, err := match(ctx, inst, co, memos)
 	if err != nil {
 		return nil, err
 	}
@@ -247,16 +242,15 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 // the output is no snapshot value (such an image can never match a target
 // record). Only codes present in this pair are filled — the rest are never
 // read — so pooled dictionaries holding other runs' values cost nothing
-// here. Identity attributes skip the memo entirely. Attributes are
-// independent, so workers > 1 fans them out.
-func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple, workers int) ([][]int32, error) {
+// here. Identity attributes skip the memo entirely.
+func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple) ([][]int32, error) {
 	memos := make([][]int32, len(funcs))
-	err := forEach(len(funcs), workers, func(a int) error {
+	for a := range funcs {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if metafunc.IsIdentity(funcs[a]) {
-			return nil
+			continue
 		}
 		dict := co.Dicts[a]
 		m := make([]int32, co.Base[a])
@@ -268,10 +262,6 @@ func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple, workers int) ([
 			}
 		}
 		memos[a] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return memos, ctx.Err()
 }
@@ -361,7 +351,7 @@ func (e *Explanation) Validate() error {
 	// missing from a dictionary cannot equal any target value. Each function
 	// is applied once per distinct source value instead of once per record.
 	co := e.Inst.Coded()
-	memos, err := buildMemos(context.Background(), co, e.Funcs, 1)
+	memos, err := buildMemos(context.Background(), co, e.Funcs)
 	if err != nil {
 		return err
 	}

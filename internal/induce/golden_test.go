@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"affidavit/internal/blocking"
@@ -25,19 +24,6 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // measurements, mixed census, string-heavy, sparse, and a 75-attribute
 // schema.
 var goldenDatasets = []string{"iris", "chess", "abalone", "adult", "ncvoter-1k", "horse", "flight-1k"}
-
-// concurrentRunner runs every task on its own goroutine.
-func concurrentRunner(n int, task func(int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			task(i)
-		}(i)
-	}
-	wg.Wait()
-}
 
 // goldenStates returns the two blocking results candidates are pinned at:
 // the root (one block holding everything) and the root refined by the
@@ -81,9 +67,8 @@ func goldenStates(t *testing.T, name string) (*gen.Problem, map[string]*blocking
 // TestCandidatesGolden compares this commit with its parent: every
 // attribute's full ranked candidate list (top = 0) as "Generated Overlap
 // Score Key", at the root blocking and at one refined state of each golden
-// dataset, must equal testdata/candidates_golden.json, inline and under a
-// concurrent Runner, so a speed change to induction, blocking or search
-// cannot move a ranking unnoticed. Regenerate with `go test -run
+// dataset, must equal testdata/candidates_golden.json, so a speed change to
+// induction, blocking or search cannot move a ranking unnoticed. Regenerate with `go test -run
 // TestCandidatesGolden -update ./internal/induce/` only after an
 // intentional behaviour change.
 func TestCandidatesGolden(t *testing.T) {
@@ -105,15 +90,7 @@ func TestCandidatesGolden(t *testing.T) {
 			r := states[state]
 			for attr := 0; attr < p.Inst.NumAttrs(); attr++ {
 				key := fmt.Sprintf("%s/%s/%03d", name, state, attr)
-				for _, runner := range []func(int, func(int)){nil, concurrentRunner} {
-					cfg := induce.Defaults
-					cfg.Runner = runner
-					list := describe(induce.Candidates(r, attr, p.Inst.Metas, cfg, 0, rand.New(rand.NewSource(int64(attr)+1))))
-					if prev, ok := got[key]; ok && !reflect.DeepEqual(prev, list) {
-						t.Errorf("%s: concurrent Runner ranks differently from the inline one", key)
-					}
-					got[key] = list
-				}
+				got[key] = describe(induce.Candidates(r, attr, p.Inst.Metas, induce.Defaults, 0, rand.New(rand.NewSource(int64(attr)+1))))
 			}
 		}
 	}

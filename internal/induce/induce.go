@@ -41,11 +41,6 @@ type Config struct {
 	// MaxSourceValuesPerBlock caps the distinct source values considered
 	// per sampled target when its block is still very coarse. Default 1000.
 	MaxSourceValuesPerBlock int
-	// Runner, when non-nil, runs n independent tasks (which may execute
-	// concurrently) and returns once all are done. It parallelises the
-	// induction and ranking stages; nil runs them inline. Tasks must be
-	// treated as order-independent.
-	Runner func(n int, task func(i int))
 }
 
 // Defaults is the paper's evaluation configuration.
@@ -75,20 +70,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxSourceValuesPerBlock > 0 {
 		d.MaxSourceValuesPerBlock = c.MaxSourceValuesPerBlock
 	}
-	d.Runner = c.Runner
 	return d
-}
-
-// runner returns the configured Runner or an inline fallback.
-func (c Config) runner() func(int, func(int)) {
-	if c.Runner != nil {
-		return c.Runner
-	}
-	return func(n int, task func(int)) {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-	}
 }
 
 // SampleSize returns the smallest k such that a Binomial(k, theta) variable
@@ -151,12 +133,11 @@ func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config,
 }
 
 // Inducer induces candidates with everything that is constant over a run
-// resolved once: the defaulted configuration, the Runner, and the two
-// sample sizes. It is safe for concurrent use.
+// resolved once: the defaulted configuration and the two sample sizes. It
+// is safe for concurrent use.
 type Inducer struct {
 	cfg       Config
 	metas     []metafunc.Meta
-	run       func(int, func(int))
 	k, kPrime int // SampleSize and CochranSize of cfg
 }
 
@@ -164,7 +145,7 @@ type Inducer struct {
 func New(metas []metafunc.Meta, cfg Config) *Inducer {
 	cfg = cfg.withDefaults()
 	return &Inducer{
-		cfg: cfg, metas: metas, run: cfg.runner(),
+		cfg: cfg, metas: metas,
 		k:      SampleSize(cfg.Theta, cfg.Rho, cfg.MinGenerated),
 		kPrime: CochranSize(cfg.Theta),
 	}
@@ -229,8 +210,8 @@ type (
 	}
 )
 
-// scratch is the pooled working set of one Candidates call. The serial
-// parts of the call write it; induction and ranking tasks only read it.
+// scratch is the pooled working set of one Candidates call. The layout
+// passes write it; induction and ranking tasks only read it.
 type scratch struct {
 	codes, blocks denseIDs
 	targets       []tref
@@ -248,7 +229,8 @@ func (sc *scratch) reset() {
 	sc.local, sc.pos, sc.runs, sc.spans = sc.local[:0], sc.pos[:0], sc.runs[:0], sc.spans[:0]
 }
 
-// workScratch is the pooled working set of one induction or ranking task.
+// workScratch is the pooled working set of the induction or ranking tasks
+// of one Candidates call; each task resets it.
 type workScratch struct {
 	key     []byte  // induction: the current function's key bytes
 	keys    keySet  // induction: the keys the task has seen
@@ -364,7 +346,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// counts n generations. Tasks and each block's distinct source codes are
 	// laid out serially in first-appearance order, so the capping shuffles
 	// draw from rng in a deterministic sequence; induction below is then
-	// rng-free and may run in parallel.
+	// rng-free.
 	sc.blocks.begin(len(mixed))
 	taskOf := make(map[[2]int32]int32, len(targets)) // (block, target value code) → task
 	srcVals, spans, tasks := sc.vals, sc.spans, sc.tasks
@@ -404,8 +386,8 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// table on this path. Metas are applied directly instead of through
 	// metafunc.InduceAll: no meta family emits duplicate keys on one
 	// example, so the per-task dedup subsumes InduceAll's per-example dedup.
-	in.run(len(tasks), func(i int) {
-		ws := workPool.Get().(*workScratch)
+	ws := workPool.Get().(*workScratch)
+	for i := range tasks {
 		ws.reset(0)
 		key := ws.key
 		t := &tasks[i]
@@ -421,8 +403,8 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			}
 		}
 		ws.key = key
-		workPool.Put(ws)
-	})
+	}
+	workPool.Put(ws)
 
 	// --- Stage 2: significance filter. ---
 	// At full sample size k the threshold is MinGenerated; with fewer
@@ -435,7 +417,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// hash, so that count only bounds a function's own from above: the few
 	// functions it lets through are then counted exactly, by key, in task
 	// order — the exemplar of a function is the one its first sampled
-	// target induced, independent of task scheduling.
+	// target induced.
 	total := 0
 	for i := range tasks {
 		total += len(tasks[i].funcs)
@@ -563,11 +545,9 @@ func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cand
 			sc.spans = append(sc.spans, sp)
 		}
 	}
-	// Candidates are scored independently (overlap sums are commutative over
-	// blocks), so the ranking stage parallelises per candidate.
 	runs, spans, local, ids := sc.runs, sc.spans, sc.local, &sc.codes
-	in.run(len(cands), func(i int) {
-		ws := workPool.Get().(*workScratch)
+	ws := workPool.Get().(*workScratch)
+	for i := range cands {
 		ws.reset(len(local))
 		f := cands[i].Func
 		overlap, touched := 0, ws.touched[:0]
@@ -599,8 +579,8 @@ func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cand
 			touched = touched[:0]
 		}
 		ws.touched = touched
-		workPool.Put(ws)
 		cands[i].Overlap = overlap
 		cands[i].Score = overlap - cands[i].params
-	})
+	}
+	workPool.Put(ws)
 }

@@ -73,6 +73,9 @@ func NewPool(st *Store, run Runner, opts PoolOptions) *Pool {
 	return &Pool{store: st, run: run, opts: opts, workers: opts.Workers}
 }
 
+// Workers returns the number of drain goroutines, defaults applied.
+func (p *Pool) Workers() int { return p.workers }
+
 // Start launches the workers under ctx.
 func (p *Pool) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancelCause(ctx)

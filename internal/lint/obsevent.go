@@ -5,16 +5,17 @@ import (
 	"go/types"
 )
 
-// ObsEvent enforces the PR 4/5 observer rule: pipeline events are emitted
-// from the polling goroutine only, so event streams stay byte-deterministic
-// for a fixed seed regardless of Workers. Concretely, a call to an
-// obs.Sink value (such as the sink obs.FromContext returns) or to an emit
-// helper must not appear inside code that escapes onto another goroutine:
+// ObsEvent enforces the observer rule: each run emits its pipeline events
+// from its own goroutine only, so its event stream stays byte-deterministic
+// for a fixed seed however runs fan out. Concretely, a call to an obs.Sink
+// value (such as the sink obs.FromContext returns) or to an emit helper
+// must not appear inside code that escapes onto another goroutine:
 //
 //   - any function literal launched by a `go` statement (or nested in one);
-//   - any function literal passed directly as a call argument (worker
-//     pools like engine.runAll execute those on pool goroutines) — except
-//     arguments to the synchronous sort/slices helpers.
+//   - any function literal passed directly as a call argument (fan-outs
+//     like Session.ExplainBatchContext's per-pair goroutines, eval's seed
+//     pool and jobs.Pool run such callbacks on their own goroutines) —
+//     except arguments to the synchronous sort/slices helpers.
 //
 // Emission from a literal that is first assigned to a variable and invoked
 // locally (the finish-closure idiom) stays allowed. Genuinely synchronous

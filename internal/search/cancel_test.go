@@ -69,36 +69,41 @@ func TestCancelledBeforeRun(t *testing.T) {
 
 // TestCancelMidRunPrompt: cancelling after poll k stops the search within
 // one further poll iteration — the run never reaches poll k+2 — and still
-// returns a valid best-so-far explanation.
+// returns a valid best-so-far explanation, the same one on every repeat.
 func TestCancelMidRunPrompt(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		inst := cancelInstance(t)
+	inst := cancelInstance(t)
+	var first *search.Result
+	for run := 0; run < 3; run++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		const after = 2
 		opts := search.DefaultOptions()
 		opts.Seed = 23
-		opts.Workers = workers
 		res, err := search.Run(cancelAtPoll(ctx, cancel, after), inst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Stats.Cancelled {
-			t.Fatalf("workers=%d: Stats.Cancelled not set", workers)
+			t.Fatalf("run %d: Stats.Cancelled not set", run)
 		}
 		if res.Stats.Polls > after+1 {
-			t.Errorf("workers=%d: %d polls after cancelling at poll %d — not bounded by one poll",
-				workers, res.Stats.Polls, after)
+			t.Errorf("run %d: %d polls after cancelling at poll %d — not bounded by one poll",
+				run, res.Stats.Polls, after)
 		}
 		if err := res.Explanation.Validate(); err != nil {
-			t.Fatalf("workers=%d: salvaged explanation invalid: %v", workers, err)
+			t.Fatalf("run %d: salvaged explanation invalid: %v", run, err)
 		}
 		// The salvage path finalises the cheapest polled state, so the
 		// function tuple must be complete.
 		for a, f := range res.Explanation.Funcs {
 			if f == nil {
-				t.Fatalf("workers=%d: attribute %d undecided in salvaged tuple", workers, a)
+				t.Fatalf("run %d: attribute %d undecided in salvaged tuple", run, a)
 			}
+		}
+		if first == nil {
+			first = res
+		} else {
+			assertSameResult(t, first, res)
 		}
 	}
 }
@@ -148,8 +153,7 @@ func TestExpiredDeadline(t *testing.T) {
 // TestUncancelledContextByteIdentical asserts the refactor's no-regression
 // guarantee across every registry dataset: a run under a live (never
 // cancelled) context — plain Background, cancellable, or under a generous
-// deadline — is byte-identical to every other, sequential and parallel
-// alike, and reports Cancelled=false.
+// deadline — is byte-identical to every other and reports Cancelled=false.
 func TestUncancelledContextByteIdentical(t *testing.T) {
 	for _, spec := range datasets.All() {
 		spec := spec
@@ -178,17 +182,11 @@ func TestUncancelledContextByteIdentical(t *testing.T) {
 			defer cancel()
 			dctx, dcancel := context.WithTimeout(context.Background(), time.Hour)
 			defer dcancel()
-			par := opts
-			par.Workers = 8
-			for name, run := range map[string]struct {
-				ctx  context.Context
-				opts search.Options
-			}{
-				"cancellable": {cctx, opts},
-				"deadline":    {dctx, opts},
-				"parallel":    {dctx, par},
+			for name, ctx := range map[string]context.Context{
+				"cancellable": cctx,
+				"deadline":    dctx,
 			} {
-				got, err := search.Run(run.ctx, p.Inst, run.opts)
+				got, err := search.Run(ctx, p.Inst, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

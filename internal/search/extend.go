@@ -3,8 +3,6 @@ package search
 import (
 	"context"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"affidavit/internal/align"
 	"affidavit/internal/delta"
@@ -27,9 +25,7 @@ import (
 //
 // Probes within one wave are independent: each draws from its own rng
 // (derived deterministically from the seed, the poll index and the
-// attribute) and is evaluated on the worker pool, then merged in attribute
-// order. The sequential and parallel engines therefore walk identical
-// search trees for equal seeds.
+// attribute), and their results merge in attribute order.
 func (e *engine) extensions(h *State) []*State {
 	ordered := h.undecided()
 	if len(ordered) == 0 {
@@ -50,13 +46,8 @@ func (e *engine) extensions(h *State) []*State {
 			// on its next iteration and salvages the best polled state.
 			return nil
 		}
-		probes := make([]probeResult, len(queue))
-		e.runAll(len(queue), func(i int) {
-			probes[i] = e.probe(h, queue[i], r)
-		})
-		for _, pr := range probes {
-			e.stats.StatesGenerated += pr.generated
-			ext = append(ext, pr.kept...)
+		for _, attr := range queue {
+			ext = e.probe(ext, h, attr, r)
 		}
 		queue = queue[:0]
 		if len(ext) == 0 && next < len(ordered) {
@@ -74,45 +65,32 @@ func (e *engine) extensions(h *State) []*State {
 	return ext
 }
 
-// probeResult is one attribute probe's outcome, merged deterministically by
-// the caller.
-type probeResult struct {
-	kept      []*State // induced extensions cheaper than the greedy-map probe Hд
-	generated int      // candidate states costed
-}
-
 // probe compares the β best induced candidates for one attribute against
-// the greedy-map probe. It is safe to run concurrently with other probes of
-// the same parent state. Each probe — i.e. each worker task — checks the
-// run's context on entry and returns an empty result once cancelled; the
-// blocking refinements it triggers observe the context as well.
-func (e *engine) probe(h *State, attr int, r []align.Pair) probeResult {
+// the greedy-map probe Hд and appends those cheaper than Hд to ext, in rank
+// order. Each probe checks the run's context on entry and adds nothing once
+// cancelled; the blocking refinements it triggers observe the context as
+// well.
+func (e *engine) probe(ext []*State, h *State, attr int, r []align.Pair) []*State {
 	if e.done() {
-		return probeResult{}
+		return ext
 	}
 	g := align.GreedyMap(h.inst, r, attr)
 	hg := h.extend(attr, g, e.cm)
 	cands := e.ind.Candidates(h.blocks, attr, e.opts.Beta, e.probeRng(attr))
-	pr := probeResult{generated: len(cands)}
-	// The candidate refinements are independent of each other; evaluate
-	// them on the pool too, then keep survivors in rank order.
-	children := make([]*State, len(cands))
-	e.runAll(len(cands), func(i int) {
-		children[i] = h.extend(attr, cands[i].Func, e.cm)
-	})
-	for _, hf := range children {
-		if hf.cost < hg.cost {
-			pr.kept = append(pr.kept, hf)
+	e.stats.StatesGenerated += len(cands)
+	for _, c := range cands {
+		if hf := h.extend(attr, c.Func, e.cm); hf.cost < hg.cost {
+			ext = append(ext, hf)
 		}
 	}
-	return pr
+	return ext
 }
 
 // probeRng derives the deterministic rng for one probe of the current
-// expansion. Keyed by (Seed, poll index, attribute), so probes are
-// independent of evaluation order — the root of seq/parallel equivalence.
-// The source is a splitmix64 stream: seeding is a single addition, unlike
-// the ~2.5 KB state initialisation of the default math/rand source.
+// expansion. Keyed by (Seed, poll index, attribute), so a probe's draws do
+// not depend on which probes ran before it in the wave. The source is a
+// splitmix64 stream: seeding is a single addition, unlike the ~2.5 KB
+// state initialisation of the default math/rand source.
 func (e *engine) probeRng(attr int) *rand.Rand {
 	z := uint64(e.opts.Seed) ^ 0x9e3779b97f4a7c15*uint64(e.stats.Polls+1) ^
 		0xbf58476d1ce4e5b9*uint64(attr+1)
@@ -137,8 +115,8 @@ func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 
 // finalize resolves all remaining ⊡ attributes of h with greedy value
 // mappings, most determined attribute first, re-sampling the random
-// alignment after each assignment (Section 4.3). It always runs on the
-// polling goroutine and draws from the engine's main rng.
+// alignment after each assignment (Section 4.3). It draws from the
+// engine's main rng.
 func (e *engine) finalize(h *State) *State {
 	cur := h
 	for !cur.IsEnd() {
@@ -152,9 +130,8 @@ func (e *engine) finalize(h *State) *State {
 }
 
 // engine bundles the per-run mutable pieces so the package-level API stays
-// stateless. rng and stats are only ever touched from the polling
-// goroutine; probes use derived rngs and report their work via
-// probeResult.
+// stateless. A run is single-threaded; probes draw from derived rngs, not
+// from rng.
 type engine struct {
 	ctx   context.Context
 	sink  obs.Sink // the run's event sink, from ctx; nil = unobserved
@@ -162,79 +139,17 @@ type engine struct {
 	cm    delta.CostModel
 	rng   *rand.Rand
 	stats *Stats
-	sem   chan struct{} // worker-pool slots; nil = sequential engine
 
 	// ind induces the run's function candidates: opts.Induce with its sample
-	// sizes resolved once and runAll as the Runner.
+	// sizes resolved once.
 	ind *induce.Inducer
 
-	// alignSc is the run's reusable alignment-sampling scratch. Touched only
-	// from the polling goroutine (extensions and finalize); each returned
-	// alignment is consumed by one probe wave before the next sample.
+	// alignSc is the run's reusable alignment-sampling scratch (extensions
+	// and finalize); each returned alignment is consumed by one probe wave
+	// before the next sample.
 	alignSc align.Scratch
 }
 
 // done reports whether the run's context was cancelled. Checked once per
 // poll, on every probe entry, and by every blocking refinement.
 func (e *engine) done() bool { return e.ctx.Err() != nil }
-
-// runAll runs n independent tasks, evaluating up to Workers of them
-// concurrently. The calling goroutine participates: when every pool slot is
-// busy the whole batch runs inline, which also makes nested runAll calls
-// (probe → candidate refinements → induction) deadlock-free. Tasks must
-// write their results by index; runAll returns when all tasks finished.
-//
-// Dispatch is batched: the free pool slots are claimed once per call and
-// each claimed helper pulls task indices from a shared atomic counter, so
-// the semaphore handoff costs at most Workers−1 channel operations per
-// batch instead of one per task.
-func (e *engine) runAll(n int, task func(int)) {
-	if e.sem == nil || n <= 1 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
-	helpers := 0
-claim:
-	for helpers < n-1 {
-		select {
-		case e.sem <- struct{}{}:
-			helpers++
-		default:
-			break claim
-		}
-	}
-	if helpers == 0 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for h := 0; h < helpers; h++ {
-		go func() {
-			defer func() {
-				<-e.sem
-				wg.Done()
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		task(i)
-	}
-	wg.Wait()
-}

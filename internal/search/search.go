@@ -70,12 +70,9 @@ type Options struct {
 	// MaxExpansions caps polled states as a safety valve. Must be ≥ 0;
 	// 0 means unlimited.
 	MaxExpansions int
-	// Workers bounds how many extension probes the engine evaluates
-	// concurrently (and the partitions of the end-state conversion). Must be ≥ 0; 0 and 1 both mean the
-	// sequential engine. For any fixed Seed the parallel and sequential
-	// engines return identical Results (same explanation, cost and stats) —
-	// probes draw from per-probe deterministic rngs and are merged in
-	// deterministic order.
+	// Workers does nothing: a run is single-threaded, and parallelism lives
+	// across runs (the job pool, ExplainBatchContext). It stays only for the
+	// frozen service benchmark (bench/probes.go), which sets it.
 	Workers int
 	// WarmStart, when non-nil, switches Run into incremental mode — the
 	// warm-start API for snapshot chains: when diffing snapshot n against
@@ -98,8 +95,7 @@ type Options struct {
 	// re-optimises from the warm states and always returns a valid
 	// explanation, but it may differ from a cold run's. Callers wanting
 	// cold-search guarantees leave WarmStart nil. Fixed seeds remain fully
-	// deterministic, and the parallel engine remains equivalent to the
-	// sequential one.
+	// deterministic.
 	WarmStart []metafunc.Func
 	// WarmGuard, when > 0, arms the warm-start quality guard: before the
 	// warm states are admitted, the full warm state's re-validated cost is
@@ -157,9 +153,6 @@ func (o Options) Validate() error {
 	}
 	if o.MaxExpansions < 0 {
 		return fmt.Errorf("search: MaxExpansions must be ≥ 0, got %d", o.MaxExpansions)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("search: Workers must be ≥ 0, got %d", o.Workers)
 	}
 	if o.WarmGuard < 0 {
 		return fmt.Errorf("search: WarmGuard must be ≥ 0, got %v", o.WarmGuard)
@@ -222,9 +215,9 @@ type Result struct {
 // Pipeline events go to the sink ctx carries (obs.ContextWithSink), read
 // once per run: one search-start event (cold/warm/escalated, start level),
 // one poll event per queue extraction, finalisation and conversion phase
-// markers, and one done event with the final tallies. They fire from the
-// polling goroutine in deterministic order for a fixed seed, regardless of
-// Workers; without a sink each emission point costs one branch.
+// markers, and one done event with the final tallies. They fire in
+// deterministic order for a fixed seed; without a sink each emission point
+// costs one branch.
 func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -248,14 +241,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 		stats: &Stats{},
 	}
-	if opts.Workers > 1 {
-		// The polling goroutine participates in probe evaluation, so the
-		// semaphore holds Workers−1 extra slots.
-		e.sem = make(chan struct{}, opts.Workers-1)
-	}
-	icfg := opts.Induce
-	icfg.Runner = e.runAll
-	e.ind = induce.New(inst.Metas, icfg)
+	e.ind = induce.New(inst.Metas, opts.Induce)
 	finish := func(expl *delta.Explanation) (*Result, error) {
 		if err := expl.Validate(); err != nil {
 			return nil, fmt.Errorf("search: produced invalid explanation: %w", err)
@@ -367,7 +353,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			bctx = context.WithoutCancel(ctx)
 		}
 		var err error
-		expl, err = delta.BuildCtx(bctx, inst, tuple, delta.BuildOptions{Workers: opts.Workers})
+		expl, err = delta.BuildCtx(bctx, inst, tuple, delta.BuildOptions{})
 		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// The deadline fired inside the conversion itself. The run has
 			// already found its end state — the same tuple a slightly
@@ -376,8 +362,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			// rather than downgrading a complete search to the trivial
 			// explanation.
 			e.stats.Cancelled = true
-			expl, err = delta.BuildCtx(context.WithoutCancel(ctx), inst, tuple,
-				delta.BuildOptions{Workers: opts.Workers})
+			expl, err = delta.BuildCtx(context.WithoutCancel(ctx), inst, tuple, delta.BuildOptions{})
 		}
 		if err != nil {
 			return nil, fmt.Errorf("search: converting end state: %w", err)
@@ -394,8 +379,8 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 	return finish(expl)
 }
 
-// emit forwards an event to the run's sink. Called only from the polling
-// goroutine, so event order is deterministic for fixed seeds.
+// emit forwards an event to the run's sink, in deterministic order for
+// fixed seeds.
 func (e *engine) emit(ev obs.Event) {
 	if e.sink != nil {
 		e.sink(ev)
@@ -458,12 +443,11 @@ func (e *engine) startStates(inst *delta.Instance, root *State) []*State {
 	case StartEmpty:
 		return []*State{root}
 	case StartID:
-		// The d identity refinements are independent; evaluate them on the
-		// worker pool and keep attribute order for determinism.
+		// One identity refinement per attribute, in attribute order.
 		states := make([]*State, inst.NumAttrs())
-		e.runAll(len(states), func(a int) {
+		for a := range states {
 			states[a] = root.extend(a, metafunc.Identity{}, e.cm)
-		})
+		}
 		return states
 	case StartOverlap:
 		ov := align.ComputeOverlap(inst, e.opts.MaxBlockSize)

@@ -139,10 +139,9 @@ func (s *State) Cost() float64 { return s.cost }
 func (s *State) Level() int { return s.level }
 
 // Key returns the canonical assignment key, rendering it on first use.
-// The search keys a state when it is first offered to the queue, on the
-// polling goroutine, so a probe that is only costed and compared — the
-// greedy-map probe Hд — never renders one. Key is not safe for concurrent
-// use on one state; the engine calls it only from the polling goroutine.
+// The search keys a state when it is first offered to the queue, so a
+// probe that is only costed and compared — the greedy-map probe Hд — never
+// renders one. Key is not safe for concurrent use on one state.
 func (s *State) Key() string {
 	if s.key == "" && s.level > 0 {
 		s.key = stateKey(s.funcs)

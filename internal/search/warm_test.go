@@ -96,30 +96,6 @@ func TestWarmStartDeterministic(t *testing.T) {
 	}
 }
 
-// TestWarmStartParallelEquivalence: the worker-pool engine returns
-// byte-identical results for warm runs too — including the permuted-keys
-// case whose warm tuple carries a stale Mapping, exercising both warm
-// start states.
-func TestWarmStartParallelEquivalence(t *testing.T) {
-	for _, permute := range []bool{false, true} {
-		inst, funcs := warmInstance(t, permute)
-		seq := search.DefaultOptions()
-		seq.Seed = 17
-		seq.WarmStart = funcs
-		par := seq
-		par.Workers = 8
-		a, err := search.Run(context.Background(), inst, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := search.Run(context.Background(), inst, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, a, b)
-	}
-}
-
 // trivialRatioOf is a run's cost over its pair's trivial-explanation cost —
 // what a session feeds the next run as WarmPrevRatio.
 func trivialRatioOf(res *search.Result, inst *delta.Instance, alpha float64) float64 {

@@ -40,7 +40,7 @@ func explanationBytes(t *testing.T, res *affidavit.Result) []byte {
 // TestSpillEquivalence pins the two stubs the frozen service benchmark
 // still calls: on every registry dataset, a tiny WithMemBudget leaves the
 // explanation bytes equal to the unbudgeted run's, and Stats.SpilledBytes
-// is 0 either way — for the sequential and the parallel engine.
+// is 0 either way.
 func TestSpillEquivalence(t *testing.T) {
 	for _, spec := range datasets.All() {
 		spec := spec
@@ -54,36 +54,29 @@ func TestSpillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4} {
-				plain, err := affidavit.New(affidavit.WithSeed(3), affidavit.WithWorkers(workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				budgeted, err := affidavit.New(
-					affidavit.WithSeed(3),
-					affidavit.WithWorkers(workers),
-					affidavit.WithMemBudget(8<<10),
-				)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := plain.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := budgeted.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Stats.SpilledBytes != 0 || got.Stats.SpilledBytes != 0 {
-					t.Fatalf("workers=%d: SpilledBytes %d unbudgeted, %d budgeted; want 0 and 0",
-						workers, want.Stats.SpilledBytes, got.Stats.SpilledBytes)
-				}
-				wb, gb := explanationBytes(t, want), explanationBytes(t, got)
-				if string(wb) != string(gb) {
-					t.Errorf("workers=%d: budgeted explanation differs from unbudgeted one\nwant %s\ngot  %s",
-						workers, wb, gb)
-				}
+			plain, err := affidavit.New(affidavit.WithSeed(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			budgeted, err := affidavit.New(affidavit.WithSeed(3), affidavit.WithMemBudget(8<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := budgeted.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Stats.SpilledBytes != 0 || got.Stats.SpilledBytes != 0 {
+				t.Fatalf("SpilledBytes %d unbudgeted, %d budgeted; want 0 and 0",
+					want.Stats.SpilledBytes, got.Stats.SpilledBytes)
+			}
+			wb, gb := explanationBytes(t, want), explanationBytes(t, got)
+			if string(wb) != string(gb) {
+				t.Errorf("budgeted explanation differs from unbudgeted one\nwant %s\ngot  %s", wb, gb)
 			}
 		})
 	}

@@ -41,8 +41,7 @@ const (
 // Observer receives the pipeline events of every ingest and explanation
 // that runs under a context it was attached to (ContextWithObserver).
 // Within one run, events arrive from a single goroutine in deterministic
-// order for a fixed seed — the parallel engine reports exactly like the
-// sequential one. Concurrent runs interleave their streams, so observers
+// order for a fixed seed. Concurrent runs interleave their streams, so observers
 // shared across goroutines (servers, batches) must be safe for concurrent
 // use. Implementations must be cheap: the search calls them synchronously
 // from its poll loop.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -90,13 +91,12 @@ func (e *Explainer) Session(initial *Table) *Session {
 
 // run executes one search over the pair interned into the session pool,
 // warm-seeded when warm was learned on the source's schema.
-func (s *Session) run(ctx context.Context, source, target *Table, warm warmSeed, workers int) (*Result, error) {
+func (s *Session) run(ctx context.Context, source, target *Table, warm warmSeed) (*Result, error) {
 	inst, err := delta.NewInstanceWithDicts(source, target, s.ex.metas, s.pool.DictsFor(source.Schema()))
 	if err != nil {
 		return nil, err
 	}
 	so := s.ex.so
-	so.Workers = workers
 	if warm.funcs != nil && warm.schema.Equal(source.Schema()) {
 		so.WarmStart = warm.funcs
 		so.WarmPrevRatio = warm.ratio
@@ -120,7 +120,7 @@ func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result,
 	if s.head == nil {
 		return nil, errors.New("affidavit: no chain baseline (create the session with an initial snapshot)")
 	}
-	res, err := s.run(ctx, s.head, next, s.warm, s.ex.so.Workers)
+	res, err := s.run(ctx, s.head, next, s.warm)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +136,7 @@ func (s *Session) ExplainNextContext(ctx context.Context, next *Table) (*Result,
 // dictionary pool without touching the chain state. Safe to call
 // concurrently; the result is independent of what the pool already holds.
 func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table) (*Result, error) {
-	res, err := s.run(ctx, source, target, warmSeed{}, s.ex.so.Workers)
+	res, err := s.run(ctx, source, target, warmSeed{})
 	if err != nil {
 		return nil, err
 	}
@@ -145,22 +145,16 @@ func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table)
 }
 
 // ExplainBatchContext explains every pair over the shared dictionary pool,
-// fanning out across the Explainer's configured Workers (at most one
-// goroutine per pair; Workers ≤ 1 runs sequentially). When fanning out,
-// each search runs on the sequential engine so the batch owns the cores.
-// Pairs may have different schemas; attributes sharing a name share a
-// dictionary. Results arrive in input order and equal per-pair cold runs.
+// up to GOMAXPROCS pairs at a time, each on its own goroutine and each
+// search single-threaded. Pairs may have different schemas; attributes
+// sharing a name share a dictionary. Results arrive in input order and equal per-pair cold runs.
 // Failed pairs leave nil entries; the returned error joins every failure.
 // Cancelling ctx interrupts every in-flight pair, each returning its
 // best-so-far result with Stats.Cancelled set. Observers on ctx see every
 // pair's event stream, interleaved when the batch fans out — attach a
 // TraceRecorder per run, not per batch.
 func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Result, error) {
-	workers := min(max(s.ex.so.Workers, 1), len(pairs))
-	inner := s.ex.so.Workers
-	if workers > 1 {
-		inner = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(pairs))
 	results := make([]*Result, len(pairs))
 	errs := make([]error, len(pairs))
 	sem := make(chan struct{}, workers)
@@ -173,7 +167,7 @@ func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Res
 				<-sem
 				wg.Done()
 			}()
-			res, err := s.run(ctx, p.Source, p.Target, warmSeed{}, inner)
+			res, err := s.run(ctx, p.Source, p.Target, warmSeed{})
 			if err != nil {
 				errs[i] = fmt.Errorf("affidavit: pair %d: %w", i, err)
 				return

@@ -217,10 +217,10 @@ func TestSessionExplainPairMatchesCold(t *testing.T) {
 }
 
 // TestSessionExplainBatchConcurrent runs a mixed-schema batch on a shared
-// pool across many goroutines (the race detector covers the concurrent
-// interning) and checks results equal per-pair cold runs, in input order.
+// pool across one goroutine per core (the race detector covers the
+// concurrent interning) and checks results equal per-pair cold runs, in input order.
 func TestSessionExplainBatchConcurrent(t *testing.T) {
-	ex := explainer31(t, WithWorkers(8))
+	ex := explainer31(t)
 	var pairs []Pair
 	var want []*Result
 	for _, name := range []string{"iris", "bridges", "echo"} {
@@ -262,7 +262,7 @@ func TestSessionExplainBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := explainer31(t, WithWorkers(2)).Session(nil)
+	s := explainer31(t).Session(nil)
 	results, err := s.ExplainBatchContext(context.Background(), []Pair{
 		{Source: ch.Snapshots[0], Target: ch.Snapshots[1]},
 		{Source: ch.Snapshots[0], Target: odd},
@@ -293,7 +293,7 @@ func TestSessionExplainNextNeedsBaseline(t *testing.T) {
 // and the session state.
 func TestSessionConcurrentMixedUse(t *testing.T) {
 	ch := chain31(t, "iris", 2, false)
-	s := explainer31(t, WithWorkers(2)).Session(ch.Snapshots[0])
+	s := explainer31(t).Session(ch.Snapshots[0])
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

@@ -91,7 +91,7 @@ func TestSessionChain(t *testing.T) {
 // TestSessionExplainBatch: the public batch API equals per-pair cold runs.
 func TestSessionExplainBatch(t *testing.T) {
 	ch := sessionChain(t, "echo", 2)
-	ex := newExplainer(t, affidavit.WithSeed(31), affidavit.WithWorkers(4))
+	ex := newExplainer(t, affidavit.WithSeed(31))
 	ctx := context.Background()
 	s := ex.Session(nil)
 	pairs := []affidavit.Pair{
