@@ -84,8 +84,8 @@ func BenchmarkFigure3Blocking(b *testing.B) {
 			Refine(fixture.Type, metafunc.Identity{}).
 			Refine(fixture.Unit, metafunc.Constant{C: "k $"}).
 			Refine(fixture.Org, metafunc.Identity{})
-		if r.NumBlocks() == 0 {
-			b.Fatal("no blocks")
+		if len(r.MixedBlocks()) == 0 {
+			b.Fatal("no mixed blocks")
 		}
 	}
 }

@@ -10,12 +10,15 @@
 // are keyed by dense value-code tuples, and each attribute function is
 // evaluated at most once per distinct value of its attribute for the whole
 // refinement tree (the apply memo is shared across all Results derived from
-// one New call, and is safe for concurrent Refines).
+// one New call). A Result keeps only its mixed blocks — the only ones any
+// caller reads, since a pure block only ever splits into pure blocks — and
+// the record counts of the pure ones. One run, one goroutine: a refinement
+// tree and its scratch belong to the search run that built it, and no two
+// goroutines ever touch one tree.
 package blocking
 
 import (
 	"context"
-	"sync"
 
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
@@ -39,12 +42,14 @@ func (b *Block) Mixed() bool { return len(b.Src) > 0 && len(b.Tgt) > 0 }
 // every raw input code of that attribute. It is immutable once built.
 type applyMemo []int32
 
-// applyCache shares applyMemos across every Result of one refinement tree:
-// refining different sibling or cousin states with the same (attr, func)
-// reuses the memo instead of re-applying the function value by value.
+// applyCache is what every Result of one refinement tree shares: the
+// applyMemos, so refining different sibling or cousin states with the same
+// (attr, func) reuses the memo instead of re-applying the function value by
+// value, and the tree's split scratch. The tree belongs to one run on one
+// goroutine, so neither needs a lock.
 type applyCache struct {
-	mu    sync.Mutex
 	memos map[applyKey]applyMemo
+	sc    splitScratch
 }
 
 type applyKey struct {
@@ -66,21 +71,11 @@ func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) applyMemo 
 		return buildMemo(co, attr, f)
 	}
 	key := applyKey{attr: attr, fn: f.Key()}
-	c.mu.Lock()
 	m, ok := c.memos[key]
-	c.mu.Unlock()
-	if ok {
-		return m
+	if !ok {
+		m = buildMemo(co, attr, f)
+		c.memos[key] = m
 	}
-	built := buildMemo(co, attr, f)
-	// Two goroutines may build concurrently; both results are identical
-	// mappings (interning is idempotent), so either may win.
-	c.mu.Lock()
-	if m, ok = c.memos[key]; !ok {
-		c.memos[key] = built
-		m = built
-	}
-	c.mu.Unlock()
 	return m
 }
 
@@ -145,32 +140,28 @@ func stringMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
 	return built
 }
 
-// Result is Φ_H plus the record→block maps needed for refinement and for
-// locating the block of a sampled record.
+// Result is Φ_H as its readers see it: the mixed blocks in order, the
+// record counts of the pure (source-only and target-only) blocks, and the
+// surpluses that cost a search state.
 //
 // Results are refined lazily: Refine runs only a counting pass — enough to
-// compute the surpluses that cost a search state — and defers building the
-// block lists and record→block maps until an accessor actually needs them
-// (force). The search discards the vast majority of candidate refinements
-// on cost alone, so most Results never materialise.
+// compute the surpluses — and defers splitting the blocks until an
+// accessor needs them (force). The search discards the vast majority of
+// candidate refinements on cost alone, so most Results never materialise.
 type Result struct {
 	inst         *delta.Instance
 	coded        *delta.Coded
 	cache        *applyCache
-	blocks       []*Block
-	srcBlockOf   []int32
-	tgtBlockOf   []int32
-	mixed        []*Block        // blocks with records on both sides (cached)
+	lv           level           // the blocks with records on both sides, in block order
+	mixed        []*Block        // lv's blocks
 	tSur, sSur   int             // c_t(H), c_s(H), computed at Refine time
 	pureS, pureT int             // records in source-only / target-only blocks
 	ctx          context.Context // nil = never cancelled
-	lazy         *lazyRefine     // pending materialisation; nil once forced
+	lazy         *lazyRefine     // pending split; nil once forced
 }
 
-// lazyRefine holds a deferred refinement. It lives behind a pointer so
-// Result copies (WithContext) share the once.
+// lazyRefine is a deferred refinement: the parent to split and how.
 type lazyRefine struct {
-	once   sync.Once
 	parent *Result
 	attr   int
 	fn     metafunc.Func
@@ -179,49 +170,46 @@ type lazyRefine struct {
 // New returns the blocking result of the all-undecided state: a single
 // block holding every record.
 func New(inst *delta.Instance) *Result {
-	b := &Block{}
-	b.Src = make([]int32, inst.Source.Len())
-	for i := range b.Src {
-		b.Src[i] = int32(i)
-	}
-	b.Tgt = make([]int32, inst.Target.Len())
-	for i := range b.Tgt {
-		b.Tgt[i] = int32(i)
-	}
 	r := &Result{
-		inst:       inst,
-		coded:      inst.Coded(),
-		cache:      &applyCache{memos: make(map[applyKey]applyMemo)},
-		blocks:     []*Block{b},
-		srcBlockOf: make([]int32, inst.Source.Len()),
-		tgtBlockOf: make([]int32, inst.Target.Len()),
+		inst:  inst,
+		coded: inst.Coded(),
+		cache: &applyCache{memos: make(map[applyKey]applyMemo)},
 	}
-	if d := len(b.Tgt) - len(b.Src); d > 0 {
-		r.tSur = d
+	nS, nT := inst.Source.Len(), inst.Target.Len()
+	if nS > 0 && nT > 0 {
+		lv := level{src: make([]int32, nS), tgt: make([]int32, nT), srcEnd: []int32{int32(nS)}, tgtEnd: []int32{int32(nT)}}
+		for i := range lv.src {
+			lv.src[i] = int32(i)
+		}
+		for i := range lv.tgt {
+			lv.tgt[i] = int32(i)
+		}
+		r.setLevel(lv)
 	} else {
-		r.sSur = -d
+		r.pureS, r.pureT = nS, nT
 	}
-	if b.Mixed() {
-		r.mixed = r.blocks
-	} else {
-		r.pureS, r.pureT = len(b.Src), len(b.Tgt)
-	}
+	r.tSur, r.sSur = r.surpluses()
 	return r
 }
 
-// WithWorkers returns its receiver: refinement is single-threaded (the
-// partitioned grouper was slower than this one inside the daemon). The
-// method remains only because the frozen bench/probes.go calls it for
-// blocking.refine_w2_ms; the next benchmark PR removes both.
+// setLevel makes lv the result's mixed blocks.
+func (r *Result) setLevel(lv level) {
+	r.lv, r.mixed = lv, lv.blocks()
+}
+
+// WithWorkers returns its receiver. It is a shim: refinement is
+// single-threaded, and the method remains only because the frozen
+// bench/probes.go calls it for blocking.refine_w2_ms; the next benchmark
+// PR removes both.
 func (r *Result) WithWorkers(int) *Result { return r }
 
 // WithContext returns a result whose refinements — and those of every
 // result derived from it — observe ctx: Refine called after ctx is
 // cancelled returns the receiver unchanged instead of splitting blocks, so
-// a cancelled search never pays for another O(|S|+|T|) grouping pass.
-// Callers above the search layer discard states refined under a cancelled
-// context, so the stale blocking is never acted on. A nil ctx returns the
-// receiver unchanged.
+// a cancelled search never pays for another grouping pass. Callers above
+// the search layer discard states refined under a cancelled context, so
+// the stale blocking is never acted on. A nil ctx returns the receiver
+// unchanged.
 func (r *Result) WithContext(ctx context.Context) *Result {
 	if ctx == nil {
 		return r
@@ -235,13 +223,11 @@ func (r *Result) WithContext(ctx context.Context) *Result {
 // Refine returns the blocking result after additionally deciding attribute
 // attr with function f: each block splits by f(source value) on the source
 // side and the raw value on the target side. The receiver is unchanged.
-// Refine is safe to call concurrently on the same receiver; the resulting
-// blocks are ordered deterministically (parent-block order, then first
-// appearance in record order).
+// The resulting blocks are ordered deterministically: parent-block order,
+// then first appearance in record order, sources before targets.
 //
 // The returned result is lazy: only the counting pass has run (enough for
-// TargetSurplus and SourceSurplus), and the block lists materialise on
-// first access.
+// TargetSurplus and SourceSurplus), and the blocks split on first access.
 func (r *Result) Refine(attr int, f metafunc.Func) *Result {
 	if r.cancelled() {
 		// Cancelled: skip the grouping pass entirely. The receiver is a
@@ -265,12 +251,13 @@ func (r *Result) Refine(attr int, f metafunc.Func) *Result {
 // or target-only block splits only into blocks of its own side, so it adds
 // exactly its size to the surplus whatever f is: the pure counts enter as
 // constants and only the mixed parent blocks are walked, adding the
-// surplus of each split code. It allocates nothing beyond pooled scratch.
+// surplus of each split code. It allocates nothing beyond the tree's
+// scratch.
 func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 	memo := r.cache.memo(r.coded, attr, f)
 	srcCodes, tgtCodes := r.coded.Src[attr], r.coded.Tgt[attr]
 	tSur, sSur = r.pureT, r.pureS
-	sc := countPool.Get().(*countScratch)
+	sc := &r.cache.sc
 	// Split codes are memo outputs (interned before the memo was returned)
 	// and raw target codes, so the dictionary's size bounds them all.
 	sc.reset(r.coded.Dicts[attr].Len())
@@ -279,53 +266,43 @@ func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 		tSur += t
 		sSur += s
 	}
-	countPool.Put(sc)
 	return tSur, sSur
 }
 
-// force materialises a lazily refined result: the full grouping pass plus
-// the block-list build. Safe for concurrent callers; no-op once done.
+// force materialises a lazily refined result by splitting its parent's
+// mixed blocks; a no-op once done. A forced result no longer needs its
+// parent and lets go of it, or every state would keep its whole chain of
+// materialised ancestors alive.
 func (r *Result) force() {
 	l := r.lazy
 	if l == nil {
 		return
 	}
-	l.once.Do(func() {
-		p := l.parent
-		g := p.newGrouper(l.attr, l.fn)
-		for _, b := range p.blocks {
-			g.group(b)
-		}
-		r.materialise(g.srcBlockOf, g.tgtBlockOf, g.cntS, g.cntT)
-		// A forced result no longer needs its parent: release it, or every
-		// state would keep its whole chain of materialised ancestors alive
-		// (two record→block arrays and the block lists per level). Only
-		// this body reads these fields, so the once orders the writes.
-		l.parent, l.fn = nil, nil
-		// r.lazy stays set: concurrent force callers synchronise on the
-		// once, and accessors never read the materialised fields directly.
-	})
+	r.lazy = nil
+	p := l.parent
+	out := &r.cache.sc.bufs[0]
+	ps, pt := p.split(&p.lv, l.attr, l.fn, out)
+	r.pureS, r.pureT = p.pureS+ps, p.pureT+pt
+	r.setLevel(out.clone())
 }
 
-// newGrouper prepares the grouping pass over the receiver's blocks.
-func (r *Result) newGrouper(attr int, f metafunc.Func) *grouper {
-	return &grouper{
-		memo:       r.cache.memo(r.coded, attr, f),
-		srcCodes:   r.coded.Src[attr],
-		tgtCodes:   r.coded.Tgt[attr],
-		srcBlockOf: make([]int32, len(r.srcBlockOf)),
-		tgtBlockOf: make([]int32, len(r.tgtBlockOf)),
-	}
+// split splits the blocks of in — the receiver's or a level below it — by
+// (attr, f) into out and returns the records of the pure children.
+func (r *Result) split(in *level, attr int, f metafunc.Func, out *level) (pureS, pureT int) {
+	memo := r.cache.memo(r.coded, attr, f)
+	sc := &r.cache.sc
+	sc.reset(r.coded.Dicts[attr].Len())
+	return sc.split(in, memo, r.coded.Src[attr], r.coded.Tgt[attr], out)
 }
 
 // RefineAll returns the blocking result after additionally deciding each
 // attrs[i] with fs[i]: exactly the forced chain
-// r.Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])… — the same blocks in
-// the same order, the same record→block maps and surpluses, and apply
+// r.Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])… — the same mixed
+// blocks in the same order, the same pure counts and surpluses, and apply
 // memos built in the same attribute order, so dictionary codes agree too.
-// It gets there without the chain's intermediate block lists: each level
-// is one grouping pass over two record→block arrays, keyed by (parent
-// block, split code), and the blocks materialise once at the end. The
+// It skips the chain's counting passes and its intermediate results: each
+// level splits the previous level's mixed blocks into one of two reused
+// flat layouts, and only the last level is kept and built as blocks. The
 // receiver is unchanged; with no attributes, or once the context is
 // cancelled, RefineAll returns the receiver, as Refine does.
 func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
@@ -333,165 +310,39 @@ func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
 		return r
 	}
 	r.force()
-	// Building a memo interns novel function outputs, so the chain's
-	// attribute order fixes the codes; build them all up front in it.
-	memos := make([]applyMemo, len(attrs))
-	for i, a := range attrs {
-		memos[i] = r.cache.memo(r.coded, a, fs[i])
-	}
-	srcOf := append([]int32(nil), r.srcBlockOf...)
-	tgtOf := append([]int32(nil), r.tgtBlockOf...)
-	// rank[id] is block id's position in chain order. Ids are handed out in
-	// record order (sources, then targets), which within one parent block is
-	// exactly the chain's first-appearance order; a stable counting sort by
-	// the parent's rank then yields the chain's parent-block-first order.
-	rank := make([]int32, len(r.blocks))
-	for i := range rank {
-		rank[i] = int32(i)
-	}
-	var (
-		tab    pairTable
-		parent []int32 // parent id per new block id
-	)
+	nr := &Result{inst: r.inst, coded: r.coded, cache: r.cache, ctx: r.ctx, pureS: r.pureS, pureT: r.pureT}
+	bufs := &r.cache.sc.bufs
+	in := &r.lv
 	for i, a := range attrs {
 		if r.cancelled() {
 			return r
 		}
-		memo, srcCodes, tgtCodes := memos[i], r.coded.Src[a], r.coded.Tgt[a]
-		tab.reset(len(rank))
-		parent = parent[:0]
-		for s, p := range srcOf {
-			id, found := tab.getOrInsert(pairKey(p, memo[srcCodes[s]]), int32(len(parent)))
-			if !found {
-				parent = append(parent, p)
-			}
-			srcOf[s] = id
-		}
-		for t, p := range tgtOf {
-			id, found := tab.getOrInsert(pairKey(p, tgtCodes[t]), int32(len(parent)))
-			if !found {
-				parent = append(parent, p)
-			}
-			tgtOf[t] = id
-		}
-		start := make([]int32, len(rank))
-		for _, p := range parent {
-			start[rank[p]]++
-		}
-		off := int32(0)
-		for k, n := range start {
-			start[k] = off
-			off += n
-		}
-		next := make([]int32, len(parent))
-		for id, p := range parent {
-			next[id] = start[rank[p]]
-			start[rank[p]]++
-		}
-		rank = next
+		out := &bufs[i%2]
+		ps, pt := r.split(in, a, fs[i], out)
+		nr.pureS, nr.pureT = nr.pureS+ps, nr.pureT+pt
+		in = out
 	}
-	cntS := make([]int32, len(rank))
-	cntT := make([]int32, len(rank))
-	for s, id := range srcOf {
-		srcOf[s] = rank[id]
-		cntS[rank[id]]++
-	}
-	for t, id := range tgtOf {
-		tgtOf[t] = rank[id]
-		cntT[rank[id]]++
-	}
-	nr := &Result{inst: r.inst, coded: r.coded, cache: r.cache, ctx: r.ctx}
-	nr.materialise(srcOf, tgtOf, cntS, cntT)
-	for i := range cntS {
-		if d := int(cntT[i] - cntS[i]); d > 0 {
-			nr.tSur += d
-		} else {
-			nr.sSur -= d
-		}
-	}
+	nr.setLevel(in.clone())
+	nr.tSur, nr.sSur = nr.surpluses()
 	return nr
+}
+
+// surpluses derives c_t and c_s from a forced result's blocks: a pure
+// block's records are all surplus on their side.
+func (r *Result) surpluses() (tSur, sSur int) {
+	tSur, sSur = r.pureT, r.pureS
+	for _, b := range r.mixed {
+		if d := len(b.Tgt) - len(b.Src); d > 0 {
+			tSur += d
+		} else {
+			sSur -= d
+		}
+	}
+	return tSur, sSur
 }
 
 // cancelled reports whether the result's context is done.
 func (r *Result) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
-
-// materialise builds the block lists from the record→block maps srcOf and
-// tgtOf and the per-block record counts: exactly-sized member slices carved
-// out of two shared backing arrays, filled in record order (so members are
-// ascending, as every block's are), then the cached mixed-block list.
-func (r *Result) materialise(srcOf, tgtOf, cntS, cntT []int32) {
-	arena := make([]Block, len(cntS))
-	blocks := make([]*Block, len(cntS))
-	srcStore := make([]int32, 0, len(srcOf))
-	tgtStore := make([]int32, 0, len(tgtOf))
-	for i := range arena {
-		off := len(srcStore)
-		srcStore = srcStore[:off+int(cntS[i])]
-		arena[i].Src = srcStore[off:off:len(srcStore)]
-		off = len(tgtStore)
-		tgtStore = tgtStore[:off+int(cntT[i])]
-		arena[i].Tgt = tgtStore[off:off:len(tgtStore)]
-		blocks[i] = &arena[i]
-	}
-	for s, b := range srcOf {
-		nb := blocks[b]
-		nb.Src = append(nb.Src, int32(s))
-	}
-	for t, b := range tgtOf {
-		nb := blocks[b]
-		nb.Tgt = append(nb.Tgt, int32(t))
-	}
-	r.blocks = blocks
-	r.srcBlockOf = srcOf
-	r.tgtBlockOf = tgtOf
-	mixed := make([]*Block, 0, len(blocks)/2)
-	for _, b := range blocks {
-		if b.Mixed() {
-			mixed = append(mixed, b)
-		} else {
-			r.pureS += len(b.Src)
-			r.pureT += len(b.Tgt)
-		}
-	}
-	r.mixed = mixed
-}
-
-// grouper carries the state of Refine's grouping pass: the global sub-block
-// tables plus the per-parent split map.
-type grouper struct {
-	memo               applyMemo
-	srcCodes, tgtCodes []int32
-	srcBlockOf         []int32
-	tgtBlockOf         []int32
-	cntS, cntT         []int32   // records per sub-block
-	sub                codeTable // split code → sub-block index, per parent
-}
-
-// get returns the sub-block index of split code c within the current
-// parent, assigning the next global index on first sight.
-func (g *grouper) get(c int32) int32 {
-	idx, found := g.sub.getOrInsert(c, int32(len(g.cntS)))
-	if !found {
-		g.cntS = append(g.cntS, 0)
-		g.cntT = append(g.cntT, 0)
-	}
-	return idx
-}
-
-// group splits one parent block.
-func (g *grouper) group(b *Block) {
-	g.sub.reset()
-	for _, s := range b.Src {
-		idx := g.get(g.memo[g.srcCodes[s]])
-		g.cntS[idx]++
-		g.srcBlockOf[s] = idx
-	}
-	for _, t := range b.Tgt {
-		idx := g.get(g.tgtCodes[t])
-		g.cntT[idx]++
-		g.tgtBlockOf[t] = idx
-	}
-}
 
 // Instance returns the problem instance the result was built over.
 func (r *Result) Instance() *delta.Instance { return r.inst }
@@ -499,35 +350,17 @@ func (r *Result) Instance() *delta.Instance { return r.inst }
 // Coded returns the instance's interned columnar view (shared, not copied).
 func (r *Result) Coded() *delta.Coded { return r.coded }
 
-// Blocks returns all blocks; callers must not mutate them.
-func (r *Result) Blocks() []*Block {
-	r.force()
-	return r.blocks
-}
+// Blocks returns the mixed blocks, as MixedBlocks does. It is a shim: a
+// Result keeps no pure block, and the method remains only because the
+// frozen bench/probes.go calls it to force a refinement; the next
+// benchmark PR removes both.
+func (r *Result) Blocks() []*Block { return r.MixedBlocks() }
 
-// NumBlocks returns |Ξ_H|.
-func (r *Result) NumBlocks() int {
-	r.force()
-	return len(r.blocks)
-}
-
-// MixedBlocks returns the blocks containing both source and target records;
-// callers must not mutate the shared slice.
+// MixedBlocks returns the blocks containing both source and target records,
+// in block order; callers must not mutate the shared slice.
 func (r *Result) MixedBlocks() []*Block {
 	r.force()
 	return r.mixed
-}
-
-// BlockOfSource returns the block containing source record s.
-func (r *Result) BlockOfSource(s int) *Block {
-	r.force()
-	return r.blocks[r.srcBlockOf[s]]
-}
-
-// BlockOfTarget returns the block containing target record t.
-func (r *Result) BlockOfTarget(t int) *Block {
-	r.force()
-	return r.blocks[r.tgtBlockOf[t]]
 }
 
 // TargetSurplus returns c_t(H) = Σ_{|ϕT(κ)| > |ϕS(κ)|} |ϕT(κ)| − |ϕS(κ)|,
@@ -538,46 +371,75 @@ func (r *Result) TargetSurplus() int { return r.tSur }
 // SourceSurplus returns c_s(H), the lower bound on |S^{E−}|.
 func (r *Result) SourceSurplus() int { return r.sSur }
 
-// Indeterminacy estimates how undetermined attribute attr still is: the
-// maximum number of distinct source values of attr over all mixed blocks —
-// an upper bound for the number of source values that must be considered as
-// the origin of a target value (Section 4.3 "Extending Search States").
-func (r *Result) Indeterminacy(attr int) int {
-	return r.Indeterminacies([]int{attr})[0]
-}
-
-// Indeterminacies returns Indeterminacy for each of attrs, sharing one
-// distinct-counting scratch over the whole list.
-func (r *Result) Indeterminacies(attrs []int) []int {
+// LeastIndeterminate returns the k attributes of attrs that are least
+// indeterminate, most determined first; ties break towards the lower
+// attribute index. An attribute's indeterminacy is the maximum number of
+// distinct source values it takes in one mixed block — an upper bound for
+// the number of source values that must be considered as the origin of a
+// target value (Section 4.3 "Extending Search States"). k ≥ len(attrs)
+// orders every attribute.
+//
+// Only the ranking is exact, not the counts behind it: the mixed blocks
+// are walked in decreasing source size, a walk stops once no remaining
+// block holds more records than the running maximum, and an attribute is
+// abandoned as soon as its running maximum can no longer beat the k-th
+// best so far.
+func (r *Result) LeastIndeterminate(attrs []int, k int) []int {
 	r.force()
+	k = min(k, len(attrs))
+	if k <= 0 {
+		return nil
+	}
+	sc := &r.cache.sc
 	size := int32(0)
 	for _, attr := range attrs {
 		size = max(size, r.coded.Base[attr])
 	}
-	// Raw source codes are dense in [0, Base[attr]), so distinct counting
-	// is an epoch-marked array walk instead of hashing; the epoch keeps
-	// counting across attributes, so the array is never cleared.
-	seen := make([]int32, size)
-	epoch := int32(0)
-	out := make([]int, len(attrs))
-	for i, attr := range attrs {
+	sc.reset(int(size))
+	order := sc.bySourceSize(r.mixed)
+	type ranked struct{ ind, attr int }
+	// beats reports whether (n, attr) sorts before e.
+	beats := func(n, attr int, e ranked) bool { return n < e.ind || n == e.ind && attr < e.attr }
+	best := make([]ranked, 0, k+1)
+	for _, attr := range attrs {
 		srcCodes := r.coded.Src[attr]
-		most := 0
-		for _, b := range r.mixed {
+		most, lost := 0, false
+		for _, bi := range order {
+			b := r.mixed[bi]
 			if len(b.Src) <= most {
-				continue // cannot hold more distinct values than records
+				break // no later block holds more records than the maximum
 			}
-			epoch++
+			// A slot is live while its epoch matches: distinct counting with
+			// no clear between blocks.
+			epoch := sc.next()
 			n := 0
 			for _, s := range b.Src {
-				if c := srcCodes[s]; seen[c] != epoch {
-					seen[c] = epoch
+				if p := &sc.slots[srcCodes[s]]; p.epoch != epoch {
+					p.epoch = epoch
 					n++
 				}
 			}
 			most = max(most, n)
+			if len(best) == k && !beats(most, attr, best[k-1]) {
+				lost = true
+				break
+			}
 		}
-		out[i] = most
+		if lost {
+			continue
+		}
+		i := len(best)
+		for i > 0 && beats(most, attr, best[i-1]) {
+			i--
+		}
+		best = append(best, ranked{})
+		copy(best[i+1:], best[i:])
+		best[i] = ranked{ind: most, attr: attr}
+		best = best[:min(len(best), k)]
+	}
+	out := make([]int, len(best))
+	for i, e := range best {
+		out[i] = e.attr
 	}
 	return out
 }

@@ -15,13 +15,21 @@ import (
 func TestInitialResult(t *testing.T) {
 	inst := fixture.Instance()
 	r := blocking.New(inst)
-	if r.NumBlocks() != 1 {
-		t.Fatalf("initial blocks = %d, want 1", r.NumBlocks())
+	if len(r.MixedBlocks()) != 1 {
+		t.Fatalf("initial mixed blocks = %d, want 1", len(r.MixedBlocks()))
 	}
-	b := r.Blocks()[0]
+	b := r.MixedBlocks()[0]
 	if len(b.Src) != 17 || len(b.Tgt) != 16 || !b.Mixed() {
 		t.Error("initial block shape wrong")
 	}
+	checkReference(t, "New", r, nil, nil)
+	// An instance with one empty side has no mixed block: every record is
+	// counted as pure.
+	onlySrc, err := delta.NewInstance(inst.Source, inst.Source.Select(nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReference(t, "New (no targets)", blocking.New(onlySrc), nil, nil)
 	if r.TargetSurplus() != 0 {
 		t.Errorf("TargetSurplus = %d, want 0", r.TargetSurplus())
 	}
@@ -41,7 +49,7 @@ func TestFigure3Block(t *testing.T) {
 		Refine(fixture.Org, metafunc.Identity{})
 
 	var kappa *blocking.Block
-	for _, b := range r.Blocks() {
+	for _, b := range r.MixedBlocks() {
 		if len(b.Src) == 3 && len(b.Tgt) == 2 {
 			srcIDs := map[string]bool{}
 			for _, s := range b.Src {
@@ -67,49 +75,41 @@ func TestFigure3Block(t *testing.T) {
 func TestRefineIsNonDestructive(t *testing.T) {
 	inst := fixture.Instance()
 	r0 := blocking.New(inst)
-	_ = r0.Refine(fixture.Org, metafunc.Identity{})
-	if r0.NumBlocks() != 1 {
+	_ = r0.Refine(fixture.Org, metafunc.Identity{}).MixedBlocks()
+	if len(r0.MixedBlocks()) != 1 {
 		t.Error("Refine mutated its receiver")
 	}
 }
 
 func TestRefinePartitions(t *testing.T) {
 	inst := fixture.Instance()
-	r := blocking.New(inst).
-		Refine(fixture.Org, metafunc.Identity{}).
-		Refine(fixture.Type, metafunc.Identity{})
-	ns, nt := 0, 0
-	for _, b := range r.Blocks() {
+	attrs := []int{fixture.Org, fixture.Type}
+	fs := []metafunc.Func{metafunc.Identity{}, metafunc.Identity{}}
+	r := blocking.New(inst).Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])
+	// The mixed blocks and the pure counts together hold every record once.
+	ns, nt := r.PureCounts()
+	seenS, seenT := map[int32]bool{}, map[int32]bool{}
+	for _, b := range r.MixedBlocks() {
 		ns += len(b.Src)
 		nt += len(b.Tgt)
+		for _, s := range b.Src {
+			if seenS[s] {
+				t.Errorf("source %d in two blocks", s)
+			}
+			seenS[s] = true
+		}
+		for _, tt := range b.Tgt {
+			if seenT[tt] {
+				t.Errorf("target %d in two blocks", tt)
+			}
+			seenT[tt] = true
+		}
 	}
 	if ns != inst.Source.Len() || nt != inst.Target.Len() {
 		t.Errorf("blocks lost records: %d/%d sources, %d/%d targets",
 			ns, inst.Source.Len(), nt, inst.Target.Len())
 	}
-	// Every record must be findable via its block map.
-	for s := 0; s < inst.Source.Len(); s++ {
-		found := false
-		for _, m := range r.BlockOfSource(s).Src {
-			if int(m) == s {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("BlockOfSource(%d) does not contain the record", s)
-		}
-	}
-	for ti := 0; ti < inst.Target.Len(); ti++ {
-		found := false
-		for _, m := range r.BlockOfTarget(ti).Tgt {
-			if int(m) == ti {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("BlockOfTarget(%d) does not contain the record", ti)
-		}
-	}
+	checkReference(t, "Org, Type", r, attrs, fs)
 }
 
 func TestRefineAppliesSourceFunction(t *testing.T) {
@@ -117,13 +117,20 @@ func TestRefineAppliesSourceFunction(t *testing.T) {
 	// same group as the targets (whose Unit is literally 'k $').
 	inst := fixture.Instance()
 	r := blocking.New(inst).Refine(fixture.Unit, metafunc.Constant{C: "k $"})
-	if r.NumBlocks() != 1 {
-		t.Fatalf("constant refinement should keep one block, got %d", r.NumBlocks())
+	if n := len(r.MixedBlocks()); n != 1 {
+		t.Fatalf("constant refinement should keep one block, got %d mixed", n)
 	}
-	// Refining Unit with identity must separate USD sources from k $ targets.
+	if ps, pt := r.PureCounts(); ps+pt != 0 {
+		t.Fatalf("constant refinement left %d/%d records in pure blocks", ps, pt)
+	}
+	// Refining Unit with identity must separate USD sources from k $ targets:
+	// two pure blocks.
 	r2 := blocking.New(inst).Refine(fixture.Unit, metafunc.Identity{})
-	if r2.NumBlocks() != 2 {
-		t.Fatalf("identity refinement should split Unit, got %d blocks", r2.NumBlocks())
+	if n := len(r2.MixedBlocks()); n != 0 {
+		t.Fatalf("identity refinement should split Unit, got %d mixed blocks", n)
+	}
+	if ps, pt := r2.PureCounts(); ps != 17 || pt != 16 {
+		t.Fatalf("identity refinement pure counts %d/%d, want 17/16", ps, pt)
 	}
 	if r2.TargetSurplus() != 16 || r2.SourceSurplus() != 17 {
 		t.Errorf("surpluses = %d/%d, want 16/17",
@@ -148,27 +155,6 @@ func TestSurplusBoundsUnderCorrectFunctions(t *testing.T) {
 	}
 }
 
-func TestIndeterminacy(t *testing.T) {
-	inst := fixture.Instance()
-	r := blocking.New(inst)
-	// One mixed block with 17 sources: indeterminacy of ID1 is 17 distinct
-	// values, of Unit is 1, of Org is 4 (IBM, SAP, BASF ×2 spellings? no — 3).
-	if got := r.Indeterminacy(fixture.ID1); got != 17 {
-		t.Errorf("Indeterminacy(ID1) = %d, want 17", got)
-	}
-	if got := r.Indeterminacy(fixture.Unit); got != 1 {
-		t.Errorf("Indeterminacy(Unit) = %d, want 1", got)
-	}
-	if got := r.Indeterminacy(fixture.Org); got != 3 {
-		t.Errorf("Indeterminacy(Org) = %d, want 3", got)
-	}
-	// After refining on Org, the max distinct Type count per block drops.
-	r2 := r.Refine(fixture.Org, metafunc.Identity{})
-	if got := r2.Indeterminacy(fixture.Type); got >= r.Indeterminacy(fixture.Type) {
-		t.Errorf("refinement did not reduce Type indeterminacy: %d", got)
-	}
-}
-
 func TestKeySeparatorSafety(t *testing.T) {
 	// Values that would collide under naive concatenation must not merge.
 	s := table.MustSchema("a", "b")
@@ -181,8 +167,11 @@ func TestKeySeparatorSafety(t *testing.T) {
 	r := blocking.New(inst).
 		Refine(0, metafunc.Identity{}).
 		Refine(1, metafunc.Identity{})
-	if r.NumBlocks() != 2 {
-		t.Errorf("separator collision: %d blocks, want 2", r.NumBlocks())
+	// {x|, y} is one mixed block, {x, |y} one source-only block.
+	if n, ps := len(r.MixedBlocks()), 0; n != 1 {
+		t.Errorf("separator collision: %d mixed blocks, want 1", n)
+	} else if ps, _ = r.PureCounts(); ps != 1 {
+		t.Errorf("separator collision: %d source-only records, want 1", ps)
 	}
 }
 
@@ -196,61 +185,24 @@ func TestMixedBlocks(t *testing.T) {
 	if got := len(r2.MixedBlocks()); got != 3 {
 		t.Errorf("MixedBlocks = %d, want 3 (IBM, SAP, BASF)", got)
 	}
-}
-
-// TestIndeterminaciesMatchNaiveCount checks the shared-scratch distinct
-// counter — one epoch array over all attributes, blocks no larger than the
-// running maximum skipped — against a naive per-block set of value strings,
-// at blockings from one giant block to many small ones.
-func TestIndeterminaciesMatchNaiveCount(t *testing.T) {
-	inst := fixture.Instance()
-	root := blocking.New(inst)
-	for _, tc := range []struct {
-		name string
-		r    *blocking.Result
-	}{
-		{"root", root},
-		{"org", root.Refine(fixture.Org, metafunc.Identity{})},
-		{"type+org", root.Refine(fixture.Type, metafunc.Identity{}).Refine(fixture.Org, metafunc.Identity{})},
-		{"unit (no mixed block)", root.Refine(fixture.Unit, metafunc.Identity{})},
-		{"unit constant", root.Refine(fixture.Unit, metafunc.Constant{C: "k $"})},
-	} {
-		attrs := make([]int, inst.NumAttrs())
-		for a := range attrs {
-			attrs[a] = inst.NumAttrs() - 1 - a // any order, every attribute
-		}
-		got := tc.r.Indeterminacies(attrs)
-		for i, attr := range attrs {
-			want := 0
-			for _, b := range tc.r.MixedBlocks() {
-				distinct := map[string]bool{}
-				for _, s := range b.Src {
-					distinct[inst.Source.Value(int(s), attr)] = true
-				}
-				want = max(want, len(distinct))
-			}
-			if got[i] != want || tc.r.Indeterminacy(attr) != want {
-				t.Errorf("%s: attr %d: Indeterminacies = %d, Indeterminacy = %d, naive count = %d",
-					tc.name, attr, got[i], tc.r.Indeterminacy(attr), want)
-			}
-		}
-	}
+	checkReference(t, "Unit", r, []int{fixture.Unit}, []metafunc.Func{metafunc.Identity{}})
+	checkReference(t, "Org", r2, []int{fixture.Org}, []metafunc.Func{metafunc.Identity{}})
 }
 
 // TestForcedResultReleasesParent: refinement is lazy, so an unforced result
 // must keep its parent to group from — but once forced it must let go.
 // Otherwise every search state pins its whole chain of materialised
-// ancestors (two record→block arrays plus the block lists per level),
-// which is what made runs peak far above the eager refinement this
-// replaced.
+// ancestors (the mixed blocks of every level), which is what made runs
+// peak far above the eager refinement this replaced.
 func TestForcedResultReleasesParent(t *testing.T) {
-	mid := blocking.New(fixture.Instance()).Refine(0, metafunc.Identity{})
+	mid := blocking.New(fixture.Instance()).Refine(fixture.Type, metafunc.Identity{})
 	collected := make(chan struct{})
 	runtime.SetFinalizer(mid, func(*blocking.Result) { close(collected) })
-	leaf := mid.Refine(1, metafunc.Identity{})
-	if leaf.NumBlocks() == 0 { // forces leaf (and, through Refine, mid)
-		t.Fatal("refinement produced no blocks")
+	leaf := mid.Refine(fixture.Org, metafunc.Identity{})
+	if len(leaf.MixedBlocks()) == 0 { // forces leaf (and, through Refine, mid)
+		t.Fatal("refinement produced no mixed blocks")
 	}
+	checkReference(t, "leaf", leaf, []int{fixture.Type, fixture.Org}, []metafunc.Func{metafunc.Identity{}, metafunc.Identity{}})
 	mid = nil
 	for i := 0; i < 20; i++ {
 		runtime.GC()

@@ -11,23 +11,6 @@ import (
 	"affidavit/internal/metafunc"
 )
 
-// recount derives the surpluses and pure-block record counts of a forced
-// result from its blocks.
-func recount(r *blocking.Result) (tSur, sSur, pureS, pureT int) {
-	for _, b := range r.Blocks() {
-		if d := len(b.Tgt) - len(b.Src); d > 0 {
-			tSur += d
-		} else {
-			sSur -= d
-		}
-		if !b.Mixed() {
-			pureS += len(b.Src)
-			pureT += len(b.Tgt)
-		}
-	}
-	return tSur, sSur, pureS, pureT
-}
-
 // randomRefinement picks a function for attribute a: the identity, one
 // induced from a random source/target value pair, a coded greedy map from
 // an alignment that respects r, or a string-built mapping.
@@ -51,27 +34,18 @@ func randomRefinement(rng *rand.Rand, inst *delta.Instance, r *blocking.Result, 
 
 // TestCountRefineMatchesForced: the counting pass of a lazy Refine — pure
 // blocks added as a constant, mixed blocks of every size counted in the
-// dense per-code array — must give the surpluses its own forced blocks
-// give, over identity, induced functions and mappings.
-// New, a forced Refine and RefineAll must carry the pure-block counts a
-// recount of their blocks gives.
+// dense per-code array — must give the surpluses of the naive reference,
+// over identity, induced functions and mappings; and New, a forced Refine
+// and RefineAll must carry the reference's mixed blocks and pure counts.
 func TestCountRefineMatchesForced(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var pure, oneOne, small, large int // parent blocks counted, by kind
-	check := func(name string, r *blocking.Result, tSur, sSur int) {
-		t.Helper()
-		wantT, wantS, wantPS, wantPT := recount(r)
-		if tSur != wantT || sSur != wantS {
-			t.Fatalf("%s: surpluses %d/%d, forced blocks give %d/%d", name, tSur, sSur, wantT, wantS)
-		}
-		if ps, pt := r.PureCounts(); ps != wantPS || pt != wantPT {
-			t.Fatalf("%s: pure counts %d/%d, recount %d/%d", name, ps, pt, wantPS, wantPT)
-		}
-	}
 	for iter := 0; iter < 300; iter++ {
 		inst := randomInstance(t, rng)
 		r := blocking.New(inst)
-		check(fmt.Sprintf("iter %d: New", iter), r, r.TargetSurplus(), r.SourceSurplus())
+		checkReference(t, fmt.Sprintf("iter %d: New", iter), r, nil, nil)
+		var attrs []int
+		var fs []metafunc.Func
 		for depth := 0; depth < 2*inst.NumAttrs(); depth++ {
 			a := rng.Intn(inst.NumAttrs())
 			f := randomRefinement(rng, inst, r, a)
@@ -88,15 +62,16 @@ func TestCountRefineMatchesForced(t *testing.T) {
 					large++
 				}
 			}
+			// The counting pass's surpluses are read before anything
+			// forces the child; checkReference forces it afterwards.
 			child := r.Refine(a, f)
-			// Read the counting pass's surpluses before anything forces.
-			tSur, sSur := child.TargetSurplus(), child.SourceSurplus()
-			check(fmt.Sprintf("iter %d depth %d: Refine(%d, %s)", iter, depth, a, f), child, tSur, sSur)
+			attrs, fs = append(attrs, a), append(fs, f)
+			checkReference(t, fmt.Sprintf("iter %d depth %d: Refine(%d, %s)", iter, depth, a, f), child, attrs, fs)
 			r = child
 		}
-		attrs, fs := randomTuple(rng, inst.NumAttrs())
+		attrs, fs = randomTuple(rng, inst.NumAttrs())
 		all := blocking.New(inst).RefineAll(attrs, fs)
-		check(fmt.Sprintf("iter %d: RefineAll(%v)", iter, attrs), all, all.TargetSurplus(), all.SourceSurplus())
+		checkReference(t, fmt.Sprintf("iter %d: RefineAll(%v)", iter, attrs), all, attrs, fs)
 	}
 	t.Logf("parent blocks counted: pure %d, 1+1 %d, ≤16 %d, >16 %d", pure, oneOne, small, large)
 	if pure == 0 || oneOne == 0 || small == 0 || large == 0 {

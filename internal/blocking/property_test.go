@@ -1,7 +1,9 @@
 package blocking_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,21 +15,41 @@ import (
 )
 
 // Property: refining on the same attributes in any order produces the same
-// partition (blocking is order-independent), verified via the surplus
-// statistics and block-count invariants.
+// partition (blocking is order-independent): the same mixed blocks up to
+// their order, the same pure counts and surpluses. Each order also matches
+// the naive reference, order included.
 func TestQuickRefinementOrderIndependent(t *testing.T) {
 	inst := fixture.Instance()
-	attrs := []int{fixture.Type, fixture.Org, fixture.Unit, fixture.Date}
+	attrs := []int{fixture.Type, fixture.Org, fixture.Date, fixture.ID2}
+	ids := make([]metafunc.Func, len(attrs))
+	for i := range ids {
+		ids[i] = metafunc.Identity{}
+	}
+	// members renders a result's mixed blocks as a sorted list of keys.
+	members := func(r *blocking.Result) []string {
+		var out []string
+		for _, b := range r.MixedBlocks() {
+			out = append(out, fmt.Sprint(b.Src, b.Tgt))
+		}
+		slices.Sort(out)
+		return out
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(len(attrs))
+		permuted := make([]int, len(attrs))
 		a := blocking.New(inst)
 		b := blocking.New(inst)
 		for i := range attrs {
+			permuted[i] = attrs[perm[i]]
 			a = a.Refine(attrs[i], metafunc.Identity{})
-			b = b.Refine(attrs[perm[i]], metafunc.Identity{})
+			b = b.Refine(permuted[i], metafunc.Identity{})
 		}
-		return a.NumBlocks() == b.NumBlocks() &&
+		checkReference(t, "attribute order", a, attrs, ids)
+		checkReference(t, fmt.Sprintf("order %v", permuted), b, permuted, ids)
+		aS, aT := a.PureCounts()
+		bS, bT := b.PureCounts()
+		return slices.Equal(members(a), members(b)) && aS == bS && aT == bT &&
 			a.TargetSurplus() == b.TargetSurplus() &&
 			a.SourceSurplus() == b.SourceSurplus()
 	}
@@ -36,8 +58,9 @@ func TestQuickRefinementOrderIndependent(t *testing.T) {
 	}
 }
 
-// Property: refinement never merges blocks — block count is nondecreasing
-// and surpluses are nondecreasing (coarser blocking underestimates less).
+// Property: refinement never merges blocks — a record in a pure block stays
+// in one, so the pure counts are nondecreasing, and surpluses are
+// nondecreasing (coarser blocking underestimates less).
 func TestQuickRefinementMonotone(t *testing.T) {
 	inst := fixture.Instance()
 	ref := fixture.ReferenceFuncs()
@@ -45,13 +68,15 @@ func TestQuickRefinementMonotone(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		order := rng.Perm(inst.NumAttrs())
 		r := blocking.New(inst)
-		prevBlocks, prevTS, prevSS := r.NumBlocks(), r.TargetSurplus(), r.SourceSurplus()
+		prevPS, prevPT := r.PureCounts()
+		prevTS, prevSS := r.TargetSurplus(), r.SourceSurplus()
 		for _, a := range order {
 			r = r.Refine(a, ref[a])
-			if r.NumBlocks() < prevBlocks || r.TargetSurplus() < prevTS || r.SourceSurplus() < prevSS {
+			ps, pt := r.PureCounts()
+			if ps < prevPS || pt < prevPT || r.TargetSurplus() < prevTS || r.SourceSurplus() < prevSS {
 				return false
 			}
-			prevBlocks, prevTS, prevSS = r.NumBlocks(), r.TargetSurplus(), r.SourceSurplus()
+			prevPS, prevPT, prevTS, prevSS = ps, pt, r.TargetSurplus(), r.SourceSurplus()
 		}
 		return true
 	}
@@ -61,7 +86,8 @@ func TestQuickRefinementMonotone(t *testing.T) {
 }
 
 // Property: for random two-column tables, every record lands in exactly one
-// block and the blocks partition both sides.
+// block: the mixed blocks and the pure counts partition both sides, and
+// the mixed blocks are the naive reference's.
 func TestQuickBlocksPartition(t *testing.T) {
 	schema := table.MustSchema("a", "b")
 	f := func(cells []string, split uint8) bool {
@@ -85,11 +111,11 @@ func TestQuickBlocksPartition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r := blocking.New(inst).
-			Refine(0, metafunc.Identity{}).
-			Refine(1, metafunc.Identity{})
-		ns, nt := 0, 0
-		for _, b := range r.Blocks() {
+		attrs, fs := []int{0, 1}, []metafunc.Func{metafunc.Identity{}, metafunc.Identity{}}
+		r := blocking.New(inst).Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])
+		checkReference(t, fmt.Sprintf("cells %q", cells), r, attrs, fs)
+		ns, nt := r.PureCounts()
+		for _, b := range r.MixedBlocks() {
 			ns += len(b.Src)
 			nt += len(b.Tgt)
 		}

@@ -72,11 +72,11 @@ func BenchmarkRefine(b *testing.B) {
 	})
 	b.Run("force", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			refineSink += len(root.Refine(1, metafunc.Identity{}).Blocks())
+			refineSink += len(root.Refine(1, metafunc.Identity{}).MixedBlocks())
 		}
 	})
 	byKey := root.Refine(0, metafunc.Identity{})
-	byKey.Blocks()
+	byKey.MixedBlocks()
 	b.Run("count-small", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refineSink += byKey.Refine(2, metafunc.Identity{}).TargetSurplus()

@@ -78,20 +78,11 @@ func randomTuple(rng *rand.Rand, numAttrs int) ([]int, []metafunc.Func) {
 	return attrs, fs
 }
 
-// blockIndex maps a result's blocks to their positions.
-func blockIndex(r *blocking.Result) map[*blocking.Block]int {
-	idx := make(map[*blocking.Block]int, r.NumBlocks())
-	for i, b := range r.Blocks() {
-		idx[b] = i
-	}
-	return idx
-}
-
 // TestRefineAllMatchesChain: RefineAll must return exactly what the forced
-// Refine chain returns — blocks in the same order with the same members,
-// the same record→block maps, mixed list and surpluses — and must leave
-// the dictionaries exactly as the chain does (memos in chain order, so
-// function outputs get the same codes).
+// Refine chain returns — the same mixed blocks in the same order with the
+// same members, the same pure counts and surpluses, all of them the naive
+// reference's — and must leave the dictionaries exactly as the chain does
+// (memos in chain order, so function outputs get the same codes).
 func TestRefineAllMatchesChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 400; iter++ {
@@ -110,36 +101,21 @@ func TestRefineAllMatchesChain(t *testing.T) {
 		all := blocking.New(twin).RefineAll(attrs, fs)
 		name := fmt.Sprintf("iter %d (attrs %v)", iter, attrs)
 
-		if !slices.EqualFunc(chain.Blocks(), all.Blocks(), func(a, b *blocking.Block) bool {
+		if !slices.EqualFunc(chain.MixedBlocks(), all.MixedBlocks(), func(a, b *blocking.Block) bool {
 			return slices.Equal(a.Src, b.Src) && slices.Equal(a.Tgt, b.Tgt)
 		}) {
-			t.Fatalf("%s: blocks differ from the chain", name)
+			t.Fatalf("%s: mixed blocks differ from the chain", name)
 		}
-		ci, ai := blockIndex(chain), blockIndex(all)
-		for s := 0; s < inst.Source.Len(); s++ {
-			if ci[chain.BlockOfSource(s)] != ai[all.BlockOfSource(s)] {
-				t.Fatalf("%s: BlockOfSource(%d) differs", name, s)
-			}
-		}
-		for tt := 0; tt < inst.Target.Len(); tt++ {
-			if ci[chain.BlockOfTarget(tt)] != ai[all.BlockOfTarget(tt)] {
-				t.Fatalf("%s: BlockOfTarget(%d) differs", name, tt)
-			}
-		}
-		var cm, am []int
-		for _, b := range chain.MixedBlocks() {
-			cm = append(cm, ci[b])
-		}
-		for _, b := range all.MixedBlocks() {
-			am = append(am, ai[b])
-		}
-		if !slices.Equal(cm, am) {
-			t.Fatalf("%s: mixed blocks %v, chain %v", name, am, cm)
+		cs, ct := chain.PureCounts()
+		as, at := all.PureCounts()
+		if cs != as || ct != at {
+			t.Fatalf("%s: pure counts %d/%d, chain %d/%d", name, as, at, cs, ct)
 		}
 		if chain.TargetSurplus() != all.TargetSurplus() || chain.SourceSurplus() != all.SourceSurplus() {
 			t.Fatalf("%s: surpluses %d/%d, chain %d/%d", name,
 				all.TargetSurplus(), all.SourceSurplus(), chain.TargetSurplus(), chain.SourceSurplus())
 		}
+		checkReference(t, name, all, attrs, fs)
 		for a := 0; a < inst.NumAttrs(); a++ {
 			if got, want := twin.Coded().Dicts[a].Snapshot(), inst.Coded().Dicts[a].Snapshot(); !slices.Equal(got, want) {
 				t.Fatalf("%s: attribute %d dictionary %q, chain %q", name, a, got, want)
@@ -159,5 +135,57 @@ func TestRefineAllCancelled(t *testing.T) {
 	}
 	if got := root.Refine(0, metafunc.Identity{}); got != root {
 		t.Error("Refine under a cancelled context did not return its receiver")
+	}
+}
+
+// TestLeastIndeterminateMatchesStableSort: for every k, LeastIndeterminate
+// must return the first k attributes of a naive stable sort by (distinct
+// source values in the most indeterminate mixed block, attribute index),
+// however the attributes are passed in — at blockings from one giant block
+// to many small ones, with ties between attributes.
+func TestLeastIndeterminateMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	ties := 0
+	for iter := 0; iter < 300; iter++ {
+		inst := randomInstance(t, rng)
+		tupleAttrs, fs := randomTuple(rng, inst.NumAttrs())
+		r := blocking.New(inst).RefineAll(tupleAttrs, fs)
+		attrs := rng.Perm(inst.NumAttrs())[:rng.Intn(inst.NumAttrs()+1)]
+		type ia struct{ attr, ind int }
+		naive := make([]ia, len(attrs))
+		for i, attr := range attrs {
+			most := 0
+			for _, b := range r.MixedBlocks() {
+				distinct := map[string]bool{}
+				for _, s := range b.Src {
+					distinct[inst.Source.Value(int(s), attr)] = true
+				}
+				most = max(most, len(distinct))
+			}
+			naive[i] = ia{attr: attr, ind: most}
+		}
+		slices.SortStableFunc(naive, func(a, b ia) int {
+			if a.ind != b.ind {
+				return a.ind - b.ind
+			}
+			return a.attr - b.attr
+		})
+		for i := 1; i < len(naive); i++ {
+			if naive[i].ind == naive[i-1].ind {
+				ties++
+			}
+		}
+		for k := 0; k <= len(attrs)+1; k++ {
+			var want []int
+			for _, e := range naive[:min(k, len(naive))] {
+				want = append(want, e.attr)
+			}
+			if got := r.LeastIndeterminate(attrs, k); !slices.Equal(got, want) {
+				t.Fatalf("iter %d: LeastIndeterminate(%v, %d) = %v, naive %v (%v)", iter, attrs, k, got, want, naive)
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no indeterminacy tie: the inputs do not exercise the tie-break")
 	}
 }

@@ -1,0 +1,215 @@
+package blocking
+
+// splitScratch is a refinement tree's working set for counting, splitting
+// and ranking blocks: one slot per dictionary code, live only while its
+// epoch equals the scratch's, so starting the next block is one increment
+// and no clear. The per-child counts, the split output and the block
+// order are reused across calls. Nothing in it may outlive the call that
+// filled it: a kept split is cloned out of bufs.
+type splitScratch struct {
+	slots      []codeSlot
+	epoch      uint32
+	cntS, cntT []int32  // split: one parent's children; cntS also bySourceSize's buckets
+	bufs       [2]level // split output before it is kept, alternately
+	order      []int32  // LeastIndeterminate: mixed block indices by decreasing source size
+}
+
+// codeSlot is one code's slot: val is a block's |T| − |S| for the code
+// while counting, and the code's child id while splitting.
+type codeSlot struct {
+	epoch uint32
+	val   int32
+}
+
+// reset prepares the scratch for codes below n.
+func (sc *splitScratch) reset(n int) {
+	if len(sc.slots) < n {
+		sc.slots = make([]codeSlot, n)
+	}
+}
+
+// next starts a new block: every slot reads as unset until written.
+func (sc *splitScratch) next() uint32 {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: no stale slot may look live
+		clear(sc.slots)
+		sc.epoch = 1
+	}
+	return sc.epoch
+}
+
+// countDense returns one block's target and source surplus. Sources run
+// first and only move their slots away from zero, so Σ|diff| starts at
+// |S|; each target then moves its slot by one towards or away from zero.
+// With Σ diff = |T| − |S| that yields both halves of the surplus without a
+// pass over the touched codes.
+func (sc *splitScratch) countDense(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+	epoch, slots := sc.next(), sc.slots
+	for _, s := range b.Src {
+		p := &slots[memo[srcCodes[s]]]
+		if p.epoch != epoch {
+			p.epoch, p.val = epoch, 0
+		}
+		p.val--
+	}
+	abs := len(b.Src)
+	for _, t := range b.Tgt {
+		p := &slots[tgtCodes[t]]
+		if p.epoch != epoch {
+			p.epoch, p.val = epoch, 0
+		}
+		if p.val >= 0 {
+			abs++
+		} else {
+			abs--
+		}
+		p.val++
+	}
+	net := len(b.Tgt) - len(b.Src)
+	return (abs + net) / 2, (abs - net) / 2
+}
+
+// level is one blocking result's mixed blocks laid out flat, in block
+// order: block i holds the sources src[srcEnd[i−1]:srcEnd[i]] and the
+// targets tgt[tgtEnd[i−1]:tgtEnd[i]] (ends[−1] = 0).
+type level struct {
+	src, tgt       []int32
+	srcEnd, tgtEnd []int32
+}
+
+// blocks returns the level's blocks, their members sharing its arrays.
+func (lv *level) blocks() []*Block {
+	arena := make([]Block, len(lv.srcEnd))
+	out := make([]*Block, len(arena))
+	s, t := int32(0), int32(0)
+	for i := range arena {
+		arena[i] = Block{Src: lv.src[s:lv.srcEnd[i]:lv.srcEnd[i]], Tgt: lv.tgt[t:lv.tgtEnd[i]:lv.tgtEnd[i]]}
+		s, t = lv.srcEnd[i], lv.tgtEnd[i]
+		out[i] = &arena[i]
+	}
+	return out
+}
+
+// split splits each block of in by split code — memo[source code] for a
+// source, the raw code for a target — and lays the mixed children out in
+// out, reusing its arrays' capacity: parent order, then first appearance,
+// sources before targets. It returns the records of the pure children.
+// Members stay ascending: each child takes its parent's members in the
+// parent's order. A parent is split while its members are hot: one pass
+// counts its children, the next places the mixed children's members.
+func (sc *splitScratch) split(in *level, memo applyMemo, srcCodes, tgtCodes []int32, out *level) (pureS, pureT int) {
+	slots := sc.slots
+	// The children of one parent: members per child, then the next slot
+	// of each mixed child in out, or -1 for a pure child.
+	cntS, cntT := sc.cntS, sc.cntT
+	src, tgt := resize(out.src, len(in.src)), resize(out.tgt, len(in.tgt))
+	srcEnd, tgtEnd := out.srcEnd[:0], out.tgtEnd[:0]
+	nS, nT := int32(0), int32(0)
+	s, t := int32(0), int32(0)
+	for b := range in.srcEnd {
+		bs, bt := in.src[s:in.srcEnd[b]], in.tgt[t:in.tgtEnd[b]]
+		s, t = in.srcEnd[b], in.tgtEnd[b]
+		epoch := sc.next()
+		cntS, cntT = cntS[:0], cntT[:0]
+		for _, rec := range bs {
+			p := &slots[memo[srcCodes[rec]]]
+			if p.epoch != epoch {
+				p.epoch, p.val = epoch, int32(len(cntS))
+				cntS, cntT = append(cntS, 0), append(cntT, 0)
+			}
+			cntS[p.val]++
+		}
+		for _, rec := range bt {
+			p := &slots[tgtCodes[rec]]
+			if p.epoch != epoch {
+				p.epoch, p.val = epoch, int32(len(cntS))
+				cntS, cntT = append(cntS, 0), append(cntT, 0)
+			}
+			cntT[p.val]++
+		}
+		mixed := false
+		for c := range cntS {
+			if cntS[c] > 0 && cntT[c] > 0 {
+				cntS[c], nS = nS, nS+cntS[c]
+				cntT[c], nT = nT, nT+cntT[c]
+				srcEnd, tgtEnd = append(srcEnd, nS), append(tgtEnd, nT)
+				mixed = true
+			} else {
+				pureS += int(cntS[c])
+				pureT += int(cntT[c])
+				cntS[c] = -1
+			}
+		}
+		if !mixed {
+			continue
+		}
+		for _, rec := range bs {
+			if c := slots[memo[srcCodes[rec]]].val; cntS[c] >= 0 {
+				src[cntS[c]] = rec
+				cntS[c]++
+			}
+		}
+		for _, rec := range bt {
+			if c := slots[tgtCodes[rec]].val; cntS[c] >= 0 {
+				tgt[cntT[c]] = rec
+				cntT[c]++
+			}
+		}
+	}
+	*out = level{src: src[:nS], tgt: tgt[:nT], srcEnd: srcEnd, tgtEnd: tgtEnd}
+	sc.cntS, sc.cntT = cntS, cntT
+	return pureS, pureT
+}
+
+// clone returns a copy of lv in arrays of exactly its size.
+func (lv *level) clone() level {
+	return level{
+		src:    append([]int32(nil), lv.src...),
+		tgt:    append([]int32(nil), lv.tgt...),
+		srcEnd: append([]int32(nil), lv.srcEnd...),
+		tgtEnd: append([]int32(nil), lv.tgtEnd...),
+	}
+}
+
+// resize returns a slice of length n, reusing buf's array when it is large
+// enough and allocating exactly n otherwise.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// bySourceSize returns the indices of blocks ordered by decreasing source
+// size: a counting sort, linear in the blocks and the largest block.
+func (sc *splitScratch) bySourceSize(blocks []*Block) []int32 {
+	largest := 0
+	for _, b := range blocks {
+		largest = max(largest, len(b.Src))
+	}
+	// start[largest − size] first counts, then places, the blocks of each size.
+	start := sc.cntS[:0]
+	for range largest + 1 {
+		start = append(start, 0)
+	}
+	for _, b := range blocks {
+		start[largest-len(b.Src)]++
+	}
+	off := int32(0)
+	for i, c := range start {
+		start[i] = off
+		off += c
+	}
+	order := sc.order[:0]
+	if cap(order) < len(blocks) {
+		order = make([]int32, len(blocks))
+	}
+	order = order[:len(blocks)]
+	for i, b := range blocks {
+		j := largest - len(b.Src)
+		order[start[j]] = int32(i)
+		start[j]++
+	}
+	sc.cntS, sc.order = start, order
+	return order
+}

@@ -7,7 +7,7 @@ import (
 )
 
 // ScratchReuse enforces the pooled-scratch discipline the allocation-free
-// hot paths rely on (blocking's countPool is the template): a value taken
+// hot paths rely on (align's greedyPool is the template): a value taken
 // from a sync.Pool is dirty, function-local, and borrowed.
 //
 // Within the function that calls (*sync.Pool).Get, the analyzer requires:

@@ -12,7 +12,8 @@ import (
 
 // extensions implements the Extensions(H) procedure of Algorithm 1:
 //
-//  1. order undecided attributes by indeterminacy;
+//  1. rank the undecided attributes by indeterminacy — only the β most
+//     determined ones, unless the first wave keeps nothing;
 //  2. poll the β most determined ones, sample one random alignment R
 //     respecting Φ_H, and for each polled attribute compare its induced
 //     candidates against the greedy-map probe Hд built from R;
@@ -27,19 +28,19 @@ import (
 // (derived deterministically from the seed, the poll index and the
 // attribute), and their results merge in attribute order.
 func (e *engine) extensions(h *State) []*State {
-	ordered := h.undecided()
-	if len(ordered) == 0 {
+	undecided := h.undecided()
+	if len(undecided) == 0 {
 		return nil
 	}
-	batch := e.opts.Beta
-	if batch > len(ordered) {
-		batch = len(ordered)
-	}
+	// Only the first wave's β attributes are ranked up front; the full
+	// order is needed only when that wave keeps nothing.
+	batch := min(e.opts.Beta, len(undecided))
+	queue := h.blocks.LeastIndeterminate(undecided, batch)
 	r := e.alignSc.Random(h.blocks, e.rng)
 
 	var ext []*State
+	var ordered []int // every undecided attribute, ranked on first need
 	next := batch
-	queue := append([]int(nil), ordered[:batch]...)
 	for len(ext) == 0 && len(queue) > 0 {
 		if e.done() {
 			// Cancelled mid-expansion: drop the wave; the poll loop notices
@@ -50,7 +51,10 @@ func (e *engine) extensions(h *State) []*State {
 			ext = e.probe(ext, h, attr, r)
 		}
 		queue = queue[:0]
-		if len(ext) == 0 && next < len(ordered) {
+		if len(ext) == 0 && next < len(undecided) {
+			if ordered == nil {
+				ordered = h.blocks.LeastIndeterminate(undecided, len(undecided))
+			}
 			queue = append(queue, ordered[next])
 			next++
 		}
@@ -120,7 +124,7 @@ func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 func (e *engine) finalize(h *State) *State {
 	cur := h
 	for !cur.IsEnd() {
-		attr := cur.undecided()[0]
+		attr := cur.blocks.LeastIndeterminate(cur.undecided(), 1)[0]
 		r := e.alignSc.Random(cur.blocks, e.rng)
 		g := align.GreedyMap(cur.inst, r, attr)
 		cur = cur.extend(attr, g, e.cm)

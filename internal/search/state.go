@@ -176,29 +176,14 @@ func (s *State) Describe() string {
 	return sb.String()
 }
 
-// undecided returns the undecided attribute indices ordered by
-// indeterminacy, most determined first (Section 4.3); ties break towards
-// the lower attribute index for determinism.
+// undecided returns the undecided attribute indices in ascending order;
+// blocking.Result.LeastIndeterminate ranks them (Section 4.3).
 func (s *State) undecided() []int {
 	var attrs []int
 	for a, f := range s.funcs {
 		if f == nil {
 			attrs = append(attrs, a)
 		}
-	}
-	type ia struct{ attr, ind int }
-	list := make([]ia, len(attrs))
-	for i, ind := range s.blocks.Indeterminacies(attrs) {
-		list[i] = ia{attr: attrs[i], ind: ind}
-	}
-	sort.SliceStable(list, func(i, j int) bool {
-		if list[i].ind != list[j].ind {
-			return list[i].ind < list[j].ind
-		}
-		return list[i].attr < list[j].attr
-	})
-	for i, e := range list {
-		attrs[i] = e.attr
 	}
 	return attrs
 }
