@@ -18,6 +18,10 @@ var benchSink int
 // polls, where blocks are coarsest and induction most expensive. flight20k
 // is the Figure 5 reference size (one 20 000-record block, 21 attributes);
 // uniprot300 is the widest registry schema (182 attributes) at 300 records.
+// chain drives one Inducer per op over every attribute of the flight20k
+// states of a refinement chain (the root, three reference refinements and
+// an identity sibling at each level), as a search does: its example memo
+// induces each repeated example once.
 func BenchmarkCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name, dataset string
@@ -25,8 +29,8 @@ func BenchmarkCandidates(b *testing.B) {
 	}{
 		{"flight20k", "flight-500k", 20000},
 		{"uniprot300", "uniprot", 300},
+		{"chain", "flight-500k", 20000},
 	} {
-		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			spec, err := datasets.Get(bc.dataset)
 			if err != nil {
@@ -40,12 +44,21 @@ func BenchmarkCandidates(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			root := blocking.New(p.Inst)
+			states := []*blocking.Result{blocking.New(p.Inst)}
+			if bc.name == "chain" {
+				states = refinementChain(p, 3)
+				for _, r := range states {
+					r.MixedBlocks() // split outside the timer
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for attr := 0; attr < p.Inst.NumAttrs(); attr++ {
-					benchSink += len(induce.Candidates(root, attr, p.Inst.Metas, induce.Defaults, 2, rand.New(rand.NewSource(int64(attr)+1))))
+				in := induce.New(p.Inst.Metas, induce.Defaults)
+				for si, r := range states {
+					for attr := 0; attr < p.Inst.NumAttrs(); attr++ {
+						benchSink += len(in.Candidates(r, attr, 2, rand.New(rand.NewSource(int64(100*si+attr)+1))))
+					}
 				}
 			}
 		})

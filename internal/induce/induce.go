@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"affidavit/internal/blocking"
+	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 )
 
@@ -134,11 +135,34 @@ func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config,
 
 // Inducer induces candidates with everything that is constant over a run
 // resolved once: the defaulted configuration and the two sample sizes. It
-// is safe for concurrent use.
+// also remembers, for every example (attribute, source value, target
+// value) it has induced from, the functions each meta induced, so a later
+// call — on any state of the run — induces only from examples it has not
+// seen. One run, one goroutine: an Inducer is not safe for concurrent use.
 type Inducer struct {
 	cfg       Config
 	metas     []metafunc.Meta
 	k, kPrime int // SampleSize and CochranSize of cfg
+
+	// The example memo, valid for the code space of coded: examples[attr]
+	// maps an example — its source and target code, packed — to its
+	// functions funcs[lo:hi] in meta order, packed as lo<<32 | hi; keys
+	// holds the functions' key bytes. Only funcs[:keptFuncs] and
+	// keys[:keptKeys] are memoised; past them sit the functions of the
+	// last example induced without being kept.
+	coded               *delta.Coded
+	examples            []map[uint64]uint64
+	funcs               []memoFunc
+	keys                []byte
+	keptFuncs, keptKeys int
+}
+
+// memoFunc is a function a meta induced from an example, with its key
+// keys[lo:hi] and the key's hash.
+type memoFunc struct {
+	f      metafunc.Func
+	hash   uint64
+	lo, hi int32
 }
 
 // New returns the Inducer for one meta-function library and configuration.
@@ -148,6 +172,45 @@ func New(metas []metafunc.Meta, cfg Config) *Inducer {
 		cfg: cfg, metas: metas,
 		k:      SampleSize(cfg.Theta, cfg.Rho, cfg.MinGenerated),
 		kPrime: CochranSize(cfg.Theta),
+	}
+}
+
+// induced returns the functions every meta induces from the example
+// vals[src] ↦ vals[tgt] of attribute attr, in meta order, inducing them —
+// and rendering and hashing their keys — only if the example is not
+// memoised. keep memoises a newly induced example. The returned slice is
+// valid until the next call.
+func (in *Inducer) induced(attr int, src, tgt int32, vals []string, keep bool) []memoFunc {
+	memo := in.examples[attr]
+	ex := uint64(uint32(src))<<32 | uint64(uint32(tgt))
+	if sp, ok := memo[ex]; ok {
+		return in.funcs[sp>>32 : uint32(sp)]
+	}
+	in.funcs, in.keys = in.funcs[:in.keptFuncs], in.keys[:in.keptKeys]
+	lo := len(in.funcs)
+	for _, m := range in.metas {
+		for _, f := range m.Induce(vals[src], vals[tgt]) {
+			k := len(in.keys)
+			in.keys = metafunc.AppendKey(in.keys, f)
+			in.funcs = append(in.funcs, memoFunc{f: f, hash: maphash.Bytes(hashSeed, in.keys[k:]), lo: int32(k), hi: int32(len(in.keys))})
+		}
+	}
+	if keep {
+		memo[ex] = uint64(lo)<<32 | uint64(len(in.funcs))
+		in.keptFuncs, in.keptKeys = len(in.funcs), len(in.keys)
+	}
+	return in.funcs[lo:]
+}
+
+// useCodes readies the example memo of attr for coded's code space,
+// dropping what was memoised for another one.
+func (in *Inducer) useCodes(coded *delta.Coded, attr int) {
+	if in.coded != coded {
+		in.coded, in.examples = coded, make([]map[uint64]uint64, len(coded.Dicts))
+		in.funcs, in.keys, in.keptFuncs, in.keptKeys = nil, nil, 0, 0
+	}
+	if in.examples[attr] == nil {
+		in.examples[attr] = make(map[uint64]uint64)
 	}
 }
 
@@ -200,7 +263,7 @@ type (
 	// run is one histogram bar: n records carry the value with local id id.
 	run struct{ id, n int32 }
 	// span delimits a sampled block's source bars runs[lo:mid] and target
-	// bars runs[mid:hi].
+	// bars runs[mid:hi], or a block's distinct source codes vals[lo:hi].
 	span struct{ lo, mid, hi int32 }
 	// ranked is a candidate with its sort keys precomputed.
 	ranked struct {
@@ -232,7 +295,6 @@ func (sc *scratch) reset() {
 // workScratch is the pooled working set of the induction or ranking tasks
 // of one Candidates call; each task resets it.
 type workScratch struct {
-	key     []byte  // induction: the current function's key bytes
 	keys    keySet  // induction: the keys the task has seen
 	applied []int32 // ranking: local value id → local id of f's output + 1, 0 = unset, -1 = not a sampled value
 	count   []int32 // ranking: local value id → records mapped onto it in the open block
@@ -303,7 +365,7 @@ func (s *keySet) place(h uint64, e int32) {
 }
 
 // hashSeed keys the function-key hashes. They only group equal keys within
-// one call, so results do not depend on it.
+// one run, so results do not depend on it.
 var hashSeed = maphash.MakeSeed()
 
 var (
@@ -386,23 +448,26 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// table on this path. Metas are applied directly instead of through
 	// metafunc.InduceAll: no meta family emits duplicate keys on one
 	// example, so the per-task dedup subsumes InduceAll's per-example dedup.
+	// Examples come from the run's memo, so each distinct one is induced,
+	// keyed and hashed once per run. Only the examples of blocks with at
+	// most k distinct source values are kept: a coarser block is one the
+	// search has not narrowed yet, its examples rarely recur, and keeping
+	// them would make the memo as large as the root's value pairs. (Every
+	// induction task of the cold flight, uniprot and adult searches had at
+	// most k.)
+	in.useCodes(coded, attr)
 	ws := workPool.Get().(*workScratch)
 	for i := range tasks {
 		ws.reset(0)
-		key := ws.key
 		t := &tasks[i]
-		out := vals[t.out]
+		keep := t.hi-t.lo <= int32(in.k)
 		for _, c := range srcVals[t.lo:t.hi] {
-			for _, m := range in.metas {
-				for _, f := range m.Induce(vals[c], out) {
-					key = metafunc.AppendKey(key[:0], f)
-					if h := maphash.Bytes(hashSeed, key); ws.keys.add(h, key) {
-						t.funcs = append(t.funcs, induced{hash: h, f: f})
-					}
+			for _, mf := range in.induced(attr, c, t.out, vals, keep) {
+				if ws.keys.add(mf.hash, in.keys[mf.lo:mf.hi]) {
+					t.funcs = append(t.funcs, induced{hash: mf.hash, f: mf.f})
 				}
 			}
 		}
-		ws.key = key
 	}
 	workPool.Put(ws)
 
