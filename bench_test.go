@@ -432,9 +432,9 @@ func BenchmarkAblationTheta(b *testing.B) {
 // BenchmarkCSVSourceIngest times the two CSV front doors on a generated
 // flight-500k slice: ReadCSV ("buffered", a name from when it held the
 // whole file as [][]string) and the CSVSource path ("streamed", with
-// ingest events and context checks). Both now intern row by row into the
-// same table — 4-byte codes plus one copy of each distinct value — so the
-// arms should read alike.
+// ingest events and context checks). Both intern through a table Builder,
+// in batches of records, into the same table — 4-byte codes plus one copy
+// of each distinct value — so the arms should read alike.
 func BenchmarkCSVSourceIngest(b *testing.B) {
 	spec, err := datasets.Get("flight-500k")
 	if err != nil {

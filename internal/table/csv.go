@@ -7,8 +7,9 @@ import (
 	"os"
 )
 
-// ReadCSV parses a table from CSV, interning row by row. The first row is
-// the header and becomes the schema. Rows must be rectangular.
+// ReadCSV parses a table from CSV, interning in batches as a Builder does.
+// The first row is the header and becomes the schema. Rows must be
+// rectangular.
 func ReadCSV(r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validate ourselves for a better message
@@ -24,19 +25,19 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := New(schema)
+	b := &Builder{t: New(schema)}
 	for {
 		row, err := cr.Read()
 		if err == io.EOF {
-			return t, nil
+			return b.Table(), nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("table: reading csv: %w", err)
 		}
 		if len(row) != schema.Len() {
-			return nil, fmt.Errorf("table: csv row %d has %d fields, header has %d", t.n+2, len(row), schema.Len())
+			return nil, fmt.Errorf("table: csv row %d has %d fields, header has %d", b.Len()+2, len(row), schema.Len())
 		}
-		t.intern(row)
+		b.add(row)
 	}
 }
 

@@ -52,6 +52,25 @@ func (d *Dict) Code(v string) int32 {
 	return c
 }
 
+// appendCodes interns vals[off], vals[off+stride], … in that order under
+// one lock, appends their codes to dst, and returns dst with a snapshot of
+// the value table that covers them.
+func (d *Dict) appendCodes(dst []int32, vals []string, off, stride int) ([]int32, []string) {
+	d.mu.Lock()
+	for i := off; i < len(vals); i += stride {
+		c, ok := d.codes[vals[i]]
+		if !ok {
+			c = int32(len(d.vals))
+			d.codes[vals[i]] = c
+			d.vals = append(d.vals, vals[i])
+		}
+		dst = append(dst, c)
+	}
+	view := d.vals[:len(d.vals):len(d.vals)]
+	d.mu.Unlock()
+	return dst, view
+}
+
 // Lookup returns v's code without interning; ok is false when v was never
 // interned.
 func (d *Dict) Lookup(v string) (int32, bool) {

@@ -2,6 +2,9 @@ package table
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -190,5 +193,134 @@ func TestBuilderValidation(t *testing.T) {
 	_ = b.Table()
 	if err := b.Append(Record{"x", "y"}); err == nil {
 		t.Error("append after Table() not rejected")
+	}
+}
+
+// TestBuilderBatchBoundaries: however many records a builder buffers
+// before it interns, it must give the codes, columns and dictionaries of
+// interning record by record — each column's new values coded in record
+// order — on fresh and pre-seeded shared dictionaries and on a pool that
+// a source and then a target snapshot intern into.
+func TestBuilderBatchBoundaries(t *testing.T) {
+	s := MustSchema("k", "n", "c")
+	// row i repeats values across rows and columns, so later rows hit codes
+	// that earlier batches assigned.
+	row := func(i int) Record {
+		return Record{fmt.Sprintf("k%d", i%97), fmt.Sprintf("%d", i%13), fmt.Sprintf("k%d", i%7)}
+	}
+	rows := func(n, from int) []Record {
+		out := make([]Record, n)
+		for i := range out {
+			out[i] = row(from + i)
+		}
+		return out
+	}
+	// reference interns rows into dictionaries seeded with seed, record by
+	// record, as plain maps.
+	type refDict struct {
+		codes map[string]int32
+		vals  []string
+	}
+	reference := func(seed [][]string, snaps ...[]Record) ([]refDict, [][][]int32) {
+		dicts := make([]refDict, s.Len())
+		for a := range dicts {
+			dicts[a].codes = map[string]int32{}
+			for _, v := range seed[a] {
+				dicts[a].codes[v] = int32(len(dicts[a].vals))
+				dicts[a].vals = append(dicts[a].vals, v)
+			}
+		}
+		cols := make([][][]int32, len(snaps))
+		for si, recs := range snaps {
+			cols[si] = make([][]int32, s.Len())
+			for _, r := range recs {
+				for a, v := range r {
+					c, ok := dicts[a].codes[v]
+					if !ok {
+						c = int32(len(dicts[a].vals))
+						dicts[a].codes[v] = c
+						dicts[a].vals = append(dicts[a].vals, v)
+					}
+					cols[si][a] = append(cols[si][a], c)
+				}
+			}
+		}
+		return dicts, cols
+	}
+	check := func(label string, tabs []*Table, dicts []*Dict, seed [][]string, snaps ...[]Record) {
+		t.Helper()
+		wantDicts, wantCols := reference(seed, snaps...)
+		for a, d := range dicts {
+			if got := d.Snapshot(); !slices.Equal(got, wantDicts[a].vals) {
+				t.Fatalf("%s: attr %d dictionary %q, record by record %q", label, a, got, wantDicts[a].vals)
+			}
+		}
+		for si, tab := range tabs {
+			walk(t, fmt.Sprintf("%s/snapshot %d", label, si), tab, snaps[si])
+			for a := range dicts {
+				if got := tab.CodeColumn(a, dicts[a]); !slices.Equal(got, wantCols[si][a]) {
+					t.Fatalf("%s: snapshot %d attr %d codes %v, record by record %v", label, si, a, got, wantCols[si][a])
+				}
+			}
+		}
+	}
+	const b = batchRecords
+	for _, n := range []int{0, 1, b - 1, b, b + 1, 2*b + 1} {
+		// Shared dictionaries, pre-seeded with values the table also holds.
+		seed := [][]string{{"k5", "other"}, {"7"}, {"k3", "k96"}}
+		dicts := []*Dict{NewDict(), NewDict(), NewDict()}
+		for a, vs := range seed {
+			for _, v := range vs {
+				dicts[a].Code(v)
+			}
+		}
+		src := rows(n, 0)
+		check(fmt.Sprintf("shared/%d", n), []*Table{buildColumnar(t, s, src, dicts)}, dicts, seed, src)
+
+		// Fresh dictionaries, through the Builder, FromRows and ReadCSV.
+		none := [][]string{nil, nil, nil}
+		built := buildColumnar(t, s, src, nil)
+		check(fmt.Sprintf("fresh/%d", n), []*Table{built}, built.dicts, none, src)
+		fromRows := MustFromRows(s, src)
+		check(fmt.Sprintf("FromRows/%d", n), []*Table{fromRows}, fromRows.dicts, none, src)
+		read, err := ReadCSV(strings.NewReader(csvOf(t, built)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("ReadCSV/%d", n), []*Table{read}, read.dicts, none, src)
+
+		// A pool: the source snapshot, then a target that shares most values.
+		pool := NewDictPool()
+		tgt := rows(n+3, 50)
+		srcTab := buildColumnar(t, s, src, pool.DictsFor(s))
+		tgtTab := buildColumnar(t, s, tgt, pool.DictsFor(s))
+		check(fmt.Sprintf("pool/%d", n), []*Table{srcTab, tgtTab}, pool.DictsFor(s), none, src, tgt)
+	}
+}
+
+// TestBuilderLenCountsBuffered: Len counts the records appended so far,
+// interned or still buffered, and an invalid record is rejected when it is
+// appended, whatever its place in a batch.
+func TestBuilderLenCountsBuffered(t *testing.T) {
+	s := MustSchema("a", "b")
+	bld, err := NewBuilder(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batchRecords+10; i++ {
+		if i == batchRecords/2 || i == batchRecords+3 {
+			if err := bld.Append(Record{"short"}); err == nil {
+				t.Fatalf("short record at %d accepted", i)
+			}
+		}
+		if err := bld.Append(Record{fmt.Sprint(i), "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if bld.Len() != i+1 {
+			t.Fatalf("after %d appends Len = %d", i+1, bld.Len())
+		}
+	}
+	if tab := bld.Table(); tab.Len() != batchRecords+10 {
+		t.Fatalf("table holds %d records, want %d", tab.Len(), batchRecords+10)
 	}
 }

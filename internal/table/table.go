@@ -181,14 +181,14 @@ func newTable(s *Schema, dicts []*Dict) *Table {
 
 // FromRows builds a table from a schema and rows, validating widths.
 func FromRows(s *Schema, rows []Record) (*Table, error) {
-	t := New(s)
+	b := &Builder{t: New(s)}
 	for i, r := range rows {
 		if len(r) != s.Len() {
 			return nil, fmt.Errorf("table: row %d has %d values, schema has %d attributes", i, len(r), s.Len())
 		}
-		t.intern(r)
+		b.add(r)
 	}
-	return t, nil
+	return b.Table(), nil
 }
 
 // MustFromRows is FromRows that panics on error, for fixtures and tests.
@@ -222,26 +222,27 @@ func (t *Table) decode(r Record, i int) Record {
 // Value returns the value of attribute a in record i.
 func (t *Table) Value(i, a int) string { return t.views[a][t.cols[a][i]] }
 
-// Append interns one record (validated against the schema). The record is
-// consumed by value — the table keeps no reference to it.
+// Append interns one record (validated against the schema): a batch of
+// one. The record is consumed by value — the table keeps no reference to
+// it.
 func (t *Table) Append(r Record) error {
 	if len(r) != t.schema.Len() {
 		return fmt.Errorf("table: record has %d values, schema has %d attributes", len(r), t.schema.Len())
 	}
-	t.intern(r)
+	t.internBatch(r, 1)
 	return nil
 }
 
-// intern appends one record of the schema's width.
-func (t *Table) intern(r Record) {
-	for a, v := range r {
-		c := t.dicts[a].Code(v)
-		if int(c) >= len(t.views[a]) {
-			t.views[a] = t.dicts[a].Snapshot()
-		}
-		t.cols[a] = append(t.cols[a], c)
+// internBatch appends the n records held row-major in flat (n × the
+// schema's width values), interning column by column under one dictionary
+// lock per column. Each column's new values still get codes in record
+// order.
+func (t *Table) internBatch(flat []string, n int) {
+	width := len(t.cols)
+	for a, d := range t.dicts {
+		t.cols[a], t.views[a] = d.appendCodes(t.cols[a], flat, a, width)
 	}
-	t.n++
+	t.n += n
 }
 
 // Clone returns a copy of the table: the code columns are copied, the

@@ -215,6 +215,38 @@ func TestSourceErrors(t *testing.T) {
 	}
 }
 
+// TestIngestShortRecordNumber: a record of the wrong width fails the
+// ingest naming its own 1-based record number, wherever it falls in the
+// builder's interning batch — the first record, mid-batch, the last of a
+// batch, the first of the next.
+func TestIngestShortRecordNumber(t *testing.T) {
+	ex, err := affidavit.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := affidavit.NewSchema("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{1, 100, 256, 257, 600} {
+		i := 0
+		src := affidavit.NewRowsSource(schema, func() (affidavit.Record, error) {
+			if i == 700 {
+				return nil, io.EOF
+			}
+			i++
+			if i == bad {
+				return affidavit.Record{"short"}, nil
+			}
+			return affidavit.Record{fmt.Sprint(i), "x"}, nil
+		})
+		want := fmt.Sprintf("affidavit: ingesting source record %d: ", bad)
+		if _, err := ex.ReadSource(context.Background(), src); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("short record %d: err = %v, want prefix %q", bad, err, want)
+		}
+	}
+}
+
 // TestJSONLErrorDeterminism: when a line carries several out-of-schema
 // keys, the error always names the lexicographically-smallest one. The
 // mapiter analyzer flagged the original map-order iteration in
