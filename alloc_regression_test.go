@@ -59,10 +59,12 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 			}
 		}
 	})
-	// Measured 138k allocs/run with the warm tuple re-blocked by RefineAll
-	// (178k under -race); 144k (185k) before, 369k after the raw-speed pass,
-	// ~1.7M in the BENCH_5 era.
-	const ceiling = 195_000
+	// Measured 49.0k allocs/run (58.8k under -race) with mixed-only blocks,
+	// the run's example memo and batched interning; 132k with the warm
+	// tuple re-blocked by the all-record RefineAll (178k under -race), 144k
+	// (185k) before that, 369k after the raw-speed pass, ~1.7M in the
+	// BENCH_5 era.
+	const ceiling = 67_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("warm chain allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
@@ -142,9 +144,11 @@ func TestAllocRegressionScale20(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 346k allocs/run with induction on codes (403k under -race) (711k after the
-	// raw-speed pass, ~2.85M in the BENCH_5 era).
-	const ceiling = 460_000
+	// Measured 122.6k allocs/run (134k–138k under -race) with mixed-only
+	// blocks, top-β indeterminacy and the run's example memo; 331k with
+	// induction on codes (403k under -race), 711k after the raw-speed pass,
+	// ~2.85M in the BENCH_5 era.
+	const ceiling = 165_000
 	t.Logf("scale20 cold: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("scale20 cold search allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
