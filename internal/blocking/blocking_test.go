@@ -2,6 +2,7 @@ package blocking_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,6 +156,33 @@ func TestSurplusBoundsUnderCorrectFunctions(t *testing.T) {
 	}
 }
 
+// TestIndeterminacy ranks the Figure 1 attributes. At the root the one
+// mixed block holds all 17 sources: Unit has 1 distinct value, Org 3,
+// Type 5, Val 11, Date 12, ID1 and ID2 17 each. Refining on Org leaves the
+// mixed blocks IBM, SAP and BASF, where Org and Unit tie at 1 (broken by
+// attribute index), Type drops to 3, Date to 5, and ID1, ID2 and Val tie
+// at 7.
+func TestIndeterminacy(t *testing.T) {
+	inst := fixture.Instance()
+	all := []int{fixture.Org, fixture.ID2, fixture.Val, fixture.Date, fixture.ID1, fixture.Unit, fixture.Type}
+	r := blocking.New(inst)
+	want := []int{fixture.Unit, fixture.Org, fixture.Type, fixture.Val, fixture.Date, fixture.ID1, fixture.ID2}
+	if got := r.LeastIndeterminate(all, len(all)); !slices.Equal(got, want) {
+		t.Errorf("root: LeastIndeterminate = %v, want %v", got, want)
+	}
+	if got := r.LeastIndeterminate([]int{fixture.ID1, fixture.Org, fixture.Unit}, 3); !slices.Equal(got, []int{fixture.Unit, fixture.Org, fixture.ID1}) {
+		t.Errorf("root: LeastIndeterminate(ID1, Org, Unit) = %v, want [Unit Org ID1]", got)
+	}
+	r2 := r.Refine(fixture.Org, metafunc.Identity{})
+	want = []int{fixture.Unit, fixture.Org, fixture.Type, fixture.Date, fixture.ID1, fixture.ID2, fixture.Val}
+	if got := r2.LeastIndeterminate(all, len(all)); !slices.Equal(got, want) {
+		t.Errorf("refined on Org: LeastIndeterminate = %v, want %v", got, want)
+	}
+	if got := r2.LeastIndeterminate(all, 3); !slices.Equal(got, want[:3]) {
+		t.Errorf("refined on Org: LeastIndeterminate(k=3) = %v, want %v", got, want[:3])
+	}
+}
+
 func TestKeySeparatorSafety(t *testing.T) {
 	// Values that would collide under naive concatenation must not merge.
 	s := table.MustSchema("a", "b")
@@ -187,6 +215,32 @@ func TestMixedBlocks(t *testing.T) {
 	}
 	checkReference(t, "Unit", r, []int{fixture.Unit}, []metafunc.Func{metafunc.Identity{}})
 	checkReference(t, "Org", r2, []int{fixture.Org}, []metafunc.Func{metafunc.Identity{}})
+}
+
+// TestIndeterminaciesMatchNaiveCount checks LeastIndeterminate — one epoch
+// array over all attributes, blocks no larger than the running maximum
+// skipped, losing attributes abandoned early — against a naive per-block
+// set of value strings on Figure 1, at blockings from one giant block to
+// many small ones and to none mixed.
+func TestIndeterminaciesMatchNaiveCount(t *testing.T) {
+	inst := fixture.Instance()
+	root := blocking.New(inst)
+	for _, tc := range []struct {
+		name string
+		r    *blocking.Result
+	}{
+		{"root", root},
+		{"org", root.Refine(fixture.Org, metafunc.Identity{})},
+		{"type+org", root.Refine(fixture.Type, metafunc.Identity{}).Refine(fixture.Org, metafunc.Identity{})},
+		{"unit (no mixed block)", root.Refine(fixture.Unit, metafunc.Identity{})},
+		{"unit constant", root.Refine(fixture.Unit, metafunc.Constant{C: "k $"})},
+	} {
+		attrs := make([]int, inst.NumAttrs())
+		for a := range attrs {
+			attrs[a] = inst.NumAttrs() - 1 - a // any order, every attribute
+		}
+		checkLeastIndeterminate(t, tc.name, tc.r, attrs, naiveRanking(inst, tc.r, attrs))
+	}
 }
 
 // TestForcedResultReleasesParent: refinement is lazy, so an unforced result

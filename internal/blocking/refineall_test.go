@@ -138,6 +138,49 @@ func TestRefineAllCancelled(t *testing.T) {
 	}
 }
 
+// indeterminacy pairs an attribute with its naive indeterminacy.
+type indeterminacy struct{ attr, ind int }
+
+// naiveRanking is the oracle for LeastIndeterminate: every attribute of
+// attrs with the largest number of distinct source value strings in one
+// mixed block of r, stably sorted by (indeterminacy, attribute index).
+func naiveRanking(inst *delta.Instance, r *blocking.Result, attrs []int) []indeterminacy {
+	naive := make([]indeterminacy, len(attrs))
+	for i, attr := range attrs {
+		most := 0
+		for _, b := range r.MixedBlocks() {
+			distinct := map[string]bool{}
+			for _, s := range b.Src {
+				distinct[inst.Source.Value(int(s), attr)] = true
+			}
+			most = max(most, len(distinct))
+		}
+		naive[i] = indeterminacy{attr: attr, ind: most}
+	}
+	slices.SortStableFunc(naive, func(a, b indeterminacy) int {
+		if a.ind != b.ind {
+			return a.ind - b.ind
+		}
+		return a.attr - b.attr
+	})
+	return naive
+}
+
+// checkLeastIndeterminate compares LeastIndeterminate(attrs, k) with the
+// first k attributes of naive, for every k up to one past len(attrs).
+func checkLeastIndeterminate(t *testing.T, name string, r *blocking.Result, attrs []int, naive []indeterminacy) {
+	t.Helper()
+	for k := 0; k <= len(attrs)+1; k++ {
+		var want []int
+		for _, e := range naive[:min(k, len(naive))] {
+			want = append(want, e.attr)
+		}
+		if got := r.LeastIndeterminate(attrs, k); !slices.Equal(got, want) {
+			t.Fatalf("%s: LeastIndeterminate(%v, %d) = %v, naive %v (%v)", name, attrs, k, got, want, naive)
+		}
+	}
+}
+
 // TestLeastIndeterminateMatchesStableSort: for every k, LeastIndeterminate
 // must return the first k attributes of a naive stable sort by (distinct
 // source values in the most indeterminate mixed block, attribute index),
@@ -151,39 +194,13 @@ func TestLeastIndeterminateMatchesStableSort(t *testing.T) {
 		tupleAttrs, fs := randomTuple(rng, inst.NumAttrs())
 		r := blocking.New(inst).RefineAll(tupleAttrs, fs)
 		attrs := rng.Perm(inst.NumAttrs())[:rng.Intn(inst.NumAttrs()+1)]
-		type ia struct{ attr, ind int }
-		naive := make([]ia, len(attrs))
-		for i, attr := range attrs {
-			most := 0
-			for _, b := range r.MixedBlocks() {
-				distinct := map[string]bool{}
-				for _, s := range b.Src {
-					distinct[inst.Source.Value(int(s), attr)] = true
-				}
-				most = max(most, len(distinct))
-			}
-			naive[i] = ia{attr: attr, ind: most}
-		}
-		slices.SortStableFunc(naive, func(a, b ia) int {
-			if a.ind != b.ind {
-				return a.ind - b.ind
-			}
-			return a.attr - b.attr
-		})
+		naive := naiveRanking(inst, r, attrs)
 		for i := 1; i < len(naive); i++ {
 			if naive[i].ind == naive[i-1].ind {
 				ties++
 			}
 		}
-		for k := 0; k <= len(attrs)+1; k++ {
-			var want []int
-			for _, e := range naive[:min(k, len(naive))] {
-				want = append(want, e.attr)
-			}
-			if got := r.LeastIndeterminate(attrs, k); !slices.Equal(got, want) {
-				t.Fatalf("iter %d: LeastIndeterminate(%v, %d) = %v, naive %v (%v)", iter, attrs, k, got, want, naive)
-			}
-		}
+		checkLeastIndeterminate(t, fmt.Sprintf("iter %d", iter), r, attrs, naive)
 	}
 	if ties == 0 {
 		t.Fatal("no indeterminacy tie: the inputs do not exercise the tie-break")
