@@ -1,6 +1,6 @@
 // Allocation-regression tests: the raw-speed pass drove the hot-path
 // allocation counts down by replacing per-call maps, packed string keys and
-// throwaway scratch with pooled slabs and open-addressing tables, and the
+// throwaway scratch with reused slabs and open-addressing tables, and the
 // induction-on-codes rewrite halved them again. These
 // tests pin the two headline workloads — the warm session chain
 // (BenchmarkChain/warm) and the scale-20 Figure 5 cold search — and the
@@ -9,9 +9,7 @@
 // reintroduces per-record or per-state allocations fails CI instead of
 // only moving a benchmark number.
 //
-// The ceilings carry 30-40% headroom over the measured counts (10-15% over
-// what the same runs read under -race, where sync.Pool drops a quarter of
-// its Puts and pooled scratch is rebuilt that much more often), so ordinary
+// The ceilings carry 30-40% headroom over the measured counts, so ordinary
 // drift — a few extra allocations per poll, a new trace field — passes,
 // while regressing to map-based induction (1.7-2x the measured counts) or
 // to the pre-pass shape (7-9x) cannot.
@@ -19,6 +17,7 @@ package affidavit_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"affidavit"
@@ -51,7 +50,7 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs := repeatedAllocs(t, func() {
 		sess := ex.Session(ch.Snapshots[0])
 		for s := 1; s < len(ch.Snapshots); s++ {
 			if _, err := sess.ExplainNextContext(context.Background(), ch.Snapshots[s]); err != nil {
@@ -59,11 +58,12 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 			}
 		}
 	})
-	// Measured 49.0k allocs/run (58.8k under -race) with mixed-only blocks,
-	// the run's example memo and batched interning; 132k with the warm
-	// tuple re-blocked by the all-record RefineAll (178k under -race), 144k
-	// (185k) before that, 369k after the raw-speed pass, ~1.7M in the
-	// BENCH_5 era.
+	// Measured 51.1k allocs/run, with or without -race, once each run owned
+	// its scratch; 49.0k–51.4k (58.8k under -race) with pooled scratch,
+	// mixed-only blocks, the run's example memo and batched interning; 132k
+	// with the warm tuple re-blocked by the all-record RefineAll (178k
+	// under -race), 144k (185k) before that, 369k after the raw-speed pass,
+	// ~1.7M in the BENCH_5 era.
 	const ceiling = 67_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
@@ -113,7 +113,7 @@ func TestAllocRegressionEncode(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionScale20 mirrors BenchmarkFigure5Rows/scale20/seq: a
+// TestAllocRegressionScale20 mirrors BenchmarkFigure5Rows/scale20: a
 // cold sequential search over the 20%-scaled flight instance.
 func TestAllocRegressionScale20(t *testing.T) {
 	if testing.Short() {
@@ -137,20 +137,43 @@ func TestAllocRegressionScale20(t *testing.T) {
 	}
 	opts := search.DefaultOptions()
 	opts.Seed = 1
-	opts.Workers = 1
 	var inst *delta.Instance = p.Inst
-	allocs := testing.AllocsPerRun(1, func() {
+	allocs := repeatedAllocs(t, func() {
 		if _, err := search.Run(context.Background(), inst, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Measured 122.6k allocs/run (134k–138k under -race) with mixed-only
-	// blocks, top-β indeterminacy and the run's example memo; 331k with
-	// induction on codes (403k under -race), 711k after the raw-speed pass,
-	// ~2.85M in the BENCH_5 era.
+	// Measured 123.5k allocs/run, with or without -race, once each run owned
+	// its scratch; 122.6k–125.1k (134k–140k under -race) with pooled
+	// scratch, mixed-only blocks, top-β indeterminacy and the run's example
+	// memo; 331k with induction on codes (403k under -race), 711k after the
+	// raw-speed pass, ~2.85M in the BENCH_5 era.
 	const ceiling = 165_000
 	t.Logf("scale20 cold: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("scale20 cold search allocates %.0f per run, over the %d ceiling — a hot path regressed to per-record allocation", allocs, ceiling)
 	}
+}
+
+// repeatedAllocs runs f once to warm up, then twice more on one thread, and
+// returns the mallocs of the first measured run. A run owns its scratch, so
+// its count is a function of its inputs: it fails t unless the two measured
+// runs agree within 0.1 %.
+func repeatedAllocs(t *testing.T, f func()) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var n [2]uint64
+	var ms runtime.MemStats
+	for i := range n {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		n[i] = ms.Mallocs - before
+	}
+	if lo, hi := min(n[0], n[1]), max(n[0], n[1]); float64(hi-lo) > 0.001*float64(lo) {
+		t.Errorf("two identical runs allocated %d and %d objects: more than 0.1 %% apart", n[0], n[1])
+	}
+	return float64(n[0])
 }

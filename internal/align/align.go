@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
@@ -29,12 +28,14 @@ func Random(r *blocking.Result, rng *rand.Rand) []Pair {
 	return sc.Random(r, rng)
 }
 
-// Scratch holds the shuffle buffers and pair list one caller reuses across
-// Random samples. A Scratch belongs to a single goroutine; the returned
-// alignment aliases it and is valid until the next Random call on it.
+// Scratch holds what one run reuses across its Random samples and GreedyMap
+// probes: the shuffle buffers, the pair list and the greedy-map table. A
+// Scratch belongs to one run, on one goroutine; the alignment Random
+// returns aliases it and is valid until the next Random call on it.
 type Scratch struct {
 	pairs    []Pair
 	src, tgt []int32
+	greedy   greedyScratch
 }
 
 // Random is the buffer-reusing form of the package-level Random; it draws
@@ -70,24 +71,30 @@ func (sc *Scratch) Random(r *blocking.Result, rng *rand.Rand) []Pair {
 // only if someone reads them. Tie-breaking compares the underlying strings
 // (code order is not deterministic).
 func GreedyMap(inst *delta.Instance, pairs []Pair, attr int) *metafunc.Mapping {
+	var sc Scratch
+	return sc.GreedyMap(inst, pairs, attr)
+}
+
+// GreedyMap is the table-reusing form of the package-level GreedyMap; its
+// mapping does not alias sc.
+func (sc *Scratch) GreedyMap(inst *delta.Instance, pairs []Pair, attr int) *metafunc.Mapping {
 	coded := inst.Coded()
 	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
 	dict := coded.Dicts[attr]
-	sc := greedyPool.Get().(*greedyScratch)
-	sc.reset(len(pairs), int(coded.Base[attr]))
+	g := &sc.greedy
+	g.reset(len(pairs), int(coded.Base[attr]))
 	for _, p := range pairs {
-		sc.count(uint64(uint32(srcCodes[p.S]))<<32 | uint64(uint32(tgtCodes[p.T])))
+		g.count(uint64(uint32(srcCodes[p.S]))<<32 | uint64(uint32(tgtCodes[p.T])))
 	}
-	from, to := sc.best(dict.Snapshot())
-	greedyPool.Put(sc)
+	from, to := g.best(dict.Snapshot())
 	return metafunc.NewCodedMapping(dict, from, to)
 }
 
-// greedyScratch is GreedyMap's pooled working set: an open-addressing
-// table counting (source code, target code) pairs packed into 64 bits, and
-// dense per-source-code arrays for the running argmax. bestN is all zero
-// between borrows (best clears the entries it set), so only the pair
-// table is cleared per call.
+// greedyScratch is GreedyMap's working set: an open-addressing table
+// counting (source code, target code) pairs packed into 64 bits, and dense
+// per-source-code arrays for the running argmax. bestN is all zero between
+// calls (best clears the entries it set), so only the pair table is
+// cleared per call.
 type greedyScratch struct {
 	keys  []uint64 // pair+1; 0 = empty
 	cnts  []int32
@@ -97,10 +104,8 @@ type greedyScratch struct {
 	from  []int32 // source codes in first-seen slot order
 }
 
-var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
-
 // reset sizes the pair table for n pairs at load ≤ 1/2 — exactly, so slot
-// order never depends on an earlier borrower — and the argmax arrays for
+// order never depends on an earlier call — and the argmax arrays for
 // source codes below base.
 func (sc *greedyScratch) reset(n, base int) {
 	size := 16
@@ -124,7 +129,7 @@ func (sc *greedyScratch) reset(n, base int) {
 
 // best returns each counted source code with its most frequent target
 // code, breaking count ties towards the smaller target string in vals, and
-// clears bestN for the next borrower. Slot order is a function of the
+// clears bestN for the next call. Slot order is a function of the
 // pairs alone, and the argmax has a total tie-break, so the entries do not
 // depend on it either.
 func (sc *greedyScratch) best(vals []string) (from, to []int32) {

@@ -34,10 +34,6 @@ type Block struct {
 	Tgt []int32 // target record indices
 }
 
-// Mixed reports whether the block has records on both sides; only mixed
-// blocks can contribute alignment examples.
-func (b *Block) Mixed() bool { return len(b.Src) > 0 && len(b.Tgt) > 0 }
-
 // applyMemo caches, for one (attribute, function) pair, the output code of
 // every raw input code of that attribute. It is immutable once built.
 type applyMemo []int32

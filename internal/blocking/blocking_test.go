@@ -20,7 +20,7 @@ func TestInitialResult(t *testing.T) {
 		t.Fatalf("initial mixed blocks = %d, want 1", len(r.MixedBlocks()))
 	}
 	b := r.MixedBlocks()[0]
-	if len(b.Src) != 17 || len(b.Tgt) != 16 || !b.Mixed() {
+	if len(b.Src) != 17 || len(b.Tgt) != 16 {
 		t.Error("initial block shape wrong")
 	}
 	checkReference(t, "New", r, nil, nil)

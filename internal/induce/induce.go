@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 
 	"affidavit/internal/blocking"
 	"affidavit/internal/delta"
@@ -138,11 +137,15 @@ func Candidates(r *blocking.Result, attr int, metas []metafunc.Meta, cfg Config,
 // also remembers, for every example (attribute, source value, target
 // value) it has induced from, the functions each meta induced, so a later
 // call — on any state of the run — induces only from examples it has not
-// seen. One run, one goroutine: an Inducer is not safe for concurrent use.
+// seen. It owns the working set its calls reuse as well. One run, one
+// goroutine: an Inducer is not safe for concurrent use.
 type Inducer struct {
 	cfg       Config
 	metas     []metafunc.Meta
 	k, kPrime int // SampleSize and CochranSize of cfg
+
+	sc scratch
+	ws workScratch
 
 	// The example memo, valid for the code space of coded: examples[attr]
 	// maps an example — its source and target code, packed — to its
@@ -273,7 +276,7 @@ type (
 	}
 )
 
-// scratch is the pooled working set of one Candidates call. The layout
+// scratch is the working set of one Candidates call. The layout
 // passes write it; induction and ranking tasks only read it.
 type scratch struct {
 	codes, blocks denseIDs
@@ -292,8 +295,8 @@ func (sc *scratch) reset() {
 	sc.local, sc.pos, sc.runs, sc.spans = sc.local[:0], sc.pos[:0], sc.runs[:0], sc.spans[:0]
 }
 
-// workScratch is the pooled working set of the induction or ranking tasks
-// of one Candidates call; each task resets it.
+// workScratch is the working set of the induction or ranking tasks of one
+// Candidates call; each task resets it.
 type workScratch struct {
 	keys    keySet  // induction: the keys the task has seen
 	applied []int32 // ranking: local value id → local id of f's output + 1, 0 = unset, -1 = not a sampled value
@@ -368,11 +371,6 @@ func (s *keySet) place(h uint64, e int32) {
 // one run, so results do not depend on it.
 var hashSeed = maphash.MakeSeed()
 
-var (
-	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-	workPool    = sync.Pool{New: func() any { return new(workScratch) }}
-)
-
 // Candidates induces, filters and ranks function candidates for attribute
 // attr under blocking result r, returning the best ones in rank order
 // (highest score first). At most top candidates are returned; top ≤ 0
@@ -385,9 +383,8 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	coded := r.Coded()
 	vals := coded.Dicts[attr].Snapshot()
 	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
-	sc := scratchPool.Get().(*scratch)
+	sc := &in.sc
 	sc.reset()
-	defer scratchPool.Put(sc)
 
 	// --- Stage 1: induce candidates from sampled target records. ---
 	targets := sc.targets
@@ -456,7 +453,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// induction task of the cold flight, uniprot and adult searches had at
 	// most k.)
 	in.useCodes(coded, attr)
-	ws := workPool.Get().(*workScratch)
+	ws := &in.ws
 	for i := range tasks {
 		ws.reset(0)
 		t := &tasks[i]
@@ -469,7 +466,6 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 			}
 		}
 	}
-	workPool.Put(ws)
 
 	// --- Stage 2: significance filter. ---
 	// At full sample size k the threshold is MinGenerated; with fewer
@@ -512,7 +508,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 		}
 	}
 	for i := range tasks {
-		clear(tasks[i].funcs) // the pooled scratch keeps the buffers, not the functions
+		clear(tasks[i].funcs) // the scratch keeps the buffers, not the functions
 	}
 	cands = slices.DeleteFunc(cands, func(c ranked) bool { return c.Generated < minGen })
 	if len(cands) == 0 {
@@ -529,7 +525,7 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	}
 
 	// --- Stage 3: rank by estimated histogram overlap. ---
-	in.rankByOverlap(sc, r, attr, cands, rng)
+	in.rankByOverlap(r, attr, cands, rng)
 	slices.SortFunc(cands, func(a, b ranked) int {
 		if a.Score != b.Score {
 			return cmp.Compare(b.Score, a.Score)
@@ -561,7 +557,8 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 // Base), or simply absent from the sample — cannot equal any sampled target
 // value, so it is skipped via a read-only dictionary probe: ranking never
 // grows the dictionaries.
-func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cands []ranked, rng *rand.Rand) {
+func (in *Inducer) rankByOverlap(r *blocking.Result, attr int, cands []ranked, rng *rand.Rand) {
+	sc, ws := &in.sc, &in.ws
 	coded := r.Coded()
 	dict, base := coded.Dicts[attr], coded.Base[attr]
 	vals := dict.Snapshot()
@@ -611,7 +608,6 @@ func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cand
 		}
 	}
 	runs, spans, local, ids := sc.runs, sc.spans, sc.local, &sc.codes
-	ws := workPool.Get().(*workScratch)
 	for i := range cands {
 		ws.reset(len(local))
 		f := cands[i].Func
@@ -647,5 +643,4 @@ func (in *Inducer) rankByOverlap(sc *scratch, r *blocking.Result, attr int, cand
 		cands[i].Overlap = overlap
 		cands[i].Score = overlap - cands[i].params
 	}
-	workPool.Put(ws)
 }

@@ -107,7 +107,6 @@ func Suite() []*Analyzer {
 		NonDet,
 		CtxFlow,
 		ObsEvent,
-		ScratchReuse,
 		JobStore,
 		DocComment,
 	}

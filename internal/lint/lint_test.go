@@ -36,10 +36,6 @@ func TestObsEvent(t *testing.T) {
 	linttest.Run(t, "testdata", "pipeline", lint.ObsEvent)
 }
 
-func TestScratchReuse(t *testing.T) {
-	linttest.Run(t, "testdata", "scratch", lint.ScratchReuse)
-}
-
 func TestJobStore(t *testing.T) {
 	linttest.Run(t, "testdata", "jobs", lint.JobStore)
 }
@@ -73,7 +69,7 @@ func TestSuiteComplete(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"mapiter", "nondet", "ctxflow", "obsevent", "scratchreuse", "jobstore", "doccomment"} {
+	for _, want := range []string{"mapiter", "nondet", "ctxflow", "obsevent", "jobstore", "doccomment"} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}

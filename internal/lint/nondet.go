@@ -28,13 +28,14 @@ var nondetScope = map[string]bool{
 // NonDet bans the ambient-nondeterminism entry points inside coded/search
 // paths: wall clocks (time.Now/Since), the process-global math/rand source
 // (per-probe seeded rngs are fine — those are methods on *rand.Rand),
-// environment reads, and maps formatted through fmt. Each is a way for two
-// runs over identical snapshots and seeds to produce different bytes.
+// environment reads, maps formatted through fmt, and sync.Pool, whose
+// reuse of scratch depends on GC timing. Each is a way for two runs over
+// identical snapshots and seeds to produce different bytes or counts.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc: "bans time.Now/Since, global math/rand functions, os.Getenv and " +
-		"map arguments to fmt in coded/search-path packages, where output " +
-		"must be a pure function of snapshots and seed",
+	Doc: "bans time.Now/Since, global math/rand functions, os.Getenv, " +
+		"map arguments to fmt and sync.Pool in coded/search-path packages, " +
+		"where output must be a pure function of snapshots and seed",
 	Run: runNonDet,
 }
 
@@ -53,6 +54,14 @@ func runNonDet(pass *Pass) {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if tn, ok := pass.TypesInfo.Uses[id].(*types.TypeName); ok && tn.Pkg() != nil &&
+					tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+					pass.Report(id.Pos(), "sync.Pool in coded path %s: a pool hands back scratch "+
+						"whose reuse depends on GC timing; let the run own its scratch", pass.Pkg.Path())
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

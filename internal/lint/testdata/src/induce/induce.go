@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sync"
 	"time"
 )
+
+var pool sync.Pool // want "a pool hands back scratch whose reuse depends on GC timing"
 
 // Flagged: ambient nondeterminism in a coded path.
 func bad(m map[string]int) string {

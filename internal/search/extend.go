@@ -78,7 +78,7 @@ func (e *engine) probe(ext []*State, h *State, attr int, r []align.Pair) []*Stat
 	if e.done() {
 		return ext
 	}
-	g := align.GreedyMap(h.inst, r, attr)
+	g := e.alignSc.GreedyMap(h.inst, r, attr)
 	hg := h.extend(attr, g, e.cm)
 	cands := e.ind.Candidates(h.blocks, attr, e.opts.Beta, e.probeRng(attr))
 	e.stats.StatesGenerated += len(cands)
@@ -126,7 +126,7 @@ func (e *engine) finalize(h *State) *State {
 	for !cur.IsEnd() {
 		attr := cur.blocks.LeastIndeterminate(cur.undecided(), 1)[0]
 		r := e.alignSc.Random(cur.blocks, e.rng)
-		g := align.GreedyMap(cur.inst, r, attr)
+		g := e.alignSc.GreedyMap(cur.inst, r, attr)
 		cur = cur.extend(attr, g, e.cm)
 		e.stats.StatesGenerated++
 	}
@@ -148,9 +148,9 @@ type engine struct {
 	// sizes resolved once.
 	ind *induce.Inducer
 
-	// alignSc is the run's reusable alignment-sampling scratch (extensions
-	// and finalize); each returned alignment is consumed by one probe wave
-	// before the next sample.
+	// alignSc is the run's alignment-sampling and greedy-map scratch
+	// (extensions and finalize); each returned alignment is consumed by one
+	// probe wave before the next sample.
 	alignSc align.Scratch
 }
 
