@@ -290,13 +290,9 @@ func TestJobRestartDurability(t *testing.T) {
 	if code != http.StatusOK || string(body) != string(want) {
 		t.Fatalf("post-restart re-submission: status %d, identical %v", code, string(body) == string(want))
 	}
-	stats := get(t, srv.URL+"/stats")
-	var st statsResponse
-	if err := json.Unmarshal([]byte(stats), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Jobs.DedupeHits != 1 || st.Jobs.Submitted != 0 || len(st.Tables) != 0 {
-		t.Errorf("post-restart stats = %+v with sessions %v, want a pure dedupe hit and no session", st.Jobs, st.Tables)
+	m := metricSamples(t, srv)
+	if hits, subs, chains := m["affidavit_jobs_dedupe_hits_total"], m["affidavit_jobs_submitted_total"], chainSeries(m); hits != "1" || subs != "0" || len(chains) != 0 {
+		t.Errorf("post-restart dedupe hits %q, submissions %q, chain series %v; want a pure dedupe hit and no session", hits, subs, chains)
 	}
 }
 

@@ -6,18 +6,21 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"affidavit/internal/cliutil"
 )
 
-// TestDocsAPICoverage is the docs-drift check: every flag the binary
-// registers and every route the mux serves must appear in docs/api.md.
-// Flags are collected from the shared cliutil registration plus the
-// flag.* literals in main.go; routes from the mux.Handle* pattern literals
-// in server.go, each looked up without its method. A new flag or endpoint
-// without documentation fails CI here.
+// TestDocsAPICoverage is the docs-drift check, in both directions: every
+// flag the binary registers and every route the mux serves must appear in
+// docs/api.md, and every route row and flag row of docs/api.md must name a
+// route the mux serves or a flag the binary registers. Flags are collected
+// from the shared cliutil registration plus the flag.* literals in
+// main.go; routes from the mux.Handle* pattern literals in server.go. A
+// new flag or endpoint without documentation fails CI here, and so does a
+// deleted one that is still documented.
 func TestDocsAPICoverage(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/api.md")
 	if err != nil {
@@ -33,22 +36,58 @@ func TestDocsAPICoverage(t *testing.T) {
 	if len(flags) < 20 {
 		t.Fatalf("collected only %d flags — the extraction is broken", len(flags))
 	}
+	registered := make(map[string]bool, len(flags))
 	for _, name := range flags {
+		registered[name] = true
 		if !strings.Contains(doc, "`-"+name+"`") {
 			t.Errorf("flag -%s is not documented in docs/api.md", name)
 		}
 	}
 
-	routes := routeLiterals(t, "server.go")
-	if len(routes) < 10 {
-		t.Fatalf("collected only %d routes — the extraction is broken", len(routes))
+	patterns := routeLiterals(t, "server.go")
+	if len(patterns) < 10 {
+		t.Fatalf("collected only %d routes — the extraction is broken", len(patterns))
 	}
-	for _, route := range routes {
-		if !strings.Contains(doc, route) {
-			t.Errorf("route %s is not documented in docs/api.md", route)
+	served := make(map[string]bool, len(patterns))
+	for _, pattern := range patterns {
+		served[pattern] = true
+		path := pattern
+		if _, p, hasMethod := strings.Cut(pattern, " "); hasMethod {
+			path = p
+		}
+		if !strings.Contains(doc, path) {
+			t.Errorf("route %s is not documented in docs/api.md", path)
 		}
 	}
+
+	var routeRows, flagRows int
+	for _, line := range strings.Split(doc, "\n") {
+		if m := routeRow.FindStringSubmatch(line); m != nil {
+			routeRows++
+			for _, method := range strings.Split(m[1], ", ") {
+				// A pattern without a method serves every method.
+				if !served[method+" "+m[2]] && !served[m[2]] {
+					t.Errorf("docs/api.md documents %s %s, which the mux does not serve", method, m[2])
+				}
+			}
+		} else if m := flagRow.FindStringSubmatch(line); m != nil {
+			flagRows++
+			if !registered[m[1]] {
+				t.Errorf("docs/api.md documents flag -%s, which the binary does not register", m[1])
+			}
+		}
+	}
+	if routeRows < 10 || flagRows < 20 {
+		t.Fatalf("read only %d route rows and %d flag rows from docs/api.md — the extraction is broken", routeRows, flagRows)
+	}
 }
+
+// routeRow matches a route row of docs/api.md's route table: its methods
+// and its path.
+var routeRow = regexp.MustCompile(`^\| ([A-Z]+(?:, [A-Z]+)*) \| ` + "`([^`]+)`" + ` \|`)
+
+// flagRow matches a row of docs/api.md's flag tables: the flag's name.
+var flagRow = regexp.MustCompile(`^\| ` + "`-([a-z0-9-]+)`" + ` \|`)
 
 // flagLiterals returns the names passed to flag.String/Bool/Int/... in
 // the given file of this package.
@@ -74,9 +113,8 @@ func flagLiterals(t *testing.T, file string) []string {
 	return names
 }
 
-// routeLiterals returns the paths of the patterns passed to
-// mux.Handle/HandleFunc in the given file of this package, with any
-// method prefix ("GET /jobs") stripped.
+// routeLiterals returns the patterns passed to mux.Handle/HandleFunc in
+// the given file of this package ("GET /jobs", "/debug/pprof/").
 func routeLiterals(t *testing.T, file string) []string {
 	t.Helper()
 	var routes []string
@@ -89,9 +127,6 @@ func routeLiterals(t *testing.T, file string) []string {
 			return
 		}
 		if route, ok := stringLiteral(call.Args[0]); ok {
-			if _, path, hasMethod := strings.Cut(route, " "); hasMethod {
-				route = path
-			}
 			routes = append(routes, route)
 		}
 	})

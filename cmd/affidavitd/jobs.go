@@ -1,8 +1,7 @@
 package main
 
 // Job-subsystem glue: the runner that executes queued jobs on their
-// sessions, the /jobs API surface, and the job gauges/counters on /metrics
-// and /stats.
+// sessions, the /jobs API surface, and the /metrics page.
 
 import (
 	"bytes"
@@ -10,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 
 	"affidavit"
 	"affidavit/internal/jobs"
@@ -338,12 +338,35 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeIndentJSON(w, http.StatusOK, viewOf(rec))
 }
 
-// handleMetrics serves GET /metrics: the observer-fed pipeline counters
-// followed by the job and catalog gauges and counters, in fixed order.
+// handleMetrics serves GET /metrics: the observer-fed pipeline counters,
+// then the job and catalog gauges and counters, the journal-failure
+// latches and the trace ring's size in fixed order, then one runs and one
+// pool gauge per live catalog chain session, sorted by table.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ServeHTTP(w, r)
 	m := s.store.Metrics()
-	c := s.catalogStats()
+	c := s.catalog.Metrics(s.jobRecord)
+	s.mu.Lock()
+	resets := s.schemaResets
+	tables := make([]string, 0, len(s.chains))
+	for name := range s.chains {
+		tables = append(tables, name)
+	}
+	sort.Strings(tables)
+	sessions := make([]*affidavit.Session, len(tables))
+	for i, name := range tables {
+		sessions[i] = s.chains[name].sess
+	}
+	s.mu.Unlock()
+	s.traceMu.Lock()
+	retained := len(s.traces)
+	s.traceMu.Unlock()
+	latched := func(journalErr string) int64 {
+		if journalErr != "" {
+			return 1
+		}
+		return 0
+	}
 	for _, row := range []struct {
 		name, typ, help string
 		value           int64
@@ -362,40 +385,20 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"affidavit_catalog_steps_pending", "gauge", "Chain steps queued or running.", int64(c.StepsPending)},
 		{"affidavit_catalog_steps_explained", "gauge", "Chain steps with a stored explanation.", int64(c.StepsExplained)},
 		{"affidavit_catalog_steps_failed", "gauge", "Chain steps that ended without an explanation (refused, failed, deadline-cut or cancelled).", int64(c.StepsFailed)},
-		{"affidavit_catalog_schema_resets_total", "counter", "Chain re-seeds caused by mid-chain schema changes.", c.SchemaResets},
+		{"affidavit_catalog_schema_resets_total", "counter", "Chain re-seeds caused by mid-chain schema changes.", resets},
+		{"affidavit_jobs_journal_failed", "gauge", "1 once a job journal write has failed (latched: jobs keep running from memory), else 0.", latched(m.JournalError)},
+		{"affidavit_catalog_journal_failed", "gauge", "1 once a catalog journal write has failed (latched: the catalog keeps serving from memory), else 0.", latched(c.JournalError)},
+		{"affidavit_traces_retained", "gauge", "Run traces retained behind /traces.", int64(retained)},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", row.name, row.help, row.name, row.typ, row.name, row.value)
 	}
-}
-
-// jobsStats is the /stats job section.
-type jobsStats struct {
-	Queued     int   `json:"queued"`
-	Running    int   `json:"running"`
-	Submitted  int64 `json:"submitted"`
-	DedupeHits int64 `json:"dedupe_hits"`
-	Completed  int64 `json:"completed"`
-	Failed     int64 `json:"failed"`
-	Cancelled  int64 `json:"cancelled"`
-	Retried    int64 `json:"retried"`
-	Requeued   int64 `json:"requeued"`
-	// JournalError warns that the durable store degraded to
-	// availability-over-durability (first latched journal write failure).
-	JournalError string `json:"journal_error,omitempty"`
-}
-
-func (s *server) jobsStats() jobsStats {
-	m := s.store.Metrics()
-	return jobsStats{
-		Queued:       m.Queued,
-		Running:      m.Running,
-		Submitted:    m.Submitted,
-		DedupeHits:   m.DedupeHits,
-		Completed:    m.Completed,
-		Failed:       m.Failed,
-		Cancelled:    m.Cancelled,
-		Retried:      m.Retried,
-		Requeued:     m.Requeued,
-		JournalError: m.JournalError,
+	fmt.Fprint(w, "# HELP affidavit_chain_runs Steps explained on each catalog table's live chain session since it was seeded.\n# TYPE affidavit_chain_runs gauge\n")
+	for i, name := range tables {
+		fmt.Fprintf(w, "affidavit_chain_runs{table=%q} %d\n", name, sessions[i].Runs())
+	}
+	fmt.Fprint(w, "# HELP affidavit_chain_pool_values Values interned in each catalog table's live chain session pool.\n# TYPE affidavit_chain_pool_values gauge\n")
+	for i, name := range tables {
+		_, values := sessions[i].PoolStats()
+		fmt.Fprintf(w, "affidavit_chain_pool_values{table=%q} %d\n", name, values)
 	}
 }

@@ -68,11 +68,12 @@
 //	GET  /traces/{id}  one full structured trace: per-stage wall-clock
 //	                   spans (ingest, search, finalize, convert) and the
 //	                   thinned poll cost curve
-//	GET  /stats        process start time/uptime/Go version, each catalog
-//	                   chain's session counters, job and catalog counters
 //	GET  /metrics      Prometheus-style pipeline counters (ingest volume,
-//	                   cold/warm/escalated runs, polls, conversions) and
-//	                   run/ingest duration histograms fed from traces
+//	                   cold/warm/escalated runs, polls, conversions),
+//	                   run/ingest duration histograms fed from traces, job
+//	                   and catalog gauges and counters, journal-failure
+//	                   latches, retained traces, and each catalog chain
+//	                   session's runs and pool size
 //	GET  /healthz      liveness probe
 //
 // With -pprof, net/http/pprof profiling handlers are additionally mounted
@@ -80,9 +81,11 @@
 //
 // Operating knobs:
 //
-//	-jobs-dir      root of the durable job state (JSONL journal, upload
-//	               blobs, result store); empty = in-memory queue with the
-//	               same dedupe/cancel semantics but no crash durability
+//	-jobs-dir      root of all durable state: the job journal, upload
+//	               blobs, result store, and the catalog journal under
+//	               catalog/; empty = in-memory job queue and catalog with
+//	               the same dedupe, cancel and chain semantics but no
+//	               crash durability
 //	-job-workers   queue-draining workers, the daemon's one parallelism
 //	               setting: each job's search runs on one core. Jobs shard
 //	               across workers by table hash, so one table's jobs run
@@ -91,10 +94,6 @@
 //	-job-retry     attempts per job, first run included; only transient
 //	               failures (blob-store I/O) retry, with doubling backoff
 //	               (default 3)
-//	-catalog-dir   root of the snapshot-history catalog journal; empty
-//	               defaults to <jobs-dir>/catalog when -jobs-dir is set,
-//	               else the catalog is in-memory (same chain semantics,
-//	               no crash durability)
 //	-timeout       per-job explanation budget; on expiry the job fails
 //	               terminally and a sync waiter answers 503 with the
 //	               partial search statistics
@@ -126,6 +125,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -142,8 +142,7 @@ func main() {
 		maxSnapshot = flag.Int64("max-snapshot", 0, "largest accepted snapshot in MiB (0 = default 1024, negative = unlimited)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent /explain requests (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "per-job explanation budget (0 = unlimited; expiry answers 503 with partial stats)")
-		jobsDir     = flag.String("jobs-dir", "", "durable job state root: JSONL journal, upload blobs, result store (empty = in-memory queue)")
-		catalogDir  = flag.String("catalog-dir", "", "snapshot-history catalog journal root (empty = <jobs-dir>/catalog, or in-memory without -jobs-dir)")
+		jobsDir     = flag.String("jobs-dir", "", "durable state root: job journal, upload blobs, result store, catalog journal (empty = in-memory job queue and catalog)")
 		jobWorkers  = flag.Int("job-workers", 0, "queue-draining workers; jobs shard by table hash (0 = default 2)")
 		jobRetry    = flag.Int("job-retry", 0, "attempts per job incl. the first; transient failures retry with doubling backoff (0 = default 3)")
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
@@ -182,7 +181,6 @@ func main() {
 		jobsDir:          *jobsDir,
 		jobWorkers:       *jobWorkers,
 		jobRetry:         *jobRetry,
-		catalogDir:       *catalogDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "affidavitd:", err)
@@ -196,8 +194,8 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (job-workers=%d timeout=%v)\n",
-		*addr, srv.pool.Workers(), *timeout)
+	fmt.Fprintf(os.Stderr, "affidavitd: listening on %s (job-workers=%d timeout=%v %s)\n",
+		*addr, srv.pool.Workers(), *timeout, runtime.Version())
 
 	select {
 	case <-ctx.Done():
@@ -210,9 +208,10 @@ func main() {
 		}
 		// Drain the job subsystem after the listener: running jobs are
 		// journaled back to pending (the next process finishes them) and
-		// the store closes its journal cleanly.
+		// both stores close their journals; a journal write failure
+		// either store latched while serving surfaces here.
 		if err := srv.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "affidavitd: job store:", err)
+			fmt.Fprintln(os.Stderr, "affidavitd: journal:", err)
 			os.Exit(1)
 		}
 	case err := <-errc:

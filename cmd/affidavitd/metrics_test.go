@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -80,7 +81,11 @@ func metricsMix(t *testing.T) string {
 // equals the page the parent commit's code served for it
 // (testdata/metrics_parent.txt, recorded there, no -update on purpose),
 // so rewiring how runs reach their sessions and observers moves no
-// counter.
+// counter. The last series of each page — affidavit_jobs_journal_failed,
+// affidavit_catalog_journal_failed, affidavit_traces_retained and the
+// per-table affidavit_chain_runs and affidavit_chain_pool_values — were
+// appended to the recording when /metrics took over what GET /stats
+// served; no line of the parent's page was edited.
 func TestMetricsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/metrics_parent.txt")
 	if err != nil {
@@ -97,4 +102,33 @@ func TestMetricsGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("got %d lines, want %d\nfull page:\n%s", len(gotLines), len(wantLines), got)
+}
+
+// metricSamples fetches srv's /metrics page and returns its samples as
+// series (name plus labels) → value.
+func metricSamples(t *testing.T, srv *httptest.Server) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, line := range strings.Split(get(t, srv.URL+"/metrics"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if i := strings.LastIndexByte(line, ' '); i > 0 {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	return out
+}
+
+// chainSeries returns the affidavit_chain_* series among samples: one per
+// live catalog chain session and gauge.
+func chainSeries(samples map[string]string) []string {
+	var out []string
+	for series := range samples {
+		if strings.HasPrefix(series, "affidavit_chain_") {
+			out = append(out, series)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -58,10 +57,11 @@ type serverConfig struct {
 	traceBuffer int
 	// pprof mounts net/http/pprof handlers under /debug/pprof/ when set.
 	pprof bool
-	// jobsDir roots the durable job state (-jobs-dir): the JSONL journal,
-	// the content-addressed upload blobs, and the result store. Empty
-	// means an in-memory job store — same queue, dedupe and cancel
-	// semantics, no crash durability.
+	// jobsDir roots all durable state (-jobs-dir): the job journal, the
+	// content-addressed upload blobs, the result store, and the catalog
+	// journal under catalog/. Empty means in-memory job and catalog
+	// stores — same queue, dedupe, cancel and chain semantics, no crash
+	// durability.
 	jobsDir string
 	// jobWorkers sizes the queue-draining pool (-job-workers; 0 = 2).
 	// Jobs shard across workers by table hash, so one table's jobs run
@@ -73,10 +73,6 @@ type serverConfig struct {
 	// jobBackoff is the base retry delay, doubled per attempt (0 = the
 	// pool default). Tests shrink it.
 	jobBackoff time.Duration
-	// catalogDir roots the snapshot-history catalog journal (-catalog-dir).
-	// Empty defaults to <jobs-dir>/catalog when -jobs-dir is set, else an
-	// in-memory catalog (same chain semantics, no crash durability).
-	catalogDir string
 }
 
 // defaultTraceBuffer is the trace ring size when -trace-buffer is unset.
@@ -99,7 +95,6 @@ type server struct {
 	ex          *affidavit.Explainer
 	metrics     *affidavit.MetricsObserver
 	maxInflight chan struct{} // nil = unlimited
-	startedAt   time.Time
 
 	// store is the durable, content-addressed job queue + result store;
 	// pool drains it through runJob. Every explanation — sync or async —
@@ -156,11 +151,10 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	s := &server{
-		cfg:       cfg,
-		ex:        ex,
-		metrics:   affidavit.NewMetricsObserver(),
-		chains:    make(map[string]chainState),
-		startedAt: time.Now(),
+		cfg:     cfg,
+		ex:      ex,
+		metrics: affidavit.NewMetricsObserver(),
+		chains:  make(map[string]chainState),
 	}
 	if cfg.maxInflight > 0 {
 		s.maxInflight = make(chan struct{}, cfg.maxInflight)
@@ -178,8 +172,10 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 	s.engineFP = ex.Fingerprint()
 	// The catalog must exist before the pool starts: a replayed journal
 	// can hold pending catalog steps, and runJob dispatches those to it.
-	catDir := cfg.catalogDir
-	if catDir == "" && cfg.jobsDir != "" {
+	// It journals under the job state's root, so both stores are durable
+	// or neither is: a step's parent blob lives in the job store.
+	catDir := ""
+	if cfg.jobsDir != "" {
 		catDir = filepath.Join(cfg.jobsDir, "catalog")
 	}
 	cat, err := catalog.OpenStore(catDir, time.Now)
@@ -226,7 +222,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleJobCancel)
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /traces", s.handleTraces)
 	mux.HandleFunc("GET /traces/{id}", s.handleTraces)
@@ -537,56 +532,4 @@ func (s *server) waitOutcome(ctx context.Context, w http.ResponseWriter, job *jo
 		return
 	}
 	s.writeJobOutcome(w, rec, inlineTrace)
-}
-
-type tableStats struct {
-	Runs       int `json:"runs"`
-	PoolAttrs  int `json:"pool_attrs"`
-	PoolValues int `json:"pool_values"`
-}
-
-type statsResponse struct {
-	StartedAt     time.Time `json:"started_at"`
-	UptimeSeconds float64   `json:"uptime_seconds"`
-	GoVersion     string    `json:"go_version"`
-	// TracesRetained counts the run traces currently in the /traces ring.
-	TracesRetained int `json:"traces_retained"`
-	// Tables holds each catalog table's live chain session: its runs and
-	// its dictionary pool. /explain uploads leave nothing here.
-	Tables map[string]tableStats `json:"tables"`
-	// Jobs mirrors /metrics' affidavit_jobs_* series: queue depth,
-	// running, and the lifetime submission/dedupe/outcome counters.
-	Jobs jobsStats `json:"jobs"`
-	// Catalog mirrors /metrics' affidavit_catalog_* series: registered
-	// tables, stored snapshots, and chain steps by status.
-	Catalog catalogStats `json:"catalog"`
-}
-
-// handleStats serves GET /stats: process identity (start time, uptime, Go
-// version) plus the counters of each catalog chain's session.
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.traceMu.Lock()
-	retained := len(s.traces)
-	s.traceMu.Unlock()
-	s.mu.Lock()
-	out := make(map[string]tableStats, len(s.chains))
-	for name, cs := range s.chains {
-		attrs, values := cs.sess.PoolStats()
-		out[name] = tableStats{Runs: cs.sess.Runs(), PoolAttrs: attrs, PoolValues: values}
-	}
-	s.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(statsResponse{
-		StartedAt:      s.startedAt,
-		UptimeSeconds:  time.Since(s.startedAt).Seconds(),
-		GoVersion:      runtime.Version(),
-		TracesRetained: retained,
-		Tables:         out,
-		Jobs:           s.jobsStats(),
-		Catalog:        s.catalogStats(),
-	}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

@@ -239,7 +239,7 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 // step, the bytes the /explain?warm=1 chain it replaced returned for the
 // same pairs (testdata/warm_chain_parent.json, recorded on the last commit
 // that served warm=1; no -update). The warm steps poll fewer states than
-// the first, /stats shows the chain's session, and a warm value on
+// the first, /metrics shows the chain's session, and a warm value on
 // /explain answers 400 naming the catalog routes.
 func TestWarmChainViaService(t *testing.T) {
 	raw, err := os.ReadFile("testdata/warm_chain_parent.json")
@@ -282,12 +282,9 @@ func TestWarmChainViaService(t *testing.T) {
 				i+1, polls[i], polls[0])
 		}
 	}
-	var stats statsResponse
-	if err := json.Unmarshal([]byte(get(t, srv.URL+"/stats")), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Tables["chain"].Runs != 3 || stats.Tables["chain"].PoolValues == 0 {
-		t.Errorf("stats: %+v", stats.Tables["chain"])
+	m := metricSamples(t, srv)
+	if runs, pool := m[`affidavit_chain_runs{table="chain"}`], m[`affidavit_chain_pool_values{table="chain"}`]; runs != "3" || pool == "" || pool == "0" {
+		t.Errorf("chain session gauges: runs %q, pool values %q; want 3 and non-zero", runs, pool)
 	}
 	code, body := post(t, srv, csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1]),
 		map[string]string{"table": "chain", "warm": "1"})
@@ -299,8 +296,8 @@ func TestWarmChainViaService(t *testing.T) {
 
 // TestExplainLeavesNoSession: /explain is stateless. Explained, duplicate,
 // async and rejected uploads — one rejected mid-ingest, after its source
-// interned — leave nothing in /stats "tables", which lists catalog chains
-// only.
+// interned — leave no affidavit_chain_ series on /metrics, which lists
+// catalog chain sessions only.
 func TestExplainLeavesNoSession(t *testing.T) {
 	srv := testServer(t)
 	ch := testChain(t, 1)
@@ -319,12 +316,8 @@ func TestExplainLeavesNoSession(t *testing.T) {
 			t.Fatalf("%v: status %d, want %d: %.200s", tc.fields, code, tc.want, body)
 		}
 	}
-	var stats statsResponse
-	if err := json.Unmarshal([]byte(get(t, srv.URL+"/stats")), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Tables) != 0 {
-		t.Errorf("/explain traffic left sessions in /stats: %+v", stats.Tables)
+	if chains := chainSeries(metricSamples(t, srv)); len(chains) != 0 {
+		t.Errorf("/explain traffic left chain sessions on /metrics: %v", chains)
 	}
 }
 
@@ -529,26 +522,15 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Errorf("unknown trace: status %d", nf.StatusCode)
 	}
 
-	// /stats counts the retained traces.
-	st, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics counts the retained traces. One retained trace: the
+	// deduped re-submission joined the first run instead of computing (and
+	// tracing) a second one.
+	m := metricSamples(t, srv)
+	if got := m["affidavit_traces_retained"]; got != "1" {
+		t.Errorf("affidavit_traces_retained %q, want 1 (dedupe joins the first run)", got)
 	}
-	defer st.Body.Close()
-	var stats statsResponse
-	if err := json.NewDecoder(st.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	// One retained trace: the deduped re-submission joined the first run
-	// instead of computing (and tracing) a second one.
-	if stats.TracesRetained != 1 {
-		t.Errorf("traces_retained %d, want 1 (dedupe joins the first run)", stats.TracesRetained)
-	}
-	if stats.Jobs.DedupeHits != 1 || stats.Jobs.Submitted != 1 {
-		t.Errorf("jobs stats = %+v, want 1 submission + 1 dedupe hit", stats.Jobs)
-	}
-	if stats.GoVersion == "" || stats.StartedAt.IsZero() {
-		t.Errorf("stats identity fields missing: %+v", stats)
+	if hits, subs := m["affidavit_jobs_dedupe_hits_total"], m["affidavit_jobs_submitted_total"]; hits != "1" || subs != "1" {
+		t.Errorf("dedupe hits %q, submissions %q; want 1 submission + 1 dedupe hit", hits, subs)
 	}
 }
 

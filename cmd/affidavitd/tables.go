@@ -3,7 +3,7 @@ package main
 // The snapshot-history catalog's HTTP surface and step runner: /tables
 // registrations, snapshot pushes that run the /explain upload → job →
 // outcome path, the drift timeline and trends read from the catalog
-// journal, and the catalog counters on /stats and /metrics.
+// journal.
 
 import (
 	"context"
@@ -449,35 +449,5 @@ func (s *server) resetChain(table, headID string, head *affidavit.Table, schemaC
 	s.chains[table] = chainState{sess: sess, headID: headID}
 	if schemaChange {
 		s.schemaResets++
-	}
-}
-
-// catalogStats is the /stats catalog section, mirroring the
-// affidavit_catalog_* series on /metrics.
-type catalogStats struct {
-	Tables         int   `json:"tables"`
-	Snapshots      int   `json:"snapshots"`
-	StepsPending   int   `json:"steps_pending"`
-	StepsExplained int   `json:"steps_explained"`
-	StepsFailed    int   `json:"steps_failed"`
-	SchemaResets   int64 `json:"schema_resets"`
-	// JournalError warns that the catalog journal degraded to
-	// availability-over-durability (first latched write failure).
-	JournalError string `json:"journal_error,omitempty"`
-}
-
-func (s *server) catalogStats() catalogStats {
-	m := s.catalog.Metrics(s.jobRecord)
-	s.mu.Lock()
-	resets := s.schemaResets
-	s.mu.Unlock()
-	return catalogStats{
-		Tables:         m.Tables,
-		Snapshots:      m.Snapshots,
-		StepsPending:   m.StepsPending,
-		StepsExplained: m.StepsExplained,
-		StepsFailed:    m.StepsFailed,
-		SchemaResets:   resets,
-		JournalError:   m.JournalError,
 	}
 }

@@ -320,3 +320,39 @@ func FuzzCatalogJournal(f *testing.F) {
 		waltest.FixedPoint(t, data, journalSchema)
 	})
 }
+
+// TestJournalErrorLatched: a journal write that fails (here the log is
+// closed underneath the store) fails no registration or push. The store
+// keeps serving from memory, Metrics names the first failure, and Close
+// returns it.
+func TestJournalErrorLatched(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), fakeClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	noJobs := func(string) (jobs.Record, bool) { return jobs.Record{}, false }
+	if m := s.Metrics(noJobs); m.JournalError != "" {
+		t.Fatalf("fresh store reports journal error %q", m.JournalError)
+	}
+	s.jrnl.Close()
+	if _, err := s.Register("accounts"); err != nil {
+		t.Fatalf("register after a journal failure: %v", err)
+	}
+	snap, _, _, err := s.AddSnapshot("accounts", "blob-1", "seed", 10, []string{"id", "v"})
+	if err != nil {
+		t.Fatalf("push after a journal failure: %v", err)
+	}
+	if _, snaps, _, ok := s.History("accounts"); !ok || len(snaps) != 1 || snaps[0].SnapshotID != snap.SnapshotID {
+		t.Fatalf("history after a journal failure: ok=%v snapshots=%v", ok, snaps)
+	}
+	m := s.Metrics(noJobs)
+	if !strings.Contains(m.JournalError, "catalog.jsonl") {
+		t.Errorf("JournalError %q does not name the journal", m.JournalError)
+	}
+	if m.Tables != 1 || m.Snapshots != 1 {
+		t.Errorf("gauges after a journal failure: %+v", m)
+	}
+	if err := s.Close(); err == nil || err.Error() != m.JournalError {
+		t.Errorf("Close = %v, want the latched %q", err, m.JournalError)
+	}
+}

@@ -318,12 +318,8 @@ func (s *Store) Cancel(id string) (Record, error) {
 	}
 	switch j.rec.State {
 	case StatePending:
-		j.rec.State = StateCancelled
 		j.claimed = true // a claimed-but-unstarted worker must drop it
-		j.payload = nil
-		s.cancelled++
-		s.appendLocked(j.rec)
-		close(j.done)
+		s.finishLocked(j, func(r *Record) { r.State = StateCancelled })
 		rec := j.rec
 		s.mu.Unlock()
 		return rec, nil
@@ -536,8 +532,35 @@ func (s *Store) startRun(j *Job, cancel context.CancelCauseFunc) (Record, bool) 
 	return j.rec, true
 }
 
+// finish lands j's terminal transition, the one way a job ends: set edits
+// the record to its final state, then the run's cancel function and
+// payload are dropped, the job is counted by that state, the record is
+// journaled and the waiters are released.
+func (s *Store) finish(j *Job, set func(*Record)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.finishLocked(j, set)
+}
+
+// finishLocked is finish for a caller that holds s.mu.
+func (s *Store) finishLocked(j *Job, set func(*Record)) {
+	set(&j.rec)
+	j.cancel = nil
+	j.payload = nil
+	switch j.rec.State {
+	case StateCompleted:
+		s.completed++
+	case StateError:
+		s.failed++
+	case StateCancelled:
+		s.cancelled++
+	}
+	s.appendLocked(j.rec)
+	close(j.done)
+}
+
 // complete stores the result durably (before the completed journal line,
-// so a journaled completion always has its bytes) and closes the job.
+// so a journaled completion always has its bytes) and ends the job.
 func (s *Store) complete(j *Job, out *Outcome) {
 	if s.dir != "" {
 		if err := writeFileSync(s.resultPath(j.ID()), out.Body); err != nil {
@@ -545,71 +568,52 @@ func (s *Store) complete(j *Job, out *Outcome) {
 			return
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.rec.State = StateCompleted
-	j.rec.ContentType = out.ContentType
-	j.rec.Stats = out.Stats
-	j.rec.TraceID = out.TraceID
-	j.rec.Error = ""
-	j.result = out.Body
-	j.cancel = nil
-	j.payload = nil
-	s.completed++
-	s.appendLocked(j.rec)
-	close(j.done)
+	s.finish(j, func(r *Record) {
+		r.State = StateCompleted
+		r.ContentType = out.ContentType
+		r.Stats = out.Stats
+		r.TraceID = out.TraceID
+		r.Error = ""
+		j.result = out.Body // under the lock, before the waiters wake
+	})
 }
 
 // fail terminally errors the job.
 func (s *Store) fail(j *Job, msg string, out *Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.rec.State = StateError
-	j.rec.Error = msg
-	if out != nil {
-		j.rec.Stats = out.Stats
-		j.rec.TraceID = out.TraceID
-	}
-	j.cancel = nil
-	j.payload = nil
-	s.failed++
-	s.appendLocked(j.rec)
-	close(j.done)
+	s.finish(j, func(r *Record) {
+		r.State = StateError
+		r.Error = msg
+		out.keep(r)
+	})
 }
 
 // failDeadline terminally errors a job cut by its own run budget,
 // keeping the partial statistics for the 503 answer.
 func (s *Store) failDeadline(j *Job, out *Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.rec.State = StateError
-	j.rec.Error = "deadline exceeded before the explanation finished"
-	j.rec.Deadline = true
-	if out != nil {
-		j.rec.Stats = out.Stats
-		j.rec.TraceID = out.TraceID
-	}
-	j.cancel = nil
-	j.payload = nil
-	s.failed++
-	s.appendLocked(j.rec)
-	close(j.done)
+	s.finish(j, func(r *Record) {
+		r.State = StateError
+		r.Error = "deadline exceeded before the explanation finished"
+		r.Deadline = true
+		out.keep(r)
+	})
 }
 
-// cancelDone lands the terminal transition of a DELETE-cancelled run.
+// cancelDone lands the terminal transition of a DELETE-cancelled run. A
+// retried job keeps its last transient error.
 func (s *Store) cancelDone(j *Job, out *Outcome) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.rec.State = StateCancelled
+	s.finish(j, func(r *Record) {
+		r.State = StateCancelled
+		out.keep(r)
+	})
+}
+
+// keep copies an ended run's statistics and trace id into r; a run that
+// produced no outcome leaves r's as they are.
+func (out *Outcome) keep(r *Record) {
 	if out != nil {
-		j.rec.Stats = out.Stats
-		j.rec.TraceID = out.TraceID
+		r.Stats = out.Stats
+		r.TraceID = out.TraceID
 	}
-	j.cancel = nil
-	j.payload = nil
-	s.cancelled++
-	s.appendLocked(j.rec)
-	close(j.done)
 }
 
 // requeue returns a shutdown-interrupted run to the queue — the

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -177,6 +178,15 @@ func TestPayloadReleasedWhenJobEnds(t *testing.T) {
 		if p := s.payload(j); p != nil {
 			t.Errorf("%s: payload %v kept after the job ended", tc.name, p)
 		}
+		// A cancel edits only the state: the record keeps the error of
+		// the retry before it.
+		if rec := j.Record(); rec.State == StateCancelled && rec.Error != "transient" {
+			t.Errorf("%s: error %q after the cancel, want the retry's %q", tc.name, rec.Error, "transient")
+		}
+	}
+	// Each ending counts once, under the state it ended in.
+	if m := s.Metrics(); m.Completed != 1 || m.Failed != 2 || m.Cancelled != 2 {
+		t.Errorf("completed=%d failed=%d cancelled=%d, want 1, 2, 2", m.Completed, m.Failed, m.Cancelled)
 	}
 }
 
@@ -465,5 +475,44 @@ func TestJournalCompaction(t *testing.T) {
 	body, _, err := s2.Result(list[0].ID)
 	if err != nil || string(body) != "done" {
 		t.Fatalf("result after compaction: %q err=%v", body, err)
+	}
+}
+
+// TestJournalErrorLatched: a journal write that fails (here the log is
+// closed underneath the store) fails no submission. The store keeps
+// serving from memory, Metrics names the first failure, and Close
+// returns it.
+func TestJournalErrorLatched(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Metrics(); m.JournalError != "" {
+		t.Fatalf("fresh store reports journal error %q", m.JournalError)
+	}
+	s.jrnl.Close()
+	j, created, err := s.Submit(Spec{Addr: "addr", Table: "t"})
+	if err != nil || !created {
+		t.Fatalf("submit after a journal failure: created=%v err=%v", created, err)
+	}
+	if _, ok := s.startRun(j, func(error) {}); !ok {
+		t.Fatal("startRun refused the job")
+	}
+	s.complete(j, &Outcome{Body: []byte("done"), ContentType: "text/plain"})
+	if body, rec, err := s.Result(j.ID()); err != nil || string(body) != "done" || rec.State != StateCompleted {
+		t.Fatalf("result after a journal failure: %q %s err=%v", body, rec.State, err)
+	}
+	if _, created, _ := s.Submit(Spec{Addr: "addr", Table: "t"}); created {
+		t.Error("a duplicate submission was not deduped after a journal failure")
+	}
+	m := s.Metrics()
+	if !strings.Contains(m.JournalError, "journal.jsonl") {
+		t.Errorf("JournalError %q does not name the journal", m.JournalError)
+	}
+	if m.Submitted != 1 || m.DedupeHits != 1 || m.Completed != 1 {
+		t.Errorf("counters after a journal failure: %+v", m)
+	}
+	if err := s.Close(); err == nil || err.Error() != m.JournalError {
+		t.Errorf("Close = %v, want the latched %q", err, m.JournalError)
 	}
 }
