@@ -85,7 +85,10 @@ func metricsMix(t *testing.T) string {
 // affidavit_catalog_journal_failed, affidavit_traces_retained and the
 // per-table affidavit_chain_runs and affidavit_chain_pool_values — were
 // appended to the recording when /metrics took over what GET /stats
-// served; no line of the parent's page was edited.
+// served. The three affidavit_chain_pool_values samples were re-measured
+// when apply memos came to cover source codes only (314, 367 and 312
+// before): a memo no longer interns function outputs of target-only
+// values. No other line of the parent's page was edited.
 func TestMetricsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/metrics_parent.txt")
 	if err != nil {

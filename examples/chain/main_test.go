@@ -31,7 +31,7 @@ func TestChain(t *testing.T) {
 	for _, want := range []string{
 		"core (aligned): 5   deleted: 1   inserted: 1",
 		"cost: 6 =",
-		"3 attribute dicts, 42 interned values",
+		"3 attribute dicts, 38 interned values",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)

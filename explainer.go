@@ -278,7 +278,8 @@ const ingestChunk = 8192
 // drainSource interns every remaining record of an already-opened source
 // into a table. dicts, when non-nil, is the positional dictionary set the
 // snapshot shares with others (its pair, a session pool), so all intern
-// into one code space.
+// into one code space. A source that is a table.Feeder (CSV) appends its
+// rows to the builder itself; any other yields Records through Next.
 func drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table.Dict, role string) (*Table, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -294,18 +295,27 @@ func drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table
 			sink(Event{Kind: obs.KindIngest, Snapshot: role, Records: b.Len(), Complete: complete})
 		}
 	}
-	for {
+	next := func() error {
 		rec, err := src.Next()
+		if err != nil {
+			return err
+		}
+		if err := b.Append(rec); err != nil {
+			return fmt.Errorf("affidavit: ingesting %s record %d: %w", role, b.Len()+1, err)
+		}
+		return nil
+	}
+	if f, ok := src.(table.Feeder); ok {
+		next = func() error { return f.Feed(b) }
+	}
+	for {
+		err := next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			src.Close()
 			return nil, err
-		}
-		if err := b.Append(rec); err != nil {
-			src.Close()
-			return nil, fmt.Errorf("affidavit: ingesting %s record %d: %w", role, b.Len()+1, err)
 		}
 		if b.Len()%ingestChunk == 0 {
 			emit(false)

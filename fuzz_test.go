@@ -3,6 +3,7 @@ package affidavit_test
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"affidavit"
+	"affidavit/internal/table"
 )
 
 // drain reads a source to exhaustion and renders everything observable —
@@ -55,12 +57,9 @@ func drain(src affidavit.Source) string {
 // panic, must yield only schema-arity records, and must read identically
 // twice — streamed ingest is part of the deterministic pipeline.
 func FuzzCSVSource(f *testing.F) {
-	f.Add([]byte("a,b\n1,2\n3,4\n"))
-	f.Add([]byte("a,b\n1,2,3\n"))
-	f.Add([]byte(`a,"b c"` + "\n" + `"x""y",2` + "\n"))
-	f.Add([]byte(""))
-	f.Add([]byte("héç,∆\nä,ß\n"))
-	f.Add([]byte("a\n\"unterminated\n"))
+	for _, seed := range csvSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first := drain(affidavit.NewCSVSource(bytes.NewReader(data)))
 		second := drain(affidavit.NewCSVSource(bytes.NewReader(data)))
@@ -68,6 +67,162 @@ func FuzzCSVSource(f *testing.F) {
 			t.Errorf("two reads of the same CSV bytes diverge:\n--- first\n%s\n--- second\n%s", first, second)
 		}
 	})
+}
+
+// csvSeeds seed both CSV fuzzers.
+var csvSeeds = []string{
+	"a,b\n1,2\n3,4\n",
+	"a,b\n1,2,3\n",
+	`a,"b c"` + "\n" + `"x""y",2` + "\n",
+	"",
+	"héç,∆\nä,ß\n",
+	"a\n\"unterminated\n",
+}
+
+// FuzzCSVIngest: the CSV reader both ingest paths share — the record view
+// (Next), the drain that feeds rows' bytes straight to codes (ReadSource)
+// and table.ReadCSV — must read arbitrary bytes exactly as encoding/csv
+// does: the same schema and records, and the same error, position
+// included.
+func FuzzCSVIngest(f *testing.F) {
+	for _, seed := range csvSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Add([]byte("a,b\r\n1,2\r\n\r\n3,4\r\n"))                       // CRLF, a blank CRLF line
+	f.Add([]byte("a,b\n\"line\r\nbreak\",\"x\ny\"\n"))               // quoted newlines
+	f.Add([]byte("a,b\n\"say \"\"hi\"\"\",\"\"\"\"\n"))              // "" escapes
+	f.Add([]byte("a,b\n1,x\"y\n"))                                   // a bare quote
+	f.Add([]byte("a,b\n\"q\"x,1\n"))                                 // text after a closing quote
+	f.Add([]byte("a,b,c\n1,2\n"))                                    // a short row
+	f.Add([]byte("\ufeffa,b\n1,2\n"))                                // a BOM
+	f.Add([]byte("a,b\n1,2\r"))                                      // a trailing \r before EOF
+	f.Add([]byte("a,b\n\"" + strings.Repeat("x", 70000) + "\",2\n")) // a line past the read buffer
+	ex, err := affidavit.New()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := csvOracle(data, "affidavit", "reading csv header")
+		if got := drain(affidavit.NewCSVSource(bytes.NewReader(data))); got != want.drained() {
+			t.Errorf("Next disagrees with encoding/csv:\n--- got\n%s\n--- want\n%s", got, want.drained())
+		}
+		tab, err := ex.ReadSource(context.Background(), affidavit.NewCSVSource(bytes.NewReader(data)))
+		if got := renderRead(tab, err); got != want.read() {
+			t.Errorf("ReadSource disagrees with encoding/csv:\n--- got\n%s\n--- want\n%s", got, want.read())
+		}
+		checkParseError(t, err, want.err)
+		wantTable := csvOracle(data, "table", "reading csv")
+		tab, err = table.ReadCSV(bytes.NewReader(data))
+		if got := renderRead(tab, err); got != wantTable.read() {
+			t.Errorf("table.ReadCSV disagrees with encoding/csv:\n--- got\n%s\n--- want\n%s", got, wantTable.read())
+		}
+		checkParseError(t, err, wantTable.err)
+	})
+}
+
+// csvRead is what reading CSV bytes yields: the header, the rows read
+// before any error, and the error, worded as the named package words it.
+type csvRead struct {
+	header []string
+	rows   [][]string
+	err    error
+	open   bool // err came from reading the header
+}
+
+// csvOracle reads data with encoding/csv (FieldsPerRecord = -1) under the
+// ingest rules: the first row is the header, every row must be as wide.
+func csvOracle(data []byte, pkg, headerVerb string) csvRead {
+	var out csvRead
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err == io.EOF {
+		out.err, out.open = fmt.Errorf("%s: csv has no header row", pkg), true
+		return out
+	}
+	if err != nil {
+		out.err, out.open = fmt.Errorf("%s: %s: %w", pkg, headerVerb, err), true
+		return out
+	}
+	if _, err := affidavit.NewSchema(header...); err != nil {
+		out.err, out.open = err, true
+		return out
+	}
+	out.header = header
+	for row := 2; ; row++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			out.err = fmt.Errorf("%s: reading csv: %w", pkg, err)
+			return out
+		}
+		if len(rec) != len(header) {
+			out.err = fmt.Errorf("%s: csv row %d has %d fields, header has %d", pkg, row, len(rec), len(header))
+			return out
+		}
+		out.rows = append(out.rows, rec)
+	}
+}
+
+// drained renders the oracle's read as drain renders a source.
+func (c csvRead) drained() string {
+	var b strings.Builder
+	if c.open {
+		fmt.Fprintf(&b, "open: %v", c.err)
+		return b.String()
+	}
+	fmt.Fprintf(&b, "schema: %v\n", c.header)
+	for i, rec := range c.rows {
+		fmt.Fprintf(&b, "%d: %q\n", i, rec)
+		if i > 4096 {
+			b.WriteString("truncated\n")
+			return b.String()
+		}
+	}
+	if c.err != nil {
+		fmt.Fprintf(&b, "next: %v", c.err)
+	}
+	return b.String()
+}
+
+// read renders the oracle's read as renderRead renders a table read.
+func (c csvRead) read() string {
+	if c.err != nil {
+		return "error: " + c.err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "schema: %v\n", c.header)
+	for i, rec := range c.rows {
+		fmt.Fprintf(&b, "%d: %q\n", i, rec)
+	}
+	return b.String()
+}
+
+// renderRead renders a whole-table read: its error, or its schema and
+// records.
+func renderRead(tab *affidavit.Table, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "schema: %v\n", tab.Schema().Attrs())
+	for i := 0; i < tab.Len(); i++ {
+		fmt.Fprintf(&b, "%d: %q\n", i, []string(tab.Record(i)))
+	}
+	return b.String()
+}
+
+// checkParseError fails unless got carries the same *csv.ParseError as
+// want, or neither carries one.
+func checkParseError(t *testing.T, got, want error) {
+	t.Helper()
+	var g, w *csv.ParseError
+	gotOK, wantOK := errors.As(got, &g), errors.As(want, &w)
+	if gotOK != wantOK || gotOK && *g != *w {
+		t.Errorf("parse error = %#v, want %#v", g, w)
+	}
 }
 
 // FuzzJSONLSource: arbitrary bytes through the JSONL ingest boundary must

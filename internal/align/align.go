@@ -43,6 +43,11 @@ type Scratch struct {
 func (sc *Scratch) Random(r *blocking.Result, rng *rand.Rand) []Pair {
 	pairs := sc.pairs[:0]
 	for _, b := range r.MixedBlocks() {
+		if len(b.Src) == 1 && len(b.Tgt) == 1 {
+			// Shuffling one record draws nothing: the block is its pair.
+			pairs = append(pairs, Pair{S: b.Src[0], T: b.Tgt[0]})
+			continue
+		}
 		n := len(b.Src)
 		if len(b.Tgt) < n {
 			n = len(b.Tgt)

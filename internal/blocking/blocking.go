@@ -75,10 +75,10 @@ func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) applyMemo 
 	return m
 }
 
-// buildMemo fills entries only for codes present in the pair's columns —
-// the only codes a refinement can read — so per-memo apply/intern work is
-// bounded by the pair's value set, not by how much a long-lived dictionary
-// pool has accumulated.
+// buildMemo fills entries only for codes present in the source column —
+// the only codes a refinement reads — so per-memo apply/intern work is
+// bounded by the source's value set, not by how much a long-lived
+// dictionary pool has accumulated.
 //
 // A mapping built on codes of the attribute's own dictionary is filled
 // from its code pairs without a string: memo[c] = c, except memo[from[i]]
@@ -89,7 +89,7 @@ func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) applyMemo 
 func buildMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
 	if metafunc.IsIdentity(f) {
 		built := make(applyMemo, co.Base[attr])
-		for _, c := range co.Present[attr] {
+		for _, c := range co.SrcPresent[attr] {
 			built[c] = c
 		}
 		return built
@@ -105,10 +105,10 @@ func buildMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
 // codedMapMemo is the memo of the mapping from[i] ↦ to[i] over the
 // attribute's dictionary.
 func codedMapMemo(co *delta.Coded, attr int, from, to []int32) applyMemo {
-	present := co.Present[attr]
+	present := co.SrcPresent[attr]
 	built := make(applyMemo, co.Base[attr])
-	// Mark the present codes first, so an entry whose source value this
-	// pair lacks leaves its slot as the string path does.
+	// Mark the present codes first, so an entry whose value the source
+	// column lacks leaves its slot as the string path does.
 	for _, c := range present {
 		built[c] = -1
 	}
@@ -125,12 +125,12 @@ func codedMapMemo(co *delta.Coded, attr int, from, to []int32) applyMemo {
 	return built
 }
 
-// stringMemo is the memo of any function: each present value is decoded,
-// transformed and interned.
+// stringMemo is the memo of any function: each present source value is
+// decoded, transformed and interned.
 func stringMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
 	dict := co.Dicts[attr]
 	built := make(applyMemo, co.Base[attr])
-	for _, c := range co.Present[attr] {
+	for _, c := range co.SrcPresent[attr] {
 		built[c] = dict.Code(f.Apply(dict.Value(c)))
 	}
 	return built

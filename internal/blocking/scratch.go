@@ -42,8 +42,15 @@ func (sc *splitScratch) next() uint32 {
 // first and only move their slots away from zero, so Σ|diff| starts at
 // |S|; each target then moves its slot by one towards or away from zero.
 // With Σ diff = |T| − |S| that yields both halves of the surplus without a
-// pass over the touched codes.
+// pass over the touched codes. A 1:1 block is one comparison: it stays
+// whole or adds one surplus record on each side.
 func (sc *splitScratch) countDense(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+	if len(b.Src) == 1 && len(b.Tgt) == 1 {
+		if memo[srcCodes[b.Src[0]]] == tgtCodes[b.Tgt[0]] {
+			return 0, 0
+		}
+		return 1, 1
+	}
 	epoch, slots := sc.next(), sc.slots
 	for _, s := range b.Src {
 		p := &slots[memo[srcCodes[s]]]
@@ -96,7 +103,9 @@ func (lv *level) blocks() []*Block {
 // sources before targets. It returns the records of the pure children.
 // Members stay ascending: each child takes its parent's members in the
 // parent's order. A parent is split while its members are hot: one pass
-// counts its children, the next places the mixed children's members.
+// counts its children, the next places the mixed children's members. A
+// 1:1 parent is one comparison: one mixed child, or a pure record on
+// each side.
 func (sc *splitScratch) split(in *level, memo applyMemo, srcCodes, tgtCodes []int32, out *level) (pureS, pureT int) {
 	slots := sc.slots
 	// The children of one parent: members per child, then the next slot
@@ -109,6 +118,16 @@ func (sc *splitScratch) split(in *level, memo applyMemo, srcCodes, tgtCodes []in
 	for b := range in.srcEnd {
 		bs, bt := in.src[s:in.srcEnd[b]], in.tgt[t:in.tgtEnd[b]]
 		s, t = in.srcEnd[b], in.tgtEnd[b]
+		if len(bs) == 1 && len(bt) == 1 {
+			if memo[srcCodes[bs[0]]] == tgtCodes[bt[0]] {
+				src[nS], tgt[nT] = bs[0], bt[0]
+				nS, nT = nS+1, nT+1
+				srcEnd, tgtEnd = append(srcEnd, nS), append(tgtEnd, nT)
+			} else {
+				pureS, pureT = pureS+1, pureT+1
+			}
+			continue
+		}
 		epoch := sc.next()
 		cntS, cntT = cntS[:0], cntT[:0]
 		for _, rec := range bs {

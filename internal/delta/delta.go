@@ -93,12 +93,12 @@ type Coded struct {
 	// values from earlier runs that this pair never uses — memo tables sized
 	// by Base stay correct, just sparser.
 	Base []int32
-	// Present[a] lists the distinct codes that actually occur in either of
-	// attribute a's columns, in first-appearance order. Function memos
-	// iterate Present instead of the full [0, Base) range, so per-run apply
-	// work is bounded by the pair's own value set even when a long-lived
+	// SrcPresent[a] lists the distinct codes that occur in attribute a's
+	// source column, in first-appearance order. Apply memos are read only
+	// at source codes, so they are filled only there: per-run apply work is
+	// bounded by the source's own value set even when a long-lived
 	// dictionary pool has interned far more over its lifetime.
-	Present [][]int32
+	SrcPresent [][]int32
 }
 
 // Coded returns the interned columnar view, building it on first use. The
@@ -108,11 +108,11 @@ func (in *Instance) Coded() *Coded {
 	in.codedOnce.Do(func() {
 		d := in.NumAttrs()
 		co := &Coded{
-			Dicts:   make([]*table.Dict, d),
-			Src:     make([][]int32, d),
-			Tgt:     make([][]int32, d),
-			Base:    make([]int32, d),
-			Present: make([][]int32, d),
+			Dicts:      make([]*table.Dict, d),
+			Src:        make([][]int32, d),
+			Tgt:        make([][]int32, d),
+			Base:       make([]int32, d),
+			SrcPresent: make([][]int32, d),
 		}
 		for a := 0; a < d; a++ {
 			if in.dicts != nil {
@@ -124,12 +124,10 @@ func (in *Instance) Coded() *Coded {
 			co.Tgt[a] = in.Target.CodeColumn(a, co.Dicts[a])
 			co.Base[a] = int32(co.Dicts[a].Len())
 			seen := make([]bool, co.Base[a])
-			for _, col := range [][]int32{co.Src[a], co.Tgt[a]} {
-				for _, c := range col {
-					if !seen[c] {
-						seen[c] = true
-						co.Present[a] = append(co.Present[a], c)
-					}
+			for _, c := range co.Src[a] {
+				if !seen[c] {
+					seen[c] = true
+					co.SrcPresent[a] = append(co.SrcPresent[a], c)
 				}
 			}
 		}
@@ -240,9 +238,9 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 // buildMemos computes the per-attribute apply memos over the raw code
 // space: memos[a][c] is the code of funcs[a] applied to value c, or -1 when
 // the output is no snapshot value (such an image can never match a target
-// record). Only codes present in this pair are filled — the rest are never
-// read — so pooled dictionaries holding other runs' values cost nothing
-// here. Identity attributes skip the memo entirely.
+// record). Only codes present in the source are filled — the rest are
+// never read — so pooled dictionaries holding other runs' values cost
+// nothing here. Identity attributes skip the memo entirely.
 func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple) ([][]int32, error) {
 	memos := make([][]int32, len(funcs))
 	for a := range funcs {
@@ -254,7 +252,7 @@ func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple) ([][]int32, err
 		}
 		dict := co.Dicts[a]
 		m := make([]int32, co.Base[a])
-		for _, c := range co.Present[a] {
+		for _, c := range co.SrcPresent[a] {
 			if out, ok := dict.Lookup(funcs[a].Apply(dict.Value(c))); ok {
 				m[c] = out
 			} else {

@@ -284,8 +284,8 @@ func TestNewInstanceWithDicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc := streamed.Coded(); fmt.Sprint(sc.Base, sc.Present) != fmt.Sprint(fresh.Base, fresh.Present) {
-		t.Errorf("streamed pair codes differently from the FromRows pair:\n%v %v\n%v %v", sc.Base, sc.Present, fresh.Base, fresh.Present)
+	if sc := streamed.Coded(); fmt.Sprint(sc.Base, sc.SrcPresent) != fmt.Sprint(fresh.Base, fresh.SrcPresent) {
+		t.Errorf("streamed pair codes differently from the FromRows pair:\n%v %v\n%v %v", sc.Base, sc.SrcPresent, fresh.Base, fresh.SrcPresent)
 	}
 	// Explanations built over the pooled view equal fresh ones.
 	ft := delta.IdentityTuple(pooled.NumAttrs())

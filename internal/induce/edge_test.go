@@ -88,8 +88,8 @@ func TestCandidatesPooledDictionary(t *testing.T) {
 		pool.Code("Z" + value(7*i+1)) // overlaps some pair values, in another order
 	}
 	inst := prefixedPair(t, 90, []*table.Dict{pool})
-	if co := inst.Coded(); int(co.Base[0]) < 20000 || len(co.Present[0]) > 150 {
-		t.Fatalf("setup: Base = %d, present = %d", co.Base[0], len(co.Present[0]))
+	if co := inst.Coded(); int(co.Base[0]) < 20000 || len(co.SrcPresent[0]) > 150 {
+		t.Fatalf("setup: Base = %d, present = %d", co.Base[0], len(co.SrcPresent[0]))
 	}
 	got := describe(induce.Candidates(blocking.New(inst), 0, inst.Metas, induce.Defaults, 0, rngFor(3)))
 	if !reflect.DeepEqual(got, want) {

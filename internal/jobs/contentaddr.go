@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -56,12 +57,20 @@ func newBlobStore(dir string) (*BlobStore, error) {
 // in memory. The caller learns the content hash from Sum, may read the
 // spool back with Rewind — the daemon interns a snapshot from there only
 // when its address turns out to be new — and ends with Commit or Abort.
+//
+// Writes reach the spool through a 64 KiB buffer, flushed before the spool
+// is read back or made durable, so an upload streamed in small reads
+// costs one write call per 64 KiB rather than one per read.
 type BlobWriter struct {
 	b   *BlobStore
 	h   hash.Hash
 	tmp *os.File
+	buf *bufio.Writer
 	err error
 }
+
+// blobBufferSize is how many spooled bytes one write call carries.
+const blobBufferSize = 64 << 10
 
 // NewWriter starts a streaming blob write. Errors are deferred to Write
 // and Commit so the writer can sit at the end of an io.Copy.
@@ -71,7 +80,9 @@ func (b *BlobStore) NewWriter() *BlobWriter {
 	w.tmp, w.err = os.CreateTemp(b.dir, ".blob-*")
 	if w.err != nil {
 		w.err = fmt.Errorf("jobs: blob store: %w", w.err)
+		return w
 	}
+	w.buf = bufio.NewWriterSize(w.tmp, blobBufferSize)
 	return w
 }
 
@@ -81,11 +92,22 @@ func (w *BlobWriter) Write(p []byte) (int, error) {
 		return 0, w.err
 	}
 	w.h.Write(p)
-	if _, err := w.tmp.Write(p); err != nil {
+	if _, err := w.buf.Write(p); err != nil {
 		w.err = fmt.Errorf("jobs: blob store: %w", err)
 		return 0, w.err
 	}
 	return len(p), nil
+}
+
+// flush writes the buffered bytes to the spool.
+func (w *BlobWriter) flush() error {
+	if w.err != nil || w.buf == nil { // failed, or already ended
+		return w.err
+	}
+	if err := w.buf.Flush(); err != nil {
+		w.err = fmt.Errorf("jobs: blob store: %w", err)
+	}
+	return w.err
 }
 
 // Sum returns the content hash of the bytes written so far — the address
@@ -95,8 +117,8 @@ func (w *BlobWriter) Sum() string { return hex.EncodeToString(w.h.Sum(nil)) }
 // Rewind returns a reader over the spooled bytes from their start. It is
 // valid until Commit or Abort.
 func (w *BlobWriter) Rewind() (io.Reader, error) {
-	if w.err != nil {
-		return nil, w.err
+	if err := w.flush(); err != nil {
+		return nil, err
 	}
 	if _, err := w.tmp.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("jobs: blob store: %w", err)
@@ -109,8 +131,8 @@ func (w *BlobWriter) Rewind() (io.Reader, error) {
 // already stored — and every in-memory write — only discards the spool.
 func (w *BlobWriter) Commit() (string, error) {
 	defer w.Abort()
-	if w.err != nil {
-		return "", w.err
+	if err := w.flush(); err != nil {
+		return "", err
 	}
 	sum := w.Sum()
 	if w.b.dir == "" || w.b.Exists(sum) {
@@ -130,12 +152,13 @@ func (w *BlobWriter) Commit() (string, error) {
 	return sum, nil
 }
 
-// Abort discards the write. It is a no-op after Commit.
+// Abort discards the write, buffered bytes included. It is a no-op after
+// Commit.
 func (w *BlobWriter) Abort() {
 	if w.tmp != nil {
 		w.tmp.Close()
 		os.Remove(w.tmp.Name())
-		w.tmp = nil
+		w.tmp, w.buf = nil, nil
 	}
 }
 

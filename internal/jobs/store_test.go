@@ -23,6 +23,53 @@ func TestAddressLengthPrefixed(t *testing.T) {
 	}
 }
 
+// TestBlobWriterBufferedParts: the spool is buffered, so however an
+// upload's reads split it — 1 B, 4 KiB or 1 MiB at a time — Sum, the bytes
+// Rewind reads back and the committed blob are those of one write.
+func TestBlobWriterBufferedParts(t *testing.T) {
+	data := make([]byte, 1<<20+3*blobBufferSize+17)
+	for i := range data {
+		data[i] = byte(i*7 + i>>9)
+	}
+	sum := sha256.Sum256(data)
+	want := hex.EncodeToString(sum[:])
+	for _, part := range []int{1, 4 << 10, 1 << 20} {
+		b, err := newBlobStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := b.NewWriter()
+		for off := 0; off < len(data); off += part {
+			if _, err := w.Write(data[off:min(off+part, len(data))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w.Sum() != want {
+			t.Fatalf("part %d: Sum %s, want %s", part, w.Sum(), want)
+		}
+		rd, err := w.Rewind()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := io.ReadAll(rd); !bytes.Equal(got, data) {
+			t.Fatalf("part %d: spool read back %d bytes, want the %d written", part, len(got), len(data))
+		}
+		hash, err := w.Commit()
+		if err != nil || hash != want {
+			t.Fatalf("part %d: Commit = %s, %v; want %s", part, hash, err, want)
+		}
+		rc, err := b.Open(hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(rc)
+		rc.Close()
+		if !bytes.Equal(got, data) {
+			t.Fatalf("part %d: blob holds %d bytes, want the %d written", part, len(got), len(data))
+		}
+	}
+}
+
 // TestBlobStoreRoundTrip: a writer's spool reads back through Rewind in
 // both modes; a durable Commit stores the bytes under their hash (Exists,
 // Open), a second Commit of the same bytes is a no-op, an in-memory

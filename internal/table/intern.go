@@ -17,7 +17,15 @@ type Dict struct {
 	mu    sync.RWMutex
 	codes map[string]int32
 	vals  []string
+	// recent remembers, per hash slot of a value's bytes, code+1 of the
+	// last value appendFieldCodes met there (0 = none), so a repeated CSV
+	// field is checked against one string instead of hashed into codes.
+	// Codes never change, so a slot is only ever stale, never wrong.
+	recent []int32
 }
+
+// recentSlots is the size of a Dict's recent-value table.
+const recentSlots = 1024
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
@@ -64,6 +72,45 @@ func (d *Dict) appendCodes(dst []int32, vals []string, off, stride int) ([]int32
 			d.codes[vals[i]] = c
 			d.vals = append(d.vals, vals[i])
 		}
+		dst = append(dst, c)
+	}
+	view := d.vals[:len(d.vals):len(d.vals)]
+	d.mu.Unlock()
+	return dst, view
+}
+
+// appendFieldCodes is appendCodes over fields held as bytes: field i is
+// raw[ends[i−1]+1 : ends[i]] (CSVReader.readRecord's layout). A value
+// already interned is looked up in place — first in the recent-value
+// table, then in codes — and only a new one is copied out as a string.
+func (d *Dict) appendFieldCodes(dst []int32, raw []byte, ends []int, off, stride int) ([]int32, []string) {
+	d.mu.Lock()
+	if d.recent == nil {
+		d.recent = make([]int32, recentSlots)
+	}
+	for i := off; i < len(ends); i += stride {
+		start := 0
+		if i > 0 {
+			start = ends[i-1] + 1
+		}
+		b := raw[start:ends[i]]
+		h := uint32(2166136261) // FNV-1a
+		for _, x := range b {
+			h = (h ^ uint32(x)) * 16777619
+		}
+		slot := &d.recent[h%recentSlots]
+		if c := *slot - 1; c >= 0 && d.vals[c] == string(b) {
+			dst = append(dst, c)
+			continue
+		}
+		c, ok := d.codes[string(b)]
+		if !ok {
+			v := string(b)
+			c = int32(len(d.vals))
+			d.codes[v] = c
+			d.vals = append(d.vals, v)
+		}
+		*slot = c + 1
 		dst = append(dst, c)
 	}
 	view := d.vals[:len(d.vals):len(d.vals)]

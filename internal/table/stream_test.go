@@ -202,11 +202,12 @@ func TestBuilderValidation(t *testing.T) {
 // order — on fresh and pre-seeded shared dictionaries and on a pool that
 // a source and then a target snapshot intern into.
 func TestBuilderBatchBoundaries(t *testing.T) {
-	s := MustSchema("k", "n", "c")
+	s := MustSchema("k", "n", "c", "u")
 	// row i repeats values across rows and columns, so later rows hit codes
-	// that earlier batches assigned.
+	// that earlier batches assigned; column u is distinct per row, so its
+	// values collide in a dictionary's recent-value table.
 	row := func(i int) Record {
-		return Record{fmt.Sprintf("k%d", i%97), fmt.Sprintf("%d", i%13), fmt.Sprintf("k%d", i%7)}
+		return Record{fmt.Sprintf("k%d", i%97), fmt.Sprintf("%d", i%13), fmt.Sprintf("k%d", i%7), fmt.Sprintf("u%d", i)}
 	}
 	rows := func(n, from int) []Record {
 		out := make([]Record, n)
@@ -267,8 +268,8 @@ func TestBuilderBatchBoundaries(t *testing.T) {
 	const b = batchRecords
 	for _, n := range []int{0, 1, b - 1, b, b + 1, 2*b + 1} {
 		// Shared dictionaries, pre-seeded with values the table also holds.
-		seed := [][]string{{"k5", "other"}, {"7"}, {"k3", "k96"}}
-		dicts := []*Dict{NewDict(), NewDict(), NewDict()}
+		seed := [][]string{{"k5", "other"}, {"7"}, {"k3", "k96"}, {"u9"}}
+		dicts := []*Dict{NewDict(), NewDict(), NewDict(), NewDict()}
 		for a, vs := range seed {
 			for _, v := range vs {
 				dicts[a].Code(v)
@@ -278,7 +279,7 @@ func TestBuilderBatchBoundaries(t *testing.T) {
 		check(fmt.Sprintf("shared/%d", n), []*Table{buildColumnar(t, s, src, dicts)}, dicts, seed, src)
 
 		// Fresh dictionaries, through the Builder, FromRows and ReadCSV.
-		none := [][]string{nil, nil, nil}
+		none := [][]string{nil, nil, nil, nil}
 		built := buildColumnar(t, s, src, nil)
 		check(fmt.Sprintf("fresh/%d", n), []*Table{built}, built.dicts, none, src)
 		fromRows := MustFromRows(s, src)
@@ -288,6 +289,33 @@ func TestBuilderBatchBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("ReadCSV/%d", n), []*Table{read}, read.dicts, none, src)
+
+		// One builder fed Records and CSV rows by turns: switching kinds
+		// interns the pending batch first, so record order holds.
+		for _, run := range []int{3, b + 44} {
+			cr := NewCSVReader(strings.NewReader(csvOf(t, built)))
+			if _, err := cr.Read(); err != nil { // the header
+				t.Fatal(err)
+			}
+			mixed, err := NewBuilder(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range src {
+				if i/run%2 == 0 {
+					if err := mixed.Append(r); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := cr.Read(); err != nil { // the same row, skipped
+						t.Fatal(err)
+					}
+				} else if w, err := mixed.AppendCSV(cr); err != nil || w != s.Len() {
+					t.Fatalf("AppendCSV = %d, %v", w, err)
+				}
+			}
+			tab := mixed.Table()
+			check(fmt.Sprintf("mixed/%d/%d", run, n), []*Table{tab}, tab.dicts, none, src)
+		}
 
 		// A pool: the source snapshot, then a target that shares most values.
 		pool := NewDictPool()
@@ -322,5 +350,37 @@ func TestBuilderLenCountsBuffered(t *testing.T) {
 	}
 	if tab := bld.Table(); tab.Len() != batchRecords+10 {
 		t.Fatalf("table holds %d records, want %d", tab.Len(), batchRecords+10)
+	}
+}
+
+// TestAppendCSVReservesFromByteCount: the first full batch sizes the
+// columns for the records the input's byte count implies, so a table that
+// fits grows no further, and never for more than maxReserve records, so a
+// byte count promising millions of rows reserves a bounded amount.
+func TestAppendCSVReservesFromByteCount(t *testing.T) {
+	for _, tc := range []struct {
+		rows    int
+		wantCap func(c int) bool
+	}{
+		{batchRecords + 200, func(c int) bool { return c >= batchRecords+200 && c <= 2*(batchRecords+200) }},
+		{5 << 20, func(c int) bool { return c == maxReserve }},
+	} {
+		in := "v\n" + strings.Repeat("1\n", tc.rows)
+		cr := NewCSVReader(strings.NewReader(in))
+		if _, err := cr.Read(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBuilder(MustSchema("v"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range batchRecords {
+			if n, err := b.AppendCSV(cr); n != 1 || err != nil {
+				t.Fatalf("AppendCSV = %d, %v", n, err)
+			}
+		}
+		if c := cap(b.t.cols[0]); !tc.wantCap(c) {
+			t.Errorf("%d rows: column capacity %d after the first batch", tc.rows, c)
+		}
 	}
 }

@@ -245,6 +245,25 @@ func (t *Table) internBatch(flat []string, n int) {
 	t.n += n
 }
 
+// internFields is internBatch over the n records whose fields raw and
+// ends hold as CSVReader.readRecord lays them out.
+func (t *Table) internFields(raw []byte, ends []int, n int) {
+	width := len(t.cols)
+	for a, d := range t.dicts {
+		t.cols[a], t.views[a] = d.appendFieldCodes(t.cols[a], raw, ends, a, width)
+	}
+	t.n += n
+}
+
+// reserve grows every column's capacity to at least n records.
+func (t *Table) reserve(n int) {
+	for a, col := range t.cols {
+		if cap(col) < n {
+			t.cols[a] = append(make([]int32, 0, n), col...)
+		}
+	}
+}
+
 // Clone returns a copy of the table: the code columns are copied, the
 // (append-only) dictionaries shared.
 func (t *Table) Clone() *Table {

@@ -19,6 +19,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,11 +131,13 @@ func (t *RunTrace) SpanFor(stage string) *Span {
 	return nil
 }
 
-// IngestDurationMS is the total wall time of the trace's ingest spans.
+// IngestDurationMS is the total wall time of the trace's ingest spans,
+// whatever their snapshot role: a pair's source and target, or a catalog
+// push's snapshot.
 func (t *RunTrace) IngestDurationMS() float64 {
 	var ms float64
 	for _, sp := range t.Spans {
-		if sp.Stage == "ingest:source" || sp.Stage == "ingest:target" {
+		if strings.HasPrefix(sp.Stage, "ingest:") {
 			ms += sp.DurationMS
 		}
 	}

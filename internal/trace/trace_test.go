@@ -103,6 +103,28 @@ func TestRecorderFullRun(t *testing.T) {
 
 // TestRecorderCurveCap: a long poll trajectory is thinned under the cap
 // with first, cheapest and last polls retained.
+// TestIngestDurationCountsSnapshot: a catalog push ingests one
+// "snapshot" and no source or target; its ingest span still counts.
+func TestIngestDurationCountsSnapshot(t *testing.T) {
+	r := NewRecorder("push")
+	clock := &fakeClock{t: time.Unix(1000, 0), step: 10 * time.Millisecond}
+	r.setClock(clock.now)
+	r.Observe(obs.Event{Kind: obs.KindIngest, Snapshot: "snapshot", Records: 8192})
+	r.Observe(obs.Event{Kind: obs.KindIngest, Snapshot: "snapshot", Records: 9000, Complete: true})
+	r.Observe(obs.Event{Kind: obs.KindSearchStart, Mode: "warm", Start: "Hid", StartLevel: 3})
+	r.Observe(obs.Event{Kind: obs.KindPoll, Poll: 1, Level: 3, Cost: 90, End: true})
+	r.Observe(obs.Event{Kind: obs.KindConvert})
+	r.Observe(obs.Event{Kind: obs.KindDone, Polls: 1, States: 4, Cost: 90})
+	tr := r.Trace()
+	sp := tr.SpanFor("ingest:snapshot")
+	if sp == nil || sp.Records != 9000 {
+		t.Fatalf("snapshot ingest span = %+v", sp)
+	}
+	if got := tr.IngestDurationMS(); got != sp.DurationMS || got != 20 { // two events, timed from the start
+		t.Errorf("ingest duration = %gms, want the snapshot span's 20ms (span %gms)", got, sp.DurationMS)
+	}
+}
+
 func TestRecorderCurveCap(t *testing.T) {
 	r := NewRecorder("t2")
 	r.SetCurveCap(8)

@@ -21,6 +21,7 @@ import (
 
 	"affidavit"
 	"affidavit/internal/jobs"
+	"affidavit/internal/table"
 )
 
 // maxFormFields bounds how many non-file parts one upload may carry, so a
@@ -200,18 +201,36 @@ func (c *byteCap) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// capRecords bounds a snapshot's record count (max ≤ 0 = unlimited) — the
-// backstop against uploads that would intern until OOM.
+// capRecords bounds a CSV snapshot's record count (max ≤ 0 = unlimited) —
+// the backstop against uploads that would intern until OOM.
 func capRecords(src affidavit.Source, max int) affidavit.Source {
 	if max <= 0 {
 		return src
 	}
-	return &recordCap{Source: src, left: max}
+	return &recordCap{Source: src, feed: src.(table.Feeder), left: max}
 }
 
+// recordCap is a capped CSV source. It feeds an ingest drain as the CSV
+// source does, so a capped upload's rows go straight to codes too.
 type recordCap struct {
 	affidavit.Source
+	feed table.Feeder
 	left int
+}
+
+// Feed appends the next record to b while the cap allows. At the cap it
+// reads one record through Next, which tells a clean end from one record
+// too many without appending it.
+func (l *recordCap) Feed(b *table.Builder) error {
+	if l.left <= 0 {
+		_, err := l.Next()
+		return err
+	}
+	if err := l.feed.Feed(b); err != nil {
+		return err
+	}
+	l.left--
+	return nil
 }
 
 func (l *recordCap) Next() (affidavit.Record, error) {

@@ -143,10 +143,12 @@ func TestSessionReadSourceInternsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 110 = the pair's values plus the function outputs the search
-		// interns, as measured on the parent commit.
-		if attrs, values := s.PoolStats(); attrs != 7 || values != 110 {
-			t.Errorf("pool after the run: %d attrs, %d values, want 7 and 110", attrs, values)
+		// 99 = the pair's values plus the function outputs the search
+		// interns for source values, as measured once apply memos covered
+		// source codes only (110 while they also covered target-only
+		// codes).
+		if attrs, values := s.PoolStats(); attrs != 7 || values != 99 {
+			t.Errorf("pool after the run: %d attrs, %d values, want 7 and 99", attrs, values)
 		}
 		return string(body)
 	}

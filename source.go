@@ -3,12 +3,13 @@ package affidavit
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+
+	"affidavit/internal/table"
 )
 
 // Source yields one snapshot's records incrementally, so an Explainer can
@@ -35,10 +36,11 @@ type Source interface {
 
 // csvSource streams records out of CSV: the header row becomes the schema,
 // every subsequent row one record, read row-at-a-time off the underlying
-// reader.
+// reader. Next is the record view; an ingest drain feeds the rows' bytes
+// straight into its table builder instead (Feed).
 type csvSource struct {
 	open   func() (io.Reader, io.Closer, error)
-	cr     *csv.Reader
+	cr     *table.CSVReader
 	closer io.Closer
 	schema *Schema
 	row    int
@@ -69,9 +71,7 @@ func (s *csvSource) Open() (*Schema, error) {
 		return nil, err
 	}
 	s.closer = closer
-	s.cr = csv.NewReader(r)
-	s.cr.FieldsPerRecord = -1 // validate ourselves for a better message
-	s.cr.ReuseRecord = true   // rows are copied into the intern layer anyway
+	s.cr = table.NewCSVReader(r)
 	header, err := s.cr.Read()
 	if err == io.EOF {
 		return nil, fmt.Errorf("affidavit: csv has no header row")
@@ -88,19 +88,33 @@ func (s *csvSource) Open() (*Schema, error) {
 }
 
 func (s *csvSource) Next() (Record, error) {
-	row, err := s.cr.Read()
+	rec, err := s.cr.Read()
+	if err := s.check(len(rec), err); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// Feed appends the next row to b without making a Record: its fields go
+// from the reader's bytes straight to codes. Errors read as Next's.
+func (s *csvSource) Feed(b *table.Builder) error {
+	return s.check(b.AppendCSV(s.cr))
+}
+
+// check turns the outcome of reading one row of n fields into Next's
+// error: io.EOF, a read error, or a row of the wrong width.
+func (s *csvSource) check(n int, err error) error {
 	if err == io.EOF {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if err != nil {
-		return nil, fmt.Errorf("affidavit: reading csv: %w", err)
+		return fmt.Errorf("affidavit: reading csv: %w", err)
 	}
 	s.row++
-	if len(row) != s.schema.Len() {
-		return nil, fmt.Errorf("affidavit: csv row %d has %d fields, header has %d",
-			s.row, len(row), s.schema.Len())
+	if n != s.schema.Len() {
+		return fmt.Errorf("affidavit: csv row %d has %d fields, header has %d", s.row, n, s.schema.Len())
 	}
-	return Record(row).Clone(), nil
+	return nil
 }
 
 func (s *csvSource) Close() error {
