@@ -322,10 +322,10 @@ func BenchmarkChainInterning(b *testing.B) {
 	})
 }
 
-// BenchmarkBuild measures the end-state conversion in isolation —
-// delta.BuildCtx's memos, greedy multiset matching and assembly — on the
-// Figure 5 instance (40 000 rows) with its reference function tuple.
-func BenchmarkBuild(b *testing.B) {
+// figure5Pair is the Figure 5 instance (40 000 rows) with its reference
+// function tuple, interned outside the timer.
+func figure5Pair(b *testing.B) *gen.Problem {
+	b.Helper()
 	ds, err := datasets.Get("flight-500k")
 	if err != nil {
 		b.Fatal(err)
@@ -338,10 +338,36 @@ func BenchmarkBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.Inst.Coded() // intern outside the timer
+	p.Inst.Coded()
+	return p
+}
+
+// BenchmarkBuild measures the standalone end-state conversion —
+// delta.BuildCtx's apply memos (Coded.ApplyMemo), greedy multiset matching
+// and assembly — on the Figure 5 pair. A search skips the memo step: it
+// hands its refinement tree's memos to delta.BuildWithMemos.
+func BenchmarkBuild(b *testing.B) {
+	p := figure5Pair(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := delta.BuildCtx(context.Background(), p.Inst, p.Reference.Funcs, delta.BuildOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkValidate measures Explanation.Validate, the string-level
+// Definition 3.5 check every search result passes, on the Figure 5 pair's
+// reference explanation.
+func BenchmarkValidate(b *testing.B) {
+	p := figure5Pair(b)
+	e, err := delta.Build(p.Inst, p.Reference.Funcs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Validate(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,17 +34,13 @@ type Block struct {
 	Tgt []int32 // target record indices
 }
 
-// applyMemo caches, for one (attribute, function) pair, the output code of
-// every raw input code of that attribute. It is immutable once built.
-type applyMemo []int32
-
-// applyCache is what every Result of one refinement tree shares: the
-// applyMemos, so refining different sibling or cousin states with the same
-// (attr, func) reuses the memo instead of re-applying the function value by
-// value, and the tree's split scratch. The tree belongs to one run on one
-// goroutine, so neither needs a lock.
+// applyCache is what every Result of one refinement tree shares: the apply
+// memos (delta.Coded.ApplyMemo), so refining different sibling or cousin
+// states with the same (attr, func) reuses the memo instead of re-applying
+// the function value by value, and the tree's split scratch. The tree
+// belongs to one run on one goroutine, so neither needs a lock.
 type applyCache struct {
-	memos map[applyKey]applyMemo
+	memos map[applyKey][]int32
 	sc    splitScratch
 }
 
@@ -53,87 +49,25 @@ type applyKey struct {
 	fn   string
 }
 
-// memo returns the (attr, f) memo, building it on first use. Building
-// interns novel function outputs, so distinct outputs always get distinct
-// codes and outputs equal to target values collide with them — exactly the
-// grouping semantics of string comparison, at integer cost.
+// memo returns the (attr, f) memo, building it on first use.
 //
 // Explicit value mappings are built transiently instead of cached: every
 // greedy-map probe constructs a fresh alignment-specific *Mapping that is
 // refined exactly once, so caching those memos (keyed by the mapping's full
-// entry list) would only grow the cache for a ~0% hit rate.
-func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
+// entry list) would only grow the cache for a ~0% hit rate. A mapping over
+// the attribute's own dictionary is filled from its code pairs, without
+// applying anything.
+func (c *applyCache) memo(co *delta.Coded, attr int, f metafunc.Func) []int32 {
 	if _, oneShot := f.(*metafunc.Mapping); oneShot {
-		return buildMemo(co, attr, f)
+		return co.ApplyMemo(attr, f)
 	}
 	key := applyKey{attr: attr, fn: f.Key()}
 	m, ok := c.memos[key]
 	if !ok {
-		m = buildMemo(co, attr, f)
+		m = co.ApplyMemo(attr, f)
 		c.memos[key] = m
 	}
 	return m
-}
-
-// buildMemo fills entries only for codes present in the source column —
-// the only codes a refinement reads — so per-memo apply/intern work is
-// bounded by the source's value set, not by how much a long-lived
-// dictionary pool has accumulated.
-//
-// A mapping built on codes of the attribute's own dictionary is filled
-// from its code pairs without a string: memo[c] = c, except memo[from[i]]
-// = to[i]. That is dict.Code(f.Apply(dict.Value(c))) for every code,
-// because every to[i] is already interned and dictionaries are
-// append-only, so it also holds for a mapping carried over from an
-// earlier pair into the same pool (a warm start).
-func buildMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
-	if metafunc.IsIdentity(f) {
-		built := make(applyMemo, co.Base[attr])
-		for _, c := range co.SrcPresent[attr] {
-			built[c] = c
-		}
-		return built
-	}
-	if m, ok := f.(*metafunc.Mapping); ok {
-		if from, to, ok := m.Codes(co.Dicts[attr]); ok {
-			return codedMapMemo(co, attr, from, to)
-		}
-	}
-	return stringMemo(co, attr, f)
-}
-
-// codedMapMemo is the memo of the mapping from[i] ↦ to[i] over the
-// attribute's dictionary.
-func codedMapMemo(co *delta.Coded, attr int, from, to []int32) applyMemo {
-	present := co.SrcPresent[attr]
-	built := make(applyMemo, co.Base[attr])
-	// Mark the present codes first, so an entry whose value the source
-	// column lacks leaves its slot as the string path does.
-	for _, c := range present {
-		built[c] = -1
-	}
-	for i, c := range from {
-		if int(c) < len(built) && built[c] < 0 {
-			built[c] = to[i]
-		}
-	}
-	for _, c := range present {
-		if built[c] < 0 {
-			built[c] = c
-		}
-	}
-	return built
-}
-
-// stringMemo is the memo of any function: each present source value is
-// decoded, transformed and interned.
-func stringMemo(co *delta.Coded, attr int, f metafunc.Func) applyMemo {
-	dict := co.Dicts[attr]
-	built := make(applyMemo, co.Base[attr])
-	for _, c := range co.SrcPresent[attr] {
-		built[c] = dict.Code(f.Apply(dict.Value(c)))
-	}
-	return built
 }
 
 // Result is Φ_H as its readers see it: the mixed blocks in order, the
@@ -169,7 +103,7 @@ func New(inst *delta.Instance) *Result {
 	r := &Result{
 		inst:  inst,
 		coded: inst.Coded(),
-		cache: &applyCache{memos: make(map[applyKey]applyMemo)},
+		cache: &applyCache{memos: make(map[applyKey][]int32)},
 	}
 	nS, nT := inst.Source.Len(), inst.Target.Len()
 	if nS > 0 && nT > 0 {
@@ -339,6 +273,20 @@ func (r *Result) surpluses() (tSur, sSur int) {
 
 // cancelled reports whether the result's context is done.
 func (r *Result) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
+
+// Memos returns the conversion's apply memos of the end-state tuple fs
+// (delta.BuildWithMemos): the tree's memo of each function, nil for an
+// identity one. A function already refined in this tree is not applied
+// again; a mapping's memo is rebuilt from its code pairs.
+func (r *Result) Memos(fs []metafunc.Func) [][]int32 {
+	memos := make([][]int32, len(fs))
+	for a, f := range fs {
+		if !metafunc.IsIdentity(f) {
+			memos[a] = r.cache.memo(r.coded, a, f)
+		}
+	}
+	return memos
+}
 
 // Instance returns the problem instance the result was built over.
 func (r *Result) Instance() *delta.Instance { return r.inst }

@@ -106,7 +106,7 @@ func TestGreedyMapCodedMatchesStrings(t *testing.T) {
 			ties += n
 			checkMapping(t, name, inst.Coded().Dicts[a], got, want)
 			for _, co := range []*delta.Coded{inst.Coded(), later.Coded()} {
-				if m, s := blocking.BuildMemo(co, a, got), blocking.StringMemo(co, a, got); !slices.Equal(m, s) {
+				if m, s := co.ApplyMemo(a, got), stringMemo(co, a, got); !slices.Equal(m, s) {
 					t.Fatalf("%s: coded memo %v, string memo %v", name, m, s)
 				}
 			}
@@ -119,7 +119,7 @@ func TestGreedyMapCodedMatchesStrings(t *testing.T) {
 			if _, _, ok := foreign.Codes(inst.Coded().Dicts[a]); ok {
 				t.Fatalf("%s: a mapping over a fresh dictionary claims the pool's codes", name)
 			}
-			if m, s := blocking.BuildMemo(later.Coded(), a, foreign), blocking.StringMemo(later.Coded(), a, foreign); !slices.Equal(m, s) {
+			if m, s := later.Coded().ApplyMemo(a, foreign), stringMemo(later.Coded(), a, foreign); !slices.Equal(m, s) {
 				t.Fatalf("%s: foreign mapping memo %v, string memo %v", name, m, s)
 			}
 		}
@@ -167,4 +167,16 @@ func checkMapping(t *testing.T, name string, dict *table.Dict, got, want *metafu
 			t.Fatalf("%s: Lookup(%q) = %q, %v, want %q, %v", name, x, gy, gok, wy, wok)
 		}
 	}
+}
+
+// stringMemo is the apply memo of f built through f.Apply on decoded
+// strings, whatever f is: the reference for ApplyMemo's code-filled
+// mapping memo.
+func stringMemo(co *delta.Coded, attr int, f metafunc.Func) []int32 {
+	dict := co.Dicts[attr]
+	built := make([]int32, co.Base[attr])
+	for _, c := range co.SrcPresent[attr] {
+		built[c] = dict.Code(f.Apply(dict.Value(c)))
+	}
+	return built
 }

@@ -44,7 +44,7 @@ func (sc *splitScratch) next() uint32 {
 // With Σ diff = |T| − |S| that yields both halves of the surplus without a
 // pass over the touched codes. A 1:1 block is one comparison: it stays
 // whole or adds one surplus record on each side.
-func (sc *splitScratch) countDense(b *Block, memo applyMemo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+func (sc *splitScratch) countDense(b *Block, memo []int32, srcCodes, tgtCodes []int32) (tSur, sSur int) {
 	if len(b.Src) == 1 && len(b.Tgt) == 1 {
 		if memo[srcCodes[b.Src[0]]] == tgtCodes[b.Tgt[0]] {
 			return 0, 0
@@ -106,7 +106,7 @@ func (lv *level) blocks() []*Block {
 // counts its children, the next places the mixed children's members. A
 // 1:1 parent is one comparison: one mixed child, or a pure record on
 // each side.
-func (sc *splitScratch) split(in *level, memo applyMemo, srcCodes, tgtCodes []int32, out *level) (pureS, pureT int) {
+func (sc *splitScratch) split(in *level, memo []int32, srcCodes, tgtCodes []int32, out *level) (pureS, pureT int) {
 	slots := sc.slots
 	// The children of one parent: members per child, then the next slot
 	// of each mixed child in out, or -1 for a pure child.

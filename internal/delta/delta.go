@@ -136,6 +136,58 @@ func (in *Instance) Coded() *Coded {
 	return in.coded
 }
 
+// ApplyMemo returns the apply memo of f on attribute attr: memo[c] is the
+// code of f applied to value c, for every code c in SrcPresent[attr] — the
+// only codes a refinement or a conversion reads — so apply work is bounded
+// by the source's own value set, not by a long-lived dictionary pool.
+//
+// An output the dictionary lacks is interned, so distinct outputs always
+// get distinct codes and outputs equal to target values collide with them
+// — the semantics of string comparison, at integer cost. An output
+// interned here gets a code ≥ Base[attr], so it equals no target code.
+//
+// A mapping built on codes of the attribute's own dictionary is filled
+// from its code pairs without a string: memo[c] = c, except memo[from[i]]
+// = to[i]. That is dict.Code(f.Apply(dict.Value(c))) for every code,
+// because every to[i] is already interned and dictionaries are
+// append-only, so it also holds for a mapping carried over from an
+// earlier pair into the same pool (a warm start).
+func (co *Coded) ApplyMemo(attr int, f metafunc.Func) []int32 {
+	dict, present := co.Dicts[attr], co.SrcPresent[attr]
+	built := make([]int32, co.Base[attr])
+	if metafunc.IsIdentity(f) {
+		for _, c := range present {
+			built[c] = c
+		}
+		return built
+	}
+	if m, ok := f.(*metafunc.Mapping); ok {
+		if from, to, ok := m.Codes(dict); ok {
+			// Mark the present codes first, so an entry whose value the
+			// source column lacks leaves its slot as the string path does.
+			for _, c := range present {
+				built[c] = -1
+			}
+			for i, c := range from {
+				if int(c) < len(built) && built[c] < 0 {
+					built[c] = to[i]
+				}
+			}
+			for _, c := range present {
+				if built[c] < 0 {
+					built[c] = c
+				}
+			}
+			return built
+		}
+	}
+	vals := dict.Snapshot()
+	for _, c := range present {
+		built[c] = dict.Code(f.Apply(vals[c]))
+	}
+	return built
+}
+
 // FuncTuple is F^E: one attribute function per attribute, in schema order.
 type FuncTuple []metafunc.Func
 
@@ -205,7 +257,8 @@ type BuildOptions struct {
 //
 // Matching runs on the interned columnar view: records are compared as
 // code tuples, and each function is applied at most once per distinct
-// source value of its attribute. Build is BuildCtx without cancellation.
+// source value of its attribute (Coded.ApplyMemo, which interns outputs
+// the dictionary lacks). Build is BuildCtx without cancellation.
 func Build(inst *Instance, funcs FuncTuple) (*Explanation, error) {
 	return BuildCtx(context.Background(), inst, funcs, BuildOptions{})
 }
@@ -222,46 +275,34 @@ func BuildCtx(ctx context.Context, inst *Instance, funcs FuncTuple, opts BuildOp
 			len(funcs), inst.NumAttrs())
 	}
 	co := inst.Coded()
-	memos, err := buildMemos(ctx, co, funcs)
-	if err != nil {
-		return nil, err
+	memos := make([][]int32, len(funcs))
+	for a, f := range funcs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !metafunc.IsIdentity(f) {
+			memos[a] = co.ApplyMemo(a, f) // an identity attribute's raw codes are its images
+		}
 	}
-	matchOf, err := match(ctx, inst, co, memos)
+	return BuildWithMemos(ctx, inst, funcs, memos)
+}
+
+// BuildWithMemos is BuildCtx over apply memos the caller already holds —
+// the search passes the ones its refinement tree built — so no function
+// is applied again. memos[a] must be inst.Coded().ApplyMemo(a, funcs[a]),
+// or nil for an identity function.
+func BuildWithMemos(ctx context.Context, inst *Instance, funcs FuncTuple, memos [][]int32) (*Explanation, error) {
+	if len(funcs) != inst.NumAttrs() || len(memos) != inst.NumAttrs() {
+		return nil, fmt.Errorf("delta: tuple has %d functions and %d memos, schema has %d attributes",
+			len(funcs), len(memos), inst.NumAttrs())
+	}
+	matchOf, err := match(ctx, inst, inst.Coded(), memos)
 	if err != nil {
 		return nil, err
 	}
 	e := &Explanation{Inst: inst, Funcs: funcs.Clone()}
 	assemble(e, matchOf, inst.Target.Len())
 	return e, nil
-}
-
-// buildMemos computes the per-attribute apply memos over the raw code
-// space: memos[a][c] is the code of funcs[a] applied to value c, or -1 when
-// the output is no snapshot value (such an image can never match a target
-// record). Only codes present in the source are filled — the rest are
-// never read — so pooled dictionaries holding other runs' values cost
-// nothing here. Identity attributes skip the memo entirely.
-func buildMemos(ctx context.Context, co *Coded, funcs FuncTuple) ([][]int32, error) {
-	memos := make([][]int32, len(funcs))
-	for a := range funcs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if metafunc.IsIdentity(funcs[a]) {
-			continue
-		}
-		dict := co.Dicts[a]
-		m := make([]int32, co.Base[a])
-		for _, c := range co.SrcPresent[a] {
-			if out, ok := dict.Lookup(funcs[a].Apply(dict.Value(c))); ok {
-				m[c] = out
-			} else {
-				m[c] = -1
-			}
-		}
-		memos[a] = m
-	}
-	return memos, ctx.Err()
 }
 
 // imageCode returns source record s's image code of attribute a under the
@@ -313,7 +354,8 @@ func (e *Explanation) CoreSize() int { return len(e.CoreSrc) }
 
 // Validate checks the validity conditions of Definition 3.5: the core image
 // actually reproduces the claimed targets, the alignment is a bijection, and
-// core/deleted and core-image/inserted partition S and T.
+// core/deleted and core-image/inserted partition S and T. It shares no
+// memo with the construction and interns nothing (validateImages).
 func (e *Explanation) Validate() error {
 	if len(e.CoreSrc) != len(e.CoreTgt) {
 		return fmt.Errorf("delta: core has %d sources but %d targets", len(e.CoreSrc), len(e.CoreTgt))
@@ -344,25 +386,57 @@ func (e *Explanation) Validate() error {
 			seenT[t] = true
 		}
 	}
-	// Core image check on the interned columns: code equality is string
-	// equality (both sides intern into the same dictionaries), and an image
-	// missing from a dictionary cannot equal any target value. Each function
-	// is applied once per distinct source value instead of once per record.
-	co := e.Inst.Coded()
-	memos, err := buildMemos(context.Background(), co, e.Funcs)
-	if err != nil {
-		return err
+	if len(e.Funcs) != e.Inst.NumAttrs() {
+		return fmt.Errorf("delta: tuple has %d functions, schema has %d attributes",
+			len(e.Funcs), e.Inst.NumAttrs())
 	}
-	for i, s := range e.CoreSrc {
-		for a := 0; a < e.Inst.NumAttrs(); a++ {
-			if imageCode(co, memos, a, s) != co.Tgt[a][e.CoreTgt[i]] {
-				img := e.Funcs.Apply(e.Inst.Source.Record(s))
-				return fmt.Errorf("delta: F(source %d) = %v ≠ target %d = %v",
-					s, img, e.CoreTgt[i], e.Inst.Target.Record(e.CoreTgt[i]))
+	return e.validateImages()
+}
+
+// validateImages checks that Funcs maps every core source record onto its
+// target, attribute by attribute, on strings decoded from lock-free
+// dictionary snapshots. The first core pair with a given source code
+// applies the function and remembers that pair's target code; every later
+// pair with that source code must carry the same target code, since equal
+// codes are equal strings and a function maps one value to one value.
+func (e *Explanation) validateImages() error {
+	co := e.Inst.Coded()
+	for a, f := range e.Funcs {
+		src, tgt := co.Src[a], co.Tgt[a]
+		if metafunc.IsIdentity(f) {
+			for i, s := range e.CoreSrc {
+				if src[s] != tgt[e.CoreTgt[i]] {
+					return e.imageError(s, e.CoreTgt[i])
+				}
+			}
+			continue
+		}
+		vals := co.Dicts[a].Snapshot()
+		tgtOf := make([]int32, co.Base[a])
+		for i := range tgtOf {
+			tgtOf[i] = -1
+		}
+		for i, s := range e.CoreSrc {
+			c, t := src[s], tgt[e.CoreTgt[i]]
+			switch want := tgtOf[c]; {
+			case want < 0:
+				if f.Apply(vals[c]) != vals[t] {
+					return e.imageError(s, e.CoreTgt[i])
+				}
+				tgtOf[c] = t
+			case want != t:
+				return e.imageError(s, e.CoreTgt[i])
 			}
 		}
 	}
 	return nil
+}
+
+// imageError reports that core source s does not map onto target t.
+func (e *Explanation) imageError(s, t int) error {
+	img := e.Funcs.Apply(e.Inst.Source.Record(s))
+	return fmt.Errorf("delta: F(source %d) = %v ≠ target %d = %v",
+		s, img, t, e.Inst.Target.Record(t))
 }
 
 // CostModel carries the cost parameter α ∈ [0,1] of Definition 3.10.

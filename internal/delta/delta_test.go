@@ -177,26 +177,77 @@ func TestAlphaWeighting(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
+	// rejects fails unless Validate rejects e, and fails if Validate
+	// interned anything.
+	rejects := func(name string, e *delta.Explanation) {
+		t.Helper()
+		dicts := e.Inst.Coded().Dicts
+		lens := make([]int, len(dicts))
+		for a, d := range dicts {
+			lens[a] = d.Len()
+		}
+		if err := e.Validate(); err == nil {
+			t.Errorf("%s passed validation", name)
+		}
+		for a, d := range dicts {
+			if d.Len() != lens[a] {
+				t.Errorf("%s: Validate grew dictionary %d from %d to %d values", name, a, lens[a], d.Len())
+			}
+		}
+	}
 	e := fixture.ReferenceExplanation()
 	e.CoreTgt[0], e.CoreTgt[1] = e.CoreTgt[1], e.CoreTgt[0]
-	if err := e.Validate(); err == nil {
-		t.Error("swapped alignment passed validation")
-	}
+	rejects("swapped alignment", e)
 	e2 := fixture.ReferenceExplanation()
 	e2.Deleted = append(e2.Deleted, e2.CoreSrc[0])
-	if err := e2.Validate(); err == nil {
-		t.Error("double-counted source passed validation")
-	}
+	rejects("double-counted source", e2)
 	e3 := fixture.ReferenceExplanation()
 	e3.Inserted = e3.Inserted[:len(e3.Inserted)-1]
-	if err := e3.Validate(); err == nil {
-		t.Error("missing insertion passed validation")
-	}
+	rejects("missing insertion", e3)
 	e4 := fixture.ReferenceExplanation()
 	e4.CoreTgt = e4.CoreTgt[:len(e4.CoreTgt)-1]
-	if err := e4.Validate(); err == nil {
-		t.Error("ragged core passed validation")
+	rejects("ragged core", e4)
+
+	// one is a one-attribute explanation under f that aligns src[i] with
+	// tgt[i] for i < n and deletes and inserts the rest.
+	one := func(src, tgt []string, f metafunc.Func, n int) *delta.Explanation {
+		s := table.MustSchema("a")
+		var sr, tr []table.Record
+		for _, v := range src {
+			sr = append(sr, table.Record{v})
+		}
+		for _, v := range tgt {
+			tr = append(tr, table.Record{v})
+		}
+		inst, err := delta.NewInstance(table.MustFromRows(s, sr), table.MustFromRows(s, tr), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &delta.Explanation{Inst: inst, Funcs: delta.FuncTuple{f}}
+		for i := range src {
+			if i < n {
+				e.CoreSrc = append(e.CoreSrc, i)
+				e.CoreTgt = append(e.CoreTgt, i)
+			} else {
+				e.Deleted = append(e.Deleted, i)
+			}
+		}
+		for i := n; i < len(tgt); i++ {
+			e.Inserted = append(e.Inserted, i)
+		}
+		return e
 	}
+	// The second pair shares the first's source value, so its target is
+	// checked against the code the first pair left, not by applying f.
+	shared := func(n int) *delta.Explanation {
+		return one([]string{"x", "x"}, []string{"X", "Y"}, metafunc.Upper{}, n)
+	}
+	if err := shared(1).Validate(); err != nil {
+		t.Fatalf("the first pair alone: %v", err)
+	}
+	rejects("shared source value, different targets", shared(2))
+	rejects("identity mismatch", one([]string{"a"}, []string{"b"}, metafunc.Identity{}, 1))
+	rejects("image absent from the dictionary", one([]string{"x"}, []string{"y"}, metafunc.Upper{}, 1))
 }
 
 // Property: Build always yields a valid explanation, whatever tuple we

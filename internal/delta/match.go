@@ -22,12 +22,13 @@ func hashTgt(co *Coded, t int) uint64 {
 }
 
 // hashImg hashes source record s's image tuple; ok is false when any image
-// code leaves the snapshot value set (such a source can never match).
+// code is ≥ Base — a function output interned after both snapshots, so no
+// target value — and such a source can never match.
 func hashImg(co *Coded, memos [][]int32, s int) (h uint64, ok bool) {
 	h = fnvOffset64
 	for a := range co.Src {
 		c := imageCode(co, memos, a, s)
-		if c < 0 {
+		if c >= co.Base[a] {
 			return 0, false
 		}
 		h = (h ^ uint64(uint32(c))) * fnvPrime64

@@ -352,8 +352,11 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			// conversion is one bounded pass, so let it complete.
 			bctx = context.WithoutCancel(ctx)
 		}
+		// The refinement tree already applied every function of the
+		// tuple; the conversion reads the same memos.
+		memos := end.blocks.Memos(tuple)
 		var err error
-		expl, err = delta.BuildCtx(bctx, inst, tuple, delta.BuildOptions{})
+		expl, err = delta.BuildWithMemos(bctx, inst, tuple, memos)
 		if err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 			// The deadline fired inside the conversion itself. The run has
 			// already found its end state — the same tuple a slightly
@@ -362,7 +365,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 			// rather than downgrading a complete search to the trivial
 			// explanation.
 			e.stats.Cancelled = true
-			expl, err = delta.BuildCtx(context.WithoutCancel(ctx), inst, tuple, delta.BuildOptions{})
+			expl, err = delta.BuildWithMemos(context.WithoutCancel(ctx), inst, tuple, memos)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("search: converting end state: %w", err)
@@ -404,31 +407,35 @@ func (e *engine) offer(q *boundedQueue, s *State) {
 // since mappings learned on a previous pair's alignment rarely transfer.
 // Returns nil (cold mode) when WarmStart is unset or carries no
 // assignments at all.
+//
+// The full state extends the no-mapping state by the mapping attributes,
+// so each carried attribute is split once. Its blocks are thus ordered by
+// the non-mapping attributes first; for a complete tuple nothing reads that
+// order — the full state is an end state, its cost is order-free and the
+// conversion reads only apply memos.
 func (e *engine) warmStates(root *State) []*State {
 	if e.opts.WarmStart == nil {
 		return nil
 	}
-	build := func(keepMappings bool) *State {
-		var attrs []int
-		var fs []metafunc.Func
-		for a, f := range e.opts.WarmStart {
-			if f == nil {
-				continue
-			}
-			if _, isMap := f.(*metafunc.Mapping); isMap && !keepMappings {
-				continue
-			}
+	var attrs, mapAttrs []int
+	var fs, mapFs []metafunc.Func
+	for a, f := range e.opts.WarmStart {
+		switch f.(type) {
+		case nil:
+		case *metafunc.Mapping:
+			mapAttrs = append(mapAttrs, a)
+			mapFs = append(mapFs, f)
+		default:
 			attrs = append(attrs, a)
 			fs = append(fs, f)
 		}
-		return root.extendAll(attrs, fs, e.cm)
 	}
-	full := build(true)
+	noMaps := root.extendAll(attrs, fs, e.cm)
+	full := noMaps.extendAll(mapAttrs, mapFs, e.cm)
 	if full.level == 0 {
 		return nil
 	}
-	noMaps := build(false)
-	if noMaps.Key() == full.Key() {
+	if full == noMaps {
 		return []*State{full}
 	}
 	// noMaps degenerates to the root when every warm function is a mapping;

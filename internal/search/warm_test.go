@@ -2,6 +2,8 @@ package search_test
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"affidavit/internal/datasets"
@@ -9,6 +11,7 @@ import (
 	"affidavit/internal/gen"
 	"affidavit/internal/metafunc"
 	"affidavit/internal/search"
+	"affidavit/internal/table"
 )
 
 // warmInstance builds a chain pair plus the warm tuple its predecessor pair
@@ -243,5 +246,70 @@ func TestWarmStartPartialTuple(t *testing.T) {
 	}
 	if res.Stats.StartLevel != 1 {
 		t.Errorf("start level %d, want 1 (one warm assignment)", res.Stats.StartLevel)
+	}
+}
+
+// countingUpper is Uppercase that counts its applications per input value.
+type countingUpper struct{ calls map[string]int }
+
+func (f countingUpper) Apply(x string) string {
+	f.calls[x]++
+	return metafunc.Upper{}.Apply(x)
+}
+func (countingUpper) Params() int    { return 0 }
+func (countingUpper) Key() string    { return "counting-upper" }
+func (countingUpper) String() string { return "x ↦ Uppercase(x) (counted)" }
+
+// TestWarmRunAppliesOnce: a warm run applies a carried function once per
+// distinct source value for blocking and conversion together, plus once
+// per distinct core source value for Validate, and interns nothing into
+// the session pool.
+func TestWarmRunAppliesOnce(t *testing.T) {
+	schema := table.MustSchema("id", "unit", "org")
+	units := []string{"usd", "eur", "gbp"}
+	var src, tgt []table.Record
+	for i := 0; i < 40; i++ {
+		id, unit, org := fmt.Sprintf("r%02d", i), units[i%len(units)], []string{"acme", "globex"}[i%2]
+		src = append(src, table.Record{id, unit, org})
+		if i < 36 {
+			tgt = append(tgt, table.Record{id, strings.ToUpper(unit), org})
+		}
+	}
+	tgt = append(tgt, table.Record{"r99", "EUR", "acme"})
+	pool := table.NewDictPool()
+	inst, err := delta.NewInstanceWithDicts(table.MustFromRows(schema, src), table.MustFromRows(schema, tgt),
+		nil, pool.DictsFor(schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Coded()
+	before := pool.Values()
+
+	counted := countingUpper{calls: make(map[string]int)}
+	opts := search.DefaultOptions()
+	opts.Seed = 1
+	opts.WarmStart = []metafunc.Func{metafunc.Identity{}, counted, metafunc.Identity{}}
+	res, err := search.Run(context.Background(), inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.Explanation
+	if e.Funcs[1].Key() != counted.Key() || e.CoreSize() != 36 {
+		t.Fatalf("run did not convert the warm tuple: funcs %s, core %d", describeTuple(e.Funcs), e.CoreSize())
+	}
+	core := make(map[string]int)
+	for _, s := range e.CoreSrc {
+		core[inst.Source.Record(s)[1]] = 1
+	}
+	for _, u := range units {
+		if got, limit := counted.calls[u], 1+core[u]; got == 0 || got > limit {
+			t.Errorf("%q applied %d times, want 1..%d", u, got, limit)
+		}
+	}
+	if len(counted.calls) != len(units) {
+		t.Errorf("applied to %v, want only the source values %v", counted.calls, units)
+	}
+	if after := pool.Values(); after != before {
+		t.Errorf("pool grew from %d to %d values during the run", before, after)
 	}
 }
