@@ -95,3 +95,92 @@ func TestExplainDigests(t *testing.T) {
 		}
 	}
 }
+
+// chainStepDigest is one pinned warm chain step: the SHA-256 and length of
+// its Result.JSON with stats zeroed, and its cost.
+type chainStepDigest struct {
+	SHA256 string  `json:"sha256"`
+	Len    int     `json:"len"`
+	Cost   float64 `json:"cost"`
+}
+
+// TestWarmChainFamilyDigests pins the explanation of every step of a
+// chain family run through one warm session per chain: every registry
+// dataset (at most 500 rows, build seed 1) × chain seeds 1–2 × stable and
+// permuted keys × 5 steps (η 0.1, τ 0.5), explained with WithSeed(1).
+// Stats are zeroed before hashing, so a change to the warm-start policy
+// may poll fewer states but cannot move an explanation, a cost or a
+// compression ratio unnoticed. Regenerate with `go test -run
+// TestWarmChainFamilyDigests -update .` only after an intentional
+// behaviour change.
+func TestWarmChainFamilyDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 360 warm chain steps; skipped in -short")
+	}
+	golden := filepath.Join("testdata", "warm_chain_family.json")
+	want := map[string]chainStepDigest{}
+	if !*updateGolden {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex, err := affidavit.New(affidavit.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]chainStepDigest{}
+	for _, spec := range datasets.All() {
+		tab, err := spec.BuildRows(min(spec.Rows, 500), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for chainSeed := int64(1); chainSeed <= 2; chainSeed++ {
+			for _, permute := range []bool{false, true} {
+				ch, err := gen.MakeChain(tab, gen.ChainConfig{
+					Steps: 5, Eta: 0.1, Tau: 0.5, Seed: chainSeed, PermuteKeys: permute,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := ex.Session(ch.Snapshots[0])
+				for i := 1; i < len(ch.Snapshots); i++ {
+					key := fmt.Sprintf("%s/chain%d/permute=%v/step%d", spec.Name, chainSeed, permute, i)
+					res, err := s.ExplainNextContext(context.Background(), ch.Snapshots[i])
+					if err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+					res.Stats = affidavit.Stats{}
+					b, err := res.JSON("t")
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(b)
+					got[key] = chainStepDigest{SHA256: hex.EncodeToString(sum[:]), Len: len(b), Cost: res.Cost}
+				}
+			}
+		}
+	}
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d steps computed, %d pinned", len(got), len(want))
+	}
+	for key, g := range got {
+		if w, ok := want[key]; !ok || g != w {
+			t.Errorf("%s: %d bytes sha256 %s cost %v, pinned %d bytes sha256 %s cost %v",
+				key, g.Len, g.SHA256, g.Cost, w.Len, w.SHA256, w.Cost)
+		}
+	}
+}
