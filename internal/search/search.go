@@ -271,7 +271,8 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 	}
 	root := newRoot(ctx, inst, e.cm)
 	q := newQueue(opts.QueueWidth)
-	starts := e.warmStates(root)
+	trivial := e.cm.TrivialCost(inst.NumAttrs(), inst.Target.Len())
+	starts := e.warmStates(root, trivial)
 	mode := "cold"
 	if len(starts) > 0 {
 		mode = "warm"
@@ -281,7 +282,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		// previous tuple, re-blocked and re-costed against this pair. When
 		// its cost ratio blows past the previous run's compression ratio the
 		// structure no longer transfers — escalate to a cold search.
-		trivial := e.cm.TrivialCost(inst.NumAttrs(), inst.Target.Len())
 		if trivial > 0 && starts[0].cost > opts.WarmGuard*opts.WarmPrevRatio*trivial {
 			e.stats.WarmEscalated = true
 			mode = "escalated"
@@ -376,7 +376,7 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 	// No result may be worse than the always-available E∅: the first end
 	// state the queue reaches, like a salvaged greedy finalisation, can carry
 	// mapping parameters that outweigh the insertions they save.
-	if e.cm.TrivialCost(inst.NumAttrs(), inst.Target.Len()) < e.cm.Cost(expl) {
+	if trivial < e.cm.Cost(expl) {
 		expl = delta.Trivial(inst)
 	}
 	return finish(expl)
@@ -408,12 +408,20 @@ func (e *engine) offer(q *boundedQueue, s *State) {
 // Returns nil (cold mode) when WarmStart is unset or carries no
 // assignments at all.
 //
+// The second state is left out when the full state is an end state whose
+// cost, as a fraction of this pair's trivial cost, equals WarmPrevRatio:
+// the carried tuple compresses this pair exactly as well as it compressed
+// the previous one, so the run returns it on its first poll instead of
+// expanding the cheaper no-mapping state and discarding its children. The
+// test is exact equality; a looser one ("no worse than before") changes
+// explanations on chains whose mappings no longer transfer.
+//
 // The full state extends the no-mapping state by the mapping attributes,
 // so each carried attribute is split once. Its blocks are thus ordered by
 // the non-mapping attributes first; for a complete tuple nothing reads that
 // order — the full state is an end state, its cost is order-free and the
 // conversion reads only apply memos.
-func (e *engine) warmStates(root *State) []*State {
+func (e *engine) warmStates(root *State, trivial float64) []*State {
 	if e.opts.WarmStart == nil {
 		return nil
 	}
@@ -435,13 +443,20 @@ func (e *engine) warmStates(root *State) []*State {
 	if full.level == 0 {
 		return nil
 	}
-	if full == noMaps {
+	if full == noMaps || e.reproducesPrev(full, trivial) {
 		return []*State{full}
 	}
 	// noMaps degenerates to the root when every warm function is a mapping;
 	// seeding it anyway keeps an escape hatch from a stale all-mapping
 	// tuple (the run then behaves like H∅ with a warm incumbent).
 	return []*State{full, noMaps}
+}
+
+// reproducesPrev reports whether the complete warm state s compresses this
+// pair exactly as well as the warm tuple compressed the previous one.
+func (e *engine) reproducesPrev(s *State, trivial float64) bool {
+	return s.IsEnd() && trivial > 0 && e.opts.WarmPrevRatio > 0 &&
+		s.cost/trivial == e.opts.WarmPrevRatio
 }
 
 // startStates builds H₀ for the configured strategy (Section 4.2).
