@@ -3,6 +3,7 @@ package search_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -312,4 +313,61 @@ func TestWarmRunAppliesOnce(t *testing.T) {
 	if after := pool.Values(); after != before {
 		t.Errorf("pool grew from %d to %d values during the run", before, after)
 	}
+}
+
+// TestWarmPolicyPollsOnceWhenTupleReproducesRatio: when the complete warm
+// tuple compresses this pair exactly as well as the previous one
+// (WarmPrevRatio equals its cost over this pair's trivial cost), the run
+// seeds only the tuple's state and returns it on the first poll — the
+// explanation a run without a previous ratio finds after also expanding
+// the no-mapping state. Any other ratio, one ulp off included, still polls
+// the no-mapping state.
+func TestWarmPolicyPollsOnceWhenTupleReproducesRatio(t *testing.T) {
+	inst, funcs := warmInstance(t, false)
+	opts := search.DefaultOptions()
+	opts.Seed = 17
+	opts.WarmStart = funcs
+	base, err := search.Run(context.Background(), inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Explanation.Funcs.Key() != delta.FuncTuple(funcs).Key() {
+		t.Fatalf("fixture: the warm tuple did not win:\n  %s\n  %s", base.Explanation.Funcs.Key(), delta.FuncTuple(funcs).Key())
+	}
+	if base.Stats.Polls < 2 {
+		t.Fatalf("fixture: %d polls without a previous ratio; want the no-mapping state polled too", base.Stats.Polls)
+	}
+	ratio := trivialRatioOf(base, inst, opts.Alpha)
+
+	opts.WarmPrevRatio = ratio
+	got, err := search.Run(context.Background(), inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.Polls != 1 || got.Stats.StatesGenerated != 0 {
+		t.Errorf("equal ratio: %d polls, %d states generated; want 1 and 0", got.Stats.Polls, got.Stats.StatesGenerated)
+	}
+	assertSameExplanation(t, base, got)
+
+	for _, other := range []float64{math.Nextafter(ratio, 2), math.Nextafter(ratio, 0), ratio / 2} {
+		opts.WarmPrevRatio = other
+		got, err := search.Run(context.Background(), inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, bs := got.Stats, base.Stats
+		gs.Duration, bs.Duration = 0, 0
+		if gs != bs {
+			t.Errorf("ratio %v (this pair's is %v): stats %+v, want the unprimed run's %+v", other, ratio, gs, bs)
+		}
+		assertSameExplanation(t, base, got)
+	}
+}
+
+// assertSameExplanation is assertSameResult without the search statistics.
+func assertSameExplanation(t *testing.T, a, b *search.Result) {
+	t.Helper()
+	x, y := *a, *b
+	x.Stats, y.Stats = search.Stats{}, search.Stats{}
+	assertSameResult(t, &x, &y)
 }

@@ -216,3 +216,25 @@ func TestSessionReadSourceDuringRun(t *testing.T) {
 	close(release)
 	wg.Wait()
 }
+
+// TestStationaryChainPollsOnce: on the stationary chain, whose carried
+// tuple compresses every step exactly as well as the step before, each
+// warm step polls only the carried tuple's state and generates nothing.
+func TestStationaryChainPollsOnce(t *testing.T) {
+	ch := stationaryChain(t)
+	ex, err := affidavit.New(affidavit.WithSeed(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := ex.Session(ch.Snapshots[0])
+	for s := 1; s <= 1+stationarySteps; s++ {
+		res, err := sess.ExplainNextContext(context.Background(), ch.Snapshots[s])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s > 1 && (res.Stats.Polls != 1 || res.Stats.StatesGenerated != 0) {
+			t.Errorf("step %d: polled %d states and generated %d, want 1 and 0",
+				s, res.Stats.Polls, res.Stats.StatesGenerated)
+		}
+	}
+}
