@@ -16,12 +16,14 @@ func SummarizeStep(res *affidavit.Result) *StepSummary {
 	attrs := e.Inst.NumAttrs()
 	changedPerAttr := make([]int, attrs)
 	updates := 0
-	src, tgt := e.Inst.Source, e.Inst.Target
+	// Both snapshots are interned into one dictionary per attribute, so two
+	// cells hold equal values exactly when their codes are equal.
+	co := e.Inst.Coded()
 	for i := range e.CoreSrc {
 		si, ti := e.CoreSrc[i], e.CoreTgt[i]
 		rowChanged := false
 		for a := 0; a < attrs; a++ {
-			if src.Value(si, a) != tgt.Value(ti, a) {
+			if co.Src[a][si] != co.Tgt[a][ti] {
 				changedPerAttr[a]++
 				rowChanged = true
 			}
@@ -35,7 +37,7 @@ func SummarizeStep(res *affidavit.Result) *StepSummary {
 		compression = res.Cost / res.TrivialCost
 	}
 	sum := &StepSummary{
-		Records:       tgt.Len(),
+		Records:       e.Inst.Target.Len(),
 		Core:          len(e.CoreSrc),
 		Updates:       updates,
 		Inserts:       len(e.Inserted),
