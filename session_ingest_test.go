@@ -33,17 +33,19 @@ func TestDictReadersDuringIngest(t *testing.T) {
 	}
 	dicts := s.pool.DictsFor(first.Schema())
 
-	done := make(chan struct{})
+	// The reader signals after its first full pass over the dictionaries,
+	// and the ingest rounds start only then, so the reader is running
+	// however the goroutines are scheduled.
+	done, firstPass := make(chan struct{}), make(chan struct{})
+	var signal sync.Once
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for reads := 0; ; reads++ {
+		defer signal.Do(func() { close(firstPass) })
+		for {
 			select {
 			case <-done:
-				if reads == 0 {
-					t.Error("the reader never ran")
-				}
 				return
 			default:
 			}
@@ -60,8 +62,10 @@ func TestDictReadersDuringIngest(t *testing.T) {
 					}
 				}
 			}
+			signal.Do(func() { close(firstPass) })
 		}
 	}()
+	<-firstPass
 	for round := 0; round < 4; round++ {
 		from, n := 1000*round, 3000
 		tab, err := s.ReadSource(ctx, NewCSVSource(strings.NewReader(csvOf(from, n))), "target")
