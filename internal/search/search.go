@@ -84,7 +84,11 @@ type Options struct {
 	// mappings are alignment-specific (rewritten keys are re-permuted
 	// between every pair), a second warm state with all Mapping entries
 	// left undecided is seeded as well, so a stale key mapping never hides
-	// the reusable part of the tuple.
+	// the reusable part of the tuple — unless the complete tuple's state
+	// compresses this pair exactly as well as the tuple compressed the
+	// previous one (its cost over this pair's trivial cost equals
+	// WarmPrevRatio): then it alone is seeded and returned on the first
+	// poll.
 	//
 	// A recurring transformation pattern is then confirmed in a handful of
 	// polls — the warm states start at (or next to) an end state — instead
@@ -110,7 +114,10 @@ type Options struct {
 	WarmGuard float64
 	// WarmPrevRatio is the previous run's cost divided by its pair's
 	// trivial-explanation cost — the compression-ratio baseline the guard
-	// compares against. Must be ≥ 0. Sessions fill it automatically.
+	// compares against. A complete warm tuple whose cost ratio on this
+	// pair equals it exactly is seeded alone, without the no-mapping
+	// state. Must be ≥ 0; 0 (unknown) never matches. Sessions fill it
+	// automatically.
 	WarmPrevRatio float64
 }
 
