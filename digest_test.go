@@ -33,17 +33,6 @@ func TestExplainDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 36 full explanations; skipped in -short")
 	}
-	golden := filepath.Join("testdata", "explain_digests.json")
-	want := map[string]explainDigest{}
-	if !*updateGolden {
-		raw, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ex, err := affidavit.New(affidavit.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +65,13 @@ func TestExplainDigests(t *testing.T) {
 			got[key] = explainDigest{SHA256: hex.EncodeToString(sum[:]), Len: len(b)}
 		}
 	}
+	pinDigests(t, filepath.Join("testdata", "explain_digests.json"), got)
+}
+
+// pinDigests compares got with the digests pinned in the JSON file golden,
+// key by key, or rewrites the file under -update.
+func pinDigests[D comparable](t *testing.T, golden string, got map[string]D) {
+	t.Helper()
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -86,12 +82,20 @@ func TestExplainDigests(t *testing.T) {
 		}
 		return
 	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]D{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
 		t.Errorf("%d digests computed, %d pinned", len(got), len(want))
 	}
 	for key, g := range got {
 		if w, ok := want[key]; !ok || g != w {
-			t.Errorf("%s: Result.JSON is %d bytes sha256 %s, pinned %d bytes sha256 %s", key, g.Len, g.SHA256, w.Len, w.SHA256)
+			t.Errorf("%s: got %+v, pinned %+v", key, g, w)
 		}
 	}
 }
@@ -116,17 +120,6 @@ type chainStepDigest struct {
 func TestWarmChainFamilyDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 360 warm chain steps; skipped in -short")
-	}
-	golden := filepath.Join("testdata", "warm_chain_family.json")
-	want := map[string]chainStepDigest{}
-	if !*updateGolden {
-		raw, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(raw, &want); err != nil {
-			t.Fatal(err)
-		}
 	}
 	ex, err := affidavit.New(affidavit.WithSeed(1))
 	if err != nil {
@@ -164,23 +157,5 @@ func TestWarmChainFamilyDigests(t *testing.T) {
 			}
 		}
 	}
-	if *updateGolden {
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	if len(got) != len(want) {
-		t.Errorf("%d steps computed, %d pinned", len(got), len(want))
-	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok || g != w {
-			t.Errorf("%s: %d bytes sha256 %s cost %v, pinned %d bytes sha256 %s cost %v",
-				key, g.Len, g.SHA256, g.Cost, w.Len, w.SHA256, w.Cost)
-		}
-	}
+	pinDigests(t, filepath.Join("testdata", "warm_chain_family.json"), got)
 }

@@ -420,8 +420,9 @@ func (e *engine) offer(q *boundedQueue, s *State) {
 // the carried tuple compresses this pair exactly as well as it compressed
 // the previous one, so the run returns it on its first poll instead of
 // expanding the cheaper no-mapping state and discarding its children. The
-// test is exact equality; a looser one ("no worse than before") changes
-// explanations on chains whose mappings no longer transfer.
+// test is exact equality: a looser one ("no worse than before") lets a
+// child of the no-mapping state that would have beaten the full state go
+// unexplored, and moves explanations of the pinned chain family.
 //
 // The full state extends the no-mapping state by the mapping attributes,
 // so each carried attribute is split once. Its blocks are thus ordered by
