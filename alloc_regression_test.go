@@ -65,8 +65,7 @@ func TestAllocRegressionWarmChain(t *testing.T) {
 	// once each run owned its scratch; 49.0k–51.4k (58.8k under -race) with pooled scratch,
 	// mixed-only blocks, the run's example memo and batched interning; 132k
 	// with the warm tuple re-blocked by the all-record RefineAll (178k
-	// under -race), 144k (185k) before that, 369k after the raw-speed pass,
-	// ~1.7M in the BENCH_5 era.
+	// under -race), 144k (185k) before that, 369k after the raw-speed pass.
 	const ceiling = 61_000
 	t.Logf("warm chain: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
@@ -153,7 +152,7 @@ func TestAllocRegressionScale20(t *testing.T) {
 	// once each run owned its scratch; 122.6k–125.1k (134k–140k under -race) with pooled
 	// scratch, mixed-only blocks, top-β indeterminacy and the run's example
 	// memo; 331k with induction on codes (403k under -race), 711k after the
-	// raw-speed pass, ~2.85M in the BENCH_5 era.
+	// raw-speed pass.
 	const ceiling = 158_000
 	t.Logf("scale20 cold: %.0f allocs/run (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {

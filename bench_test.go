@@ -84,7 +84,7 @@ func BenchmarkFigure3Blocking(b *testing.B) {
 			Refine(fixture.Type, metafunc.Identity{}).
 			Refine(fixture.Unit, metafunc.Constant{C: "k $"}).
 			Refine(fixture.Org, metafunc.Identity{})
-		if len(r.MixedBlocks()) == 0 {
+		if r.NumMixed() == 0 {
 			b.Fatal("no mixed blocks")
 		}
 	}

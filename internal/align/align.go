@@ -42,18 +42,16 @@ type Scratch struct {
 // from rng in exactly the same sequence.
 func (sc *Scratch) Random(r *blocking.Result, rng *rand.Rand) []Pair {
 	pairs := sc.pairs[:0]
-	for _, b := range r.MixedBlocks() {
-		if len(b.Src) == 1 && len(b.Tgt) == 1 {
+	for i := range r.NumMixed() {
+		bs, bt := r.Mixed(i)
+		if len(bs) == 1 && len(bt) == 1 {
 			// Shuffling one record draws nothing: the block is its pair.
-			pairs = append(pairs, Pair{S: b.Src[0], T: b.Tgt[0]})
+			pairs = append(pairs, Pair{S: bs[0], T: bt[0]})
 			continue
 		}
-		n := len(b.Src)
-		if len(b.Tgt) < n {
-			n = len(b.Tgt)
-		}
-		src := append(sc.src[:0], b.Src...)
-		tgt := append(sc.tgt[:0], b.Tgt...)
+		n := min(len(bs), len(bt))
+		src := append(sc.src[:0], bs...)
+		tgt := append(sc.tgt[:0], bt...)
 		rng.Shuffle(len(src), func(i, j int) { src[i], src[j] = src[j], src[i] })
 		rng.Shuffle(len(tgt), func(i, j int) { tgt[i], tgt[j] = tgt[j], tgt[i] })
 		for i := 0; i < n; i++ {

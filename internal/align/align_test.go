@@ -32,12 +32,9 @@ func TestRandomRespectsBlocking(t *testing.T) {
 	}
 	// Pair count = Σ min(|S_b|, |T_b|) over mixed blocks.
 	want := 0
-	for _, b := range r.MixedBlocks() {
-		n := len(b.Src)
-		if len(b.Tgt) < n {
-			n = len(b.Tgt)
-		}
-		want += n
+	for i := range r.NumMixed() {
+		src, tgt := r.Mixed(i)
+		want += min(len(src), len(tgt))
 	}
 	if len(pairs) != want {
 		t.Errorf("pairs = %d, want %d", len(pairs), want)

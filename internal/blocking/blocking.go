@@ -24,16 +24,6 @@ import (
 	"affidavit/internal/metafunc"
 )
 
-// Block is one ϕ(κ): the source and target records sharing blocking index
-// κ. κ itself is implicit — refinement groups records by interned
-// value-code tuples, so a block is identified by (parent block, split
-// code) without materialising the key. Render κ for debugging by reading
-// any member record's decided-attribute values through the instance.
-type Block struct {
-	Src []int32 // source record indices
-	Tgt []int32 // target record indices
-}
-
 // applyCache is what every Result of one refinement tree shares: the apply
 // memos (delta.Coded.ApplyMemo), so refining different sibling or cousin
 // states with the same (attr, func) reuses the memo instead of re-applying
@@ -83,7 +73,6 @@ type Result struct {
 	coded        *delta.Coded
 	cache        *applyCache
 	lv           level           // the blocks with records on both sides, in block order
-	mixed        []*Block        // lv's blocks
 	tSur, sSur   int             // c_t(H), c_s(H), computed at Refine time
 	pureS, pureT int             // records in source-only / target-only blocks
 	ctx          context.Context // nil = never cancelled
@@ -107,24 +96,18 @@ func New(inst *delta.Instance) *Result {
 	}
 	nS, nT := inst.Source.Len(), inst.Target.Len()
 	if nS > 0 && nT > 0 {
-		lv := level{src: make([]int32, nS), tgt: make([]int32, nT), srcEnd: []int32{int32(nS)}, tgtEnd: []int32{int32(nT)}}
-		for i := range lv.src {
-			lv.src[i] = int32(i)
+		r.lv = level{src: make([]int32, nS), tgt: make([]int32, nT), srcEnd: []int32{int32(nS)}, tgtEnd: []int32{int32(nT)}}
+		for i := range r.lv.src {
+			r.lv.src[i] = int32(i)
 		}
-		for i := range lv.tgt {
-			lv.tgt[i] = int32(i)
+		for i := range r.lv.tgt {
+			r.lv.tgt[i] = int32(i)
 		}
-		r.setLevel(lv)
 	} else {
 		r.pureS, r.pureT = nS, nT
 	}
 	r.tSur, r.sSur = r.surpluses()
 	return r
-}
-
-// setLevel makes lv the result's mixed blocks.
-func (r *Result) setLevel(lv level) {
-	r.lv, r.mixed = lv, lv.blocks()
 }
 
 // WithWorkers returns its receiver. It is a shim: refinement is
@@ -191,8 +174,9 @@ func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 	// Split codes are memo outputs (interned before the memo was returned)
 	// and raw target codes, so the dictionary's size bounds them all.
 	sc.reset(r.coded.Dicts[attr].Len())
-	for _, b := range r.mixed {
-		t, s := sc.countDense(b, memo, srcCodes, tgtCodes)
+	for i := range r.lv.srcEnd {
+		bs, bt := r.lv.block(i)
+		t, s := sc.countDense(bs, bt, memo, srcCodes, tgtCodes)
 		tSur += t
 		sSur += s
 	}
@@ -202,18 +186,23 @@ func (r *Result) countRefine(attr int, f metafunc.Func) (tSur, sSur int) {
 // force materialises a lazily refined result by splitting its parent's
 // mixed blocks; a no-op once done. A forced result no longer needs its
 // parent and lets go of it, or every state would keep its whole chain of
-// materialised ancestors alive.
+// materialised ancestors alive. The check inlines into every accessor; the
+// split does not.
 func (r *Result) force() {
-	l := r.lazy
-	if l == nil {
-		return
+	if r.lazy != nil {
+		r.materialise()
 	}
+}
+
+// materialise is force's split.
+func (r *Result) materialise() {
+	l := r.lazy
 	r.lazy = nil
 	p := l.parent
 	out := &r.cache.sc.bufs[0]
 	ps, pt := p.split(&p.lv, l.attr, l.fn, out)
 	r.pureS, r.pureT = p.pureS+ps, p.pureT+pt
-	r.setLevel(out.clone())
+	r.lv = out.clone()
 }
 
 // split splits the blocks of in — the receiver's or a level below it — by
@@ -232,9 +221,9 @@ func (r *Result) split(in *level, attr int, f metafunc.Func, out *level) (pureS,
 // memos built in the same attribute order, so dictionary codes agree too.
 // It skips the chain's counting passes and its intermediate results: each
 // level splits the previous level's mixed blocks into one of two reused
-// flat layouts, and only the last level is kept and built as blocks. The
-// receiver is unchanged; with no attributes, or once the context is
-// cancelled, RefineAll returns the receiver, as Refine does.
+// flat layouts, and only the last level is kept. The receiver is
+// unchanged; with no attributes, or once the context is cancelled,
+// RefineAll returns the receiver, as Refine does.
 func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
 	if len(attrs) == 0 || r.cancelled() {
 		return r
@@ -252,7 +241,7 @@ func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
 		nr.pureS, nr.pureT = nr.pureS+ps, nr.pureT+pt
 		in = out
 	}
-	nr.setLevel(in.clone())
+	nr.lv = in.clone()
 	nr.tSur, nr.sSur = nr.surpluses()
 	return nr
 }
@@ -261,8 +250,9 @@ func (r *Result) RefineAll(attrs []int, fs []metafunc.Func) *Result {
 // block's records are all surplus on their side.
 func (r *Result) surpluses() (tSur, sSur int) {
 	tSur, sSur = r.pureT, r.pureS
-	for _, b := range r.mixed {
-		if d := len(b.Tgt) - len(b.Src); d > 0 {
+	for i := range r.lv.srcEnd {
+		bs, bt := r.lv.block(i)
+		if d := len(bt) - len(bs); d > 0 {
 			tSur += d
 		} else {
 			sSur -= d
@@ -294,17 +284,25 @@ func (r *Result) Instance() *delta.Instance { return r.inst }
 // Coded returns the instance's interned columnar view (shared, not copied).
 func (r *Result) Coded() *delta.Coded { return r.coded }
 
-// Blocks returns the mixed blocks, as MixedBlocks does. It is a shim: a
-// Result keeps no pure block, and the method remains only because the
-// frozen bench/probes.go calls it to force a refinement; the next
+// Blocks returns NumMixed. It is a shim: the method remains only because
+// the frozen bench/probes.go calls it to force a refinement; the next
 // benchmark PR removes both.
-func (r *Result) Blocks() []*Block { return r.MixedBlocks() }
+func (r *Result) Blocks() int { return r.NumMixed() }
 
-// MixedBlocks returns the blocks containing both source and target records,
-// in block order; callers must not mutate the shared slice.
-func (r *Result) MixedBlocks() []*Block {
+// NumMixed returns the number of blocks containing both source and target
+// records, forcing a lazy result.
+func (r *Result) NumMixed() int {
 	r.force()
-	return r.mixed
+	return len(r.lv.srcEnd)
+}
+
+// Mixed returns the source and target records of mixed block i, in block
+// order, forcing a lazy result. The slices share the result's arrays —
+// callers must not write through them — and have no capacity past the
+// block, so an append copies instead of overwriting block i+1.
+func (r *Result) Mixed(i int) (src, tgt []int32) {
+	r.force()
+	return r.lv.block(i)
 }
 
 // TargetSurplus returns c_t(H) = Σ_{|ϕT(κ)| > |ϕS(κ)|} |ϕT(κ)| − |ϕS(κ)|,
@@ -340,7 +338,7 @@ func (r *Result) LeastIndeterminate(attrs []int, k int) []int {
 		size = max(size, r.coded.Base[attr])
 	}
 	sc.reset(int(size))
-	order := sc.bySourceSize(r.mixed)
+	order := sc.bySourceSize(&r.lv)
 	type ranked struct{ ind, attr int }
 	// beats reports whether (n, attr) sorts before e.
 	beats := func(n, attr int, e ranked) bool { return n < e.ind || n == e.ind && attr < e.attr }
@@ -349,15 +347,15 @@ func (r *Result) LeastIndeterminate(attrs []int, k int) []int {
 		srcCodes := r.coded.Src[attr]
 		most, lost := 0, false
 		for _, bi := range order {
-			b := r.mixed[bi]
-			if len(b.Src) <= most {
+			bs, _ := r.lv.block(int(bi))
+			if len(bs) <= most {
 				break // no later block holds more records than the maximum
 			}
 			// A slot is live while its epoch matches: distinct counting with
 			// no clear between blocks.
 			epoch := sc.next()
 			n := 0
-			for _, s := range b.Src {
+			for _, s := range bs {
 				if p := &sc.slots[srcCodes[s]]; p.epoch != epoch {
 					p.epoch = epoch
 					n++

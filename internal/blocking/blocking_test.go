@@ -16,11 +16,10 @@ import (
 func TestInitialResult(t *testing.T) {
 	inst := fixture.Instance()
 	r := blocking.New(inst)
-	if len(r.MixedBlocks()) != 1 {
-		t.Fatalf("initial mixed blocks = %d, want 1", len(r.MixedBlocks()))
+	if r.NumMixed() != 1 {
+		t.Fatalf("initial mixed blocks = %d, want 1", r.NumMixed())
 	}
-	b := r.MixedBlocks()[0]
-	if len(b.Src) != 17 || len(b.Tgt) != 16 {
+	if src, tgt := r.Mixed(0); len(src) != 17 || len(tgt) != 16 {
 		t.Error("initial block shape wrong")
 	}
 	checkReference(t, "New", r, nil, nil)
@@ -49,15 +48,15 @@ func TestFigure3Block(t *testing.T) {
 		Refine(fixture.Unit, metafunc.Constant{C: "k $"}).
 		Refine(fixture.Org, metafunc.Identity{})
 
-	var kappa *blocking.Block
-	for _, b := range r.MixedBlocks() {
-		if len(b.Src) == 3 && len(b.Tgt) == 2 {
+	var kappa []int32 // the block's targets
+	for _, b := range mixed(r) {
+		if len(b.src) == 3 && len(b.tgt) == 2 {
 			srcIDs := map[string]bool{}
-			for _, s := range b.Src {
+			for _, s := range b.src {
 				srcIDs[inst.Source.Value(int(s), fixture.ID1)] = true
 			}
 			if srcIDs["S08"] && srcIDs["S09"] && srcIDs["S10"] {
-				kappa = b
+				kappa = b.tgt
 			}
 		}
 	}
@@ -65,7 +64,7 @@ func TestFigure3Block(t *testing.T) {
 		t.Fatal("Figure 3 block (C, k $, SAP) not found")
 	}
 	tgtIDs := map[string]bool{}
-	for _, ti := range kappa.Tgt {
+	for _, ti := range kappa {
 		tgtIDs[inst.Target.Value(int(ti), fixture.ID1)] = true
 	}
 	if !tgtIDs["T08"] || !tgtIDs["T10"] || len(tgtIDs) != 2 {
@@ -76,8 +75,8 @@ func TestFigure3Block(t *testing.T) {
 func TestRefineIsNonDestructive(t *testing.T) {
 	inst := fixture.Instance()
 	r0 := blocking.New(inst)
-	_ = r0.Refine(fixture.Org, metafunc.Identity{}).MixedBlocks()
-	if len(r0.MixedBlocks()) != 1 {
+	_ = r0.Refine(fixture.Org, metafunc.Identity{}).NumMixed()
+	if r0.NumMixed() != 1 {
 		t.Error("Refine mutated its receiver")
 	}
 }
@@ -90,16 +89,16 @@ func TestRefinePartitions(t *testing.T) {
 	// The mixed blocks and the pure counts together hold every record once.
 	ns, nt := r.PureCounts()
 	seenS, seenT := map[int32]bool{}, map[int32]bool{}
-	for _, b := range r.MixedBlocks() {
-		ns += len(b.Src)
-		nt += len(b.Tgt)
-		for _, s := range b.Src {
+	for _, b := range mixed(r) {
+		ns += len(b.src)
+		nt += len(b.tgt)
+		for _, s := range b.src {
 			if seenS[s] {
 				t.Errorf("source %d in two blocks", s)
 			}
 			seenS[s] = true
 		}
-		for _, tt := range b.Tgt {
+		for _, tt := range b.tgt {
 			if seenT[tt] {
 				t.Errorf("target %d in two blocks", tt)
 			}
@@ -118,7 +117,7 @@ func TestRefineAppliesSourceFunction(t *testing.T) {
 	// same group as the targets (whose Unit is literally 'k $').
 	inst := fixture.Instance()
 	r := blocking.New(inst).Refine(fixture.Unit, metafunc.Constant{C: "k $"})
-	if n := len(r.MixedBlocks()); n != 1 {
+	if n := r.NumMixed(); n != 1 {
 		t.Fatalf("constant refinement should keep one block, got %d mixed", n)
 	}
 	if ps, pt := r.PureCounts(); ps+pt != 0 {
@@ -127,7 +126,7 @@ func TestRefineAppliesSourceFunction(t *testing.T) {
 	// Refining Unit with identity must separate USD sources from k $ targets:
 	// two pure blocks.
 	r2 := blocking.New(inst).Refine(fixture.Unit, metafunc.Identity{})
-	if n := len(r2.MixedBlocks()); n != 0 {
+	if n := r2.NumMixed(); n != 0 {
 		t.Fatalf("identity refinement should split Unit, got %d mixed blocks", n)
 	}
 	if ps, pt := r2.PureCounts(); ps != 17 || pt != 16 {
@@ -196,7 +195,7 @@ func TestKeySeparatorSafety(t *testing.T) {
 		Refine(0, metafunc.Identity{}).
 		Refine(1, metafunc.Identity{})
 	// {x|, y} is one mixed block, {x, |y} one source-only block.
-	if n, ps := len(r.MixedBlocks()), 0; n != 1 {
+	if n, ps := r.NumMixed(), 0; n != 1 {
 		t.Errorf("separator collision: %d mixed blocks, want 1", n)
 	} else if ps, _ = r.PureCounts(); ps != 1 {
 		t.Errorf("separator collision: %d source-only records, want 1", ps)
@@ -206,12 +205,12 @@ func TestKeySeparatorSafety(t *testing.T) {
 func TestMixedBlocks(t *testing.T) {
 	inst := fixture.Instance()
 	r := blocking.New(inst).Refine(fixture.Unit, metafunc.Identity{})
-	if got := len(r.MixedBlocks()); got != 0 {
-		t.Errorf("MixedBlocks = %d, want 0 (USD vs k $ separates all)", got)
+	if got := r.NumMixed(); got != 0 {
+		t.Errorf("NumMixed = %d, want 0 (USD vs k $ separates all)", got)
 	}
 	r2 := blocking.New(inst).Refine(fixture.Org, metafunc.Identity{})
-	if got := len(r2.MixedBlocks()); got != 3 {
-		t.Errorf("MixedBlocks = %d, want 3 (IBM, SAP, BASF)", got)
+	if got := r2.NumMixed(); got != 3 {
+		t.Errorf("NumMixed = %d, want 3 (IBM, SAP, BASF)", got)
 	}
 	checkReference(t, "Unit", r, []int{fixture.Unit}, []metafunc.Func{metafunc.Identity{}})
 	checkReference(t, "Org", r2, []int{fixture.Org}, []metafunc.Func{metafunc.Identity{}})
@@ -253,7 +252,7 @@ func TestForcedResultReleasesParent(t *testing.T) {
 	collected := make(chan struct{})
 	runtime.SetFinalizer(mid, func(*blocking.Result) { close(collected) })
 	leaf := mid.Refine(fixture.Org, metafunc.Identity{})
-	if len(leaf.MixedBlocks()) == 0 { // forces leaf (and, through Refine, mid)
+	if leaf.NumMixed() == 0 { // forces leaf (and, through Refine, mid)
 		t.Fatal("refinement produced no mixed blocks")
 	}
 	checkReference(t, "leaf", leaf, []int{fixture.Type, fixture.Org}, []metafunc.Func{metafunc.Identity{}, metafunc.Identity{}})
@@ -268,4 +267,21 @@ func TestForcedResultReleasesParent(t *testing.T) {
 		}
 	}
 	t.Fatal("a forced result still keeps its parent alive")
+}
+
+// TestForceAllocatesOnlyItsLevel: with the attribute's apply memo warm,
+// refining and forcing allocates the Result, its pending refinement and
+// the four arrays of its level — nothing per block, because readers index
+// the level itself.
+func TestForceAllocatesOnlyItsLevel(t *testing.T) {
+	root := blocking.New(fixture.Instance())
+	if root.Refine(fixture.Org, metafunc.Identity{}).NumMixed() == 0 { // warms the memo
+		t.Fatal("refining on Org left no mixed block")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		root.Refine(fixture.Org, metafunc.Identity{}).NumMixed()
+	})
+	if allocs > 6 {
+		t.Errorf("Refine + NumMixed allocated %.0f objects, want at most 6 (Result, lazyRefine, 4 level arrays)", allocs)
+	}
 }

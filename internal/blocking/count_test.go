@@ -53,8 +53,8 @@ func TestCountRefineMatchesForced(t *testing.T) {
 			if ps, pt := r.PureCounts(); ps+pt > 0 {
 				pure++
 			}
-			for _, b := range r.MixedBlocks() {
-				switch n := len(b.Src) + len(b.Tgt); {
+			for _, b := range mixed(r) {
+				switch n := len(b.src) + len(b.tgt); {
 				case n == 2:
 					oneOne++
 				case n <= 16:
@@ -94,9 +94,9 @@ func TestCountRefineMatchesForced(t *testing.T) {
 		r := blocking.New(inst).RefineAll(attrs, fs)
 		checkReference(t, fmt.Sprintf("keyed iter %d: RefineAll(%v)", iter, attrs), r, attrs, fs)
 		for depth := 0; depth < inst.NumAttrs(); depth++ {
-			for _, b := range r.MixedBlocks() {
+			for _, b := range mixed(r) {
 				all++
-				if len(b.Src) == 1 && len(b.Tgt) == 1 {
+				if len(b.src) == 1 && len(b.tgt) == 1 {
 					keyed++
 				}
 			}

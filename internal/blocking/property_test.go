@@ -28,8 +28,8 @@ func TestQuickRefinementOrderIndependent(t *testing.T) {
 	// members renders a result's mixed blocks as a sorted list of keys.
 	members := func(r *blocking.Result) []string {
 		var out []string
-		for _, b := range r.MixedBlocks() {
-			out = append(out, fmt.Sprint(b.Src, b.Tgt))
+		for _, b := range mixed(r) {
+			out = append(out, fmt.Sprint(b.src, b.tgt))
 		}
 		slices.Sort(out)
 		return out
@@ -115,9 +115,9 @@ func TestQuickBlocksPartition(t *testing.T) {
 		r := blocking.New(inst).Refine(attrs[0], fs[0]).Refine(attrs[1], fs[1])
 		checkReference(t, fmt.Sprintf("cells %q", cells), r, attrs, fs)
 		ns, nt := r.PureCounts()
-		for _, b := range r.MixedBlocks() {
-			ns += len(b.Src)
-			nt += len(b.Tgt)
+		for _, b := range mixed(r) {
+			ns += len(b.src)
+			nt += len(b.tgt)
 		}
 		return ns == src.Len() && nt == tgt.Len()
 	}

@@ -72,11 +72,11 @@ func BenchmarkRefine(b *testing.B) {
 	})
 	b.Run("force", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			refineSink += len(root.Refine(1, metafunc.Identity{}).MixedBlocks())
+			refineSink += root.Refine(1, metafunc.Identity{}).NumMixed()
 		}
 	})
 	byKey := root.Refine(0, metafunc.Identity{})
-	byKey.MixedBlocks()
+	byKey.NumMixed()
 	b.Run("count-small", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			refineSink += byKey.Refine(2, metafunc.Identity{}).TargetSurplus()

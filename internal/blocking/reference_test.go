@@ -66,17 +66,40 @@ func reference(inst *delta.Instance, attrs []int, fs []metafunc.Func) (mixed []r
 	return mixed, pureS, pureT, tSur, sSur
 }
 
+// mixed returns r's mixed blocks in order, read through NumMixed and
+// Mixed; the members share r's arrays.
+func mixed(r *blocking.Result) []refBlock {
+	out := make([]refBlock, r.NumMixed())
+	for i := range out {
+		out[i].src, out[i].tgt = r.Mixed(i)
+	}
+	return out
+}
+
+// sameBlocks reports whether a and b hold the same blocks, in order and
+// with the same members.
+func sameBlocks(a, b []refBlock) bool {
+	return slices.EqualFunc(a, b, func(x, y refBlock) bool {
+		return slices.Equal(x.src, y.src) && slices.Equal(x.tgt, y.tgt)
+	})
+}
+
 // checkReference fails unless r — the result of the chain (attrs, fs) —
 // holds exactly the reference's mixed blocks, in order and with the same
-// members, its pure counts and its surpluses.
+// members, its pure counts and its surpluses. Every block's member slices
+// must end at their capacity, so an append by a reader cannot write into
+// the next block.
 func checkReference(t *testing.T, name string, r *blocking.Result, attrs []int, fs []metafunc.Func) {
 	t.Helper()
 	want, wantPS, wantPT, wantT, wantS := reference(r.Instance(), attrs, fs)
-	got := r.MixedBlocks()
-	if !slices.EqualFunc(got, want, func(g *blocking.Block, w refBlock) bool {
-		return slices.Equal(g.Src, w.src) && slices.Equal(g.Tgt, w.tgt)
-	}) {
+	got := mixed(r)
+	if !sameBlocks(got, want) {
 		t.Fatalf("%s: %d mixed blocks differ from the reference's %d", name, len(got), len(want))
+	}
+	for i, b := range got {
+		if cap(b.src) != len(b.src) || cap(b.tgt) != len(b.tgt) {
+			t.Fatalf("%s: block %d has capacity %d/%d past its %d/%d members", name, i, cap(b.src), cap(b.tgt), len(b.src), len(b.tgt))
+		}
 	}
 	if ps, pt := r.PureCounts(); ps != wantPS || pt != wantPT {
 		t.Fatalf("%s: pure counts %d/%d, reference %d/%d", name, ps, pt, wantPS, wantPT)

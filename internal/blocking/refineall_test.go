@@ -101,9 +101,7 @@ func TestRefineAllMatchesChain(t *testing.T) {
 		all := blocking.New(twin).RefineAll(attrs, fs)
 		name := fmt.Sprintf("iter %d (attrs %v)", iter, attrs)
 
-		if !slices.EqualFunc(chain.MixedBlocks(), all.MixedBlocks(), func(a, b *blocking.Block) bool {
-			return slices.Equal(a.Src, b.Src) && slices.Equal(a.Tgt, b.Tgt)
-		}) {
+		if !sameBlocks(mixed(chain), mixed(all)) {
 			t.Fatalf("%s: mixed blocks differ from the chain", name)
 		}
 		cs, ct := chain.PureCounts()
@@ -148,9 +146,9 @@ func naiveRanking(inst *delta.Instance, r *blocking.Result, attrs []int) []indet
 	naive := make([]indeterminacy, len(attrs))
 	for i, attr := range attrs {
 		most := 0
-		for _, b := range r.MixedBlocks() {
+		for _, b := range mixed(r) {
 			distinct := map[string]bool{}
-			for _, s := range b.Src {
+			for _, s := range b.src {
 				distinct[inst.Source.Value(int(s), attr)] = true
 			}
 			most = max(most, len(distinct))

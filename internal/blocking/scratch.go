@@ -9,7 +9,7 @@ package blocking
 type splitScratch struct {
 	slots      []codeSlot
 	epoch      uint32
-	cntS, cntT []int32  // split: one parent's children; cntS also bySourceSize's buckets
+	cntS, cntT []int32  // split: one parent's children; cntS also bySourceSize's size buckets
 	bufs       [2]level // split output before it is kept, alternately
 	order      []int32  // LeastIndeterminate: mixed block indices by decreasing source size
 }
@@ -38,29 +38,30 @@ func (sc *splitScratch) next() uint32 {
 	return sc.epoch
 }
 
-// countDense returns one block's target and source surplus. Sources run
-// first and only move their slots away from zero, so Σ|diff| starts at
+// countDense returns the target and source surplus of one level block,
+// its members src and tgt. Sources run first and only move their slots
+// away from zero, so Σ|diff| starts at
 // |S|; each target then moves its slot by one towards or away from zero.
 // With Σ diff = |T| − |S| that yields both halves of the surplus without a
 // pass over the touched codes. A 1:1 block is one comparison: it stays
 // whole or adds one surplus record on each side.
-func (sc *splitScratch) countDense(b *Block, memo []int32, srcCodes, tgtCodes []int32) (tSur, sSur int) {
-	if len(b.Src) == 1 && len(b.Tgt) == 1 {
-		if memo[srcCodes[b.Src[0]]] == tgtCodes[b.Tgt[0]] {
+func (sc *splitScratch) countDense(src, tgt, memo, srcCodes, tgtCodes []int32) (tSur, sSur int) {
+	if len(src) == 1 && len(tgt) == 1 {
+		if memo[srcCodes[src[0]]] == tgtCodes[tgt[0]] {
 			return 0, 0
 		}
 		return 1, 1
 	}
 	epoch, slots := sc.next(), sc.slots
-	for _, s := range b.Src {
+	for _, s := range src {
 		p := &slots[memo[srcCodes[s]]]
 		if p.epoch != epoch {
 			p.epoch, p.val = epoch, 0
 		}
 		p.val--
 	}
-	abs := len(b.Src)
-	for _, t := range b.Tgt {
+	abs := len(src)
+	for _, t := range tgt {
 		p := &slots[tgtCodes[t]]
 		if p.epoch != epoch {
 			p.epoch, p.val = epoch, 0
@@ -72,29 +73,26 @@ func (sc *splitScratch) countDense(b *Block, memo []int32, srcCodes, tgtCodes []
 		}
 		p.val++
 	}
-	net := len(b.Tgt) - len(b.Src)
+	net := len(tgt) - len(src)
 	return (abs + net) / 2, (abs - net) / 2
 }
 
 // level is one blocking result's mixed blocks laid out flat, in block
 // order: block i holds the sources src[srcEnd[i−1]:srcEnd[i]] and the
-// targets tgt[tgtEnd[i−1]:tgtEnd[i]] (ends[−1] = 0).
+// targets tgt[tgtEnd[i−1]:tgtEnd[i]] (ends[−1] = 0). It is the only form
+// a block takes: every reader indexes it through block.
 type level struct {
 	src, tgt       []int32
 	srcEnd, tgtEnd []int32
 }
 
-// blocks returns the level's blocks, their members sharing its arrays.
-func (lv *level) blocks() []*Block {
-	arena := make([]Block, len(lv.srcEnd))
-	out := make([]*Block, len(arena))
+// block returns block i's sources and targets, each capped at its end.
+func (lv *level) block(i int) (src, tgt []int32) {
 	s, t := int32(0), int32(0)
-	for i := range arena {
-		arena[i] = Block{Src: lv.src[s:lv.srcEnd[i]:lv.srcEnd[i]], Tgt: lv.tgt[t:lv.tgtEnd[i]:lv.tgtEnd[i]]}
-		s, t = lv.srcEnd[i], lv.tgtEnd[i]
-		out[i] = &arena[i]
+	if i > 0 {
+		s, t = lv.srcEnd[i-1], lv.tgtEnd[i-1]
 	}
-	return out
+	return lv.src[s:lv.srcEnd[i]:lv.srcEnd[i]], lv.tgt[t:lv.tgtEnd[i]:lv.tgtEnd[i]]
 }
 
 // split splits each block of in by split code — memo[source code] for a
@@ -199,33 +197,31 @@ func resize(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// bySourceSize returns the indices of blocks ordered by decreasing source
-// size: a counting sort, linear in the blocks and the largest block.
-func (sc *splitScratch) bySourceSize(blocks []*Block) []int32 {
+// bySourceSize returns the indices of lv's blocks ordered by decreasing
+// source size: a counting sort, linear in the blocks and the largest one.
+func (sc *splitScratch) bySourceSize(lv *level) []int32 {
+	n := len(lv.srcEnd)
+	size := func(i int) int { src, _ := lv.block(i); return len(src) }
 	largest := 0
-	for _, b := range blocks {
-		largest = max(largest, len(b.Src))
+	for i := range n {
+		largest = max(largest, size(i))
 	}
 	// start[largest − size] first counts, then places, the blocks of each size.
 	start := sc.cntS[:0]
 	for range largest + 1 {
 		start = append(start, 0)
 	}
-	for _, b := range blocks {
-		start[largest-len(b.Src)]++
+	for i := range n {
+		start[largest-size(i)]++
 	}
 	off := int32(0)
 	for i, c := range start {
 		start[i] = off
 		off += c
 	}
-	order := sc.order[:0]
-	if cap(order) < len(blocks) {
-		order = make([]int32, len(blocks))
-	}
-	order = order[:len(blocks)]
-	for i, b := range blocks {
-		j := largest - len(b.Src)
+	order := resize(sc.order, n)
+	for i := range n {
+		j := largest - size(i)
 		order[start[j]] = int32(i)
 		start[j]++
 	}

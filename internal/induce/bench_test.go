@@ -48,7 +48,7 @@ func BenchmarkCandidates(b *testing.B) {
 			if bc.name == "chain" {
 				states = refinementChain(p, 3)
 				for _, r := range states {
-					r.MixedBlocks() // split outside the timer
+					r.NumMixed() // split outside the timer
 				}
 			}
 			b.ReportAllocs()

@@ -61,7 +61,7 @@ func TestCandidatesOutputInternedAfterBase(t *testing.T) {
 
 	inst := prefixedPair(t, 90, nil)
 	root := blocking.New(inst)
-	root.Refine(0, metafunc.Prefix{Y: "Z"}).MixedBlocks()
+	root.Refine(0, metafunc.Prefix{Y: "Z"}).NumMixed()
 	co := inst.Coded()
 	if c, ok := co.Dicts[0].Lookup("Z3"); !ok || c < co.Base[0] {
 		t.Fatalf("setup: Z3 has code %d (found %v), want one ≥ Base = %d", c, ok, co.Base[0])

@@ -376,8 +376,8 @@ var hashSeed = maphash.MakeSeed()
 // (highest score first). At most top candidates are returned; top ≤ 0
 // returns all ranked survivors.
 func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand) []Candidate {
-	mixed := r.MixedBlocks()
-	if len(mixed) == 0 {
+	nMixed := r.NumMixed()
+	if nMixed == 0 {
 		return nil
 	}
 	coded := r.Coded()
@@ -388,8 +388,9 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 
 	// --- Stage 1: induce candidates from sampled target records. ---
 	targets := sc.targets
-	for bi, b := range mixed {
-		for _, t := range b.Tgt {
+	for bi := range nMixed {
+		_, bt := r.Mixed(bi)
+		for _, t := range bt {
 			targets = append(targets, tref{block: int32(bi), rec: t})
 		}
 	}
@@ -406,14 +407,15 @@ func (in *Inducer) Candidates(r *blocking.Result, attr, top int, rng *rand.Rand)
 	// laid out serially in first-appearance order, so the capping shuffles
 	// draw from rng in a deterministic sequence; induction below is then
 	// rng-free.
-	sc.blocks.begin(len(mixed))
+	sc.blocks.begin(nMixed)
 	taskOf := make(map[[2]int32]int32, len(targets)) // (block, target value code) → task
 	srcVals, spans, tasks := sc.vals, sc.spans, sc.tasks
 	for _, tr := range targets {
 		if _, fresh := sc.blocks.id(tr.block); fresh { // its id indexes spans
 			lo := len(srcVals)
 			sc.codes.begin(int(coded.Base[attr]))
-			for _, s := range mixed[tr.block].Src {
+			bs, _ := r.Mixed(int(tr.block))
+			for _, s := range bs {
 				if _, fresh := sc.codes.id(srcCodes[s]); fresh {
 					srcVals = append(srcVals, srcCodes[s])
 				}
@@ -563,10 +565,11 @@ func (in *Inducer) rankByOverlap(r *blocking.Result, attr int, cands []ranked, r
 	dict, base := coded.Dicts[attr], coded.Base[attr]
 	vals := dict.Snapshot()
 	srcCodes, tgtCodes := coded.Src[attr], coded.Tgt[attr]
-	mixed := r.MixedBlocks()
+	nMixed := r.NumMixed()
 	sources := sc.sources // one entry per source record, its block
-	for bi, b := range mixed {
-		for range b.Src {
+	for bi := range nMixed {
+		bs, _ := r.Mixed(bi)
+		for range bs {
 			sources = append(sources, int32(bi))
 		}
 	}
@@ -577,7 +580,7 @@ func (in *Inducer) rankByOverlap(r *blocking.Result, attr int, cands []ranked, r
 	}
 	// Shared per-block histograms of the sampled blocks, in first-appearance
 	// order, over local ids handed out in first-appearance order too.
-	sc.blocks.begin(len(mixed))
+	sc.blocks.begin(nMixed)
 	sc.codes.begin(int(base))
 	sc.spans = sc.spans[:0]
 	bars := func(recs, codes []int32) {
@@ -600,9 +603,10 @@ func (in *Inducer) rankByOverlap(r *blocking.Result, attr int, cands []ranked, r
 	for _, bi := range sources {
 		if _, fresh := sc.blocks.id(bi); fresh {
 			sp := span{lo: int32(len(sc.runs))}
-			bars(mixed[bi].Src, srcCodes)
+			bs, bt := r.Mixed(int(bi))
+			bars(bs, srcCodes)
 			sp.mid = int32(len(sc.runs))
-			bars(mixed[bi].Tgt, tgtCodes)
+			bars(bt, tgtCodes)
 			sp.hi = int32(len(sc.runs))
 			sc.spans = append(sc.spans, sp)
 		}
