@@ -1,5 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section 5), plus ablations over the design choices DESIGN.md calls out.
+// (Section 5), plus ablations over the search parameters ϱ, β, θ and the
+// start state.
 //
 // The headline experiments:
 //
@@ -17,7 +18,7 @@
 //
 // Large datasets run at reduced row counts so the suite stays benchable;
 // cmd/table2, cmd/rowscale and cmd/attrscale regenerate the full-size
-// artifacts (see EXPERIMENTS.md).
+// artifacts.
 package affidavit_test
 
 import (

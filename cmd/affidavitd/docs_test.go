@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -80,6 +82,72 @@ func TestDocsAPICoverage(t *testing.T) {
 	if routeRows < 10 || flagRows < 20 {
 		t.Fatalf("read only %d route rows and %d flag rows from docs/api.md — the extraction is broken", routeRows, flagRows)
 	}
+}
+
+// TestDocCitationsExist fails when a comment or a document cites a
+// Markdown file that does not exist. It scans every .go file of the
+// module, README.md and docs/*.md for names ending in .md; each must
+// resolve against the citing file's directory or the repository root. In
+// a Markdown link only the target counts, not the link text. CHANGES.md
+// and ROADMAP.md are history and may name anything.
+func TestDocCitationsExist(t *testing.T) {
+	const root = "../.."
+	files := []string{filepath.Join(root, "README.md")}
+	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, docs...)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 100 {
+		t.Fatalf("collected only %d files — the walk is broken", len(files))
+	}
+	cited := 0
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := linkText.ReplaceAllString(string(raw), "(")
+		for _, name := range mdCitation.FindAllString(text, -1) {
+			if name == "CHANGES.md" || name == "ROADMAP.md" {
+				continue
+			}
+			cited++
+			if !fileExists(filepath.Join(filepath.Dir(file), name)) && !fileExists(filepath.Join(root, name)) {
+				rel, _ := filepath.Rel(root, file)
+				t.Errorf("%s cites %s, which does not exist", rel, name)
+			}
+		}
+	}
+	if cited < 10 {
+		t.Fatalf("found only %d citations — the extraction is broken", cited)
+	}
+}
+
+// mdCitation matches a cited Markdown file name, with its path if any.
+var mdCitation = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// linkText matches the text part of a Markdown link, up to its target.
+var linkText = regexp.MustCompile(`\[[^\]\n]*\]\(`)
+
+func fileExists(path string) bool {
+	info, err := os.Stat(path)
+	return err == nil && !info.IsDir()
 }
 
 // routeRow matches a route row of docs/api.md's route table: its methods

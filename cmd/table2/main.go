@@ -4,8 +4,8 @@
 // ∆costs and cell accuracy acc, macro-averaged over problem instances.
 //
 // The full paper protocol is -instances 10 -scale 1; the defaults trade
-// instance count and large-dataset size for a CI-sized budget (EXPERIMENTS.md
-// records which scale was measured).
+// instance count and large-dataset size for a CI-sized budget: datasets
+// above -scale-from rows run at -scale of their size.
 //
 // Usage:
 //

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"affidavit"
@@ -15,20 +16,50 @@ import (
 	"affidavit/internal/gen"
 )
 
-// explainDigest is one pinned explanation: the SHA-256 and length of its
-// stable JSON encoding.
-type explainDigest struct {
-	SHA256 string `json:"sha256"`
-	Len    int    `json:"len"`
+// pinnedRun is one pinned run, in two parts checked apart. The explanation
+// part is the SHA-256 and length of Result.JSON("t") with Stats zeroed, and
+// the cost. The effort part is the run's search counters, compared exactly:
+// a count that falls fails too, until the file is re-recorded, so every
+// effort change shows in the diff as effort lines beside unchanged digests.
+type pinnedRun struct {
+	SHA256 string              `json:"sha256"`
+	Len    int                 `json:"len"`
+	Cost   float64             `json:"cost"`
+	Effort affidavit.JSONStats `json:"effort"`
 }
 
-// TestExplainDigests compares this commit with its parent: it pins the
-// bytes of Result.JSON("t") on every registry dataset × 2 generator seeds
-// against testdata/explain_digests.json, so a speed change to blocking,
-// induction, search or matching cannot move an explanation unnoticed. Keys
-// end in "/w1", as they were recorded. Regenerate with `go test -run
-// TestExplainDigests -update .` only after an intentional behaviour
-// change.
+// pin records res as a pinnedRun.
+func pin(t *testing.T, res *affidavit.Result) pinnedRun {
+	t.Helper()
+	answer := *res
+	answer.Stats = affidavit.Stats{}
+	b, err := answer.JSON("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return pinnedRun{SHA256: hex.EncodeToString(sum[:]), Len: len(b), Cost: res.Cost, Effort: affidavit.StatsJSON(res.Stats)}
+}
+
+// sameExplanation reports whether p and q pin the same explanation.
+func (p pinnedRun) sameExplanation(q pinnedRun) bool {
+	return p.SHA256 == q.SHA256 && p.Len == q.Len && p.Cost == q.Cost
+}
+
+// effortRose reports whether any counter of got exceeds its pinned value.
+func effortRose(got, pinned affidavit.JSONStats) bool {
+	return got.Polls > pinned.Polls || got.StatesGenerated > pinned.StatesGenerated ||
+		got.Enqueued > pinned.Enqueued || got.Evicted > pinned.Evicted ||
+		got.StartLevel > pinned.StartLevel ||
+		got.WarmEscalated && !pinned.WarmEscalated || got.Cancelled && !pinned.Cancelled
+}
+
+// TestExplainDigests compares this commit with its parent: it pins every
+// registry dataset × 2 generator seeds against testdata/explain_digests.json,
+// so a speed change to blocking, induction, search or matching can neither
+// move an explanation nor change the search's effort unnoticed. Regenerate
+// with `go test -run TestExplainDigests . -update` only after an intended
+// change, and say in the change which part moved.
 func TestExplainDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 36 full explanations; skipped in -short")
@@ -37,7 +68,7 @@ func TestExplainDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]explainDigest{}
+	got := map[string]pinnedRun{}
 	for _, spec := range datasets.All() {
 		rows := spec.Rows
 		if rows > 1000 {
@@ -52,25 +83,21 @@ func TestExplainDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key := fmt.Sprintf("%s/gen%d/w1", spec.Name, genSeed)
+			key := fmt.Sprintf("%s/gen%d", spec.Name, genSeed)
 			res, err := ex.Explain(context.Background(), p.Inst.Source, p.Inst.Target)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			b, err := res.JSON("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(b)
-			got[key] = explainDigest{SHA256: hex.EncodeToString(sum[:]), Len: len(b)}
+			got[key] = pin(t, res)
 		}
 	}
 	pinDigests(t, filepath.Join("testdata", "explain_digests.json"), got)
 }
 
-// pinDigests compares got with the digests pinned in the JSON file golden,
-// key by key, or rewrites the file under -update.
-func pinDigests[D comparable](t *testing.T, golden string, got map[string]D) {
+// pinDigests compares got with the runs pinned in the JSON file golden,
+// key by key, or rewrites the file under -update. A moved explanation and
+// a changed effort fail with different messages.
+func pinDigests(t *testing.T, golden string, got map[string]pinnedRun) {
 	t.Helper()
 	if *updateGolden {
 		raw, err := json.MarshalIndent(got, "", "  ")
@@ -86,37 +113,43 @@ func pinDigests[D comparable](t *testing.T, golden string, got map[string]D) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]D{}
+	want := map[string]pinnedRun{}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Errorf("%d digests computed, %d pinned", len(got), len(want))
+		t.Errorf("%d runs computed, %d pinned", len(got), len(want))
 	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok || g != w {
-			t.Errorf("%s: got %+v, pinned %+v", key, g, w)
+	keys := make([]string, 0, len(got))
+	for key := range got {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		g := got[key]
+		w, ok := want[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: not pinned", key)
+		case !g.sameExplanation(w):
+			t.Errorf("%s: explanation moved: got %s len %d cost %v, pinned %s len %d cost %v",
+				key, g.SHA256, g.Len, g.Cost, w.SHA256, w.Len, w.Cost)
+		case effortRose(g.Effort, w.Effort):
+			t.Errorf("%s: effort rose: got %+v, pinned %+v", key, g.Effort, w.Effort)
+		case g.Effort != w.Effort:
+			t.Errorf("%s: effort fell; re-record with -update: got %+v, pinned %+v", key, g.Effort, w.Effort)
 		}
 	}
 }
 
-// chainStepDigest is one pinned warm chain step: the SHA-256 and length of
-// its Result.JSON with stats zeroed, and its cost.
-type chainStepDigest struct {
-	SHA256 string  `json:"sha256"`
-	Len    int     `json:"len"`
-	Cost   float64 `json:"cost"`
-}
-
-// TestWarmChainFamilyDigests pins the explanation of every step of a
-// chain family run through one warm session per chain: every registry
-// dataset (at most 500 rows, build seed 1) × chain seeds 1–2 × stable and
-// permuted keys × 5 steps (η 0.1, τ 0.5), explained with WithSeed(1).
-// Stats are zeroed before hashing, so a change to the warm-start policy
-// may poll fewer states but cannot move an explanation, a cost or a
-// compression ratio unnoticed. Regenerate with `go test -run
-// TestWarmChainFamilyDigests -update .` only after an intentional
-// behaviour change.
+// TestWarmChainFamilyDigests pins every step of a chain family run through
+// one warm session per chain: every registry dataset (at most 500 rows,
+// build seed 1) × chain seeds 1–2 × stable and permuted keys × 5 steps
+// (η 0.1, τ 0.5), explained with WithSeed(1). A change to the warm-start
+// policy can then neither move an explanation, a cost or a compression
+// ratio nor poll a different number of states unnoticed. Regenerate with
+// `go test -run TestWarmChainFamilyDigests . -update` only after an
+// intended change, and say in the change which part moved.
 func TestWarmChainFamilyDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 360 warm chain steps; skipped in -short")
@@ -125,7 +158,7 @@ func TestWarmChainFamilyDigests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]chainStepDigest{}
+	got := map[string]pinnedRun{}
 	for _, spec := range datasets.All() {
 		tab, err := spec.BuildRows(min(spec.Rows, 500), 1)
 		if err != nil {
@@ -146,13 +179,7 @@ func TestWarmChainFamilyDigests(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
-					res.Stats = affidavit.Stats{}
-					b, err := res.JSON("t")
-					if err != nil {
-						t.Fatal(err)
-					}
-					sum := sha256.Sum256(b)
-					got[key] = chainStepDigest{SHA256: hex.EncodeToString(sum[:]), Len: len(b), Cost: res.Cost}
+					got[key] = pin(t, res)
 				}
 			}
 		}

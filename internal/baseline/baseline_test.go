@@ -7,150 +7,8 @@ import (
 	"affidavit/internal/baseline"
 	"affidavit/internal/delta"
 	"affidavit/internal/fixture"
-	"affidavit/internal/metafunc"
 	"affidavit/internal/search"
-	"affidavit/internal/table"
 )
-
-func TestKeyedDiffStableKeys(t *testing.T) {
-	s := table.MustSchema("id", "v")
-	src := table.MustFromRows(s, []table.Record{{"1", "a"}, {"2", "b"}, {"3", "c"}})
-	tgt := table.MustFromRows(s, []table.Record{{"1", "a"}, {"2", "B"}, {"4", "d"}})
-	rep, err := baseline.KeyedDiff(src, tgt, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Unchanged) != 1 || len(rep.Updated) != 1 ||
-		len(rep.Deleted) != 1 || len(rep.Inserted) != 1 {
-		t.Errorf("report = %+v", rep)
-	}
-	if rep.Updated[0].ChangedAttrs[0] != 1 {
-		t.Error("changed attribute wrong")
-	}
-	if rep.Matched() != 2 {
-		t.Errorf("Matched = %d, want 2", rep.Matched())
-	}
-}
-
-// TestKeyedDiffFailsOnRewrittenKeys demonstrates the paper's motivating
-// failure: on I1 the composite key {ID1, ID2, Date} was rewritten, so a
-// key-aligned diff matches (almost) nothing and misreports the snapshot as
-// wholesale delete+insert, while Affidavit aligns 13 of 17 records.
-func TestKeyedDiffFailsOnRewrittenKeys(t *testing.T) {
-	inst := fixture.Instance()
-	rep, err := baseline.KeyedDiff(inst.Source, inst.Target,
-		[]int{fixture.ID1, fixture.ID2, fixture.Date})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Matched() != 0 {
-		t.Errorf("keyed diff matched %d pairs across rewritten keys", rep.Matched())
-	}
-	if len(rep.Deleted) != 17 || len(rep.Inserted) != 16 {
-		t.Errorf("keyed diff should degenerate to full delete+insert, got %d/%d",
-			len(rep.Deleted), len(rep.Inserted))
-	}
-	// ID2 alone looks like a perfect key (perfect discriminability and
-	// coverage) but aligns records incorrectly — the paper's skolem trap.
-	rep2, err := baseline.KeyedDiff(inst.Source, inst.Target, []int{fixture.ID2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Matched() == 0 {
-		t.Fatal("ID2 join should produce (wrong) matches")
-	}
-	wrong := 0
-	refPairs := map[int]int{}
-	ref := fixture.ReferenceExplanation()
-	for i := range ref.CoreSrc {
-		refPairs[ref.CoreSrc[i]] = ref.CoreTgt[i]
-	}
-	for _, p := range append(rep2.Unchanged, rep2.Updated...) {
-		if want, ok := refPairs[p.S]; !ok || want != p.T {
-			wrong++
-		}
-	}
-	if wrong == 0 {
-		t.Error("ID2 join should misalign records; it matched the reference")
-	}
-}
-
-func TestKeyedDiffAmbiguousKeys(t *testing.T) {
-	s := table.MustSchema("k", "v")
-	src := table.MustFromRows(s, []table.Record{{"dup", "a"}, {"dup", "b"}})
-	tgt := table.MustFromRows(s, []table.Record{{"dup", "a"}})
-	rep, err := baseline.KeyedDiff(src, tgt, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AmbiguousKeys != 2 || rep.Matched() != 0 {
-		t.Errorf("ambiguous keys mishandled: %+v", rep)
-	}
-	if len(rep.Deleted) != 2 || len(rep.Inserted) != 1 {
-		t.Errorf("ambiguous records should degrade to delete+insert: %+v", rep)
-	}
-}
-
-func TestKeyedDiffValidation(t *testing.T) {
-	s := table.MustSchema("a")
-	tab := table.MustFromRows(s, nil)
-	other := table.MustFromRows(table.MustSchema("b"), nil)
-	if _, err := baseline.KeyedDiff(tab, other, []int{0}); err == nil {
-		t.Error("schema mismatch accepted")
-	}
-	if _, err := baseline.KeyedDiff(tab, tab, nil); err == nil {
-		t.Error("empty key accepted")
-	}
-	if _, err := baseline.KeyedDiff(tab, tab, []int{5}); err == nil {
-		t.Error("out-of-range key accepted")
-	}
-}
-
-// TestKeyedDiffAsExplanation: the record-level diff, recast as an
-// explanation, is valid but drastically more expensive than Affidavit's —
-// the paper's "no generalisation" criticism quantified.
-func TestKeyedDiffAsExplanation(t *testing.T) {
-	s := table.MustSchema("id", "val")
-	src := table.MustFromRows(s, []table.Record{
-		{"1", "100"}, {"2", "200"}, {"3", "300"},
-	})
-	tgt := table.MustFromRows(s, []table.Record{
-		{"1", "0.1"}, {"2", "0.2"}, {"3", "0.3"},
-	})
-	inst, err := delta.NewInstance(src, tgt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := baseline.KeyedDiff(src, tgt, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := rep.AsExplanation(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if e.CoreSize() != 3 {
-		t.Fatalf("keyed explanation core = %d, want 3", e.CoreSize())
-	}
-	keyedCost := delta.DefaultCosts.Cost(e)
-	res, err := search.Run(context.Background(), inst, withSeed(search.DefaultOptions(), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost >= keyedCost {
-		t.Errorf("Affidavit cost %v should beat per-record mapping cost %v",
-			res.Cost, keyedCost)
-	}
-	// The learned division generalises to unseen records; the keyed
-	// mapping cannot.
-	div, _ := metafunc.NewDivision("1000")
-	if res.Explanation.Funcs[1].Key() != div.Key() {
-		t.Errorf("expected x/1000 on val, got %s", res.Explanation.Funcs[1])
-	}
-}
 
 func TestExhaustiveCertifiesSearchOnI1Subset(t *testing.T) {
 	// A 3-attribute, 5×4-record slice of I1 (the type-C records over Type,
@@ -195,37 +53,6 @@ func TestExhaustiveRefusesHugeProducts(t *testing.T) {
 	inst := fixture.Instance() // 7 attributes: product explodes
 	if _, _, err := baseline.Exhaustive(inst, delta.DefaultCosts); err == nil {
 		t.Error("exhaustive accepted an oversized instance")
-	}
-}
-
-func TestGreedyMatch(t *testing.T) {
-	inst := fixture.Instance()
-	pairs := baseline.GreedyMatch(inst, 100000)
-	if len(pairs) == 0 {
-		t.Fatal("greedy matcher found nothing")
-	}
-	seenS := map[int32]bool{}
-	seenT := map[int32]bool{}
-	for _, p := range pairs {
-		if seenS[p.S] || seenT[p.T] {
-			t.Fatal("greedy match reused a record")
-		}
-		seenS[p.S] = true
-		seenT[p.T] = true
-	}
-	ref := fixture.ReferenceExplanation()
-	acc := baseline.MatchAccuracy(pairs, ref.CoreSrc, ref.CoreTgt)
-	if acc < 0 || acc > 1 {
-		t.Fatalf("accuracy out of range: %v", acc)
-	}
-}
-
-func TestMatchAccuracyEdges(t *testing.T) {
-	if baseline.MatchAccuracy(nil, nil, nil) != 1 {
-		t.Error("empty reference should score 1")
-	}
-	if baseline.MatchAccuracy(nil, []int{1}, []int{2}) != 0 {
-		t.Error("no pairs should score 0")
 	}
 }
 

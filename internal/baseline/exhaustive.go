@@ -1,3 +1,6 @@
+// Package baseline holds the reference the heuristic search is checked
+// against: Exhaustive, a provably cost-optimal solver for small instances
+// that enumerates every induced candidate tuple.
 package baseline
 
 import (
@@ -6,22 +9,6 @@ import (
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 )
-
-// mappingOrIdentity builds a value mapping, collapsing to the identity when
-// every pair is trivial.
-func mappingOrIdentity(pairs map[string]string) metafunc.Func {
-	trivial := true
-	for k, v := range pairs {
-		if k != v {
-			trivial = false
-			break
-		}
-	}
-	if trivial {
-		return metafunc.Identity{}
-	}
-	return metafunc.NewMapping(pairs)
-}
 
 // ExhaustiveLimit bounds the candidate-tuple product Exhaustive explores.
 const ExhaustiveLimit = 5_000_000

@@ -2,10 +2,11 @@
 // evaluation corpora (the HPI FD-discovery repeatability datasets). The
 // real files are unavailable offline; each generator reproduces the
 // original's *shape* — attribute count, record count and per-attribute
-// cardinality/type profile — which is what the algorithm actually observes
-// (DESIGN.md §3 records the substitution argument). In particular,
-// chess/letter/nursery consist solely of low-cardinality attributes, which
-// is what defeats the overlap-based Hs start state in the paper's Table 2.
+// cardinality/type profile — which is what the algorithm actually observes:
+// blocking and the search's costs depend on how values repeat, not on what
+// they mean. In particular, chess/letter/nursery consist solely of
+// low-cardinality attributes, which is what defeats the overlap-based Hs
+// start state in the paper's Table 2.
 package datasets
 
 import (

@@ -2,6 +2,7 @@ package delta_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +162,31 @@ func TestBuildBijectionOnDuplicates(t *testing.T) {
 	e2, _ := delta.Build(inst2, delta.IdentityTuple(1))
 	if e2.CoreSize() != 1 || len(e2.Inserted) != 1 {
 		t.Error("duplicate targets handled wrong")
+	}
+	// Equal targets apart in arrival order share one chain: sources claim
+	// them in arrival order, and all three records join the core.
+	inst3, err := delta.NewInstance(
+		table.MustFromRows(s, []table.Record{{"a"}, {"b"}, {"a"}}),
+		table.MustFromRows(s, []table.Record{{"a"}, {"a"}, {"b"}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e3, err := delta.Build(inst3, delta.IdentityTuple(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e3.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if e3.CoreSize() != 3 {
+		t.Fatalf("interleaved duplicates: core = %d, want 3", e3.CoreSize())
+	}
+	claims := map[int]int{}
+	for i, src := range e3.CoreSrc {
+		claims[src] = e3.CoreTgt[i]
+	}
+	if want := map[int]int{0: 0, 1: 2, 2: 1}; !reflect.DeepEqual(claims, want) {
+		t.Errorf("interleaved duplicates: source→target claims %v, want %v", claims, want)
 	}
 }
 

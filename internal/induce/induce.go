@@ -33,7 +33,7 @@ type Config struct {
 	// MinGenerated is the generation-count threshold at full sample size k;
 	// k is chosen so the optimal function reaches it with confidence ρ.
 	// Default 5. When fewer than k targets exist the threshold scales down
-	// proportionally (DESIGN.md §4.2).
+	// proportionally (never below 1), so a small block can still reach it.
 	MinGenerated int
 	// MaxRanked caps how many filtered candidates enter the expensive
 	// ranking stage (kept by generation count). Default 64.

@@ -13,8 +13,9 @@
 // the paper's θ parameter.
 //
 // All functions are total: outside their natural domain they behave as the
-// identity, following Figure 1's "otherwise x ↦ x" convention (see DESIGN.md
-// §4.4). String operations work on bytes; the evaluation corpora are ASCII.
+// identity, following Figure 1's "otherwise x ↦ x" convention, so every
+// function applies to every record of the attribute it is assigned to.
+// String operations work on bytes; the evaluation corpora are ASCII.
 package metafunc
 
 import (

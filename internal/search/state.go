@@ -77,7 +77,8 @@ func (s *State) child(funcs []metafunc.Func, blocks *blocking.Result, n int, cm 
 	return ns
 }
 
-// stateCost computes c(H) per Definition 4.6 (sign-corrected, DESIGN.md §4):
+// stateCost computes c(H) per Definition 4.6, with ∆ = |S| − |T| subtracted
+// from the source bound because |T^{E+}| = |S^{E−}| − ∆:
 //
 //	c(H) = 2α · max(c_t(H), c_s(H) − ∆) + 2(1−α) · c_f(H)
 //
