@@ -8,12 +8,15 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"affidavit"
+	"affidavit/internal/catalog"
 )
 
 // registerTable POSTs /tables and returns the status code and body.
@@ -688,5 +691,177 @@ func TestCatalogDeadlineStepCounts(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", strings.TrimSpace(want))
 		}
+	}
+}
+
+// catalogLines reads the durable catalog journal under jobsDir, one
+// decoded record per line.
+func catalogLines(t *testing.T, jobsDir string) []catalog.Record {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(jobsDir, "catalog", "catalog.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []catalog.Record
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec catalog.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("catalog journal line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestCatalogJournalsExplainedStepsOnly: a step's job is named by its
+// snapshot id, and the catalog journal holds each fact once — for N
+// pushes the registration, N snapshots and the N−1 explained steps, with
+// no pending line before a step runs.
+func TestCatalogJournalsExplainedStepsOnly(t *testing.T) {
+	dir := t.TempDir()
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+	ch := testChain(t, 3)
+	if code, _ := registerTable(t, srv, "lean"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	for i, snap := range ch.Snapshots {
+		code, body, hdr := pushSnapshot(t, srv, "lean", csvOf(t, snap), nil)
+		if i == 0 {
+			if code != http.StatusCreated {
+				t.Fatalf("seed push: status %d: %s", code, body)
+			}
+			continue
+		}
+		if code != http.StatusOK {
+			t.Fatalf("push %d: status %d: %s", i, code, body)
+		}
+		if id := hdr.Get("X-Affidavit-Snapshot-Id"); id == "" || hdr.Get("X-Affidavit-Job-Id") != id {
+			t.Errorf("push %d: job id %q, want the snapshot id %q", i, hdr.Get("X-Affidavit-Job-Id"), id)
+		}
+	}
+	recs := catalogLines(t, dir)
+	kinds := make(map[string]int)
+	for _, rec := range recs {
+		kinds[rec.Kind]++
+		if rec.Kind == catalog.KindStep && (rec.Status != catalog.StepExplained || rec.JobID != rec.SnapshotID) {
+			t.Errorf("step line %+v, want explained under its snapshot id", rec)
+		}
+	}
+	if len(recs) != 8 || kinds[catalog.KindTable] != 1 || kinds[catalog.KindSnapshot] != 4 || kinds[catalog.KindStep] != 3 {
+		t.Errorf("catalog journal holds %d lines %v, want 8: 1 table, 4 snapshots, 3 steps", len(recs), kinds)
+	}
+	var hist historyResponse
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/lean/history")), &hist); err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range hist.Steps {
+		if step.JobID != step.SnapshotID || step.Job != "/jobs/"+step.SnapshotID {
+			t.Errorf("history step %d: job %q (%s), want its snapshot id %s", i, step.JobID, step.Job, step.SnapshotID)
+		}
+	}
+}
+
+// TestCatalogRefusalJournalsNoLine: a schema-change refusal lands in the
+// step's job record only. The catalog journal gains no step line for it,
+// and /history and /trends serve the step as failed with the refusal
+// message, at its snapshot's push time, before and after a durable
+// restart.
+func TestCatalogRefusalJournalsNoLine(t *testing.T) {
+	dir := t.TempDir()
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	if code, _ := registerTable(t, srv, "evolving"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	for _, push := range []struct {
+		csv  string
+		want int
+	}{
+		{"id,city\na,berlin\nb,mannheim\n", http.StatusCreated},
+		{"id,city\na,BERLIN\nb,MANNHEIM\n", http.StatusOK},
+		{"id,city,zip\na,BERLIN,10115\nb,MANNHEIM,68159\n", http.StatusUnprocessableEntity},
+	} {
+		if code, body, _ := pushSnapshot(t, srv, "evolving", push.csv, nil); code != push.want {
+			t.Fatalf("push: status %d, want %d: %s", code, push.want, body)
+		}
+	}
+	// Registration, three snapshots and the first step's explained line.
+	if recs := catalogLines(t, dir); len(recs) != 5 || recs[3].Kind != catalog.KindStep || recs[3].Status != catalog.StepExplained {
+		t.Fatalf("catalog journal holds %d lines, want 5 with one explained step: %+v", len(recs), recs)
+	}
+	check := func(srv *httptest.Server) (hist, trends string) {
+		t.Helper()
+		hist, trends = get(t, srv.URL+"/tables/evolving/history"), get(t, srv.URL+"/tables/evolving/trends")
+		var h historyResponse
+		if err := json.Unmarshal([]byte(hist), &h); err != nil {
+			t.Fatal(err)
+		}
+		if len(h.Steps) != 2 || len(h.Snapshots) != 3 {
+			t.Fatalf("history: %d snapshots, %d steps", len(h.Snapshots), len(h.Steps))
+		}
+		if step := h.Steps[1]; step.Status != "failed" || !strings.Contains(step.Error, "schema changed") ||
+			!step.UpdatedAt.Equal(h.Snapshots[2].PushedAt) || step.Result != "" {
+			t.Errorf("refused step served as %+v", step)
+		}
+		var tr catalog.Trends
+		if err := json.Unmarshal([]byte(trends), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.StepsFailed != 1 || tr.StepsExplained != 1 || tr.Steps[1].Status != "failed" || !tr.Steps[1].SchemaChange {
+			t.Errorf("trends: %+v", tr)
+		}
+		return hist, trends
+	}
+	histBefore, trendsBefore := check(srv)
+	srv.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv2 := httptest.NewServer(s2.handler())
+	t.Cleanup(func() {
+		srv2.Close()
+		s2.Close()
+	})
+	if hist, trends := check(srv2); hist != histBefore || trends != trendsBefore {
+		t.Errorf("history or trends changed across restart:\n%s\n%s\nbefore:\n%s\n%s", hist, trends, histBefore, trendsBefore)
+	}
+}
+
+// TestCatalogRejectedPushLeavesNothing: a malformed snapshot pushed to a
+// registered table with a chain answers 400 and leaves no trace — the
+// history is unchanged, no blob is stored and no job is listed.
+func TestCatalogRejectedPushLeavesNothing(t *testing.T) {
+	srv, blobs := uploadServer(t, true, serverConfig{})
+	if code, _ := registerTable(t, srv, "known"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	for _, csv := range []string{"id,v\na,1\nb,2\n", "id,v\na,2\nb,3\n"} {
+		if code, body, _ := pushSnapshot(t, srv, "known", csv, nil); code != http.StatusCreated && code != http.StatusOK {
+			t.Fatalf("push: status %d: %s", code, body)
+		}
+	}
+	histBefore, jobsBefore, blobsBefore := get(t, srv.URL+"/tables/known/history"), get(t, srv.URL+"/jobs"), dirNames(t, blobs)
+	for _, bad := range []string{"id,v\n1,a\n2,\"b\n", "id,v\n1,a\n2\n"} {
+		if code, body, _ := pushSnapshot(t, srv, "known", bad, nil); code != http.StatusBadRequest {
+			t.Errorf("malformed push: status %d, want 400: %s", code, body)
+		}
+	}
+	if got := get(t, srv.URL+"/tables/known/history"); got != histBefore {
+		t.Errorf("history changed after a rejected push:\n%s\nwas\n%s", got, histBefore)
+	}
+	if got := get(t, srv.URL+"/jobs"); got != jobsBefore {
+		t.Errorf("job listing changed after a rejected push:\n%s\nwas\n%s", got, jobsBefore)
+	}
+	if got := dirNames(t, blobs); !slices.Equal(got, blobsBefore) {
+		t.Errorf("blob directory %v after a rejected push, was %v", got, blobsBefore)
 	}
 }

@@ -308,6 +308,7 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, _, err := s.store.Submit(jobs.Spec{
+		Addr:       snap.SnapshotID,
 		Kind:       catalogJobKind,
 		Table:      name,
 		Format:     "json",
@@ -317,15 +318,9 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 		ParentID:   snap.ParentID,
 		Payload:    &jobPayload{tgt: tab, trace: trec},
 	})
-	if err != nil {
-		s.pushMu.Unlock()
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-		return
-	}
-	_, err = s.catalog.StartStep(name, snap.SnapshotID, snap.ParentID, job.ID())
 	s.pushMu.Unlock()
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("X-Affidavit-Job-Id", job.ID())
@@ -342,7 +337,8 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 }
 
 // explainStep runs one catalog chain step: explain parent→snapshot on the
-// table's chain session and journal the step's terminal catalog state.
+// table's chain session and journal the step in the catalog once it has
+// explained (a failure stays in the job record, which ServedStatus reads).
 // next is the pushed snapshot, nil when the step was replayed from the
 // journal (it is re-interned from the blob store). The result renders like
 // a /explain json job, so a chain of N pushes stores bytes identical to
@@ -369,15 +365,11 @@ func (s *server) explainStep(ctx context.Context, rec jobs.Record, next *affidav
 	if !ok {
 		return nil, fmt.Errorf("catalog: step references unknown parent %s", rec.ParentID)
 	}
-	fail := func(err error, schemaChange bool) (*affidavit.Result, error) {
-		s.resetChain(rec.Table, snap.SnapshotID, next, schemaChange)
-		s.catalog.FinishStep(rec.Table, snap.SnapshotID, catalog.StepFailed, err.Error(), nil)
-		return nil, err
-	}
 	if !slices.Equal(snap.Schema, parent.Schema) {
-		return fail(fmt.Errorf(
+		s.resetChain(rec.Table, snap.SnapshotID, next, true)
+		return nil, fmt.Errorf(
 			"schema changed from %v to %v: explanation refused; the chain continues from snapshot %s with the new schema",
-			parent.Schema, snap.Schema, snap.SnapshotID), true)
+			parent.Schema, snap.Schema, snap.SnapshotID)
 	}
 	sess := s.chainSession(ctx, rec, parent)
 	if sess == nil {
@@ -385,17 +377,13 @@ func (s *server) explainStep(ctx context.Context, rec jobs.Record, next *affidav
 		return nil, jobs.Transient(fmt.Errorf("catalog: parent snapshot %s not reconstructable yet", rec.ParentID))
 	}
 	res, err := sess.ExplainNextContext(ctx, next)
-	if err != nil {
-		return fail(err, false)
-	}
-	if res.Stats.Cancelled {
-		// Interrupted mid-search: the pool decides between cancel, deadline
-		// and shutdown-requeue from the context cause. The session's head
-		// stayed at the parent, and the next push names this snapshot as
-		// its parent, so re-seed here; the catalog step stays pending and
-		// catalog.ServedStatus overlays the job's terminal state.
+	if err != nil || res.Stats.Cancelled {
+		// Failed, or interrupted mid-search (the pool tells cancel,
+		// deadline and shutdown-requeue apart by the context cause). The
+		// session's head stayed at the parent, and the next push names this
+		// snapshot as its parent, so re-seed here.
 		s.resetChain(rec.Table, snap.SnapshotID, next, false)
-		return res, nil
+		return res, err
 	}
 	s.setChain(rec.Table, sess, snap.SnapshotID)
 	return res, s.catalog.FinishStep(rec.Table, snap.SnapshotID, catalog.StepExplained, "", catalog.SummarizeStep(res))

@@ -1,6 +1,6 @@
 // Package catalog is the journal behind affidavitd's snapshot-history
 // catalog: registered tables, their pushed snapshot lineage, and the
-// terminal state of the explanation step the daemon runs over each
+// explained state of the explanation step the daemon runs over each
 // adjacent pair, plus what derives from those records alone — the step
 // summary (SummarizeStep), the status a step is served with
 // (ServedStatus) and the trend analytics (ComputeTrends). It turns the
@@ -11,13 +11,13 @@
 // Durability is the job subsystem's: an internal/wal journal (one
 // fixed-struct record per line, fsynced per append, torn-tail tolerant on
 // replay) that is never compacted — catalog records are lineage facts,
-// each written once (snapshots) or twice (steps), so the log is bounded
-// by the history it stores. It holds three record kinds — table
-// registrations, snapshot lineage (snapshot id, parent id, blob content
-// address, operation tag, push timestamp, schema), and explanation steps
-// (job id, status, per-step summary). Replay is last-line-per-key-wins,
-// so a step's pending line is superseded by its explained/failed line and
-// a half-written tail never corrupts earlier history.
+// each written once, so the log is bounded by the history it stores. It
+// holds three record kinds — table registrations, snapshot lineage
+// (snapshot id, parent id, blob content address, operation tag, push
+// timestamp, schema), and explained steps (job id, status, summary);
+// until then a step lives in the job its snapshot id names. Replay is
+// last-line-per-key-wins, so an older journal's pending step line is
+// superseded and a half-written tail never corrupts earlier history.
 //
 // Snapshot ids are content-derived — a SHA-256 over the table name, the
 // parent snapshot id and the upload's blob address — so the lineage chain
@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,8 +60,8 @@ const (
 	StepPending StepStatus = "pending"
 	// StepExplained marks a step with a stored explanation result.
 	StepExplained StepStatus = "explained"
-	// StepFailed marks a step that refused or failed to explain (schema
-	// change, explain error); the chain continues from its snapshot.
+	// StepFailed marks a step that refused or failed to explain in an
+	// older journal; the daemon now leaves failures to the job record.
 	StepFailed StepStatus = "failed"
 )
 
@@ -197,7 +198,7 @@ func ValidName(name string) bool { return nameRE.MatchString(name) }
 type tableState struct {
 	rec   Record            // the KindTable registration
 	snaps []Record          // KindSnapshot, push order (ascending Seq)
-	steps map[string]Record // KindStep by target snapshot id
+	steps map[string]Record // journaled KindStep by target snapshot id
 }
 
 // Store is the journal-backed catalog state. All methods are safe for
@@ -389,8 +390,8 @@ func (s *Store) AddSnapshot(table, blob, op string, records int, schema []string
 	return snap, parent, hasParent, nil
 }
 
-// StartStep journals a pending explanation step for the snapshot,
-// recording the job that will run it.
+// StartStep journals a pending step for the snapshot, recording the job
+// that will run it. Only the benchmark's catalog probe still calls it.
 func (s *Store) StartStep(table, snapshotID, parentID, jobID string) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,8 +415,8 @@ func (s *Store) StartStep(table, snapshotID, parentID, jobID string) (Record, er
 }
 
 // FinishStep lands a step's terminal catalog state: StepExplained with
-// its summary, or StepFailed with the error message. The journal gets a
-// full superseding line (last line per key wins on replay).
+// its summary, or StepFailed with the error message, as one line that
+// supersedes any earlier line of the step (last line per key wins).
 func (s *Store) FinishStep(table, snapshotID string, status StepStatus, errMsg string, summary *StepSummary) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -423,10 +424,11 @@ func (s *Store) FinishStep(table, snapshotID string, status StepStatus, errMsg s
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, table)
 	}
-	rec, ok := ts.steps[snapshotID]
-	if !ok {
-		return fmt.Errorf("catalog: no step for snapshot %s", snapshotID)
+	i := slices.IndexFunc(ts.snaps, func(snap Record) bool { return snap.SnapshotID == snapshotID })
+	if i < 0 {
+		return fmt.Errorf("catalog: no snapshot %s", snapshotID)
 	}
+	rec := ts.step(ts.snaps[i])
 	rec.Seq = s.seq
 	s.seq++
 	rec.Time = s.now().UTC()
@@ -436,6 +438,28 @@ func (s *Store) FinishStep(table, snapshotID string, status StepStatus, errMsg s
 	ts.steps[snapshotID] = rec
 	s.appendLocked(rec)
 	return nil
+}
+
+// step returns the snapshot's journaled step line, or else the pending
+// step it has had since its push, run by the job its snapshot id names.
+func (ts *tableState) step(snap Record) Record {
+	if step, ok := ts.steps[snap.SnapshotID]; ok {
+		return step
+	}
+	return Record{Kind: KindStep, Seq: snap.Seq, Table: snap.Table, Time: snap.Time,
+		SnapshotID: snap.SnapshotID, ParentID: snap.ParentID, Status: StepPending, JobID: snap.SnapshotID}
+}
+
+// alignSteps returns the table's steps in push order, one per snapshot
+// with a parent.
+func alignSteps(ts *tableState) []Record {
+	var steps []Record
+	for _, snap := range ts.snaps {
+		if snap.ParentID != "" {
+			steps = append(steps, ts.step(snap))
+		}
+	}
+	return steps
 }
 
 // History returns the table's full stored chain: its registration, every
@@ -448,13 +472,7 @@ func (s *Store) History(table string) (reg Record, snaps []Record, steps []Recor
 	if !found {
 		return Record{}, nil, nil, false
 	}
-	snaps = append([]Record(nil), ts.snaps...)
-	for _, snap := range ts.snaps {
-		if step, has := ts.steps[snap.SnapshotID]; has {
-			steps = append(steps, step)
-		}
-	}
-	return ts.rec, snaps, steps, true
+	return ts.rec, append([]Record(nil), ts.snaps...), alignSteps(ts), true
 }
 
 // Metrics is a point-in-time snapshot of the catalog's gauges.
@@ -481,11 +499,7 @@ func (s *Store) Metrics(job JobLookup) Metrics {
 	for _, name := range s.order {
 		ts := s.tables[name]
 		m.Snapshots += len(ts.snaps)
-		for _, snap := range ts.snaps {
-			if step, ok := ts.steps[snap.SnapshotID]; ok {
-				steps = append(steps, step)
-			}
-		}
+		steps = append(steps, alignSteps(ts)...)
 	}
 	s.mu.Unlock()
 	// Resolved outside the lock: job is the caller's code.

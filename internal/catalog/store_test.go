@@ -158,7 +158,8 @@ func TestStoreCrashReplayTornTail(t *testing.T) {
 	}
 
 	// Cut the final line (the explained step) in half: the step must fall
-	// back to its pending line.
+	// back to its pending line, served with the job id that line recorded
+	// (journals written before step jobs were addressed by snapshot id).
 	half := strings.Join(lines[:4], "") + lines[4][:len(lines[4])/2]
 	if err := os.WriteFile(path, []byte(half), 0o644); err != nil {
 		t.Fatal(err)
@@ -168,8 +169,8 @@ func TestStoreCrashReplayTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, snaps, steps, _ := s.History("accounts")
-	if len(snaps) != 2 || len(steps) != 1 || steps[0].Status != StepPending {
-		t.Fatalf("after torn tail: %d snaps, steps=%+v; want the pending line to win", len(snaps), steps)
+	if len(snaps) != 2 || len(steps) != 1 || steps[0].Status != StepPending || steps[0].JobID != "job-1" {
+		t.Fatalf("after torn tail: %d snaps, steps=%+v; want the pending line of job-1 to win", len(snaps), steps)
 	}
 	// The torn bytes are gone: appending and reopening must not resurrect
 	// garbage.
@@ -187,6 +188,70 @@ func TestStoreCrashReplayTornTail(t *testing.T) {
 	_, _, steps, _ = s2.History("accounts")
 	if len(steps) != 1 || steps[0].JobID != "job-2" {
 		t.Errorf("post-truncation append lost: steps=%+v", steps)
+	}
+}
+
+// TestStepLinesOnlyWhenFinished: a step needs no line before it ends.
+// History serves a pushed snapshot's step as pending since the push, run
+// by the job its snapshot id names; FinishStep then journals the step as
+// its one line, and an unknown snapshot is still an error.
+func TestStepLinesOnlyWhenFinished(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, fakeClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("t"); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []Record
+	for _, blob := range []string{"b1", "b2", "b3"} {
+		snap, _, _, err := s.AddSnapshot("t", blob, "", 1, []string{"a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	_, _, steps, _ := s.History("t")
+	if len(steps) != 2 {
+		t.Fatalf("history has %d steps, want one per snapshot with a parent", len(steps))
+	}
+	for i, step := range steps {
+		snap := snaps[i+1]
+		if step.Status != StepPending || step.JobID != snap.SnapshotID || step.SnapshotID != snap.SnapshotID ||
+			step.ParentID != snaps[i].SnapshotID || !step.Time.Equal(snap.Time) {
+			t.Errorf("step %d = %+v, want pending at its push under job %s", i, step, snap.SnapshotID)
+		}
+	}
+	if m := s.Metrics(noJobs); m.StepsPending != 2 {
+		t.Errorf("metrics count %d pending steps, want 2", m.StepsPending)
+	}
+	summary := &StepSummary{Records: 1, Core: 1}
+	if err := s.FinishStep("t", snaps[2].SnapshotID, StepExplained, "", summary); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FinishStep("t", "no-such-snapshot", StepExplained, "", summary); err == nil {
+		t.Error("FinishStep accepted an unknown snapshot")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "catalog.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 5 {
+		t.Errorf("journal holds %d lines, want 5 (registration, 3 snapshots, 1 explained step):\n%s", n, data)
+	}
+	s2, err := OpenStore(dir, fakeClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	_, _, steps, _ = s2.History("t")
+	if len(steps) != 2 || steps[0].Status != StepPending || steps[1].Status != StepExplained ||
+		steps[1].JobID != snaps[2].SnapshotID || steps[1].ParentID != snaps[1].SnapshotID || steps[1].Summary == nil {
+		t.Errorf("replayed steps = %+v", steps)
 	}
 }
 

@@ -393,3 +393,77 @@ func TestNewInstanceWithDictsValidation(t *testing.T) {
 		t.Fatal("want error for nil dict entry")
 	}
 }
+
+// TestCodeSpaceDuringIngest checks the code-space invariant the search's
+// readers rely on (docs/architecture.md, "A code ≥ Base is never a
+// snapshot value") while a third table interns into the same pool: every
+// snapshot code lies below Base, and every apply-memo code at or above
+// Base — interned by the memo or, for the same string, by the concurrent
+// ingest — decodes to a value neither snapshot holds. CI runs it under
+// -race.
+func TestCodeSpaceDuringIngest(t *testing.T) {
+	s := table.MustSchema("id", "name")
+	dicts := table.NewDictPool().DictsFor(s)
+	build := func(prefix string, n int) *table.Table {
+		b, err := table.NewBuilder(s, dicts)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		for i := 0; i < n; i++ {
+			if err := b.Append(table.Record{fmt.Sprint(i % 40), fmt.Sprintf("%s%d", prefix, i%9)}); err != nil {
+				t.Error(err)
+			}
+		}
+		return b.Table()
+	}
+	// The target shares some names with the source; the memo's outputs
+	// ("p-v0", …) are in neither.
+	inst, err := delta.NewInstanceWithDicts(build("v", 30), build("v", 20), nil, dicts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := inst.Coded()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// The third table's names include the memo's own outputs, so the
+		// ingest and the memos race to intern the same strings.
+		for round := 0; round < 30; round++ {
+			build(fmt.Sprintf("p-v%d-", round), 60)
+			build("p-v", 60)
+		}
+	}()
+	f := metafunc.Prefix{Y: "p-"}
+	var memos [][][]int32
+	for rep := 0; rep < 30; rep++ {
+		memo := make([][]int32, len(co.Dicts))
+		for a := range co.Dicts {
+			memo[a] = co.ApplyMemo(a, f)
+		}
+		memos = append(memos, memo)
+	}
+	<-done
+	for a, d := range co.Dicts {
+		inSnapshot := make(map[string]bool)
+		for _, col := range [][]int32{co.Src[a], co.Tgt[a]} {
+			for i, c := range col {
+				if c >= co.Base[a] {
+					t.Fatalf("attr %d record %d: snapshot code %d ≥ Base %d", a, i, c, co.Base[a])
+				}
+				inSnapshot[d.Value(c)] = true
+			}
+		}
+		for rep, memo := range memos {
+			for _, c := range co.SrcPresent[a] {
+				m := memo[a][c]
+				if m < co.Base[a] {
+					continue
+				}
+				if v := d.Value(m); inSnapshot[v] || v != f.Apply(d.Value(c)) {
+					t.Fatalf("memo %d attr %d: code %d ≥ Base decodes to %q for input %q", rep, a, m, v, d.Value(c))
+				}
+			}
+		}
+	}
+}

@@ -11,11 +11,11 @@
 // running when the process died, and keeps completed results intact.
 //
 // Jobs are keyed by a content address: a SHA-256 over the canonicalized
-// snapshot uploads and the explain options (see Address). Submitting a
-// pair that is already pending, running or completed joins the existing
-// job instead of queueing a second computation — explanations are
-// deterministic and responses byte-identical, so a cached result is
-// exact, not approximate.
+// snapshot uploads and the explain options (see Address), or a catalog
+// step's snapshot id. Submitting a pair that is already pending, running
+// or completed joins the existing job instead of queueing a second
+// computation — explanations are deterministic and responses
+// byte-identical, so a cached result is exact, not approximate.
 package jobs
 
 import (
@@ -62,13 +62,13 @@ func (s State) joinable() bool {
 // Wall-clock times are deliberately absent; the only ordering token is
 // Seq, so replayed journals list identically to live stores.
 type Record struct {
-	// ID names the job in the API. Content-addressed jobs derive it from
-	// Addr, so the id is stable across resubmissions and restarts.
+	// ID names the job in the API: Addr cut to 32 hex (a catalog step's
+	// snapshot id as is), stable across resubmissions and restarts.
 	ID string `json:"id"`
 	// Seq is the submission sequence number; listings order by it.
 	Seq uint64 `json:"seq"`
-	// Addr is the content address joining identical submissions ("" for
-	// jobs that must never dedupe, e.g. catalog chain steps).
+	// Addr is the content address joining identical submissions; only
+	// catalog steps of older journals lack it, and they never join.
 	Addr string `json:"addr,omitempty"`
 	// Table names the result's table; the pool shards worker affinity on
 	// it.
@@ -116,6 +116,8 @@ var (
 	ErrNotFound = errors.New("jobs: no such job")
 	// ErrClosed reports an operation on a closed store.
 	ErrClosed = errors.New("jobs: store closed")
+	// ErrNoAddr reports a submission without a content address.
+	ErrNoAddr = errors.New("jobs: submission without a content address")
 	// ErrCancelRequested is the context cause a DELETE /jobs/{id} cancel
 	// delivers to a running job.
 	ErrCancelRequested = errors.New("jobs: cancel requested")

@@ -55,9 +55,15 @@ func FuzzJobJournal(f *testing.F) {
 	})
 }
 
+// parentStepID is the id the parent's store derived for the fixture's
+// catalog step, which it submitted without an address.
+const parentStepID = "e97ca325bf8208f26ca79f67e297f2a1"
+
 // scriptJournal drives submit → run → complete → compaction → retry on
 // a durable store and returns the journal it leaves: two compacted lines
-// (the fourth append trips CompactEvery) and two appended after them.
+// (the fourth append trips CompactEvery) and two appended after them. The
+// catalog step is addressed by a 32-hex id, as a step's snapshot id is,
+// and so is named by it unchanged.
 func scriptJournal(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -68,7 +74,7 @@ func scriptJournal(t *testing.T) []byte {
 	a, _, _ := s.Submit(Spec{Addr: "addr-a", Table: "ta", Format: "json", SourceBlob: "blob-s", TargetBlob: "blob-t"})
 	s.startRun(a, func(error) {})
 	s.complete(a, &Outcome{Body: []byte("{}"), ContentType: "application/json", Stats: []byte(`{"polls":3}`), TraceID: "trace-a"})
-	b, _, _ := s.Submit(Spec{Table: "tb", Kind: "catalog", SnapshotID: "snap-2", ParentID: "snap-1"})
+	b, _, _ := s.Submit(Spec{Addr: parentStepID, Table: "tb", Kind: "catalog", SnapshotID: "snap-2", ParentID: "snap-1"})
 	s.startRun(b, func(error) {})
 	s.retry(b, "transient <&>", 0)
 	if err := s.Close(); err != nil {
@@ -88,7 +94,10 @@ func scriptJournal(t *testing.T) []byte {
 // step still carries the "warm":true its writer set; records no longer
 // have that field, so the written and re-encoded bytes are compared with
 // the file minus exactly that token, and the file itself must still
-// replay whole.
+// replay whole. Its writer also submitted the step without an address,
+// which Submit now refuses; the scripted step is addressed by the id the
+// parent derived, so the written lines also hold exactly one "addr"
+// member more.
 func TestJournalParentFixture(t *testing.T) {
 	got := scriptJournal(t)
 	want, err := os.ReadFile("testdata/journal_parent.jsonl")
@@ -100,8 +109,13 @@ func TestJournalParentFixture(t *testing.T) {
 		t.Fatalf("fixture holds %d %s tokens, want the catalog step's 3", n, dropped)
 	}
 	wantNow := bytes.ReplaceAll(want, []byte(dropped), nil)
-	if !bytes.Equal(got, wantNow) {
-		t.Fatalf("scripted journal differs from the parent's:\n%s\nwant\n%s", got, wantNow)
+	stepSeq := []byte(`"seq":1,`)
+	if n := bytes.Count(wantNow, stepSeq); n != 3 {
+		t.Fatalf("fixture holds %d %s tokens, want the catalog step's 3", n, stepSeq)
+	}
+	wantLive := bytes.ReplaceAll(wantNow, stepSeq, []byte(`"seq":1,"addr":"`+parentStepID+`",`))
+	if !bytes.Equal(got, wantLive) {
+		t.Fatalf("scripted journal differs from the parent's:\n%s\nwant\n%s", got, wantLive)
 	}
 	// The parent's file replays whole: job a completed, the catalog step
 	// back in the queue with its transient error, each re-encoding to the
@@ -117,5 +131,37 @@ func TestJournalParentFixture(t *testing.T) {
 	lines := bytes.SplitAfter(wantNow, []byte("\n"))
 	if enc := waltest.Encode(t, recs, journalSchema); !bytes.Equal(enc, append(lines[0], lines[3]...)) {
 		t.Fatalf("re-encoded records differ from the parent's lines:\n%s", enc)
+	}
+}
+
+// TestJournalUnaddressedStepReplays: a journal written before every job
+// was content-addressed holds a catalog step without an "addr". A store
+// opened on it replays the step under its recorded id, Get finds it, and
+// no address joins it.
+func TestJournalUnaddressedStepReplays(t *testing.T) {
+	want, err := os.ReadFile("testdata/journal_parent.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	j, ok := s.Get(parentStepID)
+	if !ok {
+		t.Fatalf("replayed store lost the unaddressed step %s", parentStepID)
+	}
+	if rec := j.Record(); rec.Addr != "" || rec.Kind != "catalog" || rec.SnapshotID != "snap-2" || rec.State != StatePending {
+		t.Fatalf("unaddressed step replayed as %+v", rec)
+	}
+	for _, addr := range []string{"", parentStepID, "snap-2"} {
+		if s.Joinable(addr) {
+			t.Errorf("Joinable(%q) matched the unaddressed step", addr)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -84,8 +83,9 @@ func (j *Job) Record() Record {
 
 // Spec describes one submission.
 type Spec struct {
-	// Addr is the content address ("" = never dedupe; the job gets a
-	// unique id instead).
+	// Addr is the content address the job is joined and named by: an
+	// explain pair's 64-hex Address, or a catalog step's 32-hex snapshot
+	// id. Submit refuses an empty one.
 	Addr   string
 	Table  string
 	Format string
@@ -173,7 +173,7 @@ func Open(opts Options) (*Store, error) {
 			close(j.done)
 		}
 		s.jobs[j.rec.ID] = j
-		if j.rec.Addr != "" {
+		if j.rec.Addr != "" { // catalog steps of older journals have none
 			s.byAddr[j.rec.Addr] = j
 		}
 		s.order = append(s.order, j)
@@ -210,48 +210,44 @@ func (s *Store) Joinable(addr string) bool {
 // Submit queues spec, or joins the existing job when spec.Addr matches a
 // pending, running or completed submission (created=false, the dedupe
 // hit). A previously failed or cancelled address is resurrected: reset
-// to pending and run again with the fresh payload.
+// to pending and run again with the fresh payload. A spec without an
+// Addr is refused with ErrNoAddr.
 func (s *Store) Submit(spec Spec) (*Job, bool, error) {
+	if spec.Addr == "" {
+		return nil, false, ErrNoAddr
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, false, ErrClosed
 	}
-	if spec.Addr != "" {
-		if j, ok := s.byAddr[spec.Addr]; ok {
-			if j.rec.State.joinable() {
-				j.rec.DedupeHits++
-				s.dedupeHits++
-				return j, false, nil
-			}
-			// Terminal failure: rerun under the same identity.
-			j.rec.State = StatePending
-			j.rec.Attempts = 0
-			j.rec.Error = ""
-			j.rec.Deadline = false
-			j.rec.Stats = nil
-			j.rec.TraceID = ""
-			j.rec.ContentType = ""
-			j.payload = spec.Payload
-			j.result = nil
-			j.done = make(chan struct{})
-			j.readyAt = time.Time{}
-			j.claimed = false
-			s.submitted++
-			s.appendLocked(j.rec)
-			s.broadcastLocked()
-			return j, true, nil
+	if j, ok := s.byAddr[spec.Addr]; ok {
+		if j.rec.State.joinable() {
+			j.rec.DedupeHits++
+			s.dedupeHits++
+			return j, false, nil
 		}
+		// Terminal failure: rerun under the same identity.
+		j.rec.State = StatePending
+		j.rec.Attempts = 0
+		j.rec.Error = ""
+		j.rec.Deadline = false
+		j.rec.Stats = nil
+		j.rec.TraceID = ""
+		j.rec.ContentType = ""
+		j.payload = spec.Payload
+		j.result = nil
+		j.done = make(chan struct{})
+		j.readyAt = time.Time{}
+		j.claimed = false
+		s.submitted++
+		s.appendLocked(j.rec)
+		s.broadcastLocked()
+		return j, true, nil
 	}
 	seq := s.seq
 	s.seq++
 	id := spec.Addr
-	if id == "" {
-		// Non-dedupable (catalog-step) jobs get a unique id salted with the
-		// sequence number — deterministic given the submission order,
-		// never colliding across restarts (Seq is restored on replay).
-		id = Address("unaddressed", spec.Table, strconv.FormatUint(seq, 10), spec.SourceBlob, spec.TargetBlob)
-	}
 	if len(id) > 32 {
 		id = id[:32] // half the hex address is plenty of identity for an api path
 	}
@@ -274,9 +270,7 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 		done:    make(chan struct{}),
 	}
 	s.jobs[id] = j
-	if spec.Addr != "" {
-		s.byAddr[spec.Addr] = j
-	}
+	s.byAddr[spec.Addr] = j
 	s.order = append(s.order, j)
 	s.submitted++
 	s.appendLocked(j.rec)

@@ -175,11 +175,20 @@ func TestSubmitDedupeAndListOrder(t *testing.T) {
 	if list[0].DedupeHits != 1 {
 		t.Fatalf("dedupe hit not recorded on the job: %+v", list[0])
 	}
-	// Unaddressed (catalog-step) submissions never join.
-	w1, _, _ := s.Submit(Spec{Table: "t1", Kind: "catalog"})
-	w2, _, _ := s.Submit(Spec{Table: "t1", Kind: "catalog"})
-	if w1.ID() == w2.ID() {
-		t.Fatal("unaddressed submissions deduped; they must not")
+	// Every job is content-addressed: a submission without an address is
+	// refused, and catalog steps addressed by distinct snapshot ids get
+	// distinct jobs, each named by its snapshot id.
+	if j, _, err := s.Submit(Spec{}); err != ErrNoAddr || j != nil {
+		t.Fatalf("unaddressed submit: job %v err %v, want ErrNoAddr", j, err)
+	}
+	const snap1, snap2 = "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210"
+	w1, created1, err1 := s.Submit(Spec{Addr: snap1, Table: "t1", Kind: "catalog", SnapshotID: snap1})
+	w2, created2, err2 := s.Submit(Spec{Addr: snap2, Table: "t1", Kind: "catalog", SnapshotID: snap2})
+	if err1 != nil || err2 != nil || !created1 || !created2 {
+		t.Fatalf("step submits: created %v %v, err %v %v", created1, created2, err1, err2)
+	}
+	if w1.ID() != snap1 || w2.ID() != snap2 {
+		t.Fatalf("step job ids %s, %s; want their snapshot ids", w1.ID(), w2.ID())
 	}
 }
 
