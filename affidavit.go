@@ -22,25 +22,22 @@
 //
 // The Explainer is the package's one front door: construct it from
 // functional options (WithAlpha, WithSeed, …), then reuse it for
-// explanations of in-memory tables, streamed Sources, renamed schemas and
-// Sessions over snapshot chains. Every entry point takes a context, which
-// also carries the run's observers (ContextWithObserver); domain experts
-// extend the function library through Meta.
+// explanations of in-memory tables, streamed Sources and Sessions over
+// snapshot chains. Every entry point takes a context, which also carries
+// the run's observers (ContextWithObserver); domain experts extend the
+// function library through Meta.
 package affidavit
 
 import (
-	"io"
-
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 	"affidavit/internal/report"
-	"affidavit/internal/schemamatch"
 	"affidavit/internal/search"
 	"affidavit/internal/table"
 )
 
 // Table is a snapshot: a schema plus records. Construct with NewTable or
-// the CSV readers.
+// read one from a Source (Explainer.ReadSource).
 type Table = table.Table
 
 // Record is one value tuple.
@@ -121,18 +118,8 @@ func (r *Result) Transform(rec Record) Record {
 	return r.Explanation.Funcs.Apply(rec)
 }
 
-// SchemaMatch is an alignment of renamed/reordered target attributes to
-// source attributes.
-type SchemaMatch = schemamatch.Match
-
 // NewSchema builds a schema from attribute names.
 func NewSchema(attrs ...string) (*Schema, error) { return table.NewSchema(attrs...) }
 
 // NewTable builds a table from a schema and rows.
 func NewTable(s *Schema, rows []Record) (*Table, error) { return table.FromRows(s, rows) }
-
-// ReadCSV parses a snapshot from CSV (first row = header).
-func ReadCSV(r io.Reader) (*Table, error) { return table.ReadCSV(r) }
-
-// ReadCSVFile parses a snapshot from a CSV file.
-func ReadCSVFile(path string) (*Table, error) { return table.ReadCSVFile(path) }

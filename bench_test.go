@@ -34,6 +34,7 @@ import (
 	"affidavit/internal/fixture"
 	"affidavit/internal/gen"
 	"affidavit/internal/metafunc"
+	"affidavit/internal/obs"
 	"affidavit/internal/satreduce"
 	"affidavit/internal/search"
 	"affidavit/internal/table"
@@ -99,8 +100,8 @@ func BenchmarkFigure4SearchTree(b *testing.B) {
 	opts.Seed = 1
 	for i := 0; i < b.N; i++ {
 		polls := 0
-		ctx := affidavit.ContextWithObserver(context.Background(), affidavit.ObserverFunc(func(ev affidavit.Event) {
-			if ev.Kind == affidavit.EventPoll {
+		ctx := affidavit.ContextWithObserver(context.Background(), observerFunc(func(ev obs.Event) {
+			if ev.Kind == obs.KindPoll {
 				polls++
 			}
 		}))
@@ -504,12 +505,10 @@ func BenchmarkAblationTheta(b *testing.B) {
 	}
 }
 
-// BenchmarkCSVSourceIngest times the two CSV front doors on a generated
-// flight-500k slice: ReadCSV ("buffered", a name from when it held the
-// whole file as [][]string) and the CSVSource path ("streamed", with
-// ingest events and context checks). Both intern through a table Builder,
-// in batches of records, into the same table — 4-byte codes plus one copy
-// of each distinct value — so the arms should read alike.
+// BenchmarkCSVSourceIngest times the one CSV read path, the CSVSource
+// drain (with ingest events and context checks), on a generated
+// flight-500k slice. It interns through a table Builder, in batches of
+// records — 4-byte codes plus one copy of each distinct value.
 func BenchmarkCSVSourceIngest(b *testing.B) {
 	spec, err := datasets.Get("flight-500k")
 	if err != nil {
@@ -525,29 +524,17 @@ func BenchmarkCSVSourceIngest(b *testing.B) {
 	}
 	raw := buf.Bytes()
 	b.Logf("csv bytes: %d, records: %d", len(raw), tab.Len())
-
-	b.Run("buffered", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if _, err := affidavit.ReadCSV(bytes.NewReader(raw)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("streamed", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		ex, err := affidavit.New()
-		if err != nil {
+	ex, err := affidavit.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		if _, err := ex.ReadSource(context.Background(), affidavit.NewCSVSource(bytes.NewReader(raw))); err != nil {
 			b.Fatal(err)
 		}
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.ReadSource(context.Background(), affidavit.NewCSVSource(bytes.NewReader(raw))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkTraceOverhead pins the tracing bargain: without a recorder on
@@ -589,7 +576,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 					ctx = affidavit.ContextWithObserver(ctx, rec)
 				}
 				if _, err := ex.ExplainSources(ctx,
-					affidavit.TableSource(p.Inst.Source), affidavit.TableSource(p.Inst.Target)); err != nil {
+					tableSource(p.Inst.Source), tableSource(p.Inst.Target)); err != nil {
 					b.Fatal(err)
 				}
 				if mode.tracing && !rec.Trace().Complete {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"mime/multipart"
@@ -864,4 +866,108 @@ func TestCatalogRejectedPushLeavesNothing(t *testing.T) {
 	if got := dirNames(t, blobs); !slices.Equal(got, blobsBefore) {
 		t.Errorf("blob directory %v after a rejected push, was %v", got, blobsBefore)
 	}
+}
+
+// rolledForward restarts a durable server on dir and checks that the
+// table's one step, which has no job behind it, is queued at startup
+// under the snapshot's id and explains: /trends reads steps_pending 0.
+func rolledForward(t *testing.T, dir, table, snapID string) {
+	t.Helper()
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		srv.Close()
+		s.Close()
+	})
+	if _, ok := s.store.Get(snapID); !ok {
+		t.Fatalf("no job queued at startup for step %s", snapID)
+	}
+	if job := waitJob(t, srv, snapID); job.State != "completed" || job.SnapshotID != snapID {
+		t.Fatalf("rolled-forward step job: %+v", job)
+	}
+	var tr catalog.Trends
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/"+table+"/trends")), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.StepsPending != 0 || tr.StepsExplained != 1 {
+		t.Errorf("trends after the restart: %d pending, %d explained; want 0 and 1", tr.StepsPending, tr.StepsExplained)
+	}
+}
+
+// TestCatalogRefusedPushRollsForward: a push refused with 503 (the job
+// store closed under it) has already made its snapshot the chain head, so
+// its step is pending with no job behind it. A restart on the same
+// -jobs-dir queues that step, and it explains.
+func TestCatalogRefusedPushRollsForward(t *testing.T) {
+	dir := t.TempDir()
+	ch := testChain(t, 1)
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	if code, _ := registerTable(t, srv, "bridges"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	if code, body, _ := pushSnapshot(t, srv, "bridges", csvOf(t, ch.Snapshots[0]), nil); code != http.StatusCreated {
+		t.Fatalf("seed push: status %d: %s", code, body)
+	}
+	s.store.Close()
+	code, body, hdr := pushSnapshot(t, srv, "bridges", csvOf(t, ch.Snapshots[1]), nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("push to a closed job store: status %d, want 503: %s", code, body)
+	}
+	snapID := hdr.Get("X-Affidavit-Snapshot-Id")
+	var tr catalog.Trends
+	if err := json.Unmarshal([]byte(get(t, srv.URL+"/tables/bridges/trends")), &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.StepsPending != 1 {
+		t.Fatalf("refused push: %d steps pending, want its 1", tr.StepsPending)
+	}
+	srv.Close()
+	s.Close()
+	rolledForward(t, dir, "bridges", snapID)
+}
+
+// TestCatalogOrphanSnapshotRollsForward: a catalog journal holding a
+// snapshot with a parent but no step line, beside a job store with no
+// journal at all, starts a server that queues and explains that step.
+func TestCatalogOrphanSnapshotRollsForward(t *testing.T) {
+	dir := t.TempDir()
+	ch := testChain(t, 1)
+	blobDir := filepath.Join(dir, "blobs")
+	if err := os.MkdirAll(blobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var blobs []string
+	for _, snap := range ch.Snapshots[:2] {
+		data := csvOf(t, snap)
+		sum := sha256.Sum256([]byte(data))
+		blob := hex.EncodeToString(sum[:])
+		if err := os.WriteFile(filepath.Join(blobDir, blob), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
+	}
+	schema := ch.Snapshots[0].Schema().Attrs()
+	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	var journal bytes.Buffer
+	for _, rec := range []catalog.Record{
+		{Kind: catalog.KindTable, Seq: 0, Table: "bridges", Time: at},
+		{Kind: catalog.KindSnapshot, Seq: 1, Table: "bridges", Time: at, SnapshotID: "snap-1",
+			Blob: blobs[0], Records: ch.Snapshots[0].Len(), Schema: schema},
+		{Kind: catalog.KindSnapshot, Seq: 2, Table: "bridges", Time: at, SnapshotID: "snap-2", ParentID: "snap-1",
+			Blob: blobs[1], Records: ch.Snapshots[1].Len(), Schema: schema},
+	} {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal.Write(append(line, '\n'))
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "catalog"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "catalog", "catalog.jsonl"), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rolledForward(t, dir, "bridges", "snap-2")
 }

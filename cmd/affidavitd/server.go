@@ -184,6 +184,11 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	s.catalog = cat
+	if err := s.rollForward(); err != nil {
+		cat.Close()
+		store.Close()
+		return nil, err
+	}
 	s.pool = jobs.NewPool(store, s.runJob, jobs.PoolOptions{
 		Workers:     cfg.jobWorkers,
 		MaxAttempts: cfg.jobRetry,

@@ -336,6 +336,43 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 	s.waitOutcome(ctx, w, job, false)
 }
 
+// rollForward queues the job of every step that is pending with no job
+// record behind it: a snapshot with a parent, no step line and no job. A
+// push refused with 503 after its snapshot became the chain head leaves
+// one, which would otherwise stay pending forever. It runs before the
+// pool starts; each step job has no payload, so explainStep re-ingests
+// the snapshot from its blob.
+func (s *server) rollForward() error {
+	for _, reg := range s.catalog.Tables() {
+		_, snaps, steps, _ := s.catalog.History(reg.Table)
+		blobs := make(map[string]string, len(snaps))
+		for _, snap := range snaps {
+			blobs[snap.SnapshotID] = snap.Blob
+		}
+		for _, step := range steps {
+			if step.Status != catalog.StepPending {
+				continue
+			}
+			if _, ok := s.store.Get(step.JobID); ok {
+				continue
+			}
+			if _, _, err := s.store.Submit(jobs.Spec{
+				Addr:       step.SnapshotID,
+				Kind:       catalogJobKind,
+				Table:      reg.Table,
+				Format:     "json",
+				SourceBlob: blobs[step.ParentID],
+				TargetBlob: blobs[step.SnapshotID],
+				SnapshotID: step.SnapshotID,
+				ParentID:   step.ParentID,
+			}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // explainStep runs one catalog chain step: explain parent→snapshot on the
 // table's chain session and journal the step in the catalog once it has
 // explained (a failure stays in the job record, which ServedStatus reads).

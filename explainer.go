@@ -10,7 +10,6 @@ import (
 	"affidavit/internal/delta"
 	"affidavit/internal/metafunc"
 	"affidavit/internal/obs"
-	"affidavit/internal/schemamatch"
 	"affidavit/internal/search"
 	"affidavit/internal/table"
 )
@@ -99,13 +98,10 @@ func WithRho(rho float64) Option { return func(e *Explainer) { e.so.Induce.Rho =
 // explanations.
 func WithSeed(seed int64) Option { return func(e *Explainer) { e.so.Seed = seed } }
 
-// WithMaxExpansions caps search-state expansions; 0 = unlimited.
-func WithMaxExpansions(n int) Option { return func(e *Explainer) { e.so.MaxExpansions = n } }
-
 // WithWorkers does nothing: every search runs on one core, and
-// parallelism lives across runs (ExplainBatchContext, affidavitd's job
-// pool). It stays only for the frozen service benchmark (bench/probes.go),
-// which calls it.
+// parallelism lives across runs (concurrent Session.ExplainPairContext
+// calls, affidavitd's job pool). It stays only for the frozen service
+// benchmark (bench/probes.go), which calls it.
 func WithWorkers(n int) Option { return func(*Explainer) {} }
 
 // WithWarmGuard arms the warm-start quality guard used by session warm
@@ -129,20 +125,25 @@ func WithExtraMetas(metas ...Meta) Option {
 
 // Fingerprint digests every result-affecting engine option — α, β, the
 // queue width ϱ, the start strategy, the overlap block threshold, the
-// induction configuration (θ, ρ and its caps), the sampling seed and the
-// expansion cap — plus the installed meta-function families, into a
-// 16-hex-character identity. Two Explainers with equal fingerprints
-// produce byte-identical explanations for identical inputs; byte-neutral
-// knobs (warm-only guards) are deliberately excluded. affidavitd
-// folds the fingerprint into the job content address, so a configuration
-// change stops serving results computed under the old flags.
+// induction configuration (θ, ρ and its caps) and the sampling seed —
+// plus the installed meta-function families, into a 16-hex-character
+// identity. Two Explainers with equal fingerprints produce byte-identical
+// explanations for identical inputs; byte-neutral knobs (warm-only guards)
+// are deliberately excluded. affidavitd folds the fingerprint into the job
+// content address, so a configuration change stops serving results
+// computed under the old flags.
+//
+// The digest still reads "maxexp=0": the search-expansion cap it named is
+// no longer configurable, and keeping its last value in the input keeps
+// every fingerprint, and so every job address a durable journal already
+// holds, unchanged.
 func (e *Explainer) Fingerprint() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "alpha=%g beta=%d width=%d start=%d maxblock=%d theta=%g conf=%g mingen=%d maxranked=%d maxsrc=%d seed=%d maxexp=%d",
+	fmt.Fprintf(h, "alpha=%g beta=%d width=%d start=%d maxblock=%d theta=%g conf=%g mingen=%d maxranked=%d maxsrc=%d seed=%d maxexp=0",
 		e.so.Alpha, e.so.Beta, e.so.QueueWidth, e.so.Start, e.so.MaxBlockSize,
 		e.so.Induce.Theta, e.so.Induce.Rho, e.so.Induce.MinGenerated,
 		e.so.Induce.MaxRanked, e.so.Induce.MaxSourceValuesPerBlock,
-		e.so.Seed, e.so.MaxExpansions)
+		e.so.Seed)
 	for _, m := range e.metas {
 		fmt.Fprintf(h, " meta=%s", m.Name())
 	}
@@ -162,27 +163,6 @@ func (e *Explainer) Explain(ctx context.Context, source, target *Table) (*Result
 		return nil, err
 	}
 	return e.run(ctx, inst, e.so)
-}
-
-// ExplainRenamed explains snapshots whose target schema was renamed or
-// reordered (the paper's future-work problem variant): attributes are first
-// matched by value-distribution similarity, the target is rewritten into
-// the source schema, and Explain runs on the aligned pair. The schema
-// match runs to completion; the aligned search honours ctx.
-func (e *Explainer) ExplainRenamed(ctx context.Context, source, target *Table) (*Result, *SchemaMatch, error) {
-	m, err := schemamatch.Attributes(source, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	aligned, err := m.AlignTarget(source, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := e.Explain(ctx, source, aligned)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m, nil
 }
 
 // ExplainSources streams two snapshots out of their Sources — interning
@@ -237,12 +217,12 @@ func (e *Explainer) ExplainSources(ctx context.Context, source, target Source) (
 // ExplainFiles is ExplainSources over two CSV files (header row = schema),
 // streamed: neither file is ever buffered whole.
 func (e *Explainer) ExplainFiles(ctx context.Context, sourcePath, targetPath string) (*Result, error) {
-	return e.ExplainSources(ctx, CSVFileSource(sourcePath), CSVFileSource(targetPath))
+	return e.ExplainSources(ctx, csvFileSource(sourcePath), csvFileSource(targetPath))
 }
 
-// ReadSource drains a Source into a Table over private dictionaries — the
-// streaming replacement for ReadCSV when the snapshot will be explained
-// later. A snapshot bound for a Session is better read with
+// ReadSource drains a Source into a Table over private dictionaries: read
+// CSV with ReadSource(ctx, NewCSVSource(r)) when the snapshot will be
+// explained later. A snapshot bound for a Session is better read with
 // Session.ReadSource, which interns it once, into the dictionaries the run
 // will use. Observers on ctx see ingest events labelled "source".
 func (e *Explainer) ReadSource(ctx context.Context, src Source) (*Table, error) {
@@ -292,7 +272,7 @@ func drainSource(ctx context.Context, src Source, schema *Schema, dicts []*table
 	sink := obs.FromContext(ctx)
 	emit := func(complete bool) {
 		if sink != nil {
-			sink(Event{Kind: obs.KindIngest, Snapshot: role, Records: b.Len(), Complete: complete})
+			sink(obs.Event{Kind: obs.KindIngest, Snapshot: role, Records: b.Len(), Complete: complete})
 		}
 	}
 	next := func() error {

@@ -13,9 +13,9 @@ import (
 //
 //   - any function literal launched by a `go` statement (or nested in one);
 //   - any function literal passed directly as a call argument (fan-outs
-//     like Session.ExplainBatchContext's per-pair goroutines, eval's seed
-//     pool and jobs.Pool run such callbacks on their own goroutines) —
-//     except arguments to the synchronous sort/slices helpers.
+//     like eval's seed pool and jobs.Pool run such callbacks on their own
+//     goroutines) — except arguments to the synchronous sort/slices
+//     helpers.
 //
 // Emission from a literal that is first assigned to a variable and invoked
 // locally (the finish-closure idiom) stays allowed. Genuinely synchronous

@@ -1,9 +1,9 @@
 // Package obs defines the pipeline event vocabulary shared by every layer
 // that reports progress: snapshot ingest, the search loop, end-state
-// conversion, and run completion. The public package re-exports these types
-// as affidavit.Event; internal layers emit them through a plain function
-// sink, read once per run from the run's context (FromContext), so the
-// no-op case costs one nil check.
+// conversion, and run completion. The public package's Observer takes an
+// Event, so only this module implements it. Internal layers emit events
+// through a plain function sink, read once per run from the run's context
+// (FromContext), so the no-op case costs one nil check.
 //
 // Determinism contract: within one explanation run, events are emitted from
 // a single goroutine in a deterministic order for a fixed seed — the

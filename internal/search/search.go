@@ -71,7 +71,7 @@ type Options struct {
 	// 0 means unlimited.
 	MaxExpansions int
 	// Workers does nothing: a run is single-threaded, and parallelism lives
-	// across runs (the job pool, ExplainBatchContext). It stays only for the
+	// across runs (the job pool, concurrent pair runs). It stays only for the
 	// frozen service benchmark (bench/probes.go), which sets it.
 	Workers int
 	// WarmStart, when non-nil, switches Run into incremental mode — the

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -233,47 +232,6 @@ type Feeder interface {
 	// Feed appends the next record to b, or returns io.EOF when there is
 	// none.
 	Feed(b *Builder) error
-}
-
-// ReadCSV parses a table from CSV, interning in batches as a Builder does.
-// The first row is the header and becomes the schema. Rows must be
-// rectangular.
-func ReadCSV(r io.Reader) (*Table, error) {
-	cr := NewCSVReader(r)
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("table: csv has no header row")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("table: reading csv: %w", err)
-	}
-	schema, err := NewSchema(header...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Builder{t: New(schema)}
-	for {
-		n, err := b.AppendCSV(cr)
-		if err == io.EOF {
-			return b.Table(), nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("table: reading csv: %w", err)
-		}
-		if n != schema.Len() {
-			return nil, fmt.Errorf("table: csv row %d has %d fields, header has %d", b.Len()+2, n, schema.Len())
-		}
-	}
-}
-
-// ReadCSVFile parses a table from the CSV file at path.
-func ReadCSVFile(path string) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(f)
 }
 
 // WriteCSV renders the table as CSV, header first.

@@ -278,17 +278,17 @@ func TestBuilderBatchBoundaries(t *testing.T) {
 		src := rows(n, 0)
 		check(fmt.Sprintf("shared/%d", n), []*Table{buildColumnar(t, s, src, dicts)}, dicts, seed, src)
 
-		// Fresh dictionaries, through the Builder, FromRows and ReadCSV.
+		// Fresh dictionaries, through the Builder, FromRows and CSV rows.
 		none := [][]string{nil, nil, nil, nil}
 		built := buildColumnar(t, s, src, nil)
 		check(fmt.Sprintf("fresh/%d", n), []*Table{built}, built.dicts, none, src)
 		fromRows := MustFromRows(s, src)
 		check(fmt.Sprintf("FromRows/%d", n), []*Table{fromRows}, fromRows.dicts, none, src)
-		read, err := ReadCSV(strings.NewReader(csvOf(t, built)))
+		read, err := readCSV(strings.NewReader(csvOf(t, built)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("ReadCSV/%d", n), []*Table{read}, read.dicts, none, src)
+		check(fmt.Sprintf("CSV/%d", n), []*Table{read}, read.dicts, none, src)
 
 		// One builder fed Records and CSV rows by turns: switching kinds
 		// interns the pending batch first, so record order holds.

@@ -2,10 +2,38 @@ package table
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// readCSV reads CSV (header row first) as the ingest drain does: a
+// CSVReader whose rows' bytes a Builder appends.
+func readCSV(r io.Reader) (*Table, error) {
+	cr := NewCSVReader(r)
+	header, err := cr.Read()
+	if err != nil {
+		return nil, err
+	}
+	b, err := NewBuilder(MustSchema(header...), nil)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		n, err := b.AppendCSV(cr)
+		if err == io.EOF {
+			return b.Table(), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n != len(header) {
+			return nil, fmt.Errorf("row %d has %d fields, header has %d", b.Len()+2, n, len(header))
+		}
+	}
+}
 
 func TestNewSchema(t *testing.T) {
 	s, err := NewSchema("a", "b", "c")
@@ -156,7 +184,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,21 +195,6 @@ func TestCSVRoundTrip(t *testing.T) {
 		if !got.Record(i).Equal(tab.Record(i)) {
 			t.Errorf("row %d: got %v want %v", i, got.Record(i), tab.Record(i))
 		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty csv accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1\n")); err == nil {
-		t.Error("ragged csv accepted")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,a\n1,2\n")); err == nil {
-		t.Error("duplicate header accepted")
-	}
-	if _, err := ReadCSVFile("/nonexistent/path.csv"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 
@@ -227,7 +240,7 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 		if err := tab.WriteCSV(&buf); err != nil {
 			return false
 		}
-		got, err := ReadCSV(&buf)
+		got, err := readCSV(&buf)
 		if err != nil {
 			return false
 		}

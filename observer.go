@@ -10,50 +10,21 @@ import (
 	"affidavit/internal/obs"
 )
 
-// Event is one pipeline event: snapshot ingest progress, the warm/cold/
-// escalated start decision, queue polls, finalisation and conversion phase
-// markers, and the final run tallies. Only the fields documented for the
-// Kind carry meaning; the rest are zero.
-type Event = obs.Event
-
-// EventKind discriminates pipeline events.
-type EventKind = obs.Kind
-
-// Event kinds, in pipeline order.
-const (
-	// EventIngest reports snapshot ingest: Snapshot ("source"/"target"),
-	// cumulative Records, and Complete on the final event.
-	EventIngest = obs.KindIngest
-	// EventSearchStart fires once per run: Mode ("cold"/"warm"/"escalated"),
-	// Start strategy, and the deepest StartLevel.
-	EventSearchStart = obs.KindSearchStart
-	// EventPoll fires per queue extraction: Poll index, state Level/Cost,
-	// End on end states.
-	EventPoll = obs.KindPoll
-	// EventFinalize fires when a cancelled run salvages its best state.
-	EventFinalize = obs.KindFinalize
-	// EventConvert fires when the end state enters explanation conversion.
-	EventConvert = obs.KindConvert
-	// EventDone fires once per run: Polls, States, final Cost, Cancelled.
-	EventDone = obs.KindDone
-)
-
 // Observer receives the pipeline events of every ingest and explanation
 // that runs under a context it was attached to (ContextWithObserver).
 // Within one run, events arrive from a single goroutine in deterministic
-// order for a fixed seed. Concurrent runs interleave their streams, so observers
-// shared across goroutines (servers, batches) must be safe for concurrent
+// order for a fixed seed. Concurrent runs interleave their streams, so an
+// observer shared across goroutines (a server) must be safe for concurrent
 // use. Implementations must be cheap: the search calls them synchronously
 // from its poll loop.
+//
+// The event type lives in an internal package, so only this module
+// implements Observer: the observers are the four built here — progress
+// (NewProgressObserver), metrics (NewMetricsObserver), one run's trace
+// (NewTraceRecorder) and a stream of run traces (NewTraceCollector).
 type Observer interface {
-	Observe(Event)
+	Observe(obs.Event)
 }
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Event)
-
-// Observe implements Observer.
-func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
 // NewProgressObserver returns an observer that narrates pipeline progress
 // as human-readable lines on w — the observer behind the CLIs' -progress
@@ -66,25 +37,25 @@ type progressObserver struct {
 	w io.Writer
 }
 
-func (p *progressObserver) Observe(ev Event) {
+func (p *progressObserver) Observe(ev obs.Event) {
 	switch ev.Kind {
-	case EventIngest:
+	case obs.KindIngest:
 		if ev.Complete {
 			fmt.Fprintf(p.w, "ingest %s: %d records\n", ev.Snapshot, ev.Records)
 		}
-	case EventSearchStart:
+	case obs.KindSearchStart:
 		fmt.Fprintf(p.w, "search: %s start (%s), level %d\n", ev.Mode, ev.Start, ev.StartLevel)
-	case EventPoll:
+	case obs.KindPoll:
 		marker := ""
 		if ev.End {
 			marker = " [end]"
 		}
 		fmt.Fprintf(p.w, "poll %d: level %d, cost %g%s\n", ev.Poll, ev.Level, ev.Cost, marker)
-	case EventFinalize:
+	case obs.KindFinalize:
 		fmt.Fprintf(p.w, "finalize: salvaged level %d, cost %g\n", ev.Level, ev.Cost)
-	case EventConvert:
+	case obs.KindConvert:
 		fmt.Fprintln(p.w, "convert: building explanation")
-	case EventDone:
+	case obs.KindDone:
 		state := "done"
 		if ev.Cancelled {
 			state = "cancelled"
@@ -169,24 +140,24 @@ func (m *MetricsObserver) ObserveTrace(tr *Trace) {
 }
 
 // Observe implements Observer.
-func (m *MetricsObserver) Observe(ev Event) {
+func (m *MetricsObserver) Observe(ev obs.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	switch ev.Kind {
-	case EventIngest:
+	case obs.KindIngest:
 		// Records is cumulative per snapshot; totals add once, on Complete.
 		if ev.Complete {
 			m.ingestedRecords[ev.Snapshot] += int64(ev.Records)
 		}
-	case EventSearchStart:
+	case obs.KindSearchStart:
 		m.runsStarted[ev.Mode]++
-	case EventPoll:
+	case obs.KindPoll:
 		m.polls++
-	case EventFinalize:
+	case obs.KindFinalize:
 		m.finalizations++
-	case EventConvert:
+	case obs.KindConvert:
 		m.conversions++
-	case EventDone:
+	case obs.KindDone:
 		m.runsDone++
 		if ev.Cancelled {
 			m.runsCancelled++
@@ -196,9 +167,9 @@ func (m *MetricsObserver) Observe(ev Event) {
 	}
 }
 
-// WritePrometheus renders the counters in the Prometheus text exposition
+// writePrometheus renders the counters in the Prometheus text exposition
 // format, with series sorted for deterministic output.
-func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
+func (m *MetricsObserver) writePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var err error
@@ -246,7 +217,7 @@ func (m *MetricsObserver) WritePrometheus(w io.Writer) error {
 // directly as a /metrics handler.
 func (m *MetricsObserver) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := m.WritePrometheus(w); err != nil {
+	if err := m.writePrometheus(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -3,25 +3,44 @@ package affidavit_test
 import (
 	"context"
 	"io"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/gen"
+	"affidavit/internal/obs"
+	"affidavit/internal/trace"
 )
 
 // recorder collects events; safe for this package's single-run tests
 // because one run emits from one goroutine.
 type recorder struct {
-	events []affidavit.Event
+	events []obs.Event
 }
 
-func (r *recorder) Observe(ev affidavit.Event) { r.events = append(r.events, ev) }
+func (r *recorder) Observe(ev obs.Event) { r.events = append(r.events, ev) }
+
+// observerFunc adapts a function to affidavit.Observer.
+type observerFunc func(obs.Event)
+
+func (f observerFunc) Observe(ev obs.Event) { f(ev) }
+
+// metricsText renders m as its /metrics handler serves it.
+func metricsText(t *testing.T, m *affidavit.MetricsObserver) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	m.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	if w.Code != 200 {
+		t.Fatalf("metrics: status %d: %s", w.Code, w.Body)
+	}
+	return w.Body.String()
+}
 
 // runWithObserver explains one generated pair and returns the observed
 // event stream.
-func runWithObserver(t *testing.T) []affidavit.Event {
+func runWithObserver(t *testing.T) []obs.Event {
 	t.Helper()
 	spec, err := datasets.Get("bridges")
 	if err != nil {
@@ -60,15 +79,15 @@ func TestObserverDeterminism(t *testing.T) {
 
 	// Sanity on the stream shape: ingest for both snapshots, one start,
 	// ≥ 1 poll, one convert, one done — in pipeline order.
-	var kinds []affidavit.EventKind
+	var kinds []obs.Kind
 	for _, ev := range seq {
 		if len(kinds) == 0 || kinds[len(kinds)-1] != ev.Kind {
 			kinds = append(kinds, ev.Kind)
 		}
 	}
-	want := []affidavit.EventKind{
-		affidavit.EventIngest, affidavit.EventSearchStart, affidavit.EventPoll,
-		affidavit.EventConvert, affidavit.EventDone,
+	want := []obs.Kind{
+		obs.KindIngest, obs.KindSearchStart, obs.KindPoll,
+		obs.KindConvert, obs.KindDone,
 	}
 	if len(kinds) != len(want) {
 		t.Fatalf("event phases = %v, want %v", kinds, want)
@@ -82,12 +101,12 @@ func TestObserverDeterminism(t *testing.T) {
 		t.Errorf("first event = %+v, want completed source ingest", seq[0])
 	}
 	last := seq[len(seq)-1]
-	if last.Kind != affidavit.EventDone || last.Polls == 0 || last.Cost == 0 {
+	if last.Kind != obs.KindDone || last.Polls == 0 || last.Cost == 0 {
 		t.Errorf("last event = %+v, want populated done event", last)
 	}
 }
 
-func assertSameEvents(t *testing.T, label string, a, b []affidavit.Event) {
+func assertSameEvents(t *testing.T, label string, a, b []obs.Event) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("%s: %d events vs %d", label, len(a), len(b))
@@ -109,13 +128,13 @@ func TestIngestChunkEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	src := affidavit.NewRowsSource(schema, func() (affidavit.Record, error) {
+	src := &rowsSource{schema: schema, next: func() (affidavit.Record, error) {
 		if i >= n {
 			return nil, io.EOF
 		}
 		i++
 		return affidavit.Record{string(rune('a' + i%26)), "x"}, nil
-	})
+	}}
 	rec := &recorder{}
 	ex, err := affidavit.New()
 	if err != nil {
@@ -130,7 +149,7 @@ func TestIngestChunkEvents(t *testing.T) {
 	}
 	var counts []int
 	for _, ev := range rec.events {
-		if ev.Kind != affidavit.EventIngest {
+		if ev.Kind != obs.KindIngest {
 			t.Fatalf("unexpected event %+v", ev)
 		}
 		counts = append(counts, ev.Records)
@@ -153,15 +172,11 @@ func TestMetricsObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), m),
-		affidavit.TableSource(src), affidavit.TableSource(tgt))
+		tableSource(src), tableSource(tgt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := m.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := metricsText(t, m)
 	for _, want := range []string{
 		`affidavit_ingested_records_total{snapshot="source"} 17`,
 		`affidavit_ingested_records_total{snapshot="target"} 16`,
@@ -190,18 +205,14 @@ func TestMetricsObserverHistograms(t *testing.T) {
 	m.ObserveTrace(&affidavit.Trace{
 		Complete:   true,
 		DurationMS: 120, // 0.12s → first bucket le="0.25"
-		Spans: []affidavit.TraceSpan{
+		Spans: []trace.Span{
 			{Stage: "ingest:source", DurationMS: 30},
 			{Stage: "ingest:target", DurationMS: 10}, // 0.04s → le="0.05"
 			{Stage: "search", DurationMS: 80},
 		},
 	})
 	m.ObserveTrace(&affidavit.Trace{Complete: true, DurationMS: 90000}) // 90s → only +Inf
-	var sb strings.Builder
-	if err := m.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := metricsText(t, m)
 	for _, want := range []string{
 		"# TYPE affidavit_run_duration_seconds histogram",
 		`affidavit_run_duration_seconds_bucket{le="0.1"} 0`,

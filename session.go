@@ -3,8 +3,6 @@ package affidavit
 import (
 	"context"
 	"errors"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +10,9 @@ import (
 	"affidavit/internal/table"
 )
 
-// Pair is one source/target snapshot pair of a batch explanation.
-type Pair struct {
-	Source, Target *Table
-}
-
 // Session is a long-lived explanation context for snapshot chains and
-// batches, created by Explainer.Session. Where Explainer.Explain treats
-// every pair in isolation, a session keeps a shared dictionary pool —
+// streams of pairs, created by Explainer.Session. Where Explainer.Explain
+// treats every pair in isolation, a session keeps a shared dictionary pool —
 // values interned while explaining snapshot n keep their codes when
 // snapshot n+1 arrives, so only novel values pay interning cost, and a
 // snapshot read through ReadSource is interned there once, at ingest — and
@@ -30,9 +23,9 @@ type Pair struct {
 //
 // Sessions are safe for concurrent use: the pool is concurrency-safe,
 // chain runs serialise on the session, and pair runs proceed in parallel.
-// ExplainPairContext and ExplainBatchContext results are identical to cold
-// Explainer.Explain runs with the same options and seed — the shared pool
-// only changes the interning work. The warm path (ExplainNextContext) runs
+// ExplainPairContext results are identical to cold Explainer.Explain runs
+// with the same options and seed — the shared pool only changes the
+// interning work. The warm path (ExplainNextContext) runs
 // the search in incremental mode: on a recurring pattern it converges to
 // the same explanation with a fraction of the effort, but it anchors on
 // the previous structure, so when the feed's pattern changes the result —
@@ -82,9 +75,8 @@ func (w *warmSeed) seedFrom(res *Result, schema *Schema) {
 // Session creates a long-lived session sharing the Explainer's
 // configuration. initial, when non-nil, is the chain baseline: the first
 // ExplainNextContext call diffs it against its argument. A nil initial
-// starts a batch/service session — ExplainPairContext and
-// ExplainBatchContext work immediately, while ExplainNextContext errors:
-// it has no baseline.
+// starts a pair/service session — ExplainPairContext works immediately,
+// while ExplainNextContext errors: it has no baseline.
 func (e *Explainer) Session(initial *Table) *Session {
 	return &Session{ex: e, pool: table.NewDictPool(), head: initial}
 }
@@ -142,42 +134,6 @@ func (s *Session) ExplainPairContext(ctx context.Context, source, target *Table)
 	}
 	s.runs.Add(1)
 	return res, nil
-}
-
-// ExplainBatchContext explains every pair over the shared dictionary pool,
-// up to GOMAXPROCS pairs at a time, each on its own goroutine and each
-// search single-threaded. Pairs may have different schemas; attributes
-// sharing a name share a dictionary. Results arrive in input order and equal per-pair cold runs.
-// Failed pairs leave nil entries; the returned error joins every failure.
-// Cancelling ctx interrupts every in-flight pair, each returning its
-// best-so-far result with Stats.Cancelled set. Observers on ctx see every
-// pair's event stream, interleaved when the batch fans out — attach a
-// TraceRecorder per run, not per batch.
-func (s *Session) ExplainBatchContext(ctx context.Context, pairs []Pair) ([]*Result, error) {
-	workers := min(runtime.GOMAXPROCS(0), len(pairs))
-	results := make([]*Result, len(pairs))
-	errs := make([]error, len(pairs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, p := range pairs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, p Pair) {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			res, err := s.run(ctx, p.Source, p.Target, warmSeed{})
-			if err != nil {
-				errs[i] = fmt.Errorf("affidavit: pair %d: %w", i, err)
-				return
-			}
-			results[i] = res
-		}(i, p)
-	}
-	wg.Wait()
-	s.runs.Add(int64(len(pairs)))
-	return results, errors.Join(errs...)
 }
 
 // ReadSource drains src into a Table interned straight into the session's

@@ -193,40 +193,55 @@ func TestSessionPoolReuse(t *testing.T) {
 }
 
 // TestSessionExplainPairMatchesCold: pooled single-pair runs equal cold
-// runs, statistics included.
+// runs, statistics included — the non-adjacent pair too, on a pool that
+// already holds the snapshot between them — and a schema-mismatched pair
+// fails alone, leaving the session usable.
 func TestSessionExplainPairMatchesCold(t *testing.T) {
 	ch := chain31(t, "echo", 2, true)
 	ex := explainer31(t)
 	s := ex.Session(nil)
-	for i := 1; i < len(ch.Snapshots); i++ {
-		pooled, err := s.ExplainPairContext(context.Background(), ch.Snapshots[i-1], ch.Snapshots[i])
+	for _, p := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		src, tgt := ch.Snapshots[p[0]], ch.Snapshots[p[1]]
+		pooled, err := s.ExplainPairContext(context.Background(), src, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := ex.Explain(context.Background(), ch.Snapshots[i-1], ch.Snapshots[i])
+		cold, err := ex.Explain(context.Background(), src, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameExplanation(t, fmt.Sprintf("pair %d", i), pooled, cold)
+		label := fmt.Sprintf("pair %d→%d", p[0], p[1])
+		assertSameExplanation(t, label, pooled, cold)
 		st := pooled.Stats
 		st.Duration = cold.Stats.Duration
 		if st != cold.Stats {
-			t.Errorf("pair %d: stats differ: %+v vs %+v", i, st, cold.Stats)
+			t.Errorf("%s: stats differ: %+v vs %+v", label, st, cold.Stats)
 		}
+	}
+	other, _ := table.NewSchema("completely", "different")
+	odd, err := table.FromRows(other, []table.Record{{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.ExplainPairContext(context.Background(), ch.Snapshots[0], odd); err == nil || res != nil {
+		t.Errorf("mismatched pair: result %v, err %v; want only an error", res, err)
+	}
+	if s.Runs() != 3 {
+		t.Errorf("session counted %d runs, want the 3 that explained", s.Runs())
 	}
 }
 
-// TestSessionExplainBatchConcurrent runs a mixed-schema batch on a shared
-// pool across one goroutine per core (the race detector covers the
-// concurrent interning) and checks results equal per-pair cold runs, in input order.
-func TestSessionExplainBatchConcurrent(t *testing.T) {
+// TestSessionExplainPairConcurrent runs mixed-schema pairs on a shared
+// pool, one goroutine each (the race detector covers the concurrent
+// interning), and checks every result equals its cold run.
+func TestSessionExplainPairConcurrent(t *testing.T) {
 	ex := explainer31(t)
-	var pairs []Pair
+	var pairs [][2]*Table
 	var want []*Result
 	for _, name := range []string{"iris", "bridges", "echo"} {
 		ch := chain31(t, name, 2, true)
 		for i := 1; i < len(ch.Snapshots); i++ {
-			pairs = append(pairs, Pair{Source: ch.Snapshots[i-1], Target: ch.Snapshots[i]})
+			pairs = append(pairs, [2]*Table{ch.Snapshots[i-1], ch.Snapshots[i]})
 			cold, err := ex.Explain(context.Background(), ch.Snapshots[i-1], ch.Snapshots[i])
 			if err != nil {
 				t.Fatal(err)
@@ -235,13 +250,21 @@ func TestSessionExplainBatchConcurrent(t *testing.T) {
 		}
 	}
 	s := ex.Session(nil)
-	results, err := s.ExplainBatchContext(context.Background(), pairs)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, len(pairs))
+	var wg sync.WaitGroup
+	for i, p := range pairs {
+		wg.Add(1)
+		go func(i int, p [2]*Table) {
+			defer wg.Done()
+			res, err := s.ExplainPairContext(context.Background(), p[0], p[1])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}(i, p)
 	}
-	if len(results) != len(pairs) {
-		t.Fatalf("got %d results, want %d", len(results), len(pairs))
-	}
+	wg.Wait()
 	for i, res := range results {
 		if res == nil {
 			t.Fatalf("pair %d: nil result", i)
@@ -250,31 +273,6 @@ func TestSessionExplainBatchConcurrent(t *testing.T) {
 	}
 	if s.Runs() != len(pairs) {
 		t.Errorf("session counted %d runs, want %d", s.Runs(), len(pairs))
-	}
-}
-
-// TestSessionExplainBatchErrors: schema-mismatched pairs fail individually
-// without sinking the rest of the batch.
-func TestSessionExplainBatchErrors(t *testing.T) {
-	ch := chain31(t, "iris", 1, false)
-	other, _ := table.NewSchema("completely", "different")
-	odd, err := table.FromRows(other, []table.Record{{"a", "b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := explainer31(t).Session(nil)
-	results, err := s.ExplainBatchContext(context.Background(), []Pair{
-		{Source: ch.Snapshots[0], Target: ch.Snapshots[1]},
-		{Source: ch.Snapshots[0], Target: odd},
-	})
-	if err == nil {
-		t.Fatal("want an error for the mismatched pair")
-	}
-	if results[0] == nil {
-		t.Error("healthy pair should still produce a result")
-	}
-	if results[1] != nil {
-		t.Error("mismatched pair should have a nil result")
 	}
 }
 
@@ -288,8 +286,8 @@ func TestSessionExplainNextNeedsBaseline(t *testing.T) {
 	}
 }
 
-// TestSessionConcurrentMixedUse hammers one session with concurrent pair,
-// chain and batch explanations — race-detector coverage for the shared pool
+// TestSessionConcurrentMixedUse hammers one session with concurrent pair
+// and chain explanations — race-detector coverage for the shared pool
 // and the session state.
 func TestSessionConcurrentMixedUse(t *testing.T) {
 	ch := chain31(t, "iris", 2, false)
@@ -306,9 +304,7 @@ func TestSessionConcurrentMixedUse(t *testing.T) {
 			case 1:
 				_, err = s.ExplainNextContext(context.Background(), ch.Snapshots[2])
 			case 2:
-				_, err = s.ExplainBatchContext(context.Background(), []Pair{
-					{Source: ch.Snapshots[0], Target: ch.Snapshots[2]},
-				})
+				_, err = s.ExplainPairContext(context.Background(), ch.Snapshots[0], ch.Snapshots[2])
 			}
 			if err != nil {
 				t.Error(err)

@@ -9,6 +9,7 @@ import (
 	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/gen"
+	"affidavit/internal/obs"
 )
 
 // sessionChain builds a warm-startable snapshot chain over a registry
@@ -88,30 +89,6 @@ func TestSessionChain(t *testing.T) {
 	}
 }
 
-// TestSessionExplainBatch: the public batch API equals per-pair cold runs.
-func TestSessionExplainBatch(t *testing.T) {
-	ch := sessionChain(t, "echo", 2)
-	ex := newExplainer(t, affidavit.WithSeed(31))
-	ctx := context.Background()
-	s := ex.Session(nil)
-	pairs := []affidavit.Pair{
-		{Source: ch.Snapshots[0], Target: ch.Snapshots[1]},
-		{Source: ch.Snapshots[1], Target: ch.Snapshots[2]},
-		{Source: ch.Snapshots[0], Target: ch.Snapshots[2]},
-	}
-	results, err := s.ExplainBatchContext(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pairs {
-		cold, err := ex.Explain(ctx, p.Source, p.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("pair %d", i), results[i], cold)
-	}
-}
-
 // TestSessionReadSourceInternsOnce: a pair read through Session.ReadSource
 // lands in the session's pool — right after both reads the pool holds
 // exactly the pair's distinct values per attribute — and explaining it
@@ -123,11 +100,11 @@ func TestSessionReadSourceInternsOnce(t *testing.T) {
 	ex := newExplainer(t, affidavit.WithSeed(1))
 	read := func(s *affidavit.Session) (*affidavit.Table, *affidavit.Table) {
 		t.Helper()
-		a, err := s.ReadSource(ctx, affidavit.TableSource(src), "source")
+		a, err := s.ReadSource(ctx, tableSource(src), "source")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.ReadSource(ctx, affidavit.TableSource(tgt), "target")
+		b, err := s.ReadSource(ctx, tableSource(tgt), "target")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +161,8 @@ func TestSessionReadSourceInternsOnce(t *testing.T) {
 func TestSessionReadSourceDuringRun(t *testing.T) {
 	ch := sessionChain(t, "iris", 2)
 	started, release := make(chan struct{}, 2), make(chan struct{})
-	ctx := affidavit.ContextWithObserver(context.Background(), affidavit.ObserverFunc(func(ev affidavit.Event) {
-		if ev.Kind == affidavit.EventSearchStart {
+	ctx := affidavit.ContextWithObserver(context.Background(), observerFunc(func(ev obs.Event) {
+		if ev.Kind == obs.KindSearchStart {
 			started <- struct{}{}
 			<-release
 		}
@@ -208,7 +185,7 @@ func TestSessionReadSourceDuringRun(t *testing.T) {
 	<-started
 	<-started
 	for _, snap := range ch.Snapshots {
-		tab, err := s.ReadSource(ctx, affidavit.TableSource(snap), "snapshot")
+		tab, err := s.ReadSource(ctx, tableSource(snap), "snapshot")
 		if err != nil || tab.Len() != snap.Len() {
 			t.Fatalf("ReadSource during a run: %v", err)
 		}

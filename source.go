@@ -19,11 +19,10 @@ import (
 // records until io.EOF, Close releases resources (and must be safe to call
 // even after an error).
 //
-// Built-in sources cover the common transports — NewCSVSource /
-// CSVFileSource (RFC 4180, header row = schema), NewJSONLSource (one JSON
-// object per line), and NewRowsSource (any record iterator, e.g. a
-// database/sql result set). Anything else just implements the three
-// methods.
+// Built-in sources cover the common transports — NewCSVSource (RFC 4180,
+// header row = schema) and NewJSONLSource (one JSON object per line).
+// Anything else, an in-memory table or a database/sql result set, just
+// implements the three methods.
 type Source interface {
 	// Open prepares iteration and returns the snapshot's schema.
 	Open() (*Schema, error)
@@ -53,9 +52,9 @@ func NewCSVSource(r io.Reader) Source {
 	return &csvSource{open: func() (io.Reader, io.Closer, error) { return r, nil, nil }}
 }
 
-// CSVFileSource returns a streaming Source over the CSV file at path. The
+// csvFileSource returns a streaming Source over the CSV file at path. The
 // file is opened lazily by Open and closed by Close.
-func CSVFileSource(path string) Source {
+func csvFileSource(path string) Source {
 	return &csvSource{open: func() (io.Reader, io.Closer, error) {
 		f, err := os.Open(path)
 		if err != nil {
@@ -287,42 +286,3 @@ func (s *jsonlSource) Next() (Record, error) {
 }
 
 func (s *jsonlSource) Close() error { return nil }
-
-// rowsSource adapts any record iterator — a database/sql result set, a
-// generator, a channel drain — to the Source interface.
-type rowsSource struct {
-	schema *Schema
-	next   func() (Record, error)
-}
-
-// NewRowsSource returns a Source over an explicit schema and a record
-// iterator. next must return io.EOF when exhausted; returned records must
-// match the schema's width (validated during ingest).
-func NewRowsSource(schema *Schema, next func() (Record, error)) Source {
-	return &rowsSource{schema: schema, next: next}
-}
-
-func (s *rowsSource) Open() (*Schema, error) {
-	if s.schema == nil {
-		return nil, fmt.Errorf("affidavit: rows source needs a schema")
-	}
-	return s.schema, nil
-}
-
-func (s *rowsSource) Next() (Record, error) { return s.next() }
-
-func (s *rowsSource) Close() error { return nil }
-
-// TableSource adapts an in-memory Table to the Source interface, so
-// already-materialised snapshots can flow through the same ingest path.
-func TableSource(t *Table) Source {
-	i := 0
-	return NewRowsSource(t.Schema(), func() (Record, error) {
-		if i >= t.Len() {
-			return nil, io.EOF
-		}
-		r := t.Record(i)
-		i++
-		return r, nil
-	})
-}

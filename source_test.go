@@ -69,7 +69,7 @@ func csvBytes(t *testing.T, tab *affidavit.Table) string {
 // TestSourceEquivalenceRegistry: on every registry dataset, streaming the
 // snapshot pair through CSVSource and JSONLSource must produce
 // byte-identical explanations (report and JSON encoding) to the buffered
-// ReadCSV + Explain path.
+// path: each snapshot read into a Table on its own, then Explain.
 func TestSourceEquivalenceRegistry(t *testing.T) {
 	for _, spec := range datasets.All() {
 		spec := spec
@@ -86,23 +86,23 @@ func TestSourceEquivalenceRegistry(t *testing.T) {
 			srcCSV := csvBytes(t, p.Inst.Source)
 			tgtCSV := csvBytes(t, p.Inst.Target)
 
-			// Buffered reference path.
-			src, err := affidavit.ReadCSV(strings.NewReader(srcCSV))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tgt, err := affidavit.ReadCSV(strings.NewReader(tgtCSV))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := explainWith(t, src, tgt, affidavit.WithSeed(7))
-			refReport, refJSON := ref.Report(), mustJSON(t, ref)
-
 			ex, err := affidavit.New(affidavit.WithSeed(7))
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
+
+			// Buffered reference path.
+			src, err := ex.ReadSource(ctx, affidavit.NewCSVSource(strings.NewReader(srcCSV)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tgt, err := ex.ReadSource(ctx, affidavit.NewCSVSource(strings.NewReader(tgtCSV)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := explainWith(t, src, tgt, affidavit.WithSeed(7))
+			refReport, refJSON := ref.Report(), mustJSON(t, ref)
 
 			fromCSV, err := ex.ExplainSources(ctx,
 				affidavit.NewCSVSource(strings.NewReader(srcCSV)),
@@ -142,8 +142,32 @@ func mustJSON(t *testing.T, r *affidavit.Result) string {
 	return string(b)
 }
 
-// TestRowsAndTableSource: the iterator-backed sources feed the same
-// pipeline.
+// rowsSource is a Source over a schema and a record iterator — the shape
+// of a caller's own Source (a database/sql result set, a generator). It
+// feeds the ingest drain through Next, not through the CSV rows' bytes.
+type rowsSource struct {
+	schema *affidavit.Schema
+	next   func() (affidavit.Record, error)
+}
+
+func (s *rowsSource) Open() (*affidavit.Schema, error) { return s.schema, nil }
+func (s *rowsSource) Next() (affidavit.Record, error)  { return s.next() }
+func (s *rowsSource) Close() error                     { return nil }
+
+// tableSource streams an in-memory table's records through a rowsSource.
+func tableSource(tab *affidavit.Table) affidavit.Source {
+	i := 0
+	return &rowsSource{schema: tab.Schema(), next: func() (affidavit.Record, error) {
+		if i >= tab.Len() {
+			return nil, io.EOF
+		}
+		i++
+		return tab.Record(i - 1), nil
+	}}
+}
+
+// TestRowsAndTableSource: a caller's own record-iterator Source feeds the
+// same pipeline as the buffered tables.
 func TestRowsAndTableSource(t *testing.T) {
 	src, tgt := figure1Tables(t)
 	ref := explainWith(t, src, tgt, affidavit.WithSeed(1))
@@ -151,31 +175,12 @@ func TestRowsAndTableSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ex.ExplainSources(context.Background(),
-		affidavit.TableSource(src), affidavit.TableSource(tgt))
+	res, err := ex.ExplainSources(context.Background(), tableSource(src), tableSource(tgt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report() != ref.Report() {
-		t.Error("TableSource report differs from buffered path")
-	}
-
-	// A bare RowsSource with an explicit iterator.
-	i := 0
-	rows := affidavit.NewRowsSource(src.Schema(), func() (affidavit.Record, error) {
-		if i >= src.Len() {
-			return nil, io.EOF
-		}
-		r := src.Record(i)
-		i++
-		return r, nil
-	})
-	res2, err := ex.ExplainSources(context.Background(), rows, affidavit.TableSource(tgt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Report() != ref.Report() {
-		t.Error("RowsSource report differs from buffered path")
+		t.Error("record-iterator source report differs from buffered path")
 	}
 }
 
@@ -194,16 +199,19 @@ func TestSourceErrors(t *testing.T) {
 	}{
 		{"empty csv", affidavit.NewCSVSource(strings.NewReader("")), "no header"},
 		{"ragged csv", affidavit.NewCSVSource(strings.NewReader("a,b\n1,2,3\n")), "fields"},
+		{"duplicate header", affidavit.NewCSVSource(strings.NewReader("a,a\n1,2\n")), "duplicate"},
 		{"empty jsonl", affidavit.NewJSONLSource(strings.NewReader("\n\n")), "no records"},
 		{"nested jsonl", affidavit.NewJSONLSource(strings.NewReader(`{"a":{"x":1}}` + "\n")), "nested"},
 		{"bad jsonl", affidavit.NewJSONLSource(strings.NewReader("not json\n")), "line 1"},
 		{"unknown key", affidavit.NewJSONLSource(strings.NewReader("{\"a\":\"1\"}\n{\"b\":\"2\"}\n")), "not in schema"},
-		{"missing file", affidavit.CSVFileSource("/definitely/not/here.csv"), "no such file"},
 	}
 	for _, c := range cases {
 		if _, err := ex.ReadSource(ctx, c.src); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
 		}
+	}
+	if _, err := ex.ExplainFiles(ctx, "/definitely/not/here.csv", "/definitely/not/there.csv"); err == nil || !strings.Contains(err.Error(), "no such file") {
+		t.Errorf("missing file: err = %v, want mention of %q", err, "no such file")
 	}
 
 	// Schema mismatch across the pair.
@@ -230,7 +238,7 @@ func TestIngestShortRecordNumber(t *testing.T) {
 	}
 	for _, bad := range []int{1, 100, 256, 257, 600} {
 		i := 0
-		src := affidavit.NewRowsSource(schema, func() (affidavit.Record, error) {
+		src := &rowsSource{schema: schema, next: func() (affidavit.Record, error) {
 			if i == 700 {
 				return nil, io.EOF
 			}
@@ -239,7 +247,7 @@ func TestIngestShortRecordNumber(t *testing.T) {
 				return affidavit.Record{"short"}, nil
 			}
 			return affidavit.Record{fmt.Sprint(i), "x"}, nil
-		})
+		}}
 		want := fmt.Sprintf("affidavit: ingesting source record %d: ", bad)
 		if _, err := ex.ReadSource(context.Background(), src); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("short record %d: err = %v, want prefix %q", bad, err, want)

@@ -16,9 +16,6 @@ import (
 // Stats.Duration lives outside the deterministic JSON stats.
 type Trace = trace.RunTrace
 
-// TraceSpan is one stage's wall-time extent within a Trace.
-type TraceSpan = trace.Span
-
 // TraceRecorder is an Observer that folds one run's event stream into a
 // Trace; its clock starts when it is created. Attach one recorder per run
 // with ContextWithObserver and read Trace() when the run returns —

@@ -10,12 +10,13 @@ import (
 	"affidavit"
 	"affidavit/internal/datasets"
 	"affidavit/internal/gen"
+	"affidavit/internal/obs"
 )
 
 // explainTraced runs one seeded explanation, optionally with a trace
 // recorder beside the event collector on its context, and returns the
 // result, the raw event stream and the trace (nil when untraced).
-func explainTraced(t *testing.T, seed int64, tracing bool) (*affidavit.Result, []affidavit.Event, *affidavit.Trace) {
+func explainTraced(t *testing.T, seed int64, tracing bool) (*affidavit.Result, []obs.Event, *affidavit.Trace) {
 	t.Helper()
 	ex, err := affidavit.New(affidavit.WithSeed(seed))
 	if err != nil {
@@ -29,7 +30,7 @@ func explainTraced(t *testing.T, seed int64, tracing bool) (*affidavit.Result, [
 		ctx = affidavit.ContextWithObserver(ctx, trec)
 	}
 	src, tgt := figure1Tables(t)
-	res, err := ex.ExplainSources(ctx, affidavit.TableSource(src), affidavit.TableSource(tgt))
+	res, err := ex.ExplainSources(ctx, tableSource(src), tableSource(tgt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestTracingConcurrentRuns(t *testing.T) {
 			src, tgt := mkPair(int64(11 + i))
 			trec := affidavit.NewTraceRecorder()
 			res, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), trec),
-				affidavit.TableSource(src), affidavit.TableSource(tgt))
+				tableSource(src), tableSource(tgt))
 			if err != nil {
 				t.Error(err)
 				return
@@ -180,8 +181,8 @@ func TestTracingTimesFirstIngest(t *testing.T) {
 	}
 	trec := affidavit.NewTraceRecorder()
 	if _, err := ex.ExplainSources(affidavit.ContextWithObserver(context.Background(), trec),
-		slowSource{affidavit.TableSource(p.Inst.Source), delay},
-		slowSource{affidavit.TableSource(p.Inst.Target), delay}); err != nil {
+		slowSource{tableSource(p.Inst.Source), delay},
+		slowSource{tableSource(p.Inst.Target), delay}); err != nil {
 		t.Fatal(err)
 	}
 	tr := trec.Trace()
