@@ -14,10 +14,17 @@ import (
 func readCSV(r io.Reader) (*Table, error) {
 	cr := NewCSVReader(r)
 	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, fmt.Errorf("csv has no header row")
+	}
 	if err != nil {
 		return nil, err
 	}
-	b, err := NewBuilder(MustSchema(header...), nil)
+	schema, err := NewSchema(header...)
+	if err != nil {
+		return nil, err
+	}
+	b, err := NewBuilder(schema, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +202,23 @@ func TestCSVRoundTrip(t *testing.T) {
 		if !got.Record(i).Equal(tab.Record(i)) {
 			t.Errorf("row %d: got %v want %v", i, got.Record(i), tab.Record(i))
 		}
+	}
+}
+
+// TestReadCSVErrors: the read path rejects an empty input, a ragged row
+// and a duplicate header, and a file operation on a missing directory fails.
+func TestReadCSVErrors(t *testing.T) {
+	if _, err := readCSV(strings.NewReader("")); err == nil {
+		t.Error("empty csv accepted")
+	}
+	if _, err := readCSV(strings.NewReader("a,b\n1\n")); err == nil {
+		t.Error("ragged csv accepted")
+	}
+	if _, err := readCSV(strings.NewReader("a,a\n1,2\n")); err == nil {
+		t.Error("duplicate header accepted")
+	}
+	if err := MustFromRows(MustSchema("a"), nil).WriteCSVFile("/nonexistent/dir/path.csv"); err == nil {
+		t.Error("missing directory accepted")
 	}
 }
 

@@ -193,41 +193,52 @@ func TestSessionPoolReuse(t *testing.T) {
 }
 
 // TestSessionExplainPairMatchesCold: pooled single-pair runs equal cold
-// runs, statistics included — the non-adjacent pair too, on a pool that
-// already holds the snapshot between them — and a schema-mismatched pair
-// fails alone, leaving the session usable.
+// runs, statistics included.
 func TestSessionExplainPairMatchesCold(t *testing.T) {
 	ch := chain31(t, "echo", 2, true)
 	ex := explainer31(t)
 	s := ex.Session(nil)
-	for _, p := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		src, tgt := ch.Snapshots[p[0]], ch.Snapshots[p[1]]
-		pooled, err := s.ExplainPairContext(context.Background(), src, tgt)
+	for i := 1; i < len(ch.Snapshots); i++ {
+		pooled, err := s.ExplainPairContext(context.Background(), ch.Snapshots[i-1], ch.Snapshots[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := ex.Explain(context.Background(), src, tgt)
+		cold, err := ex.Explain(context.Background(), ch.Snapshots[i-1], ch.Snapshots[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("pair %d→%d", p[0], p[1])
-		assertSameExplanation(t, label, pooled, cold)
+		assertSameExplanation(t, fmt.Sprintf("pair %d", i), pooled, cold)
 		st := pooled.Stats
 		st.Duration = cold.Stats.Duration
 		if st != cold.Stats {
-			t.Errorf("%s: stats differ: %+v vs %+v", label, st, cold.Stats)
+			t.Errorf("pair %d: stats differ: %+v vs %+v", i, st, cold.Stats)
 		}
 	}
+}
+
+// TestSessionExplainBatchErrors: in a batch of pairs explained on one
+// session, a schema-mismatched pair fails alone — no result, an error —
+// while the healthy pairs around it still explain and count as runs.
+func TestSessionExplainBatchErrors(t *testing.T) {
+	ch := chain31(t, "iris", 1, false)
 	other, _ := table.NewSchema("completely", "different")
 	odd, err := table.FromRows(other, []table.Record{{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := s.ExplainPairContext(context.Background(), ch.Snapshots[0], odd); err == nil || res != nil {
+	s := explainer31(t).Session(nil)
+	ctx := context.Background()
+	if res, err := s.ExplainPairContext(ctx, ch.Snapshots[0], ch.Snapshots[1]); err != nil || res == nil {
+		t.Fatalf("healthy pair: result %v, err %v", res, err)
+	}
+	if res, err := s.ExplainPairContext(ctx, ch.Snapshots[0], odd); err == nil || res != nil {
 		t.Errorf("mismatched pair: result %v, err %v; want only an error", res, err)
 	}
-	if s.Runs() != 3 {
-		t.Errorf("session counted %d runs, want the 3 that explained", s.Runs())
+	if res, err := s.ExplainPairContext(ctx, ch.Snapshots[0], ch.Snapshots[1]); err != nil || res == nil {
+		t.Errorf("healthy pair after the mismatch: result %v, err %v", res, err)
+	}
+	if s.Runs() != 2 {
+		t.Errorf("session counted %d runs, want the 2 that explained", s.Runs())
 	}
 }
 

@@ -89,6 +89,31 @@ func TestSessionChain(t *testing.T) {
 	}
 }
 
+// TestSessionExplainBatch: a batch of pairs explained one after another
+// on one session's pool — the non-adjacent 0→2 pair last, on a pool that
+// already holds snapshot 1 — equals per-pair cold runs.
+func TestSessionExplainBatch(t *testing.T) {
+	ch := sessionChain(t, "echo", 2)
+	ex := newExplainer(t, affidavit.WithSeed(31))
+	ctx := context.Background()
+	s := ex.Session(nil)
+	for _, p := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
+		src, tgt := ch.Snapshots[p[0]], ch.Snapshots[p[1]]
+		pooled, err := s.ExplainPairContext(ctx, src, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := ex.Explain(ctx, src, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, fmt.Sprintf("pair %d→%d", p[0], p[1]), pooled, cold)
+	}
+	if s.Runs() != 3 {
+		t.Errorf("session counted %d runs, want 3", s.Runs())
+	}
+}
+
 // TestSessionReadSourceInternsOnce: a pair read through Session.ReadSource
 // lands in the session's pool — right after both reads the pool holds
 // exactly the pair's distinct values per attribute — and explaining it
