@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,7 +45,8 @@ func postAsync(t *testing.T, srv *httptest.Server, source, target string, fields
 	return resp, sub
 }
 
-// waitJob polls GET /jobs/{id} until the job is terminal.
+// waitJob polls GET /jobs/{id} until the job is terminal. Any answer
+// but 200 fails the test with its status and body text.
 func waitJob(t *testing.T, srv *httptest.Server, id string) jobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -52,6 +54,11 @@ func waitJob(t *testing.T, srv *httptest.Server, id string) jobView {
 		resp, err := http.Get(srv.URL + "/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("GET /jobs/%s: status %d: %s", id, resp.StatusCode, body)
 		}
 		var view jobView
 		err = json.NewDecoder(resp.Body).Decode(&view)

@@ -180,6 +180,45 @@ func TestUploadRejectedLeavesNothing(t *testing.T) {
 	}
 }
 
+// TestUploadMalformedMultipartLeavesNothing: bodies the multipart reader
+// refuses answer 400 and leave no blob and no spool — a header block over
+// its 64 KiB window, a byte-cap overrun on a body with bare-LF delimiter
+// lines, and a Content-Type that is not multipart or has no boundary.
+func TestUploadMalformedMultipartLeavesNothing(t *testing.T) {
+	good := "id,v\n1,a\n2,b\n"
+	lf := func(source string) string {
+		return "--lf\nContent-Disposition: form-data; name=\"source\"\n\n" + source +
+			"\n--lf\nContent-Disposition: form-data; name=\"target\"\n\n" + good + "\n--lf--\n"
+	}
+	bigHeader := "--lf\nContent-Disposition: form-data; name=\"source\"\nX-Pad: " + strings.Repeat("x", 64<<10) + "\n\n" + good + "\n--lf--\n"
+	for _, tc := range []struct {
+		name, ctype, body, wantMsg string
+	}{
+		{"header block over the window", "multipart/form-data; boundary=lf", bigHeader, "header block"},
+		{"max-snapshot, LF-only body", "multipart/form-data; boundary=lf", lf("id,v\n1," + strings.Repeat("x", 4<<10) + "\n"), "byte limit"},
+		{"not multipart", "text/csv", good, "multipart"},
+		{"missing boundary", "multipart/form-data", lf(good), "boundary"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eachStore(t, func(t *testing.T, durable bool) {
+				srv, dir := uploadServer(t, durable, serverConfig{maxSnapshotBytes: 2 << 10})
+				resp, err := http.Post(srv.URL+"/explain", tc.ctype, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.wantMsg) {
+					t.Errorf("status %d body %.160q, want 400 mentioning %q", resp.StatusCode, body, tc.wantMsg)
+				}
+				if names := dirNames(t, dir); len(names) != 0 {
+					t.Errorf("rejected upload left %v behind", names)
+				}
+			})
+		})
+	}
+}
+
 // TestUploadLateFieldsAddress: table and format sent as form fields after
 // the file parts address the same job as ?table=&format= — the address is
 // computed once the whole body is spooled, not when the files arrive.

@@ -2,8 +2,10 @@
 // daemon, shared by POST /explain and the catalog's snapshot push. An
 // upload is taken in two steps: Spool streams every file part through the
 // byte cap into a blob-store spool — hashed, on disk, never held whole in
-// memory — and collects the small form values; the handler then knows the
-// content hashes and decides whether the snapshots need interning at all.
+// memory, each byte scanned once for the part delimiter by the
+// package's own multipart reader — and collects the small form values;
+// the handler then knows the content hashes and decides whether the
+// snapshots need interning at all.
 // Ingest interns one from its spool; IngestBlob re-interns a stored blob
 // for a job replayed without its submitter. Both intern through a Reader:
 // the session's ReadSource when the snapshot will be explained on that
@@ -15,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/url"
 
@@ -56,7 +57,7 @@ type Body struct {
 // in any order; a file part sent twice keeps the last. On error nothing
 // stays spooled.
 func Spool(r *http.Request, blobs *jobs.BlobStore, lim Limits, files ...string) (*Body, error) {
-	mr, err := r.MultipartReader()
+	mr, err := newMultipartReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("parsing upload: %w", err)
 	}
@@ -73,14 +74,14 @@ func Spool(r *http.Request, blobs *jobs.BlobStore, lim Limits, files ...string) 
 		}
 	}()
 	for {
-		part, err := mr.NextPart()
+		name, part, err := mr.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("parsing upload: %w", err)
 		}
-		if err := b.readPart(part, blobs, files); err != nil {
+		if err := b.readPart(name, part, blobs, files); err != nil {
 			return nil, err
 		}
 	}
@@ -94,9 +95,7 @@ func Spool(r *http.Request, blobs *jobs.BlobStore, lim Limits, files ...string) 
 }
 
 // readPart spools a file part or collects a form value.
-func (b *Body) readPart(part *multipart.Part, blobs *jobs.BlobStore, files []string) error {
-	defer part.Close()
-	name := part.FormName()
+func (b *Body) readPart(name string, part io.Reader, blobs *jobs.BlobStore, files []string) error {
 	for _, f := range files {
 		if f != name {
 			continue
@@ -106,7 +105,7 @@ func (b *Body) readPart(part *multipart.Part, blobs *jobs.BlobStore, files []str
 		}
 		bw := blobs.NewWriter()
 		b.Files[name] = bw
-		if _, err := io.Copy(bw, capBytes(part, b.lim.SnapshotBytes)); err != nil {
+		if _, err := io.Copy(capBytes(bw, b.lim.SnapshotBytes), part); err != nil {
 			return fmt.Errorf("reading %q file: %w", name, err)
 		}
 		return nil
@@ -177,28 +176,27 @@ func IngestBlob(ctx context.Context, read Reader, blobs *jobs.BlobStore, hash, r
 	return tab, nil
 }
 
-// capBytes errors once more than max bytes flow through it — unlike
-// io.LimitReader, which would silently truncate the snapshot at the cap.
-// max ≤ 0 passes the reader through unbounded.
-func capBytes(r io.Reader, max int64) io.Reader {
+// capBytes errors once more than max bytes are written through it —
+// unlike truncating at the cap, which would silently cut the snapshot.
+// max ≤ 0 passes the writer through unbounded.
+func capBytes(w io.Writer, max int64) io.Writer {
 	if max <= 0 {
-		return r
+		return w
 	}
-	return &byteCap{r: r, left: max}
+	return &byteCap{w: w, left: max}
 }
 
 type byteCap struct {
-	r    io.Reader
+	w    io.Writer
 	left int64
 }
 
-func (c *byteCap) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.left -= int64(n)
+func (c *byteCap) Write(p []byte) (int, error) {
+	c.left -= int64(len(p))
 	if c.left < 0 {
-		return n, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it (they stay resident at 4 bytes per cell)")
+		return 0, fmt.Errorf("snapshot exceeds the byte limit (-max-snapshot); genuinely large snapshots can be served by raising it (they stay resident at 4 bytes per cell)")
 	}
-	return n, err
+	return c.w.Write(p)
 }
 
 // capRecords bounds a CSV snapshot's record count (max ≤ 0 = unlimited) —

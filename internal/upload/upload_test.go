@@ -45,9 +45,31 @@ func request(t *testing.T, parts ...part) *http.Request {
 	return r
 }
 
+// rawRequest builds a POST of a hand-written body under ctype.
+func rawRequest(t *testing.T, ctype, body string) *http.Request {
+	t.Helper()
+	r, err := http.NewRequest(http.MethodPost, "/explain?table=q", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Header.Set("Content-Type", ctype)
+	return r
+}
+
+// lfBody writes parts as a multipart body whose delimiter lines end in a
+// bare LF, as hand-rolled clients send them.
+func lfBody(boundary string, parts ...part) string {
+	var s strings.Builder
+	for _, p := range parts {
+		fmt.Fprintf(&s, "--%s\nContent-Disposition: form-data; name=%q\n\n%s\n", boundary, p.name, p.body)
+	}
+	fmt.Fprintf(&s, "--%s--\n", boundary)
+	return s.String()
+}
+
 // blobStore opens a durable job store in a fresh directory and returns its
 // blob store and the directory blobs and spools land in.
-func blobStore(t *testing.T) (*jobs.BlobStore, string) {
+func blobStore(t testing.TB) (*jobs.BlobStore, string) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := jobs.Open(jobs.Options{Dir: dir})
@@ -88,16 +110,24 @@ const (
 
 // TestSpool is Spool's contract over one table of bodies: parts in any
 // order, a repeated file part keeps the last, and each cap accepts exactly
-// its limit and rejects one more. A successful Spool holds one spool per
-// file part and nothing else; a failed one leaves the blob directory empty
-// — no committed blob and no spool.
+// its limit and rejects one more. So do the limits the multipart reader
+// sets itself: a header block must fit in its 64 KiB window, and the
+// Content-Type must be multipart with a boundary. A successful Spool holds
+// one spool per file part and nothing else; a failed one — which the
+// daemon answers 400 — leaves the blob directory empty: no committed blob
+// and no spool.
 func TestSpool(t *testing.T) {
 	const capN = 16
 	lim := upload.Limits{FieldBytes: capN, SnapshotBytes: 64}
 	src, tgt := part{"source", srcCSV}, part{"target", tgtCSV}
+	const lfType = "multipart/form-data; boundary=lf"
+	bigHeader := "--lf\nContent-Disposition: form-data; name=\"source\"\nX-Pad: " + strings.Repeat("x", 64<<10) +
+		"\n\n" + srcCSV + "\n" + lfBody("lf", tgt)
 	cases := []struct {
 		name    string
 		parts   []part
+		ctype   string // with raw: a hand-written body in place of parts
+		raw     string
 		lim     upload.Limits
 		wantErr string            // substring of the error; "" = success
 		files   map[string]string // success: each file part's spooled bytes
@@ -125,11 +155,26 @@ func TestSpool(t *testing.T) {
 			wantErr: "byte limit"},
 		{name: "missing file part", parts: []part{src, {"seed", "7"}}, lim: lim,
 			wantErr: `missing "target" file`},
+		{name: "LF-only body", ctype: lfType, raw: lfBody("lf", part{"seed", "7"}, src, tgt), lim: lim,
+			files: map[string]string{"source": srcCSV, "target": tgtCSV}, form: map[string]string{"seed": "7"}},
+		{name: "snapshot over the cap, LF-only body", ctype: lfType, raw: lfBody("lf", src, tgt),
+			lim:     upload.Limits{FieldBytes: capN, SnapshotBytes: int64(len(srcCSV)) - 1},
+			wantErr: "byte limit"},
+		{name: "header block over the window", ctype: lfType, raw: bigHeader, lim: lim,
+			wantErr: "header block exceeds 64 KiB"},
+		{name: "not multipart", ctype: "text/csv", raw: srcCSV, lim: lim,
+			wantErr: "isn't multipart"},
+		{name: "missing boundary", ctype: "multipart/form-data", raw: lfBody("lf", src, tgt), lim: lim,
+			wantErr: "no multipart boundary"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			blobs, dir := blobStore(t)
-			b, err := upload.Spool(request(t, c.parts...), blobs, c.lim, "source", "target")
+			r := request(t, c.parts...)
+			if c.raw != "" {
+				r = rawRequest(t, c.ctype, c.raw)
+			}
+			b, err := upload.Spool(r, blobs, c.lim, "source", "target")
 			if c.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 					t.Fatalf("err = %v, want one containing %q", err, c.wantErr)
@@ -216,5 +261,46 @@ func TestIngestRecordCap(t *testing.T) {
 				t.Errorf("ingested %d records, want %d", tab.Len(), c.records)
 			}
 		})
+	}
+}
+
+// BenchmarkSpool times Spool over one file part — the whole cost of a
+// duplicate upload before its content address is known — for 200 KB and
+// 800 KB CSV bodies with LF and with CRLF line ends.
+func BenchmarkSpool(b *testing.B) {
+	for _, size := range []int{200_000, 800_000} {
+		for _, nl := range []struct{ name, s string }{{"LF", "\n"}, {"CRLF", "\r\n"}} {
+			var csv bytes.Buffer
+			csv.WriteString("id,name,amount" + nl.s)
+			for i := 0; csv.Len() < size; i++ {
+				fmt.Fprintf(&csv, "%d,customer-%d,%d.%02d%s", i, i%977, i*37%100000, i%100, nl.s)
+			}
+			var body bytes.Buffer
+			mw := multipart.NewWriter(&body)
+			w, err := mw.CreateFormFile("snapshot", "snapshot.csv")
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.Write(csv.Bytes())
+			mw.Close()
+			b.Run(fmt.Sprintf("%dKB/%s", size/1000, nl.name), func(b *testing.B) {
+				blobs, _ := blobStore(b)
+				b.SetBytes(int64(body.Len()))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r, err := http.NewRequest(http.MethodPost, "/tables/t/snapshots", bytes.NewReader(body.Bytes()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					r.Header.Set("Content-Type", mw.FormDataContentType())
+					up, err := upload.Spool(r, blobs, upload.Limits{FieldBytes: 1 << 10}, "snapshot")
+					if err != nil {
+						b.Fatal(err)
+					}
+					up.Discard()
+				}
+			})
+		}
 	}
 }
