@@ -17,8 +17,8 @@
 //	BenchmarkTraceOverhead         — per-run tracing cost, on vs off
 //
 // Large datasets run at reduced row counts so the suite stays benchable;
-// cmd/table2, cmd/rowscale and cmd/attrscale regenerate the full-size
-// artifacts.
+// the table2, rowscale and attrscale subcommands of cmd/affidavit
+// regenerate the full-size artifacts.
 package affidavit_test
 
 import (
@@ -177,7 +177,7 @@ func BenchmarkFigure5Rows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const baseRows = 20000 // paper: 500000; cmd/rowscale runs full size
+	const baseRows = 20000 // paper: 500000; affidavit rowscale runs full size
 	tab, err := ds.BuildRows(baseRows, 38)
 	if err != nil {
 		b.Fatal(err)

@@ -139,6 +139,41 @@ func TestDocCitationsExist(t *testing.T) {
 	}
 }
 
+// TestCmdPathsExist fails when README.md, docs/*.md, the verify skill or
+// the CI workflow cites a ./cmd/<name> package that does not exist, as
+// the go run and go build lines of a folded or renamed binary would.
+func TestCmdPathsExist(t *testing.T) {
+	const root = "../.."
+	files, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files,
+		filepath.Join(root, "README.md"),
+		filepath.Join(root, ".claude/skills/verify/SKILL.md"),
+		filepath.Join(root, ".github/workflows/ci.yml"))
+	cited := 0
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmdPath.FindAllStringSubmatch(string(raw), -1) {
+			cited++
+			if info, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !info.IsDir() {
+				rel, _ := filepath.Rel(root, file)
+				t.Errorf("%s cites %s, which does not exist", rel, m[0])
+			}
+		}
+	}
+	if cited < 20 {
+		t.Fatalf("found only %d ./cmd/ paths — the extraction is broken", cited)
+	}
+}
+
+// cmdPath matches a ./cmd/<name> package path and captures the name.
+var cmdPath = regexp.MustCompile(`\./cmd/([\w-]+)`)
+
 // mdCitation matches a cited Markdown file name, with its path if any.
 var mdCitation = regexp.MustCompile(`[\w./-]*\w\.md\b`)
 

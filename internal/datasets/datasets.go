@@ -214,12 +214,3 @@ func Names() []string {
 	}
 	return names
 }
-
-// Table2Rows returns name → record count, for harness sizing.
-func Table2Rows() map[string]int {
-	m := make(map[string]int)
-	for _, s := range All() {
-		m[s.Name] = s.Rows
-	}
-	return m
-}

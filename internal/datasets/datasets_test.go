@@ -51,9 +51,6 @@ func TestGetAndNames(t *testing.T) {
 	if len(names) != 18 || names[0] != "iris" {
 		t.Errorf("Names = %v", names)
 	}
-	if datasets.Table2Rows()["chess"] != 28056 {
-		t.Error("Table2Rows wrong")
-	}
 }
 
 // TestBuildShapesAndRatios builds each dataset (large ones at reduced row
