@@ -143,7 +143,7 @@ func explain(fs *flag.FlagSet, stdout, stderr io.Writer) func(context.Context) e
 			return usageError{error: err}
 		}
 
-		ctx = cfg.Observe(ctx, nil)
+		ctx = cfg.Observe(ctx, stderr, nil)
 		rec := affidavit.NewTraceRecorder()
 		if traceFile != nil {
 			ctx = affidavit.ContextWithObserver(ctx, rec)

@@ -84,6 +84,49 @@ func TestTable2(t *testing.T) {
 	}
 }
 
+// TestTable2ScalesOnlyItsDatasets: table2 narrates a rescaling only for
+// the datasets it runs — none for iris at the defaults, iris alone once
+// -scale-from puts it above the threshold.
+func TestTable2ScalesOnlyItsDatasets(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"table2", "-datasets", "iris", "-instances", "1"}, nil},
+		{[]string{"table2", "-datasets", "iris", "-instances", "1", "-scale-from", "100", "-scale", "0.5"}, []string{"scaling iris: 150 → 75 rows"}},
+	} {
+		code, _, stderr := runCmd(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%q exited %d: %s", tc.args, code, stderr)
+		}
+		var got []string
+		for _, line := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(line, "scaling ") {
+				got = append(got, line)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("%q narrated %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestProgressGoesToStderr: -progress narrates into the stderr writer run
+// is handed, so an in-process caller captures it.
+func TestProgressGoesToStderr(t *testing.T) {
+	dir := genIris(t)
+	src, tgt := filepath.Join(dir, "source.csv"), filepath.Join(dir, "target.csv")
+	code, _, stderr := runCmd(t, "-source", src, "-target", tgt, "-progress")
+	if code != 0 {
+		t.Fatalf("explain exited %d: %s", code, stderr)
+	}
+	for _, prefix := range []string{"ingest source: ", "ingest target: ", "done: "} {
+		if !strings.Contains("\n"+stderr, "\n"+prefix) {
+			t.Errorf("stderr has no %q line:\n%s", prefix, stderr)
+		}
+	}
+}
+
 func TestRowscale(t *testing.T) {
 	code, stdout, stderr := runCmd(t, "rowscale", "-base-rows", "3000", "-factors", "0.5,1.0")
 	if code != 0 {

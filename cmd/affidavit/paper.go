@@ -107,10 +107,11 @@ func table2(fs *flag.FlagSet, stdout, stderr io.Writer) func(context.Context) er
 			spec.Datasets = strings.Split(*names, ",")
 		}
 		if *scale < 1 {
-			for _, ds := range datasets.All() {
-				if ds.Rows > *scaleFrom {
-					spec.Rows[ds.Name] = int(float64(ds.Rows) * *scale)
-					fmt.Fprintf(stderr, "scaling %s: %d → %d rows\n", ds.Name, ds.Rows, spec.Rows[ds.Name])
+			// Only the datasets Table2 runs; an unknown name fails there.
+			for _, name := range spec.Names() {
+				if ds, err := datasets.Get(name); err == nil && ds.Rows > *scaleFrom {
+					spec.Rows[name] = int(float64(ds.Rows) * *scale)
+					fmt.Fprintf(stderr, "scaling %s: %d → %d rows\n", name, ds.Rows, spec.Rows[name])
 				}
 			}
 		}
@@ -219,7 +220,7 @@ func (s sweep) run(ctx context.Context, stdout, stderr io.Writer, measure func(c
 	if traceFile != nil {
 		defer traceFile.Close()
 	}
-	ctx = s.cfg.Observe(ctx, traceSink(traceFile, stderr))
+	ctx = s.cfg.Observe(ctx, stderr, traceSink(traceFile, stderr))
 	figure, points, err := measure(ctx, opts)
 	if err != nil {
 		return interrupted(ctx, err, points, "point")

@@ -374,6 +374,84 @@ func TestCatalogRestartReseedsFromParentBlob(t *testing.T) {
 	}
 }
 
+// TestCatalogLostParentBlobReseeds: after a restart a step re-seeds from
+// its parent's blob; when that blob is gone, the step fails on its one
+// attempt (422, attempts 1) and the chain re-seeds at the pushed
+// snapshot, so the next push explains against it.
+func TestCatalogLostParentBlobReseeds(t *testing.T) {
+	dir := t.TempDir()
+	ch := testChain(t, 3)
+	csvs := make([]string, len(ch.Snapshots))
+	for i, snap := range ch.Snapshots {
+		csvs[i] = csvOf(t, snap)
+	}
+	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	srv := httptest.NewServer(s.handler())
+	if code, _ := registerTable(t, srv, "lost"); code != http.StatusCreated {
+		t.Fatal("register failed")
+	}
+	if code, body, _ := pushSnapshot(t, srv, "lost", csvs[0], nil); code != http.StatusCreated {
+		t.Fatalf("seed push: status %d: %s", code, body)
+	}
+	code, body, hdr := pushSnapshot(t, srv, "lost", csvs[1], nil)
+	if code != http.StatusOK {
+		t.Fatalf("step push: status %d: %s", code, body)
+	}
+	stepID := hdr.Get("X-Affidavit-Snapshot-Id")
+	snap, ok := s.catalog.Snapshot("lost", stepID)
+	if !ok {
+		t.Fatalf("no snapshot %s", stepID)
+	}
+	srv.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "blobs", snap.Blob)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
+	t.Cleanup(func() { s2.Close() })
+	srv2 := httptest.NewServer(s2.handler())
+	t.Cleanup(srv2.Close)
+	code, body, hdr = pushSnapshot(t, srv2, "lost", csvs[2], nil)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "not reconstructable") {
+		t.Fatalf("push over a lost parent blob: status %d, want 422: %s", code, body)
+	}
+	if view := waitJob(t, srv2, hdr.Get("X-Affidavit-Job-Id")); view.State != "error" || view.Attempts != 1 {
+		t.Fatalf("failed step's job: %+v, want error after 1 attempt", view)
+	}
+	code, got, _ := pushSnapshot(t, srv2, "lost", csvs[3], nil)
+	if code != http.StatusOK {
+		t.Fatalf("push after the re-seed: status %d: %s", code, got)
+	}
+
+	ex, err := affidavit.New(testOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	read := func(csv string) *affidavit.Table {
+		t.Helper()
+		tab, err := ex.ReadSource(ctx, affidavit.NewCSVSource(strings.NewReader(csv)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	res, err := ex.Session(read(csvs[2])).ExplainNextContext(ctx, read(csvs[3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := res.JSON("lost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(want, '\n')) {
+		t.Error("the step after the re-seed differs from a session started at the failed step's snapshot")
+	}
+}
+
 // TestCatalogRestartInMemory: the catalog is durable exactly when the job
 // store is. With jobsDir a restarted chain continues
 // (TestCatalogRestartReseedsFromParentBlob); without it both stores live

@@ -33,14 +33,13 @@ type jobPayload struct {
 // replay), explain them on the right session — a catalog step on its
 // table's chain session (explainStep; worker affinity keeps one table on
 // one worker, so a chain never sees concurrent steps), an /explain pair on
-// its upload's own session — and render the durable result. Blob-store
-// I/O failures are transient (retried with backoff); explain errors such
-// as schema mismatches are permanent.
+// its upload's own session — and render the durable result. Any error
+// ends the job on this one run, and the job keeps it as its message.
 func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*jobs.Outcome, error) {
 	p, _ := payload.(*jobPayload)
 	if p == nil {
-		// Replayed or retried without a live request: the run still gets
-		// a trace of its own.
+		// Replayed from the journal without a live request: the run
+		// still gets a trace of its own.
 		p = &jobPayload{}
 		if s.cfg.traceBuffer != 0 {
 			p.trace = affidavit.NewTraceRecorder()
@@ -65,11 +64,10 @@ func (s *server) runJob(ctx context.Context, rec jobs.Record, payload any) (*job
 	if err == nil {
 		out, err = outcome(rec, res)
 	}
-	if p.trace != nil && !jobs.IsTransient(err) {
-		// Every run that ends retains its trace — failed, cancelled and
-		// deadline-cut ones too: a truncated cost curve is exactly what a
-		// post-mortem wants. A transient failure reruns under the same
-		// recorder.
+	if p.trace != nil {
+		// Every run retains its trace — failed, cancelled and deadline-cut
+		// ones too: a truncated cost curve is exactly what a post-mortem
+		// wants.
 		tr := p.trace.Trace()
 		if out != nil {
 			out.TraceID = tr.ID
@@ -378,7 +376,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"affidavit_jobs_completed_total", "counter", "Jobs that completed with a stored result.", m.Completed},
 		{"affidavit_jobs_failed_total", "counter", "Jobs that ended in a terminal error.", m.Failed},
 		{"affidavit_jobs_cancelled_total", "counter", "Jobs cancelled via DELETE /jobs/{id}.", m.Cancelled},
-		{"affidavit_jobs_retried_total", "counter", "Transient failures scheduled for another attempt.", m.Retried},
 		{"affidavit_jobs_requeued_total", "counter", "Runs returned to the queue by crash recovery or shutdown.", m.Requeued},
 		{"affidavit_catalog_tables", "gauge", "Registered catalog tables.", int64(c.Tables)},
 		{"affidavit_catalog_snapshots", "gauge", "Snapshots stored across all catalog tables.", int64(c.Snapshots)},

@@ -16,7 +16,9 @@
 // single computation (responses are byte-identical, so the cached result
 // is exact), a dropped connection no longer throws work away, and with
 // -jobs-dir the queue survives restarts — jobs interrupted mid-run are
-// journaled back to pending and finished by the next process.
+// journaled back to pending and finished by the next process. Each
+// submission runs once: a run that fails ends its job with the error,
+// and resubmitting the pair reruns it.
 //
 // Endpoints:
 //
@@ -91,9 +93,6 @@
 //	               across workers by table hash, so one table's jobs run
 //	               serially in submission order and catalog chains stay
 //	               warm (default 2)
-//	-job-retry     attempts per job, first run included; only transient
-//	               failures (blob-store I/O) retry, with doubling backoff
-//	               (default 3)
 //	-timeout       per-job explanation budget; on expiry the job fails
 //	               terminally and a sync waiter answers 503 with the
 //	               partial search statistics
@@ -144,7 +143,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 0, "per-job explanation budget (0 = unlimited; expiry answers 503 with partial stats)")
 		jobsDir     = flag.String("jobs-dir", "", "durable state root: job journal, upload blobs, result store, catalog journal (empty = in-memory job queue and catalog)")
 		jobWorkers  = flag.Int("job-workers", 0, "queue-draining workers; jobs shard by table hash (0 = default 2)")
-		jobRetry    = flag.Int("job-retry", 0, "attempts per job incl. the first; transient failures retry with doubling backoff (0 = default 3)")
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	)
@@ -167,7 +165,7 @@ func main() {
 	// request-side and on the job pool — narrates.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ctx = cfg.Observe(ctx, nil)
+	ctx = cfg.Observe(ctx, os.Stderr, nil)
 
 	srv, err := newServer(ctx, serverConfig{
 		options:          options,
@@ -180,7 +178,6 @@ func main() {
 		pprof:            *pprofFlag,
 		jobsDir:          *jobsDir,
 		jobWorkers:       *jobWorkers,
-		jobRetry:         *jobRetry,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "affidavitd:", err)

@@ -92,7 +92,9 @@ func metricsMix(t *testing.T) string {
 // affidavit_search_states_costed_total samples of the first page were
 // re-measured when a warm step whose carried tuple reproduces the previous
 // compression stopped polling the no-mapping state (62 and 252 before):
-// the mix's third push polls one state fewer and costs six fewer. No other
+// the mix's third push polls one state fewer and costs six fewer. The
+// HELP, TYPE and sample lines of affidavit_jobs_retried_total were
+// deleted from both pages when a failed run came to end its job. No other
 // line of the parent's page was edited.
 func TestMetricsGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/metrics_parent.txt")

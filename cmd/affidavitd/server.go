@@ -67,12 +67,6 @@ type serverConfig struct {
 	// Jobs shard across workers by table hash, so one table's jobs run
 	// serially in submission order and catalog chains stay warm.
 	jobWorkers int
-	// jobRetry bounds runner executions per job, first attempt included
-	// (-job-retry; 0 = 3). Only transient failures retry.
-	jobRetry int
-	// jobBackoff is the base retry delay, doubled per attempt (0 = the
-	// pool default). Tests shrink it.
-	jobBackoff time.Duration
 }
 
 // defaultTraceBuffer is the trace ring size when -trace-buffer is unset.
@@ -190,10 +184,8 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	s.pool = jobs.NewPool(store, s.runJob, jobs.PoolOptions{
-		Workers:     cfg.jobWorkers,
-		MaxAttempts: cfg.jobRetry,
-		Backoff:     cfg.jobBackoff,
-		Timeout:     cfg.timeout,
+		Workers: cfg.jobWorkers,
+		Timeout: cfg.timeout,
 	})
 	s.pool.Start(context.WithoutCancel(base))
 	return s, nil

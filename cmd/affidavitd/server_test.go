@@ -402,6 +402,76 @@ func TestExplainDeadline503(t *testing.T) {
 	}
 }
 
+// TestMaxInflightQueuedRequestExpires: with -max-inflight 1 and the one
+// slot held by an upload still streaming in, an /explain whose request
+// context ends while it queues answers 503 and takes no slot. Once the
+// holder finishes and frees the slot, the next /explain runs.
+func TestMaxInflightQueuedRequestExpires(t *testing.T) {
+	s := mustServer(t, serverConfig{options: testOptions(), maxInflight: 1})
+	t.Cleanup(func() { s.Close() })
+	srv := httptest.NewServer(s.handler())
+	t.Cleanup(srv.Close)
+	ch := testChain(t, 2)
+	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
+
+	// The holder's body arrives in two writes; between them its handler
+	// holds the slot while it spools.
+	ctype, body := multipartBody(t, src, tgt, map[string]string{"table": "holder"})
+	whole, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close() // a failed check must not leave the holder streaming
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/explain", ctype, pr)
+		if err != nil {
+			held <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	if _, err := pw.Write(whole[:64]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(s.maxInflight) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first upload never took the slot")
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ctype2, body2 := multipartBody(t, src, tgt, map[string]string{"table": "queued"})
+	req := httptest.NewRequest(http.MethodPost, "/explain", body2).WithContext(ctx)
+	req.Header.Set("Content-Type", ctype2)
+	rec := httptest.NewRecorder()
+	s.handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable || strings.TrimSpace(rec.Body.String()) != "request expired while queued for a slot" {
+		t.Errorf("queued request: status %d body %q, want 503 naming the slot queue", rec.Code, rec.Body.String())
+	}
+	if n := len(s.maxInflight); n != 1 {
+		t.Errorf("%d slots taken after the queued request expired, want the holder's 1", n)
+	}
+
+	if _, err := pw.Write(whole[64:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("the slot holder answered %d, want 200", code)
+	}
+	if code, body := post(t, srv, tgt, src, map[string]string{"table": "next"}); code != http.StatusOK {
+		t.Fatalf("/explain after the slot freed: status %d: %s", code, body)
+	}
+	if n := len(s.maxInflight); n != 0 {
+		t.Errorf("%d slots taken after every request ended, want 0", n)
+	}
+}
+
 // TestMetricsEndpoint: /metrics serves the observer-fed Prometheus
 // counters and reflects the traffic the server handled.
 func TestMetricsEndpoint(t *testing.T) {

@@ -383,8 +383,9 @@ func (s *server) rollForward() error {
 //
 // Chain-state rules: a successful step advances the session to the new
 // snapshot (the next step starts warm). A failed, refused or interrupted
-// step re-seeds a fresh session at the new snapshot — the chain continues
-// from there, each later pair still explained, with one cold step paid.
+// step — one whose parent cannot be re-ingested from its blob included —
+// re-seeds a fresh session at the new snapshot: the chain continues from
+// there, each later pair still explained, with one cold step paid.
 // A schema change mid-chain is a refusal: the step fails with a clear
 // error and the chain continues from the new schema.
 func (s *server) explainStep(ctx context.Context, rec jobs.Record, next *affidavit.Table) (*affidavit.Result, error) {
@@ -408,10 +409,11 @@ func (s *server) explainStep(ctx context.Context, rec jobs.Record, next *affidav
 			"schema changed from %v to %v: explanation refused; the chain continues from snapshot %s with the new schema",
 			parent.Schema, snap.Schema, snap.SnapshotID)
 	}
-	sess := s.chainSession(ctx, rec, parent)
-	if sess == nil {
-		// Only reachable when the parent blob could not be re-ingested.
-		return nil, jobs.Transient(fmt.Errorf("catalog: parent snapshot %s not reconstructable yet", rec.ParentID))
+	sess, err := s.chainSession(ctx, rec, parent)
+	if err != nil {
+		s.resetChain(rec.Table, snap.SnapshotID, next, false)
+		return nil, fmt.Errorf("catalog: parent snapshot %s not reconstructable: %w; the chain continues from snapshot %s",
+			rec.ParentID, err, snap.SnapshotID)
 	}
 	res, err := sess.ExplainNextContext(ctx, next)
 	if err != nil || res.Stats.Cancelled {
@@ -429,18 +431,18 @@ func (s *server) explainStep(ctx context.Context, rec jobs.Record, next *affidav
 // chainSession returns the session to explain rec's pair on: the live
 // chain session when its head is the step's parent, else — after a
 // restart or when steps ran out of order — a session seeded from the
-// parent's blob. Returns nil only when the blob is unavailable.
-func (s *server) chainSession(ctx context.Context, rec jobs.Record, parent catalog.Record) *affidavit.Session {
+// parent's blob. It fails only when that blob cannot be re-ingested.
+func (s *server) chainSession(ctx context.Context, rec jobs.Record, parent catalog.Record) (*affidavit.Session, error) {
 	if cs := s.chain(rec.Table); cs.sess != nil && cs.headID == rec.ParentID {
-		return cs.sess
+		return cs.sess, nil
 	}
 	parentTab, err := s.ingestBlob(ctx, parent.Blob)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	sess := s.ex.Session(parentTab)
 	s.setChain(rec.Table, sess, rec.ParentID)
-	return sess
+	return sess, nil
 }
 
 // ingestBlob re-interns a journaled snapshot upload into private

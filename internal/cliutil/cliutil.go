@@ -10,7 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"affidavit"
@@ -50,14 +50,14 @@ func Register(fs *flag.FlagSet, d Defaults) *Flags {
 	}
 }
 
-// Observe returns ctx carrying the -progress narrator on stderr, when set,
-// and a collector that folds each run under the context into a trace
-// handed to onTrace, when onTrace is non-nil — the observers every run of
-// the cmd reports to. The collector expects runs one after another (a
-// sweep, a chain of steps).
-func (f *Flags) Observe(ctx context.Context, onTrace func(*affidavit.Trace)) context.Context {
+// Observe returns ctx carrying the -progress narrator writing to stderr,
+// when set, and a collector that folds each run under the context into a
+// trace handed to onTrace, when onTrace is non-nil — the observers every
+// run of the cmd reports to. The collector expects runs one after another
+// (a sweep, a chain of steps).
+func (f *Flags) Observe(ctx context.Context, stderr io.Writer, onTrace func(*affidavit.Trace)) context.Context {
 	if *f.Progress {
-		ctx = affidavit.ContextWithObserver(ctx, affidavit.NewProgressObserver(os.Stderr))
+		ctx = affidavit.ContextWithObserver(ctx, affidavit.NewProgressObserver(stderr))
 	}
 	if onTrace != nil {
 		ctx = affidavit.ContextWithObserver(ctx, affidavit.NewTraceCollector(onTrace))

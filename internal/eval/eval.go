@@ -199,17 +199,25 @@ type Table2Spec struct {
 	Progress func(Cell)
 }
 
+// Names lists the datasets Table2 runs, in order: Datasets, or every
+// Table 2 dataset when it is nil.
+func (spec Table2Spec) Names() []string {
+	if spec.Datasets != nil {
+		return spec.Datasets
+	}
+	var names []string
+	for _, n := range datasets.Names() {
+		if n != "flight-500k" { // Figure 5's dataset, not a Table 2 row
+			names = append(names, n)
+		}
+	}
+	return names
+}
+
 // Table2 measures every requested cell in Table 2 order. Cancelling ctx
 // stops before the next cell (and interrupts the running one).
 func Table2(ctx context.Context, spec Table2Spec) ([]Cell, error) {
-	names := spec.Datasets
-	if names == nil {
-		for _, n := range datasets.Names() {
-			if n != "flight-500k" { // Figure 5's dataset, not a Table 2 row
-				names = append(names, n)
-			}
-		}
-	}
+	names := spec.Names()
 	settings := spec.Settings
 	if settings == nil {
 		settings = gen.Settings()

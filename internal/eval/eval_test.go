@@ -106,6 +106,23 @@ func TestTable2SmallGrid(t *testing.T) {
 	}
 }
 
+// TestTable2Names: without Datasets, Table2 runs every registry dataset
+// in order except flight-500k (Figure 5's); with them, exactly those.
+func TestTable2Names(t *testing.T) {
+	var want []string
+	for _, n := range datasets.Names() {
+		if n != "flight-500k" {
+			want = append(want, n)
+		}
+	}
+	if got := (eval.Table2Spec{}).Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("default names %v, want %v", got, want)
+	}
+	if got := (eval.Table2Spec{Datasets: []string{"iris", "adult"}}).Names(); strings.Join(got, ",") != "iris,adult" {
+		t.Errorf("selected names %v, want [iris adult]", got)
+	}
+}
+
 func TestFigure5Scaled(t *testing.T) {
 	points, err := eval.Figure5(context.Background(), eval.Figure5Spec{
 		BaseRows: 2000, // scaled-down flight-500k for test budget

@@ -37,8 +37,8 @@ const (
 	StateRunning State = "running"
 	// StateCompleted holds a result in the result store.
 	StateCompleted State = "completed"
-	// StateError is a terminal failure (permanent error, retries
-	// exhausted, or the job's own deadline).
+	// StateError is a terminal failure: the run returned an error or
+	// hit the job's own deadline. Resubmitting the pair reruns it.
 	StateError State = "error"
 	// StateCancelled is a terminal cancel via DELETE /jobs/{id}.
 	StateCancelled State = "cancelled"
@@ -95,8 +95,9 @@ type Record struct {
 	// DedupeHits counts submissions that joined this job instead of
 	// queueing their own computation.
 	DedupeHits int64 `json:"dedupe_hits,omitempty"`
-	// Error is the terminal failure message (state "error"), or the last
-	// transient failure while retries remain.
+	// Error is the terminal failure message (state "error"). Journals
+	// written while the pool still retried failed runs can hold one on a
+	// pending line; such a job replays as pending and runs once.
 	Error string `json:"error,omitempty"`
 	// Deadline marks an error state caused by the job's own run budget —
 	// the daemon maps it to the 503 partial-stats answer.
@@ -126,27 +127,6 @@ var (
 	// failed.
 	ErrShutdown = errors.New("jobs: shutting down")
 )
-
-// transientError marks a runner failure as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the pool retries the job (with backoff, up to
-// its attempt budget) instead of failing it permanently.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err carries a Transient marker.
-func IsTransient(err error) bool {
-	var te *transientError
-	return errors.As(err, &te)
-}
 
 // journalSchema replays journal.jsonl: one live record per job id,
 // listed by submission order.

@@ -2,8 +2,11 @@ package jobs
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"affidavit/internal/wal/waltest"
@@ -59,11 +62,11 @@ func FuzzJobJournal(f *testing.F) {
 // catalog step, which it submitted without an address.
 const parentStepID = "e97ca325bf8208f26ca79f67e297f2a1"
 
-// scriptJournal drives submit → run → complete → compaction → retry on
-// a durable store and returns the journal it leaves: two compacted lines
-// (the fourth append trips CompactEvery) and two appended after them. The
-// catalog step is addressed by a 32-hex id, as a step's snapshot id is,
-// and so is named by it unchanged.
+// scriptJournal drives submit → run → complete → compaction → run on a
+// durable store and returns the journal it leaves: two compacted lines
+// (the fourth append trips CompactEvery) and the catalog step's running
+// line after them. The catalog step is addressed by a 32-hex id, as a
+// step's snapshot id is, and so is named by it unchanged.
 func scriptJournal(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -76,7 +79,6 @@ func scriptJournal(t *testing.T) []byte {
 	s.complete(a, &Outcome{Body: []byte("{}"), ContentType: "application/json", Stats: []byte(`{"polls":3}`), TraceID: "trace-a"})
 	b, _, _ := s.Submit(Spec{Addr: parentStepID, Table: "tb", Kind: "catalog", SnapshotID: "snap-2", ParentID: "snap-1"})
 	s.startRun(b, func(error) {})
-	s.retry(b, "transient <&>", 0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +92,14 @@ func scriptJournal(t *testing.T) []byte {
 // TestJournalParentFixture pins the journal's bytes across commits:
 // testdata/journal_parent.jsonl is what scriptJournal wrote on the commit
 // before the journal moved to internal/wal (hence no -update), and every
-// later commit must write the same file and replay it. The file's catalog
-// step still carries the "warm":true its writer set; records no longer
-// have that field, so the written and re-encoded bytes are compared with
-// the file minus exactly that token, and the file itself must still
-// replay whole. Its writer also submitted the step without an address,
+// later commit must write its lines and replay it. Its writer went on to
+// schedule a retry of the catalog step, a fourth line (pending, with the
+// failure's error) that no store writes since a failed run ends its job;
+// the scripted journal is compared with the file's first three lines.
+// The file's catalog step still carries the "warm":true its writer set;
+// records no longer have that field, so the written and re-encoded bytes
+// are compared with the file minus exactly that token, and the file
+// itself must still replay whole. Its writer also submitted the step without an address,
 // which Submit now refuses; the scripted step is addressed by the id the
 // parent derived, so the written lines also hold exactly one "addr"
 // member more.
@@ -114,12 +119,18 @@ func TestJournalParentFixture(t *testing.T) {
 		t.Fatalf("fixture holds %d %s tokens, want the catalog step's 3", n, stepSeq)
 	}
 	wantLive := bytes.ReplaceAll(wantNow, stepSeq, []byte(`"seq":1,"addr":"`+parentStepID+`",`))
+	liveLines := bytes.SplitAfter(wantLive, []byte("\n"))
+	if len(liveLines) != 5 || len(liveLines[4]) != 0 {
+		t.Fatalf("fixture holds %d lines, want 4", len(liveLines)-1)
+	}
+	wantLive = bytes.Join(liveLines[:3], nil)
 	if !bytes.Equal(got, wantLive) {
 		t.Fatalf("scripted journal differs from the parent's:\n%s\nwant\n%s", got, wantLive)
 	}
 	// The parent's file replays whole: job a completed, the catalog step
-	// back in the queue with its transient error, each re-encoding to the
-	// very line that won (the compacted first line and the last one).
+	// back in the queue with the error of its failed run (a pending job
+	// that runs once when a pool drains the store), each re-encoding to
+	// the very line that won (the compacted first line and the last one).
 	recs, keep := waltest.Replay(t, want, journalSchema)
 	if keep != int64(len(want)) || len(recs) != 2 {
 		t.Fatalf("replayed %d records from %d of %d bytes", len(recs), keep, len(want))
@@ -163,5 +174,45 @@ func TestJournalUnaddressedStepReplays(t *testing.T) {
 		if s.Joinable(addr) {
 			t.Errorf("Joinable(%q) matched the unaddressed step", addr)
 		}
+	}
+}
+
+// TestJournalPendingErrorRunsOnce: the parent's journal ends with the
+// catalog step pending beside the error of an earlier failed run. A pool
+// over the replayed store runs it exactly once, and a failure ends it
+// with the new error.
+func TestJournalPendingErrorRunsOnce(t *testing.T) {
+	want, err := os.ReadFile("testdata/journal_parent.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int32
+	p := NewPool(s, func(ctx context.Context, rec Record, payload any) (*Outcome, error) {
+		calls.Add(1)
+		return nil, errors.New("parent blob gone")
+	}, PoolOptions{Workers: 1})
+	p.Start(context.Background())
+	defer func() { p.Close(); s.Close() }()
+	j, ok := s.Get(parentStepID)
+	if !ok {
+		t.Fatalf("replayed store lost the step %s", parentStepID)
+	}
+	rec, err := s.Wait(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateError || rec.Error != "parent blob gone" || rec.Attempts != 2 {
+		t.Fatalf("replayed step ended as %+v, want error after its second attempt", rec)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runner called %d times, want 1", n)
 	}
 }

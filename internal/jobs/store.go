@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"affidavit/internal/wal"
 )
@@ -21,9 +20,6 @@ type Options struct {
 	// transitions (0 = default 256). Compaction rewrites the live records
 	// and renames the fresh log into place.
 	CompactEvery int
-	// Now is the clock; nil means time.Now. Tests inject a fake. It only
-	// paces retry backoff — no wall-clock value is ever journaled.
-	Now func() time.Time
 }
 
 // defaultCompactEvery bounds journal growth between compactions.
@@ -34,7 +30,6 @@ const defaultCompactEvery = 256
 type Store struct {
 	dir          string
 	blobs        *BlobStore
-	now          func() time.Time
 	compactEvery int
 
 	mu       sync.Mutex
@@ -51,7 +46,7 @@ type Store struct {
 	// surfaces the error.
 	journalErr error
 
-	submitted, dedupeHits, completed, failed, cancelled, retried, requeued int64
+	submitted, dedupeHits, completed, failed, cancelled, requeued int64
 }
 
 // Job is a handle on one queued computation. The handle stays valid for
@@ -63,7 +58,6 @@ type Job struct {
 	result  []byte
 	done    chan struct{} // closed on terminal transition
 	cancel  context.CancelCauseFunc
-	readyAt time.Time // earliest dispatch (retry backoff); zero = now
 	claimed bool
 }
 
@@ -99,7 +93,7 @@ type Spec struct {
 	// passes its already-ingested tables and the request's trace
 	// recorder). Jobs replayed from the journal run with a nil payload
 	// and must reconstruct from the blobs. The store keeps it across
-	// retries and requeues and drops it when the job ends.
+	// requeues and drops it when the job ends.
 	Payload any
 }
 
@@ -108,15 +102,11 @@ type Spec struct {
 // requeued with a bumped Requeues counter, completed jobs keep serving
 // their stored results.
 func Open(opts Options) (*Store, error) {
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = defaultCompactEvery
 	}
 	s := &Store{
 		dir:          opts.Dir,
-		now:          opts.Now,
 		compactEvery: opts.CompactEvery,
 		jobs:         make(map[string]*Job),
 		byAddr:       make(map[string]*Job),
@@ -238,7 +228,6 @@ func (s *Store) Submit(spec Spec) (*Job, bool, error) {
 		j.payload = spec.Payload
 		j.result = nil
 		j.done = make(chan struct{})
-		j.readyAt = time.Time{}
 		j.claimed = false
 		s.submitted++
 		s.appendLocked(j.rec)
@@ -390,7 +379,7 @@ type Metrics struct {
 	Queued, Running int
 	// The rest count since process start (journal replay does not
 	// reconstruct them — Prometheus counters reset on restart anyway).
-	Submitted, DedupeHits, Completed, Failed, Cancelled, Retried, Requeued int64
+	Submitted, DedupeHits, Completed, Failed, Cancelled, Requeued int64
 	// JournalError is the latched first journal write failure, "" while
 	// the store is durable (or in-memory). A non-empty value means the
 	// store degraded to availability-over-durability: jobs keep running
@@ -408,7 +397,6 @@ func (s *Store) Metrics() Metrics {
 		Completed:  s.completed,
 		Failed:     s.failed,
 		Cancelled:  s.cancelled,
-		Retried:    s.retried,
 		Requeued:   s.requeued,
 	}
 	if s.journalErr != nil {
@@ -475,15 +463,11 @@ func (s *Store) broadcastLocked() {
 	s.wake = make(chan struct{})
 }
 
-// claimFor hands worker wid (of n) its next due job, marking it claimed.
-// When nothing is due it returns the wait until this worker's earliest
-// backoff expiry (0 = nothing scheduled at all) and the broadcast
-// channel to watch for queue changes.
-func (s *Store) claimFor(wid, n int) (*Job, time.Duration, <-chan struct{}) {
-	now := s.now()
+// claimFor hands worker wid (of n) its next pending job, marking it
+// claimed, or nil and the broadcast channel to watch for queue changes.
+func (s *Store) claimFor(wid, n int) (*Job, <-chan struct{}) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var wait time.Duration
 	for _, j := range s.order {
 		if j.rec.State != StatePending || j.claimed {
 			continue
@@ -491,16 +475,10 @@ func (s *Store) claimFor(wid, n int) (*Job, time.Duration, <-chan struct{}) {
 		if workerFor(j.rec.Table, n) != wid {
 			continue
 		}
-		if !j.readyAt.IsZero() && j.readyAt.After(now) {
-			if d := j.readyAt.Sub(now); wait == 0 || d < wait {
-				wait = d
-			}
-			continue
-		}
 		j.claimed = true
-		return j, 0, s.wake
+		return j, nil
 	}
-	return nil, wait, s.wake
+	return nil, s.wake
 }
 
 // payload returns the job's non-durable run state (nil after replay).
@@ -592,8 +570,7 @@ func (s *Store) failDeadline(j *Job, out *Outcome) {
 	})
 }
 
-// cancelDone lands the terminal transition of a DELETE-cancelled run. A
-// retried job keeps its last transient error.
+// cancelDone lands the terminal transition of a DELETE-cancelled run.
 func (s *Store) cancelDone(j *Job, out *Outcome) {
 	s.finish(j, func(r *Record) {
 		r.State = StateCancelled
@@ -621,23 +598,7 @@ func (s *Store) requeue(j *Job) {
 	j.rec.Requeues++
 	j.cancel = nil
 	j.claimed = false
-	j.readyAt = time.Time{}
 	s.requeued++
-	s.appendLocked(j.rec)
-	s.broadcastLocked()
-}
-
-// retry schedules another attempt after backoff, recording the transient
-// failure.
-func (s *Store) retry(j *Job, msg string, backoff time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j.rec.State = StatePending
-	j.rec.Error = msg
-	j.cancel = nil
-	j.claimed = false
-	j.readyAt = s.now().Add(backoff)
-	s.retried++
 	s.appendLocked(j.rec)
 	s.broadcastLocked()
 }

@@ -193,7 +193,7 @@ func TestSubmitDedupeAndListOrder(t *testing.T) {
 }
 
 // TestPayloadReleasedWhenJobEnds: a job keeps its payload while it can
-// still run — across a retry and a shutdown requeue — and lets go of it
+// still run — across shutdown requeues — and lets go of it
 // on every terminal transition, so a finished job does not pin the
 // tables it was submitted with.
 func TestPayloadReleasedWhenJobEnds(t *testing.T) {
@@ -220,24 +220,21 @@ func TestPayloadReleasedWhenJobEnds(t *testing.T) {
 		{"cancel pending", func(j *Job) { s.Cancel(j.ID()) }},
 	} {
 		j, _, _ := s.Submit(Spec{Addr: "addr-" + tc.name, Table: "t", Payload: tc.name})
-		start(j)
-		s.retry(j, "transient", 0)
-		if s.payload(j) != tc.name {
-			t.Fatalf("%s: payload %v after retry, want it kept", tc.name, s.payload(j))
-		}
-		start(j)
-		s.requeue(j)
-		if s.payload(j) != tc.name {
-			t.Fatalf("%s: payload %v after requeue, want it kept", tc.name, s.payload(j))
+		for i := 0; i < 2; i++ {
+			start(j)
+			s.requeue(j)
+			if s.payload(j) != tc.name {
+				t.Fatalf("%s: payload %v after requeue %d, want it kept", tc.name, s.payload(j), i+1)
+			}
 		}
 		tc.end(j)
 		if p := s.payload(j); p != nil {
 			t.Errorf("%s: payload %v kept after the job ended", tc.name, p)
 		}
-		// A cancel edits only the state: the record keeps the error of
-		// the retry before it.
-		if rec := j.Record(); rec.State == StateCancelled && rec.Error != "transient" {
-			t.Errorf("%s: error %q after the cancel, want the retry's %q", tc.name, rec.Error, "transient")
+		// A cancel edits only the state: the record keeps the requeues
+		// before it.
+		if rec := j.Record(); rec.State == StateCancelled && rec.Requeues != 2 {
+			t.Errorf("%s: %d requeues after the cancel, want 2", tc.name, rec.Requeues)
 		}
 	}
 	// Each ending counts once, under the state it ended in.
@@ -458,7 +455,7 @@ func TestCrashMidTransitionProperty(t *testing.T) {
 	s.complete(a, &Outcome{Body: []byte("x"), ContentType: "text/plain"})
 	b, _, _ := s.Submit(Spec{Addr: "addr-b", Table: "tb"})
 	s.startRun(b, func(error) {})
-	s.retry(b, "transient", 0)
+	s.requeue(b)
 	s.startRun(b, func(error) {})
 	s.fail(b, "permanent", nil)
 	c, _, _ := s.Submit(Spec{Addr: "addr-c", Table: "tc"})
@@ -506,7 +503,7 @@ func TestJournalCompaction(t *testing.T) {
 	j, _, _ := s.Submit(Spec{Addr: "addr", Table: "t"})
 	for i := 0; i < 5; i++ {
 		s.startRun(j, func(error) {})
-		s.retry(j, "again", 0)
+		s.requeue(j)
 	}
 	s.startRun(j, func(error) {})
 	s.complete(j, &Outcome{Body: []byte("done"), ContentType: "text/plain"})

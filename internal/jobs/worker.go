@@ -27,8 +27,9 @@ type Outcome struct {
 
 // Runner executes one job under ctx. rec is a snapshot of the job's
 // record; payload is the submission's non-durable state (nil when the
-// job was replayed from the journal — reconstruct from the blobs).
-// Returning an error wrapped by Transient makes the attempt retryable.
+// job was replayed from the journal — reconstruct from the blobs). A
+// returned error ends the job: each submission runs once, and
+// resubmitting the pair reruns it.
 type Runner func(ctx context.Context, rec Record, payload any) (*Outcome, error)
 
 // PoolOptions tunes the worker pool.
@@ -38,14 +39,8 @@ type PoolOptions struct {
 	// on one worker in submission order — warm chains stay ordered and
 	// the table's dictionary pool stays hot.
 	Workers int
-	// MaxAttempts bounds runner executions per submission, first attempt
-	// included (0 = default 3).
-	MaxAttempts int
-	// Backoff is the base retry delay, doubled each further attempt
-	// (0 = default 250ms).
-	Backoff time.Duration
-	// Timeout bounds each attempt (0 = unlimited). Expiry fails the job
-	// with its partial statistics — deadline cuts are not retried.
+	// Timeout bounds each run (0 = unlimited). Expiry fails the job with
+	// its partial statistics.
 	Timeout time.Duration
 }
 
@@ -63,12 +58,6 @@ type Pool struct {
 func NewPool(st *Store, run Runner, opts PoolOptions) *Pool {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
-	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 250 * time.Millisecond
 	}
 	return &Pool{store: st, run: run, opts: opts, workers: opts.Workers}
 }
@@ -112,19 +101,12 @@ func (p *Pool) Close() {
 // worker drains jobs whose table hashes to wid until ctx ends.
 func (p *Pool) worker(ctx context.Context, wid int) {
 	for {
-		j, wait, wake := p.store.claimFor(wid, p.workers)
+		j, wake := p.store.claimFor(wid, p.workers)
 		if j == nil {
-			if wait <= 0 {
-				wait = time.Hour // nothing scheduled: sleep until woken
-			}
-			t := time.NewTimer(wait)
 			select {
 			case <-ctx.Done():
-				t.Stop()
 				return
 			case <-wake:
-				t.Stop()
-			case <-t.C:
 			}
 			continue
 		}
@@ -135,8 +117,8 @@ func (p *Pool) worker(ctx context.Context, wid int) {
 	}
 }
 
-// runOne executes one claimed job and lands its terminal (or requeue /
-// retry) transition.
+// runOne executes one claimed job and lands its terminal (or shutdown
+// requeue) transition.
 func (p *Pool) runOne(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancelCause(ctx)
 	tcancel := context.CancelFunc(func() {})
@@ -164,25 +146,11 @@ func (p *Pool) runOne(ctx context.Context, j *Job) {
 	case out != nil && out.Cancelled, errors.Is(cause, context.DeadlineExceeded):
 		// The job's own run budget cut it: terminal, with partial stats.
 		p.store.failDeadline(j, out)
-	case err != nil && IsTransient(err) && rec.Attempts < p.opts.MaxAttempts:
-		p.store.retry(j, err.Error(), p.backoffFor(rec.Attempts))
 	case err != nil:
 		p.store.fail(j, err.Error(), out)
 	default:
 		p.store.fail(j, "runner returned no outcome", nil)
 	}
-}
-
-// backoffFor doubles the base delay per completed attempt, capped at 30s.
-func (p *Pool) backoffFor(attempts int) time.Duration {
-	d := p.opts.Backoff
-	for i := 1; i < attempts && d < 30*time.Second; i++ {
-		d *= 2
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
 }
 
 // workerFor shards a table name onto a worker: FNV-1a so every process

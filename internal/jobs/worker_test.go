@@ -71,70 +71,34 @@ func TestPoolCompletes(t *testing.T) {
 	}
 }
 
-func TestPoolRetriesTransient(t *testing.T) {
+// TestPoolRunnerErrorEndsJob: a run that returns an error ends its job
+// on the first attempt — the one way to rerun it is to resubmit the pair.
+func TestPoolRunnerErrorEndsJob(t *testing.T) {
 	s, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
 	runner := func(ctx context.Context, rec Record, payload any) (*Outcome, error) {
-		if calls.Add(1) < 3 {
-			return nil, Transient(errors.New("flaky backend"))
-		}
-		return okRunner(ctx, rec, payload)
-	}
-	p := NewPool(s, runner, PoolOptions{Workers: 1, MaxAttempts: 3, Backoff: time.Millisecond})
-	p.Start(context.Background())
-	defer func() { p.Close(); s.Close() }()
-	j, _, _ := s.Submit(Spec{Addr: "addr", Table: "t"})
-	rec, err := s.Wait(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != StateCompleted || rec.Attempts != 3 {
-		t.Fatalf("retried job: %+v", rec)
-	}
-	if m := s.Metrics(); m.Retried != 2 {
-		t.Fatalf("retried counter: %+v", m)
-	}
-}
-
-func TestPoolExhaustsAttempts(t *testing.T) {
-	s, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := func(ctx context.Context, rec Record, payload any) (*Outcome, error) {
-		return nil, Transient(errors.New("always down"))
-	}
-	p := NewPool(s, runner, PoolOptions{Workers: 1, MaxAttempts: 2, Backoff: time.Millisecond})
-	p.Start(context.Background())
-	defer func() { p.Close(); s.Close() }()
-	j, _, _ := s.Submit(Spec{Addr: "addr", Table: "t"})
-	rec, err := s.Wait(context.Background(), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.State != StateError || rec.Attempts != 2 || rec.Error != "always down" {
-		t.Fatalf("exhausted job: %+v", rec)
-	}
-}
-
-func TestPoolPermanentErrorNotRetried(t *testing.T) {
-	s, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := func(ctx context.Context, rec Record, payload any) (*Outcome, error) {
+		calls.Add(1)
 		return nil, errors.New("schema mismatch")
 	}
-	p := NewPool(s, runner, PoolOptions{Workers: 1, MaxAttempts: 5, Backoff: time.Millisecond})
+	p := NewPool(s, runner, PoolOptions{Workers: 1})
 	p.Start(context.Background())
 	defer func() { p.Close(); s.Close() }()
 	j, _, _ := s.Submit(Spec{Addr: "addr", Table: "t"})
-	rec, _ := s.Wait(context.Background(), j)
-	if rec.State != StateError || rec.Attempts != 1 {
-		t.Fatalf("permanent error retried: %+v", rec)
+	rec, err := s.Wait(context.Background(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateError || rec.Attempts != 1 || rec.Error != "schema mismatch" {
+		t.Fatalf("failed job: %+v", rec)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runner called %d times, want 1", n)
+	}
+	if m := s.Metrics(); m.Failed != 1 || m.Queued != 0 || m.Running != 0 {
+		t.Fatalf("metrics: %+v", m)
 	}
 }
 
@@ -303,23 +267,6 @@ func TestWorkerAffinitySerializesTables(t *testing.T) {
 			if order[table][i] != j.ID() {
 				t.Fatalf("table %s ran out of submission order: %v", table, order[table])
 			}
-		}
-	}
-}
-
-func TestBackoffDoubling(t *testing.T) {
-	p := NewPool(nil, nil, PoolOptions{Backoff: 100 * time.Millisecond})
-	for _, tc := range []struct {
-		attempts int
-		want     time.Duration
-	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{3, 400 * time.Millisecond},
-		{20, 30 * time.Second},
-	} {
-		if got := p.backoffFor(tc.attempts); got != tc.want {
-			t.Errorf("backoffFor(%d) = %v, want %v", tc.attempts, got, tc.want)
 		}
 	}
 }

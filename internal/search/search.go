@@ -67,9 +67,6 @@ type Options struct {
 	// Seed drives all sampling; equal seeds give equal searches. Zero is a
 	// valid seed.
 	Seed int64
-	// MaxExpansions caps polled states as a safety valve. Must be ≥ 0;
-	// 0 means unlimited.
-	MaxExpansions int
 	// Workers does nothing: a run is single-threaded, and parallelism lives
 	// across runs (the job pool, concurrent pair runs). It stays only for the
 	// frozen service benchmark (bench/probes.go), which sets it.
@@ -158,9 +155,6 @@ func (o Options) Validate() error {
 	if o.QueueWidth < 1 {
 		return fmt.Errorf("search: QueueWidth must be ≥ 1, got %d", o.QueueWidth)
 	}
-	if o.MaxExpansions < 0 {
-		return fmt.Errorf("search: MaxExpansions must be ≥ 0, got %d", o.MaxExpansions)
-	}
 	if o.WarmGuard < 0 {
 		return fmt.Errorf("search: WarmGuard must be ≥ 0, got %v", o.WarmGuard)
 	}
@@ -207,8 +201,7 @@ type Result struct {
 }
 
 // Run executes Algorithm 1 on the instance and returns the best explanation
-// found. It falls back to the trivial explanation if the search cannot
-// produce an end state within MaxExpansions.
+// found.
 //
 // Cancellation is cooperative: the poll loop checks ctx once per iteration,
 // every probe checks it on entry, and blocking refinements observe it too,
@@ -332,9 +325,6 @@ func Run(ctx context.Context, inst *delta.Instance, opts Options) (*Result, erro
 		}
 		if best == nil || h.cost < best.cost {
 			best = h
-		}
-		if opts.MaxExpansions > 0 && e.stats.Polls >= opts.MaxExpansions {
-			break
 		}
 		for _, child := range e.extensions(h) {
 			e.offer(q, child)

@@ -234,26 +234,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := search.Run(context.Background(), inst, bad); err == nil {
 		t.Error("QueueWidth=-3 accepted")
 	}
-	bad = search.DefaultOptions()
-	bad.MaxExpansions = -1
-	if _, err := search.Run(context.Background(), inst, bad); err == nil {
-		t.Error("MaxExpansions=-1 accepted")
-	}
-}
-
-// TestMaxExpansionsFallback: an absurd cap still yields a valid (possibly
-// trivial) explanation.
-func TestMaxExpansionsFallback(t *testing.T) {
-	inst := fixture.Instance()
-	opts := search.DefaultOptions()
-	opts.MaxExpansions = 1
-	res, err := search.Run(context.Background(), inst, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Explanation.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestStartStrategyString covers the Stringer.

@@ -287,7 +287,7 @@ func (r *Recorder) Observe(ev obs.Event) {
 	case obs.KindDone:
 		// Close whatever stage is open — "convert" on the full pipeline,
 		// "search" when the run ended without an end state (cancelled
-		// before any work, or expansion-capped to the trivial explanation).
+		// before any work, or a queue that emptied first).
 		r.closeStage(r.openStage, now, 0)
 		r.openStage = ""
 		r.t.Cancelled = ev.Cancelled

@@ -7,7 +7,8 @@
 // the handler then knows the content hashes and decides whether the
 // snapshots need interning at all.
 // Ingest interns one from its spool; IngestBlob re-interns a stored blob
-// for a job replayed without its submitter. Both intern through a Reader:
+// for a job that runs without its submitter, and a blob that is gone
+// fails that run. Both intern through a Reader:
 // the session's ReadSource when the snapshot will be explained on that
 // session (interned once, into its pool), the Explainer's private-dictionary
 // read when no session exists yet.
@@ -159,14 +160,12 @@ func (b *Body) Discard() {
 }
 
 // IngestBlob re-interns a stored upload for a job that runs without its
-// submitter's tables (journal replay, a re-seeded chain). A blob that
-// cannot be opened is a transient failure — it may sit on slow or briefly
-// unavailable storage, and a retry with backoff is cheaper than failing a
-// durable job; one that no longer parses is permanent.
+// submitter's tables (journal replay, a re-seeded chain). A blob that is
+// gone (an in-memory store keeps none) or no longer parses fails the run.
 func IngestBlob(ctx context.Context, read Reader, blobs *jobs.BlobStore, hash, role string) (*affidavit.Table, error) {
 	rc, err := blobs.Open(hash)
 	if err != nil {
-		return nil, jobs.Transient(fmt.Errorf("replaying %s upload: %w", role, err))
+		return nil, fmt.Errorf("replaying %s upload: %w", role, err)
 	}
 	defer rc.Close()
 	tab, err := read(ctx, affidavit.NewCSVSource(rc), role)
