@@ -163,12 +163,11 @@ func TestAsyncJobLifecycle(t *testing.T) {
 // computation — one queued job, N−1 dedupe hits, one cold search — and
 // every fetch returns byte-identical bodies. Whichever of them spool past
 // the store's lookup before the first Submit each ingest; Submit is where
-// they collapse, over an in-memory and a durable store alike.
+// they collapse, on either store root alike.
 func TestAsyncDedupeEndToEnd(t *testing.T) {
 	ch := testChain(t, 1)
 	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
-	eachStore(t, func(t *testing.T, durable bool) {
-		srv, dir := uploadServer(t, durable, serverConfig{})
+	eachRoot(t, serverConfig{}, func(t *testing.T, srv *httptest.Server, dir string) {
 
 		const n = 6
 		bodies := make([][]byte, n)
@@ -203,8 +202,8 @@ func TestAsyncDedupeEndToEnd(t *testing.T) {
 				t.Errorf("metrics missing %q in:\n%s", want, metrics)
 			}
 		}
-		if names, want := dirNames(t, dir), pairBlobs(durable); len(names) != want {
-			t.Errorf("the racers left %v, want %d blobs and no spool", names, want)
+		if names := dirNames(t, dir); len(names) != 2 {
+			t.Errorf("the racers left %v, want 2 blobs and no spool", names)
 		}
 	})
 }
@@ -259,7 +258,6 @@ func TestJobRestartDurability(t *testing.T) {
 	}
 
 	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: dir})
-	t.Cleanup(func() { s.Close() })
 	srv := httptest.NewServer(s.handler())
 	t.Cleanup(srv.Close)
 
@@ -273,7 +271,7 @@ func TestJobRestartDurability(t *testing.T) {
 	replayed := get(t, srv.URL+"/jobs/"+rec.ID+"/result")
 
 	// Reference: the same pair explained synchronously on a fresh
-	// in-memory server.
+	// server.
 	ref := testServer(t)
 	code, want := post(t, ref, src, tgt, map[string]string{"table": "t"})
 	if code != http.StatusOK {

@@ -455,10 +455,10 @@ func TestCatalogLostParentBlobReseeds(t *testing.T) {
 // TestCatalogRestartInMemory: the catalog is durable exactly when the job
 // store is. With jobsDir a restarted chain continues
 // (TestCatalogRestartReseedsFromParentBlob); without it both stores live
-// in memory, so a restarted server lists no tables and a push to a table
-// of the previous process answers 404 — never a chain whose parent blob
-// is gone, on which every step would fail. Registering the name again
-// starts a new chain.
+// in one private directory that Close removes, so a restarted server
+// lists no tables and a push to a table of the previous process answers
+// 404 — never a chain whose parent blob is gone, on which every step
+// would fail. Registering the name again starts a new chain.
 func TestCatalogRestartInMemory(t *testing.T) {
 	ch := testChain(t, 1)
 	first, next := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
@@ -477,6 +477,9 @@ func TestCatalogRestartInMemory(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(s.store.Dir()); !os.IsNotExist(err) {
+		t.Errorf("private directory %s outlived Close: %v", s.store.Dir(), err)
+	}
 
 	srv2 := testServer(t)
 	var list struct {
@@ -486,7 +489,7 @@ func TestCatalogRestartInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(list.Tables) != 0 {
-		t.Errorf("restarted in-memory server lists %+v, want no tables", list.Tables)
+		t.Errorf("restarted default-mode server lists %+v, want no tables", list.Tables)
 	}
 	if code, body, _ := pushSnapshot(t, srv2, "volatile", next, nil); code != http.StatusNotFound {
 		t.Errorf("push to a table of the previous process: status %d, want 404: %s", code, body)
@@ -716,10 +719,10 @@ func TestCatalogRoutes(t *testing.T) {
 }
 
 // TestCatalogPushUnknownTableLeavesNoBlob: a push to an unregistered
-// table is refused before its snapshot is spooled, so a durable blob
-// store gains no entry.
+// table is refused before its snapshot is spooled, so the blob store
+// gains no entry.
 func TestCatalogPushUnknownTableLeavesNoBlob(t *testing.T) {
-	srv, blobs := uploadServer(t, true, serverConfig{})
+	srv, blobs := uploadServer(t, serverConfig{})
 	before := dirNames(t, blobs)
 	if code, body, _ := pushSnapshot(t, srv, "ghost", "id,v\na,1\n", nil); code != http.StatusNotFound {
 		t.Fatalf("push to unknown table: status %d, want 404: %s", code, body)
@@ -920,7 +923,7 @@ func TestCatalogRefusalJournalsNoLine(t *testing.T) {
 // registered table with a chain answers 400 and leaves no trace — the
 // history is unchanged, no blob is stored and no job is listed.
 func TestCatalogRejectedPushLeavesNothing(t *testing.T) {
-	srv, blobs := uploadServer(t, true, serverConfig{})
+	srv, blobs := uploadServer(t, serverConfig{})
 	if code, _ := registerTable(t, srv, "known"); code != http.StatusCreated {
 		t.Fatal("register failed")
 	}

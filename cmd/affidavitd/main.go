@@ -16,7 +16,9 @@
 // single computation (responses are byte-identical, so the cached result
 // is exact), a dropped connection no longer throws work away, and with
 // -jobs-dir the queue survives restarts — jobs interrupted mid-run are
-// journaled back to pending and finished by the next process. Each
+// journaled back to pending and finished by the next process. Without
+// -jobs-dir the same journal, blobs and results live in a private
+// directory under $TMPDIR that the daemon removes when it exits. Each
 // submission runs once: a run that fails ends its job with the error,
 // and resubmitting the pair reruns it.
 //
@@ -85,9 +87,9 @@
 //
 //	-jobs-dir      root of all durable state: the job journal, upload
 //	               blobs, result store, and the catalog journal under
-//	               catalog/; empty = in-memory job queue and catalog with
-//	               the same dedupe, cancel and chain semantics but no
-//	               crash durability
+//	               catalog/; empty = a private directory under $TMPDIR,
+//	               removed at exit (it grows like a -jobs-dir one while
+//	               the daemon runs, and a SIGKILL leaves it behind)
 //	-job-workers   queue-draining workers, the daemon's one parallelism
 //	               setting: each job's search runs on one core. Jobs shard
 //	               across workers by table hash, so one table's jobs run
@@ -141,7 +143,7 @@ func main() {
 		maxSnapshot = flag.Int64("max-snapshot", 0, "largest accepted snapshot in MiB (0 = default 1024, negative = unlimited)")
 		maxInflight = flag.Int("max-inflight", 0, "concurrent /explain requests (0 = unlimited)")
 		timeout     = flag.Duration("timeout", 0, "per-job explanation budget (0 = unlimited; expiry answers 503 with partial stats)")
-		jobsDir     = flag.String("jobs-dir", "", "durable state root: job journal, upload blobs, result store, catalog journal (empty = in-memory job queue and catalog)")
+		jobsDir     = flag.String("jobs-dir", "", "durable state root: job journal, upload blobs, result store, catalog journal (empty = a private directory under $TMPDIR, removed at exit)")
 		jobWorkers  = flag.Int("job-workers", 0, "queue-draining workers; jobs shard by table hash (0 = default 2)")
 		traceBuffer = flag.Int("trace-buffer", defaultTraceBuffer, "retained run traces behind /traces (0 = disable per-request tracing)")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
@@ -201,6 +203,7 @@ func main() {
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
 			fmt.Fprintln(os.Stderr, "affidavitd: shutdown:", err)
+			srv.Close()
 			os.Exit(1)
 		}
 		// Drain the job subsystem after the listener: running jobs are
@@ -214,6 +217,9 @@ func main() {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, "affidavitd:", err)
+			// The listener never served: still drain the pool and close
+			// the stores, which removes a private state directory.
+			srv.Close()
 			os.Exit(1)
 		}
 	}

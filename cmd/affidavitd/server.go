@@ -59,9 +59,8 @@ type serverConfig struct {
 	pprof bool
 	// jobsDir roots all durable state (-jobs-dir): the job journal, the
 	// content-addressed upload blobs, the result store, and the catalog
-	// journal under catalog/. Empty means in-memory job and catalog
-	// stores — same queue, dedupe, cancel and chain semantics, no crash
-	// durability.
+	// journal under catalog/. Empty means a private temporary directory
+	// holding the same state, removed when the server closes.
 	jobsDir string
 	// jobWorkers sizes the queue-draining pool (-job-workers; 0 = 2).
 	// Jobs shard across workers by table hash, so one table's jobs run
@@ -155,9 +154,10 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 	}
 	// Open the job store (replaying the journal when -jobs-dir holds one:
 	// pending and crash-orphaned jobs requeue, completed results keep
-	// serving) and start the drain pool. The pool's lifetime is bound to
-	// Close, not to base's cancellation, so a SIGINT requeues running jobs
-	// instead of failing them.
+	// serving; without -jobs-dir it makes a private directory) and start
+	// the drain pool. The pool's lifetime is bound to Close, not to base's
+	// cancellation, so a SIGINT requeues running jobs instead of failing
+	// them.
 	store, err := jobs.Open(jobs.Options{Dir: cfg.jobsDir})
 	if err != nil {
 		return nil, err
@@ -166,13 +166,9 @@ func newServer(base context.Context, cfg serverConfig) (*server, error) {
 	s.engineFP = ex.Fingerprint()
 	// The catalog must exist before the pool starts: a replayed journal
 	// can hold pending catalog steps, and runJob dispatches those to it.
-	// It journals under the job state's root, so both stores are durable
-	// or neither is: a step's parent blob lives in the job store.
-	catDir := ""
-	if cfg.jobsDir != "" {
-		catDir = filepath.Join(cfg.jobsDir, "catalog")
-	}
-	cat, err := catalog.OpenStore(catDir, time.Now)
+	// It journals under the job state's root, so both stores live and
+	// go together: a step's parent blob lives in the job store.
+	cat, err := catalog.OpenStore(filepath.Join(store.Dir(), "catalog"), time.Now)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -428,9 +424,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.store.Joinable(spec.Addr) {
 		// A duplicate joins its job on the address alone. Should that job
 		// fail between this lookup and Submit, Submit reruns it without a
-		// payload and the runner replays the blobs Joinable just saw (an
-		// in-memory store has none: that rerun fails, and the pair's next
-		// upload ingests).
+		// payload and the runner replays the blobs Joinable just saw.
 		up.Discard()
 	} else {
 		// Created only on a miss, so a dedupe hit creates no session. The

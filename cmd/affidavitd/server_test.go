@@ -26,13 +26,15 @@ func testOptions() []affidavit.Option {
 	return []affidavit.Option{affidavit.WithSeed(31)}
 }
 
-// mustServer builds a server or fails the test.
+// mustServer builds a server or fails the test, and closes it when the
+// test ends: its pool stops and a private state directory goes.
 func mustServer(t *testing.T, cfg serverConfig) *server {
 	t.Helper()
 	s, err := newServer(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 

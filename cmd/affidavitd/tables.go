@@ -446,8 +446,7 @@ func (s *server) chainSession(ctx context.Context, rec jobs.Record, parent catal
 }
 
 // ingestBlob re-interns a journaled snapshot upload into private
-// dictionaries (the blob is simply absent under an in-memory job store,
-// e.g. after a cancel).
+// dictionaries.
 func (s *server) ingestBlob(ctx context.Context, hash string) (*affidavit.Table, error) {
 	return upload.IngestBlob(ctx, s.ex.ReadSourceNamed, s.store.Blobs(), hash, "snapshot")
 }

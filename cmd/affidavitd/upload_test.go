@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"affidavit"
+	"affidavit/internal/jobs"
 )
 
 // The upload path addresses before it ingests: both file parts are
@@ -21,46 +25,32 @@ import (
 // touch the blob directory), what a rejected upload must not leave behind,
 // and the fallbacks around a lost blob and a crash before Submit.
 
-// uploadServer starts a server over an in-memory or durable job store and
-// returns the directory its spools and blobs land in — the blob directory
-// when durable, a private TMPDIR otherwise.
-func uploadServer(t *testing.T, durable bool, cfg serverConfig) (*httptest.Server, string) {
+// uploadServer starts a server and returns the blob directory its spools
+// and blobs land in.
+func uploadServer(t *testing.T, cfg serverConfig) (*httptest.Server, string) {
 	t.Helper()
-	dir := t.TempDir()
-	if durable {
-		cfg.jobsDir = dir
-		dir = filepath.Join(dir, "blobs")
-	} else {
-		t.Setenv("TMPDIR", dir)
-	}
 	cfg.options = testOptions()
 	s := mustServer(t, cfg)
 	srv := httptest.NewServer(s.handler())
-	t.Cleanup(func() {
-		srv.Close()
-		s.Close()
-	})
-	return srv, dir
+	t.Cleanup(srv.Close)
+	return srv, filepath.Join(s.store.Dir(), "blobs")
 }
 
-// eachStore runs f against an in-memory and a durable job store.
-func eachStore(t *testing.T, f func(t *testing.T, durable bool)) {
-	for _, durable := range []bool{false, true} {
-		name := "memory"
-		if durable {
-			name = "durable"
-		}
-		t.Run(name, func(t *testing.T) { f(t, durable) })
+// eachRoot runs f over an upload server on each way a daemon roots its
+// state: the private directory it makes without -jobs-dir (subtest
+// "memory", named for the in-memory store that directory replaced) and a
+// -jobs-dir one ("durable").
+func eachRoot(t *testing.T, cfg serverConfig, f func(t *testing.T, srv *httptest.Server, blobs string)) {
+	for _, name := range []string{"memory", "durable"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			if name == "durable" {
+				cfg.jobsDir = t.TempDir()
+			}
+			srv, blobs := uploadServer(t, cfg)
+			f(t, srv, blobs)
+		})
 	}
-}
-
-// pairBlobs is how many files one committed pair leaves in the directory
-// uploadServer returns: its two blobs when durable, nothing otherwise.
-func pairBlobs(durable bool) int {
-	if durable {
-		return 2
-	}
-	return 0
 }
 
 // dirNames lists dir's entries, sorted.
@@ -98,8 +88,7 @@ func TestUploadDuplicateSkipsIngest(t *testing.T) {
 	ch := testChain(t, 1)
 	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
 	fields := map[string]string{"table": "dup"}
-	eachStore(t, func(t *testing.T, durable bool) {
-		srv, dir := uploadServer(t, durable, serverConfig{})
+	eachRoot(t, serverConfig{}, func(t *testing.T, srv *httptest.Server, dir string) {
 		code, original := post(t, srv, src, tgt, fields)
 		if code != http.StatusOK {
 			t.Fatalf("original: status %d: %.200s", code, original)
@@ -109,8 +98,8 @@ func TestUploadDuplicateSkipsIngest(t *testing.T) {
 			t.Fatalf("original did not ingest: %q", ingested)
 		}
 		blobs := dirNames(t, dir)
-		if want := pairBlobs(durable); len(blobs) != want {
-			t.Fatalf("after the original the directory holds %v, want %d blobs and no spool", blobs, want)
+		if len(blobs) != 2 {
+			t.Fatalf("after the original the directory holds %v, want 2 blobs and no spool", blobs)
 		}
 
 		code, again := post(t, srv, src, tgt, fields)
@@ -153,8 +142,7 @@ func TestUploadRejectedLeavesNothing(t *testing.T) {
 		{"max-snapshot", "id,v\n1," + strings.Repeat("x", 4<<10) + "\n", "byte limit"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eachStore(t, func(t *testing.T, durable bool) {
-				srv, dir := uploadServer(t, durable, serverConfig{maxRecords: 20, maxSnapshotBytes: 2 << 10})
+			eachRoot(t, serverConfig{maxRecords: 20, maxSnapshotBytes: 2 << 10}, func(t *testing.T, srv *httptest.Server, dir string) {
 				for _, pair := range [][2]string{{tc.bad, good}, {good, tc.bad}} {
 					for _, query := range []string{"", "?async=1"} {
 						resp, body := postResp(t, srv, srv.URL+"/explain"+query, pair[0], pair[1], nil)
@@ -200,8 +188,7 @@ func TestUploadMalformedMultipartLeavesNothing(t *testing.T) {
 		{"missing boundary", "multipart/form-data", lf(good), "boundary"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eachStore(t, func(t *testing.T, durable bool) {
-				srv, dir := uploadServer(t, durable, serverConfig{maxSnapshotBytes: 2 << 10})
+			eachRoot(t, serverConfig{maxSnapshotBytes: 2 << 10}, func(t *testing.T, srv *httptest.Server, dir string) {
 				resp, err := http.Post(srv.URL+"/explain", tc.ctype, strings.NewReader(tc.body))
 				if err != nil {
 					t.Fatal(err)
@@ -265,7 +252,7 @@ func TestUploadLateFieldsAddress(t *testing.T) {
 // replay — it takes the miss path, which re-ingests and restores the blob,
 // and still collapses onto the one job at Submit.
 func TestUploadMissingBlobFallsBack(t *testing.T) {
-	srv, dir := uploadServer(t, true, serverConfig{})
+	srv, dir := uploadServer(t, serverConfig{})
 	ch := testChain(t, 1)
 	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
 	code, original := post(t, srv, src, tgt, nil)
@@ -296,6 +283,68 @@ func TestUploadMissingBlobFallsBack(t *testing.T) {
 	}
 }
 
+// TestUploadJoinerRerunReplaysBlobs: on a server without -jobs-dir, a
+// pair whose job ended in error is rerun by a Submit that carries no
+// payload — what a duplicate upload sends when it passed Joinable before
+// the failure and discarded its spools. The rerun re-ingests the pair
+// from the blob store and serves the bytes a fresh sync explain of the
+// pair serves.
+func TestUploadJoinerRerunReplaysBlobs(t *testing.T) {
+	ch := testChain(t, 1)
+	src, tgt := csvOf(t, ch.Snapshots[0]), csvOf(t, ch.Snapshots[1])
+	s := mustServer(t, serverConfig{options: testOptions()})
+	ctx := context.Background()
+	commit := func(data string) string {
+		bw := s.store.Blobs().NewWriter()
+		io.WriteString(bw, data)
+		hash, err := bw.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hash
+	}
+	spec := jobs.Spec{Table: "t", Format: "json", SourceBlob: commit(src), TargetBlob: commit(tgt)}
+	spec.Addr = jobs.Address("explain/v2", s.engineFP, spec.Table, spec.Format, spec.SourceBlob, spec.TargetBlob)
+
+	// The first run fails: its payload pairs two snapshots whose schemas
+	// differ, standing in for any run error.
+	sess := s.ex.Session(nil)
+	read := func(csv string) *affidavit.Table {
+		tab, err := sess.ReadSource(ctx, affidavit.NewCSVSource(strings.NewReader(csv)), "snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	failing := spec
+	failing.Payload = &jobPayload{sess: sess, src: read("id,v\n1,a\n"), tgt: read("id,w\n1,a\n")}
+	job, _, err := s.store.Submit(failing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := s.store.Wait(ctx, job); err != nil || rec.State != jobs.StateError {
+		t.Fatalf("first run ended %+v (%v), want an error", rec, err)
+	}
+
+	if _, created, err := s.store.Submit(spec); err != nil || !created {
+		t.Fatalf("payload-less resubmission: created %v, err %v; want a rerun", created, err)
+	}
+	if rec, err := s.store.Wait(ctx, job); err != nil || rec.State != jobs.StateCompleted {
+		t.Fatalf("rerun ended %s (%s, %v), want completed", rec.State, rec.Error, err)
+	}
+	body, _, err := s.store.Result(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, want := post(t, testServer(t), src, tgt, map[string]string{"table": "t"})
+	if code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("rerun from the blobs differs from a fresh sync explain (reference status %d)", code)
+	}
+	if !s.store.Joinable(spec.Addr) {
+		t.Error("the completed rerun is not joinable")
+	}
+}
+
 // TestUploadCrashBeforeSubmit: a process killed after committing a pair's
 // blobs but before journaling the job leaves only orphan blobs. The next
 // process opens cleanly with no job, and the pair's upload takes the miss
@@ -316,10 +365,7 @@ func TestUploadCrashBeforeSubmit(t *testing.T) {
 
 	s := mustServer(t, serverConfig{options: testOptions(), jobsDir: jobsDir})
 	srv := httptest.NewServer(s.handler())
-	t.Cleanup(func() {
-		srv.Close()
-		s.Close()
-	})
+	t.Cleanup(srv.Close)
 	if jobs := s.store.List(); len(jobs) != 0 {
 		t.Fatalf("orphan blobs replayed as jobs: %+v", jobs)
 	}

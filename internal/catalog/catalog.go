@@ -205,7 +205,8 @@ type tableState struct {
 // concurrent use.
 type Store struct {
 	mu     sync.Mutex
-	jrnl   *wal.Log[Record] // nil in memory mode
+	jrnl   *wal.Log[Record]
+	closed bool
 	now    func() time.Time
 	tables map[string]*tableState
 	order  []string // registration order — the deterministic listing order
@@ -216,18 +217,17 @@ type Store struct {
 	journalErr error
 }
 
-// OpenStore opens (or creates) the catalog store rooted at dir. An empty
-// dir is a process-local in-memory catalog: same lineage and chain
-// semantics, no crash durability. now is the clock for journaled
-// timestamps; nil means time.Now.
+// OpenStore opens (or creates) the catalog store rooted at dir, which
+// must be set: the daemon roots it under the job store's directory. now
+// is the clock for journaled timestamps; nil means time.Now.
 func OpenStore(dir string, now func() time.Time) (*Store, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("catalog: no store directory")
+	}
 	if now == nil {
 		now = time.Now
 	}
 	s := &Store{now: now, tables: make(map[string]*tableState)}
-	if dir == "" {
-		return s, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: store dir: %w", err)
 	}
@@ -272,9 +272,6 @@ func (s *Store) applyLocked(rec Record) {
 // appendLocked journals rec, latching the first failure like the job
 // store does — catalog writes never fail a push that already ingested.
 func (s *Store) appendLocked(rec Record) {
-	if s.jrnl == nil {
-		return
-	}
 	if err := s.jrnl.Append(rec); err != nil && s.journalErr == nil {
 		s.journalErr = err
 	}
@@ -483,7 +480,7 @@ type Metrics struct {
 	// status ServedStatus gives them, as /trends counts them.
 	StepsPending, StepsExplained, StepsFailed int
 	// JournalError is the latched first journal write failure ("" while
-	// durable or in-memory).
+	// durable).
 	JournalError string
 }
 
@@ -513,7 +510,7 @@ func (s *Store) Metrics(job JobLookup) Metrics {
 }
 
 // JobLookup returns a job's live record by id (false when the job store
-// does not know it, e.g. an in-memory store after a restart).
+// does not know it, e.g. a job line lost to a torn journal tail).
 type JobLookup func(id string) (jobs.Record, bool)
 
 // ServedStatus is the one status a step is served with — in /history
@@ -558,15 +555,16 @@ func (c *stepCounts) add(status string) {
 	}
 }
 
-// Close closes the journal and surfaces any latched write failure.
+// Close closes the journal and surfaces any latched write failure. A
+// record appended after Close latches the closed journal's error.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.jrnl != nil {
+	if !s.closed {
+		s.closed = true
 		if err := s.jrnl.Close(); err != nil && s.journalErr == nil {
 			s.journalErr = err
 		}
-		s.jrnl = nil
 	}
 	return s.journalErr
 }

@@ -92,7 +92,7 @@ func noJobs(string) (jobs.Record, bool) { return jobs.Record{}, false }
 // /trends counts and the gauges bucket it by that state — a deadline-cut
 // or cancelled step counts as failed, not pending forever.
 func TestServedStatusCounts(t *testing.T) {
-	s, err := OpenStore("", fakeClock())
+	s, err := OpenStore(t.TempDir(), fakeClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +280,13 @@ func TestStoreCrashReplayGarbageTail(t *testing.T) {
 	}
 }
 
-// TestStoreValidation: names and sentinel errors.
+// TestStoreValidation: names and sentinel errors, and a store needs a
+// directory.
 func TestStoreValidation(t *testing.T) {
-	s, err := OpenStore("", nil)
+	if _, err := OpenStore("", nil); err == nil {
+		t.Error("OpenStore accepted an empty directory")
+	}
+	s, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +311,7 @@ func TestStoreValidation(t *testing.T) {
 // same push sequence yields the same ids in any process.
 func TestSnapshotIDDeterminism(t *testing.T) {
 	build := func() []string {
-		s, err := OpenStore("", fakeClock())
+		s, err := OpenStore(t.TempDir(), fakeClock())
 		if err != nil {
 			t.Fatal(err)
 		}

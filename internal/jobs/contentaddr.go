@@ -29,34 +29,30 @@ func Address(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// BlobStore holds canonicalized snapshot uploads keyed by their SHA-256,
-// so a requeued job can re-ingest its inputs after a crash. With a
-// directory it is durable (blobs/<hash> files, fsynced); without one it
-// retains nothing — an in-memory job store has no journal and never
-// replays, so its writers only spool and hash.
+// BlobStore holds canonicalized snapshot uploads keyed by their SHA-256
+// as fsynced blobs/<hash> files, so a requeued or rerun job can re-ingest
+// its inputs without its submitter.
 //
 // Blobs are immutable and content-keyed: committing the same bytes twice
 // is a no-op, so concurrent identical uploads cost one file.
 type BlobStore struct {
-	dir string // "" = in-memory
+	dir string
 }
 
-// newBlobStore returns a blob store rooted at dir ("" for in-memory).
+// newBlobStore returns a blob store rooted at dir.
 func newBlobStore(dir string) (*BlobStore, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("jobs: blob store: %w", err)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("jobs: blob store: %w", err)
 	}
 	return &BlobStore{dir: dir}, nil
 }
 
 // BlobWriter streams one blob towards the store: bytes are hashed as they
-// arrive and spooled to a temp file (beside the blobs in durable mode, in
-// the system temp directory otherwise), so an upload is never held whole
-// in memory. The caller learns the content hash from Sum, may read the
-// spool back with Rewind — the daemon interns a snapshot from there only
-// when its address turns out to be new — and ends with Commit or Abort.
+// arrive and spooled to a temp file beside the blobs, so an upload is
+// never held whole in memory. The caller learns the content hash from
+// Sum, may read the spool back with Rewind — the daemon interns a
+// snapshot from there only when its address turns out to be new — and
+// ends with Commit or Abort.
 //
 // Writes reach the spool through a 64 KiB buffer, flushed before the spool
 // is read back or made durable, so an upload streamed in small reads
@@ -76,7 +72,6 @@ const blobBufferSize = 64 << 10
 // and Commit so the writer can sit at the end of an io.Copy.
 func (b *BlobStore) NewWriter() *BlobWriter {
 	w := &BlobWriter{b: b, h: sha256.New()}
-	// In-memory mode passes "" and lands in os.TempDir.
 	w.tmp, w.err = os.CreateTemp(b.dir, ".blob-*")
 	if w.err != nil {
 		w.err = fmt.Errorf("jobs: blob store: %w", w.err)
@@ -126,16 +121,16 @@ func (w *BlobWriter) Rewind() (io.Reader, error) {
 	return w.tmp, nil
 }
 
-// Commit finalises the blob and returns its content hash. In durable
-// mode a new blob is fsynced and renamed to blobs/<hash>; content that is
-// already stored — and every in-memory write — only discards the spool.
+// Commit finalises the blob and returns its content hash. A new blob is
+// fsynced and renamed to blobs/<hash>; content that is already stored
+// only discards the spool.
 func (w *BlobWriter) Commit() (string, error) {
 	defer w.Abort()
 	if err := w.flush(); err != nil {
 		return "", err
 	}
 	sum := w.Sum()
-	if w.b.dir == "" || w.b.Exists(sum) {
+	if w.b.Exists(sum) {
 		return sum, nil
 	}
 	if err := w.tmp.Sync(); err != nil {
@@ -162,20 +157,14 @@ func (w *BlobWriter) Abort() {
 	}
 }
 
-// Exists reports whether the blob is stored (never, in memory mode).
+// Exists reports whether the blob is stored.
 func (b *BlobStore) Exists(hash string) bool {
-	if b.dir == "" {
-		return false
-	}
 	_, err := os.Stat(filepath.Join(b.dir, hash))
 	return err == nil
 }
 
 // Open streams the blob's bytes.
 func (b *BlobStore) Open(hash string) (io.ReadCloser, error) {
-	if b.dir == "" {
-		return nil, fmt.Errorf("jobs: blob %s: %w", hash, os.ErrNotExist)
-	}
 	f, err := os.Open(filepath.Join(b.dir, hash))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: blob %s: %w", hash, err)

@@ -13,8 +13,8 @@ import (
 // Options configures Open.
 type Options struct {
 	// Dir roots the durable state (journal.jsonl, blobs/, results/).
-	// Empty means a process-local in-memory store: same queue, dedupe and
-	// cancel semantics, no crash durability.
+	// Empty means a private directory under os.TempDir that Close
+	// removes: the same journal, blobs and results, kept for one process.
 	Dir string
 	// CompactEvery snapshots the journal after this many appended
 	// transitions (0 = default 256). Compaction rewrites the live records
@@ -29,11 +29,12 @@ const defaultCompactEvery = 256
 // concurrent use.
 type Store struct {
 	dir          string
+	private      bool // dir was made by Open, and Close removes it
 	blobs        *BlobStore
 	compactEvery int
 
 	mu       sync.Mutex
-	jrnl     *wal.Log[Record] // nil in memory mode
+	jrnl     *wal.Log[Record]
 	jobs     map[string]*Job
 	byAddr   map[string]*Job
 	order    []*Job // submission order (ascending Seq) — the listing order
@@ -97,11 +98,12 @@ type Spec struct {
 	Payload any
 }
 
-// Open opens (or creates) a store. With Options.Dir set, the journal is
-// replayed first: pending jobs are requeued, jobs found mid-run are
-// requeued with a bumped Requeues counter, completed jobs keep serving
-// their stored results.
-func Open(opts Options) (*Store, error) {
+// Open opens (or creates) a store, replaying its journal first: pending
+// jobs are requeued, jobs found mid-run are requeued with a bumped
+// Requeues counter, completed jobs keep serving their stored results.
+// Without Options.Dir the store lives in a fresh private directory, which
+// Close (or a failed Open) removes.
+func Open(opts Options) (_ *Store, err error) {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = defaultCompactEvery
 	}
@@ -113,25 +115,24 @@ func Open(opts Options) (*Store, error) {
 		wake:         make(chan struct{}),
 		closedCh:     make(chan struct{}),
 	}
-	blobDir := ""
-	if opts.Dir != "" {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("jobs: store dir: %w", err)
+	if s.dir == "" {
+		if s.dir, err = os.MkdirTemp("", "affidavit-jobs-*"); err != nil {
+			return nil, fmt.Errorf("jobs: private dir: %w", err)
 		}
-		if err := os.MkdirAll(filepath.Join(opts.Dir, "results"), 0o755); err != nil {
-			return nil, fmt.Errorf("jobs: results dir: %w", err)
-		}
-		blobDir = filepath.Join(opts.Dir, "blobs")
+		s.private = true
+		defer func() {
+			if err != nil {
+				os.RemoveAll(s.dir)
+			}
+		}()
 	}
-	blobs, err := newBlobStore(blobDir)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(s.dir, "results"), 0o755); err != nil {
+		return nil, fmt.Errorf("jobs: results dir: %w", err)
+	}
+	if s.blobs, err = newBlobStore(filepath.Join(s.dir, "blobs")); err != nil {
 		return nil, err
 	}
-	s.blobs = blobs
-	if opts.Dir == "" {
-		return s, nil
-	}
-	jrnl, recs, err := wal.Open(filepath.Join(opts.Dir, "journal.jsonl"), journalSchema)
+	jrnl, recs, err := wal.Open(filepath.Join(s.dir, "journal.jsonl"), journalSchema)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +178,16 @@ func Open(opts Options) (*Store, error) {
 // Blobs returns the store's blob store.
 func (s *Store) Blobs() *BlobStore { return s.blobs }
 
+// Dir returns the directory the store keeps its state in: Options.Dir, or
+// the private directory Open made in its place.
+func (s *Store) Dir() string { return s.dir }
+
 // Joinable reports whether Submit would answer addr by joining an
 // existing job that needs nothing from the submitter: the job is pending,
-// running or completed and — in durable mode — both of its upload blobs
-// are still stored, so even a crash-requeue could replay it. The answer
-// is advisory: on true the daemon skips ingesting a duplicate upload, and
-// Submit stays the one atomic dedupe decision.
+// running or completed and both of its upload blobs are still stored, so
+// a rerun or a crash-requeue could replay it. The answer is advisory: on
+// true the daemon skips ingesting a duplicate upload, and Submit stays
+// the one atomic dedupe decision.
 func (s *Store) Joinable(addr string) bool {
 	s.mu.Lock()
 	j, ok := s.byAddr[addr]
@@ -194,7 +199,7 @@ func (s *Store) Joinable(addr string) bool {
 	if !ok || !rec.State.joinable() {
 		return false
 	}
-	return s.dir == "" || (s.blobs.Exists(rec.SourceBlob) && s.blobs.Exists(rec.TargetBlob))
+	return s.blobs.Exists(rec.SourceBlob) && s.blobs.Exists(rec.TargetBlob)
 }
 
 // Submit queues spec, or joins the existing job when spec.Addr matches a
@@ -381,9 +386,9 @@ type Metrics struct {
 	// reconstruct them — Prometheus counters reset on restart anyway).
 	Submitted, DedupeHits, Completed, Failed, Cancelled, Requeued int64
 	// JournalError is the latched first journal write failure, "" while
-	// the store is durable (or in-memory). A non-empty value means the
-	// store degraded to availability-over-durability: jobs keep running
-	// but transitions since the failure would not survive a crash.
+	// the store is durable. A non-empty value means the store degraded to
+	// availability-over-durability: jobs keep running but transitions
+	// since the failure would not survive a crash.
 	JournalError string
 }
 
@@ -413,9 +418,9 @@ func (s *Store) Metrics() Metrics {
 	return m
 }
 
-// Close marks the store closed, releases waiters and closes the journal.
-// Close the worker pool first: a runner finishing after Close cannot
-// journal its transition.
+// Close marks the store closed, releases waiters and closes the journal;
+// a private directory is then removed. Close the worker pool first: a
+// runner finishing after Close cannot journal its transition.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -425,10 +430,11 @@ func (s *Store) Close() error {
 	s.closed = true
 	close(s.closedCh)
 	s.broadcastLocked()
-	if s.jrnl != nil {
-		if err := s.jrnl.Close(); err != nil && s.journalErr == nil {
-			s.journalErr = err
-		}
+	if err := s.jrnl.Close(); err != nil && s.journalErr == nil {
+		s.journalErr = err
+	}
+	if s.private {
+		os.RemoveAll(s.dir)
 	}
 	return s.journalErr
 }
@@ -441,9 +447,6 @@ func (s *Store) resultPath(id string) string {
 // appendLocked journals rec and compacts when the log has grown enough.
 // Journal failures latch journalErr; the in-memory state stays correct.
 func (s *Store) appendLocked(rec Record) {
-	if s.jrnl == nil {
-		return
-	}
 	err := s.jrnl.Append(rec)
 	if err == nil && s.jrnl.Appended() >= s.compactEvery {
 		live := make([]Record, len(s.order))
@@ -534,11 +537,9 @@ func (s *Store) finishLocked(j *Job, set func(*Record)) {
 // complete stores the result durably (before the completed journal line,
 // so a journaled completion always has its bytes) and ends the job.
 func (s *Store) complete(j *Job, out *Outcome) {
-	if s.dir != "" {
-		if err := writeFileSync(s.resultPath(j.ID()), out.Body); err != nil {
-			s.fail(j, fmt.Sprintf("storing result: %v", err), out)
-			return
-		}
+	if err := writeFileSync(s.resultPath(j.ID()), out.Body); err != nil {
+		s.fail(j, fmt.Sprintf("storing result: %v", err), out)
+		return
 	}
 	s.finish(j, func(r *Record) {
 		r.State = StateCompleted

@@ -70,73 +70,102 @@ func TestBlobWriterBufferedParts(t *testing.T) {
 	}
 }
 
-// TestBlobStoreRoundTrip: a writer's spool reads back through Rewind in
-// both modes; a durable Commit stores the bytes under their hash (Exists,
-// Open), a second Commit of the same bytes is a no-op, an in-memory
-// store retains nothing, and no spool outlives Commit or Abort.
+// TestBlobStoreRoundTrip: a writer's spool reads back through Rewind; a
+// Commit stores the bytes under their hash (Exists, Open), a second
+// Commit of the same bytes is a no-op, and no spool outlives Commit or
+// Abort.
 func TestBlobStoreRoundTrip(t *testing.T) {
 	data := []byte("col\nv1\nv2\n")
 	want := sha256.Sum256(data)
-	for _, dir := range []string{"", t.TempDir()} {
-		b, err := newBlobStore(dir)
+	dir := t.TempDir()
+	b, err := newBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hashes [2]string
+	for i := range hashes {
+		w := b.NewWriter()
+		spool := w.tmp.Name()
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := w.Rewind()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hashes [2]string
-		for i := range hashes {
-			w := b.NewWriter()
-			spool := w.tmp.Name()
-			if _, err := w.Write(data); err != nil {
-				t.Fatal(err)
-			}
-			rd, err := w.Rewind()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := io.ReadAll(rd); !bytes.Equal(got, data) {
-				t.Fatalf("spool read back %q (dir=%q)", got, dir)
-			}
-			if hashes[i], err = w.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			if hashes[i] != w.Sum() || hashes[i] != hex.EncodeToString(want[:]) {
-				t.Fatalf("commit hash %s, Sum %s, want %x", hashes[i], w.Sum(), want)
-			}
-			if _, err := os.Stat(spool); !os.IsNotExist(err) {
-				t.Fatalf("spool %s outlived Commit (dir=%q): %v", spool, dir, err)
-			}
+		if got, _ := io.ReadAll(rd); !bytes.Equal(got, data) {
+			t.Fatalf("spool read back %q", got)
 		}
-		if b.Exists(hashes[0]) != (dir != "") {
-			t.Fatalf("Exists = %v (dir=%q)", b.Exists(hashes[0]), dir)
+		if hashes[i], err = w.Commit(); err != nil {
+			t.Fatal(err)
 		}
-		rc, err := b.Open(hashes[0])
-		if dir == "" {
-			if !errors.Is(err, os.ErrNotExist) {
-				t.Fatalf("in-memory Open: %v, want ErrNotExist", err)
-			}
-		} else {
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := io.ReadAll(rc)
-			rc.Close()
-			if !bytes.Equal(got, data) {
-				t.Fatal("blob round-trip mismatch")
-			}
-			if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
-				t.Fatalf("blob dir holds %v, want the one blob", names)
-			}
+		if hashes[i] != w.Sum() || hashes[i] != hex.EncodeToString(want[:]) {
+			t.Fatalf("commit hash %s, Sum %s, want %x", hashes[i], w.Sum(), want)
 		}
-		if _, err := b.Open("deadbeef"); err == nil {
-			t.Fatal("missing blob did not error")
-		}
-		w := b.NewWriter()
-		spool := w.tmp.Name()
-		w.Write(data)
-		w.Abort()
 		if _, err := os.Stat(spool); !os.IsNotExist(err) {
-			t.Fatalf("spool outlived Abort: %v", err)
+			t.Fatalf("spool %s outlived Commit: %v", spool, err)
 		}
+	}
+	if !b.Exists(hashes[0]) {
+		t.Fatal("committed blob does not exist")
+	}
+	rc, err := b.Open(hashes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(rc)
+	rc.Close()
+	if !bytes.Equal(got, data) {
+		t.Fatal("blob round-trip mismatch")
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) != 1 {
+		t.Fatalf("blob dir holds %v, want the one blob", names)
+	}
+	if _, err := b.Open("deadbeef"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing blob: %v, want ErrNotExist", err)
+	}
+	w := b.NewWriter()
+	spool := w.tmp.Name()
+	w.Write(data)
+	w.Abort()
+	if _, err := os.Stat(spool); !os.IsNotExist(err) {
+		t.Fatalf("spool outlived Abort: %v", err)
+	}
+}
+
+// TestPrivateDirRemovedAtClose: a store opened without a Dir keeps its
+// journal, blobs and results in a fresh directory under os.TempDir, which
+// Close removes after closing the journal.
+func TestPrivateDirRemovedAtClose(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Dir(s.Dir()) != tmp || !strings.HasPrefix(filepath.Base(s.Dir()), "affidavit-jobs-") {
+		t.Fatalf("private dir %s, want an affidavit-jobs-* entry of %s", s.Dir(), tmp)
+	}
+	w := s.Blobs().NewWriter()
+	io.WriteString(w, "a\n1\n")
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := s.Submit(Spec{Addr: "addr", Table: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.complete(j, &Outcome{Body: []byte("body")})
+	for _, name := range []string{"journal.jsonl", "results/" + j.ID()} {
+		if _, err := os.Stat(filepath.Join(s.Dir(), name)); err != nil {
+			t.Errorf("private store keeps no %s: %v", name, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := os.ReadDir(tmp); len(names) != 0 {
+		t.Errorf("Close left %v in TMPDIR", names)
 	}
 }
 
@@ -279,7 +308,7 @@ func TestResurrectFailedAddress(t *testing.T) {
 	}
 }
 
-// TestJoinableNeedsBlobs: a durable store only lets a submission skip its
+// TestJoinableNeedsBlobs: a store only lets a submission skip its
 // ingest when both of the job's blobs are there to replay from.
 func TestJoinableNeedsBlobs(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir()})

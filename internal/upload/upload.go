@@ -161,7 +161,7 @@ func (b *Body) Discard() {
 
 // IngestBlob re-interns a stored upload for a job that runs without its
 // submitter's tables (journal replay, a re-seeded chain). A blob that is
-// gone (an in-memory store keeps none) or no longer parses fails the run.
+// gone from the store's directory or no longer parses fails the run.
 func IngestBlob(ctx context.Context, read Reader, blobs *jobs.BlobStore, hash, role string) (*affidavit.Table, error) {
 	rc, err := blobs.Open(hash)
 	if err != nil {
